@@ -86,6 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_CONFIG_KEYS = ("ranges", "train_frac", "variant", "zscore", "space", "folds")
+_SPACE_KEYS = ("k_range", "weightings", "metrics")
+
+
+def _reject_unknown(doc: dict, known: tuple, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValidationError(f"unknown {where} key {unknown[0]!r}; expected one of {known}")
+
+
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -97,6 +107,7 @@ def _load_config(path: Path | None) -> dict:
         raise ValidationError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
+    _reject_unknown(doc, _CONFIG_KEYS, "config")
     return doc
 
 
@@ -113,7 +124,7 @@ def _cmd_gen_data(args, cfg) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.name}.csv"
     write_csv(ds, path)
-    counts = np.bincount(ds.label_array(), minlength=4)
+    counts = np.bincount(ds.labels, minlength=4)
     print(f"wrote {len(ds)} samples to {path}")
     print(f"class counts: {counts.tolist()}, redraws: {ds.meta['redraws']}")
     return 0
@@ -141,6 +152,9 @@ def _space_from_config(cfg: dict) -> HyperSpace:
     doc = cfg.get("space")
     if not doc:
         return HyperSpace()
+    if not isinstance(doc, dict):
+        raise ValidationError("config key 'space' must be a JSON object")
+    _reject_unknown(doc, _SPACE_KEYS, "space")
     kwargs = {}
     if "k_range" in doc:
         kwargs["k_range"] = tuple(doc["k_range"])

@@ -25,7 +25,8 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .engine import EngineParams, TRACE_VECTOR, TwistedGenerator, build_generator
+from .engine import (EngineParams, TRACE_VECTOR, TwistedGenerator, build_generator,
+                     build_generators, varied_row)
 from .errors import (
     BranchAmbiguityError,
     ConditioningError,
@@ -74,33 +75,44 @@ class CumulantSet:
                 raise SingularityError(f"non-finite cumulant data: {group}")
 
 
-def steady_state(gen: TwistedGenerator) -> SteadyState:
-    """Null vector of L(0), normalized so the four populations sum to 1.
+def steady_states(l0: np.ndarray, physical: bool):
+    """Null vectors of a (n, 5, 5) stack of L(0), populations summing to 1.
 
-    The null space is extracted by SVD; a second near-zero singular
-    value means the generator is defective for this purpose. For the
-    default generator variant the populations are also required to be
-    physical (inside [0, 1]); the legacy variants violate that bound on
-    real parameter draws, which is exactly why they are not the default.
+    Returns the (n, 5) states and a {row: error} map of the rows failing
+    a check. One batched SVD, bitwise equal to per-matrix SVDs, gives the
+    null spaces; a second near-zero singular value means the generator is
+    defective for this purpose. With `physical` the populations must lie
+    in [0, 1]: the legacy variants violate that bound on real parameter
+    draws, which is exactly why they are not the default.
     """
-    u_, s, vt = np.linalg.svd(gen.l0)
+    _, s, vt = np.linalg.svd(l0)
     # Singular values are sorted descending; the null direction is last.
-    if s[-2] < 1e-8:
-        raise SingularityError(
-            f"null space of L(0) is not one-dimensional (sigma[-2]={s[-2]:.3e})"
-        )
-    rho = vt[-1]
-    pop = rho[:4].sum()
-    if abs(pop) < 1e-12:
-        raise SingularityError("null vector carries no population weight")
-    rho = rho / pop
-    residual = np.abs(gen.l0 @ rho).max()
-    if residual > 1e-10:
-        raise SingularityError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    if gen.variant == "consistent":
-        if rho[:4].min() < -1e-9 or rho[:4].max() > 1.0 + 1e-9:
-            raise SingularityError(f"unphysical populations {rho[:4]}")
-    return SteadyState(rho=rho)
+    rho = vt[:, -1]
+    pop = rho[:, 0] + rho[:, 1] + rho[:, 2] + rho[:, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = rho / pop[:, None]
+        residual = np.abs(np.matmul(l0, rho[:, :, None])[:, :, 0]).max(axis=1)
+    checks = [  # in order: a row reports the first check it fails
+        (s[:, -2] < 1e-8, lambda i: "null space of L(0) is not one-dimensional "
+                                    f"(sigma[-2]={s[i, -2]:.3e})"),
+        (np.abs(pop) < 1e-12, lambda i: "null vector carries no population weight"),
+        (residual > 1e-10, lambda i: f"steady-state residual {residual[i]:.3e} exceeds 1e-10"),
+        (physical & ((rho[:, :4].min(axis=1) < -1e-9) | (rho[:, :4].max(axis=1) > 1.0 + 1e-9)),
+         lambda i: f"unphysical populations {rho[i, :4]}"),
+    ]
+    failures = {}
+    for bad, message in checks:
+        for i in np.flatnonzero(bad).tolist():
+            failures.setdefault(i, SingularityError(message(i)))
+    return rho, failures
+
+
+def steady_state(gen: TwistedGenerator) -> SteadyState:
+    """Stationary state of one generator (see steady_states)."""
+    rho, failures = steady_states(gen.l0[None], gen.variant == "consistent")
+    if failures:
+        raise failures[0]
+    return SteadyState(rho=rho[0])
 
 
 def _dominant_eig(matrix: np.ndarray):
@@ -176,19 +188,21 @@ def cumulants(gen: TwistedGenerator) -> np.ndarray:
     return np.array(s[1:])
 
 
-def exchange_moment_rates(gen: TwistedGenerator, state: SteadyState) -> np.ndarray:
+def exchange_moment_rates(emit_rate, absorb_rate, rho: np.ndarray) -> np.ndarray:
     """Raw moment rates m[1..4] of the instantaneous photon-exchange current.
 
     m_k contracts the k-th counting derivative of the generator with
-    the steady state. Because the counting edges are dressed with
-    e^{+-lam}, the derivative matrices repeat with period 2, so
-    m_3 = m_1 (net flux) and m_4 = m_2 (exchange activity) identically.
+    the steady state `rho`, from the rates on the two counted edges.
+    Because the counting edges are dressed with e^{+-lam}, the
+    derivative matrices repeat with period 2, so m_3 = m_1 (net flux)
+    and m_4 = m_2 (exchange activity) identically. Takes one state (5,)
+    or a stack (n, 5) with (n,) rates.
     """
-    emit_flow = gen.emit_rate * state.rho[2]
-    absorb_flow = gen.absorb_rate * state.rho[3]
+    emit_flow = emit_rate * rho[..., 2]
+    absorb_flow = absorb_rate * rho[..., 3]
     flux = emit_flow - absorb_flow
     activity = emit_flow + absorb_flow
-    return np.array([flux, activity, flux, activity])
+    return np.stack([flux, activity, flux, activity], axis=-1)
 
 
 def cumulant_ratios(params: EngineParams, variant: str = "consistent") -> CumulantSet:
@@ -208,18 +222,41 @@ def cumulant_ratios(params: EngineParams, variant: str = "consistent") -> Cumula
     return CumulantSet(j=tuple(j.tolist()), j0=tuple(j0.tolist()), c=tuple(c.tolist()))
 
 
+def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams(),
+                                 variant: str = "consistent"):
+    """Features of every row of a (n, 5) parameter array (see
+    exchange_moment_ratios), and a {row: error} map of unusable rows.
+
+    Samples and their baselines are solved as one stack, a row's two
+    matrices by identical arithmetic: features are bitwise 1.0 at zero
+    coherence.
+    """
+    varied = np.asarray(varied, dtype=float).reshape(-1, 5)
+    n = len(varied)
+    zero = varied.copy()
+    zero[:, 3:] = 0.0
+    l0, emit, absorb = build_generators(np.concatenate([varied, zero]), fixed, variant)
+    rho, solve_failures = steady_states(l0, variant == "consistent")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        moments = exchange_moment_rates(emit, absorb, rho)
+        m, m0 = moments[:n], moments[n:]
+        feats = m / m0
+    # A row reports its first failure along the scalar route: the
+    # sample's solve, the baseline's solve, a degenerate baseline.
+    failures = {i % n: err for i, err in sorted(solve_failures.items(), reverse=True)}
+    for i in np.flatnonzero(np.any(np.abs(m0) < DEGENERATE_TOL, axis=1)).tolist():
+        failures.setdefault(i, DegenerateSampleError(f"degenerate baseline moments {m0[i].tolist()}"))
+    return feats, failures
+
+
 def exchange_moment_ratios(params: EngineParams, variant: str = "consistent") -> np.ndarray:
     """Classifier features: baseline-normalized exchange moment rates.
 
     Returns the length-4 vector m_k / m0_k where m0 is evaluated at the
-    same operating point with both coherence channels off, through the
-    identical code path (so the features are bitwise 1.0 at zero
-    coherence). Raises when a baseline moment degenerates.
+    same operating point with both coherence channels off. Raises when a
+    steady state fails or a baseline moment degenerates.
     """
-    gen = build_generator(params, variant)
-    m = exchange_moment_rates(gen, steady_state(gen))
-    gen0 = build_generator(params.zero_coherence(), variant)
-    m0 = exchange_moment_rates(gen0, steady_state(gen0))
-    if np.any(np.abs(m0) < DEGENERATE_TOL):
-        raise DegenerateSampleError(f"degenerate baseline moments {m0.tolist()}")
-    return m / m0
+    feats, failures = exchange_moment_ratios_batch(varied_row(params), params, variant)
+    if failures:
+        raise failures[0]
+    return feats[0]

@@ -2,9 +2,9 @@
 
 Each sample is one random engine configuration: the features are the
 four baseline-normalized exchange statistics, the label is the quartile
-interval of the hot-bath coherence strength. Generation is deterministic
-in (seed, ranges, n), with per-sample RNG substreams so the draws do not
-depend on evaluation order.
+interval of the hot-bath coherence strength. A dataset is held as column
+arrays. Generation is deterministic in (seed, ranges, n), with per-sample
+RNG substreams so the draws do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import exchange_moment_ratios
-from .engine import EngineParams
-from .errors import DomainError, GenerationQualityError, NumericalError, ParseError, ValidationError
+from .counting import exchange_moment_ratios_batch
+from .engine import VARIED, EngineParams
+from .errors import DomainError, GenerationQualityError, ParseError, ValidationError
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
@@ -34,6 +34,9 @@ _BOUNDS = {
 }
 
 _MAX_REDRAWS_FRACTION = 0.10
+
+# Rows per stacked solve: bounds its temporaries to a few MB at any n.
+_BATCH_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -83,83 +86,98 @@ def label_of(p_h: float) -> int:
     """
     if not 0.0 <= p_h <= 1.0:
         raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
-    if p_h < _CLASS_EDGES[0]:
-        return 0
-    if p_h < _CLASS_EDGES[1]:
-        return 1
-    if p_h < _CLASS_EDGES[2]:
-        return 2
-    return 3
+    return int(_labels_of(p_h))
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    features: tuple
-    label: int
-    params: EngineParams
-
-    def __post_init__(self):
-        if len(self.features) != 4 or not all(math.isfinite(c) for c in self.features):
-            raise ValidationError(f"features must be 4 finite values, got {self.features}")
-        if self.label != label_of(self.params.p_h):
-            raise ValidationError(
-                f"label {self.label} inconsistent with p_h={self.params.p_h}"
-            )
+def _labels_of(p_h):
+    """label_of over p_h values inside [0, 1]."""
+    return np.searchsorted(_CLASS_EDGES, p_h, side="right")
 
 
-@dataclass(frozen=True)
+def _check_row(features: tuple, label: int, varied: list, fixed: dict) -> None:
+    """Raise the validation error of one row, checks in row order."""
+    try:
+        params = EngineParams(**dict(zip(VARIED, varied)), **fixed)
+    except TypeError as exc:  # malformed sidecar constants
+        raise ValidationError(str(exc))
+    if not all(math.isfinite(c) for c in features):
+        raise ValidationError(f"features must be 4 finite values, got {features}")
+    if label != label_of(params.p_h):
+        raise ValidationError(f"label {label} inconsistent with p_h={params.p_h}")
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: tuple
+    """Labeled samples as write-protected columns.
+
+    `features` is (n, 4), `labels` (n,), `params` (n, 5) with the varied
+    engine parameters in VARIED order; `meta["fixed"]` holds the other
+    constants of every row's EngineParams.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    params: np.ndarray
     train_idx: tuple
     val_idx: tuple
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.samples)
-        train, val = set(self.train_idx), set(self.val_idx)
-        if train & val:
+        for name, dtype in (("features", float), ("labels", np.intp), ("params", float)):
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        n = len(self.labels)
+        shapes = (self.features.shape, self.labels.shape, self.params.shape)
+        if shapes != ((n, 4), (n,), (n, 5)):
+            raise ValidationError(f"columns must be (n, 4), (n,) and (n, 5), got {shapes}")
+        self._check_rows()
+        train, val = np.unique(self.train_idx), np.unique(self.val_idx)
+        if np.intersect1d(train, val).size:
             raise ValidationError("train and validation splits overlap")
-        if train | val != set(range(n)) or len(train) + len(val) != n:
+        if not np.array_equal(np.union1d(train, val), np.arange(n)):
             raise ValidationError("splits must partition the sample indices")
 
+    def _check_rows(self):
+        """Vectorized row checks; the first bad row raises its scalar error,
+        tagged with the row index as `row`. Row 0 always takes the scalar
+        check, which validates the sidecar's fixed constants once."""
+        t, p = self.params[:, :3], self.params[:, 3:]
+        good = (np.isfinite(self.features).all(axis=1) & (t > 0.0).all(axis=1)
+                & ((p >= 0.0) & (p <= 1.0)).all(axis=1)
+                & (self.labels == _labels_of(self.params[:, 4])))
+        good[:1] = False
+        for i in np.flatnonzero(~good).tolist():
+            try:
+                _check_row(tuple(self.features[i].tolist()), int(self.labels[i]),
+                           self.params[i].tolist(), self.meta.get("fixed", {}))
+            except ValidationError as exc:
+                exc.row = i
+                raise
+
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def feature_matrix(self, indices=None) -> np.ndarray:
-        rows = self.samples if indices is None else [self.samples[i] for i in indices]
-        return np.array([s.features for s in rows], dtype=float).reshape(len(rows), 4)
-
-    def label_array(self, indices=None) -> np.ndarray:
-        rows = self.samples if indices is None else [self.samples[i] for i in indices]
-        return np.array([s.label for s in rows], dtype=np.intp)
+        return len(self.labels)
 
     @property
     def train(self):
-        return self.feature_matrix(self.train_idx), self.label_array(self.train_idx)
+        i = np.asarray(self.train_idx, dtype=np.intp)
+        return self.features[i], self.labels[i]
 
     @property
     def validation(self):
-        return self.feature_matrix(self.val_idx), self.label_array(self.val_idx)
-
-
-def _draw_params(rng: np.random.Generator, ranges: ParamRanges) -> EngineParams:
-    def u(interval):
-        lo, hi = interval
-        return lo + (hi - lo) * rng.random()
-
-    return EngineParams(
-        t_c=u(ranges.t_c), t_h=u(ranges.t_h), t_l=u(ranges.t_l),
-        p_c=u(ranges.p_c), p_h=u(ranges.p_h),
-    )
+        i = np.asarray(self.val_idx, dtype=np.intp)
+        return self.features[i], self.labels[i]
 
 
 def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
              train_frac: float = 0.70, variant: str = "consistent") -> Dataset:
     """Draw n labeled samples i.i.d. uniformly over `ranges`.
 
-    Degenerate draws (vanishing baseline statistics or failed solves) are
-    redrawn from the same per-sample substream; more than 10% redraws
-    overall signals pathological ranges and aborts.
+    All first attempts are evaluated together, as stacked solves of up
+    to _BATCH_ROWS rows. Degenerate draws (vanishing baseline statistics
+    or failed solves) are redrawn from the same per-sample substream, in
+    further rounds; more than 10% redraws overall signals pathological
+    ranges and aborts.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -167,49 +185,54 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
         raise DomainError(f"train_frac must be in (0, 1), got {train_frac}")
 
     children = np.random.SeedSequence(seed).spawn(n + 1)
-    samples = []
+    streams = [np.random.default_rng(c) for c in children[:n]]
+    lo = np.array([getattr(ranges, k)[0] for k in VARIED])
+    width = np.array([getattr(ranges, k)[1] for k in VARIED]) - lo
+
+    def draw(rows):
+        return lo + width * np.array([streams[i].random(5) for i in rows]).reshape(-1, 5)
+
+    params = draw(range(n))
+    features = np.empty((n, 4))
+    pending = np.arange(n)
     redraws = 0
     budget = max(10, int(_MAX_REDRAWS_FRACTION * n))
-    for i in range(n):
-        rng = np.random.default_rng(children[i])
-        while True:
-            params = _draw_params(rng, ranges)
-            try:
-                feats = exchange_moment_ratios(params, variant)
-            except NumericalError:
-                redraws += 1
-                if redraws > budget:
-                    raise GenerationQualityError(
-                        f"more than {budget} degenerate draws for n={n}; ranges look pathological"
-                    )
-                continue
-            break
-        samples.append(LabeledSample(tuple(float(c) for c in feats),
-                                     label_of(params.p_h), params))
+    fixed = EngineParams()
+    while pending.size:
+        failed = []
+        for start in range(0, pending.size, _BATCH_ROWS):
+            rows = pending[start:start + _BATCH_ROWS]
+            features[rows], failures = exchange_moment_ratios_batch(params[rows], fixed, variant)
+            failed += rows[sorted(failures)].tolist()
+        redraws += len(failed)
+        if redraws > budget:
+            raise GenerationQualityError(
+                f"more than {budget} degenerate draws for n={n}; ranges look pathological"
+            )
+        pending = np.array(failed, dtype=np.intp)
+        params[pending] = draw(failed)
 
     perm = np.random.default_rng(children[n]).permutation(n)
     n_train = int(round(n * train_frac))
-    train_idx = tuple(sorted(int(i) for i in perm[:n_train]))
-    val_idx = tuple(sorted(int(i) for i in perm[n_train:]))
 
     meta = {
         "schema": "dataset-meta/1",
         "seed": int(seed),
         "n": int(n),
         "ranges": ranges.to_dict(),
-        "fixed": {k: v for k, v in EngineParams().to_dict().items()
-                  if k in ("e1", "e_a", "e_b", "g", "r", "tau")},
+        "fixed": {k: v for k, v in fixed.to_dict().items() if k not in VARIED},
         "variant": variant,
         "train_frac": train_frac,
         "redraws": redraws,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    return Dataset(tuple(samples), train_idx, val_idx, meta)
+    return Dataset(features, _labels_of(params[:, 4]), params, tuple(np.sort(perm[:n_train]).tolist()),
+                   tuple(np.sort(perm[n_train:]).tolist()), meta)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# One CSV row: four features, label, the VARIED parameters, split tag.
+_ROW = ",".join(["{:.17g}"] * 4 + ["{}"] + ["{:.17g}"] * 5 + ["{}"])
 
 
 def meta_path(path) -> Path:
@@ -223,22 +246,36 @@ def write_csv(ds: Dataset, path) -> None:
     run-dependent (timestamp, redraw count) lives only in the sidecar.
     """
     path = Path(path)
-    train = set(ds.train_idx)
-    lines = [CSV_HEADER]
-    for i, s in enumerate(ds.samples):
-        p = s.params
-        lines.append(",".join(
-            [_fmt(c) for c in s.features]
-            + [str(s.label)]
-            + [_fmt(v) for v in (p.t_c, p.t_h, p.t_l, p.p_c, p.p_h)]
-            + ["train" if i in train else "val"]
-        ))
+    train = np.zeros(len(ds), dtype=bool)
+    train[np.asarray(ds.train_idx, dtype=np.intp)] = True
+    rows = zip(ds.features.tolist(), ds.labels.tolist(), ds.params.tolist(),
+               np.where(train, "train", "val").tolist())
+    lines = [CSV_HEADER] + [_ROW.format(*f, y, *p, s) for f, y, p, s in rows]
     path.write_text("\n".join(lines) + "\n")
     meta_path(path).write_text(json.dumps(ds.meta, indent=2, sort_keys=True) + "\n")
 
 
+def _parse_line(raw: str, lineno: int) -> tuple:
+    """(features, label, varied parameters, is_train) of one CSV line."""
+    cells = raw.split(",")
+    if len(cells) != 11:
+        raise ParseError(f"expected 11 columns, got {len(cells)}", line=lineno)
+    try:
+        row = ([float(c) for c in cells[:4]], int(cells[4]), [float(c) for c in cells[5:10]])
+        np.intp(row[1])  # the label column holds intp
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(str(exc), line=lineno)
+    if cells[10] not in ("train", "val"):
+        raise ParseError(f"split tag must be 'train' or 'val', got {cells[10]!r}", line=lineno)
+    return row + (cells[10] == "train",)
+
+
 def read_csv(path) -> Dataset:
-    """Inverse of write_csv; also reloads the sidecar when present."""
+    """Inverse of write_csv; also reloads the sidecar when present.
+
+    Lines are parsed into columns up to the first malformed one, then the
+    columns are validated; the earliest bad line is reported.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -255,31 +292,24 @@ def read_csv(path) -> Dataset:
             meta = json.loads(side.read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed sidecar {side}: {exc}")
-    fixed = meta.get("fixed", {})
 
-    samples = []
-    train_idx = []
-    val_idx = []
+    rows, linenos, error = [], [], None
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != 11:
-            raise ParseError(f"expected 11 columns, got {len(cells)}", line=lineno)
-        try:
-            feats = tuple(float(c) for c in cells[:4])
-            label = int(cells[4])
-            t_c, t_h, t_l, p_c, p_h = (float(c) for c in cells[5:10])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno)
-        split = cells[10]
-        if split not in ("train", "val"):
-            raise ParseError(f"split tag must be 'train' or 'val', got {split!r}", line=lineno)
-        try:
-            params = EngineParams(t_c=t_c, t_h=t_h, t_l=t_l, p_c=p_c, p_h=p_h, **fixed)
-            samples.append(LabeledSample(feats, label, params))
-        except (ValidationError, TypeError) as exc:
-            raise ParseError(str(exc), line=lineno)
-        (train_idx if split == "train" else val_idx).append(len(samples) - 1)
-
-    return Dataset(tuple(samples), tuple(train_idx), tuple(val_idx), meta)
+        if raw.strip():
+            try:
+                rows.append(_parse_line(raw, lineno))
+            except ParseError as exc:
+                error = exc
+                break
+            linenos.append(lineno)
+    features, labels, params, train = zip(*rows) if rows else ((),) * 4
+    train = np.array(train, dtype=bool)
+    try:
+        ds = Dataset(np.reshape(features, (-1, 4)), np.array(labels, dtype=np.intp),
+                     np.reshape(params, (-1, 5)), tuple(np.flatnonzero(train).tolist()),
+                     tuple(np.flatnonzero(~train).tolist()), meta)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line=linenos[exc.row])
+    if error is not None:
+        raise error
+    return ds

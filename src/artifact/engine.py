@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError
+
+# Columns of a parameter array: the operating-point parameters a dataset varies.
+VARIED = ("t_c", "t_h", "t_l", "p_c", "p_h")
 
 # Slot order of the reduced state vector.
 VEC_ORDER = ("pop_1", "pop_2", "pop_upper", "pop_lower", "coherence")
@@ -56,24 +59,33 @@ GENERATOR_VARIANTS = ("consistent", "legacy-conserving", "legacy")
 _OVERFLOW_X = 700.0
 
 
-def bose_occupation(gap: float, temperature: float) -> float:
-    """Mean occupation 1/(exp(gap/T) - 1) of a bosonic mode at energy `gap`."""
+def bose_occupations(gap: float, temperatures) -> np.ndarray:
+    """Mean occupations 1/(exp(gap/T) - 1) of a bosonic mode at energy `gap`, per T."""
+    temps = np.asarray(temperatures, dtype=float)
     if not gap > 0.0:
         raise DomainError(f"bose_occupation needs gap > 0, got {gap}")
-    if not temperature > 0.0:
-        raise DomainError(f"bose_occupation needs temperature > 0, got {temperature}")
-    x = gap / temperature
-    if x > _OVERFLOW_X:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    bad = ~(temps > 0.0)
+    if bad.any():
+        raise DomainError(f"bose_occupation needs temperature > 0, got {temps[bad][0]}")
+    # math.expm1 per element: np.expm1 differs from it in the last ulp,
+    # which would move the dataset CSV bytes.
+    return np.array([0.0 if x > _OVERFLOW_X else 1.0 / math.expm1(x)
+                     for x in (gap / temps).tolist()])
 
 
-def coherence_coupling(r: float, p: float) -> float:
-    """Interference pumping rate r*p for dipole-alignment strength p in [0, 1]."""
+def bose_occupation(gap: float, temperature: float) -> float:
+    """Mean occupation of one bosonic mode (see bose_occupations)."""
+    return float(bose_occupations(gap, [temperature])[0])
+
+
+def coherence_coupling(r: float, p):
+    """Interference pumping rate r*p for dipole-alignment strengths p in [0, 1]."""
     if not r > 0.0:
         raise DomainError(f"coherence_coupling needs r > 0, got {r}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"coherence strength must lie in [0, 1], got {p}")
+    arr = np.asarray(p)
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise DomainError(f"coherence strength must lie in [0, 1], got {arr[bad][0]}")
     return r * p
 
 
@@ -116,7 +128,7 @@ class EngineParams:
 
     def zero_coherence(self) -> "EngineParams":
         """Same operating point with both coherence channels switched off."""
-        return EngineParams(**{**asdict(self), "p_c": 0.0, "p_h": 0.0})
+        return replace(self, p_c=0.0, p_h=0.0)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -138,7 +150,7 @@ class EngineParams:
 
 @dataclass(frozen=True)
 class Occupations:
-    """Bose occupations of the three reservoirs at the engine's gaps."""
+    """Bose occupations of the three reservoirs at the engine's gaps (floats or columns)."""
 
     n_h: float   # hot bath   at gap e_a - e1
     n_c: float   # cold bath  at gap e_b - e1
@@ -150,20 +162,11 @@ class Occupations:
     def __post_init__(self):
         for name in ("n_h", "n_c", "n_l"):
             v = getattr(self, name)
-            if not (v >= 0.0 and math.isfinite(v)):
+            if not ((v >= 0.0) & np.isfinite(v)).all():
                 raise DomainError(f"occupation {name} must be finite and >= 0, got {v}")
         object.__setattr__(self, "nt_h", 1.0 + self.n_h)
         object.__setattr__(self, "nt_c", 1.0 + self.n_c)
         object.__setattr__(self, "nt_l", 1.0 + self.n_l)
-
-
-def occupations(params: EngineParams) -> Occupations:
-    """Evaluate all three reservoir occupations for an operating point."""
-    return Occupations(
-        n_h=bose_occupation(params.e_a - params.e1, params.t_h),
-        n_c=bose_occupation(params.e_b - params.e1, params.t_c),
-        n_l=bose_occupation(params.e_a - params.e_b, params.t_l),
-    )
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,6 @@ class TwistedGenerator:
     l_deriv: tuple                 # d^k L / d lam^k at 0, k = 1..4
     emit_rate: float               # g^2 * (1 + n_l), on the e^{+lam} edge
     absorb_rate: float             # g^2 * n_l, on the e^{-lam} edge
-    params: EngineParams
     variant: str = "consistent"
 
     def eval(self, lam: float) -> np.ndarray:
@@ -189,10 +191,13 @@ class TwistedGenerator:
         return m
 
 
-def build_generator(params: EngineParams, variant: str = "consistent") -> TwistedGenerator:
-    """Assemble the 5x5 counting-field generator for one operating point.
+def build_generators(varied, fixed: EngineParams = EngineParams(),
+                     variant: str = "consistent"):
+    """Counting-field generators of n operating points: L(0) as (n, 5, 5),
+    and the (n,) rates of the emission and absorption edges.
 
-    Only the two cavity edges depend on the counting field: the
+    `varied` is (n, 5) in VARIED order; `fixed` supplies the other
+    constants. Only the two cavity edges depend on the counting field: the
     emission edge carries g^2*(1+n_l)*e^{+lam}, the absorption edge
     g^2*n_l*e^{-lam}. Every non-default `variant` reproduces a legacy
     transcription of this generator (see GENERATOR_VARIANTS); the
@@ -201,10 +206,13 @@ def build_generator(params: EngineParams, variant: str = "consistent") -> Twiste
     """
     if variant not in GENERATOR_VARIANTS:
         raise DomainError(f"unknown generator variant {variant!r}; expected one of {GENERATOR_VARIANTS}")
-    occ = occupations(params)
-    r, g2, tau = params.r, params.g * params.g, params.tau
-    g12h = coherence_coupling(r, params.p_h)
-    g12c = coherence_coupling(r, params.p_c)
+    t_c, t_h, t_l, p_c, p_h = np.asarray(varied, dtype=float).reshape(-1, 5).T
+    occ = Occupations(n_h=bose_occupations(fixed.e_a - fixed.e1, t_h),
+                      n_c=bose_occupations(fixed.e_b - fixed.e1, t_c),
+                      n_l=bose_occupations(fixed.e_a - fixed.e_b, t_l))
+    r, g2, tau = fixed.r, fixed.g * fixed.g, fixed.tau
+    g12h = coherence_coupling(r, p_h)
+    g12c = coherence_coupling(r, p_c)
     # Mean interference drive and dressed dephasing of the coherence slot.
     g12 = 0.5 * (g12c * occ.n_c + g12h * occ.n_h)
     gbar = -r * (occ.n_h + occ.n_c)
@@ -212,7 +220,7 @@ def build_generator(params: EngineParams, variant: str = "consistent") -> Twiste
     emit = g2 * occ.nt_l
     absorb = g2 * occ.n_l
 
-    m = np.zeros((5, 5))
+    m = np.zeros((5, 5, len(t_c)))  # m[row, col] is a column; stack axis moved first below
     # Degenerate pair: drain into both baths, gain by emission from each
     # excited level, and couple to the coherence slot symmetrically.
     for i in (0, 1):
@@ -251,7 +259,18 @@ def build_generator(params: EngineParams, variant: str = "consistent") -> Twiste
             m[2, 4] = 2.0 * g12c * occ.n_c
         else:
             m[2, 4] = g12c * occ.n_c
+    return np.ascontiguousarray(m.transpose(2, 0, 1)), emit, absorb
 
+
+def varied_row(params: EngineParams) -> np.ndarray:
+    """The (1, 5) parameter array of one operating point."""
+    return np.array([[getattr(params, k) for k in VARIED]])
+
+
+def build_generator(params: EngineParams, variant: str = "consistent") -> TwistedGenerator:
+    """The counting-field generator of one operating point (see build_generators)."""
+    l0, emit, absorb = build_generators(varied_row(params), params, variant)
+    emit, absorb = float(emit[0]), float(absorb[0])
     derivs = []
     for k in range(1, 5):
         d = np.zeros((5, 5))
@@ -260,12 +279,11 @@ def build_generator(params: EngineParams, variant: str = "consistent") -> Twiste
         d.setflags(write=False)
         derivs.append(d)
 
-    m.setflags(write=False)
+    l0.setflags(write=False)
     return TwistedGenerator(
-        l0=m,
+        l0=l0[0],
         l_deriv=tuple(derivs),
         emit_rate=emit,
         absorb_rate=absorb,
-        params=params,
         variant=variant,
     )

@@ -81,7 +81,7 @@ class KnnModel:
     scale: np.ndarray
 
     def __post_init__(self):
-        n = self.features.shape[0]
+        n = len(self.features)
         if n == 0:
             raise StateError("model has no training points")
         if not 1 <= self.k <= n:
@@ -96,6 +96,15 @@ class KnnModel:
             raise ValidationError("labels must be one per training row")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= N_CLASSES):
             raise ValidationError(f"labels must lie in [0, {N_CLASSES})")
+        if not np.all(np.isfinite(self.features)):
+            raise ValidationError("training features must be finite")
+        width = len(self.feature_subset)
+        if self.shift.shape != (width,) or self.scale.shape != (width,):
+            raise ValidationError(f"shift and scale must hold {width} entries, got "
+                                  f"{self.shift.shape} and {self.scale.shape}")
+        if not (np.all(np.isfinite(self.shift)) and np.all(np.isfinite(self.scale))
+                and np.all(self.scale != 0.0)):
+            raise ValidationError("shift and scale must be finite and scale nonzero")
         for arr in (self.features, self.labels, self.shift, self.scale):
             arr.setflags(write=False)
 
@@ -291,11 +300,12 @@ def model_from_json(text: str) -> KnnModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model document is not valid JSON: {exc}")
-    if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
-        raise ValidationError(f"expected schema {MODEL_SCHEMA!r}, got {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != MODEL_SCHEMA:
+        raise ValidationError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r}")
     try:
         return KnnModel(
-            features=np.array(doc["features"], dtype=float).reshape(len(doc["labels"]), -1),
+            features=np.array(doc["features"], dtype=float),
             labels=np.array(doc["labels"], dtype=np.intp),
             k=int(doc["k"]),
             weighting=doc["weighting"],
@@ -306,6 +316,8 @@ def model_from_json(text: str) -> KnnModel:
         )
     except KeyError as exc:
         raise ValidationError(f"model document missing field {exc}")
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"malformed model document: {exc}")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,124 @@
+"""Per-sample reference route for dataset generation.
+
+One scalar generator build, one SVD null vector and one feature ratio per
+draw, in a plain loop with a redraw on every numerical failure. This is
+the route `artifact.data.generate` took before it evaluated its samples
+as one batch; tests require the batch to reproduce it bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from artifact.engine import EngineParams
+from artifact.errors import DegenerateSampleError, GenerationQualityError, NumericalError, SingularityError
+
+
+def _occupation(gap, temperature):
+    x = gap / temperature
+    return 0.0 if x > 700.0 else 1.0 / math.expm1(x)
+
+
+def generator(p, variant="consistent"):
+    """(L(0), emission rate, absorption rate) of one operating point."""
+    n_h = _occupation(p.e_a - p.e1, p.t_h)
+    n_c = _occupation(p.e_b - p.e1, p.t_c)
+    n_l = _occupation(p.e_a - p.e_b, p.t_l)
+    nt_h, nt_c, nt_l = 1.0 + n_h, 1.0 + n_c, 1.0 + n_l
+    r, g2, tau = p.r, p.g * p.g, p.tau
+    g12h, g12c = r * p.p_h, r * p.p_c
+    g12 = 0.5 * (g12c * n_c + g12h * n_h)
+    gbar = -r * (n_h + n_c)
+    emit, absorb = g2 * nt_l, g2 * n_l
+    m = np.zeros((5, 5))
+    for i in (0, 1):
+        m[i, i] = -r * (n_h + n_c)
+        m[i, 2] = r * nt_h
+        m[i, 3] = r * nt_c
+        m[i, 4] = -2.0 * g12
+    m[2, 2] = -2.0 * r * nt_h - emit
+    m[3, 3] = -2.0 * r * nt_c - absorb
+    m[2, 3] = absorb
+    m[3, 2] = emit
+    m[4, 0] = m[4, 1] = -g12
+    m[4, 2] = g12h * nt_h
+    m[4, 4] = gbar - tau
+    if variant == "consistent":
+        m[2, 0] = m[2, 1] = r * n_h
+        m[3, 0] = m[3, 1] = r * n_c
+        m[2, 4] = 2.0 * g12h * n_h
+        m[3, 4] = 2.0 * g12c * n_c
+        m[4, 3] = g12c * nt_c
+    else:
+        m[2, 0] = m[2, 1] = r * n_c
+        m[3, 0] = m[3, 1] = r * n_h
+        m[3, 4] = 2.0 * g12h * n_h
+        m[4, 3] = 2.0 * g12c * nt_c
+        m[2, 4] = (2.0 if variant == "legacy-conserving" else 1.0) * g12c * n_c
+    return m, emit, absorb
+
+
+def steady_state(m, variant="consistent"):
+    """SVD null vector of one L(0), populations summing to 1."""
+    _, s, vt = np.linalg.svd(m)
+    if s[-2] < 1e-8:
+        raise SingularityError(f"null space of L(0) is not one-dimensional (sigma[-2]={s[-2]:.3e})")
+    rho = vt[-1]
+    pop = rho[:4].sum()
+    if abs(pop) < 1e-12:
+        raise SingularityError("null vector carries no population weight")
+    rho = rho / pop
+    residual = np.abs(m @ rho).max()
+    if residual > 1e-10:
+        raise SingularityError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+    if variant == "consistent" and (rho[:4].min() < -1e-9 or rho[:4].max() > 1.0 + 1e-9):
+        raise SingularityError(f"unphysical populations {rho[:4]}")
+    return rho
+
+
+def features(params, variant="consistent"):
+    """Moment rates of the sample over those of its zero-coherence baseline."""
+    def moments(p):
+        m, emit, absorb = generator(p, variant)
+        rho = steady_state(m, variant)
+        e, a = emit * rho[2], absorb * rho[3]
+        return np.array([e - a, e + a, e - a, e + a])
+
+    m = moments(params)
+    m0 = moments(EngineParams(**{**params.to_dict(), "p_c": 0.0, "p_h": 0.0}))
+    if np.any(np.abs(m0) < 1e-12):
+        raise DegenerateSampleError(f"degenerate baseline moments {m0.tolist()}")
+    return m / m0
+
+
+def label(p_h):
+    return sum(p_h >= edge for edge in (0.25, 0.50, 0.75))
+
+
+def generate_columns(n, ranges, seed=0, variant="consistent", fail=lambda i, attempt: False):
+    """(features, labels, params, redraws) of `generate(n, ranges, seed)`.
+
+    `fail(i, attempt)` forces a redraw of sample i's attempt-th draw.
+    """
+    children = np.random.SeedSequence(seed).spawn(n + 1)
+    budget = max(10, int(0.10 * n))
+    feats, labels, params, redraws = [], [], [], 0
+    for i in range(n):
+        rng = np.random.default_rng(children[i])
+        for attempt in range(budget + 2):
+            draw = [lo + (hi - lo) * rng.random()
+                    for lo, hi in (ranges.t_c, ranges.t_h, ranges.t_l, ranges.p_c, ranges.p_h)]
+            p = EngineParams(t_c=draw[0], t_h=draw[1], t_l=draw[2], p_c=draw[3], p_h=draw[4])
+            try:
+                if fail(i, attempt):
+                    raise DegenerateSampleError("forced")
+                f = features(p, variant)
+                break
+            except NumericalError:
+                redraws += 1
+                if redraws > budget:
+                    raise GenerationQualityError(f"more than {budget} degenerate draws")
+        feats.append(f)
+        labels.append(label(p.p_h))
+        params.append(draw)
+    return np.array(feats), np.array(labels), np.array(params), redraws

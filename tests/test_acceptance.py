@@ -139,7 +139,7 @@ def test_criterion_04_baseline_identity():
 
 
 def test_criterion_05_feature_range(big_dataset):
-    x = big_dataset.feature_matrix()
+    x = big_dataset.features
     inside_envelope = bool(np.all((x >= 0.70) & (x <= 1.05)))
     window_frac = float(np.mean(np.all((x >= 0.76) & (x <= 1.01), axis=1)))
     ok = inside_envelope and window_frac >= 0.95

@@ -147,3 +147,40 @@ def test_version_flag(capsys):
     import artifact
 
     assert artifact.__version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cfg,command,key", [
+    ({"zscor": True}, "train", "zscor"),
+    ({"space": {"k_range": [1, 3], "k_rang": [5]}}, "tune", "k_rang"),
+], ids=["top-level", "space"])
+def test_config_rejects_unknown_keys(workdir, tmp_path, capsys, cfg, command, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    extra = ["--k", "3"] if command == "train" else ["--n-iter", "2"]
+    code = run("--out", str(tmp_path), "--config", str(path), command,
+               "--data", str(workdir / "dataset.csv"), "--mapping", "f3", *extra)
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def _truncate(doc, name):
+    doc[name] = doc[name][:-1]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _truncate(doc, "labels"),
+    lambda doc: doc["features"][0].__setitem__(0, float("nan")),
+    lambda doc: doc["features"][1].__setitem__(1, float("inf")),
+    lambda doc: doc["scale"].__setitem__(0, 0.0),
+    lambda doc: doc["shift"].append(0.0),
+    lambda doc: _truncate(doc, "scale"),
+], ids=["length-mismatch", "nan-feature", "inf-feature", "zero-scale", "shift-width", "scale-width"])
+def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
+    doc = json.loads((workdir / "model-f3.json").read_text())
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code = run("--out", str(tmp_path), "evaluate", "--model", str(path),
+               "--data", str(workdir / "dataset.csv"))
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

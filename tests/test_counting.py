@@ -13,8 +13,9 @@ from artifact.counting import (
     steady_state,
 )
 from artifact.engine import TRACE_VECTOR, EngineParams, build_generator
-from artifact.errors import DegenerateSampleError, SingularityError
+from artifact.errors import ArtifactError, DegenerateSampleError, SingularityError
 
+import loop_reference
 from conftest import random_params
 
 
@@ -111,7 +112,7 @@ def test_equilibrium_flux_vanishes():
 def test_moment_rates_formula(rng):
     gen = build_generator(random_params(rng))
     st = steady_state(gen)
-    m = exchange_moment_rates(gen, st)
+    m = exchange_moment_rates(gen.emit_rate, gen.absorb_rate, st.rho)
     emit = gen.emit_rate * st.rho[2]
     absorb = gen.absorb_rate * st.rho[3]
     assert m[0] == emit - absorb
@@ -122,7 +123,7 @@ def test_moment_rates_formula(rng):
 
 def test_first_moment_equals_first_cumulant(rng):
     gen = build_generator(random_params(rng))
-    m = exchange_moment_rates(gen, steady_state(gen))
+    m = exchange_moment_rates(gen.emit_rate, gen.absorb_rate, steady_state(gen).rho)
     assert cumulants(gen)[0] == pytest.approx(m[0], rel=1e-9, abs=1e-13)
 
 
@@ -156,3 +157,20 @@ def test_cumulant_set_validation():
         CumulantSet(j=(1.0,) * 4, j0=(1.0, 0.0, 1.0, 1.0), c=(1.0,) * 4)
     with pytest.raises(SingularityError):
         CumulantSet(j=(1.0,) * 4, j0=(1.0,) * 4, c=(1.0, float("nan"), 1.0, 1.0))
+
+
+def test_scalar_errors_match_loop_reference(rng):
+    # the length-1 batch raises what the per-sample route raised, message included
+    cases = [(random_params(rng), "legacy") for _ in range(30)]
+    cases.append((EngineParams(t_c=2.0, t_h=2.0, t_l=2.0, p_c=0.5, p_h=0.5), "consistent"))
+    kinds = set()
+    for params, variant in cases:
+        outcomes = []
+        for route in (exchange_moment_ratios, loop_reference.features):
+            try:
+                outcomes.append(route(params, variant).tolist())
+            except ArtifactError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        kinds.add(outcomes[0][0] if isinstance(outcomes[0], tuple) else "features")
+    assert DegenerateSampleError in kinds and SingularityError in kinds

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import artifact.data as data_mod
 from artifact.data import (
     CSV_HEADER,
     DEFAULT_RANGES,
     Dataset,
-    LabeledSample,
     ParamRanges,
     generate,
     label_of,
@@ -24,6 +25,16 @@ from artifact.errors import (
     ParseError,
     ValidationError,
 )
+
+import loop_reference
+
+
+def _columns(ds):
+    return ds.features, ds.labels, ds.params
+
+
+def _same_columns(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(_columns(a), _columns(b)))
 
 
 # --- labels -----------------------------------------------------------------
@@ -75,8 +86,8 @@ def test_generate_contract(small_dataset):
     assert len(ds.train_idx) == 420  # 70% split
     assert len(ds.val_idx) == 180
     assert not set(ds.train_idx) & set(ds.val_idx)
-    x = ds.feature_matrix()
-    assert x.shape == (600, 4)
+    x = ds.features
+    assert x.shape == (600, 4) and ds.labels.shape == (600,) and ds.params.shape == (600, 5)
     assert np.all(np.isfinite(x))
     assert ds.meta["seed"] == 7 and ds.meta["n"] == 600
     assert ds.meta["redraws"] == 0
@@ -84,28 +95,29 @@ def test_generate_contract(small_dataset):
 
 def test_generate_deterministic(small_dataset):
     again = generate(600, seed=7)
-    assert again.samples == small_dataset.samples
+    assert _same_columns(again, small_dataset)
     assert again.train_idx == small_dataset.train_idx
 
 
 def test_label_balance(small_dataset):
     # labels follow a uniform p_h, so the four quartile bins should be
     # statistically even; 600 draws keep each within a few sigma of 150
-    counts = np.bincount(small_dataset.label_array(), minlength=4)
+    counts = np.bincount(small_dataset.labels, minlength=4)
     assert counts.sum() == 600
     assert counts.min() > 100 and counts.max() < 200
 
 
 def test_labels_recomputable_from_params(small_dataset):
-    for s in small_dataset.samples[:50]:
-        assert s.label == label_of(s.params.p_h)
+    ds = small_dataset
+    for i in range(50):
+        assert ds.labels[i] == label_of(ds.params[i, 4])
 
 
 def test_samples_nest_across_sizes():
     # per-sample substreams: a shorter dataset is a prefix of a longer one
     a = generate(40, seed=31)
     b = generate(80, seed=31)
-    assert b.samples[:40] == a.samples
+    assert all(np.array_equal(x[:40], y) for x, y in zip(_columns(b), _columns(a)))
 
 
 def test_generate_validation():
@@ -117,28 +129,99 @@ def test_generate_validation():
 
 def test_generation_quality_budget(monkeypatch):
     # force every draw to look degenerate; the 10% budget must trip
-    def always_degenerate(params, variant="consistent"):
-        raise DegenerateSampleError("forced")
+    def always_degenerate(varied, fixed, variant="consistent"):
+        return np.ones((len(varied), 4)), {i: DegenerateSampleError("forced") for i in range(len(varied))}
 
-    monkeypatch.setattr(data_mod, "exchange_moment_ratios", always_degenerate)
+    monkeypatch.setattr(data_mod, "exchange_moment_ratios_batch", always_degenerate)
     with pytest.raises(GenerationQualityError):
         generate(50, seed=0)
 
 
+def test_legacy_variant_trips_budget():
+    # the verbatim legacy layout leaks probability: its solves fail
+    with pytest.raises(GenerationQualityError):
+        generate(60, seed=0, variant="legacy")
+
+
+@pytest.mark.parametrize("variant", ["consistent", "legacy-conserving"])
+def test_generate_matches_loop_reference(variant):
+    # one batch of builds and SVDs reproduces the per-sample loop bit for bit
+    ds = generate(320, seed=11, variant=variant)
+    feats, labels, params, redraws = loop_reference.generate_columns(
+        320, DEFAULT_RANGES, seed=11, variant=variant)
+    assert np.array_equal(ds.features, feats)
+    assert np.array_equal(ds.labels, labels)
+    assert np.array_equal(ds.params, params)
+    assert ds.meta["redraws"] == redraws
+
+
+def test_batch_rows_do_not_change_output(monkeypatch, small_dataset):
+    # the stacked solves run in slices of _BATCH_ROWS; any slicing gives the same dataset
+    monkeypatch.setattr(data_mod, "_BATCH_ROWS", 7)
+    assert _same_columns(generate(600, seed=7), small_dataset)
+
+
+def test_partial_redraw_matches_loop_reference(monkeypatch):
+    # rounds of the batch: all 300 first attempts, then the failed rows;
+    # the positions below index into each round's rows
+    forced = {0: [3, 7, 150, 299], 1: [1, 3], 2: [0]}
+    real = data_mod.exchange_moment_ratios_batch
+    rounds = []
+
+    def flaky(varied, fixed, variant="consistent"):
+        feats, failures = real(varied, fixed, variant)
+        failures.update({i: DegenerateSampleError("forced") for i in forced.get(len(rounds), [])})
+        rounds.append(len(varied))
+        return feats, failures
+
+    monkeypatch.setattr(data_mod, "exchange_moment_ratios_batch", flaky)
+    ds = generate(300, seed=5)
+    # sample i's attempt a fails: round 0 fails 3, 7, 150, 299; round 1
+    # runs those four and fails 7 and 299; round 2 runs 7 and 299, fails 7
+    fails = {(3, 0), (7, 0), (150, 0), (299, 0), (7, 1), (299, 1), (7, 2)}
+    feats, labels, params, redraws = loop_reference.generate_columns(
+        300, DEFAULT_RANGES, seed=5, fail=lambda i, attempt: (i, attempt) in fails)
+    assert rounds == [300, 4, 2, 1]
+    assert ds.meta["redraws"] == redraws == 7
+    assert np.array_equal(ds.features, feats)
+    assert np.array_equal(ds.labels, labels)
+    assert np.array_equal(ds.params, params)
+    first = loop_reference.generate_columns(300, DEFAULT_RANGES, seed=5)[2]
+    redrawn = np.any(ds.params != first, axis=1)
+    assert np.flatnonzero(redrawn).tolist() == [3, 7, 150, 299]
+
+
+def _one_row(features=(1.0, 1.0, 1.0, 1.0), label=3, params=(1.0, 3.5, 2.0, 0.0, 0.8)):
+    return Dataset(np.array([features]), np.array([label]), np.array([params]), (0,), ())
+
+
 def test_sample_validation():
-    good = EngineParams(p_h=0.8)
+    _one_row()  # consistent row
     with pytest.raises(ValidationError):
-        LabeledSample((1.0, 1.0, 1.0), 3, good)  # wrong arity
-    with pytest.raises(ValidationError):
-        LabeledSample((1.0, 1.0, 1.0, float("nan")), 3, good)
-    with pytest.raises(ValidationError):
-        LabeledSample((1.0, 1.0, 1.0, 1.0), 1, good)  # label contradicts p_h
+        _one_row(features=(1.0, 1.0, 1.0))  # wrong arity
+    with pytest.raises(ValidationError, match="finite"):
+        _one_row(features=(1.0, 1.0, 1.0, float("nan")))
+    with pytest.raises(ValidationError, match="inconsistent"):
+        _one_row(label=1)  # label contradicts p_h
+    with pytest.raises(DomainError, match="t_c"):
+        _one_row(params=(-1.0, 3.5, 2.0, 0.0, 0.8))
+    with pytest.raises(DomainError, match="p_c"):
+        _one_row(params=(1.0, 3.5, 2.0, 1.5, 0.8))
+
+
+def test_dataset_columns_are_frozen(small_dataset):
+    with pytest.raises(ValueError):
+        small_dataset.features[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        small_dataset.labels[0] = 0
 
 
 def test_dataset_partition_enforced():
     ds = generate(6, seed=3)
     with pytest.raises(ValidationError):
-        Dataset(ds.samples, ds.train_idx, ds.train_idx[:1])
+        Dataset(ds.features, ds.labels, ds.params, ds.train_idx, ds.train_idx[:1])
+    with pytest.raises(ValidationError):
+        Dataset(ds.features, ds.labels, ds.params, ds.train_idx, ds.val_idx[:-1])
 
 
 # --- csv round trip -----------------------------------------------------------
@@ -147,7 +230,7 @@ def test_write_read_round_trip(tmp_path, small_dataset):
     p = tmp_path / "ds.csv"
     write_csv(small_dataset, p)
     back = read_csv(p)
-    assert back.samples == small_dataset.samples  # %.17g is lossless
+    assert _same_columns(back, small_dataset)  # %.17g is lossless
     assert back.train_idx == small_dataset.train_idx
     assert back.val_idx == small_dataset.val_idx
     assert back.meta["seed"] == small_dataset.meta["seed"]
@@ -209,4 +292,59 @@ def test_read_csv_without_sidecar(tmp_path, small_dataset):
     meta_path(p).unlink()
     back = read_csv(p)
     assert back.meta == {}
-    assert back.samples[0].features == small_dataset.samples[0].features
+    assert np.array_equal(back.features[0], small_dataset.features[0])
+
+
+def test_read_csv_reports_earliest_bad_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    good = "1,1,1,1,0,1,3.5,2,0,0.1,train\n"
+    # a row that parses but fails validation, before a line that does not parse
+    p.write_text(CSV_HEADER + "\n" + good + "1,1,1,1,3,1,3.5,2,0,0.1,train\n1,1,1\n")
+    with pytest.raises(ParseError, match="line 3: label 3 inconsistent with p_h=0.1"):
+        read_csv(p)
+    p.write_text(CSV_HEADER + "\n" + good + "\n" + "1,1,1,1,0,-1,3.5,2,0,0.1,val\n")
+    with pytest.raises(ParseError, match="line 4: t_c must be positive, got -1.0"):
+        read_csv(p)
+    p.write_text(CSV_HEADER + "\n" + good + "1,1,1,nan,0,1,3.5,2,0,0.1,val\n")
+    with pytest.raises(ParseError, match=r"line 3: features must be 4 finite values, got \(1.0, 1.0, 1.0, nan\)"):
+        read_csv(p)
+    p.write_text(CSV_HEADER + "\n" + good + "1,1,1,1,99999999999999999999,1,3.5,2,0,0.1,val\n")
+    with pytest.raises(ParseError, match="line 3"):
+        read_csv(p)
+    # the sidecar's fixed constants are validated with the first row
+    p.write_text(CSV_HEADER + "\n" + good)
+    meta_path(p).write_text(json.dumps({"fixed": {"r": -1.0}}))
+    with pytest.raises(ParseError, match="line 2: r must be positive"):
+        read_csv(p)
+    meta_path(p).write_text(json.dumps({"fixed": {"bogus": 1.0}}))
+    with pytest.raises(ParseError, match="line 2"):
+        read_csv(p)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 12))
+    feats = draw(st.lists(st.tuples(*[_finite] * 4), min_size=n, max_size=n))
+    temps = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+    strength = st.floats(min_value=0.0, max_value=1.0)
+    params = draw(st.lists(st.tuples(temps, temps, temps, strength, strength), min_size=n, max_size=n))
+    train = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Dataset(np.reshape(feats, (n, 4)), np.array([label_of(p[4]) for p in params], dtype=np.intp),
+                   np.reshape(params, (n, 5)), tuple(i for i in range(n) if train[i]),
+                   tuple(i for i in range(n) if not train[i]), {"seed": 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=datasets())
+def test_csv_round_trip_property(tmp_path_factory, ds):
+    d = tmp_path_factory.mktemp("rt")
+    write_csv(ds, d / "a.csv")
+    back = read_csv(d / "a.csv")
+    for x, y in zip(_columns(back), _columns(ds)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()  # bitwise, signed zeros included
+    assert (back.train_idx, back.val_idx, back.meta) == (ds.train_idx, ds.val_idx, ds.meta)
+    write_csv(back, d / "b.csv")
+    assert (d / "b.csv").read_bytes() == (d / "a.csv").read_bytes()

@@ -10,10 +10,11 @@ from artifact.engine import (
     TRACE_VECTOR,
     EngineParams,
     Occupations,
+    VARIED,
     bose_occupation,
     build_generator,
+    build_generators,
     coherence_coupling,
-    occupations,
 )
 from artifact.errors import DomainError
 
@@ -86,11 +87,16 @@ def test_zero_coherence_projection():
 
 
 def test_occupations_struct():
-    occ = occupations(EngineParams())
+    occ = Occupations(n_h=0.3, n_c=0.1, n_l=1.5)
     assert occ.nt_h == 1.0 + occ.n_h
     assert occ.nt_l == 1.0 + occ.n_l
     with pytest.raises(DomainError):
         Occupations(n_h=-0.1, n_c=0.0, n_l=0.0)
+    # columns of a batched build are validated element-wise
+    col = Occupations(n_h=np.array([0.3, 0.0]), n_c=np.zeros(2), n_l=np.ones(2))
+    assert np.array_equal(col.nt_h, [1.3, 1.0])
+    with pytest.raises(DomainError):
+        Occupations(n_h=np.array([0.3, np.inf]), n_c=np.zeros(2), n_l=np.ones(2))
 
 
 # --- generator assembly -----------------------------------------------------
@@ -202,6 +208,25 @@ def test_variants_coincide_at_zero_coherence():
         # layouts), which is what the steady-state tests pick up
         np.testing.assert_allclose(other[4], base[4], rtol=0, atol=1e-15)
         assert other[2, 0] != base[2, 0]  # crossed feeds are really crossed
+
+
+@pytest.mark.parametrize("variant", GENERATOR_VARIANTS)
+def test_stack_rows_equal_single_builds(variant, rng):
+    params = [random_params(rng) for _ in range(40)]
+    l0, emit, absorb = build_generators([[getattr(p, k) for k in VARIED] for p in params],
+                                        variant=variant)
+    assert l0.shape == (40, 5, 5)
+    for i, p in enumerate(params):
+        gen = build_generator(p, variant)
+        assert np.array_equal(l0[i], gen.l0)
+        assert (emit[i], absorb[i]) == (gen.emit_rate, gen.absorb_rate)
+
+
+def test_stack_validates_rows():
+    with pytest.raises(DomainError):
+        build_generators([[1.0, 3.5, 2.0, 0.0, 0.5], [1.0, 3.5, 2.0, 1.5, 0.5]])
+    with pytest.raises(DomainError):
+        build_generators([[1.0, 3.5, 2.0, 0.0, 0.5], [1.0, -3.5, 2.0, 0.0, 0.5]])
 
 
 def test_unknown_variant_rejected():
