@@ -191,6 +191,9 @@ def _cmd_evaluate(args, cfg) -> int:
     model = model_from_json(_read_text(args.model, "model"))
     ds = read_csv(args.data)
     x_val, y_val = ds.validation
+    if max(model.feature_subset) >= x_val.shape[1]:
+        raise ValidationError(f"model feature subset {model.feature_subset} exceeds the "
+                              f"dataset's {x_val.shape[1]} features")
     preds = predict_batch(model, x_val[:, model.feature_subset])
     chi = confusion_matrix(preds, y_val)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -143,11 +143,6 @@ def cgf(gen: TwistedGenerator, lam: float) -> float:
     return float(top.real)
 
 
-def cgf_scan(gen: TwistedGenerator, lams) -> np.ndarray:
-    """S(lam) sampled over a grid; a probe for shift symmetries, no assertions."""
-    return np.array([cgf(gen, float(lam)) for lam in lams])
-
-
 def cumulants(gen: TwistedGenerator) -> np.ndarray:
     """First four lam-derivatives of the CGF branch at lam = 0.
 

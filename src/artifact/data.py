@@ -143,7 +143,8 @@ class Dataset:
         tagged with the row index as `row`. Row 0 always takes the scalar
         check, which validates the sidecar's fixed constants once."""
         t, p = self.params[:, :3], self.params[:, 3:]
-        good = (np.isfinite(self.features).all(axis=1) & (t > 0.0).all(axis=1)
+        good = (np.isfinite(self.features).all(axis=1) & np.isfinite(t).all(axis=1)
+                & (t > 0.0).all(axis=1)
                 & ((p >= 0.0) & (p <= 1.0)).all(axis=1)
                 & (self.labels == _labels_of(self.params[:, 4])))
         good[:1] = False

@@ -64,9 +64,9 @@ def bose_occupations(gap: float, temperatures) -> np.ndarray:
     temps = np.asarray(temperatures, dtype=float)
     if not gap > 0.0:
         raise DomainError(f"bose_occupation needs gap > 0, got {gap}")
-    bad = ~(temps > 0.0)
+    bad = ~((temps > 0.0) & np.isfinite(temps))
     if bad.any():
-        raise DomainError(f"bose_occupation needs temperature > 0, got {temps[bad][0]}")
+        raise DomainError(f"bose_occupation needs a finite temperature > 0, got {temps[bad][0]}")
     # math.expm1 per element: np.expm1 differs from it in the last ulp,
     # which would move the dataset CSV bytes.
     return np.array([0.0 if x > _OVERFLOW_X else 1.0 / math.expm1(x)
@@ -117,8 +117,11 @@ class EngineParams:
                 f"e_a={self.e_a}, e_b={self.e_b}, e1={self.e1}"
             )
         for name in ("t_c", "t_h", "t_l", "g", "r"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if not v > 0.0:
+                raise DomainError(f"{name} must be positive, got {v}")
+            if v == math.inf:
+                raise DomainError(f"{name} must be finite, got {v}")
         if self.tau < 0.0:
             raise DomainError(f"tau must be non-negative, got {self.tau}")
         for name in ("p_c", "p_h"):

@@ -17,10 +17,11 @@ import numpy as np
 
 from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate
 from .errors import DomainError, InfeasibleConstraintError, ValidationError
-from .knn import (FEATURE_SUBSETS, HyperSpace, KnnModel, SearchResult, _fold_partition,
-                  fit, kfold_accuracy, predict_proba_batch, random_search,
+from .knn import (FEATURE_SUBSETS, HyperSpace, KnnModel, SearchResult, fit, fold_splits,
+                  kfold_accuracy, predict_proba_batch, random_search,
                   single_shot_accuracy, predict_batch)
-from .metrics import class_metrics, confusion_matrix, render_class_metrics, render_confusion
+from .metrics import (accuracy, class_metrics, confusion_matrix, render_class_metrics,
+                      render_confusion)
 from .tree import fit_tree, predict_tree
 
 PAIR_RELATIONS = ("equal", "greater", "less")
@@ -162,14 +163,18 @@ def run_scenario(model: KnnModel, spec: ScenarioSpec) -> ScenarioResult:
     )
 
 
+def _subset(mapping: str) -> tuple:
+    if mapping not in FEATURE_SUBSETS:
+        raise DomainError(f"mapping must be one of {sorted(FEATURE_SUBSETS)}, got {mapping!r}")
+    return FEATURE_SUBSETS[mapping]
+
+
 def scenario_suite(mapping: str, n: int = 1000, ranges=DEFAULT_SCENARIO_RANGES,
                    seed: int = 0) -> list:
     """The standard constraint grid: 9 cases for the 4-feature mapping
     (3 relations on each pair), 3 for the narrower ones."""
-    if mapping not in FEATURE_SUBSETS:
-        raise DomainError(f"mapping must be one of {sorted(FEATURE_SUBSETS)}, got {mapping!r}")
     specs = []
-    pair34_choices = PAIR_RELATIONS if mapping == "f1" else ("absent",)
+    pair34_choices = PAIR_RELATIONS if len(_subset(mapping)) == 4 else ("absent",)
     case = 0
     for p12 in PAIR_RELATIONS:
         for p34 in pair34_choices:
@@ -207,9 +212,7 @@ def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0, n_iter: int = 60
                  folds: int = 5, space: HyperSpace = HyperSpace(),
                  zscore: bool = False) -> PipelineResult:
     """Tune on the training split, refit, evaluate on the validation split."""
-    if mapping not in FEATURE_SUBSETS:
-        raise DomainError(f"mapping must be one of {sorted(FEATURE_SUBSETS)}, got {mapping!r}")
-    subset = FEATURE_SUBSETS[mapping]
+    subset = _subset(mapping)
     x_train, y_train = dataset.train
     x_val, y_val = dataset.validation
     search = random_search(x_train[:, subset], y_train, space=space,
@@ -221,7 +224,7 @@ def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0, n_iter: int = 60
     chi = confusion_matrix(preds, y_val)
     return PipelineResult(
         mapping=mapping, search=search, model=model,
-        val_accuracy=float(np.mean(preds == y_val) * 100.0),
+        val_accuracy=accuracy(chi),
         chi=chi, per_class=tuple(class_metrics(chi)),
     )
 
@@ -229,24 +232,12 @@ def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0, n_iter: int = 60
 def evaluate_untuned(mapping: str, dataset: Dataset, k: int = 5,
                      weighting: str = "uniform", metric: str = "euclidean") -> float:
     """Validation accuracy at fixed default hyperparameters."""
-    if mapping not in FEATURE_SUBSETS:
-        raise DomainError(f"mapping must be one of {sorted(FEATURE_SUBSETS)}, got {mapping!r}")
-    subset = FEATURE_SUBSETS[mapping]
+    subset = _subset(mapping)
     x_train, y_train = dataset.train
     x_val, y_val = dataset.validation
     model = fit(x_train, y_train, k=k, weighting=weighting, metric=metric,
                 feature_subset=subset)
     return single_shot_accuracy(model, x_val[:, subset], y_val)
-
-
-def _tree_kfold(features, labels, folds, seed) -> float:
-    parts = _fold_partition(features.shape[0], folds, seed)
-    accs = []
-    for i, held in enumerate(parts):
-        rest = np.concatenate([p for j, p in enumerate(parts) if j != i])
-        root = fit_tree(features[rest], labels[rest])
-        accs.append(float(np.mean(predict_tree(root, features[held]) == labels[held]) * 100.0))
-    return float(np.mean(accs))
 
 
 def run_size_sweep(sizes, mapping: str = "f1", seed: int = 0,
@@ -257,20 +248,21 @@ def run_size_sweep(sizes, mapping: str = "f1", seed: int = 0,
     sizes = [int(s) for s in sizes]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError(f"sizes must be non-empty and strictly ascending, got {sizes}")
-    if mapping not in FEATURE_SUBSETS:
-        raise DomainError(f"mapping must be one of {sorted(FEATURE_SUBSETS)}, got {mapping!r}")
-    subset = FEATURE_SUBSETS[mapping]
+    subset = _subset(mapping)
     rows = []
     for n in sizes:
         # Same generation seed at every size: per-sample substreams make
         # smaller datasets prefixes of larger ones, isolating the size effect.
         ds = generate(n, ranges=ranges, seed=seed, variant=variant)
         x_train, y_train = ds.train
+        x = x_train[:, subset]
+        tree_accs = [np.mean(predict_tree(fit_tree(x[rest], y_train[rest]), x[held])
+                             == y_train[held]) * 100.0
+                     for rest, held in fold_splits(len(x), folds, seed)]
         rows.append({
             "n": n,
-            "knn_accuracy": kfold_accuracy(x_train[:, subset], y_train,
-                                           folds=folds, seed=seed),
-            "tree_accuracy": _tree_kfold(x_train[:, subset], y_train, folds, seed),
+            "knn_accuracy": kfold_accuracy(x, y_train, folds=folds, seed=seed),
+            "tree_accuracy": float(np.mean(tree_accs)),
         })
     return rows
 

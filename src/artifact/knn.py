@@ -90,6 +90,8 @@ class KnnModel:
             raise ValidationError(f"weighting must be one of {WEIGHTINGS}")
         if self.metric not in DISTANCE_METRICS:
             raise ValidationError(f"metric must be one of {DISTANCE_METRICS}")
+        if not self.feature_subset or any(type(j) is not int or j < 0 for j in self.feature_subset):
+            raise ValidationError(f"feature subset must be non-negative integers, got {self.feature_subset}")
         if self.features.ndim != 2 or self.features.shape[1] != len(self.feature_subset):
             raise ValidationError("feature matrix width must match the feature subset")
         if self.labels.shape != (n,):
@@ -163,13 +165,10 @@ def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     n = dist.shape[1]
     if k > n:
         raise ValidationError(f"k={k} exceeds training size {n}")
-    if k == n:
-        cand = np.broadcast_to(np.arange(n), dist.shape)
-        order = np.argsort(dist, axis=1, kind="stable")
-        return np.take_along_axis(cand, order, axis=1)
-    thr = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    counts = (dist <= thr[:, None]).sum(axis=1)
-    cand = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    part = np.argpartition(dist, k - 1, axis=1)
+    thr = np.take_along_axis(dist, part[:, k - 1:k], axis=1)  # k-th distance, (b, 1)
+    counts = (dist <= thr).sum(axis=1)
+    cand = np.sort(part[:, :k], axis=1)
     d_cand = np.take_along_axis(dist, cand, axis=1)
     order = np.argsort(d_cand, axis=1, kind="stable")
     ranked = np.take_along_axis(cand, order, axis=1)
@@ -214,30 +213,22 @@ def _query_blocks(model: KnnModel, queries: np.ndarray):
         yield _distance_block(model.features, q[lo:lo + step], model.metric)
 
 
-def predict_proba_batch(model: KnnModel, queries) -> np.ndarray:
-    out = []
-    for dist in _query_blocks(model, queries):
-        votes = _votes_for(_ranked_neighbors(dist, model.k), dist,
-                           model.labels, model.weighting)
-        out.append(votes / votes.sum(axis=1, keepdims=True))
+def _votes(model: KnnModel, queries) -> np.ndarray:
+    """(n, N_CLASSES) vote mass per query, computed block by block."""
+    out = [_votes_for(_ranked_neighbors(dist, model.k), dist, model.labels, model.weighting)
+           for dist in _query_blocks(model, queries)]
     return np.vstack(out) if out else np.zeros((0, N_CLASSES))
 
 
+def predict_proba_batch(model: KnnModel, queries) -> np.ndarray:
+    votes = _votes(model, queries)
+    return votes / votes.sum(axis=1, keepdims=True)
+
+
 def predict_batch(model: KnnModel, queries) -> np.ndarray:
-    out = []
-    for dist in _query_blocks(model, queries):
-        votes = _votes_for(_ranked_neighbors(dist, model.k), dist,
-                           model.labels, model.weighting)
-        out.append(np.argmax(votes, axis=1))  # argmax ties -> lowest class
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.intp)
-
-
-def predict(model: KnnModel, x) -> int:
-    return int(predict_batch(model, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def predict_proba(model: KnnModel, x) -> np.ndarray:
-    return predict_proba_batch(model, np.asarray(x, dtype=float)[None, :])[0]
+    # argmax of the raw votes, not of the probabilities: normalising can
+    # turn a 1-ulp vote gap into a tie. argmax ties -> lowest class.
+    return np.argmax(_votes(model, queries), axis=1)
 
 
 def single_shot_accuracy(model: KnnModel, features, labels) -> float:
@@ -253,13 +244,16 @@ def single_shot_accuracy(model: KnnModel, features, labels) -> float:
     return float(np.mean(predict_batch(model, features) == labels) * 100.0)
 
 
-def _fold_partition(n: int, folds: int, seed: int) -> list:
+def fold_splits(n: int, folds: int, seed: int) -> list:
+    """(training rows, held-out rows) per fold of a seeded shuffle of n rows. Training
+    rows are the other folds in fold order, which index tie-breaks depend on."""
     if folds < 2:
         raise DomainError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise DomainError(f"cannot split {n} samples into {folds} folds")
-    perm = np.random.default_rng(seed).permutation(n)
-    return np.array_split(perm, folds)
+    parts = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    return [(np.concatenate(parts[:i] + parts[i + 1:]), held)
+            for i, held in enumerate(parts)]
 
 
 def kfold_accuracy(features, labels, k: int = 5, weighting: str = "uniform",
@@ -268,10 +262,8 @@ def kfold_accuracy(features, labels, k: int = 5, weighting: str = "uniform",
     """Mean single-shot accuracy over seeded contiguous shuffle folds."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=np.intp)
-    parts = _fold_partition(features.shape[0], folds, seed)
     accs = []
-    for i, held in enumerate(parts):
-        rest = np.concatenate([p for j, p in enumerate(parts) if j != i])
+    for rest, held in fold_splits(features.shape[0], folds, seed):
         model = fit(features[rest], labels[rest], k=k, weighting=weighting,
                     metric=metric, zscore=zscore)
         accs.append(single_shot_accuracy(model, features[held], labels[held]))
@@ -352,43 +344,33 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
 
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=np.intp)
-    parts = _fold_partition(features.shape[0], folds, seed)
-    min_train = features.shape[0] - max(len(p) for p in parts)
+    splits = fold_splits(features.shape[0], folds, seed)
+    min_train = min(len(rest) for rest, _ in splits)
     scorable = [hp for hp in candidates if hp.k <= min_train]
     if not scorable:
         raise DomainError("every sampled k exceeds the smallest training fold")
-    metrics_used = sorted({hp.metric for hp in scorable},
-                          key=DISTANCE_METRICS.index)
 
-    fold_correct = {hp: np.zeros(len(parts)) for hp in scorable}
-    for i, held in enumerate(parts):
-        rest = np.concatenate([p for j, p in enumerate(parts) if j != i])
-        base = fit(features[rest], labels[rest], k=1, zscore=zscore)
+    fold_correct = {hp: np.zeros(len(splits)) for hp in scorable}
+    for i, (rest, held) in enumerate(splits):
         y_held = labels[held]
-        for metric in metrics_used:
-            kk = max(hp.k for hp in scorable if hp.metric == metric)
-            probe = KnnModel(features=base.features, labels=base.labels, k=kk,
-                             weighting="uniform", metric=metric,
-                             feature_subset=base.feature_subset,
-                             shift=base.shift, scale=base.scale)
+        for metric in DISTANCE_METRICS:
+            group = [hp for hp in scorable if hp.metric == metric]
+            if not group:
+                continue
+            kk = max(hp.k for hp in group)
+            model = fit(features[rest], labels[rest], k=kk, metric=metric, zscore=zscore)
             off = 0
-            for dist in _query_blocks(probe, features[held]):
+            for dist in _query_blocks(model, features[held]):
                 ranked = _ranked_neighbors(dist, kk)
                 y_blk = y_held[off:off + dist.shape[0]]
-                for hp in scorable:
-                    if hp.metric != metric:
-                        continue
-                    votes = _votes_for(ranked[:, :hp.k], dist,
-                                       probe.labels, hp.weighting)
+                for hp in group:
+                    votes = _votes_for(ranked[:, :hp.k], dist, model.labels, hp.weighting)
                     fold_correct[hp][i] += np.sum(np.argmax(votes, axis=1) == y_blk)
                 off += dist.shape[0]
 
-    sizes = np.array([len(p) for p in parts], dtype=float)
+    sizes = np.array([len(held) for _, held in splits], dtype=float)
     trials = tuple(
         (hp, float(np.mean(fold_correct[hp] / sizes * 100.0))) for hp in scorable
     )
-    best, best_score = trials[0]
-    for hp, sc in trials[1:]:
-        if sc > best_score:
-            best, best_score = hp, sc
+    best, best_score = max(trials, key=lambda t: t[1])  # first maximum: preference order
     return SearchResult(best=best, best_score=best_score, trials=trials)

@@ -174,7 +174,11 @@ def _truncate(doc, name):
     lambda doc: doc["scale"].__setitem__(0, 0.0),
     lambda doc: doc["shift"].append(0.0),
     lambda doc: _truncate(doc, "scale"),
-], ids=["length-mismatch", "nan-feature", "inf-feature", "zero-scale", "shift-width", "scale-width"])
+    lambda doc: doc.__setitem__("feature_subset", [0, 9]),
+    lambda doc: doc.__setitem__("feature_subset", [-1, -1]),
+    lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
+], ids=["length-mismatch", "nan-feature", "inf-feature", "zero-scale", "shift-width", "scale-width",
+        "subset-beyond-width", "subset-negative", "subset-fraction"])
 def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
     doc = json.loads((workdir / "model-f3.json").read_text())
     edit(doc)

@@ -5,7 +5,6 @@ from artifact.counting import (
     CumulantSet,
     SteadyState,
     cgf,
-    cgf_scan,
     cumulant_ratios,
     cumulants,
     exchange_moment_rates,
@@ -56,15 +55,6 @@ def test_cgf_vanishes_at_zero(rng):
     for _ in range(10):
         gen = build_generator(random_params(rng))
         assert abs(cgf(gen, 0.0)) < 1e-12
-
-
-def test_cgf_scan_matches_pointwise():
-    gen = build_generator(EngineParams(p_h=0.7))
-    lams = np.linspace(-0.5, 0.5, 11)
-    scan = cgf_scan(gen, lams)
-    assert scan.shape == (11,)
-    for lam, val in zip(lams, scan):
-        assert val == cgf(gen, float(lam))
 
 
 def test_cgf_fluctuation_symmetry_shape():

@@ -274,6 +274,11 @@ def test_read_csv_error_reporting(tmp_path):
     with pytest.raises(ParseError, match="line 2"):
         read_csv(p)
 
+    # an infinite temperature on line 3 (t_l column)
+    p.write_text(CSV_HEADER + "\n1,1,1,1,0,1,3.5,2,0,0.1,train\n1,1,1,1,0,1,3.5,inf,0,0.1,val\n")
+    with pytest.raises(ParseError, match="line 3.*t_l"):
+        read_csv(p)
+
     with pytest.raises(ParseError):
         read_csv(tmp_path / "missing.csv")
 
@@ -328,7 +333,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 def datasets(draw):
     n = draw(st.integers(0, 12))
     feats = draw(st.lists(st.tuples(*[_finite] * 4), min_size=n, max_size=n))
-    temps = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+    temps = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
     strength = st.floats(min_value=0.0, max_value=1.0)
     params = draw(st.lists(st.tuples(temps, temps, temps, strength, strength), min_size=n, max_size=n))
     train = draw(st.lists(st.booleans(), min_size=n, max_size=n))

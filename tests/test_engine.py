@@ -38,7 +38,8 @@ def test_bose_occupation_limits():
     assert bose_occupation(1e-6, 2.0) == pytest.approx(2e6, rel=1e-5)
 
 
-@pytest.mark.parametrize("gap,temp", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize("gap,temp", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                      (1.0, float("inf")), (1.0, float("nan"))])
 def test_bose_occupation_domain(gap, temp):
     with pytest.raises(DomainError):
         bose_occupation(gap, temp)
@@ -69,6 +70,8 @@ def test_params_validation():
         EngineParams(e_a=1.0, e_b=2.0)  # level ordering violated
     with pytest.raises(DomainError):
         EngineParams(t_c=0.0)
+    with pytest.raises(DomainError):
+        EngineParams(t_l=float("inf"))
     with pytest.raises(DomainError):
         EngineParams(g=-1.0)
     with pytest.raises(DomainError):

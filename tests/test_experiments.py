@@ -17,7 +17,9 @@ from artifact.experiments import (
     sweep_csv,
     sweep_gnuplot,
 )
-from artifact.knn import FEATURE_SUBSETS, HyperSpace, fit
+from artifact.data import generate
+from artifact.knn import FEATURE_SUBSETS, HyperSpace, fit, kfold_accuracy
+from artifact.tree import fit_tree, predict_tree
 
 
 # --- scenario specs -----------------------------------------------------------
@@ -176,12 +178,27 @@ def test_untuned_evaluation(small_dataset):
 
 # --- size sweep ----------------------------------------------------------------------
 
+def _tree_kfold_reference(features, labels, folds, seed):
+    """Tree baseline over the seeded shuffle folds, one explicit fold at a time."""
+    parts = np.array_split(np.random.default_rng(seed).permutation(len(labels)), folds)
+    accs = []
+    for i, held in enumerate(parts):
+        rest = np.concatenate([p for j, p in enumerate(parts) if j != i])
+        root = fit_tree(features[rest], labels[rest])
+        accs.append(float(np.mean(predict_tree(root, features[held]) == labels[held]) * 100.0))
+    return float(np.mean(accs))
+
+
 def test_size_sweep(tmp_path):
     rows = run_size_sweep([60, 120], mapping="f3", seed=11, folds=3)
     assert [r["n"] for r in rows] == [60, 120]
     for r in rows:
         assert 0.0 <= r["knn_accuracy"] <= 100.0
         assert 0.0 <= r["tree_accuracy"] <= 100.0
+        x, y = generate(r["n"], seed=11).train
+        x = x[:, FEATURE_SUBSETS["f3"]]
+        assert r["knn_accuracy"] == kfold_accuracy(x, y, folds=3, seed=11)
+        assert r["tree_accuracy"] == _tree_kfold_reference(x, y, 3, 11)
 
     csv = sweep_csv(rows)
     lines = csv.splitlines()

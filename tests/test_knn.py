@@ -10,14 +10,12 @@ from artifact.knn import (
     N_CLASSES,
     Hyperparams,
     HyperSpace,
-    _fold_partition,
     fit,
+    fold_splits,
     kfold_accuracy,
     model_from_json,
     model_to_json,
-    predict,
     predict_batch,
-    predict_proba,
     predict_proba_batch,
     random_search,
     single_shot_accuracy,
@@ -99,29 +97,30 @@ def test_hand_checked_distance_votes():
     train_x = np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0], [4.0, 0, 0, 0], [9.0, 0, 0, 0]])
     train_y = np.array([0, 1, 0, 2])
     model = fit(train_x, train_y, k=3, weighting="distance", metric="euclidean")
-    proba = predict_proba(model, np.zeros(4))
-    np.testing.assert_allclose(proba, [1.25 / 1.75, 0.5 / 1.75, 0.0, 0.0], rtol=0, atol=1e-15)
-    assert predict(model, np.zeros(4)) == 0
+    proba = predict_proba_batch(model, np.zeros((1, 4)))
+    np.testing.assert_allclose(proba, [[1.25 / 1.75, 0.5 / 1.75, 0.0, 0.0]], rtol=0, atol=1e-15)
+    assert predict_batch(model, np.zeros((1, 4))).tolist() == [0]
 
 
 def test_uniform_votes_are_fractions():
     train_x = np.diag([1.0, 2.0, 3.0, 4.0])
     train_y = np.array([0, 1, 2, 3])
     model = fit(train_x, train_y, k=4, weighting="uniform", metric="euclidean")
-    np.testing.assert_array_equal(predict_proba(model, np.zeros(4)), [0.25, 0.25, 0.25, 0.25])
+    np.testing.assert_array_equal(predict_proba_batch(model, np.zeros((1, 4))),
+                                  [[0.25, 0.25, 0.25, 0.25]])
     # four-way tie resolves to the lowest class label
-    assert predict(model, np.zeros(4)) == 0
+    assert predict_batch(model, np.zeros((1, 4))).tolist() == [0]
 
 
 def test_exact_match_wins_outright_under_distance_weighting():
     train_x = np.array([[1.0, 1, 1, 1], [1.0, 1, 1, 1], [1.01, 1, 1, 1], [2.0, 2, 2, 2]])
     train_y = np.array([2, 2, 0, 0])
-    q = np.array([1.0, 1.0, 1.0, 1.0])
+    q = np.array([[1.0, 1.0, 1.0, 1.0]])
     dist = fit(train_x, train_y, k=3, weighting="distance", metric="euclidean")
-    np.testing.assert_array_equal(predict_proba(dist, q), [0.0, 0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(predict_proba_batch(dist, q), [[0.0, 0.0, 1.0, 0.0]])
     # under uniform weighting the same query is an ordinary 2-vs-1 vote
     unif = fit(train_x, train_y, k=3, weighting="uniform", metric="euclidean")
-    assert predict(unif, q) == 2
+    assert predict_batch(unif, q).tolist() == [2]
 
 
 def test_neighbor_ties_break_by_training_index():
@@ -129,8 +128,8 @@ def test_neighbor_ties_break_by_training_index():
     train_x = np.ones((8, 4))
     train_y = np.array([3, 3, 3, 3, 1, 1, 1, 1])
     model = fit(train_x, train_y, k=4, weighting="uniform", metric="manhattan")
-    proba = predict_proba(model, np.full(4, 2.0))
-    np.testing.assert_array_equal(proba, [0.0, 0.0, 0.0, 1.0])
+    proba = predict_proba_batch(model, np.full((1, 4), 2.0))
+    np.testing.assert_array_equal(proba, [[0.0, 0.0, 0.0, 1.0]])
 
 
 def test_scale_invariance_is_bitwise(rng):
@@ -207,20 +206,26 @@ def test_single_shot_accuracy():
 # --- cross validation ---------------------------------------------------------
 
 def test_fold_partition_properties():
-    idx = _fold_partition(23, 5, seed=9)
-    assert len(idx) == 5
-    flat = np.concatenate(idx)
+    splits = fold_splits(23, 5, seed=9)
+    assert len(splits) == 5
+    held = [h for _, h in splits]
+    # the held-out folds partition the rows
+    flat = np.concatenate(held)
     assert sorted(flat.tolist()) == list(range(23))
-    sizes = sorted(len(f) for f in idx)
+    sizes = sorted(len(f) for f in held)
     assert sizes == [4, 4, 5, 5, 5]
-    again = _fold_partition(23, 5, seed=9)
-    for a, b in zip(idx, again):
-        np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(_fold_partition(23, 5, seed=10)[0], idx[0])
+    # training rows are the other folds, concatenated in fold order
+    for i, (rest, _) in enumerate(splits):
+        np.testing.assert_array_equal(rest, np.concatenate(held[:i] + held[i + 1:]))
+    again = fold_splits(23, 5, seed=9)
+    for (ra, ha), (rb, hb) in zip(splits, again):
+        np.testing.assert_array_equal(ra, rb)
+        np.testing.assert_array_equal(ha, hb)
+    assert not np.array_equal(fold_splits(23, 5, seed=10)[0][1], held[0])
     with pytest.raises(DomainError):
-        _fold_partition(4, 5, seed=0)
+        fold_splits(4, 5, seed=0)
     with pytest.raises(DomainError):
-        _fold_partition(10, 1, seed=0)
+        fold_splits(10, 1, seed=0)
 
 
 def test_kfold_perfect_on_constant_labels(rng):
@@ -232,12 +237,8 @@ def test_kfold_perfect_on_constant_labels(rng):
 def test_kfold_matches_manual_evaluation(rng):
     x = rng.uniform(size=(30, 2)).round(1)
     y = rng.integers(0, 4, size=30)
-    folds = _fold_partition(30, 5, seed=4)
     accs = []
-    for i, f in enumerate(folds):
-        # training rows keep the concatenated-fold order; reordering them
-        # would silently change index tie-breaks
-        rest = np.concatenate([p for j, p in enumerate(folds) if j != i])
+    for rest, f in fold_splits(30, 5, seed=4):
         model = fit(x[rest], y[rest], k=3, weighting="distance", metric="manhattan")
         accs.append(single_shot_accuracy(model, x[f], y[f]))
     want = float(np.mean(accs))
