@@ -86,8 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_KEYS = ("ranges", "train_frac", "variant", "zscore", "space", "folds")
+_CONFIG_KEYS = ("ranges", "train_frac", "zscore", "space", "folds")
 _SPACE_KEYS = ("k_range", "weightings", "metrics")
+
+# JSON type of each scalar config value; bools are not numbers here.
+_CONFIG_TYPES = {"train_frac": ((int, float), "a number"),
+                 "zscore": ((bool,), "true or false"),
+                 "folds": ((int,), "an integer")}
 
 
 def _reject_unknown(doc: dict, known: tuple, where: str) -> None:
@@ -108,6 +113,9 @@ def _load_config(path: Path | None) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
     _reject_unknown(doc, _CONFIG_KEYS, "config")
+    for key, (types, what) in _CONFIG_TYPES.items():
+        if key in doc and type(doc[key]) not in types:
+            raise ValidationError(f"config key {key!r} must be {what}, got {doc[key]!r}")
     return doc
 
 
@@ -119,8 +127,7 @@ def _config_ranges(cfg: dict) -> ParamRanges:
 
 def _cmd_gen_data(args, cfg) -> int:
     ds = generate(args.n, ranges=_config_ranges(cfg), seed=args.seed,
-                  train_frac=cfg.get("train_frac", 0.70),
-                  variant=cfg.get("variant", "consistent"))
+                  train_frac=cfg.get("train_frac", 0.70))
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.name}.csv"
     write_csv(ds, path)
@@ -156,12 +163,11 @@ def _space_from_config(cfg: dict) -> HyperSpace:
         raise ValidationError("config key 'space' must be a JSON object")
     _reject_unknown(doc, _SPACE_KEYS, "space")
     kwargs = {}
-    if "k_range" in doc:
-        kwargs["k_range"] = tuple(doc["k_range"])
-    if "weightings" in doc:
-        kwargs["weightings"] = tuple(doc["weightings"])
-    if "metrics" in doc:
-        kwargs["metrics"] = tuple(doc["metrics"])
+    for key in _SPACE_KEYS:
+        if key in doc:
+            if type(doc[key]) is not list:
+                raise ValidationError(f"space key {key!r} must be a JSON list, got {doc[key]!r}")
+            kwargs[key] = tuple(doc[key])
     return HyperSpace(**kwargs)
 
 
@@ -234,8 +240,7 @@ def _cmd_sweep(args, cfg) -> int:
     except ValueError:
         raise ValidationError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     rows = run_size_sweep(sizes, mapping=args.mapping, seed=args.seed,
-                          ranges=_config_ranges(cfg), folds=cfg.get("folds", 5),
-                          variant=cfg.get("variant", "consistent"))
+                          ranges=_config_ranges(cfg), folds=cfg.get("folds", 5))
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "sweep.csv").write_text(sweep_csv(rows))
     (args.out / "sweep.dat").write_text(sweep_gnuplot(rows))
@@ -254,8 +259,7 @@ def _cmd_oracle_check(args, cfg) -> int:
             t_c=rng.uniform(0.4, 2.5), t_h=rng.uniform(3.0, 4.5),
             t_l=rng.uniform(1.0, 7.0),
         )
-        row = compare_with_analytic(params, args.t_final, args.n_traj, args.seed,
-                                    variant=cfg.get("variant", "consistent"))
+        row = compare_with_analytic(params, args.t_final, args.n_traj, args.seed)
         st = row["stats"]
         worst = max(worst, row["z_mean"], row["z_var"])
         print(f"{params.t_c:6.3f} {params.t_h:6.3f} {params.t_l:6.3f} "

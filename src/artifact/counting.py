@@ -75,15 +75,15 @@ class CumulantSet:
                 raise SingularityError(f"non-finite cumulant data: {group}")
 
 
-def steady_states(l0: np.ndarray, physical: bool):
+def steady_states(l0: np.ndarray):
     """Null vectors of a (n, 5, 5) stack of L(0), populations summing to 1.
 
     Returns the (n, 5) states and a {row: error} map of the rows failing
     a check. One batched SVD, bitwise equal to per-matrix SVDs, gives the
     null spaces; a second near-zero singular value means the generator is
-    defective for this purpose. With `physical` the populations must lie
-    in [0, 1]: the legacy variants violate that bound on real parameter
-    draws, which is exactly why they are not the default.
+    defective for this purpose. The populations must lie in [0, 1]: the
+    legacy-conserving layout violates that bound on some parameter draws,
+    which is exactly why it is not the default.
     """
     _, s, vt = np.linalg.svd(l0)
     # Singular values are sorted descending; the null direction is last.
@@ -97,7 +97,7 @@ def steady_states(l0: np.ndarray, physical: bool):
                                     f"(sigma[-2]={s[i, -2]:.3e})"),
         (np.abs(pop) < 1e-12, lambda i: "null vector carries no population weight"),
         (residual > 1e-10, lambda i: f"steady-state residual {residual[i]:.3e} exceeds 1e-10"),
-        (physical & ((rho[:, :4].min(axis=1) < -1e-9) | (rho[:, :4].max(axis=1) > 1.0 + 1e-9)),
+        ((rho[:, :4].min(axis=1) < -1e-9) | (rho[:, :4].max(axis=1) > 1.0 + 1e-9),
          lambda i: f"unphysical populations {rho[i, :4]}"),
     ]
     failures = {}
@@ -109,7 +109,7 @@ def steady_states(l0: np.ndarray, physical: bool):
 
 def steady_state(gen: TwistedGenerator) -> SteadyState:
     """Stationary state of one generator (see steady_states)."""
-    rho, failures = steady_states(gen.l0[None], gen.variant == "consistent")
+    rho, failures = steady_states(gen.l0[None])
     if failures:
         raise failures[0]
     return SteadyState(rho=rho[0])
@@ -200,7 +200,7 @@ def exchange_moment_rates(emit_rate, absorb_rate, rho: np.ndarray) -> np.ndarray
     return np.stack([flux, activity, flux, activity], axis=-1)
 
 
-def cumulant_ratios(params: EngineParams, variant: str = "consistent") -> CumulantSet:
+def cumulant_ratios(params: EngineParams) -> CumulantSet:
     """True cumulants at the operating point, their baseline, and ratios.
 
     The baseline is the same operating point with both coherence
@@ -209,16 +209,15 @@ def cumulant_ratios(params: EngineParams, variant: str = "consistent") -> Cumula
     cumulant indistinguishable from zero cannot be used to normalize;
     such samples must be discarded upstream.
     """
-    j = cumulants(build_generator(params, variant))
-    j0 = cumulants(build_generator(params.zero_coherence(), variant))
+    j = cumulants(build_generator(params))
+    j0 = cumulants(build_generator(params.zero_coherence()))
     if np.any(np.abs(j0) < DEGENERATE_TOL):
         raise DegenerateSampleError(f"degenerate baseline cumulants {j0.tolist()}")
     c = j / j0
     return CumulantSet(j=tuple(j.tolist()), j0=tuple(j0.tolist()), c=tuple(c.tolist()))
 
 
-def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams(),
-                                 variant: str = "consistent"):
+def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams()):
     """Features of every row of a (n, 5) parameter array (see
     exchange_moment_ratios), and a {row: error} map of unusable rows.
 
@@ -230,8 +229,8 @@ def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams(),
     n = len(varied)
     zero = varied.copy()
     zero[:, 3:] = 0.0
-    l0, emit, absorb = build_generators(np.concatenate([varied, zero]), fixed, variant)
-    rho, solve_failures = steady_states(l0, variant == "consistent")
+    l0, emit, absorb = build_generators(np.concatenate([varied, zero]), fixed)
+    rho, solve_failures = steady_states(l0)
     with np.errstate(invalid="ignore", divide="ignore"):
         moments = exchange_moment_rates(emit, absorb, rho)
         m, m0 = moments[:n], moments[n:]
@@ -244,14 +243,14 @@ def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams(),
     return feats, failures
 
 
-def exchange_moment_ratios(params: EngineParams, variant: str = "consistent") -> np.ndarray:
+def exchange_moment_ratios(params: EngineParams) -> np.ndarray:
     """Classifier features: baseline-normalized exchange moment rates.
 
     Returns the length-4 vector m_k / m0_k where m0 is evaluated at the
     same operating point with both coherence channels off. Raises when a
     steady state fails or a baseline moment degenerates.
     """
-    feats, failures = exchange_moment_ratios_batch(varied_row(params), params, variant)
+    feats, failures = exchange_moment_ratios_batch(varied_row(params), params)
     if failures:
         raise failures[0]
     return feats[0]

@@ -67,9 +67,14 @@ class ParamRanges:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParamRanges":
+        if type(doc) is not dict:
+            raise DomainError(f"ranges must be a JSON object, got {doc!r}")
         unknown = set(doc) - set(_BOUNDS)
         if unknown:
             raise DomainError(f"unknown range keys: {sorted(unknown)}")
+        for name, v in doc.items():
+            if type(v) not in (list, tuple) or len(v) != 2 or any(type(x) not in (int, float) for x in v):
+                raise DomainError(f"range {name} must be a list of two numbers, got {v!r}")
         return cls(**{k: tuple(v) for k, v in doc.items()})
 
 
@@ -111,32 +116,28 @@ class Dataset:
     """Labeled samples as write-protected columns.
 
     `features` is (n, 4), `labels` (n,), `params` (n, 5) with the varied
-    engine parameters in VARIED order; `meta["fixed"]` holds the other
-    constants of every row's EngineParams.
+    engine parameters in VARIED order, `in_train` (n,) true for the rows
+    of the training split; `meta["fixed"]` holds the other constants of
+    every row's EngineParams.
     """
 
     features: np.ndarray
     labels: np.ndarray
     params: np.ndarray
-    train_idx: tuple
-    val_idx: tuple
+    in_train: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, dtype in (("features", float), ("labels", np.intp), ("params", float)):
+        for name, dtype in (("features", float), ("labels", np.intp), ("params", float),
+                            ("in_train", bool)):
             col = np.asarray(getattr(self, name), dtype=dtype)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         n = len(self.labels)
-        shapes = (self.features.shape, self.labels.shape, self.params.shape)
-        if shapes != ((n, 4), (n,), (n, 5)):
-            raise ValidationError(f"columns must be (n, 4), (n,) and (n, 5), got {shapes}")
+        shapes = (self.features.shape, self.labels.shape, self.params.shape, self.in_train.shape)
+        if shapes != ((n, 4), (n,), (n, 5), (n,)):
+            raise ValidationError(f"columns must be (n, 4), (n,), (n, 5) and (n,), got {shapes}")
         self._check_rows()
-        train, val = np.unique(self.train_idx), np.unique(self.val_idx)
-        if np.intersect1d(train, val).size:
-            raise ValidationError("train and validation splits overlap")
-        if not np.array_equal(np.union1d(train, val), np.arange(n)):
-            raise ValidationError("splits must partition the sample indices")
 
     def _check_rows(self):
         """Vectorized row checks; the first bad row raises its scalar error,
@@ -161,17 +162,15 @@ class Dataset:
 
     @property
     def train(self):
-        i = np.asarray(self.train_idx, dtype=np.intp)
-        return self.features[i], self.labels[i]
+        return self.features[self.in_train], self.labels[self.in_train]
 
     @property
     def validation(self):
-        i = np.asarray(self.val_idx, dtype=np.intp)
-        return self.features[i], self.labels[i]
+        return self.features[~self.in_train], self.labels[~self.in_train]
 
 
 def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
-             train_frac: float = 0.70, variant: str = "consistent") -> Dataset:
+             train_frac: float = 0.70) -> Dataset:
     """Draw n labeled samples i.i.d. uniformly over `ranges`.
 
     All first attempts are evaluated together, as stacked solves of up
@@ -203,7 +202,7 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
         failed = []
         for start in range(0, pending.size, _BATCH_ROWS):
             rows = pending[start:start + _BATCH_ROWS]
-            features[rows], failures = exchange_moment_ratios_batch(params[rows], fixed, variant)
+            features[rows], failures = exchange_moment_ratios_batch(params[rows], fixed)
             failed += rows[sorted(failures)].tolist()
         redraws += len(failed)
         if redraws > budget:
@@ -214,7 +213,8 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
         params[pending] = draw(failed)
 
     perm = np.random.default_rng(children[n]).permutation(n)
-    n_train = int(round(n * train_frac))
+    in_train = np.zeros(n, dtype=bool)
+    in_train[perm[:int(round(n * train_frac))]] = True
 
     meta = {
         "schema": "dataset-meta/1",
@@ -222,14 +222,13 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
         "n": int(n),
         "ranges": ranges.to_dict(),
         "fixed": {k: v for k, v in fixed.to_dict().items() if k not in VARIED},
-        "variant": variant,
+        "variant": "consistent",  # the one layout datasets are generated with
         "train_frac": train_frac,
         "redraws": redraws,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    return Dataset(features, _labels_of(params[:, 4]), params, tuple(np.sort(perm[:n_train]).tolist()),
-                   tuple(np.sort(perm[n_train:]).tolist()), meta)
+    return Dataset(features, _labels_of(params[:, 4]), params, in_train, meta)
 
 
 # One CSV row: four features, label, the VARIED parameters, split tag.
@@ -247,10 +246,8 @@ def write_csv(ds: Dataset, path) -> None:
     run-dependent (timestamp, redraw count) lives only in the sidecar.
     """
     path = Path(path)
-    train = np.zeros(len(ds), dtype=bool)
-    train[np.asarray(ds.train_idx, dtype=np.intp)] = True
     rows = zip(ds.features.tolist(), ds.labels.tolist(), ds.params.tolist(),
-               np.where(train, "train", "val").tolist())
+               np.where(ds.in_train, "train", "val").tolist())
     lines = [CSV_HEADER] + [_ROW.format(*f, y, *p, s) for f, y, p, s in rows]
     path.write_text("\n".join(lines) + "\n")
     meta_path(path).write_text(json.dumps(ds.meta, indent=2, sort_keys=True) + "\n")
@@ -303,12 +300,10 @@ def read_csv(path) -> Dataset:
                 error = exc
                 break
             linenos.append(lineno)
-    features, labels, params, train = zip(*rows) if rows else ((),) * 4
-    train = np.array(train, dtype=bool)
+    features, labels, params, in_train = zip(*rows) if rows else ((),) * 4
     try:
         ds = Dataset(np.reshape(features, (-1, 4)), np.array(labels, dtype=np.intp),
-                     np.reshape(params, (-1, 5)), tuple(np.flatnonzero(train).tolist()),
-                     tuple(np.flatnonzero(~train).tolist()), meta)
+                     np.reshape(params, (-1, 5)), np.array(in_train, dtype=bool), meta)
     except ValidationError as exc:
         raise ParseError(str(exc), line=linenos[exc.row])
     if error is not None:

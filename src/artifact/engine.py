@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -46,14 +46,13 @@ EDGE_ABSORB = (2, 3)  # lower -> upper, -1 photon from the cavity, e^{-lam}
 
 #: "consistent"        -- each excited level is fed and drained by the same
 #:                        bath; detailed balance holds at zero thermodynamic
-#:                        bias. Default, and the only variant whose steady
+#:                        bias. Default, and the only layout whose steady
 #:                        state is physical across the whole parameter box.
-#: "legacy-conserving" -- crossed-feed legacy layout with the single
-#:                        coherence-column repair that restores population
-#:                        conservation. Kept for comparison.
-#: "legacy"            -- crossed-feed legacy layout verbatim; its population
-#:                        block leaks trace through the coherence column.
-GENERATOR_VARIANTS = ("consistent", "legacy-conserving", "legacy")
+#: "legacy-conserving" -- crossed-feed legacy layout with the coherence-column
+#:                        repair that restores population conservation. Kept
+#:                        for comparison; its steady state is rejected where
+#:                        a population leaves [0, 1].
+GENERATOR_VARIANTS = ("consistent", "legacy-conserving")
 
 # exp(x) overflows float64 near x=709; the occupation there is < 1e-304.
 _OVERFLOW_X = 700.0
@@ -152,27 +151,6 @@ class EngineParams:
 
 
 @dataclass(frozen=True)
-class Occupations:
-    """Bose occupations of the three reservoirs at the engine's gaps (floats or columns)."""
-
-    n_h: float   # hot bath   at gap e_a - e1
-    n_c: float   # cold bath  at gap e_b - e1
-    n_l: float   # cavity     at gap e_a - e_b
-    nt_h: float = field(init=False)
-    nt_c: float = field(init=False)
-    nt_l: float = field(init=False)
-
-    def __post_init__(self):
-        for name in ("n_h", "n_c", "n_l"):
-            v = getattr(self, name)
-            if not ((v >= 0.0) & np.isfinite(v)).all():
-                raise DomainError(f"occupation {name} must be finite and >= 0, got {v}")
-        object.__setattr__(self, "nt_h", 1.0 + self.n_h)
-        object.__setattr__(self, "nt_c", 1.0 + self.n_c)
-        object.__setattr__(self, "nt_l", 1.0 + self.n_l)
-
-
-@dataclass(frozen=True)
 class TwistedGenerator:
     """Counting-field-dressed generator: L(0), its lam-derivatives, eval(lam).
 
@@ -184,7 +162,6 @@ class TwistedGenerator:
     l_deriv: tuple                 # d^k L / d lam^k at 0, k = 1..4
     emit_rate: float               # g^2 * (1 + n_l), on the e^{+lam} edge
     absorb_rate: float             # g^2 * n_l, on the e^{-lam} edge
-    variant: str = "consistent"
 
     def eval(self, lam: float) -> np.ndarray:
         """Assembled 5x5 generator at counting field `lam`."""
@@ -202,66 +179,63 @@ def build_generators(varied, fixed: EngineParams = EngineParams(),
     `varied` is (n, 5) in VARIED order; `fixed` supplies the other
     constants. Only the two cavity edges depend on the counting field: the
     emission edge carries g^2*(1+n_l)*e^{+lam}, the absorption edge
-    g^2*n_l*e^{-lam}. Every non-default `variant` reproduces a legacy
-    transcription of this generator (see GENERATOR_VARIANTS); the
-    default is the per-bath-consistent layout, the only one that
+    g^2*n_l*e^{-lam}. `variant` picks the layout (see GENERATOR_VARIANTS);
+    the default is the per-bath-consistent one, the only one that
     equilibrates at zero thermodynamic bias.
     """
     if variant not in GENERATOR_VARIANTS:
         raise DomainError(f"unknown generator variant {variant!r}; expected one of {GENERATOR_VARIANTS}")
     t_c, t_h, t_l, p_c, p_h = np.asarray(varied, dtype=float).reshape(-1, 5).T
-    occ = Occupations(n_h=bose_occupations(fixed.e_a - fixed.e1, t_h),
-                      n_c=bose_occupations(fixed.e_b - fixed.e1, t_c),
-                      n_l=bose_occupations(fixed.e_a - fixed.e_b, t_l))
+    n_h = bose_occupations(fixed.e_a - fixed.e1, t_h)
+    n_c = bose_occupations(fixed.e_b - fixed.e1, t_c)
+    n_l = bose_occupations(fixed.e_a - fixed.e_b, t_l)
+    nt_h, nt_c, nt_l = 1.0 + n_h, 1.0 + n_c, 1.0 + n_l
     r, g2, tau = fixed.r, fixed.g * fixed.g, fixed.tau
     g12h = coherence_coupling(r, p_h)
     g12c = coherence_coupling(r, p_c)
     # Mean interference drive and dressed dephasing of the coherence slot.
-    g12 = 0.5 * (g12c * occ.n_c + g12h * occ.n_h)
-    gbar = -r * (occ.n_h + occ.n_c)
+    g12 = 0.5 * (g12c * n_c + g12h * n_h)
+    gbar = -r * (n_h + n_c)
 
-    emit = g2 * occ.nt_l
-    absorb = g2 * occ.n_l
+    emit = g2 * nt_l
+    absorb = g2 * n_l
 
     m = np.zeros((5, 5, len(t_c)))  # m[row, col] is a column; stack axis moved first below
     # Degenerate pair: drain into both baths, gain by emission from each
     # excited level, and couple to the coherence slot symmetrically.
     for i in (0, 1):
-        m[i, i] = -r * (occ.n_h + occ.n_c)
-        m[i, 2] = r * occ.nt_h
-        m[i, 3] = r * occ.nt_c
+        m[i, i] = -r * (n_h + n_c)
+        m[i, 2] = r * nt_h
+        m[i, 3] = r * nt_c
         m[i, 4] = -2.0 * g12
     # Excited-level diagonals: each drains into its own bath and the cavity.
-    m[2, 2] = -2.0 * r * occ.nt_h - emit
-    m[3, 3] = -2.0 * r * occ.nt_c - absorb
+    m[2, 2] = -2.0 * r * nt_h - emit
+    m[3, 3] = -2.0 * r * nt_c - absorb
     # Cavity (counted) edges at lam = 0.
     m[EDGE_ABSORB] = absorb
     m[EDGE_EMIT] = emit
     # Coherence row: pumped by both excited levels, drained by gbar - tau.
     m[4, 0] = m[4, 1] = -g12
-    m[4, 2] = g12h * occ.nt_h
+    m[4, 2] = g12h * nt_h
     m[4, 4] = gbar - tau
 
     if variant == "consistent":
         # Each excited level is fed by the bath that also drains it.
-        m[2, 0] = m[2, 1] = r * occ.n_h
-        m[3, 0] = m[3, 1] = r * occ.n_c
-        m[2, 4] = 2.0 * g12h * occ.n_h
-        m[3, 4] = 2.0 * g12c * occ.n_c
-        m[4, 3] = g12c * occ.nt_c
+        m[2, 0] = m[2, 1] = r * n_h
+        m[3, 0] = m[3, 1] = r * n_c
+        m[2, 4] = 2.0 * g12h * n_h
+        m[3, 4] = 2.0 * g12c * n_c
+        m[4, 3] = g12c * nt_c
     else:
         # Legacy layout: bath feeds crossed relative to the drains, and an
-        # asymmetric factor 2 on the coherence row's cold entry.
-        m[2, 0] = m[2, 1] = r * occ.n_c
-        m[3, 0] = m[3, 1] = r * occ.n_h
-        m[3, 4] = 2.0 * g12h * occ.n_h
-        m[4, 3] = 2.0 * g12c * occ.nt_c
-        if variant == "legacy-conserving":
-            # Single repair: balance the coherence column against the two
-            # -g12 entries so the population block conserves trace.
-            m[2, 4] = 2.0 * g12c * occ.n_c
-        else:
-            m[2, 4] = g12c * occ.n_c
+        # asymmetric factor 2 on the coherence row's cold entry. The
+        # coherence column is balanced against the two -g12 entries so
+        # the population block conserves trace.
+        m[2, 0] = m[2, 1] = r * n_c
+        m[3, 0] = m[3, 1] = r * n_h
+        m[3, 4] = 2.0 * g12h * n_h
+        m[4, 3] = 2.0 * g12c * nt_c
+        m[2, 4] = 2.0 * g12c * n_c
     return np.ascontiguousarray(m.transpose(2, 0, 1)), emit, absorb
 
 
@@ -288,5 +262,4 @@ def build_generator(params: EngineParams, variant: str = "consistent") -> Twiste
         l_deriv=tuple(derivs),
         emit_rate=emit,
         absorb_rate=absorb,
-        variant=variant,
     )

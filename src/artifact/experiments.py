@@ -11,6 +11,7 @@ relations between observables.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ DEFAULT_SCENARIO_RANGES = ((0.76, 1.001), (0.80, 1.01), (0.76, 1.002), (0.76, 1.
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 4096
+
+
+def _is_interval(r) -> bool:
+    """A finite [lo, hi] pair of numbers with lo <= hi."""
+    return (type(r) in (list, tuple) and len(r) == 2
+            and all(type(v) in (int, float) and math.isfinite(v) for v in r) and r[0] <= r[1])
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,14 @@ class ScenarioSpec:
             raise ValidationError(f"pair12 must be one of {PAIR_RELATIONS}, got {self.pair12!r}")
         if self.pair34 not in PAIR_RELATIONS + ("absent",):
             raise ValidationError(f"pair34 must be a relation or 'absent', got {self.pair34!r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if len(self.ranges) != 4 or any(len(r) != 2 or r[0] > r[1] for r in self.ranges):
-            raise ValidationError(f"ranges must be 4 ordered intervals, got {self.ranges}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if (type(self.ranges) not in (list, tuple) or len(self.ranges) != 4
+                or not all(_is_interval(r) for r in self.ranges)):
+            raise ValidationError(f"ranges must be 4 ordered finite intervals, got {self.ranges!r}")
+        object.__setattr__(self, "ranges", tuple(tuple(r) for r in self.ranges))
 
     def to_dict(self) -> dict:
         return {"pair12": self.pair12, "pair34": self.pair34, "n": self.n,
@@ -62,16 +73,15 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
+        if type(doc) is not dict:
+            raise ValidationError(f"scenario must be a JSON object, got {doc!r}")
         known = {"pair12", "pair34", "n", "ranges", "seed"}
         unknown = set(doc) - known
         if unknown:
             raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
         if "pair12" not in doc:
             raise ValidationError("scenario needs at least 'pair12'")
-        kwargs = dict(doc)
-        if "ranges" in kwargs:
-            kwargs["ranges"] = tuple(tuple(r) for r in kwargs["ranges"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -241,8 +251,7 @@ def evaluate_untuned(mapping: str, dataset: Dataset, k: int = 5,
 
 
 def run_size_sweep(sizes, mapping: str = "f1", seed: int = 0,
-                   ranges: ParamRanges = DEFAULT_RANGES, folds: int = 5,
-                   variant: str = "consistent") -> list:
+                   ranges: ParamRanges = DEFAULT_RANGES, folds: int = 5) -> list:
     """Default-hyperparameter k-fold accuracy at each dataset size,
     with the tree baseline on the same folds."""
     sizes = [int(s) for s in sizes]
@@ -253,7 +262,7 @@ def run_size_sweep(sizes, mapping: str = "f1", seed: int = 0,
     for n in sizes:
         # Same generation seed at every size: per-sample substreams make
         # smaller datasets prefixes of larger ones, isolating the size effect.
-        ds = generate(n, ranges=ranges, seed=seed, variant=variant)
+        ds = generate(n, ranges=ranges, seed=seed)
         x_train, y_train = ds.train
         x = x_train[:, subset]
         tree_accs = [np.mean(predict_tree(fit_tree(x[rest], y_train[rest]), x[held])

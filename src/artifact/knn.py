@@ -52,8 +52,8 @@ class HyperSpace:
     metrics: tuple = DISTANCE_METRICS
 
     def __post_init__(self):
-        if not self.k_range or any(k < 1 for k in self.k_range):
-            raise ValidationError("k_range must be non-empty positive integers")
+        if not self.k_range or any(type(k) is not int or k < 1 for k in self.k_range):
+            raise ValidationError(f"k_range must be non-empty positive integers, got {self.k_range}")
         if not self.weightings or any(w not in WEIGHTINGS for w in self.weightings):
             raise ValidationError(f"weightings must be drawn from {WEIGHTINGS}")
         if not self.metrics or any(m not in DISTANCE_METRICS for m in self.metrics):

@@ -68,7 +68,7 @@ class TrajectoryStats:
                 raise ValidationError(f"{name} must be finite and non-negative, got {se}")
 
 
-def build_jump_process(params: EngineParams, variant: str = "consistent") -> JumpProcess:
+def build_jump_process(params: EngineParams) -> JumpProcess:
     """Population-block jump process of the zero-coherence generator.
 
     Requires p_c = p_h = 0: only there does the coherence component
@@ -78,7 +78,7 @@ def build_jump_process(params: EngineParams, variant: str = "consistent") -> Jum
         raise DomainError(
             f"jump process exists only at zero coherence, got p_c={params.p_c}, p_h={params.p_h}"
         )
-    gen = build_generator(params, variant)
+    gen = build_generator(params)
     block = gen.l0[:4, :4]
     rates = block.copy()
     np.fill_diagonal(rates, 0.0)
@@ -86,7 +86,7 @@ def build_jump_process(params: EngineParams, variant: str = "consistent") -> Jum
     # escape rate, otherwise the block is not a stochastic generator.
     leak = np.abs(np.diag(block) + rates.sum(axis=0))
     if np.any(leak > _RATE_TOL):
-        raise ValidationError(f"population block leaks probability (max {leak.max():.3e}); variant={variant!r}")
+        raise ValidationError(f"population block leaks probability (max {leak.max():.3e})")
     weights = np.zeros((4, 4))
     weights[EDGE_EMIT] = 1.0
     weights[EDGE_ABSORB] = -1.0
@@ -204,8 +204,7 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     )
 
 
-def compare_with_analytic(params: EngineParams, t_final: float, n_traj: int, seed: int,
-                          variant: str = "consistent") -> dict:
+def compare_with_analytic(params: EngineParams, t_final: float, n_traj: int, seed: int) -> dict:
     """One oracle row: analytic first two cumulant rates vs Gillespie.
 
     Trajectories start from the analytic steady-state populations, so the
@@ -215,8 +214,8 @@ def compare_with_analytic(params: EngineParams, t_final: float, n_traj: int, see
     from .counting import cumulants
 
     zero = params.zero_coherence()
-    gen = build_generator(zero, variant)
-    proc = build_jump_process(zero, variant)
+    gen = build_generator(zero)
+    proc = build_jump_process(zero)
     j = cumulants(gen)
     pops = steady_state(gen).populations
     stats = simulate(proc, t_final, n_traj, seed, initial=pops / pops.sum())

@@ -22,6 +22,8 @@ from artifact.trajectories import compare_with_analytic
 
 from test_knn import _ref_predict, _ref_proba
 
+pytestmark = pytest.mark.acceptance
+
 _T = {}  # wall-clock bookkeeping shared across criteria
 
 

@@ -149,18 +149,48 @@ def test_version_flag(capsys):
     assert artifact.__version__ in capsys.readouterr().out
 
 
+def _run_with_config(workdir, tmp_path, cfg, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    extra = {"train": ["--data", str(workdir / "dataset.csv"), "--mapping", "f3", "--k", "3"],
+             "tune": ["--data", str(workdir / "dataset.csv"), "--mapping", "f3", "--n-iter", "2"],
+             "gen-data": ["--n", "20"],
+             "sweep": ["--mapping", "f3", "--sizes", "60"]}[command]
+    return run("--out", str(tmp_path), "--config", str(path), command, *extra)
+
+
 @pytest.mark.parametrize("cfg,command,key", [
     ({"zscor": True}, "train", "zscor"),
     ({"space": {"k_range": [1, 3], "k_rang": [5]}}, "tune", "k_rang"),
-], ids=["top-level", "space"])
+    ({"variant": "consistent"}, "gen-data", "variant"),
+], ids=["top-level", "space", "variant"])
 def test_config_rejects_unknown_keys(workdir, tmp_path, capsys, cfg, command, key):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    extra = ["--k", "3"] if command == "train" else ["--n-iter", "2"]
-    code = run("--out", str(tmp_path), "--config", str(path), command,
-               "--data", str(workdir / "dataset.csv"), "--mapping", "f3", *extra)
-    assert code == 2
+    assert _run_with_config(workdir, tmp_path, cfg, command) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg,command,key", [
+    ({"zscore": "no"}, "train", "zscore"),
+    ({"zscore": 1}, "tune", "zscore"),
+    ({"train_frac": "0.7"}, "gen-data", "train_frac"),
+    ({"train_frac": True}, "gen-data", "train_frac"),
+    ({"folds": "3"}, "sweep", "folds"),
+    ({"folds": 3.0}, "sweep", "folds"),
+    ({"ranges": {"t_c": [1]}}, "gen-data", "t_c"),
+    ({"ranges": {"t_c": 5}}, "gen-data", "t_c"),
+    ({"ranges": {"t_c": [0.5, "1"]}}, "gen-data", "t_c"),
+    ({"ranges": [[0.5, 1.0]]}, "gen-data", "ranges"),
+    ({"space": {"k_range": "abc"}}, "tune", "k_range"),
+    ({"space": {"k_range": [1.5]}}, "tune", "k_range"),
+    ({"space": {"k_range": 5}}, "tune", "k_range"),
+    ({"space": {"metrics": "euclidean"}}, "tune", "metrics"),
+], ids=["zscore-string", "zscore-int", "train-frac-string", "train-frac-bool", "folds-string",
+        "folds-float", "range-one-number", "range-scalar", "range-string-bound", "ranges-list",
+        "k-range-string", "k-range-fraction", "k-range-scalar", "metrics-string"])
+def test_config_rejects_bad_values(workdir, tmp_path, capsys, cfg, command, key):
+    assert _run_with_config(workdir, tmp_path, cfg, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 def _truncate(doc, name):

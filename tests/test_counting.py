@@ -150,17 +150,30 @@ def test_cumulant_set_validation():
 
 
 def test_scalar_errors_match_loop_reference(rng):
-    # the length-1 batch raises what the per-sample route raised, message included
-    cases = [(random_params(rng), "legacy") for _ in range(30)]
-    cases.append((EngineParams(t_c=2.0, t_h=2.0, t_l=2.0, p_c=0.5, p_h=0.5), "consistent"))
+    # the length-1 batch raises what the per-sample route raised, message
+    # included; at a near-zero temperature every occupation underflows and
+    # the null space of L(0) is no longer one-dimensional
+    cases = [random_params(rng) for _ in range(15)]
+    cases += [EngineParams(t_c=1e-3, t_h=1e-3, t_l=1e-3, p_c=rng.uniform(0.0, 1.0),
+                           p_h=rng.uniform(0.0, 1.0)) for _ in range(15)]
+    cases.append(EngineParams(t_c=2.0, t_h=2.0, t_l=2.0, p_c=0.5, p_h=0.5))
     kinds = set()
-    for params, variant in cases:
+    for params in cases:
         outcomes = []
         for route in (exchange_moment_ratios, loop_reference.features):
             try:
-                outcomes.append(route(params, variant).tolist())
+                outcomes.append(route(params).tolist())
             except ArtifactError as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
         kinds.add(outcomes[0][0] if isinstance(outcomes[0], tuple) else "features")
     assert DegenerateSampleError in kinds and SingularityError in kinds
+
+
+def test_legacy_conserving_unphysical_state_rejected():
+    # the crossed layout drives pop_1 to about -0.245 here; the population
+    # bound holds for every layout, so the steady state fails loudly
+    gen = build_generator(EngineParams(t_c=2.462, t_h=4.266, t_l=3.545, p_c=0.98, p_h=0.974),
+                          "legacy-conserving")
+    with pytest.raises(SingularityError, match="unphysical populations"):
+        steady_state(gen)

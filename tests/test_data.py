@@ -83,9 +83,9 @@ def test_range_validation():
 def test_generate_contract(small_dataset):
     ds = small_dataset
     assert len(ds) == 600
-    assert len(ds.train_idx) == 420  # 70% split
-    assert len(ds.val_idx) == 180
-    assert not set(ds.train_idx) & set(ds.val_idx)
+    assert ds.in_train.dtype == bool and ds.in_train.shape == (600,)
+    assert np.count_nonzero(ds.in_train) == 420  # 70% split
+    assert len(ds.train[1]) == 420 and len(ds.validation[1]) == 180
     x = ds.features
     assert x.shape == (600, 4) and ds.labels.shape == (600,) and ds.params.shape == (600, 5)
     assert np.all(np.isfinite(x))
@@ -96,7 +96,7 @@ def test_generate_contract(small_dataset):
 def test_generate_deterministic(small_dataset):
     again = generate(600, seed=7)
     assert _same_columns(again, small_dataset)
-    assert again.train_idx == small_dataset.train_idx
+    assert np.array_equal(again.in_train, small_dataset.in_train)
 
 
 def test_label_balance(small_dataset):
@@ -129,7 +129,7 @@ def test_generate_validation():
 
 def test_generation_quality_budget(monkeypatch):
     # force every draw to look degenerate; the 10% budget must trip
-    def always_degenerate(varied, fixed, variant="consistent"):
+    def always_degenerate(varied, fixed):
         return np.ones((len(varied), 4)), {i: DegenerateSampleError("forced") for i in range(len(varied))}
 
     monkeypatch.setattr(data_mod, "exchange_moment_ratios_batch", always_degenerate)
@@ -137,18 +137,10 @@ def test_generation_quality_budget(monkeypatch):
         generate(50, seed=0)
 
 
-def test_legacy_variant_trips_budget():
-    # the verbatim legacy layout leaks probability: its solves fail
-    with pytest.raises(GenerationQualityError):
-        generate(60, seed=0, variant="legacy")
-
-
-@pytest.mark.parametrize("variant", ["consistent", "legacy-conserving"])
-def test_generate_matches_loop_reference(variant):
+def test_generate_matches_loop_reference():
     # one batch of builds and SVDs reproduces the per-sample loop bit for bit
-    ds = generate(320, seed=11, variant=variant)
-    feats, labels, params, redraws = loop_reference.generate_columns(
-        320, DEFAULT_RANGES, seed=11, variant=variant)
+    ds = generate(320, seed=11)
+    feats, labels, params, redraws = loop_reference.generate_columns(320, DEFAULT_RANGES, seed=11)
     assert np.array_equal(ds.features, feats)
     assert np.array_equal(ds.labels, labels)
     assert np.array_equal(ds.params, params)
@@ -168,8 +160,8 @@ def test_partial_redraw_matches_loop_reference(monkeypatch):
     real = data_mod.exchange_moment_ratios_batch
     rounds = []
 
-    def flaky(varied, fixed, variant="consistent"):
-        feats, failures = real(varied, fixed, variant)
+    def flaky(varied, fixed):
+        feats, failures = real(varied, fixed)
         failures.update({i: DegenerateSampleError("forced") for i in forced.get(len(rounds), [])})
         rounds.append(len(varied))
         return feats, failures
@@ -192,7 +184,7 @@ def test_partial_redraw_matches_loop_reference(monkeypatch):
 
 
 def _one_row(features=(1.0, 1.0, 1.0, 1.0), label=3, params=(1.0, 3.5, 2.0, 0.0, 0.8)):
-    return Dataset(np.array([features]), np.array([label]), np.array([params]), (0,), ())
+    return Dataset(np.array([features]), np.array([label]), np.array([params]), np.array([True]))
 
 
 def test_sample_validation():
@@ -214,14 +206,17 @@ def test_dataset_columns_are_frozen(small_dataset):
         small_dataset.features[0, 0] = 2.0
     with pytest.raises(ValueError):
         small_dataset.labels[0] = 0
+    with pytest.raises(ValueError):
+        small_dataset.in_train[0] = False
 
 
 def test_dataset_partition_enforced():
+    # one split flag per row: a split column of the wrong length is rejected
     ds = generate(6, seed=3)
     with pytest.raises(ValidationError):
-        Dataset(ds.features, ds.labels, ds.params, ds.train_idx, ds.train_idx[:1])
+        Dataset(ds.features, ds.labels, ds.params, ds.in_train[:-1])
     with pytest.raises(ValidationError):
-        Dataset(ds.features, ds.labels, ds.params, ds.train_idx, ds.val_idx[:-1])
+        Dataset(ds.features, ds.labels, ds.params, np.append(ds.in_train, True))
 
 
 # --- csv round trip -----------------------------------------------------------
@@ -231,8 +226,7 @@ def test_write_read_round_trip(tmp_path, small_dataset):
     write_csv(small_dataset, p)
     back = read_csv(p)
     assert _same_columns(back, small_dataset)  # %.17g is lossless
-    assert back.train_idx == small_dataset.train_idx
-    assert back.val_idx == small_dataset.val_idx
+    assert np.array_equal(back.in_train, small_dataset.in_train)
     assert back.meta["seed"] == small_dataset.meta["seed"]
 
 
@@ -338,8 +332,7 @@ def datasets(draw):
     params = draw(st.lists(st.tuples(temps, temps, temps, strength, strength), min_size=n, max_size=n))
     train = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return Dataset(np.reshape(feats, (n, 4)), np.array([label_of(p[4]) for p in params], dtype=np.intp),
-                   np.reshape(params, (n, 5)), tuple(i for i in range(n) if train[i]),
-                   tuple(i for i in range(n) if not train[i]), {"seed": 1})
+                   np.reshape(params, (n, 5)), np.array(train, dtype=bool), {"seed": 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,8 +341,8 @@ def test_csv_round_trip_property(tmp_path_factory, ds):
     d = tmp_path_factory.mktemp("rt")
     write_csv(ds, d / "a.csv")
     back = read_csv(d / "a.csv")
-    for x, y in zip(_columns(back), _columns(ds)):
+    for x, y in zip(_columns(back) + (back.in_train,), _columns(ds) + (ds.in_train,)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()  # bitwise, signed zeros included
-    assert (back.train_idx, back.val_idx, back.meta) == (ds.train_idx, ds.val_idx, ds.meta)
+    assert back.meta == ds.meta
     write_csv(back, d / "b.csv")
     assert (d / "b.csv").read_bytes() == (d / "a.csv").read_bytes()

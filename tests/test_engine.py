@@ -9,7 +9,6 @@ from artifact.engine import (
     GENERATOR_VARIANTS,
     TRACE_VECTOR,
     EngineParams,
-    Occupations,
     VARIED,
     bose_occupation,
     build_generator,
@@ -18,6 +17,7 @@ from artifact.engine import (
 )
 from artifact.errors import DomainError
 
+import loop_reference
 from conftest import random_params
 
 
@@ -87,19 +87,6 @@ def test_zero_coherence_projection():
     q = p.zero_coherence()
     assert q.p_c == 0.0 and q.p_h == 0.0
     assert q.t_c == p.t_c and q.t_h == p.t_h and q.t_l == p.t_l
-
-
-def test_occupations_struct():
-    occ = Occupations(n_h=0.3, n_c=0.1, n_l=1.5)
-    assert occ.nt_h == 1.0 + occ.n_h
-    assert occ.nt_l == 1.0 + occ.n_l
-    with pytest.raises(DomainError):
-        Occupations(n_h=-0.1, n_c=0.0, n_l=0.0)
-    # columns of a batched build are validated element-wise
-    col = Occupations(n_h=np.array([0.3, 0.0]), n_c=np.zeros(2), n_l=np.ones(2))
-    assert np.array_equal(col.nt_h, [1.3, 1.0])
-    with pytest.raises(DomainError):
-        Occupations(n_h=np.array([0.3, np.inf]), n_c=np.zeros(2), n_l=np.ones(2))
 
 
 # --- generator assembly -----------------------------------------------------
@@ -194,12 +181,6 @@ def test_trace_conservation(variant, rng):
         assert np.max(np.abs(resid)) < 1e-12
 
 
-def test_legacy_variant_leaks_trace():
-    gen = build_generator(EngineParams(p_c=0.5, p_h=0.5), "legacy")
-    resid = TRACE_VECTOR @ gen.l0
-    assert np.max(np.abs(resid)) > 1e-6
-
-
 def test_variants_coincide_at_zero_coherence():
     p = EngineParams(t_c=1.3, t_l=3.0)
     base = build_generator(p, "consistent").l0
@@ -208,7 +189,7 @@ def test_variants_coincide_at_zero_coherence():
         # with both coherence channels off every coherence coupling is zero,
         # so the whole coherence row collapses to the same numbers; the
         # population feeds still differ (they are crossed in the legacy
-        # layouts), which is what the steady-state tests pick up
+        # layout), which is what the steady-state tests pick up
         np.testing.assert_allclose(other[4], base[4], rtol=0, atol=1e-15)
         assert other[2, 0] != base[2, 0]  # crossed feeds are really crossed
 
@@ -232,9 +213,22 @@ def test_stack_validates_rows():
         build_generators([[1.0, 3.5, 2.0, 0.0, 0.5], [1.0, -3.5, 2.0, 0.0, 0.5]])
 
 
+def test_legacy_conserving_rows_match_loop_reference(rng):
+    # the stacked build of the crossed layout reproduces a per-sample transcription bit for bit
+    params = [random_params(rng) for _ in range(40)]
+    l0, emit, absorb = build_generators([[getattr(p, k) for k in VARIED] for p in params],
+                                        variant="legacy-conserving")
+    for i, p in enumerate(params):
+        m, e, a = loop_reference.generator(p, "legacy-conserving")
+        assert np.array_equal(l0[i], m)
+        assert (emit[i], absorb[i]) == (e, a)
+
+
 def test_unknown_variant_rejected():
-    with pytest.raises(DomainError):
-        build_generator(EngineParams(), "modern")
+    # "legacy", the verbatim layout that leaked trace, is no longer a layout
+    for name in ("modern", "legacy"):
+        with pytest.raises(DomainError):
+            build_generator(EngineParams(), name)
 
 
 def test_generator_arrays_write_protected():

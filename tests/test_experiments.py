@@ -45,6 +45,26 @@ def test_spec_validation():
         ScenarioSpec.from_dict({"pair34": "equal"})
     with pytest.raises(ValidationError):
         ScenarioSpec.from_json("{broken")
+    # malformed documents: each is rejected by name instead of failing later
+    bad = [
+        ({"ranges": [[float("nan"), float("nan")]] * 4}, "ranges"),
+        ({"ranges": [[0.8, float("inf")]] * 4}, "ranges"),
+        ({"ranges": [1, 2, 3, 4]}, "ranges"),
+        ({"ranges": [[0.8, "1.0"]] * 4}, "ranges"),
+        ({"n": "5"}, "n must"),
+        ({"n": 2.5}, "n must"),
+        ({"n": True}, "n must"),
+        ({"seed": -1}, "seed must"),
+        ({"seed": 1.5}, "seed must"),
+    ]
+    for fields, match in bad:
+        with pytest.raises(ValidationError, match=match):
+            ScenarioSpec.from_dict({"pair12": "equal", **fields})
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        ScenarioSpec.from_json("[1]")
+    # JSON lists become tuples, so a parsed spec equals the constructed one
+    spec = ScenarioSpec.from_dict({"pair12": "equal", "ranges": [list(r) for r in DEFAULT_SCENARIO_RANGES]})
+    assert spec == ScenarioSpec(pair12="equal")
 
 
 # --- constrained sampling --------------------------------------------------------
@@ -150,7 +170,7 @@ def test_run_pipeline_smoke(small_dataset):
     assert res.model.feature_subset == FEATURE_SUBSETS["f3"]
     assert res.model.k == res.search.best.k
     assert 25.0 <= res.val_accuracy <= 100.0
-    assert res.chi.sum() == len(small_dataset.val_idx)
+    assert res.chi.sum() == np.count_nonzero(~small_dataset.in_train)
     # accuracy recomputed from the confusion matrix must agree exactly
     assert res.val_accuracy == np.trace(res.chi) / res.chi.sum() * 100.0
     report = res.report_text()

@@ -43,17 +43,6 @@ def test_rejects_coherent_params():
         build_jump_process(EngineParams(p_h=0.5))
 
 
-def test_variants_all_classical_at_zero_coherence():
-    # with the coherence channels off even the legacy layouts conserve
-    # probability, so every variant yields a valid jump process; the
-    # crossed bath feeds remain visible in the rates
-    base = build_jump_process(EngineParams())
-    crossed = build_jump_process(EngineParams(), "legacy")
-    assert crossed.rates[2, 0] == base.rates[3, 0]
-    assert crossed.rates[3, 0] == base.rates[2, 0]
-    np.testing.assert_allclose(crossed.escape_rates, crossed.rates.sum(axis=0))
-
-
 def test_jump_process_validation():
     rates = np.zeros((4, 4))
     rates[0, 0] = 1.0
