@@ -121,8 +121,8 @@ class EngineParams:
                 raise DomainError(f"{name} must be positive, got {v}")
             if v == math.inf:
                 raise DomainError(f"{name} must be finite, got {v}")
-        if self.tau < 0.0:
-            raise DomainError(f"tau must be non-negative, got {self.tau}")
+        if not 0.0 <= self.tau < math.inf:
+            raise DomainError(f"tau must be finite and non-negative, got {self.tau}")
         for name in ("p_c", "p_h"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

@@ -7,6 +7,10 @@ distances are summed feature-by-feature in column order. Any
 straightforward scalar reimplementation of those rules reproduces this
 module's predictions bit for bit, which is what the reference-oracle
 tests demand.
+
+Queries run in blocks. Each block's (b, N) distance matrix is read only
+to rank neighbors; votes are cast from the (b, k) neighbor (index,
+distance) pairs gathered once from it.
 """
 
 from __future__ import annotations
@@ -34,9 +38,13 @@ FEATURE_SUBSETS = {
 
 MODEL_SCHEMA = "knn-model/1"
 
-# Query rows per distance block; keeps the (block, N) temporaries around
-# tens of MB for N up to 50k.
+# Query rows per distance block: the (block, N) distance matrix and the
+# ranking's (block, N) index array stay around 32 MB each for N up to 50k.
 _BLOCK_ELEMS = 4_194_304
+# Elements per row tile inside `_distance_block`: its two (tile, N) float
+# buffers, the distances and one scratch term, take 1 MB together and
+# stay in a per-core L2 cache.
+_TILE_ELEMS = 65_536
 
 
 class Hyperparams(NamedTuple):
@@ -147,16 +155,28 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
 
 def _distance_block(train: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
     # Feature-sequential accumulation: the rounding of every distance is
-    # pinned by this column order.
-    out = np.zeros((queries.shape[0], train.shape[0]))
-    if metric == "euclidean":
-        for j in range(train.shape[1]):
-            diff = queries[:, j, None] - train[None, :, j]
-            out += diff * diff
-        np.sqrt(out, out=out)
-    else:
-        for j in range(train.shape[1]):
-            out += np.abs(queries[:, j, None] - train[None, :, j])
+    # pinned by this column order. Column 0 lands in `out` directly, as
+    # 0 + x == x for the non-negative terms. Query rows go in tiles so the
+    # tile's slice of `out` and the scratch `term` stay in cache across
+    # the columns.
+    cols = np.ascontiguousarray(train.T)
+    out = np.empty((queries.shape[0], train.shape[0]))
+    step = max(1, _TILE_ELEMS // max(train.shape[0], 1))
+    term = np.empty((min(step, queries.shape[0]), train.shape[0]))
+    for lo in range(0, queries.shape[0], step):
+        acc = out[lo:lo + step]
+        tmp = term[:acc.shape[0]]
+        for j, col in enumerate(cols):
+            dst = tmp if j else acc
+            np.subtract(queries[lo:lo + step, j, None], col, out=dst)
+            if metric == "euclidean":
+                np.multiply(dst, dst, out=dst)
+            else:
+                np.abs(dst, out=dst)
+            if j:
+                np.add(acc, tmp, out=acc)
+        if metric == "euclidean":
+            np.sqrt(acc, out=acc)
     return out
 
 
@@ -180,24 +200,27 @@ def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     return ranked
 
 
-def _votes_for(ranked: np.ndarray, dist: np.ndarray, labels: np.ndarray,
+def _votes_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
                weighting: str) -> np.ndarray:
-    """Per-class vote mass; accumulation order is ascending training index."""
-    sel = np.sort(ranked, axis=1)
-    nd = np.take_along_axis(dist, sel, axis=1)
+    """Per-class vote mass of (b, k) neighbor indices and their distances;
+    accumulation order is ascending training index."""
+    b = ranked.shape[0]
+    rows = N_CLASSES * np.arange(b, dtype=np.intp)[:, None]
     if weighting == "uniform":
-        w = np.ones_like(nd)
-    else:
-        zero = nd == 0.0
-        with np.errstate(divide="ignore"):
-            w = 1.0 / nd
-        hit = zero.any(axis=1)
-        # A query sitting on training points: those points outvote
-        # everything (finite weights cannot compete with an exact match).
-        w[hit] = zero[hit].astype(float)
-    b, k = sel.shape
-    flat = labels[sel] + N_CLASSES * np.arange(b, dtype=np.intp)[:, None]
-    return np.bincount(flat.ravel(), weights=w.ravel(),
+        # Unit votes sum to exact integers in any order.
+        counts = np.bincount((labels[ranked] + rows).ravel(), minlength=b * N_CLASSES)
+        return counts.reshape(b, N_CLASSES).astype(float)
+    order = np.argsort(ranked, axis=1)
+    sel = np.take_along_axis(ranked, order, axis=1)
+    nd = np.take_along_axis(nd, order, axis=1)
+    zero = nd == 0.0
+    with np.errstate(divide="ignore"):
+        w = 1.0 / nd
+    hit = zero.any(axis=1)
+    # A query sitting on training points: those points outvote
+    # everything (finite weights cannot compete with an exact match).
+    w[hit] = zero[hit].astype(float)
+    return np.bincount((labels[sel] + rows).ravel(), weights=w.ravel(),
                        minlength=b * N_CLASSES).reshape(b, N_CLASSES)
 
 
@@ -215,8 +238,11 @@ def _query_blocks(model: KnnModel, queries: np.ndarray):
 
 def _votes(model: KnnModel, queries) -> np.ndarray:
     """(n, N_CLASSES) vote mass per query, computed block by block."""
-    out = [_votes_for(_ranked_neighbors(dist, model.k), dist, model.labels, model.weighting)
-           for dist in _query_blocks(model, queries)]
+    out = []
+    for dist in _query_blocks(model, queries):
+        ranked = _ranked_neighbors(dist, model.k)
+        nd = np.take_along_axis(dist, ranked, axis=1)
+        out.append(_votes_for(ranked, nd, model.labels, model.weighting))
     return np.vstack(out) if out else np.zeros((0, N_CLASSES))
 
 
@@ -362,9 +388,11 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
             off = 0
             for dist in _query_blocks(model, features[held]):
                 ranked = _ranked_neighbors(dist, kk)
+                nd = np.take_along_axis(dist, ranked, axis=1)
                 y_blk = y_held[off:off + dist.shape[0]]
                 for hp in group:
-                    votes = _votes_for(ranked[:, :hp.k], dist, model.labels, hp.weighting)
+                    votes = _votes_for(ranked[:, :hp.k], nd[:, :hp.k], model.labels,
+                                       hp.weighting)
                     fold_correct[hp][i] += np.sum(np.argmax(votes, axis=1) == y_blk)
                 off += dist.shape[0]
 

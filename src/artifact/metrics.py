@@ -13,7 +13,6 @@ Metrics with a vanishing denominator are reported as undefined
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -141,7 +140,3 @@ def render_class_metrics(chi) -> str:
         lines.append(",".join([str(row.label), _cell(row.precision), _cell(row.recall),
                                _cell(row.f), _cell(row.phi)]))
     return "\n".join(lines) + "\n"
-
-
-def write_class_metrics_csv(chi, path) -> None:
-    Path(path).write_text(render_class_metrics(chi))

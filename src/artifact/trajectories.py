@@ -9,6 +9,7 @@ with the eigenvalue machinery it validates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,14 +94,6 @@ def build_jump_process(params: EngineParams) -> JumpProcess:
     return JumpProcess(rates=rates, count_weights=weights)
 
 
-def default_t_final(proc: JumpProcess) -> float:
-    """10^4 times the slowest timescale (largest inverse rate) in the process."""
-    positive = proc.rates[proc.rates > 0]
-    if positive.size == 0:
-        raise DomainError("process has no transitions; no timescale to resolve")
-    return 1e4 / float(positive.min())
-
-
 def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
              initial: np.ndarray | None = None) -> TrajectoryStats:
     """Gillespie estimate of the net-count mean and variance rates.
@@ -112,8 +105,8 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     over trajectories. `initial` is a distribution over the 4 states;
     defaults to uniform.
     """
-    if t_final <= 0:
-        raise DomainError(f"t_final must be positive, got {t_final}")
+    if not 0.0 < t_final < math.inf:
+        raise DomainError(f"t_final must be finite and positive, got {t_final}")
     if n_traj < 3:
         raise DomainError(f"jackknife variance needs n_traj >= 3, got {n_traj}")
     if initial is None:

@@ -105,6 +105,28 @@ def test_oracle_check_smoke(capsys):
 
 # --- failure modes ----------------------------------------------------------------
 
+@pytest.mark.parametrize("t_final", ["inf", "nan", "0"])
+def test_oracle_check_rejects_bad_horizon(t_final, capsys):
+    code = run("--seed", "1", "oracle-check", "--draws", "1",
+               "--t-final", t_final, "--n-traj", "12")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_final must be finite and positive" in err
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_sidecar_bad_tau_exits_2(workdir, tmp_path, capsys, tau):
+    data = tmp_path / "dataset.csv"
+    data.write_text((workdir / "dataset.csv").read_text())
+    meta = json.loads((workdir / "dataset.meta.json").read_text())
+    meta["fixed"]["tau"] = tau
+    (tmp_path / "dataset.meta.json").write_text(json.dumps(meta))
+    code = run("--out", str(tmp_path), "train", "--data", str(data), "--mapping", "f3", "--k", "3")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tau must be finite and non-negative" in err
+
+
 def test_exit_code_validation(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken")

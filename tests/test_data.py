@@ -315,6 +315,9 @@ def test_read_csv_reports_earliest_bad_line(tmp_path):
     meta_path(p).write_text(json.dumps({"fixed": {"r": -1.0}}))
     with pytest.raises(ParseError, match="line 2: r must be positive"):
         read_csv(p)
+    meta_path(p).write_text(json.dumps({"fixed": {"tau": float("nan")}}))
+    with pytest.raises(ParseError, match="line 2: tau must be finite and non-negative, got nan"):
+        read_csv(p)
     meta_path(p).write_text(json.dumps({"fixed": {"bogus": 1.0}}))
     with pytest.raises(ParseError, match="line 2"):
         read_csv(p)

@@ -77,9 +77,14 @@ def test_params_validation():
     with pytest.raises(DomainError):
         EngineParams(p_c=1.2)
     with pytest.raises(DomainError):
-        EngineParams(tau=-0.1)
-    with pytest.raises(DomainError):
         EngineParams.from_dict({"t_c": 1.0, "bogus": 2.0})
+
+
+@pytest.mark.parametrize("tau", [-0.1, float("nan"), float("inf")])
+def test_tau_must_be_finite_and_non_negative(tau):
+    with pytest.raises(DomainError, match="tau must be finite and non-negative") as exc:
+        EngineParams(tau=tau)
+    assert exc.value.exit_code == 2
 
 
 def test_zero_coherence_projection():

@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from artifact import knn
 from artifact.errors import DomainError, StateError, ValidationError
 from artifact.knn import (
     DISTANCE_METRICS,
     FEATURE_SUBSETS,
     N_CLASSES,
+    WEIGHTINGS,
     Hyperparams,
     HyperSpace,
     fit,
@@ -20,6 +23,7 @@ from artifact.knn import (
     random_search,
     single_shot_accuracy,
 )
+from knn_reference import full_matrix_votes
 
 
 # --- brute-force reference ---------------------------------------------------
@@ -203,6 +207,65 @@ def test_single_shot_accuracy():
         single_shot_accuracy(model, np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
+# --- distance kernel and neighbor pairs ----------------------------------------
+
+def _scalar_distances(train_x, query, metric):
+    """One pair at a time, columns summed left to right from 0.0."""
+    out = np.empty((len(query), len(train_x)))
+    for a, q in enumerate(query.tolist()):
+        for i, t in enumerate(train_x.tolist()):
+            acc = 0.0
+            for qj, tj in zip(q, t):
+                diff = qj - tj
+                acc += diff * diff if metric == "euclidean" else abs(diff)
+            out[a, i] = math.sqrt(acc) if metric == "euclidean" else acc
+    return out
+
+
+@pytest.mark.parametrize("tile", [None, 1, 200])
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_distance_block_matches_scalar_loop(metric, tile, rng, monkeypatch):
+    if tile is not None:  # one query row per tile, or two with a short last tile
+        monkeypatch.setattr(knn, "_TILE_ELEMS", tile)
+    train_x, _, query = _random_problem(rng, 90, 41)  # exact-zero and duplicate rows
+    train_x[2] = query[1] = 0.0
+    for q in (query, query[:1], query[1:2]):
+        got = knn._distance_block(train_x, q, metric)
+        want = _scalar_distances(train_x, q, metric)
+        assert got.shape == (len(q), len(train_x))
+        assert got.tobytes() == want.tobytes()
+    assert knn._distance_block(train_x, query, metric)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_votes_from_pairs_match_full_matrix(metric, weighting, rng):
+    train_x, train_y, query = _random_problem(rng, 90, 60)
+    dist = knn._distance_block(train_x, query, metric)
+    straddled = 0
+    for k in (1, 4, 9, 30, 90):
+        ranked = knn._ranked_neighbors(dist, k)
+        kth = np.take_along_axis(dist, ranked[:, -1:], axis=1)
+        straddled += int(np.sum((dist <= kth).sum(axis=1) > k))
+        nd = np.take_along_axis(dist, ranked, axis=1)
+        for j in range(1, k + 1):  # the prefixes random_search scores
+            got = knn._votes_for(ranked[:, :j], nd[:, :j], train_y, weighting)
+            want = full_matrix_votes(ranked[:, :j], dist, train_y, weighting)
+            assert got.tobytes() == want.tobytes(), (k, j)
+    assert straddled > 0  # rows whose ties straddle the k-th rank were exercised
+
+
+def test_results_do_not_depend_on_block_or_tile_size(rng, monkeypatch):
+    train_x, train_y, query = _random_problem(rng, 120, 70)
+    models = [fit(train_x, train_y, k=9, weighting=w, metric=m)
+              for w in WEIGHTINGS for m in DISTANCE_METRICS]
+    want = [predict_proba_batch(m, query) for m in models]
+    monkeypatch.setattr(knn, "_BLOCK_ELEMS", 1)  # 16-row blocks
+    monkeypatch.setattr(knn, "_TILE_ELEMS", 250)  # 2-row tiles
+    for m, w in zip(models, want):
+        assert predict_proba_batch(m, query).tobytes() == w.tobytes()
+
+
 # --- cross validation ---------------------------------------------------------
 
 def test_fold_partition_properties():
@@ -265,21 +328,25 @@ def test_hyperspace_enumeration():
 
 
 def test_search_exhaustive_equals_grid(rng):
-    x = rng.uniform(size=(50, 3)).round(1)
-    y = rng.integers(0, 4, size=50)
-    space = HyperSpace(k_range=tuple(range(1, 7)))
-    n = len(space)
-    res = random_search(x, y, space, n_iter=n, seed=13)
-    assert len(res.trials) == n
-    # every candidate's score must equal the standalone k-fold run
-    for hp, score in res.trials:
-        direct = kfold_accuracy(x, y, k=hp.k, weighting=hp.weighting,
-                                metric=hp.metric, seed=13)
-        assert score == direct, hp
-    best_score = max(s for _, s in res.trials)
-    winners = [hp for hp, s in res.trials if s == best_score]
-    assert res.best == winners[0]  # first in preference order wins ties
-    assert res.best_score == best_score
+    # The second problem's rounded 4-feature rows tie often, so the shared
+    # neighbor tables must reproduce each standalone run's tie resolution
+    # for every prefix k.
+    for rows, width, k_max, seed, zscore in ((50, 3, 6, 13, False), (240, 4, 15, 5, True)):
+        x = rng.uniform(size=(rows, width)).round(1)
+        y = rng.integers(0, 4, size=rows)
+        space = HyperSpace(k_range=tuple(range(1, k_max + 1)))
+        n = len(space)
+        res = random_search(x, y, space, n_iter=n, seed=seed, zscore=zscore)
+        assert len(res.trials) == n
+        # every candidate's score must equal the standalone k-fold run
+        for hp, score in res.trials:
+            direct = kfold_accuracy(x, y, k=hp.k, weighting=hp.weighting,
+                                    metric=hp.metric, seed=seed, zscore=zscore)
+            assert score == direct, hp
+        best_score = max(s for _, s in res.trials)
+        winners = [hp for hp, s in res.trials if s == best_score]
+        assert res.best == winners[0]  # first in preference order wins ties
+        assert res.best_score == best_score
 
 
 def test_search_tie_break_on_constant_labels(rng):

@@ -12,7 +12,6 @@ from artifact.metrics import (
     precision_recall,
     render_class_metrics,
     render_confusion,
-    write_class_metrics_csv,
 )
 from artifact.knn import fit, predict_batch, single_shot_accuracy
 
@@ -153,7 +152,7 @@ def test_class_metrics_table():
     assert rows[3].phi == mcc(chi, 3)
 
 
-def test_renderers(tmp_path):
+def test_renderers():
     chi = confusion_matrix(np.array([0, 1, 1, 3]), np.array([0, 1, 2, 3]))
     grid = render_confusion(chi)
     lines = grid.splitlines()
@@ -163,7 +162,3 @@ def test_renderers(tmp_path):
     text = render_class_metrics(chi)
     assert text.splitlines()[0] == "class,precision,recall,f_score,mcc"
     assert "nan" in text  # class 2 never predicted -> undefined cells
-
-    out = tmp_path / "m.csv"
-    write_class_metrics_csv(chi, out)
-    assert out.read_text() == text

@@ -1,0 +1,54 @@
+"""The benchmark's per-layer spans still attach to the program.
+
+`perfbench/spans.py` wraps functions by name and reads counters from
+their arguments and results. A renamed function shows up as absent and a
+changed signature as uncounted; either would silently zero a per-layer
+metric, so both must stay empty.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from artifact import knn
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture()
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, _, _ in spans.TARGETS:
+        importlib.import_module(f"artifact.{mod}")
+    return spans.Tracer()
+
+
+def test_knn_spans_attach_and_count(tracer, rng):
+    x = rng.uniform(size=(120, 4))
+    y = rng.integers(0, 4, size=120)
+    model = knn.fit(x[:100], y[:100], k=5, weighting="distance", metric="manhattan")
+    with tracer.root():
+        knn.predict_batch(model, x[100:])
+    assert tracer.absent == []
+    assert tracer.uncounted == set()
+    assert tracer.counts["knn.distance_pairs"] == 20 * 100
+    assert tracer.counts["knn.queries"] == 20
+    assert tracer.summary()["knn._votes_for"]["calls"] == 1
+
+    tracer.counts.clear()
+    space = knn.HyperSpace(k_range=(1, 2, 3))
+    with tracer.root():
+        knn.random_search(x, y, space, n_iter=len(space), seed=2)
+    assert tracer.absent == []
+    assert tracer.uncounted == set()
+    # one neighbor table per metric and fold: held-out rows x training rows
+    pairs = sum(len(held) * len(rest) for rest, held in knn.fold_splits(120, 5, 2))
+    assert tracer.counts["knn.distance_pairs"] == len(knn.DISTANCE_METRICS) * pairs
+    assert tracer.counts["knn.ranked_slots"] == len(knn.DISTANCE_METRICS) * 3 * 120
+    # the tracer put the original functions back
+    assert knn._distance_block.__module__ == "artifact.knn"

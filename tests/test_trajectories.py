@@ -8,7 +8,6 @@ from artifact.trajectories import (
     JumpProcess,
     build_jump_process,
     compare_with_analytic,
-    default_t_final,
     simulate,
 )
 
@@ -54,11 +53,6 @@ def test_jump_process_validation():
         JumpProcess(rates=-np.ones((4, 4)) + np.eye(4), count_weights=np.zeros((4, 4)))
 
 
-def test_default_t_final():
-    proc = _proc()
-    assert default_t_final(proc) == 1e4 / proc.rates[proc.rates > 0].min()
-
-
 def test_simulate_is_deterministic():
     proc = _proc()
     a = simulate(proc, 200.0, 8, seed=11)
@@ -70,8 +64,9 @@ def test_simulate_is_deterministic():
 
 def test_simulate_argument_validation():
     proc = _proc()
-    with pytest.raises(DomainError):
-        simulate(proc, 0.0, 8, seed=1)
+    for t_final in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="t_final must be finite and positive"):
+            simulate(proc, t_final, 8, seed=1)
     with pytest.raises(DomainError):
         simulate(proc, 100.0, 2, seed=1)  # jackknife needs >= 3
     with pytest.raises(DomainError):
