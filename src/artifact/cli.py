@@ -250,6 +250,8 @@ def _cmd_sweep(args, cfg) -> int:
 
 
 def _cmd_oracle_check(args, cfg) -> int:
+    if args.draws < 1:
+        raise ValidationError(f"--draws must be >= 1, got {args.draws}")
     rng = np.random.default_rng(args.seed)
     print(f"{'t_c':>6} {'t_h':>6} {'t_l':>6} | {'analytic':>10} {'empirical mean':>22} {'z':>5} "
           f"| {'analytic':>10} {'empirical var':>22} {'z':>5}")

@@ -1,4 +1,4 @@
-"""Steady state, cumulant generating function, cumulants, and feature ratios.
+"""Steady state, cumulants, and feature ratios.
 
 Two quantities flow out of this module.
 
@@ -8,8 +8,9 @@ Two quantities flow out of this module.
   capable). These characterize the long-time photon-exchange
   distribution.
 
-* Exchange moment rates m[1..4]: contractions of the lam-derivative
-  matrices with the frozen steady state, m_k = u . (d^k L / d lam^k) . rho.
+* Exchange moment rates m[1..4]: contractions of the lam-derivatives
+  of the generator with the frozen steady state,
+  m_k = u . (d^k L / d lam^k) . rho.
   These are the raw moment rates of the instantaneous jump current;
   odd orders equal the net flux (m_1 is exactly j_1), even orders the
   total exchange activity. Their baseline-normalized ratios are the
@@ -20,59 +21,18 @@ Two quantities flow out of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb
 
 import numpy as np
 
-from .engine import (EngineParams, TRACE_VECTOR, TwistedGenerator, build_generator,
+from .engine import (EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, EngineParams, TwistedGenerator,
                      build_generators, varied_row)
-from .errors import (
-    BranchAmbiguityError,
-    ConditioningError,
-    DegenerateSampleError,
-    SingularityError,
-)
+from .errors import ConditioningError, DegenerateSampleError, SingularityError
 
 # A baseline moment below this magnitude cannot normalize a feature.
 DEGENERATE_TOL = 1e-12
 
-# Minimum spectral gap between the tracked eigenvalue branch and the
-# runner-up before branch identity becomes ambiguous.
-GAP_TOL = 1e-8
-
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    """Stationary reduced state: four populations and the real coherence."""
-
-    rho: np.ndarray
-
-    @property
-    def populations(self) -> np.ndarray:
-        return self.rho[:4]
-
-    @property
-    def coherence(self) -> float:
-        return float(self.rho[4])
-
-
-@dataclass(frozen=True)
-class CumulantSet:
-    """True cumulants j, their zero-coherence baseline j0, and ratios c = j/j0."""
-
-    j: tuple
-    j0: tuple
-    c: tuple
-
-    def __post_init__(self):
-        if not self.j0[1] > 0.0:
-            raise SingularityError(f"baseline variance must be positive, got {self.j0[1]}")
-        for group in (self.j, self.j0, self.c):
-            if not all(isfinite(v) for v in group):
-                raise SingularityError(f"non-finite cumulant data: {group}")
 
 
 def steady_states(l0: np.ndarray):
@@ -107,40 +67,12 @@ def steady_states(l0: np.ndarray):
     return rho, failures
 
 
-def steady_state(gen: TwistedGenerator) -> SteadyState:
-    """Stationary state of one generator (see steady_states)."""
+def steady_state(gen: TwistedGenerator) -> np.ndarray:
+    """Stationary state (5,) of one generator (see steady_states)."""
     rho, failures = steady_states(gen.l0[None])
     if failures:
         raise failures[0]
-    return SteadyState(rho=rho[0])
-
-
-def _dominant_eig(matrix: np.ndarray):
-    """Eigenvalue with largest real part plus its gap to the runner-up."""
-    eigs = np.linalg.eigvals(matrix)
-    order = np.argsort(eigs.real)
-    top, second = eigs[order[-1]], eigs[order[-2]]
-    return top, float(top.real - second.real)
-
-
-def cgf(gen: TwistedGenerator, lam: float) -> float:
-    """Cumulant generating function S(lam): the dominant eigenvalue branch.
-
-    The branch continuously connected to the steady-state zero
-    eigenvalue is, for this generator, the one with the largest real
-    part in a neighborhood of lam = 0. A collapsed spectral gap means
-    the branch can no longer be identified; the caller must shrink lam.
-    """
-    top, gap = _dominant_eig(gen.eval(lam))
-    if gap <= GAP_TOL:
-        raise BranchAmbiguityError(
-            f"spectral gap {gap:.3e} at lam={lam} is below {GAP_TOL}; branch ambiguous"
-        )
-    if abs(top.imag) > 1e-9 * max(1.0, abs(top.real)):
-        raise BranchAmbiguityError(
-            f"dominant eigenvalue at lam={lam} is complex ({top}); branch ambiguous"
-        )
-    return float(top.real)
+    return rho[0]
 
 
 def cumulants(gen: TwistedGenerator) -> np.ndarray:
@@ -154,11 +86,13 @@ def cumulants(gen: TwistedGenerator) -> np.ndarray:
         s_k   = sum_{m=1..k} C(k,m) u . L_m . rho_{k-m}
         L0 rho_k = sum_{m=1..k} C(k,m) (s_m - L_m) rho_{k-m},  u . rho_k = 0
 
-    where L_m is the m-th lam-derivative matrix. The rank-deficient
-    solves are performed on the bordered 6x6 system (L0 extended by the
-    column rho and the row u), which is square and well-conditioned.
+    where L_m is the m-th lam-derivative of the generator, nonzero only on
+    the two cavity edges: emit_rate on the emission edge, (-1)^m
+    absorb_rate on the absorption edge. The rank-deficient solves are
+    performed on the bordered 6x6 system (L0 extended by the column rho
+    and the row u), which is square and well-conditioned.
     """
-    rho0 = steady_state(gen).rho
+    rho0 = steady_state(gen)
     u = TRACE_VECTOR
     bordered = np.zeros((6, 6))
     bordered[:5, :5] = gen.l0
@@ -168,17 +102,23 @@ def cumulants(gen: TwistedGenerator) -> np.ndarray:
     if cond > _COND_LIMIT:
         raise ConditioningError(f"bordered system condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}")
 
-    ld = gen.l_deriv
+    def l_m(m, v):
+        # L_m . v: only the cavity edges carry lam, dressed with e^{+-lam}
+        out = np.zeros(5)
+        out[EDGE_EMIT[0]] = gen.emit_rate * v[EDGE_EMIT[1]]
+        out[EDGE_ABSORB[0]] = (-1) ** m * gen.absorb_rate * v[EDGE_ABSORB[1]]
+        return out
+
     rho_orders = [rho0]
     s = [0.0]
     for k in range(1, 5):
         s_k = 0.0
         for m in range(1, k + 1):
-            s_k += comb(k, m) * float(u @ (ld[m - 1] @ rho_orders[k - m]))
+            s_k += comb(k, m) * float(u @ l_m(m, rho_orders[k - m]))
         s.append(s_k)
         rhs = np.zeros(6)
         for m in range(1, k + 1):
-            rhs[:5] += comb(k, m) * (s[m] * rho_orders[k - m] - ld[m - 1] @ rho_orders[k - m])
+            rhs[:5] += comb(k, m) * (s[m] * rho_orders[k - m] - l_m(m, rho_orders[k - m]))
         rho_orders.append(np.linalg.solve(bordered, rhs)[:5])
     return np.array(s[1:])
 
@@ -198,23 +138,6 @@ def exchange_moment_rates(emit_rate, absorb_rate, rho: np.ndarray) -> np.ndarray
     flux = emit_flow - absorb_flow
     activity = emit_flow + absorb_flow
     return np.stack([flux, activity, flux, activity], axis=-1)
-
-
-def cumulant_ratios(params: EngineParams) -> CumulantSet:
-    """True cumulants at the operating point, their baseline, and ratios.
-
-    The baseline is the same operating point with both coherence
-    channels off; both legs run through the identical code path, so the
-    ratios are exactly 1 when the coherences already vanish. A baseline
-    cumulant indistinguishable from zero cannot be used to normalize;
-    such samples must be discarded upstream.
-    """
-    j = cumulants(build_generator(params))
-    j0 = cumulants(build_generator(params.zero_coherence()))
-    if np.any(np.abs(j0) < DEGENERATE_TOL):
-        raise DegenerateSampleError(f"degenerate baseline cumulants {j0.tolist()}")
-    c = j / j0
-    return CumulantSet(j=tuple(j.tolist()), j0=tuple(j0.tolist()), c=tuple(c.tolist()))
 
 
 def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams()):

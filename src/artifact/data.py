@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -221,7 +221,7 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
         "seed": int(seed),
         "n": int(n),
         "ranges": ranges.to_dict(),
-        "fixed": {k: v for k, v in fixed.to_dict().items() if k not in VARIED},
+        "fixed": {k: v for k, v in asdict(fixed).items() if k not in VARIED},
         "variant": "consistent",  # the one layout datasets are generated with
         "train_frac": train_frac,
         "redraws": redraws,
@@ -290,6 +290,8 @@ def read_csv(path) -> Dataset:
             meta = json.loads(side.read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed sidecar {side}: {exc}")
+        if type(meta) is not dict:
+            raise ParseError(f"sidecar {side} must be a JSON object, got {meta!r}")
 
     rows, linenos, error = [], [], None
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -22,9 +22,8 @@ e^{-lam}.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from .errors import DomainError
 
 # Columns of a parameter array: the operating-point parameters a dataset varies.
 VARIED = ("t_c", "t_h", "t_l", "p_c", "p_h")
-
-# Slot order of the reduced state vector.
-VEC_ORDER = ("pop_1", "pop_2", "pop_upper", "pop_lower", "coherence")
 
 # Left trace vector: populations sum to 1; the coherence slot carries no trace.
 TRACE_VECTOR = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
@@ -62,19 +58,14 @@ def bose_occupations(gap: float, temperatures) -> np.ndarray:
     """Mean occupations 1/(exp(gap/T) - 1) of a bosonic mode at energy `gap`, per T."""
     temps = np.asarray(temperatures, dtype=float)
     if not gap > 0.0:
-        raise DomainError(f"bose_occupation needs gap > 0, got {gap}")
+        raise DomainError(f"bose_occupations needs gap > 0, got {gap}")
     bad = ~((temps > 0.0) & np.isfinite(temps))
     if bad.any():
-        raise DomainError(f"bose_occupation needs a finite temperature > 0, got {temps[bad][0]}")
+        raise DomainError(f"bose_occupations needs a finite temperature > 0, got {temps[bad][0]}")
     # math.expm1 per element: np.expm1 differs from it in the last ulp,
     # which would move the dataset CSV bytes.
     return np.array([0.0 if x > _OVERFLOW_X else 1.0 / math.expm1(x)
                      for x in (gap / temps).tolist()])
-
-
-def bose_occupation(gap: float, temperature: float) -> float:
-    """Mean occupation of one bosonic mode (see bose_occupations)."""
-    return float(bose_occupations(gap, [temperature])[0])
 
 
 def coherence_coupling(r: float, p):
@@ -110,6 +101,10 @@ class EngineParams:
     tau: float = 0.1    # pure-dephasing rate, dimensionless
 
     def __post_init__(self):
+        for name in ("e1", "e_a", "e_b"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v}")
         if not (self.e_a > self.e_b > self.e1):
             raise DomainError(
                 f"level ordering must satisfy e_a > e_b > e1, got "
@@ -132,34 +127,17 @@ class EngineParams:
         """Same operating point with both coherence channels switched off."""
         return replace(self, p_c=0.0, p_h=0.0)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EngineParams":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise DomainError(f"unknown EngineParams fields: {sorted(unknown)}")
-        return cls(**doc)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EngineParams":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class TwistedGenerator:
-    """Counting-field-dressed generator: L(0), its lam-derivatives, eval(lam).
+    """Counting-field-dressed generator: L(0), the two edge rates, eval(lam).
 
-    Immutable; the stored arrays are write-protected and all methods are
-    pure, so instances are safe to share across workers.
+    Only the cavity edges carry lam, so the two rates fix every
+    lam-derivative of L. Immutable; L(0) is write-protected and all
+    methods are pure, so instances are safe to share across workers.
     """
 
     l0: np.ndarray                 # 5x5 generator at lam = 0
-    l_deriv: tuple                 # d^k L / d lam^k at 0, k = 1..4
     emit_rate: float               # g^2 * (1 + n_l), on the e^{+lam} edge
     absorb_rate: float             # g^2 * n_l, on the e^{-lam} edge
 
@@ -247,19 +225,5 @@ def varied_row(params: EngineParams) -> np.ndarray:
 def build_generator(params: EngineParams, variant: str = "consistent") -> TwistedGenerator:
     """The counting-field generator of one operating point (see build_generators)."""
     l0, emit, absorb = build_generators(varied_row(params), params, variant)
-    emit, absorb = float(emit[0]), float(absorb[0])
-    derivs = []
-    for k in range(1, 5):
-        d = np.zeros((5, 5))
-        d[EDGE_ABSORB] = ((-1.0) ** k) * absorb
-        d[EDGE_EMIT] = emit
-        d.setflags(write=False)
-        derivs.append(d)
-
     l0.setflags(write=False)
-    return TwistedGenerator(
-        l0=l0[0],
-        l_deriv=tuple(derivs),
-        emit_rate=emit,
-        absorb_rate=absorb,
-    )
+    return TwistedGenerator(l0=l0[0], emit_rate=float(emit[0]), absorb_rate=float(absorb[0]))

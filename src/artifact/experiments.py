@@ -21,8 +21,7 @@ from .errors import DomainError, InfeasibleConstraintError, ValidationError
 from .knn import (FEATURE_SUBSETS, HyperSpace, KnnModel, SearchResult, fit, fold_splits,
                   kfold_accuracy, predict_proba_batch, random_search,
                   single_shot_accuracy, predict_batch)
-from .metrics import (accuracy, class_metrics, confusion_matrix, render_class_metrics,
-                      render_confusion)
+from .metrics import accuracy, confusion_matrix
 from .tree import fit_tree, predict_tree
 
 PAIR_RELATIONS = ("equal", "greater", "less")
@@ -201,21 +200,6 @@ class PipelineResult:
     model: KnnModel
     val_accuracy: float
     chi: np.ndarray
-    per_class: tuple
-
-    def report_text(self) -> str:
-        hp = self.search.best
-        lines = [
-            f"mapping: {self.mapping}",
-            f"tuned hyperparameters: k={hp.k}, weighting={hp.weighting}, metric={hp.metric}",
-            f"cross-validated accuracy: {self.search.best_score:.4f}",
-            f"validation accuracy: {self.val_accuracy:.4f}",
-            "",
-            render_confusion(self.chi),
-            "",
-            render_class_metrics(self.chi),
-        ]
-        return "\n".join(lines)
 
 
 def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0, n_iter: int = 60,
@@ -234,8 +218,7 @@ def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0, n_iter: int = 60
     chi = confusion_matrix(preds, y_val)
     return PipelineResult(
         mapping=mapping, search=search, model=model,
-        val_accuracy=accuracy(chi),
-        chi=chi, per_class=tuple(class_metrics(chi)),
+        val_accuracy=accuracy(chi), chi=chi,
     )
 
 

@@ -15,11 +15,22 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from .counting import _dominant_eig
 from .engine import EDGE_ABSORB, EDGE_EMIT, TwistedGenerator
 from .errors import BranchAmbiguityError
 
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
+
+# Minimum spectral gap between the tracked eigenvalue branch and the
+# runner-up before branch identity becomes ambiguous.
+_MIN_GAP = 1e-8
+
+
+def _dominant_eig(matrix: np.ndarray):
+    """Eigenvalue with largest real part plus its gap to the runner-up."""
+    eigs = np.linalg.eigvals(matrix)
+    order = np.argsort(eigs.real)
+    top, second = eigs[order[-1]], eigs[order[-2]]
+    return top, float(top.real - second.real)
 
 
 def _det_shifted(rows, s):
@@ -58,7 +69,7 @@ def _cgf_mp(gen: TwistedGenerator, lam: float, dps: int):
     suffice and the iteration cannot wander to another branch.
     """
     seed, gap = _dominant_eig(gen.eval(lam))
-    if gap <= 1e-8:
+    if gap <= _MIN_GAP:
         raise BranchAmbiguityError(f"spectral gap {gap:.3e} at lam={lam}; oracle cannot track branch")
     with mp.workdps(dps):
         rows = [[mp.mpf(float(gen.l0[i, j])) for j in range(5)] for i in range(5)]

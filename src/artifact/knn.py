@@ -322,10 +322,13 @@ def model_from_json(text: str) -> KnnModel:
     if schema != MODEL_SCHEMA:
         raise ValidationError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r}")
     try:
+        k = doc["k"]
+        if type(k) is not int:
+            raise ValidationError(f"k must be a JSON integer, got {k!r}")
         return KnnModel(
             features=np.array(doc["features"], dtype=float),
             labels=np.array(doc["labels"], dtype=np.intp),
-            k=int(doc["k"]),
+            k=k,
             weighting=doc["weighting"],
             metric=doc["metric"],
             feature_subset=tuple(doc["feature_subset"]),

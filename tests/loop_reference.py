@@ -1,16 +1,21 @@
-"""Per-sample reference route for dataset generation.
+"""Per-sample reference routes for dataset generation and cumulants.
 
 One scalar generator build, one SVD null vector and one feature ratio per
 draw, in a plain loop with a redraw on every numerical failure. This is
 the route `artifact.data.generate` took before it evaluated its samples
 as one batch; tests require the batch to reproduce it bit for bit.
+
+`cumulants` is the perturbative recursion as it ran on a stored stack of
+4 lam-derivative matrices; `artifact.counting.cumulants` applies the
+same derivatives from the two edge rates and must match it bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from artifact.engine import EngineParams
+from artifact.counting import steady_state as solved_steady_state
+from artifact.engine import EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, EngineParams
 from artifact.errors import DegenerateSampleError, GenerationQualityError, NumericalError, SingularityError
 
 
@@ -85,10 +90,44 @@ def features(params, variant="consistent"):
         return np.array([e - a, e + a, e - a, e + a])
 
     m = moments(params)
-    m0 = moments(EngineParams(**{**params.to_dict(), "p_c": 0.0, "p_h": 0.0}))
+    m0 = moments(params.zero_coherence())
     if np.any(np.abs(m0) < 1e-12):
         raise DegenerateSampleError(f"degenerate baseline moments {m0.tolist()}")
     return m / m0
+
+
+def derivative_matrices(gen):
+    """d^k L / d lam^k at lam = 0 for k = 1..4, as 5x5 matrices."""
+    derivs = []
+    for k in range(1, 5):
+        d = np.zeros((5, 5))
+        d[EDGE_ABSORB] = ((-1.0) ** k) * gen.absorb_rate
+        d[EDGE_EMIT] = gen.emit_rate
+        derivs.append(d)
+    return derivs
+
+
+def cumulants(gen):
+    """First four CGF derivatives at 0 from the derivative-matrix stack."""
+    rho0 = solved_steady_state(gen)
+    u = TRACE_VECTOR
+    bordered = np.zeros((6, 6))
+    bordered[:5, :5] = gen.l0
+    bordered[:5, 5] = rho0
+    bordered[5, :5] = u
+    ld = derivative_matrices(gen)
+    rho_orders = [rho0]
+    s = [0.0]
+    for k in range(1, 5):
+        s_k = 0.0
+        for m in range(1, k + 1):
+            s_k += math.comb(k, m) * float(u @ (ld[m - 1] @ rho_orders[k - m]))
+        s.append(s_k)
+        rhs = np.zeros(6)
+        for m in range(1, k + 1):
+            rhs[:5] += math.comb(k, m) * (s[m] * rho_orders[k - m] - ld[m - 1] @ rho_orders[k - m])
+        rho_orders.append(np.linalg.solve(bordered, rhs)[:5])
+    return np.array(s[1:])
 
 
 def label(p_h):

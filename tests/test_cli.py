@@ -114,6 +114,27 @@ def test_oracle_check_rejects_bad_horizon(t_final, capsys):
     assert err.startswith("error:") and "t_final must be finite and positive" in err
 
 
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_oracle_check_rejects_no_draws(draws, capsys):
+    code = run("--seed", "1", "oracle-check", "--draws", draws,
+               "--t-final", "500", "--n-traj", "12")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--draws must be >= 1" in captured.err
+    assert "worst |z|" not in captured.out
+
+
+@pytest.mark.parametrize("sidecar", ["[1]", "null"])
+def test_sidecar_not_an_object_exits_2(workdir, tmp_path, capsys, sidecar):
+    data = tmp_path / "dataset.csv"
+    data.write_text((workdir / "dataset.csv").read_text())
+    (tmp_path / "dataset.meta.json").write_text(sidecar)
+    code = run("--out", str(tmp_path), "train", "--data", str(data), "--mapping", "f3", "--k", "3")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dataset.meta.json must be a JSON object" in err
+
+
 @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
 def test_sidecar_bad_tau_exits_2(workdir, tmp_path, capsys, tau):
     data = tmp_path / "dataset.csv"

@@ -321,6 +321,16 @@ def test_read_csv_reports_earliest_bad_line(tmp_path):
     meta_path(p).write_text(json.dumps({"fixed": {"bogus": 1.0}}))
     with pytest.raises(ParseError, match="line 2"):
         read_csv(p)
+    for name, value in (("e_a", float("inf")), ("e1", float("-inf"))):
+        meta_path(p).write_text(json.dumps({"fixed": {name: value}}))
+        with pytest.raises(ParseError, match=f"line 2: {name} must be finite, got {value}"):
+            read_csv(p)
+    # a sidecar that is valid JSON but not an object is named, not crashed on
+    for doc in ([1], None, "fixed", 3):
+        meta_path(p).write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=r"sidecar .*bad\.meta\.json must be a JSON object") as exc:
+            read_csv(p)
+        assert exc.value.exit_code == 2
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

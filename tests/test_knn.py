@@ -410,3 +410,8 @@ def test_model_from_json_rejects_garbage():
         model_from_json(json.dumps({"schema": "other/9"}))
     with pytest.raises(ValidationError):
         model_from_json(json.dumps({"schema": "knn-model/1"}))  # fields missing
+    # k is a JSON integer: a fraction or a bool is refused, not truncated
+    doc = json.loads(model_to_json(fit(np.eye(3), [0, 1, 2], k=2)))
+    for k in (2.7, True, "2", 2.0):
+        with pytest.raises(ValidationError, match="k must be a JSON integer"):
+            model_from_json(json.dumps({**doc, "k": k}))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact import knn
+from artifact import counting, engine, fdcheck, knn
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -52,3 +52,19 @@ def test_knn_spans_attach_and_count(tracer, rng):
     assert tracer.counts["knn.ranked_slots"] == len(knn.DISTANCE_METRICS) * 3 * 120
     # the tracer put the original functions back
     assert knn._distance_block.__module__ == "artifact.knn"
+
+
+def test_physics_spans_attach_on_an_fd_draw(tracer):
+    # one draw of the oracle workload: a generator, its cumulants and
+    # the finite-difference oracle on the same generator
+    params = engine.EngineParams(t_c=1.1, t_h=3.9, t_l=2.5, p_c=0.4, p_h=0.7)
+    with tracer.root():
+        gen = engine.build_generator(params)
+        j, fd = counting.cumulants(gen), fdcheck.fd_cumulants(gen)
+    assert tracer.absent == []
+    assert tracer.uncounted == set()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    for name in ("engine.build_generator", "counting.cumulants", "counting.steady_state",
+                 "fdcheck.fd_cumulants"):
+        assert calls.get(name, 0) >= 1, name
+    np.testing.assert_allclose(fd, j, rtol=1e-8)
