@@ -20,6 +20,9 @@ from .errors import AbsorbingStateError, DomainError, ValidationError
 
 _RATE_TOL = 1e-12
 _BUF = 8192  # uniforms drawn per trajectory per refill
+_WINDOW = 256  # jumps every running lane advances per array pass
+_CHUNK = 32  # jumps per chunk of the destination-map scan
+_IDENTITY = 0b11100100  # packed map that sends every state to itself
 
 
 @dataclass(frozen=True)
@@ -94,83 +97,149 @@ def build_jump_process(params: EngineParams) -> JumpProcess:
     return JumpProcess(rates=rates, count_weights=weights)
 
 
+def _composition_table() -> np.ndarray:
+    """Flat 256x256 table: entry (a << 8) | b is the packed map "a, then b"."""
+    a = np.arange(256, dtype=np.uint8)[:, None, None]
+    b = np.arange(256, dtype=np.uint8)[None, :, None]
+    two_s = np.arange(0, 8, 2, dtype=np.uint8)
+    dest = (b >> (((a >> two_s) & 3) << 1)) & 3
+    return np.bitwise_or.reduce(dest << two_s, axis=2).ravel()
+
+
+_COMPOSE = _composition_table()
+
+
+def _jump_maps(u2: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Packed destination maps of a block of jumps, 2 bits per source state.
+
+    A jump out of s whose second uniform is u2 lands in bucket
+    b = (u2 >= cum[s, 0]) + (u2 >= cum[s, 1]) of the three other states in
+    ascending order, that is in state b + (b >= s).
+    """
+    maps = np.zeros(u2.shape, dtype=np.uint8)
+    for s in range(4):
+        b = (u2 >= cum[s, 0]).view(np.uint8) + (u2 >= cum[s, 1])
+        b += b >= s
+        maps |= b << (2 * s)
+    return maps
+
+
+def _walk(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """(w + 1, lanes) states of each lane before its first jump and after each.
+
+    Maps are composed into running prefixes inside chunks of _CHUNK jumps
+    (a short last chunk is padded with the identity), the chunk-start states
+    are stitched one chunk after another, and every state is then decoded
+    from its chunk's start state and prefix map at once.
+    """
+    w, n = maps.shape
+    n_chunks = -(-w // _CHUNK)
+    prefix = np.full((n_chunks * _CHUNK, n), _IDENTITY, dtype=np.uint8)
+    prefix[:w] = maps
+    prefix = prefix.reshape(n_chunks, _CHUNK, n)
+    for k in range(1, _CHUNK):
+        prefix[:, k] = _COMPOSE[(prefix[:, k - 1].astype(np.intp) << 8) | prefix[:, k]]
+    starts = np.empty((n_chunks, 1, n), dtype=np.uint8)
+    s = start
+    for c in range(n_chunks):
+        starts[c] = s
+        s = (prefix[c, -1] >> (2 * s)) & 3
+    states = np.empty((n_chunks * _CHUNK + 1, n), dtype=np.uint8)
+    states[0] = start
+    np.bitwise_and(prefix >> (2 * starts), 3, out=states[1:].reshape(prefix.shape))
+    return states[:w + 1]
+
+
 def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
              initial: np.ndarray | None = None) -> TrajectoryStats:
     """Gillespie estimate of the net-count mean and variance rates.
 
-    All trajectories advance in lockstep through vectorized numpy steps,
-    but every trajectory consumes uniforms only from its own counter-based
-    substream (SeedSequence spawn), so the results are independent of the
-    batching and identical to a serial run. Standard errors are jackknife
-    over trajectories. `initial` is a distribution over the 4 states;
-    defaults to uniform.
+    Every trajectory (lane) consumes uniforms only from its own
+    SeedSequence substream, in a fixed schedule: u[0] of its first buffer
+    picks the initial state, each jump then takes the next pair (u1, u2)
+    of the buffer, and an exhausted buffer is refilled from the same
+    stream. All lanes therefore sit at the same buffer position and
+    advance together by a window of up to _WINDOW jumps per array pass.
+    Within a window the embedded chain is a scan rather than a loop: each
+    u2 fixes a destination map for all four source states, the maps are
+    composed, and the states before and after every jump are decoded.
+    The waiting times -log1p(-u1) / escape are summed from the lane's
+    current time with a sequential `np.add.accumulate`, which rounds
+    exactly like `t += dt` one jump at a time, so the jumps within the
+    horizon form a prefix of each window and the counts, and hence the
+    statistics, equal those of a serial run bit for bit. A lane ends at
+    its first jump past t_final; a running lane that reaches a state with
+    zero escape rate raises AbsorbingStateError.
+
+    Standard errors are jackknife over trajectories. `initial` is a
+    distribution over the 4 states; defaults to uniform.
     """
     if not 0.0 < t_final < math.inf:
         raise DomainError(f"t_final must be finite and positive, got {t_final}")
+    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):
+        raise DomainError(f"n_traj must be an integer, got {n_traj!r}")
     if n_traj < 3:
         raise DomainError(f"jackknife variance needs n_traj >= 3, got {n_traj}")
     if initial is None:
         initial = np.full(4, 0.25)
     initial = np.asarray(initial, dtype=float)
-    if initial.shape != (4,) or np.any(initial < 0) or abs(initial.sum() - 1.0) > 1e-9:
+    if (initial.shape != (4,) or not np.all(np.isfinite(initial)) or np.any(initial < 0)
+            or abs(initial.sum() - 1.0) > 1e-9):
         raise DomainError("initial must be a length-4 probability distribution")
 
     escape = proc.escape_rates
-    # Destination lookup: dest_table[s] lists the three states != s in
-    # ascending order; cum_table[s] their cumulative jump probabilities,
-    # with the last entry forced to +inf so roundoff in the normalization
-    # can never push a uniform past the table.
-    dest_table = np.empty((4, 3), dtype=np.intp)
-    cum_table = np.empty((4, 3))
+    # cum[s, k]: probability that a jump out of s goes to one of the first
+    # k + 1 of the other states in ascending order. The third bucket takes
+    # the rest, so roundoff in the normalization can never push a uniform
+    # past the table.
+    cum = np.zeros((4, 2))
     for s in range(4):
-        dests = [i for i in range(4) if i != s]
-        dest_table[s] = dests
         if escape[s] > 0:
-            cum = np.cumsum(proc.rates[dests, s]) / escape[s]
-        else:
-            cum = np.zeros(3)
-        cum[-1] = np.inf
-        cum_table[s] = cum
+            others = [i for i in range(4) if i != s]
+            cum[s] = (np.cumsum(proc.rates[others, s]) / escape[s])[:2]
+    weights = proc.count_weights.astype(np.int64)
 
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
     bufs = np.empty((n_traj, _BUF))
     for i, g in enumerate(streams):
         bufs[i] = g.random(_BUF)
-    ptr = np.zeros(n_traj, dtype=np.intp)
-
     init_cum = np.cumsum(initial)
     init_cum[-1] = np.inf
-    state = (bufs[:, 0, None] >= init_cum[None, :]).sum(axis=1)
-    ptr += 1
+    state = (bufs[:, 0, None] >= init_cum[None, :]).sum(axis=1).astype(np.uint8)
+    ptr = 1  # buffer position shared by every running lane
 
     t = np.zeros(n_traj)
     count = np.zeros(n_traj, dtype=np.int64)
-    rows = np.arange(n_traj)
-    active = rows
+    active = np.arange(n_traj)
 
     while active.size:
-        need = ptr[active] + 2 > _BUF
-        for i in active[need]:
-            bufs[i] = streams[i].random(_BUF)
-            ptr[i] = 0
-        st = state[active]
-        esc = escape[st]
-        if np.any(esc == 0):
-            bad = int(st[esc == 0][0])
+        if ptr + 2 > _BUF:
+            for i in active:
+                bufs[i] = streams[i].random(_BUF)
+            ptr = 0
+        w = min(_WINDOW, (_BUF - ptr) // 2)
+        # (w, lanes) blocks: jump j of the window uses uniforms ptr + 2j, ptr + 2j + 1.
+        u1, u2 = (np.ascontiguousarray(bufs[active, ptr + k:ptr + 2 * w:2].T) for k in (0, 1))
+        ptr += 2 * w
+        states = _walk(_jump_maps(u2, cum), state[active])
+        before, after = states[:-1], states[1:]
+        esc = escape[before]
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero escape: raised below
+            dt = -np.log1p(-u1) / esc
+        dt[0] += t[active]
+        t_jump = np.add.accumulate(dt, axis=0, out=dt)
+        inside = t_jump <= t_final
+        n_inside = inside.sum(axis=0)
+        # Jump j of a lane runs when its j earlier jumps stayed inside the horizon.
+        stuck = (esc == 0) & (np.arange(w)[:, None] <= n_inside)
+        if stuck.any():
+            j = stuck.any(axis=1).argmax()
+            bad = int(before[j, stuck[j].argmax()])
             raise AbsorbingStateError(f"trajectory reached state {bad} with zero escape rate")
-        p = ptr[active]
-        u1 = bufs[active, p]
-        u2 = bufs[active, p + 1]
-        ptr[active] = p + 2
-        t[active] += -np.log1p(-u1) / esc
-        alive = active[t[active] <= t_final]
-        if alive.size:
-            st = state[alive]
-            choice = (u2[t[active] <= t_final, None] >= cum_table[st]).sum(axis=1)
-            dest = dest_table[st, choice]
-            count[alive] += proc.count_weights[dest, st].astype(np.int64)
-            state[alive] = dest
-        active = active[t[active] <= t_final]
+        count[active] += (weights[after, before] * inside).sum(axis=0)
+        t[active] = t_jump[-1]
+        state[active] = after[-1]
+        active = active[n_inside == w]
 
     x = count.astype(float)
     n = float(n_traj)

@@ -8,6 +8,11 @@ as one batch; tests require the batch to reproduce it bit for bit.
 `cumulants` is the perturbative recursion as it ran on a stored stack of
 4 lam-derivative matrices; `artifact.counting.cumulants` applies the
 same derivatives from the two edge rates and must match it bit for bit.
+
+`simulate` is the Gillespie oracle as it ran with one numpy step per
+jump over the lanes still inside the horizon; `artifact.trajectories.simulate`
+advances each lane a window of jumps per array pass and must return the
+same statistics bit for bit.
 """
 
 import math
@@ -16,7 +21,16 @@ import numpy as np
 
 from artifact.counting import steady_state as solved_steady_state
 from artifact.engine import EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, EngineParams
-from artifact.errors import DegenerateSampleError, GenerationQualityError, NumericalError, SingularityError
+from artifact.errors import (
+    AbsorbingStateError,
+    DegenerateSampleError,
+    GenerationQualityError,
+    NumericalError,
+    SingularityError,
+)
+from artifact.trajectories import TrajectoryStats
+
+_BUF = 8192
 
 
 def _occupation(gap, temperature):
@@ -161,3 +175,82 @@ def generate_columns(n, ranges, seed=0, variant="consistent", fail=lambda i, att
         labels.append(label(p.p_h))
         params.append(draw)
     return np.array(feats), np.array(labels), np.array(params), redraws
+
+
+def simulate(proc, t_final, n_traj, seed, initial=None):
+    """Per-jump Gillespie loop: one numpy step per jump over the live lanes."""
+    if initial is None:
+        initial = np.full(4, 0.25)
+    initial = np.asarray(initial, dtype=float)
+    escape = proc.escape_rates
+    dest_table = np.empty((4, 3), dtype=np.intp)
+    cum_table = np.empty((4, 3))
+    for s in range(4):
+        dests = [i for i in range(4) if i != s]
+        dest_table[s] = dests
+        if escape[s] > 0:
+            cum = np.cumsum(proc.rates[dests, s]) / escape[s]
+        else:
+            cum = np.zeros(3)
+        cum[-1] = np.inf
+        cum_table[s] = cum
+
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
+    bufs = np.empty((n_traj, _BUF))
+    for i, g in enumerate(streams):
+        bufs[i] = g.random(_BUF)
+    ptr = np.zeros(n_traj, dtype=np.intp)
+
+    init_cum = np.cumsum(initial)
+    init_cum[-1] = np.inf
+    state = (bufs[:, 0, None] >= init_cum[None, :]).sum(axis=1)
+    ptr += 1
+
+    t = np.zeros(n_traj)
+    count = np.zeros(n_traj, dtype=np.int64)
+    active = np.arange(n_traj)
+
+    while active.size:
+        need = ptr[active] + 2 > _BUF
+        for i in active[need]:
+            bufs[i] = streams[i].random(_BUF)
+            ptr[i] = 0
+        st = state[active]
+        esc = escape[st]
+        if np.any(esc == 0):
+            bad = int(st[esc == 0][0])
+            raise AbsorbingStateError(f"trajectory reached state {bad} with zero escape rate")
+        p = ptr[active]
+        u1 = bufs[active, p]
+        u2 = bufs[active, p + 1]
+        ptr[active] = p + 2
+        t[active] += -np.log1p(-u1) / esc
+        alive = active[t[active] <= t_final]
+        if alive.size:
+            st = state[alive]
+            choice = (u2[t[active] <= t_final, None] >= cum_table[st]).sum(axis=1)
+            dest = dest_table[st, choice]
+            count[alive] += proc.count_weights[dest, st].astype(np.int64)
+            state[alive] = dest
+        active = active[t[active] <= t_final]
+
+    x = count.astype(float)
+    n = float(n_traj)
+    s1 = x.sum()
+    s2 = (x * x).sum()
+    mean = s1 / n
+    var = (s2 - n * mean * mean) / (n - 1)
+    loo_mean = (s1 - x) / (n - 1)
+    se_mean = np.sqrt((n - 1) / n * np.sum((loo_mean - loo_mean.mean()) ** 2))
+    loo_sq = s2 - x * x
+    loo_var = (loo_sq - (n - 1) * loo_mean**2) / (n - 2)
+    se_var = np.sqrt((n - 1) / n * np.sum((loo_var - loo_var.mean()) ** 2))
+    return TrajectoryStats(
+        t_final=float(t_final),
+        n_traj=n_traj,
+        mean_rate=mean / t_final,
+        mean_se=float(se_mean) / t_final,
+        var_rate=var / t_final,
+        var_se=float(se_var) / t_final,
+        seed=seed,
+    )

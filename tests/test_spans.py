@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact import counting, engine, fdcheck, knn
+from artifact import cli, counting, engine, fdcheck, knn
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -68,3 +68,17 @@ def test_physics_spans_attach_on_an_fd_draw(tracer):
                  "fdcheck.fd_cumulants"):
         assert calls.get(name, 0) >= 1, name
     np.testing.assert_allclose(fd, j, rtol=1e-8)
+
+
+def test_trajectory_spans_attach_on_an_oracle_check(tracer, tmp_path, capsys):
+    argv = ["--seed", "0", "--out", str(tmp_path), "oracle-check",
+            "--draws", "1", "--t-final", "50", "--n-traj", "5"]
+    with tracer.root():
+        assert cli.main(argv) == 0
+    assert "worst |z|" in capsys.readouterr().out
+    assert tracer.absent == []
+    assert tracer.uncounted == set()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    for name in ("trajectories.simulate", "trajectories.compare_with_analytic"):
+        assert calls.get(name, 0) >= 1, name
+    assert tracer.counts["trajectories.simulate.lanes"] == 5

@@ -1,3 +1,4 @@
+import loop_reference
 import numpy as np
 import pytest
 
@@ -5,6 +6,8 @@ from artifact.counting import cumulants, steady_state
 from artifact.engine import EngineParams, build_generator
 from artifact.errors import AbsorbingStateError, DomainError, ValidationError
 from artifact.trajectories import (
+    _BUF,
+    _WINDOW,
     JumpProcess,
     build_jump_process,
     compare_with_analytic,
@@ -14,6 +17,67 @@ from artifact.trajectories import (
 
 def _proc(**kw):
     return build_jump_process(EngineParams(**kw))
+
+
+def _zero_count_proc():
+    base = _proc()
+    rates = base.rates.copy()
+    rates[3, 2] = rates[2, 3] = 0.0
+    return JumpProcess(rates=rates, count_weights=base.count_weights.copy())
+
+
+def _even_proc():
+    # every state escapes at rate 3, so a lane's jump times follow from its
+    # u1 alone; every jump counts, so a jump put on the wrong side of the
+    # horizon changes the count
+    rates = np.ones((4, 4))
+    np.fill_diagonal(rates, 0.0)
+    return JumpProcess(rates=rates, count_weights=rates.copy())
+
+
+def _jump_times(seed, n_traj, lane=0):
+    """Times of one lane's jumps under `_even_proc`, through its second buffer.
+
+    The first buffer holds 4095 jumps (u[0] picks the initial state and the
+    last uniform is never read), every later one 4096.
+    """
+    g = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_traj)[lane])
+    first, second = g.random(_BUF), g.random(_BUF)
+    u1 = np.concatenate([first[1:-1:2], second[0::2]])
+    return np.add.accumulate(-np.log1p(-u1) / 3.0)
+
+
+def _edge_proc(seed, n_traj):
+    """Lane 0's first jump, out of state 0, draws a u2 exactly on a bucket edge."""
+    g = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_traj)[0])
+    u2 = g.random(_BUF)[2]
+    rates = np.ones((4, 4))
+    rates[1:, 0] = [u2, 1.0 - u2, 0.0]  # sums to 1 exactly, so cum[0] = [u2, 1]
+    np.fill_diagonal(rates, 0.0)
+    weights = np.zeros((4, 4))
+    weights[2, 0] = 1.0  # u2 >= cum[0, 0] sends it to state 2, which counts
+    return JumpProcess(rates=rates, count_weights=weights)
+
+
+def _steady(params):
+    pops = steady_state(build_generator(params))[:4]
+    return pops / pops.sum()
+
+
+# (process, t_final, n_traj, seed, initial), each built when its case runs
+REFERENCE_CASES = {
+    "before-any-jump": lambda: (
+        _even_proc(), 0.5 * min(_jump_times(6, 8, lane)[0] for lane in range(8)), 8, 6, None),
+    "inside-windows": lambda: (_proc(), 40.0, 16, 4, None),
+    "last-jump-of-a-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW - 1], 5, 2, None),
+    "first-jump-of-a-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW], 5, 2, None),
+    "mid-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW + _WINDOW // 2], 5, 2, None),
+    "first-jump-of-a-refill": lambda: (_even_proc(), _jump_times(9, 3)[_BUF // 2 - 1], 3, 9, None),
+    "steady-state-start": lambda: (
+        _proc(t_c=0.8, t_l=3.0), 300.0, 7, 1, _steady(EngineParams(t_c=0.8, t_l=3.0))),
+    "nothing-to-count": lambda: (_zero_count_proc(), 50.0, 6, 3, None),
+    "uniform-on-a-bucket-edge": lambda: (_edge_proc(8, 4), 50.0, 4, 8, np.array([1.0, 0, 0, 0])),
+}
 
 
 def test_jump_process_mirrors_population_block():
@@ -73,15 +137,17 @@ def test_simulate_argument_validation():
         simulate(proc, 100.0, 8, seed=1, initial=np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         simulate(proc, 100.0, 8, seed=1, initial=np.array([0.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(DomainError, match="initial"):
+        simulate(proc, 10.0, 4, 0, initial=np.array([np.nan, 0.5, 0.25, 0.25]))
+    for n_traj in (3.5, 4.0, True, "4"):
+        with pytest.raises(DomainError, match="n_traj must be an integer"):
+            simulate(proc, 10.0, n_traj, seed=1)
+    assert simulate(proc, 10.0, np.int64(4), seed=1) == simulate(proc, 10.0, 4, seed=1)
 
 
 def test_nothing_to_count():
     # zero out the two counted edges: every trajectory reports exactly 0
-    base = _proc()
-    rates = base.rates.copy()
-    rates[3, 2] = rates[2, 3] = 0.0
-    proc = JumpProcess(rates=rates, count_weights=base.count_weights.copy())
-    stats = simulate(proc, 50.0, 6, seed=3)
+    stats = simulate(_zero_count_proc(), 50.0, 6, seed=3)
     assert stats.mean_rate == 0.0 and stats.var_rate == 0.0
     assert stats.mean_se == 0.0 and stats.var_se == 0.0
 
@@ -92,6 +158,28 @@ def test_absorbing_state_detected():
     proc = JumpProcess(rates=rates, count_weights=np.zeros((4, 4)))
     with pytest.raises(AbsorbingStateError):
         simulate(proc, 1e3, 4, seed=0, initial=np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_simulate_equals_per_jump_reference(case):
+    proc, t_final, n_traj, seed, initial = REFERENCE_CASES[case]()
+    expected = loop_reference.simulate(proc, t_final, n_traj, seed, initial=initial)
+    assert simulate(proc, t_final, n_traj, seed, initial=initial) == expected  # bitwise
+
+
+@pytest.mark.parametrize("initial", [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+def test_absorbing_state_reported_like_per_jump_reference(initial):
+    # 0 -> 3 and 1 -> 2, both dead ends: the earliest stuck jump, then the
+    # lowest lane, names the state
+    rates = np.zeros((4, 4))
+    rates[3, 0] = rates[2, 1] = 1.0
+    proc = JumpProcess(rates=rates, count_weights=np.zeros((4, 4)))
+    messages = []
+    for route in (loop_reference.simulate, simulate):
+        with pytest.raises(AbsorbingStateError) as err:
+            route(proc, 1e3, 9, 5, initial=np.array(initial))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_error_shrinks_with_ensemble_size():
