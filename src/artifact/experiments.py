@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate
 from .errors import DomainError, InfeasibleConstraintError, ValidationError
-from .knn import (FEATURE_SUBSETS, HyperSpace, KnnModel, SearchResult, fit, fold_splits,
+from .knn import (FEATURE_SUBSETS, KnnModel, SearchResult, fit, fold_splits,
                   kfold_accuracy, predict_proba_batch, random_search,
                   single_shot_accuracy, predict_batch)
 from .metrics import accuracy, confusion_matrix
@@ -93,7 +93,6 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    spec: ScenarioSpec
     unit_counts: tuple   # per class: queries answered with probability exactly 1
     mean_proba: tuple
     winner: int
@@ -165,7 +164,6 @@ def run_scenario(model: KnnModel, spec: ScenarioSpec) -> ScenarioResult:
     unit = proba == 1.0
     counts = unit.sum(axis=0)
     return ScenarioResult(
-        spec=spec,
         unit_counts=tuple(int(c) for c in counts),
         mean_proba=tuple(float(v) for v in proba.mean(axis=0)),
         winner=int(np.argmax(counts)),
@@ -178,8 +176,7 @@ def _subset(mapping: str) -> tuple:
     return FEATURE_SUBSETS[mapping]
 
 
-def scenario_suite(mapping: str, n: int = 1000, ranges=DEFAULT_SCENARIO_RANGES,
-                   seed: int = 0) -> list:
+def scenario_suite(mapping: str, n: int = 1000, seed: int = 0) -> list:
     """The standard constraint grid: 9 cases for the 4-feature mapping
     (3 relations on each pair), 3 for the narrower ones."""
     specs = []
@@ -187,49 +184,44 @@ def scenario_suite(mapping: str, n: int = 1000, ranges=DEFAULT_SCENARIO_RANGES,
     case = 0
     for p12 in PAIR_RELATIONS:
         for p34 in pair34_choices:
-            specs.append(ScenarioSpec(pair12=p12, pair34=p34, n=n,
-                                      ranges=tuple(ranges), seed=seed + case))
+            specs.append(ScenarioSpec(pair12=p12, pair34=p34, n=n, seed=seed + case))
             case += 1
     return specs
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    mapping: str
     search: SearchResult
     model: KnnModel
     val_accuracy: float
     chi: np.ndarray
 
 
-def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0, n_iter: int = 60,
-                 folds: int = 5, space: HyperSpace = HyperSpace(),
-                 zscore: bool = False) -> PipelineResult:
-    """Tune on the training split, refit, evaluate on the validation split."""
+def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0,
+                 n_iter: int = 60) -> PipelineResult:
+    """Tune on the training split over the full search space with 5 folds,
+    refit on raw features, evaluate on the validation split."""
     subset = _subset(mapping)
     x_train, y_train = dataset.train
     x_val, y_val = dataset.validation
-    search = random_search(x_train[:, subset], y_train, space=space,
-                           n_iter=n_iter, seed=seed, folds=folds, zscore=zscore)
+    search = random_search(x_train[:, subset], y_train, n_iter=n_iter, seed=seed)
     hp = search.best
     model = fit(x_train, y_train, k=hp.k, weighting=hp.weighting, metric=hp.metric,
-                feature_subset=subset, zscore=zscore)
+                feature_subset=subset)
     preds = predict_batch(model, x_val[:, subset])
     chi = confusion_matrix(preds, y_val)
     return PipelineResult(
-        mapping=mapping, search=search, model=model,
+        search=search, model=model,
         val_accuracy=accuracy(chi), chi=chi,
     )
 
 
-def evaluate_untuned(mapping: str, dataset: Dataset, k: int = 5,
-                     weighting: str = "uniform", metric: str = "euclidean") -> float:
-    """Validation accuracy at fixed default hyperparameters."""
+def evaluate_untuned(mapping: str, dataset: Dataset) -> float:
+    """Validation accuracy at `fit`'s defaults: k=5, uniform, euclidean."""
     subset = _subset(mapping)
     x_train, y_train = dataset.train
     x_val, y_val = dataset.validation
-    model = fit(x_train, y_train, k=k, weighting=weighting, metric=metric,
-                feature_subset=subset)
+    model = fit(x_train, y_train, feature_subset=subset)
     return single_shot_accuracy(model, x_val[:, subset], y_val)
 
 

@@ -19,6 +19,8 @@ from .engine import EDGE_ABSORB, EDGE_EMIT, TwistedGenerator
 from .errors import BranchAmbiguityError
 
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
+# Working precision of the eigenvalue refinement, in significant digits.
+_DPS = 25
 
 # Minimum spectral gap between the tracked eigenvalue branch and the
 # runner-up before branch identity becomes ambiguous.
@@ -60,8 +62,8 @@ def _det_shifted(rows, s):
     return det
 
 
-def _cgf_mp(gen: TwistedGenerator, lam: float, dps: int):
-    """CGF branch value at `lam`, refined to `dps` significant digits.
+def _cgf_mp(gen: TwistedGenerator, lam: float):
+    """CGF branch value at `lam`, refined to `_DPS` significant digits.
 
     Seeds a secant iteration on det(L(lam) - s I) with the
     double-precision dominant eigenvalue; near a simple eigenvalue the
@@ -71,7 +73,7 @@ def _cgf_mp(gen: TwistedGenerator, lam: float, dps: int):
     seed, gap = _dominant_eig(gen.eval(lam))
     if gap <= _MIN_GAP:
         raise BranchAmbiguityError(f"spectral gap {gap:.3e} at lam={lam}; oracle cannot track branch")
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         rows = [[mp.mpf(float(gen.l0[i, j])) for j in range(5)] for i in range(5)]
         rows[EDGE_ABSORB[0]][EDGE_ABSORB[1]] = mp.mpf(float(gen.absorb_rate)) * mp.e ** (-mp.mpf(lam))
         rows[EDGE_EMIT[0]][EDGE_EMIT[1]] = mp.mpf(float(gen.emit_rate)) * mp.e ** (mp.mpf(lam))
@@ -83,13 +85,13 @@ def _cgf_mp(gen: TwistedGenerator, lam: float, dps: int):
         x1 = x0 + mp.mpf("1e-12")
         f0 = _det_shifted(rows, x0)
         f1 = _det_shifted(rows, x1)
-        tol = mp.mpf(10) ** (2 - dps) * max(abs(x0), mp.mpf("1e-3"))
+        tol = mp.mpf(10) ** (2 - _DPS) * max(abs(x0), mp.mpf("1e-3"))
         # `tol` is not always reachable: the determinant's rounding-noise
-        # ball around the root scales with the spectrum, not just dps, and
+        # ball around the root scales with the spectrum, not just _DPS, and
         # inside it the secant limit-cycles. Accept the best iterate once
         # the residual stops materially improving while the steps stay
         # far below any scale the stencils can see.
-        noise_tol = mp.mpf(10) ** (8 - dps) * max(abs(x0), mp.mpf("1e-3"))
+        noise_tol = mp.mpf(10) ** (8 - _DPS) * max(abs(x0), mp.mpf("1e-3"))
         best_x, best_f = x1, abs(f1)
         flat = 0
         for _ in range(30):
@@ -111,27 +113,24 @@ def _cgf_mp(gen: TwistedGenerator, lam: float, dps: int):
         return x1
 
 
-def fd_cumulants(gen: TwistedGenerator, steps=FD_STEPS, dps: int = 25) -> np.ndarray:
+def fd_cumulants(gen: TwistedGenerator) -> np.ndarray:
     """First four CGF derivatives at 0 by Richardson-extrapolated differences.
 
-    Each step h contributes order-h^2 central stencils built from
-    S(+-h) and S(+-2h) (S(0) = 0 by the steady-state zero eigenvalue);
-    the step ladder must shrink by factors of 2 for the extrapolation
-    weights used here.
+    Each step h of FD_STEPS contributes order-h^2 central stencils built
+    from S(+-h) and S(+-2h) (S(0) = 0 by the steady-state zero
+    eigenvalue); the extrapolation weights used here need each step to
+    halve the one before.
     """
-    steps = tuple(steps)
-    if len(steps) != 3 or abs(steps[0] / steps[1] - 2) > 1e-12 or abs(steps[1] / steps[2] - 2) > 1e-12:
-        raise ValueError(f"step ladder must halve twice, got {steps}")
-    lams = sorted({sign * mult * h for h in steps for mult in (1, 2) for sign in (1, -1)})
-    values = {lam: _cgf_mp(gen, lam, dps) for lam in lams}
+    lams = sorted({sign * mult * h for h in FD_STEPS for mult in (1, 2) for sign in (1, -1)})
+    values = {lam: _cgf_mp(gen, lam) for lam in lams}
     # The stencils for even derivatives involve S(0). For the rounded
     # float matrix the steady eigenvalue is ~1e-17, not exactly 0, and
     # the fourth difference amplifies that by 6/h^4; it must be measured.
-    s0 = _cgf_mp(gen, 0.0, dps)
+    s0 = _cgf_mp(gen, 0.0)
 
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         per_step = []
-        for h in steps:
+        for h in FD_STEPS:
             hh = mp.mpf(h)
             sp1, sm1 = values[h], values[-h]
             sp2, sm2 = values[2 * h], values[-2 * h]

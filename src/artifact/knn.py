@@ -66,15 +66,16 @@ class HyperSpace:
             raise ValidationError(f"weightings must be drawn from {WEIGHTINGS}")
         if not self.metrics or any(m not in DISTANCE_METRICS for m in self.metrics):
             raise ValidationError(f"metrics must be drawn from {DISTANCE_METRICS}")
+        for name in ("k_range", "weightings", "metrics"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ValidationError(f"{name} must not repeat an entry, got {entries}")
 
     def combos(self) -> list:
         """All combinations, in tie-preference order: ties in score are
         broken toward lower k, then uniform, then euclidean."""
         return [Hyperparams(k, w, m)
                 for k in self.k_range for w in self.weightings for m in self.metrics]
-
-    def __len__(self) -> int:
-        return len(self.k_range) * len(self.weightings) * len(self.metrics)
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,6 @@ class KnnModel:
             raise ValidationError("shift and scale must be finite and scale nonzero")
         for arr in (self.features, self.labels, self.shift, self.scale):
             arr.setflags(write=False)
-
-    @property
-    def n_train(self) -> int:
-        return self.features.shape[0]
 
 
 def fit(features, labels, k: int = 5, weighting: str = "uniform",
@@ -182,9 +179,6 @@ def _distance_block(train: np.ndarray, queries: np.ndarray, metric: str) -> np.n
 
 def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     """First k training indices per query, by (distance, index) lex order."""
-    n = dist.shape[1]
-    if k > n:
-        raise ValidationError(f"k={k} exceeds training size {n}")
     part = np.argpartition(dist, k - 1, axis=1)
     thr = np.take_along_axis(dist, part[:, k - 1:k], axis=1)  # k-th distance, (b, 1)
     counts = (dist <= thr).sum(axis=1)
@@ -224,25 +218,27 @@ def _votes_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
                        minlength=b * N_CLASSES).reshape(b, N_CLASSES)
 
 
-def _query_blocks(model: KnnModel, queries: np.ndarray):
+def _neighbors(model: KnnModel, queries):
+    """(first row, ranked, nd) per block of queries: the index of the
+    block's first query, its (b, k) ranked neighbor indices and their
+    distances."""
     q = np.ascontiguousarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[1] != model.features.shape[1]:
         raise DomainError(
             f"queries must be (n, {model.features.shape[1]}), got {q.shape}"
         )
     q = (q - model.shift) / model.scale
-    step = max(16, _BLOCK_ELEMS // max(model.n_train, 1))
+    step = max(16, _BLOCK_ELEMS // len(model.features))
     for lo in range(0, q.shape[0], step):
-        yield _distance_block(model.features, q[lo:lo + step], model.metric)
+        dist = _distance_block(model.features, q[lo:lo + step], model.metric)
+        ranked = _ranked_neighbors(dist, model.k)
+        yield lo, ranked, np.take_along_axis(dist, ranked, axis=1)
 
 
 def _votes(model: KnnModel, queries) -> np.ndarray:
     """(n, N_CLASSES) vote mass per query, computed block by block."""
-    out = []
-    for dist in _query_blocks(model, queries):
-        ranked = _ranked_neighbors(dist, model.k)
-        nd = np.take_along_axis(dist, ranked, axis=1)
-        out.append(_votes_for(ranked, nd, model.labels, model.weighting))
+    out = [_votes_for(ranked, nd, model.labels, model.weighting)
+           for _, ranked, nd in _neighbors(model, queries)]
     return np.vstack(out) if out else np.zeros((0, N_CLASSES))
 
 
@@ -283,15 +279,13 @@ def fold_splits(n: int, folds: int, seed: int) -> list:
 
 
 def kfold_accuracy(features, labels, k: int = 5, weighting: str = "uniform",
-                   metric: str = "euclidean", folds: int = 5, seed: int = 0,
-                   zscore: bool = False) -> float:
+                   metric: str = "euclidean", folds: int = 5, seed: int = 0) -> float:
     """Mean single-shot accuracy over seeded contiguous shuffle folds."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=np.intp)
     accs = []
     for rest, held in fold_splits(features.shape[0], folds, seed):
-        model = fit(features[rest], labels[rest], k=k, weighting=weighting,
-                    metric=metric, zscore=zscore)
+        model = fit(features[rest], labels[rest], k=k, weighting=weighting, metric=metric)
         accs.append(single_shot_accuracy(model, features[held], labels[held]))
     return float(np.mean(accs))
 
@@ -322,12 +316,14 @@ def model_from_json(text: str) -> KnnModel:
     if schema != MODEL_SCHEMA:
         raise ValidationError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r}")
     try:
-        k = doc["k"]
+        k, labels = doc["k"], doc["labels"]
         if type(k) is not int:
             raise ValidationError(f"k must be a JSON integer, got {k!r}")
+        if type(labels) is not list or any(type(v) is not int for v in labels):
+            raise ValidationError("labels must be a list of JSON integers")
         return KnnModel(
             features=np.array(doc["features"], dtype=float),
-            labels=np.array(doc["labels"], dtype=np.intp),
+            labels=np.array(labels, dtype=np.intp),
             k=k,
             weighting=doc["weighting"],
             metric=doc["metric"],
@@ -337,7 +333,7 @@ def model_from_json(text: str) -> KnnModel:
         )
     except KeyError as exc:
         raise ValidationError(f"model document missing field {exc}")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed model document: {exc}")
 
 
@@ -388,16 +384,12 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
                 continue
             kk = max(hp.k for hp in group)
             model = fit(features[rest], labels[rest], k=kk, metric=metric, zscore=zscore)
-            off = 0
-            for dist in _query_blocks(model, features[held]):
-                ranked = _ranked_neighbors(dist, kk)
-                nd = np.take_along_axis(dist, ranked, axis=1)
-                y_blk = y_held[off:off + dist.shape[0]]
+            for lo, ranked, nd in _neighbors(model, features[held]):
+                y_blk = y_held[lo:lo + len(ranked)]
                 for hp in group:
                     votes = _votes_for(ranked[:, :hp.k], nd[:, :hp.k], model.labels,
                                        hp.weighting)
                     fold_correct[hp][i] += np.sum(np.argmax(votes, axis=1) == y_blk)
-                off += dist.shape[0]
 
     sizes = np.array([len(held) for _, held in splits], dtype=float)
     trials = tuple(

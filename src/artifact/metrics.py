@@ -7,27 +7,15 @@ recall the predicted-class row); with rows-predicted this is the
 transpose of what most ML libraries call precision and recall, so the
 functions are documented by formula, not by folklore name.
 
-Metrics with a vanishing denominator are reported as undefined
-(value NaN, defined False), never as silent zeros.
+A metric whose denominator vanishes is NaN, never a silent zero.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .knn import N_CLASSES
-
-
-class MetricValue(NamedTuple):
-    value: float
-    defined: bool
-
-    @classmethod
-    def undefined(cls) -> "MetricValue":
-        return cls(float("nan"), False)
 
 
 def confusion_matrix(predicted, true) -> np.ndarray:
@@ -66,57 +54,35 @@ def accuracy(chi) -> float:
     return float(np.trace(chi)) / total * 100.0
 
 
-def precision_recall(chi, k: int) -> tuple:
-    """(p_k, R_k): diagonal over column sum, diagonal over row sum."""
-    chi = _check(chi)
-    col = int(chi[:, k].sum())
-    row = int(chi[k, :].sum())
-    d = float(chi[k, k])
-    p = MetricValue(d / col, True) if col > 0 else MetricValue.undefined()
-    r = MetricValue(d / row, True) if row > 0 else MetricValue.undefined()
-    return p, r
+def _ratio(num, den) -> np.ndarray:
+    """num / den per class, NaN where den vanishes."""
+    return np.divide(num, den, out=np.full(N_CLASSES, np.nan), where=den != 0)
 
 
-def f_score(chi, k: int) -> MetricValue:
-    """Harmonic mean of p_k and R_k, as a percentage."""
-    p, r = precision_recall(chi, k)
-    if not (p.defined and r.defined) or p.value + r.value == 0.0:
-        return MetricValue.undefined()
-    return MetricValue(2.0 * p.value * r.value / (p.value + r.value) * 100.0, True)
+def class_metrics(chi) -> np.ndarray:
+    """(N_CLASSES, 4) array of per-class precision, recall, F and MCC.
 
-
-def mcc(chi, k: int) -> MetricValue:
-    """One-vs-rest Matthews correlation for class k, as a percentage.
-
-    tp is the diagonal entry; fp the rest of the column, fn the rest of
-    the row, tn everything outside row k and column k.
+    Row k is class k. Precision p_k is the diagonal over the column sum
+    and recall R_k the diagonal over the row sum; F is their harmonic
+    mean and MCC the one-vs-rest Matthews correlation, both as
+    percentages. For MCC, tp is the diagonal entry, fp the rest of the
+    column, fn the rest of the row and tn everything outside row k and
+    column k.
     """
     chi = _check(chi)
-    tp = float(chi[k, k])
-    fp = float(chi[:, k].sum() - chi[k, k])
-    fn = float(chi[k, :].sum() - chi[k, k])
-    tn = float(chi.sum() - chi[:, k].sum() - chi[k, :].sum() + chi[k, k])
+    diag = np.diag(chi)
+    col = chi.sum(axis=0)
+    row = chi.sum(axis=1)
+    tp = diag.astype(float)
+    p = _ratio(tp, col)
+    r = _ratio(tp, row)
+    f = _ratio(2.0 * p * r, p + r) * 100.0
+    fp = (col - diag).astype(float)
+    fn = (row - diag).astype(float)
+    tn = (chi.sum() - col - row + diag).astype(float)
     denom_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    if denom_sq == 0.0:
-        return MetricValue.undefined()
-    return MetricValue((tp * tn - fp * fn) / np.sqrt(denom_sq) * 100.0, True)
-
-
-class ClassMetrics(NamedTuple):
-    label: int
-    precision: MetricValue
-    recall: MetricValue
-    f: MetricValue
-    phi: MetricValue
-
-
-def class_metrics(chi) -> list:
-    chi = _check(chi)
-    rows = []
-    for k in range(N_CLASSES):
-        p, r = precision_recall(chi, k)
-        rows.append(ClassMetrics(k, p, r, f_score(chi, k), mcc(chi, k)))
-    return rows
+    phi = _ratio(tp * tn - fp * fn, np.sqrt(denom_sq)) * 100.0
+    return np.column_stack([p, r, f, phi])
 
 
 def render_confusion(chi) -> str:
@@ -130,13 +96,9 @@ def render_confusion(chi) -> str:
     return "\n".join(lines)
 
 
-def _cell(v: MetricValue) -> str:
-    return format(v.value, ".6f") if v.defined else "nan"
-
-
 def render_class_metrics(chi) -> str:
     lines = ["class,precision,recall,f_score,mcc"]
-    for row in class_metrics(chi):
-        lines.append(",".join([str(row.label), _cell(row.precision), _cell(row.recall),
-                               _cell(row.f), _cell(row.phi)]))
+    for k, row in enumerate(class_metrics(chi)):
+        # format() spells every NaN "nan"
+        lines.append(",".join([str(k), *(format(v, ".6f") for v in row)]))
     return "\n".join(lines) + "\n"

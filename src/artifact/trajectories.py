@@ -41,8 +41,9 @@ class JumpProcess:
     def __post_init__(self):
         if self.rates.shape != (4, 4) or self.count_weights.shape != (4, 4):
             raise ValidationError(f"jump process matrices must be 4x4, got {self.rates.shape}")
-        if np.any(self.rates < 0) or np.any(np.diag(self.rates) != 0):
-            raise ValidationError("off-diagonal rates must be >= 0 with a zero diagonal")
+        finite = np.all(np.isfinite(self.rates))
+        if not finite or np.any(self.rates < 0) or np.any(np.diag(self.rates) != 0):
+            raise ValidationError("off-diagonal rates must be finite and >= 0 with a zero diagonal")
         self.rates.setflags(write=False)
         self.count_weights.setflags(write=False)
 

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DomainError
 from .knn import N_CLASSES
 
+MAX_DEPTH = 8
+
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -61,31 +63,31 @@ def _majority(y: np.ndarray) -> int:
     return int(np.argmax(np.bincount(y, minlength=N_CLASSES)))
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
-    if depth >= max_depth or y.size < 2 * min_leaf or np.all(y == y[0]):
+def _grow(x: np.ndarray, y: np.ndarray, depth: int) -> TreeNode:
+    if depth >= MAX_DEPTH or np.all(y == y[0]):
         return TreeNode(prediction=_majority(y))
     found = _gini_best_split(x, y)
     if found is None:
         return TreeNode(prediction=_majority(y))
     _, j, thr = found
     mask = x[:, j] <= thr
-    if mask.sum() < min_leaf or (~mask).sum() < min_leaf:
+    # The midpoint of two adjacent floats can round up to the larger one,
+    # which sends every row left and leaves the right child empty.
+    if mask.all():
         return TreeNode(prediction=_majority(y))
     return TreeNode(
         prediction=_majority(y), feature=j, threshold=thr,
-        left=_grow(x[mask], y[mask], depth + 1, max_depth, min_leaf),
-        right=_grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf),
+        left=_grow(x[mask], y[mask], depth + 1),
+        right=_grow(x[~mask], y[~mask], depth + 1),
     )
 
 
-def fit_tree(features, labels, max_depth: int = 8, min_leaf: int = 1) -> TreeNode:
+def fit_tree(features, labels) -> TreeNode:
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=np.intp)
     if x.ndim != 2 or x.shape[0] != y.shape[0] or y.size == 0:
         raise DomainError(f"need matching non-empty features/labels, got {x.shape} vs {y.shape}")
-    if max_depth < 1 or min_leaf < 1:
-        raise DomainError("max_depth and min_leaf must be >= 1")
-    return _grow(x, y, 0, max_depth, min_leaf)
+    return _grow(x, y, 0)
 
 
 def predict_tree(root: TreeNode, features) -> np.ndarray:

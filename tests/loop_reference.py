@@ -13,6 +13,11 @@ same derivatives from the two edge rates and must match it bit for bit.
 jump over the lanes still inside the horizon; `artifact.trajectories.simulate`
 advances each lane a window of jumps per array pass and must return the
 same statistics bit for bit.
+
+`class_metrics` and `render_class_metrics` are the per-class scores as
+they were computed one class and one metric at a time, each scalar
+carried with a defined flag; `artifact.metrics` computes them column-wise
+as one array with NaN for undefined and must match them bit for bit.
 """
 
 import math
@@ -254,3 +259,46 @@ def simulate(proc, t_final, n_traj, seed, initial=None):
         var_se=float(se_var) / t_final,
         seed=seed,
     )
+
+
+def _precision_recall(chi, k):
+    """(p_k, R_k) as (value, defined): diagonal over column sum, over row sum."""
+    col = int(chi[:, k].sum())
+    row = int(chi[k, :].sum())
+    d = float(chi[k, k])
+    p = (d / col, True) if col > 0 else (math.nan, False)
+    r = (d / row, True) if row > 0 else (math.nan, False)
+    return p, r
+
+
+def _f_score(chi, k):
+    (p, p_ok), (r, r_ok) = _precision_recall(chi, k)
+    if not (p_ok and r_ok) or p + r == 0.0:
+        return math.nan, False
+    return 2.0 * p * r / (p + r) * 100.0, True
+
+
+def _mcc(chi, k):
+    tp = float(chi[k, k])
+    fp = float(chi[:, k].sum() - chi[k, k])
+    fn = float(chi[k, :].sum() - chi[k, k])
+    tn = float(chi.sum() - chi[:, k].sum() - chi[k, :].sum() + chi[k, k])
+    denom_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    if denom_sq == 0.0:
+        return math.nan, False
+    return (tp * tn - fp * fn) / np.sqrt(denom_sq) * 100.0, True
+
+
+def class_metrics(chi):
+    """Per class k: ((p, defined), (R, defined), (F, defined), (MCC, defined))."""
+    chi = np.asarray(chi)
+    return [(*_precision_recall(chi, k), _f_score(chi, k), _mcc(chi, k))
+            for k in range(chi.shape[0])]
+
+
+def render_class_metrics(chi):
+    lines = ["class,precision,recall,f_score,mcc"]
+    for k, cells in enumerate(class_metrics(chi)):
+        lines.append(",".join([str(k)] + [format(v, ".6f") if ok else "nan"
+                                          for v, ok in cells]))
+    return "\n".join(lines) + "\n"

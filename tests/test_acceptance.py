@@ -17,7 +17,7 @@ from artifact.engine import TRACE_VECTOR, EngineParams, build_generator
 from artifact.experiments import evaluate_untuned, run_pipeline, run_scenario, scenario_suite
 from artifact.fdcheck import fd_cumulants
 from artifact.knn import fit, predict_batch, predict_proba_batch
-from artifact.metrics import f_score
+from artifact.metrics import class_metrics
 from artifact.trajectories import compare_with_analytic
 
 from test_knn import _ref_predict, _ref_proba
@@ -182,7 +182,7 @@ def test_criterion_07_per_class_pattern(pipelines):
     ok = True
     details = []
     for mapping in ("f1", "f2", "f3"):
-        f = [f_score(runs[mapping].chi, k).value for k in range(4)]
+        f = class_metrics(runs[mapping].chi)[:, 2]
         details.append(f"{mapping}: F = " + "/".join(f"{v:.2f}" for v in f))
         ordered = f[0] > f[3] > f[2] > f[1]
         bands = abs(f[0] - 93.0) <= 3.0 and abs(f[1] - 69.0) <= 5.0

@@ -227,9 +227,13 @@ def test_config_rejects_unknown_keys(workdir, tmp_path, capsys, cfg, command, ke
     ({"space": {"k_range": [1.5]}}, "tune", "k_range"),
     ({"space": {"k_range": 5}}, "tune", "k_range"),
     ({"space": {"metrics": "euclidean"}}, "tune", "metrics"),
+    ({"space": {"k_range": [3, 3], "weightings": ["uniform"], "metrics": ["euclidean"]}},
+     "tune", "k_range"),
+    ({"space": {"weightings": ["distance", "distance"]}}, "tune", "weightings"),
 ], ids=["zscore-string", "zscore-int", "train-frac-string", "train-frac-bool", "folds-string",
         "folds-float", "range-one-number", "range-scalar", "range-string-bound", "ranges-list",
-        "k-range-string", "k-range-fraction", "k-range-scalar", "metrics-string"])
+        "k-range-string", "k-range-fraction", "k-range-scalar", "metrics-string",
+        "k-range-duplicate", "weightings-duplicate"])
 def test_config_rejects_bad_values(workdir, tmp_path, capsys, cfg, command, key):
     assert _run_with_config(workdir, tmp_path, cfg, command) == 2
     err = capsys.readouterr().err
@@ -250,8 +254,11 @@ def _truncate(doc, name):
     lambda doc: doc.__setitem__("feature_subset", [0, 9]),
     lambda doc: doc.__setitem__("feature_subset", [-1, -1]),
     lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
+    lambda doc: doc.__setitem__("labels", [v + 0.5 for v in doc["labels"]]),
+    lambda doc: doc["labels"].__setitem__(0, 2**70),
 ], ids=["length-mismatch", "nan-feature", "inf-feature", "zero-scale", "shift-width", "scale-width",
-        "subset-beyond-width", "subset-negative", "subset-fraction"])
+        "subset-beyond-width", "subset-negative", "subset-fraction", "label-fraction",
+        "label-overflow"])
 def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
     doc = json.loads((workdir / "model-f3.json").read_text())
     edit(doc)

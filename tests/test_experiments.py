@@ -18,7 +18,7 @@ from artifact.experiments import (
     sweep_gnuplot,
 )
 from artifact.data import generate
-from artifact.knn import FEATURE_SUBSETS, HyperSpace, fit, kfold_accuracy
+from artifact.knn import FEATURE_SUBSETS, fit, kfold_accuracy
 from artifact.tree import fit_tree, predict_tree
 
 
@@ -164,9 +164,7 @@ def test_scenario_suite_shapes():
 # --- pipeline ----------------------------------------------------------------------
 
 def test_run_pipeline_smoke(small_dataset):
-    space = HyperSpace(k_range=(1, 3, 5))
-    res = run_pipeline("f3", small_dataset, seed=2, n_iter=6, space=space)
-    assert res.mapping == "f3"
+    res = run_pipeline("f3", small_dataset, seed=2, n_iter=6)
     assert res.model.feature_subset == FEATURE_SUBSETS["f3"]
     assert res.model.k == res.search.best.k
     assert 25.0 <= res.val_accuracy <= 100.0

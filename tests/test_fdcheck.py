@@ -1,19 +1,11 @@
 import numpy as np
-import pytest
 
+from artifact import fdcheck
 from artifact.counting import cumulants
 from artifact.engine import EngineParams, build_generator
 from artifact.fdcheck import FD_STEPS, fd_cumulants
 
 from conftest import random_params
-
-
-def test_step_ladder_must_halve():
-    gen = build_generator(EngineParams())
-    with pytest.raises(ValueError):
-        fd_cumulants(gen, steps=(1e-2, 3e-3, 1.5e-3))
-    with pytest.raises(ValueError):
-        fd_cumulants(gen, steps=(1e-2, 5e-3))
 
 
 def test_default_ladder_is_halving():
@@ -39,13 +31,15 @@ def test_agrees_on_random_draws(rng):
         assert err.max() < 1e-8
 
 
-def test_precision_scales_with_dps():
+def test_precision_scales_with_dps(monkeypatch):
     # at very low working precision the fourth difference decays into
-    # noise; raising dps must restore agreement
+    # noise; raising the precision must restore agreement
     gen = build_generator(EngineParams(p_c=0.7, p_h=0.2))
     ref = cumulants(gen)
-    loose = fd_cumulants(gen, dps=8)
-    tight = fd_cumulants(gen, dps=30)
+    monkeypatch.setattr(fdcheck, "_DPS", 8)
+    loose = fd_cumulants(gen)
+    monkeypatch.setattr(fdcheck, "_DPS", 30)
+    tight = fd_cumulants(gen)
     err_loose = abs(loose[3] - ref[3]) / abs(ref[3])
     err_tight = abs(tight[3] - ref[3]) / abs(ref[3])
     assert err_tight < err_loose

@@ -314,7 +314,7 @@ def test_kfold_matches_manual_evaluation(rng):
 def test_hyperspace_enumeration():
     space = HyperSpace(k_range=(1, 2, 3))
     combos = space.combos()
-    assert len(combos) == len(space) == 12
+    assert len(combos) == 12
     # k rises slowest, weighting before metric: canonical preference order
     assert combos[0] == Hyperparams(1, "uniform", "euclidean")
     assert combos[1] == Hyperparams(1, "uniform", "manhattan")
@@ -327,6 +327,18 @@ def test_hyperspace_enumeration():
         HyperSpace(k_range=(0, 1))
 
 
+@pytest.mark.parametrize("field,entries", [
+    ("k_range", (3, 3)),
+    ("k_range", (1, 2, 1)),
+    ("weightings", ("uniform", "distance", "uniform")),
+    ("metrics", ("manhattan", "manhattan")),
+])
+def test_hyperspace_rejects_duplicate_entries(field, entries):
+    # a repeated entry would make one candidate two trials of the search
+    with pytest.raises(ValidationError, match=f"{field} must not repeat"):
+        HyperSpace(**{field: entries})
+
+
 def test_search_exhaustive_equals_grid(rng):
     # The second problem's rounded 4-feature rows tie often, so the shared
     # neighbor tables must reproduce each standalone run's tie resolution
@@ -335,14 +347,15 @@ def test_search_exhaustive_equals_grid(rng):
         x = rng.uniform(size=(rows, width)).round(1)
         y = rng.integers(0, 4, size=rows)
         space = HyperSpace(k_range=tuple(range(1, k_max + 1)))
-        n = len(space)
+        n = len(space.combos())
         res = random_search(x, y, space, n_iter=n, seed=seed, zscore=zscore)
         assert len(res.trials) == n
         # every candidate's score must equal the standalone k-fold run
         for hp, score in res.trials:
-            direct = kfold_accuracy(x, y, k=hp.k, weighting=hp.weighting,
-                                    metric=hp.metric, seed=seed, zscore=zscore)
-            assert score == direct, hp
+            accs = [single_shot_accuracy(fit(x[rest], y[rest], k=hp.k, weighting=hp.weighting,
+                                             metric=hp.metric, zscore=zscore), x[held], y[held])
+                    for rest, held in fold_splits(rows, 5, seed)]
+            assert score == float(np.mean(accs)), hp
         best_score = max(s for _, s in res.trials)
         winners = [hp for hp, s in res.trials if s == best_score]
         assert res.best == winners[0]  # first in preference order wins ties
@@ -415,3 +428,12 @@ def test_model_from_json_rejects_garbage():
     for k in (2.7, True, "2", 2.0):
         with pytest.raises(ValidationError, match="k must be a JSON integer"):
             model_from_json(json.dumps({**doc, "k": k}))
+    # labels likewise: a fraction, bool or string is refused, not truncated
+    for bad in (0.5, True, "1", 1.0):
+        with pytest.raises(ValidationError, match="labels must be a list of JSON integers"):
+            model_from_json(json.dumps({**doc, "labels": [0, bad, 2]}))
+    with pytest.raises(ValidationError, match="labels must be a list of JSON integers"):
+        model_from_json(json.dumps({**doc, "labels": 1}))
+    # an integer beyond the platform's index type is malformed, not a crash
+    with pytest.raises(ValidationError, match="malformed model document"):
+        model_from_json(json.dumps({**doc, "labels": [0, 2**70, 2]}))

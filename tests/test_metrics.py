@@ -3,17 +3,17 @@ import pytest
 
 from artifact.errors import DomainError, ValidationError
 from artifact.metrics import (
-    MetricValue,
     accuracy,
     class_metrics,
     confusion_matrix,
-    f_score,
-    mcc,
-    precision_recall,
     render_class_metrics,
     render_confusion,
 )
 from artifact.knn import fit, predict_batch, single_shot_accuracy
+
+import loop_reference
+
+P, R, F, MCC = range(4)  # columns of class_metrics
 
 
 def test_confusion_layout():
@@ -66,12 +66,11 @@ def test_precision_recall_formula():
         [0, 0, 3, 2],
         [1, 0, 0, 8],
     ])
-    p0, r0 = precision_recall(chi, 0)
-    assert p0 == MetricValue(5 / 8, True)   # diagonal over column sum
-    assert r0 == MetricValue(5 / 6, True)   # diagonal over row sum
-    p2, r2 = precision_recall(chi, 2)
-    assert p2.value == pytest.approx(3 / 4)
-    assert r2.value == pytest.approx(3 / 5)
+    m = class_metrics(chi)
+    assert m[0, P] == 5 / 8   # diagonal over column sum
+    assert m[0, R] == 5 / 6   # diagonal over row sum
+    assert m[2, P] == pytest.approx(3 / 4)
+    assert m[2, R] == pytest.approx(3 / 5)
 
 
 def test_f_score_harmonic_mean():
@@ -81,10 +80,9 @@ def test_f_score_harmonic_mean():
         [0, 0, 3, 2],
         [1, 0, 0, 8],
     ])
-    p, r = precision_recall(chi, 0)
-    want = 2 * p.value * r.value / (p.value + r.value) * 100.0
-    got = f_score(chi, 0)
-    assert got.defined and got.value == pytest.approx(want)
+    p, r, got = class_metrics(chi)[0, :3]
+    want = 2 * p * r / (p + r) * 100.0
+    assert got == pytest.approx(want)
 
 
 def test_perfect_and_absent_classes():
@@ -93,13 +91,11 @@ def test_perfect_and_absent_classes():
     chi[1, 1] = 5
     # classes 2, 3 never appear: no column, no row
     assert accuracy(chi) == 100.0
-    p, r = precision_recall(chi, 2)
-    assert not p.defined and not r.defined
-    assert not f_score(chi, 2).defined
-    assert not mcc(chi, 2).defined
-    assert f_score(chi, 0).value == pytest.approx(100.0)
+    m = class_metrics(chi)
+    assert np.isnan(m[2:]).all()  # no column, no row: every metric undefined
+    assert m[0, F] == pytest.approx(100.0)
     # a perfect one-vs-rest split has unit correlation
-    assert mcc(chi, 0).value == pytest.approx(100.0)
+    assert m[0, MCC] == pytest.approx(100.0)
 
 
 def test_mcc_formula():
@@ -115,8 +111,7 @@ def test_mcc_formula():
     fn = 1 + 2 + 0.0          # rest of row 1
     tn = chi.sum() - chi[:, 1].sum() - chi[1, :].sum() + tp
     want = (tp * tn - fp * fn) / np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)) * 100
-    got = mcc(chi, k)
-    assert got.defined and got.value == pytest.approx(want, rel=1e-12)
+    assert class_metrics(chi)[k, MCC] == pytest.approx(want, rel=1e-12)
 
 
 def test_mcc_sign():
@@ -126,7 +121,7 @@ def test_mcc_sign():
     chi[1, 0] = 10
     chi[2, 2] = 10
     chi[3, 3] = 10
-    assert mcc(chi, 0).value < 0
+    assert class_metrics(chi)[0, MCC] < 0
 
 
 def test_mcc_vanishes_under_permutation_null(rng):
@@ -134,9 +129,8 @@ def test_mcc_vanishes_under_permutation_null(rng):
     pred = rng.integers(0, 4, size=10000)
     true = rng.permutation(pred)
     chi = confusion_matrix(pred, true)
-    for k in range(4):
-        v = mcc(chi, k)
-        assert v.defined and abs(v.value) < 5.0
+    phi = class_metrics(chi)[:, MCC]
+    assert np.all(np.abs(phi) < 5.0)  # NaN would fail here too
 
 
 def test_class_metrics_table():
@@ -146,10 +140,14 @@ def test_class_metrics_table():
         [0, 0, 3, 2],
         [1, 0, 0, 8],
     ])
-    rows = class_metrics(chi)
-    assert [r.label for r in rows] == [0, 1, 2, 3]
-    assert rows[0].precision == precision_recall(chi, 0)[0]
-    assert rows[3].phi == mcc(chi, 3)
+    m = class_metrics(chi)
+    assert m.shape == (4, 4) and m.dtype == float
+    # row k is class k: column 3 sums to 10, row 3 to 9
+    assert m[3, P] == 8 / 10 and m[3, R] == 8 / 9
+    with pytest.raises(ValidationError):
+        class_metrics(chi[:3, :3])
+    with pytest.raises(ValidationError):
+        render_class_metrics(-chi)
 
 
 def test_renderers():
@@ -162,3 +160,47 @@ def test_renderers():
     text = render_class_metrics(chi)
     assert text.splitlines()[0] == "class,precision,recall,f_score,mcc"
     assert "nan" in text  # class 2 never predicted -> undefined cells
+
+
+def _edge_matrices():
+    absent = np.zeros((4, 4), dtype=np.int64)
+    absent[0, 0], absent[1, 1], absent[0, 1] = 10, 5, 2    # classes 2, 3 absent
+    crossed = np.zeros((4, 4), dtype=np.int64)
+    crossed[0, 1], crossed[1, 0], crossed[2, 2] = 3, 2, 4  # p = R = 0 for classes 0, 1
+    one_row = np.zeros((4, 4), dtype=np.int64)
+    one_row[0] = [3, 2, 1, 1]  # everything predicted 0: tn + fp = 0 for class 0
+    one_cell = np.zeros((4, 4), dtype=np.int64)
+    one_cell[3, 3] = 1
+    return [absent, crossed, one_row, one_cell, np.zeros((4, 4), dtype=np.int64)]
+
+
+def _random_matrices(rng, count):
+    for _ in range(count):
+        chi = rng.integers(0, rng.choice([2, 6, 1000]), size=(4, 4))
+        chi[rng.random(4) < 0.3] = 0     # empty rows
+        chi[:, rng.random(4) < 0.3] = 0  # empty columns
+        if rng.random() < 0.3:
+            np.fill_diagonal(chi, 0)
+        yield chi
+
+
+def test_class_metrics_match_scalar_reference(rng):
+    # every cell, NaN ones included, against the per-class scalar formulas
+    for chi in [*_edge_matrices(), *_random_matrices(rng, 2000)]:
+        got = class_metrics(chi)
+        for k, cells in enumerate(loop_reference.class_metrics(chi)):
+            for j, (value, defined) in enumerate(cells):
+                if defined:
+                    assert got[k, j].tobytes() == np.float64(value).tobytes(), (chi, k, j)
+                else:
+                    assert np.isnan(got[k, j]), (chi, k, j)
+        assert render_class_metrics(chi) == loop_reference.render_class_metrics(chi)
+
+
+def test_edge_matrices_leave_the_documented_cells_undefined():
+    _, crossed, one_row, _, empty = _edge_matrices()
+    m = class_metrics(crossed)
+    assert (m[:2, P] == 0).all() and (m[:2, R] == 0).all() and np.isnan(m[:2, F]).all()
+    m = class_metrics(one_row)
+    assert m[0, P] == 1.0 and m[0, R] == 3 / 7 and np.isnan(m[0, MCC])
+    assert np.isnan(class_metrics(empty)).all()

@@ -43,7 +43,7 @@ def test_knn_spans_attach_and_count(tracer, rng):
     tracer.counts.clear()
     space = knn.HyperSpace(k_range=(1, 2, 3))
     with tracer.root():
-        knn.random_search(x, y, space, n_iter=len(space), seed=2)
+        knn.random_search(x, y, space, n_iter=len(space.combos()), seed=2)
     assert tracer.absent == []
     assert tracer.uncounted == set()
     # one neighbor table per metric and fold: held-out rows x training rows

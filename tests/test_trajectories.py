@@ -106,6 +106,16 @@ def test_rejects_coherent_params():
         build_jump_process(EngineParams(p_h=0.5))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_jump_process_rejects_non_finite_rates(bad):
+    # refused before `simulate` can turn the rate into a result
+    rates = np.ones((4, 4))
+    np.fill_diagonal(rates, 0.0)
+    rates[2, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        JumpProcess(rates=rates, count_weights=np.zeros((4, 4)))
+
+
 def test_jump_process_validation():
     rates = np.zeros((4, 4))
     rates[0, 0] = 1.0
