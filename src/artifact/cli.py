@@ -25,7 +25,7 @@ from .experiments import ScenarioSpec, run_scenario, run_size_sweep, sweep_csv, 
 from .knn import (FEATURE_SUBSETS, HyperSpace, fit, model_from_json, model_to_json,
                   predict_batch, random_search, single_shot_accuracy)
 from .metrics import accuracy, confusion_matrix, render_class_metrics, render_confusion
-from .trajectories import compare_with_analytic
+from .trajectories import check_run, compare_with_analytic
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -252,6 +252,7 @@ def _cmd_sweep(args, cfg) -> int:
 def _cmd_oracle_check(args, cfg) -> int:
     if args.draws < 1:
         raise ValidationError(f"--draws must be >= 1, got {args.draws}")
+    check_run(args.t_final, args.n_traj)
     rng = np.random.default_rng(args.seed)
     print(f"{'t_c':>6} {'t_h':>6} {'t_l':>6} | {'analytic':>10} {'empirical mean':>22} {'z':>5} "
           f"| {'analytic':>10} {'empirical var':>22} {'z':>5}")

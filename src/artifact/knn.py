@@ -15,6 +15,7 @@ distance) pairs gathered once from it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -307,6 +308,19 @@ def model_to_json(model: KnnModel) -> str:
     return json.dumps(doc)
 
 
+def _json_numbers(values, name: str) -> np.ndarray:
+    """`values` as a float array if it is a JSON list of numbers, or of
+    lists of numbers; strings and bools are refused, not coerced."""
+    if type(values) is not list:
+        raise ValidationError(f"{name} must be a JSON list")
+    kinds = set(map(type, values))
+    if kinds == {list}:
+        kinds = set(map(type, itertools.chain.from_iterable(values)))
+    if not kinds <= {int, float}:
+        raise ValidationError(f"{name} must hold JSON numbers, got {sorted(k.__name__ for k in kinds)}")
+    return np.array(values, dtype=float)
+
+
 def model_from_json(text: str) -> KnnModel:
     try:
         doc = json.loads(text)
@@ -322,14 +336,14 @@ def model_from_json(text: str) -> KnnModel:
         if type(labels) is not list or any(type(v) is not int for v in labels):
             raise ValidationError("labels must be a list of JSON integers")
         return KnnModel(
-            features=np.array(doc["features"], dtype=float),
+            features=_json_numbers(doc["features"], "features"),
             labels=np.array(labels, dtype=np.intp),
             k=k,
             weighting=doc["weighting"],
             metric=doc["metric"],
             feature_subset=tuple(doc["feature_subset"]),
-            shift=np.array(doc["shift"], dtype=float),
-            scale=np.array(doc["scale"], dtype=float),
+            shift=_json_numbers(doc["shift"], "shift"),
+            scale=_json_numbers(doc["scale"], "scale"),
         )
     except KeyError as exc:
         raise ValidationError(f"model document missing field {exc}")

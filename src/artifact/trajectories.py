@@ -151,6 +151,16 @@ def _walk(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return states[:w + 1]
 
 
+def check_run(t_final: float, n_traj: int) -> None:
+    """Raise DomainError unless `simulate` can run to `t_final` on `n_traj` lanes."""
+    if not 0.0 < t_final < math.inf:
+        raise DomainError(f"t_final must be finite and positive, got {t_final}")
+    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):
+        raise DomainError(f"n_traj must be an integer, got {n_traj!r}")
+    if n_traj < 3:
+        raise DomainError(f"jackknife variance needs n_traj >= 3, got {n_traj}")
+
+
 def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
              initial: np.ndarray | None = None) -> TrajectoryStats:
     """Gillespie estimate of the net-count mean and variance rates.
@@ -175,12 +185,7 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     Standard errors are jackknife over trajectories. `initial` is a
     distribution over the 4 states; defaults to uniform.
     """
-    if not 0.0 < t_final < math.inf:
-        raise DomainError(f"t_final must be finite and positive, got {t_final}")
-    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):
-        raise DomainError(f"n_traj must be an integer, got {n_traj!r}")
-    if n_traj < 3:
-        raise DomainError(f"jackknife variance needs n_traj >= 3, got {n_traj}")
+    check_run(t_final, n_traj)
     if initial is None:
         initial = np.full(4, 0.25)
     initial = np.asarray(initial, dtype=float)

@@ -18,21 +18,29 @@ same statistics bit for bit.
 they were computed one class and one metric at a time, each scalar
 carried with a defined flag; `artifact.metrics` computes them column-wise
 as one array with NaN for undefined and must match them bit for bit.
+
+`cgf_mp` is the finite-difference oracle's CGF value as it was refined
+on a determinant eliminated in `_DPS`-digit mpmath arithmetic, with a
+secant exit at the rounding-noise floor; `artifact.fdcheck` takes the
+determinant exactly and must agree with it to rounding.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from artifact.counting import steady_state as solved_steady_state
 from artifact.engine import EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, EngineParams
 from artifact.errors import (
     AbsorbingStateError,
+    BranchAmbiguityError,
     DegenerateSampleError,
     GenerationQualityError,
     NumericalError,
     SingularityError,
 )
+from artifact.fdcheck import _DPS, _MIN_GAP, _dominant_eig
 from artifact.trajectories import TrajectoryStats
 
 _BUF = 8192
@@ -302,3 +310,67 @@ def render_class_metrics(chi):
         lines.append(",".join([str(k)] + [format(v, ".6f") if ok else "nan"
                                           for v, ok in cells]))
     return "\n".join(lines) + "\n"
+
+
+def det_shifted(rows, s):
+    """det(A - s I) by mpf elimination with partial pivoting."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    for i in range(n):
+        a[i][i] -= s
+    det = mp.mpf(1)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(a[r][c]))
+        if a[p][c] == 0:
+            return mp.mpf(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        piv = a[c][c]
+        det *= piv
+        for r in range(c + 1, n):
+            f = a[r][c] / piv
+            if f:
+                ar, ac = a[r], a[c]
+                for k in range(c + 1, n):
+                    ar[k] -= f * ac[k]
+    return det
+
+
+def cgf_mp(gen, lam):
+    """Secant refinement of the CGF at `lam` on the mpf determinant."""
+    seed, gap = _dominant_eig(gen.eval(lam))
+    if gap <= _MIN_GAP:
+        raise BranchAmbiguityError(f"spectral gap {gap:.3e} at lam={lam}; oracle cannot track branch")
+    with mp.workdps(_DPS):
+        rows = [[mp.mpf(float(gen.l0[i, j])) for j in range(5)] for i in range(5)]
+        rows[EDGE_ABSORB[0]][EDGE_ABSORB[1]] = mp.mpf(float(gen.absorb_rate)) * mp.e ** (-mp.mpf(lam))
+        rows[EDGE_EMIT[0]][EDGE_EMIT[1]] = mp.mpf(float(gen.emit_rate)) * mp.e ** (mp.mpf(lam))
+        x0 = mp.mpf(float(seed.real))
+        x1 = x0 + mp.mpf("1e-12")
+        f0 = det_shifted(rows, x0)
+        f1 = det_shifted(rows, x1)
+        tol = mp.mpf(10) ** (2 - _DPS) * max(abs(x0), mp.mpf("1e-3"))
+        # elimination rounding leaves a noise ball around the root in
+        # which the secant limit-cycles: accept the best iterate once the
+        # residual stops improving while the steps stay tiny
+        noise_tol = mp.mpf(10) ** (8 - _DPS) * max(abs(x0), mp.mpf("1e-3"))
+        best_x, best_f = x1, abs(f1)
+        flat = 0
+        for _ in range(30):
+            if f1 == f0:
+                break
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            f1 = det_shifted(rows, x1)
+            fa = abs(f1)
+            flat = 0 if 2 * fa < best_f else flat + 1
+            if fa < best_f:
+                best_x, best_f = x1, fa
+            if abs(x1 - x0) < tol:
+                break
+            if flat >= 6 and abs(x1 - x0) < noise_tol:
+                x1 = best_x
+                break
+        else:
+            raise BranchAmbiguityError(f"secant refinement stalled at lam={lam}")
+        return x1

@@ -110,8 +110,18 @@ def test_oracle_check_rejects_bad_horizon(t_final, capsys):
     code = run("--seed", "1", "oracle-check", "--draws", "1",
                "--t-final", t_final, "--n-traj", "12")
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "t_final must be finite and positive" in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "t_final must be finite and positive" in captured.err
+    assert captured.out == ""  # rejected before the table header
+
+
+def test_oracle_check_rejects_too_few_trajectories(capsys):
+    code = run("--seed", "1", "oracle-check", "--draws", "1",
+               "--t-final", "10", "--n-traj", "2")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "n_traj >= 3" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("draws", ["0", "-3"])
@@ -121,7 +131,7 @@ def test_oracle_check_rejects_no_draws(draws, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "--draws must be >= 1" in captured.err
-    assert "worst |z|" not in captured.out
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("sidecar", ["[1]", "null"])
@@ -256,9 +266,12 @@ def _truncate(doc, name):
     lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
     lambda doc: doc.__setitem__("labels", [v + 0.5 for v in doc["labels"]]),
     lambda doc: doc["labels"].__setitem__(0, 2**70),
+    lambda doc: doc.__setitem__("features", [[str(v) for v in row] for row in doc["features"]]),
+    lambda doc: doc.__setitem__("scale", [True] * len(doc["scale"])),
+    lambda doc: doc["shift"].__setitem__(0, str(doc["shift"][0])),
 ], ids=["length-mismatch", "nan-feature", "inf-feature", "zero-scale", "shift-width", "scale-width",
         "subset-beyond-width", "subset-negative", "subset-fraction", "label-fraction",
-        "label-overflow"])
+        "label-overflow", "string-features", "bool-scale", "string-shift"])
 def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
     doc = json.loads((workdir / "model-f3.json").read_text())
     edit(doc)
@@ -268,3 +281,17 @@ def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
                "--data", str(workdir / "dataset.csv"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, bad", [("features", "0.93"), ("scale", True)])
+def test_apply_rejects_model_without_json_numbers(workdir, tmp_path, capsys, name, bad):
+    doc = json.loads((workdir / "model-f3.json").read_text())
+    doc[name] = [[bad] * len(row) for row in doc[name]] if name == "features" else [bad] * len(doc[name])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps({"pair12": "equal", "n": 20, "seed": 2}))
+    code = run("--out", str(tmp_path), "apply", "--model", str(path), "--scenario", str(scen))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and f"{name} must hold JSON numbers" in captured.err

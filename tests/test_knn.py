@@ -437,3 +437,17 @@ def test_model_from_json_rejects_garbage():
     # an integer beyond the platform's index type is malformed, not a crash
     with pytest.raises(ValidationError, match="malformed model document"):
         model_from_json(json.dumps({**doc, "labels": [0, 2**70, 2]}))
+    # features, shift and scale are JSON numbers: strings and bools are
+    # refused, not coerced to floats
+    features = doc["features"]
+    for bad in ("0.5", True, None, [0.5]):
+        with pytest.raises(ValidationError, match="features must hold JSON numbers"):
+            model_from_json(json.dumps({**doc, "features": [features[0], [bad, *features[1][1:]], features[2]]}))
+        for name in ("shift", "scale"):
+            with pytest.raises(ValidationError, match=f"{name} must hold JSON numbers"):
+                model_from_json(json.dumps({**doc, name: [bad, *doc[name][1:]]}))
+    for name in ("features", "shift", "scale"):
+        with pytest.raises(ValidationError, match=f"{name} must be a JSON list"):
+            model_from_json(json.dumps({**doc, name: "1.0"}))
+    # integers are JSON numbers too
+    assert model_from_json(json.dumps({**doc, "scale": [1, 1, 1]})).scale.tolist() == [1.0] * 3
