@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--data", type=Path, required=True)
     u.add_argument("--mapping", choices=_MAPPINGS, required=True)
     u.add_argument("--n-iter", type=int, default=10)
-    u.add_argument("--folds", type=int, default=5)
+    u.add_argument("--folds", type=int, help="cross-validation folds (default: the "
+                   "config's folds, else 5)")
 
     e = sub.add_parser("evaluate", help="score a saved model on a dataset's validation split")
     e.add_argument("--model", type=Path, required=True)
@@ -116,6 +117,8 @@ def _load_config(path: Path | None) -> dict:
     for key, (types, what) in _CONFIG_TYPES.items():
         if key in doc and type(doc[key]) not in types:
             raise ValidationError(f"config key {key!r} must be {what}, got {doc[key]!r}")
+    if doc.get("folds", 2) < 2:
+        raise ValidationError(f"config key 'folds' must be >= 2, got {doc['folds']}")
     return doc
 
 
@@ -176,7 +179,8 @@ def _cmd_tune(args, cfg) -> int:
     subset = FEATURE_SUBSETS[args.mapping]
     x_train, y_train = ds.train
     res = random_search(x_train[:, subset], y_train, space=_space_from_config(cfg),
-                        n_iter=args.n_iter, seed=args.seed, folds=args.folds,
+                        n_iter=args.n_iter, seed=args.seed,
+                        folds=cfg.get("folds", 5) if args.folds is None else args.folds,
                         zscore=cfg.get("zscore", False))
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"tuning-{args.mapping}.json"

@@ -183,6 +183,10 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0.0 < train_frac < 1.0:
         raise DomainError(f"train_frac must be in (0, 1), got {train_frac}")
+    n_train = int(round(n * train_frac))
+    if not 0 < n_train < n:
+        raise DomainError(f"train_frac={train_frac} of n={n} leaves an empty "
+                          f"{'training' if n_train == 0 else 'validation'} split")
 
     children = np.random.SeedSequence(seed).spawn(n + 1)
     streams = [np.random.default_rng(c) for c in children[:n]]
@@ -214,7 +218,7 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
 
     perm = np.random.default_rng(children[n]).permutation(n)
     in_train = np.zeros(n, dtype=bool)
-    in_train[perm[:int(round(n * train_frac))]] = True
+    in_train[perm[:n_train]] = True
 
     meta = {
         "schema": "dataset-meta/1",

@@ -8,9 +8,17 @@ straightforward scalar reimplementation of those rules reproduces this
 module's predictions bit for bit, which is what the reference-oracle
 tests demand.
 
-Queries run in blocks. Each block's (b, N) distance matrix is read only
-to rank neighbors; votes are cast from the (b, k) neighbor (index,
-distance) pairs gathered once from it.
+Queries run in blocks of at most `_BLOCK_ELEMS` distances, filled into
+one buffer that every block of a call reuses. Each block's (b, N)
+distance matrix is read only to rank neighbors; votes are cast
+from the (b, k) neighbor (index, distance) pairs gathered once from it,
+as one table holding the votes of every neighbor-count prefix asked for.
+
+A model records which of its columns are bitwise copies of an earlier
+column (every dataset row has c3 == c1 and c4 == c2). When a block's
+query columns repeat the same way, each distinct per-column term is
+computed once and added again where its copies stand, so every distance
+keeps the column-order rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -39,12 +47,14 @@ FEATURE_SUBSETS = {
 
 MODEL_SCHEMA = "knn-model/1"
 
-# Query rows per distance block: the (block, N) distance matrix and the
-# ranking's (block, N) index array stay around 32 MB each for N up to 50k.
-_BLOCK_ELEMS = 4_194_304
-# Elements per row tile inside `_distance_block`: its two (tile, N) float
-# buffers, the distances and one scratch term, take 1 MB together and
-# stay in a per-core L2 cache.
+# Elements per distance block: the (block, N) distance matrix and the
+# ranking's (block, N) index array take at most 8 MiB each. At 32 MiB
+# glibc maps such an array fresh for every block and unmaps it when it is
+# freed, so every block faults all of its pages in again.
+_BLOCK_ELEMS = 1_048_576
+# Elements per row tile inside `_distance_block`: its (tile, N) float
+# buffers, the distances and one or two scratch terms, take 1-1.5 MB
+# together and stay in a per-core L2 cache.
 _TILE_ELEMS = 65_536
 
 
@@ -89,6 +99,8 @@ class KnnModel:
     feature_subset: tuple
     shift: np.ndarray
     scale: np.ndarray
+    # copies[j]: the first column bitwise equal to column j (j itself if none)
+    copies: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.features)
@@ -119,6 +131,14 @@ class KnnModel:
             raise ValidationError("shift and scale must be finite and scale nonzero")
         for arr in (self.features, self.labels, self.shift, self.scale):
             arr.setflags(write=False)
+        object.__setattr__(self, "copies", _copy_map(self.features))
+
+
+def _copy_map(x: np.ndarray) -> tuple:
+    """Per column of `x`, the first column holding the same bits."""
+    bits = x.view(np.int64)
+    return tuple(next(i for i in range(j + 1) if np.array_equal(bits[:, i], bits[:, j]))
+                 for j in range(x.shape[1]))
 
 
 def fit(features, labels, k: int = 5, weighting: str = "uniform",
@@ -151,28 +171,51 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
                     shift=shift, scale=scale)
 
 
-def _distance_block(train: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
+def _distance_block(train: np.ndarray, queries: np.ndarray, metric: str,
+                    copies: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
     # Feature-sequential accumulation: the rounding of every distance is
     # pinned by this column order. Column 0 lands in `out` directly, as
     # 0 + x == x for the non-negative terms. Query rows go in tiles so the
-    # tile's slice of `out` and the scratch `term` stay in cache across
-    # the columns.
+    # tile's slice of `out` and the scratch terms stay in cache across
+    # the columns. A column that copies an earlier one in both `train`
+    # (the model's `copies`) and this block's queries reuses that
+    # column's term, which then keeps a buffer of its own. A given `out`
+    # is filled and returned.
+    width = train.shape[1]
+    src = list(range(width))
+    if copies is not None:
+        bits = queries.view(np.int64)
+        for j, i in enumerate(copies):
+            if i != j and np.array_equal(bits[:, i], bits[:, j]):
+                src[j] = i
     cols = np.ascontiguousarray(train.T)
-    out = np.empty((queries.shape[0], train.shape[0]))
+    if out is None:
+        out = np.empty((queries.shape[0], train.shape[0]))
     step = max(1, _TILE_ELEMS // max(train.shape[0], 1))
-    term = np.empty((min(step, queries.shape[0]), train.shape[0]))
+    shape = (min(step, queries.shape[0]), train.shape[0])
+    kept = {i: np.empty(shape) for j, i in enumerate(src) if i != j}
+    # one scratch term serves every later column computed but not reused
+    scratch = any(src[j] == j and j not in kept for j in range(1, width))
+    term = np.empty(shape) if scratch else None
     for lo in range(0, queries.shape[0], step):
         acc = out[lo:lo + step]
-        tmp = term[:acc.shape[0]]
-        for j, col in enumerate(cols):
-            dst = tmp if j else acc
-            np.subtract(queries[lo:lo + step, j, None], col, out=dst)
-            if metric == "euclidean":
-                np.multiply(dst, dst, out=dst)
+        n = acc.shape[0]
+        for j, i in enumerate(src):
+            if i == j:
+                dst = kept[j][:n] if j in kept else term[:n] if j else acc
+                np.subtract(queries[lo:lo + step, j, None], cols[j], out=dst)
+                if metric == "euclidean":
+                    np.multiply(dst, dst, out=dst)
+                else:
+                    np.abs(dst, out=dst)
             else:
-                np.abs(dst, out=dst)
-            if j:
-                np.add(acc, tmp, out=acc)
+                dst = kept[i][:n]
+            if not j:
+                first = dst
+            elif j == 1:
+                np.add(first, dst, out=acc)
+            else:
+                np.add(acc, dst, out=acc)
         if metric == "euclidean":
             np.sqrt(acc, out=acc)
     return out
@@ -196,27 +239,42 @@ def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
 
 
 def _votes_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
-               weighting: str) -> np.ndarray:
-    """Per-class vote mass of (b, k) neighbor indices and their distances;
-    accumulation order is ascending training index."""
-    b = ranked.shape[0]
+               weighting: str, ks) -> np.ndarray:
+    """(len(ks), b, N_CLASSES) vote mass of the first k of the (b, kk)
+    ranked neighbor indices, for each k in `ks`; `nd` holds their
+    distances, ascending along each row.
+
+    Accumulation order is ascending training index: the pairs are sorted
+    by index once, and each prefix masks the pairs ranked at or beyond k
+    to a weight of +0.0, which leaves every sum unchanged.
+    """
+    b, kk = ranked.shape
+    order = np.argsort(ranked, axis=1)  # pair ranks, in training-index order
     rows = N_CLASSES * np.arange(b, dtype=np.intp)[:, None]
+    flat = (labels[np.take_along_axis(ranked, order, axis=1)] + rows).ravel()
     if weighting == "uniform":
         # Unit votes sum to exact integers in any order.
-        counts = np.bincount((labels[ranked] + rows).ravel(), minlength=b * N_CLASSES)
-        return counts.reshape(b, N_CLASSES).astype(float)
-    order = np.argsort(ranked, axis=1)
-    sel = np.take_along_axis(ranked, order, axis=1)
-    nd = np.take_along_axis(nd, order, axis=1)
-    zero = nd == 0.0
-    with np.errstate(divide="ignore"):
-        w = 1.0 / nd
-    hit = zero.any(axis=1)
-    # A query sitting on training points: those points outvote
-    # everything (finite weights cannot compete with an exact match).
-    w[hit] = zero[hit].astype(float)
-    return np.bincount((labels[sel] + rows).ravel(), weights=w.ravel(),
-                       minlength=b * N_CLASSES).reshape(b, N_CLASSES)
+        w = np.ones((b, kk))
+    else:
+        nd = np.take_along_axis(nd, order, axis=1)
+        zero = nd == 0.0
+        with np.errstate(divide="ignore"):
+            w = 1.0 / nd
+        # A query sitting on training points: those points outvote
+        # everything (finite weights cannot compete with an exact match).
+        # They rank first, so they are in every prefix.
+        hit = zero.any(axis=1)
+        w[hit] = zero[hit]
+    out = np.empty((len(ks), b, N_CLASSES))
+    for t, k in enumerate(ks):
+        out[t] = np.bincount(flat, weights=np.where(order < k, w, 0.0).ravel(),
+                             minlength=b * N_CLASSES).reshape(b, N_CLASSES)
+    return out
+
+
+def _block_rows(n_train: int) -> int:
+    """Query rows per distance block against `n_train` training rows."""
+    return max(16, _BLOCK_ELEMS // n_train)
 
 
 def _neighbors(model: KnnModel, queries):
@@ -229,16 +287,21 @@ def _neighbors(model: KnnModel, queries):
             f"queries must be (n, {model.features.shape[1]}), got {q.shape}"
         )
     q = (q - model.shift) / model.scale
-    step = max(16, _BLOCK_ELEMS // len(model.features))
+    step = _block_rows(len(model.features))
+    # One distance buffer for every block: freeing it after each block
+    # lets glibc trim the heap, and the next block faults it in again.
+    buf = np.empty((min(step, q.shape[0]), len(model.features)))
     for lo in range(0, q.shape[0], step):
-        dist = _distance_block(model.features, q[lo:lo + step], model.metric)
+        block = q[lo:lo + step]
+        dist = _distance_block(model.features, block, model.metric, model.copies,
+                               buf[:len(block)])
         ranked = _ranked_neighbors(dist, model.k)
         yield lo, ranked, np.take_along_axis(dist, ranked, axis=1)
 
 
 def _votes(model: KnnModel, queries) -> np.ndarray:
     """(n, N_CLASSES) vote mass per query, computed block by block."""
-    out = [_votes_for(ranked, nd, model.labels, model.weighting)
+    out = [_votes_for(ranked, nd, model.labels, model.weighting, (model.k,))[0]
            for _, ranked, nd in _neighbors(model, queries)]
     return np.vstack(out) if out else np.zeros((0, N_CLASSES))
 
@@ -365,9 +428,10 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
 
     Every candidate is scored with the same seeded folds, so the result
     equals an exhaustive grid restricted to the sampled combinations.
-    Neighbor tables are shared across candidates per (metric, fold):
-    the ranked-neighbor prefix of length k reproduces exactly what a
-    standalone kfold_accuracy call computes.
+    Neighbor tables are shared across candidates per (metric, fold), and
+    each block casts one vote table per weighting for all of its
+    candidates' k: the ranked-neighbor prefix of length k reproduces
+    exactly what a standalone kfold_accuracy call computes.
     """
     if n_iter < 1:
         raise DomainError(f"n_iter must be >= 1, got {n_iter}")
@@ -396,14 +460,19 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
             group = [hp for hp in scorable if hp.metric == metric]
             if not group:
                 continue
+            ks_of = {w: sorted(hp.k for hp in group if hp.weighting == w) for w in WEIGHTINGS}
             kk = max(hp.k for hp in group)
             model = fit(features[rest], labels[rest], k=kk, metric=metric, zscore=zscore)
             for lo, ranked, nd in _neighbors(model, features[held]):
                 y_blk = y_held[lo:lo + len(ranked)]
-                for hp in group:
-                    votes = _votes_for(ranked[:, :hp.k], nd[:, :hp.k], model.labels,
-                                       hp.weighting)
-                    fold_correct[hp][i] += np.sum(np.argmax(votes, axis=1) == y_blk)
+                for weighting, ks in ks_of.items():
+                    if not ks:
+                        continue
+                    table = _votes_for(ranked[:, :ks[-1]], nd[:, :ks[-1]], model.labels,
+                                       weighting, ks)
+                    correct = np.sum(np.argmax(table, axis=2) == y_blk, axis=1)
+                    for k, c in zip(ks, correct):
+                        fold_correct[Hyperparams(k, weighting, metric)][i] += c
 
     sizes = np.array([len(held) for _, held in splits], dtype=float)
     trials = tuple(

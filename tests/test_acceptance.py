@@ -177,7 +177,7 @@ def test_criterion_06_classifier_accuracy(pipelines):
     assert wall < 600.0
 
 
-def test_criterion_07_per_class_pattern(pipelines):
+def test_criterion_07_per_class_pattern(big_dataset, pipelines):
     runs, _ = pipelines
     ok = True
     details = []
@@ -187,8 +187,13 @@ def test_criterion_07_per_class_pattern(pipelines):
         ordered = f[0] > f[3] > f[2] > f[1]
         bands = abs(f[0] - 93.0) <= 3.0 and abs(f[1] - 69.0) <= 5.0
         ok = ok and ordered and bands
+    # when c3 and c4 repeat c1 and c2, f1 counts each of f3's distance terms twice
+    copies = fit(big_dataset.features, big_dataset.labels, k=1).copies
+    same = ["no", "yes"]
     _verdict(7, "per-class metric pattern", ok,
-             "; ".join(details) + " (need F0>F3>F2>F1, F0 in 93+-3, F1 in 69+-5)")
+             "; ".join(details) + " (need F0>F3>F2>F1, F0 in 93+-3, F1 in 69+-5); "
+             f"bitwise on all {len(big_dataset)} rows: c3 == c1 {same[copies[2] == 0]}, "
+             f"c4 == c2 {same[copies[3] == 1]}")
     assert ok, (
         "per-class F pattern not reproduced: " + "; ".join(details)
         + " -- in this feature geometry class 3 is the best-resolved class, "

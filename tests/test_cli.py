@@ -250,6 +250,51 @@ def test_config_rejects_bad_values(workdir, tmp_path, capsys, cfg, command, key)
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("folds", [1, 0, -3])
+@pytest.mark.parametrize("command", ["tune", "sweep"])
+def test_config_rejects_too_few_folds(workdir, tmp_path, capsys, monkeypatch, command, folds):
+    from artifact import cli
+
+    def no_generate(*args, **kwargs):
+        raise AssertionError("config must be rejected before any dataset is generated")
+
+    monkeypatch.setattr(cli, "run_size_sweep", no_generate)
+    assert _run_with_config(workdir, tmp_path, {"folds": folds}, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'folds' must be >= 2" in err
+    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "tuning-f3.json").exists()
+
+
+def test_tune_takes_folds_from_flag_then_config(workdir, tmp_path):
+    data = str(workdir / "dataset.csv")
+
+    def tuning(name, cfg, *flags):
+        out = tmp_path / name
+        argv = ["--out", str(out)]
+        if cfg is not None:
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+            argv += ["--config", str(tmp_path / f"{name}.json")]
+        assert run(*argv, "tune", "--data", data, "--mapping", "f3", "--n-iter", "4", *flags) == 0
+        return (out / "tuning-f3.json").read_bytes()
+
+    default = tuning("default", None)
+    ten = tuning("flag-ten", None, "--folds", "10")
+    assert ten != default
+    assert tuning("config-ten", {"folds": 10}) == ten
+    assert tuning("config-five", {"folds": 5}) == default
+    # the flag wins over the config
+    assert tuning("both", {"folds": 10}, "--folds", "5") == default
+
+
+@pytest.mark.parametrize("train_frac", [0.0001, 0.9999])
+def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train_frac": train_frac}))
+    assert run("--config", str(cfg), "--out", str(tmp_path), "gen-data", "--n", "50") == 2
+    assert "empty" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.csv").exists()
+
+
 def _truncate(doc, name):
     doc[name] = doc[name][:-1]
 

@@ -127,6 +127,21 @@ def test_generate_validation():
         generate(10, seed=1, train_frac=1.0)
 
 
+@pytest.mark.parametrize("n,train_frac,split", [
+    (50, 0.0001, "training"), (50, 0.0099, "training"), (50, 0.9999, "validation"),
+    (1, 0.7, "validation"), (1, 0.3, "training"),
+])
+def test_generate_rejects_an_empty_split(n, train_frac, split):
+    with pytest.raises(DomainError, match=f"empty {split} split"):
+        generate(n, seed=1, train_frac=train_frac)
+
+
+def test_generate_keeps_both_splits_at_the_edges():
+    # one row is enough on either side
+    assert generate(50, seed=1, train_frac=0.011).in_train.sum() == 1
+    assert generate(50, seed=1, train_frac=0.989).in_train.sum() == 49
+
+
 def test_generation_quality_budget(monkeypatch):
     # force every draw to look degenerate; the 10% budget must trip
     def always_degenerate(varied, fixed):

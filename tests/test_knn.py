@@ -237,21 +237,90 @@ def test_distance_block_matches_scalar_loop(metric, tile, rng, monkeypatch):
     assert knn._distance_block(train_x, query, metric)[0, 0] == 0.0
 
 
+def _copied_problem(rng, layout, n, q):
+    """Training and query rows whose columns repeat as `layout` says:
+    column j holds a copy of column layout[j]."""
+    train_x, train_y, query = _random_problem(rng, n, q)
+    return train_x[:, layout], train_y, query[:, layout]
+
+
+@pytest.mark.parametrize("tile", [None, 1, 200])
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+@pytest.mark.parametrize("layout", [(0, 1, 0, 1), (0, 1, 0)], ids=["f1", "f2"])
+def test_copy_aware_distances_match_scalar_loop(layout, metric, tile, rng, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(knn, "_TILE_ELEMS", tile)
+    train_x, _, query = _copied_problem(rng, layout, 90, 41)
+    copies = fit(train_x, np.zeros(90, dtype=int)).copies
+    assert copies == layout
+    off = query.copy()
+    off[:, 2] = np.nextafter(off[:, 0], np.inf)  # one ulp off the sheet
+    mixed = np.vstack([query[:20], off[20:]])
+    for q in (query, off, mixed, query[:1], off[:1]):
+        got = knn._distance_block(train_x, q, metric, copies)
+        assert got.tobytes() == _scalar_distances(train_x, q, metric).tobytes()
+
+
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_copy_aware_blocks_match_reference(metric, rng, monkeypatch):
+    # several blocks, some of whose query columns copy the model's and
+    # some not, through the whole neighbor loop
+    monkeypatch.setattr(knn, "_BLOCK_ELEMS", 1)  # 16-row blocks
+    monkeypatch.setattr(knn, "_TILE_ELEMS", 200)
+    train_x, train_y, query = _copied_problem(rng, (0, 1, 0, 1), 90, 64)
+    query[16:32, 3] = np.nextafter(query[16:32, 1], -np.inf)
+    query[40, 2] += 0.01
+    model = fit(train_x, train_y, k=7, weighting="distance", metric=metric)
+    assert model.copies == (0, 1, 0, 1)
+    assert [lo for lo, _, _ in knn._neighbors(model, query)] == [0, 16, 32, 48]
+    proba = predict_proba_batch(model, query)
+    for i, q in enumerate(query):
+        want = _ref_proba(train_x, train_y, q, 7, "distance", metric)
+        assert proba[i].tobytes() == want.tobytes(), i
+
+
+def test_copy_map_is_bitwise():
+    x = np.array([[1.0, 0.0, 1.0, -0.0], [2.0, 3.0, 2.0, 3.0]])
+    assert fit(x, [0, 1], k=1).copies == (0, 1, 0, 3)  # -0.0 is not a copy of 0.0
+    assert fit(x, [0, 1], k=1, feature_subset=(2, 0)).copies == (0, 0)
+    model = fit(x, [0, 1], k=1, feature_subset=(0, 1, 2))
+    assert model_from_json(model_to_json(model)).copies == (0, 1, 0)
+
+
+@pytest.mark.parametrize("n_train", [2_800, 35_000, 50_000])
+def test_block_arrays_stay_under_the_allocator_ceiling(n_train):
+    # (b, N) float64 distances and intp ranking indices of one block:
+    # glibc returns arrays of 32 MiB or more to the kernel when they are
+    # freed, so every block would fault its pages in again
+    rows = knn._block_rows(n_train)
+    assert rows >= 16
+    assert rows * n_train * 8 <= 8 * 2**20 < 32 * 2**20
+
+
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 def test_votes_from_pairs_match_full_matrix(metric, weighting, rng):
     train_x, train_y, query = _random_problem(rng, 90, 60)
+    train_x[5] = query[3]  # a second row sitting on a training point
     dist = knn._distance_block(train_x, query, metric)
+    assert np.sum(dist == 0.0) >= 2
     straddled = 0
     for k in (1, 4, 9, 30, 90):
         ranked = knn._ranked_neighbors(dist, k)
         kth = np.take_along_axis(dist, ranked[:, -1:], axis=1)
         straddled += int(np.sum((dist <= kth).sum(axis=1) > k))
         nd = np.take_along_axis(dist, ranked, axis=1)
-        for j in range(1, k + 1):  # the prefixes random_search scores
-            got = knn._votes_for(ranked[:, :j], nd[:, :j], train_y, weighting)
+        prefixes = range(1, k + 1)  # the prefixes random_search scores
+        table = knn._votes_for(ranked, nd, train_y, weighting, prefixes)
+        assert table.shape == (k, len(query), N_CLASSES)
+        for j in prefixes:
             want = full_matrix_votes(ranked[:, :j], dist, train_y, weighting)
-            assert got.tobytes() == want.tobytes(), (k, j)
+            assert table[j - 1].tobytes() == want.tobytes(), (k, j)
+            one = knn._votes_for(ranked[:, :j], nd[:, :j], train_y, weighting, (j,))
+            assert one[0].tobytes() == want.tobytes(), (k, j)
+        some = (k, 1) if k > 1 else (1,)  # any subset, in any order
+        picked = knn._votes_for(ranked, nd, train_y, weighting, some)
+        assert picked.tobytes() == table[[j - 1 for j in some]].tobytes()
     assert straddled > 0  # rows whose ties straddle the k-th rank were exercised
 
 
