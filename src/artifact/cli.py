@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DEFAULT_RANGES, ParamRanges, generate, read_csv, write_csv
+from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate, read_csv, write_csv
 from .engine import EngineParams
 from .errors import ArtifactError, ValidationError
 from .experiments import ScenarioSpec, run_scenario, run_size_sweep, sweep_csv, sweep_gnuplot
-from .knn import (FEATURE_SUBSETS, HyperSpace, fit, model_from_json, model_to_json,
+from .knn import (FEATURE_SUBSETS, N_CLASSES, HyperSpace, fit, model_from_json, model_to_json,
                   predict_batch, random_search, single_shot_accuracy)
 from .metrics import accuracy, confusion_matrix, render_class_metrics, render_confusion
 from .trajectories import check_run, compare_with_analytic
@@ -33,6 +33,22 @@ def _read_text(path: Path, what: str) -> str:
         return path.read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}")
+
+
+def _write(out: Path, name: str, content) -> Path:
+    """Write `content`, text or a Dataset (CSV plus sidecar), to `out/name`,
+    creating `out`; a write that fails exits 2."""
+    path = out / name
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, Dataset):
+            write_csv(content, path)
+        else:
+            path.write_text(content)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
+    return path
+
 
 _MAPPINGS = tuple(sorted(FEATURE_SUBSETS))
 
@@ -63,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--data", type=Path, required=True)
     u.add_argument("--mapping", choices=_MAPPINGS, required=True)
     u.add_argument("--n-iter", type=int, default=10)
-    u.add_argument("--folds", type=int, help="cross-validation folds (default: the "
-                   "config's folds, else 5)")
 
     e = sub.add_parser("evaluate", help="score a saved model on a dataset's validation split")
     e.add_argument("--model", type=Path, required=True)
@@ -87,54 +101,66 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_KEYS = ("ranges", "train_frac", "zscore", "space", "folds")
-_SPACE_KEYS = ("k_range", "weightings", "metrics")
-
-# JSON type of each scalar config value; bools are not numbers here.
-_CONFIG_TYPES = {"train_frac": ((int, float), "a number"),
-                 "zscore": ((bool,), "true or false"),
-                 "folds": ((int,), "an integer")}
-
-
 def _reject_unknown(doc: dict, known: tuple, where: str) -> None:
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ValidationError(f"unknown {where} key {unknown[0]!r}; expected one of {known}")
 
 
+def _scalar(key: str, types: tuple, what: str, rule: str = "", holds=lambda v: True):
+    """Parser of a scalar config value: its JSON type (bools are not
+    numbers here), then the rule its value must meet."""
+    def parse(value):
+        if type(value) not in types:
+            raise ValidationError(f"config key {key!r} must be {what}, got {value!r}")
+        if not holds(value):
+            raise ValidationError(f"config key {key!r} must be {rule}, got {value!r}")
+        return value
+    return parse
+
+
+def _space(doc) -> HyperSpace:
+    if type(doc) is not dict:
+        raise ValidationError(f"config key 'space' must be a JSON object, got {doc!r}")
+    _reject_unknown(doc, ("k_range", "weightings", "metrics"), "space")
+    for key, value in doc.items():
+        if type(value) is not list:
+            raise ValidationError(f"space key {key!r} must be a JSON list, got {value!r}")
+    return HyperSpace(**{key: tuple(value) for key, value in doc.items()})
+
+
+# Every config key: its setting when the config leaves it out, and the
+# parser from the JSON value to the checked setting.
+_CONFIG = {
+    "ranges": (DEFAULT_RANGES, ParamRanges.from_dict),
+    "train_frac": (0.70, _scalar("train_frac", (int, float), "a number",
+                                 "in (0, 1)", lambda v: 0.0 < v < 1.0)),
+    "zscore": (False, _scalar("zscore", (bool,), "true or false")),
+    "space": (HyperSpace(), _space),
+    "folds": (5, _scalar("folds", (int,), "an integer", ">= 2", lambda v: v >= 2)),
+}
+
+
 def _load_config(path: Path | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ValidationError("config must be a JSON object")
-    _reject_unknown(doc, _CONFIG_KEYS, "config")
-    for key, (types, what) in _CONFIG_TYPES.items():
-        if key in doc and type(doc[key]) not in types:
-            raise ValidationError(f"config key {key!r} must be {what}, got {doc[key]!r}")
-    if doc.get("folds", 2) < 2:
-        raise ValidationError(f"config key 'folds' must be >= 2, got {doc['folds']}")
-    return doc
-
-
-def _config_ranges(cfg: dict) -> ParamRanges:
-    if "ranges" in cfg:
-        return ParamRanges.from_dict(cfg["ranges"])
-    return DEFAULT_RANGES
+    """The setting of every config key, read from `path` or defaulted;
+    a malformed value exits 2 whichever command runs."""
+    doc = {}
+    if path is not None:
+        try:
+            doc = json.loads(_read_text(path, "config"))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config {path} is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise ValidationError("config must be a JSON object")
+        _reject_unknown(doc, tuple(_CONFIG), "config")
+    return {key: parse(doc[key]) if key in doc else default
+            for key, (default, parse) in _CONFIG.items()}
 
 
 def _cmd_gen_data(args, cfg) -> int:
-    ds = generate(args.n, ranges=_config_ranges(cfg), seed=args.seed,
-                  train_frac=cfg.get("train_frac", 0.70))
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{args.name}.csv"
-    write_csv(ds, path)
-    counts = np.bincount(ds.labels, minlength=4)
+    ds = generate(args.n, ranges=cfg["ranges"], seed=args.seed, train_frac=cfg["train_frac"])
+    path = _write(args.out, f"{args.name}.csv", ds)
+    counts = np.bincount(ds.labels, minlength=N_CLASSES)
     print(f"wrote {len(ds)} samples to {path}")
     print(f"class counts: {counts.tolist()}, redraws: {ds.meta['redraws']}")
     return 0
@@ -146,11 +172,8 @@ def _cmd_train(args, cfg) -> int:
     x_train, y_train = ds.train
     x_val, y_val = ds.validation
     model = fit(x_train, y_train, k=args.k, weighting=args.weighting,
-                metric=args.metric, feature_subset=subset,
-                zscore=cfg.get("zscore", False))
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"model-{args.mapping}.json"
-    path.write_text(model_to_json(model) + "\n")
+                metric=args.metric, feature_subset=subset, zscore=cfg["zscore"])
+    path = _write(args.out, f"model-{args.mapping}.json", model_to_json(model) + "\n")
     print(f"mapping {args.mapping}: k={args.k}, {args.weighting}, {args.metric}")
     print(f"train accuracy: {single_shot_accuracy(model, x_train[:, subset], y_train):.4f}")
     print(f"validation accuracy: {single_shot_accuracy(model, x_val[:, subset], y_val):.4f}")
@@ -158,33 +181,13 @@ def _cmd_train(args, cfg) -> int:
     return 0
 
 
-def _space_from_config(cfg: dict) -> HyperSpace:
-    doc = cfg.get("space")
-    if not doc:
-        return HyperSpace()
-    if not isinstance(doc, dict):
-        raise ValidationError("config key 'space' must be a JSON object")
-    _reject_unknown(doc, _SPACE_KEYS, "space")
-    kwargs = {}
-    for key in _SPACE_KEYS:
-        if key in doc:
-            if type(doc[key]) is not list:
-                raise ValidationError(f"space key {key!r} must be a JSON list, got {doc[key]!r}")
-            kwargs[key] = tuple(doc[key])
-    return HyperSpace(**kwargs)
-
-
 def _cmd_tune(args, cfg) -> int:
     ds = read_csv(args.data)
     subset = FEATURE_SUBSETS[args.mapping]
     x_train, y_train = ds.train
-    res = random_search(x_train[:, subset], y_train, space=_space_from_config(cfg),
-                        n_iter=args.n_iter, seed=args.seed,
-                        folds=cfg.get("folds", 5) if args.folds is None else args.folds,
-                        zscore=cfg.get("zscore", False))
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"tuning-{args.mapping}.json"
-    path.write_text(json.dumps({
+    res = random_search(x_train[:, subset], y_train, space=cfg["space"], n_iter=args.n_iter,
+                        seed=args.seed, folds=cfg["folds"], zscore=cfg["zscore"])
+    path = _write(args.out, f"tuning-{args.mapping}.json", json.dumps({
         "mapping": args.mapping,
         "best": res.best._asdict(),
         "best_score": res.best_score,
@@ -206,14 +209,13 @@ def _cmd_evaluate(args, cfg) -> int:
                               f"dataset's {x_val.shape[1]} features")
     preds = predict_batch(model, x_val[:, model.feature_subset])
     chi = confusion_matrix(preds, y_val)
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "confusion.txt").write_text(render_confusion(chi) + "\n")
-    (args.out / "class-metrics.csv").write_text(render_class_metrics(chi))
+    confusion = _write(args.out, "confusion.txt", render_confusion(chi) + "\n")
+    metrics = _write(args.out, "class-metrics.csv", render_class_metrics(chi))
     print(f"validation accuracy: {accuracy(chi):.4f}")
     print(render_confusion(chi))
     print()
     print(render_class_metrics(chi), end="")
-    print(f"wrote {args.out / 'confusion.txt'} and {args.out / 'class-metrics.csv'}")
+    print(f"wrote {confusion} and {metrics}")
     return 0
 
 
@@ -221,9 +223,7 @@ def _cmd_apply(args, cfg) -> int:
     model = model_from_json(_read_text(args.model, "model"))
     spec = ScenarioSpec.from_json(_read_text(args.scenario, "scenario"))
     res = run_scenario(model, spec)
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "scenario-result.json"
-    path.write_text(json.dumps({
+    path = _write(args.out, "scenario-result.json", json.dumps({
         "spec": spec.to_dict(),
         "unit_counts": list(res.unit_counts),
         "mean_proba": list(res.mean_proba),
@@ -244,12 +244,11 @@ def _cmd_sweep(args, cfg) -> int:
     except ValueError:
         raise ValidationError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     rows = run_size_sweep(sizes, mapping=args.mapping, seed=args.seed,
-                          ranges=_config_ranges(cfg), folds=cfg.get("folds", 5))
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "sweep.csv").write_text(sweep_csv(rows))
-    (args.out / "sweep.dat").write_text(sweep_gnuplot(rows))
+                          ranges=cfg["ranges"], folds=cfg["folds"])
+    csv = _write(args.out, "sweep.csv", sweep_csv(rows))
+    dat = _write(args.out, "sweep.dat", sweep_gnuplot(rows))
     print(sweep_csv(rows), end="")
-    print(f"wrote {args.out / 'sweep.csv'} and {args.out / 'sweep.dat'}")
+    print(f"wrote {csv} and {dat}")
     return 0
 
 
@@ -261,11 +260,10 @@ def _cmd_oracle_check(args, cfg) -> int:
     print(f"{'t_c':>6} {'t_h':>6} {'t_l':>6} | {'analytic':>10} {'empirical mean':>22} {'z':>5} "
           f"| {'analytic':>10} {'empirical var':>22} {'z':>5}")
     worst = 0.0
+    r = DEFAULT_RANGES
     for _ in range(args.draws):
-        params = EngineParams(
-            t_c=rng.uniform(0.4, 2.5), t_h=rng.uniform(3.0, 4.5),
-            t_l=rng.uniform(1.0, 7.0),
-        )
+        params = EngineParams(t_c=rng.uniform(*r.t_c), t_h=rng.uniform(*r.t_h),
+                              t_l=rng.uniform(*r.t_l))
         row = compare_with_analytic(params, args.t_final, args.n_traj, args.seed)
         st = row["stats"]
         worst = max(worst, row["z_mean"], row["z_var"])
@@ -291,8 +289,9 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return _DISPATCH[args.command](args, cfg)
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        return _DISPATCH[args.command](args, _load_config(args.config))
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

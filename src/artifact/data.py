@@ -83,19 +83,12 @@ DEFAULT_RANGES = ParamRanges()
 _CLASS_EDGES = (0.25, 0.50, 0.75)
 
 
-def label_of(p_h: float) -> int:
-    """Quartile class of the hot-bath coherence strength.
+def _labels_of(p_h):
+    """Quartile class of hot-bath coherence strengths in [0, 1].
 
     Intervals are closed below and open above, except the last which
     absorbs the endpoint 1.0.
     """
-    if not 0.0 <= p_h <= 1.0:
-        raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
-    return int(_labels_of(p_h))
-
-
-def _labels_of(p_h):
-    """label_of over p_h values inside [0, 1]."""
     return np.searchsorted(_CLASS_EDGES, p_h, side="right")
 
 
@@ -107,7 +100,7 @@ def _check_row(features: tuple, label: int, varied: list, fixed: dict) -> None:
         raise ValidationError(str(exc))
     if not all(math.isfinite(c) for c in features):
         raise ValidationError(f"features must be 4 finite values, got {features}")
-    if label != label_of(params.p_h):
+    if label != _labels_of(params.p_h):
         raise ValidationError(f"label {label} inconsistent with p_h={params.p_h}")
 
 
@@ -253,8 +246,11 @@ def write_csv(ds: Dataset, path) -> None:
     rows = zip(ds.features.tolist(), ds.labels.tolist(), ds.params.tolist(),
                np.where(ds.in_train, "train", "val").tolist())
     lines = [CSV_HEADER] + [_ROW.format(*f, y, *p, s) for f, y, p, s in rows]
-    path.write_text("\n".join(lines) + "\n")
-    meta_path(path).write_text(json.dumps(ds.meta, indent=2, sort_keys=True) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+        meta_path(path).write_text(json.dumps(ds.meta, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
 
 
 def _parse_line(raw: str, lineno: int) -> tuple:

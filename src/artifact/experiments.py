@@ -143,17 +143,11 @@ def sample_scenario_features(spec: ScenarioSpec, width: int) -> np.ndarray:
         )
     rng = np.random.default_rng(spec.seed)
     c1, c2 = _draw_pair(rng, spec.ranges[0], spec.ranges[1], spec.pair12, spec.n)
-    cols = [c1, c2]
-    if width == 3:
-        cols.append(_uniform(rng, spec.ranges[2], spec.n))
-    elif width == 4:
-        if spec.pair34 == "absent":
-            cols.append(_uniform(rng, spec.ranges[2], spec.n))
-            cols.append(_uniform(rng, spec.ranges[3], spec.n))
-        else:
-            c3, c4 = _draw_pair(rng, spec.ranges[2], spec.ranges[3], spec.pair34, spec.n)
-            cols.extend([c3, c4])
-    return np.column_stack(cols)
+    if spec.pair34 != "absent":
+        rest = _draw_pair(rng, spec.ranges[2], spec.ranges[3], spec.pair34, spec.n)
+    else:
+        rest = [_uniform(rng, r, spec.n) for r in spec.ranges[2:width]]
+    return np.column_stack([c1, c2, *rest])
 
 
 def run_scenario(model: KnnModel, spec: ScenarioSpec) -> ScenarioResult:

@@ -172,25 +172,22 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
 
 
 def _distance_block(train: np.ndarray, queries: np.ndarray, metric: str,
-                    copies: tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
+                    copies: tuple, out: np.ndarray) -> np.ndarray:
     # Feature-sequential accumulation: the rounding of every distance is
     # pinned by this column order. Column 0 lands in `out` directly, as
     # 0 + x == x for the non-negative terms. Query rows go in tiles so the
     # tile's slice of `out` and the scratch terms stay in cache across
     # the columns. A column that copies an earlier one in both `train`
     # (the model's `copies`) and this block's queries reuses that
-    # column's term, which then keeps a buffer of its own. A given `out`
-    # is filled and returned.
+    # column's term, which then keeps a buffer of its own. `out` is
+    # filled and returned.
     width = train.shape[1]
     src = list(range(width))
-    if copies is not None:
-        bits = queries.view(np.int64)
-        for j, i in enumerate(copies):
-            if i != j and np.array_equal(bits[:, i], bits[:, j]):
-                src[j] = i
+    bits = queries.view(np.int64)
+    for j, i in enumerate(copies):
+        if i != j and np.array_equal(bits[:, i], bits[:, j]):
+            src[j] = i
     cols = np.ascontiguousarray(train.T)
-    if out is None:
-        out = np.empty((queries.shape[0], train.shape[0]))
     step = max(1, _TILE_ELEMS // max(train.shape[0], 1))
     shape = (min(step, queries.shape[0]), train.shape[0])
     kept = {i: np.empty(shape) for j, i in enumerate(src) if i != j}

@@ -259,13 +259,11 @@ def simulate(proc, t_final, n_traj, seed, initial=None):
     loo_var = (loo_sq - (n - 1) * loo_mean**2) / (n - 2)
     se_var = np.sqrt((n - 1) / n * np.sum((loo_var - loo_var.mean()) ** 2))
     return TrajectoryStats(
-        t_final=float(t_final),
         n_traj=n_traj,
         mean_rate=mean / t_final,
         mean_se=float(se_mean) / t_final,
         var_rate=var / t_final,
         var_se=float(se_var) / t_final,
-        seed=seed,
     )
 
 

@@ -207,6 +207,8 @@ def _run_with_config(workdir, tmp_path, cfg, command):
     path.write_text(json.dumps(cfg))
     extra = {"train": ["--data", str(workdir / "dataset.csv"), "--mapping", "f3", "--k", "3"],
              "tune": ["--data", str(workdir / "dataset.csv"), "--mapping", "f3", "--n-iter", "2"],
+             "evaluate": ["--model", str(workdir / "model-f3.json"),
+                          "--data", str(workdir / "dataset.csv")],
              "gen-data": ["--n", "20"],
              "sweep": ["--mapping", "f3", "--sizes", "60"]}[command]
     return run("--out", str(tmp_path), "--config", str(path), command, *extra)
@@ -240,14 +242,26 @@ def test_config_rejects_unknown_keys(workdir, tmp_path, capsys, cfg, command, ke
     ({"space": {"k_range": [3, 3], "weightings": ["uniform"], "metrics": ["euclidean"]}},
      "tune", "k_range"),
     ({"space": {"weightings": ["distance", "distance"]}}, "tune", "weightings"),
+    ({"space": []}, "tune", "space"),
+    ({"space": None}, "tune", "space"),
+    ({"space": 0}, "tune", "space"),
+    ({"space": ""}, "tune", "space"),
+    ({"space": False}, "tune", "space"),
+    # every key is checked at load, also one the command does not read
+    ({"ranges": 5}, "train", "ranges"),
+    ({"space": [1]}, "evaluate", "space"),
+    ({"train_frac": 7}, "tune", "train_frac"),
 ], ids=["zscore-string", "zscore-int", "train-frac-string", "train-frac-bool", "folds-string",
         "folds-float", "range-one-number", "range-scalar", "range-string-bound", "ranges-list",
         "k-range-string", "k-range-fraction", "k-range-scalar", "metrics-string",
-        "k-range-duplicate", "weightings-duplicate"])
+        "k-range-duplicate", "weightings-duplicate", "space-empty-list", "space-null",
+        "space-zero", "space-empty-string", "space-false", "unread-ranges", "unread-space",
+        "unread-train-frac"])
 def test_config_rejects_bad_values(workdir, tmp_path, capsys, cfg, command, key):
     assert _run_with_config(workdir, tmp_path, cfg, command) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and key in captured.err
+    assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("folds", [1, 0, -3])
@@ -265,25 +279,53 @@ def test_config_rejects_too_few_folds(workdir, tmp_path, capsys, monkeypatch, co
     assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "tuning-f3.json").exists()
 
 
-def test_tune_takes_folds_from_flag_then_config(workdir, tmp_path):
+def test_tune_takes_folds_from_config(workdir, tmp_path):
     data = str(workdir / "dataset.csv")
 
-    def tuning(name, cfg, *flags):
+    def tuning(name, cfg):
         out = tmp_path / name
         argv = ["--out", str(out)]
         if cfg is not None:
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
             argv += ["--config", str(tmp_path / f"{name}.json")]
-        assert run(*argv, "tune", "--data", data, "--mapping", "f3", "--n-iter", "4", *flags) == 0
+        assert run(*argv, "tune", "--data", data, "--mapping", "f3", "--n-iter", "4") == 0
         return (out / "tuning-f3.json").read_bytes()
 
     default = tuning("default", None)
-    ten = tuning("flag-ten", None, "--folds", "10")
-    assert ten != default
-    assert tuning("config-ten", {"folds": 10}) == ten
+    assert tuning("config-ten", {"folds": 10}) != default
     assert tuning("config-five", {"folds": 5}) == default
-    # the flag wins over the config
-    assert tuning("both", {"folds": 10}, "--folds", "5") == default
+
+
+def test_tune_has_no_folds_flag(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("tune", "--data", str(workdir / "dataset.csv"), "--mapping", "f3", "--folds", "5")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["gen-data", "tune", "sweep", "oracle-check"])
+def test_negative_seed_exits_2(workdir, tmp_path, capsys, command):
+    extra = {"gen-data": ["--n", "20"],
+             "tune": ["--data", str(workdir / "dataset.csv"), "--mapping", "f3", "--n-iter", "2"],
+             "sweep": ["--mapping", "f3", "--sizes", "60"],
+             "oracle-check": ["--draws", "1", "--t-final", "500", "--n-traj", "12"]}[command]
+    assert run("--seed", "-1", "--out", str(tmp_path / "o"), command, *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--seed must be >= 0" in captured.err
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "gen-data-subdir"])
+def test_unwritable_output_exits_2(workdir, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {"gen-data": ["--out", str(blocker), "gen-data", "--n", "20"],
+            "train": ["--out", str(blocker), "train", "--data", str(workdir / "dataset.csv"),
+                      "--mapping", "f3", "--k", "3"],
+            "gen-data-subdir": ["--out", str(tmp_path), "gen-data", "--n", "20",
+                                "--name", "sub/x"]}[command]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 @pytest.mark.parametrize("train_frac", [0.0001, 0.9999])

@@ -12,7 +12,6 @@ from artifact.data import (
     Dataset,
     ParamRanges,
     generate,
-    label_of,
     meta_path,
     read_csv,
     write_csv,
@@ -40,21 +39,15 @@ def _same_columns(a, b):
 # --- labels -----------------------------------------------------------------
 
 def test_label_quartiles():
-    assert label_of(0.0) == 0
-    assert label_of(0.24999) == 0
-    assert label_of(0.25) == 1  # boundary belongs to the upper bin
-    assert label_of(0.49) == 1
-    assert label_of(0.50) == 2
-    assert label_of(0.74) == 2
-    assert label_of(0.75) == 3
-    assert label_of(1.0) == 3
+    p_h = [0.0, 0.24999, 0.25, 0.49, 0.50, 0.74, 0.75, 1.0]
+    # a boundary belongs to the upper bin; the last bin absorbs 1.0
+    assert data_mod._labels_of(p_h).tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_label_domain():
-    with pytest.raises(DomainError):
-        label_of(-0.01)
-    with pytest.raises(DomainError):
-        label_of(1.01)
+    for p_h in (-0.01, 1.01):
+        with pytest.raises(DomainError, match="p_h"):
+            Dataset(np.ones((1, 4)), [3], [[1.0, 3.5, 2.0, 0.1, p_h]], [True])
 
 
 # --- ranges -----------------------------------------------------------------
@@ -110,7 +103,7 @@ def test_label_balance(small_dataset):
 def test_labels_recomputable_from_params(small_dataset):
     ds = small_dataset
     for i in range(50):
-        assert ds.labels[i] == label_of(ds.params[i, 4])
+        assert ds.labels[i] == data_mod._labels_of(ds.params[i, 4])
 
 
 def test_samples_nest_across_sizes():
@@ -292,6 +285,14 @@ def test_read_csv_error_reporting(tmp_path):
         read_csv(tmp_path / "missing.csv")
 
 
+def test_write_csv_maps_write_errors(tmp_path, small_dataset):
+    with pytest.raises(ValidationError, match="cannot write .*missing"):
+        write_csv(small_dataset, tmp_path / "missing" / "a.csv")
+    (tmp_path / "a.csv").mkdir()  # a directory where the CSV should go
+    with pytest.raises(ValidationError, match="cannot write"):
+        write_csv(small_dataset, tmp_path / "a.csv")
+
+
 def test_read_csv_rejects_inconsistent_label(tmp_path):
     # label column must match the recomputed quartile of p_h
     p = tmp_path / "bad.csv"
@@ -359,7 +360,7 @@ def datasets(draw):
     strength = st.floats(min_value=0.0, max_value=1.0)
     params = draw(st.lists(st.tuples(temps, temps, temps, strength, strength), min_size=n, max_size=n))
     train = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return Dataset(np.reshape(feats, (n, 4)), np.array([label_of(p[4]) for p in params], dtype=np.intp),
+    return Dataset(np.reshape(feats, (n, 4)), data_mod._labels_of([p[4] for p in params]),
                    np.reshape(params, (n, 5)), np.array(train, dtype=bool), {"seed": 1})
 
 

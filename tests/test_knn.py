@@ -222,6 +222,12 @@ def _scalar_distances(train_x, query, metric):
     return out
 
 
+def _distances(train_x, q, metric, copies=None):
+    """`_distance_block` into a fresh buffer; no column copies another by default."""
+    copies = tuple(range(train_x.shape[1])) if copies is None else copies
+    return knn._distance_block(train_x, q, metric, copies, np.empty((len(q), len(train_x))))
+
+
 @pytest.mark.parametrize("tile", [None, 1, 200])
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
 def test_distance_block_matches_scalar_loop(metric, tile, rng, monkeypatch):
@@ -230,11 +236,11 @@ def test_distance_block_matches_scalar_loop(metric, tile, rng, monkeypatch):
     train_x, _, query = _random_problem(rng, 90, 41)  # exact-zero and duplicate rows
     train_x[2] = query[1] = 0.0
     for q in (query, query[:1], query[1:2]):
-        got = knn._distance_block(train_x, q, metric)
+        got = _distances(train_x, q, metric)
         want = _scalar_distances(train_x, q, metric)
         assert got.shape == (len(q), len(train_x))
         assert got.tobytes() == want.tobytes()
-    assert knn._distance_block(train_x, query, metric)[0, 0] == 0.0
+    assert _distances(train_x, query, metric)[0, 0] == 0.0
 
 
 def _copied_problem(rng, layout, n, q):
@@ -257,7 +263,7 @@ def test_copy_aware_distances_match_scalar_loop(layout, metric, tile, rng, monke
     off[:, 2] = np.nextafter(off[:, 0], np.inf)  # one ulp off the sheet
     mixed = np.vstack([query[:20], off[20:]])
     for q in (query, off, mixed, query[:1], off[:1]):
-        got = knn._distance_block(train_x, q, metric, copies)
+        got = _distances(train_x, q, metric, copies)
         assert got.tobytes() == _scalar_distances(train_x, q, metric).tobytes()
 
 
@@ -302,7 +308,7 @@ def test_block_arrays_stay_under_the_allocator_ceiling(n_train):
 def test_votes_from_pairs_match_full_matrix(metric, weighting, rng):
     train_x, train_y, query = _random_problem(rng, 90, 60)
     train_x[5] = query[3]  # a second row sitting on a training point
-    dist = knn._distance_block(train_x, query, metric)
+    dist = _distances(train_x, query, metric)
     assert np.sum(dist == 0.0) >= 2
     straddled = 0
     for k in (1, 4, 9, 30, 90):
