@@ -158,6 +158,9 @@ def _load_config(path: Path | None) -> dict:
 
 
 def _cmd_gen_data(args, cfg) -> int:
+    if args.name in ("", ".", "..") or Path(args.name).name != args.name:
+        raise ValidationError(f"cannot write {args.out / args.name}.csv: --name must be "
+                              f"a plain file name inside --out, got {args.name!r}")
     ds = generate(args.n, ranges=cfg["ranges"], seed=args.seed, train_frac=cfg["train_frac"])
     path = _write(args.out, f"{args.name}.csv", ds)
     counts = np.bincount(ds.labels, minlength=N_CLASSES)

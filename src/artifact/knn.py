@@ -8,11 +8,26 @@ straightforward scalar reimplementation of those rules reproduces this
 module's predictions bit for bit, which is what the reference-oracle
 tests demand.
 
-Queries run in blocks of at most `_BLOCK_ELEMS` distances, filled into
-one buffer that every block of a call reuses. Each block's (b, N)
-distance matrix is read only to rank neighbors; votes are cast
-from the (b, k) neighbor (index, distance) pairs gathered once from it,
-as one table holding the votes of every neighbor-count prefix asked for.
+Queries are ranked against a sorted strip of the training rows, not
+all of them. The training rows are ordered by column 0 (c1); queries
+are binned by their place in that order, and each bin is ranked against
+the rows of its own bin and the one on each side, taken in training
+index order so that ties still break by (distance, index). A query's
+answer stands only if every row outside the strip is certified farther
+than its k-th neighbor. Such a row's c1 lies beyond the strip's edge,
+and every query column that the model reads as a copy of column 0 is at
+least its own gap to that edge away from it; the spread of the query's
+other copy groups adds to that. A distance is a sum of non-negative
+rounded terms, monotone in each of them, and the certificate keeps a
+1e-9 relative margin besides, so a certified answer is the brute-force
+one bit for bit. Uncertified queries retry in strips four times wider;
+what is left after the last round is ranked against every training row.
+
+Blocks hold at most `_BLOCK_ELEMS` distances, filled into one buffer
+that every block of a call reuses. Each block's distance matrix is read
+only to rank neighbors; votes are cast from the (b, k) neighbor (index,
+distance) pairs gathered once from it, as one table holding the votes
+of every neighbor-count prefix asked for.
 
 A model records which of its columns are bitwise copies of an earlier
 column (every dataset row has c3 == c1 and c4 == c2). When a block's
@@ -25,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -56,6 +72,13 @@ _BLOCK_ELEMS = 1_048_576
 # buffers, the distances and one or two scratch terms, take 1-1.5 MB
 # together and stay in a per-core L2 cache.
 _TILE_ELEMS = 65_536
+# A strip answers a query only if every row outside it is farther than the
+# query's k-th neighbor by this factor.
+_CERTIFY = 1.0 + 1e-9
+# Distance pairs a strip must spare its queries, against ranking them on
+# every training row, to pay for the fixed cost of one more block: about
+# 0.1 ms, or the time of some 10k pairs with their ranking.
+_STRIP_PAIRS = 16_384
 
 
 class Hyperparams(NamedTuple):
@@ -274,33 +297,149 @@ def _block_rows(n_train: int) -> int:
     return max(16, _BLOCK_ELEMS // n_train)
 
 
+def _strip_margins(n_train: int, k: int) -> list:
+    """Margins, in training rows, of the strip rounds: half of sqrt(N k)
+    first, four times wider each later round, while a strip (three
+    margins) holds at most a quarter of the training rows. On a sheet of
+    N rows, the k nearest to a query spread over about sqrt(N k) / 2 rows
+    of the c1 order on either side of it."""
+    margins = []
+    m = math.isqrt(n_train * k) // 2 + 1
+    while 12 * m <= n_train:
+        margins.append(m)
+        m *= 4
+    return margins
+
+
+def _strip_bound(q: np.ndarray, near: list, edges: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, metric: str) -> np.ndarray:
+    """Per query, a lower bound on the summed terms (squared for
+    euclidean) of the columns in `near`, over the training rows outside
+    its strip: positions [lo, hi) of the ascending c1 order, which
+    `edges` holds padded with -inf in front and +inf behind.
+
+    Such a row's c1 is at most edges[lo] or at least edges[hi + 1], and
+    each column in `near` is measured against that c1, so its term is at
+    least that of the query's own gap to the edge.
+    """
+    q = q[:, near]
+    sides = []
+    for gap in (q - edges[lo, None], edges[hi + 1, None] - q):
+        np.maximum(gap, 0.0, out=gap)
+        sides.append((gap * gap if metric == "euclidean" else gap).sum(axis=1))
+    return np.minimum(*sides)
+
+
+def _copy_spreads(q: np.ndarray, copies: tuple, metric: str) -> tuple:
+    """Per query, lower bounds on the summed terms (squared for euclidean)
+    of column 0's copy group and of the other copy groups, for every
+    training row. A group's columns hold one value per training row, so
+    a query whose copies of it disagree sits at least their spread away:
+    |a - x| + |b - x| >= |a - b| and (a - x)^2 + (b - x)^2 >= (a - b)^2 / 2.
+    """
+    terms = {}
+    for i in sorted(set(copies)):
+        spread = np.ptp(q[:, [j for j, c in enumerate(copies) if c == i]], axis=1)
+        terms[i] = spread * spread / 2.0 if metric == "euclidean" else spread
+    return terms.pop(0), sum(terms.values(), np.zeros(len(q)))
+
+
 def _neighbors(model: KnnModel, queries):
-    """(first row, ranked, nd) per block of queries: the index of the
-    block's first query, its (b, k) ranked neighbor indices and their
-    distances."""
+    """(rows, ranked, nd, route) per block of queries: the positions of
+    the block's queries, their (b, k) ranked neighbor indices and
+    distances, and the strip round that answered them, where
+    len(_strip_margins(N, k)) is the brute-force fallback.
+
+    Queries go in ascending order of column 0 (c1). Round r bins them by
+    their position in the training rows' c1 order, in bins of margin
+    m_r rows, and ranks each bin against the training rows of its own
+    bin and the one on each side, re-sorted by training index so that
+    ranking ties still break by (distance, training index). A query is
+    answered only if every row outside that strip is certified farther
+    than its k-th neighbor by `_strip_bound`, which makes the answer the
+    brute-force one, ties included. A round skips the queries whose
+    copies disagree by more than its strip can reach past, since no row
+    is that near, and the strips holding too few queries to pay for a
+    block. What is left after the last round is ranked against every
+    training row.
+    """
     q = np.ascontiguousarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[1] != model.features.shape[1]:
         raise DomainError(
             f"queries must be (n, {model.features.shape[1]}), got {q.shape}"
         )
-    q = (q - model.shift) / model.scale
-    step = _block_rows(len(model.features))
+    with np.errstate(over="ignore"):
+        q = (q - model.shift) / model.scale
+    if not np.all(np.isfinite(q)):
+        raise DomainError("queries must be finite, also once shifted and scaled by the model")
+    x, k, metric, copies = model.features, model.k, model.metric, model.copies
+    n = len(x)
+    step = _block_rows(n)
     # One distance buffer for every block: freeing it after each block
     # lets glibc trim the heap, and the next block faults it in again.
-    buf = np.empty((min(step, q.shape[0]), len(model.features)))
-    for lo in range(0, q.shape[0], step):
-        block = q[lo:lo + step]
-        dist = _distance_block(model.features, block, model.metric, model.copies,
-                               buf[:len(block)])
-        ranked = _ranked_neighbors(dist, model.k)
-        yield lo, ranked, np.take_along_axis(dist, ranked, axis=1)
+    buf = np.empty(min(step, len(q)) * n)
+    # Any order by c1 serves: a strip is re-sorted by training index, and
+    # its bound reads c1 values only, so ties need no stable sort.
+    order = np.argsort(x[:, 0])
+    edges = np.concatenate([[-np.inf], x[order, 0], [np.inf]])
+    near = [j for j, i in enumerate(copies) if i == 0]
+    own, other = _copy_spreads(q, copies, metric)
+    pending = np.argsort(q[:, 0])
+    at = np.searchsorted(edges[1:-1], q[pending, 0])  # pending queries' places in the c1 order
+    margins = _strip_margins(n, k)
+    for route, m in enumerate(margins):
+        cap = step * n // (3 * m)
+        strip = at // m
+        lo, hi = np.maximum(0, (strip - 1) * m), np.minimum(n, (strip + 2) * m)
+        reach = _strip_bound(q[pending], near, edges, lo, hi, metric)
+        # No row is nearer than the copy spreads: a strip that reaches no
+        # farther than they do cannot certify its query.
+        tried = np.flatnonzero(reach > own[pending] * _CERTIFY)
+        bound = reach[tried] + other[pending[tried]]
+        if metric == "euclidean":
+            np.sqrt(bound, out=bound)
+        answered = np.zeros(len(pending), dtype=bool)
+        held = []  # answers not yet yielded: one yield per `step` queries, not per strip
+        starts = np.flatnonzero(np.diff(strip[tried], prepend=-1))  # first try of each strip
+        for a, b in zip(starts, [*starts[1:], len(tried)]):
+            first = tried[a]
+            if (b - a) * (n - (hi[first] - lo[first])) < _STRIP_PAIRS:
+                continue  # too few queries to pay for a block of their own
+            idx = np.sort(order[lo[first]:hi[first]])  # the strip, in training order
+            strip_x = x[idx]
+            for c in range(a, b, cap):
+                sel = slice(c, min(c + cap, b))
+                rows = pending[tried[sel]]
+                dist = _distance_block(strip_x, q[rows], metric, copies,
+                                       buf[:rows.size * idx.size].reshape(rows.size, idx.size))
+                ranked = _ranked_neighbors(dist, k)
+                nd = np.take_along_axis(dist, ranked, axis=1)
+                done = bound[sel] > nd[:, -1] * _CERTIFY
+                answered[tried[sel][done]] = True
+                held.append((rows[done], idx[ranked[done]], nd[done]))
+                if sum(len(h[0]) for h in held) >= step:
+                    yield (*map(np.concatenate, zip(*held)), route)
+                    held = []
+        if held:
+            yield (*map(np.concatenate, zip(*held)), route)
+        pending, at = pending[~answered], at[~answered]
+    pending = np.sort(pending)
+    for start in range(0, len(pending), step):
+        rows = pending[start:start + step]
+        dist = _distance_block(x, q[rows], metric, copies,
+                               buf[:len(rows) * n].reshape(len(rows), n))
+        ranked = _ranked_neighbors(dist, k)
+        yield rows, ranked, np.take_along_axis(dist, ranked, axis=1), len(margins)
 
 
 def _votes(model: KnnModel, queries) -> np.ndarray:
     """(n, N_CLASSES) vote mass per query, computed block by block."""
-    out = [_votes_for(ranked, nd, model.labels, model.weighting, (model.k,))[0]
-           for _, ranked, nd in _neighbors(model, queries)]
-    return np.vstack(out) if out else np.zeros((0, N_CLASSES))
+    parts = [(rows, _votes_for(ranked, nd, model.labels, model.weighting, (model.k,))[0])
+             for rows, ranked, nd, _ in _neighbors(model, queries)]
+    out = np.empty((len(queries), N_CLASSES))
+    for rows, votes in parts:
+        out[rows] = votes
+    return out
 
 
 def predict_proba_batch(model: KnnModel, queries) -> np.ndarray:
@@ -460,8 +599,8 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
             ks_of = {w: sorted(hp.k for hp in group if hp.weighting == w) for w in WEIGHTINGS}
             kk = max(hp.k for hp in group)
             model = fit(features[rest], labels[rest], k=kk, metric=metric, zscore=zscore)
-            for lo, ranked, nd in _neighbors(model, features[held]):
-                y_blk = y_held[lo:lo + len(ranked)]
+            for rows, ranked, nd, _ in _neighbors(model, features[held]):
+                y_blk = y_held[rows]
                 for weighting, ks in ks_of.items():
                     if not ks:
                         continue

@@ -328,6 +328,17 @@ def test_unwritable_output_exits_2(workdir, tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../x", "sub/x", "x/", "absolute"])
+def test_gen_data_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    out = tmp_path / "o" / "p"
+    if name == "absolute":  # a writable place outside --out
+        name = str(tmp_path / "x")
+    assert run("--out", str(out), "gen-data", "--n", "20", "--name", name) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ") and "--name must be" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("train_frac", [0.0001, 0.9999])
 def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     cfg = tmp_path / "cfg.json"

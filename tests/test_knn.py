@@ -13,6 +13,7 @@ from artifact.knn import (
     WEIGHTINGS,
     Hyperparams,
     HyperSpace,
+    KnnModel,
     fit,
     fold_splits,
     kfold_accuracy,
@@ -278,7 +279,9 @@ def test_copy_aware_blocks_match_reference(metric, rng, monkeypatch):
     query[40, 2] += 0.01
     model = fit(train_x, train_y, k=7, weighting="distance", metric=metric)
     assert model.copies == (0, 1, 0, 1)
-    assert [lo for lo, _, _ in knn._neighbors(model, query)] == [0, 16, 32, 48]
+    assert knn._strip_margins(90, 7) == []  # too few rows for a strip: brute-force blocks
+    blocks = [(rows.tolist(), route) for rows, _, _, route in knn._neighbors(model, query)]
+    assert blocks == [(list(range(lo, lo + 16)), 0) for lo in (0, 16, 32, 48)]
     proba = predict_proba_batch(model, query)
     for i, q in enumerate(query):
         want = _ref_proba(train_x, train_y, q, 7, "distance", metric)
@@ -339,6 +342,115 @@ def test_results_do_not_depend_on_block_or_tile_size(rng, monkeypatch):
     monkeypatch.setattr(knn, "_TILE_ELEMS", 250)  # 2-row tiles
     for m, w in zip(models, want):
         assert predict_proba_batch(m, query).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_non_finite_queries_are_refused(bad, weighting, rng):
+    train_x, train_y, query = _random_problem(rng, 90, 10)
+    model = fit(train_x, train_y, k=5, weighting=weighting)
+    query[3, 1] = bad
+    # a finite query the model's scale carries past the float range
+    tiny = KnnModel(features=train_x, labels=train_y, k=5, weighting=weighting,
+                    metric="euclidean", feature_subset=(0, 1, 2, 3), shift=np.zeros(4),
+                    scale=np.array([1.0, 1e-300, 1.0, 1.0]))
+    for m, q in ((model, query), (tiny, np.where(np.isfinite(query), query, 1e10))):
+        for predict in (predict_batch, predict_proba_batch):
+            with pytest.raises(DomainError, match="finite"):
+                predict(m, q)
+
+
+# --- sorted-strip neighbor search ----------------------------------------------
+
+def _sheet_problem(rng, n, q):
+    """Tie-heavy rows on a sheet, c3 == c1 and c4 == c2, with c1 crowding
+    toward 1 as in the dataset, duplicated training rows, and queries of
+    four kinds: training rows, near the sheet's rows, far from them in
+    c2, and off the sheet (c3 != c1 or c4 != c2)."""
+    c1 = (1.0 - rng.exponential(0.05, n)).round(3)
+    c2 = (c1 + rng.uniform(0.0, 0.1, n)).round(3)
+    train_x = np.column_stack([c1, c2, c1, c2])
+    train_x[1::9] = train_x[:len(train_x[1::9])]
+    train_y = rng.integers(0, N_CLASSES, n)
+    base = train_x[rng.integers(0, n, q)]
+    kind = np.arange(q) % 4
+    shift = rng.uniform(-1.0, 1.0, (q, 4)).round(3)
+    query = base.copy()
+    query[kind == 1] += (0.01 * shift[kind == 1][:, [0, 1, 0, 1]]).round(3)
+    query[kind == 2] += (0.3 * np.abs(shift[kind == 2][:, [2, 1, 2, 1]])).round(3) * [0, 1, 0, 1]
+    query[kind == 3] += (0.03 * shift[kind == 3]).round(3)
+    return train_x, train_y, query
+
+
+def _routes(model, query):
+    """Ranked neighbors, their distances and the route of every query."""
+    ranked = np.empty((len(query), model.k), dtype=np.intp)
+    nd = np.empty((len(query), model.k))
+    route = np.empty(len(query), dtype=int)
+    for rows, r, d, via in knn._neighbors(model, query):
+        ranked[rows], nd[rows], route[rows] = r, d, via
+    return ranked, nd, route
+
+
+@pytest.mark.parametrize("zscore", [False, True], ids=["raw", "zscored"])
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_strip_rounds_equal_brute_force(metric, zscore, rng, monkeypatch):
+    train_x, train_y, query = _sheet_problem(rng, 2400, 800)
+    model = fit(train_x, train_y, k=3, weighting="distance", metric=metric, zscore=zscore)
+    assert model.copies == (0, 1, 0, 1)
+    rounds = len(knn._strip_margins(2400, 3))
+    assert rounds == 2
+    ranked, nd, route = _routes(model, query)
+    proba = predict_proba_batch(model, query)
+    # every round answers some queries, and some fall back to brute force
+    assert set(np.bincount(route, minlength=rounds + 1).nonzero()[0]) == {0, 1, 2}
+    monkeypatch.setattr(knn, "_strip_margins", lambda n, k: [])
+    want_ranked, want_nd, want_route = _routes(model, query)
+    assert not want_route.any()
+    assert ranked.tobytes() == want_ranked.tobytes()
+    assert nd.tobytes() == want_nd.tobytes()
+    assert proba.tobytes() == predict_proba_batch(model, query).tobytes()
+    for i in np.flatnonzero(np.arange(len(query)) % 40 == 0):
+        want = _ref_proba(model.features, train_y, (query[i] - model.shift) / model.scale,
+                          3, "distance", metric)
+        assert proba[i].tobytes() == want.tobytes(), i
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["left", "right"])
+def test_strip_bound_reads_the_nearest_row_outside(side, rng):
+    # 48 rows, k=1: one round, strips of 4-row bins. The query's strip
+    # (rows 16-27 of the c1 order; mirrored, rows 20-31) is all 5 away in
+    # c2; the nearest row, 1 away, is the first row outside it, and the
+    # next one out is 10 away in c1. A bound read one row too far out
+    # certifies a strip row.
+    c1 = np.concatenate([np.arange(14.0), [90.0, 99.0], 99.5 + 0.1 * np.arange(4),
+                         100.0 + 0.1 * np.arange(8), 200.0 + np.arange(20.0)])
+    c2 = np.full(48, 5.0)
+    c2[15] = 0.0
+    perm = rng.permutation(48)
+    train_x = side * np.column_stack([c1, c2])[perm]
+    model = fit(train_x, np.arange(48) % N_CLASSES, k=1)
+    assert knn._strip_margins(48, 1) == [4]
+    query = np.tile(side * np.array([100.0, 0.0]), (500, 1))  # enough to pay for a strip
+    ranked, nd, route = _routes(model, query)
+    assert np.all(ranked == np.flatnonzero(perm == 15)) and np.all(nd == 1.0)
+    assert np.all(route == 1)  # the strip could not certify: brute force
+
+
+def test_strip_blocks_stay_under_the_allocator_ceiling(rng, monkeypatch):
+    train_x, train_y, query = _sheet_problem(rng, 35_000, 4_000)
+    model = fit(train_x, train_y, k=50, metric="manhattan")
+    shapes = []
+    kernel = knn._distance_block
+
+    def recorded(*args):
+        shapes.append(args[-1].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(knn, "_distance_block", recorded)
+    route = _routes(model, query)[2]
+    assert set(route) == {0, 1, 2}  # strips of both rounds and the full-width fallback
+    assert max(b * n for b, n in shapes) * 8 <= 8 * 2**20
 
 
 # --- cross validation ---------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artifact import cli, counting, engine, fdcheck, knn
+from artifact import cli, counting, data, engine, fdcheck, knn
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -52,6 +52,33 @@ def test_knn_spans_attach_and_count(tracer, rng):
     assert tracer.counts["knn.ranked_slots"] == len(knn.DISTANCE_METRICS) * 3 * 120
     # the tracer put the original functions back
     assert knn._distance_block.__module__ == "artifact.knn"
+
+
+def test_knn_spans_count_the_pairs_of_the_strip_route(tracer, monkeypatch):
+    # sheet-shaped f1 rows (c3 == c1, c4 == c2): most queries are answered
+    # from a strip of the training rows, and the counters see every block
+    ds = data.generate(3000, seed=11)
+    (x, y), (xv, _) = ds.train, ds.validation
+    model = knn.fit(x, y, k=5, weighting="distance", metric="manhattan")
+    assert model.copies == (0, 1, 0, 1)
+    computed = []
+    kernel = knn._distance_block
+
+    def counted(*args):
+        out = kernel(*args)
+        computed.append(out.size)
+        return out
+
+    monkeypatch.setattr(knn, "_distance_block", counted)
+    want = knn.predict_batch(model, xv)
+    monkeypatch.undo()
+    with tracer.root():
+        got = knn.predict_batch(model, xv)
+    assert got.tobytes() == want.tobytes()
+    assert tracer.absent == []
+    assert tracer.uncounted == set()
+    assert tracer.counts["knn.distance_pairs"] == sum(computed) < len(xv) * len(x)
+    assert tracer.counts["knn.queries"] == len(xv)
 
 
 def test_physics_spans_attach_on_an_fd_draw(tracer):
