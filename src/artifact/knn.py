@@ -20,8 +20,11 @@ least its own gap to that edge away from it; the spread of the query's
 other copy groups adds to that. A distance is a sum of non-negative
 rounded terms, monotone in each of them, and the certificate keeps a
 1e-9 relative margin besides, so a certified answer is the brute-force
-one bit for bit. Uncertified queries retry in strips four times wider;
-what is left after the last round is ranked against every training row.
+one bit for bit. Uncertified queries retry in strips four times wider.
+The last round's one strip is every training row: brute force is that
+round, with no row outside to bound, so it answers every query left.
+Training rows and queries must keep every distance within half the
+float range, so that distances and bounds alike stay finite.
 
 Blocks hold at most `_BLOCK_ELEMS` distances, filled into one buffer
 that every block of a call reuses. Each block's distance matrix is read
@@ -145,6 +148,9 @@ class KnnModel:
             raise ValidationError(f"labels must lie in [0, {N_CLASSES})")
         if not np.all(np.isfinite(self.features)):
             raise ValidationError("training features must be finite")
+        if not _fits_float_range(np.ascontiguousarray(self.features.T), self.features[:0],
+                                 self.metric):
+            raise DomainError("training features span so wide a range that their distances overflow")
         width = len(self.feature_subset)
         if self.shift.shape != (width,) or self.scale.shape != (width,):
             raise ValidationError(f"shift and scale must hold {width} entries, got "
@@ -162,6 +168,27 @@ def _copy_map(x: np.ndarray) -> tuple:
     bits = x.view(np.int64)
     return tuple(next(i for i in range(j + 1) if np.array_equal(bits[:, i], bits[:, j]))
                  for j in range(x.shape[1]))
+
+
+def _fits_float_range(cols: np.ndarray, q: np.ndarray, metric: str) -> bool:
+    """Whether every distance between two training rows, or from a row of
+    `q` to a training row, stays under half the float range, so that it
+    and the strip bounds, also times `_CERTIFY`, are finite. `cols` holds
+    the training columns as rows. A column's term is at most the square
+    (euclidean) or the size of its farthest gap to the training extremes.
+    The sum is taken in Python floats, which round a result past the
+    range to inf without a warning."""
+    # reduced along contiguous columns: along axis 0 of a (n, 4) array
+    # numpy takes about ten times as long
+    q = np.ascontiguousarray(q.T)
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    q_lo = np.minimum(lo, q.min(axis=1, initial=np.inf))
+    q_hi = np.maximum(hi, q.max(axis=1, initial=-np.inf))
+    total = 0.0
+    for a, b, c, d in zip(lo.tolist(), hi.tolist(), q_lo.tolist(), q_hi.tolist()):
+        far = max(d - a, b - c)
+        total += far * far if metric == "euclidean" else far
+    return math.isfinite(2.0 * total)
 
 
 def fit(features, labels, k: int = 5, weighting: str = "uniform",
@@ -182,10 +209,13 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
         raise ValidationError(f"feature subset {feature_subset} out of bounds")
     sub = np.ascontiguousarray(features[:, feature_subset])
     if zscore:
-        shift = sub.mean(axis=0)
-        scale = sub.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        sub = (sub - shift) / scale
+        # columns whose sums pass the float range give a shift or scale
+        # that is not finite, which the model refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = sub.mean(axis=0)
+            scale = sub.std(axis=0)
+            scale[scale == 0.0] = 1.0
+            sub = (sub - shift) / scale
     else:
         shift = np.zeros(sub.shape[1])
         scale = np.ones(sub.shape[1])
@@ -299,16 +329,17 @@ def _block_rows(n_train: int) -> int:
 
 def _strip_margins(n_train: int, k: int) -> list:
     """Margins, in training rows, of the strip rounds: half of sqrt(N k)
-    first, four times wider each later round, while a strip (three
-    margins) holds at most a quarter of the training rows. On a sheet of
-    N rows, the k nearest to a query spread over about sqrt(N k) / 2 rows
-    of the c1 order on either side of it."""
+    first, four times wider each later round while a strip (three
+    margins) holds at most a quarter of the training rows, and N last,
+    whose one strip holds every training row. On a sheet of N rows, the
+    k nearest to a query spread over about sqrt(N k) / 2 rows of the c1
+    order on either side of it."""
     margins = []
     m = math.isqrt(n_train * k) // 2 + 1
     while 12 * m <= n_train:
         margins.append(m)
         m *= 4
-    return margins
+    return margins + [n_train]
 
 
 def _strip_bound(q: np.ndarray, near: list, edges: np.ndarray, lo: np.ndarray,
@@ -347,8 +378,7 @@ def _copy_spreads(q: np.ndarray, copies: tuple, metric: str) -> tuple:
 def _neighbors(model: KnnModel, queries):
     """(rows, ranked, nd, route) per block of queries: the positions of
     the block's queries, their (b, k) ranked neighbor indices and
-    distances, and the strip round that answered them, where
-    len(_strip_margins(N, k)) is the brute-force fallback.
+    distances, and the index of the strip round that answered them.
 
     Queries go in ascending order of column 0 (c1). Round r bins them by
     their position in the training rows' c1 order, in bins of margin
@@ -360,8 +390,9 @@ def _neighbors(model: KnnModel, queries):
     brute-force one, ties included. A round skips the queries whose
     copies disagree by more than its strip can reach past, since no row
     is that near, and the strips holding too few queries to pay for a
-    block. What is left after the last round is ranked against every
-    training row.
+    block. The last round's margin is N: its one strip is every training
+    row, with nothing outside to bound, so it takes and answers every
+    query left.
     """
     q = np.ascontiguousarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[1] != model.features.shape[1]:
@@ -373,6 +404,11 @@ def _neighbors(model: KnnModel, queries):
     if not np.all(np.isfinite(q)):
         raise DomainError("queries must be finite, also once shifted and scaled by the model")
     x, k, metric, copies = model.features, model.k, model.metric, model.copies
+    # Strips are gathered by column, several times faster than by rows of
+    # a few floats, and `_distance_block` reads columns anyway.
+    cols = np.ascontiguousarray(x.T)
+    if not _fits_float_range(cols, q, metric):
+        raise DomainError("queries lie so far from the training rows that their distances overflow")
     n = len(x)
     step = _block_rows(n)
     # One distance buffer for every block: freeing it after each block
@@ -380,15 +416,13 @@ def _neighbors(model: KnnModel, queries):
     buf = np.empty(min(step, len(q)) * n)
     # Any order by c1 serves: a strip is re-sorted by training index, and
     # its bound reads c1 values only, so ties need no stable sort.
-    order = np.argsort(x[:, 0])
-    edges = np.concatenate([[-np.inf], x[order, 0], [np.inf]])
+    order = np.argsort(cols[0])
+    edges = np.concatenate([[-np.inf], cols[0, order], [np.inf]])
     near = [j for j, i in enumerate(copies) if i == 0]
     own, other = _copy_spreads(q, copies, metric)
     pending = np.argsort(q[:, 0])
     at = np.searchsorted(edges[1:-1], q[pending, 0])  # pending queries' places in the c1 order
-    margins = _strip_margins(n, k)
-    for route, m in enumerate(margins):
-        cap = step * n // (3 * m)
+    for route, m in enumerate(_strip_margins(n, k)):
         strip = at // m
         lo, hi = np.maximum(0, (strip - 1) * m), np.minimum(n, (strip + 2) * m)
         reach = _strip_bound(q[pending], near, edges, lo, hi, metric)
@@ -400,18 +434,21 @@ def _neighbors(model: KnnModel, queries):
             np.sqrt(bound, out=bound)
         answered = np.zeros(len(pending), dtype=bool)
         held = []  # answers not yet yielded: one yield per `step` queries, not per strip
-        starts = np.flatnonzero(np.diff(strip[tried], prepend=-1))  # first try of each strip
+        # first try of each strip, a row range: lo and hi never fall, so lo + hi rises there
+        starts = np.flatnonzero(np.diff(lo[tried] + hi[tried], prepend=-1))
         for a, b in zip(starts, [*starts[1:], len(tried)]):
             first = tried[a]
-            if (b - a) * (n - (hi[first] - lo[first])) < _STRIP_PAIRS:
+            width = hi[first] - lo[first]
+            if width < n and (b - a) * (n - width) < _STRIP_PAIRS:
                 continue  # too few queries to pay for a block of their own
             idx = np.sort(order[lo[first]:hi[first]])  # the strip, in training order
-            strip_x = x[idx]
+            strip_x = np.take(cols, idx, axis=1).T
+            cap = step * n // width
             for c in range(a, b, cap):
                 sel = slice(c, min(c + cap, b))
                 rows = pending[tried[sel]]
                 dist = _distance_block(strip_x, q[rows], metric, copies,
-                                       buf[:rows.size * idx.size].reshape(rows.size, idx.size))
+                                       buf[:rows.size * width].reshape(rows.size, width))
                 ranked = _ranked_neighbors(dist, k)
                 nd = np.take_along_axis(dist, ranked, axis=1)
                 done = bound[sel] > nd[:, -1] * _CERTIFY
@@ -423,13 +460,6 @@ def _neighbors(model: KnnModel, queries):
         if held:
             yield (*map(np.concatenate, zip(*held)), route)
         pending, at = pending[~answered], at[~answered]
-    pending = np.sort(pending)
-    for start in range(0, len(pending), step):
-        rows = pending[start:start + step]
-        dist = _distance_block(x, q[rows], metric, copies,
-                               buf[:len(rows) * n].reshape(len(rows), n))
-        ranked = _ranked_neighbors(dist, k)
-        yield rows, ranked, np.take_along_axis(dist, ranked, axis=1), len(margins)
 
 
 def _votes(model: KnnModel, queries) -> np.ndarray:

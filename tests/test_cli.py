@@ -95,6 +95,19 @@ def test_sweep_command(tmp_path, capsys):
     assert (out / "sweep.dat").read_text().splitlines()[0].startswith("#")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tune", "--mapping", "f3", "--n-iter", "0"], "n_iter must be >= 1"),
+    (["sweep", "--mapping", "f3", "--sizes", "60,abc"], "--sizes must be comma-separated integers"),
+], ids=["tune-no-trials", "sweep-size-not-a-number"])
+def test_bad_counts_exit_2(workdir, tmp_path, capsys, argv, message):
+    if argv[0] == "tune":
+        argv += ["--data", str(workdir / "dataset.csv")]
+    assert run("--out", str(tmp_path), *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
 def test_oracle_check_smoke(capsys):
     code = run("--seed", "1", "oracle-check", "--draws", "1",
                "--t-final", "500", "--n-traj", "12")
@@ -134,15 +147,19 @@ def test_oracle_check_rejects_no_draws(draws, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("sidecar", ["[1]", "null"])
-def test_sidecar_not_an_object_exits_2(workdir, tmp_path, capsys, sidecar):
+@pytest.mark.parametrize("sidecar, message", [
+    ("[1]", "dataset.meta.json must be a JSON object"),
+    ("null", "dataset.meta.json must be a JSON object"),
+    ("{broken", "malformed sidecar"),
+], ids=["[1]", "null", "not-json"])
+def test_sidecar_not_an_object_exits_2(workdir, tmp_path, capsys, sidecar, message):
     data = tmp_path / "dataset.csv"
     data.write_text((workdir / "dataset.csv").read_text())
     (tmp_path / "dataset.meta.json").write_text(sidecar)
     code = run("--out", str(tmp_path), "train", "--data", str(data), "--mapping", "f3", "--k", "3")
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "dataset.meta.json must be a JSON object" in err
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
@@ -218,7 +235,8 @@ def _run_with_config(workdir, tmp_path, cfg, command):
     ({"zscor": True}, "train", "zscor"),
     ({"space": {"k_range": [1, 3], "k_rang": [5]}}, "tune", "k_rang"),
     ({"variant": "consistent"}, "gen-data", "variant"),
-], ids=["top-level", "space", "variant"])
+    ({"ranges": {"t_x": [0.5, 1.0]}}, "gen-data", "t_x"),
+], ids=["top-level", "space", "variant", "ranges"])
 def test_config_rejects_unknown_keys(workdir, tmp_path, capsys, cfg, command, key):
     assert _run_with_config(workdir, tmp_path, cfg, command) == 2
     assert repr(key) in capsys.readouterr().err
@@ -251,12 +269,15 @@ def test_config_rejects_unknown_keys(workdir, tmp_path, capsys, cfg, command, ke
     ({"ranges": 5}, "train", "ranges"),
     ({"space": [1]}, "evaluate", "space"),
     ({"train_frac": 7}, "tune", "train_frac"),
+    ({"space": {"weightings": ["gaussian"]}}, "tune", "weightings"),
+    ({"space": {"metrics": ["cosine"]}}, "tune", "metrics"),
+    ([1], "train", "config must be a JSON object"),
 ], ids=["zscore-string", "zscore-int", "train-frac-string", "train-frac-bool", "folds-string",
         "folds-float", "range-one-number", "range-scalar", "range-string-bound", "ranges-list",
         "k-range-string", "k-range-fraction", "k-range-scalar", "metrics-string",
         "k-range-duplicate", "weightings-duplicate", "space-empty-list", "space-null",
         "space-zero", "space-empty-string", "space-false", "unread-ranges", "unread-space",
-        "unread-train-frac"])
+        "unread-train-frac", "weightings-unknown", "metrics-unknown", "config-list"])
 def test_config_rejects_bad_values(workdir, tmp_path, capsys, cfg, command, key):
     assert _run_with_config(workdir, tmp_path, cfg, command) == 2
     captured = capsys.readouterr()
@@ -360,6 +381,7 @@ def _truncate(doc, name):
     lambda doc: doc["shift"].append(0.0),
     lambda doc: _truncate(doc, "scale"),
     lambda doc: doc.__setitem__("feature_subset", [0, 9]),
+    lambda doc: doc.__setitem__("feature_subset", [0]),
     lambda doc: doc.__setitem__("feature_subset", [-1, -1]),
     lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
     lambda doc: doc.__setitem__("labels", [v + 0.5 for v in doc["labels"]]),
@@ -368,7 +390,7 @@ def _truncate(doc, name):
     lambda doc: doc.__setitem__("scale", [True] * len(doc["scale"])),
     lambda doc: doc["shift"].__setitem__(0, str(doc["shift"][0])),
 ], ids=["length-mismatch", "nan-feature", "inf-feature", "zero-scale", "shift-width", "scale-width",
-        "subset-beyond-width", "subset-negative", "subset-fraction", "label-fraction",
+        "subset-beyond-width", "subset-narrower", "subset-negative", "subset-fraction", "label-fraction",
         "label-overflow", "string-features", "bool-scale", "string-shift"])
 def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
     doc = json.loads((workdir / "model-f3.json").read_text())
@@ -379,6 +401,26 @@ def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
                "--data", str(workdir / "dataset.csv"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric, big", [("euclidean", 1e200), ("manhattan", 1e308)])
+def test_train_refuses_overflowing_features(tmp_path, capsys, metric, big):
+    # c1 = c3 = +-big on every other row: distances between them pass the float range
+    assert run("--seed", "1", "--out", str(tmp_path), "gen-data", "--n", "40") == 0
+    path = tmp_path / "dataset.csv"
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines), 2):
+        cells = lines[i].split(",")
+        cells[0] = cells[2] = repr(big if i % 4 == 1 else -big)
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run("--out", str(tmp_path), "train", "--data", str(path), "--mapping", "f1",
+               "--k", "3", "--metric", metric, "--weighting", "distance")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "overflow" in captured.err
+    assert captured.out == "" and not (tmp_path / "model-f1.json").exists()
 
 
 @pytest.mark.parametrize("name, bad", [("features", "0.93"), ("scale", True)])

@@ -182,6 +182,8 @@ def test_fit_validation(rng):
         fit(x, y, feature_subset=(0, 9))
     with pytest.raises(StateError):
         fit(np.zeros((0, 4)), np.zeros(0, dtype=int), k=1)
+    with pytest.raises(ValidationError, match="2-D"):
+        fit(x[:, 0], y)
 
 
 def test_zscore_affine_invariance(rng):
@@ -275,13 +277,25 @@ def test_copy_aware_blocks_match_reference(metric, rng, monkeypatch):
     monkeypatch.setattr(knn, "_BLOCK_ELEMS", 1)  # 16-row blocks
     monkeypatch.setattr(knn, "_TILE_ELEMS", 200)
     train_x, train_y, query = _copied_problem(rng, (0, 1, 0, 1), 90, 64)
+    query[:, [0, 2]] = np.linspace(0.7, 1.1, 64)[:, None]  # c1 order is index order
     query[16:32, 3] = np.nextafter(query[16:32, 1], -np.inf)
     query[40, 2] += 0.01
     model = fit(train_x, train_y, k=7, weighting="distance", metric=metric)
     assert model.copies == (0, 1, 0, 1)
-    assert knn._strip_margins(90, 7) == []  # too few rows for a strip: brute-force blocks
-    blocks = [(rows.tolist(), route) for rows, _, _, route in knn._neighbors(model, query)]
-    assert blocks == [(list(range(lo, lo + 16)), 0) for lo in (0, 16, 32, 48)]
+    assert knn._strip_margins(90, 7) == [90]  # too few rows for a narrow strip
+    reused = []
+    kernel = knn._distance_block
+
+    def recorded(train, q, *args):
+        bits = q.view(np.int64)
+        reused.append(tuple(np.array_equal(bits[:, j], bits[:, j - 2]) for j in (2, 3)))
+        return kernel(train, q, *args)
+
+    monkeypatch.setattr(knn, "_distance_block", recorded)
+    blocks = [(len(rows), route) for rows, _, _, route in knn._neighbors(model, query)]
+    assert blocks == [(16, 0)] * 4
+    # a block reuses the terms of the columns its queries copy, and only those
+    assert reused == [(True, True), (True, False), (False, True), (True, True)]
     proba = predict_proba_batch(model, query)
     for i, q in enumerate(query):
         want = _ref_proba(train_x, train_y, q, 7, "distance", metric)
@@ -360,6 +374,44 @@ def test_non_finite_queries_are_refused(bad, weighting, rng):
                 predict(m, q)
 
 
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_overflowing_features_are_refused(metric):
+    # one term squared (euclidean) or four summed (manhattan) past the range
+    big = 1e200 if metric == "euclidean" else 0.5e308
+    x = np.zeros((6, 4))
+    x[::2, 0] = x[::2, 2] = big
+    x[1::2, [1, 3]] = -big
+    with pytest.raises(DomainError, match="overflow"):
+        fit(x, np.arange(6) % N_CLASSES, k=3, metric=metric)
+    # zscored, the column's variance overflows: the model would be scaled by inf
+    with pytest.raises(ValidationError, match="finite"):
+        fit(x * 1e100 if metric == "euclidean" else x, np.arange(6) % N_CLASSES, k=3,
+            metric=metric, zscore=True)
+    # the terms of the training rows' extremes fit, with room for the margin
+    x *= 0.05 if metric == "manhattan" else 1e-50
+    assert fit(x, np.arange(6) % N_CLASSES, k=3, metric=metric).copies == (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_overflowing_queries_are_refused(metric, weighting):
+    # `far` is within the float range of every row, but not with room for
+    # twice its distance (squared, for euclidean); `near` is
+    if metric == "euclidean":
+        c1, far, near = np.array([1.0, 2.0, -1.0, 3.0]) * 1e150, -1e154, -1e153
+    else:
+        c1, far, near = np.array([1.0, 2.0, -1.0, 3.0]) * 1e307, -1.2e308, -5e307
+    model = fit(np.column_stack([c1, np.ones(4)]), [0, 1, 2, 3], k=1,
+                weighting=weighting, metric=metric)
+    for predict in (predict_batch, predict_proba_batch):
+        for bad in ([[far, 1.0]], [[-far, 1.0]], [[0.0, 1.0], [1.0, far]]):
+            with pytest.raises(DomainError, match="overflow"):
+                predict(model, bad)
+    # a query that fits finds its nearest row, the lowest c1
+    assert predict_batch(model, [[near, 1.0]]).tolist() == [2]
+    assert predict_proba_batch(model, [[near, 1.0]]).tolist() == [[0.0, 0.0, 1.0, 0.0]]
+
+
 # --- sorted-strip neighbor search ----------------------------------------------
 
 def _sheet_problem(rng, n, q):
@@ -398,13 +450,12 @@ def test_strip_rounds_equal_brute_force(metric, zscore, rng, monkeypatch):
     train_x, train_y, query = _sheet_problem(rng, 2400, 800)
     model = fit(train_x, train_y, k=3, weighting="distance", metric=metric, zscore=zscore)
     assert model.copies == (0, 1, 0, 1)
-    rounds = len(knn._strip_margins(2400, 3))
-    assert rounds == 2
+    assert knn._strip_margins(2400, 3) == [43, 172, 2400]
     ranked, nd, route = _routes(model, query)
     proba = predict_proba_batch(model, query)
-    # every round answers some queries, and some fall back to brute force
-    assert set(np.bincount(route, minlength=rounds + 1).nonzero()[0]) == {0, 1, 2}
-    monkeypatch.setattr(knn, "_strip_margins", lambda n, k: [])
+    # every round answers some queries, the last one at brute force
+    assert set(route) == {0, 1, 2}
+    monkeypatch.setattr(knn, "_strip_margins", lambda n, k: [n])  # brute force alone
     want_ranked, want_nd, want_route = _routes(model, query)
     assert not want_route.any()
     assert ranked.tobytes() == want_ranked.tobytes()
@@ -414,6 +465,23 @@ def test_strip_rounds_equal_brute_force(metric, zscore, rng, monkeypatch):
         want = _ref_proba(model.features, train_y, (query[i] - model.shift) / model.scale,
                           3, "distance", metric)
         assert proba[i].tobytes() == want.tobytes(), i
+
+
+@pytest.mark.parametrize("n", [90, 2400])
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_every_query_is_answered_once(n, metric, rng):
+    # 90 rows: the full-width round alone; 2,400: two narrow rounds first.
+    # A quarter of the queries sit off the sheet, their copies disagreeing.
+    train_x, train_y, query = _sheet_problem(rng, n, 800)
+    assert (query[:, 0] != query[:, 2]).sum() > 100
+    model = fit(train_x, train_y, k=3, metric=metric)
+    rounds = len(knn._strip_margins(n, 3))
+    assert rounds == (1 if n == 90 else 3)
+    blocks = list(knn._neighbors(model, query))
+    rows = np.concatenate([b[0] for b in blocks])
+    assert np.sort(rows).tolist() == list(range(len(query)))
+    assert {b[3] for b in blocks} <= set(range(rounds))
+    assert all(len(b[0]) == len(b[1]) == len(b[2]) for b in blocks)
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["left", "right"])
@@ -430,7 +498,7 @@ def test_strip_bound_reads_the_nearest_row_outside(side, rng):
     perm = rng.permutation(48)
     train_x = side * np.column_stack([c1, c2])[perm]
     model = fit(train_x, np.arange(48) % N_CLASSES, k=1)
-    assert knn._strip_margins(48, 1) == [4]
+    assert knn._strip_margins(48, 1) == [4, 48]
     query = np.tile(side * np.array([100.0, 0.0]), (500, 1))  # enough to pay for a strip
     ranked, nd, route = _routes(model, query)
     assert np.all(ranked == np.flatnonzero(perm == 15)) and np.all(nd == 1.0)
@@ -449,7 +517,7 @@ def test_strip_blocks_stay_under_the_allocator_ceiling(rng, monkeypatch):
 
     monkeypatch.setattr(knn, "_distance_block", recorded)
     route = _routes(model, query)[2]
-    assert set(route) == {0, 1, 2}  # strips of both rounds and the full-width fallback
+    assert set(route) == {0, 1, 2}  # strips of both narrow rounds and the full-width one
     assert max(b * n for b, n in shapes) * 8 <= 8 * 2**20
 
 
@@ -530,10 +598,13 @@ def test_search_exhaustive_equals_grid(rng):
     # The second problem's rounded 4-feature rows tie often, so the shared
     # neighbor tables must reproduce each standalone run's tie resolution
     # for every prefix k.
-    for rows, width, k_max, seed, zscore in ((50, 3, 6, 13, False), (240, 4, 15, 5, True)):
+    # The third searches one metric, so the other's tables are never built.
+    for rows, width, k_max, seed, zscore, metrics in ((50, 3, 6, 13, False, DISTANCE_METRICS),
+                                                      (240, 4, 15, 5, True, DISTANCE_METRICS),
+                                                      (60, 2, 9, 2, False, ("manhattan",))):
         x = rng.uniform(size=(rows, width)).round(1)
         y = rng.integers(0, 4, size=rows)
-        space = HyperSpace(k_range=tuple(range(1, k_max + 1)))
+        space = HyperSpace(k_range=tuple(range(1, k_max + 1)), metrics=metrics)
         n = len(space.combos())
         res = random_search(x, y, space, n_iter=n, seed=seed, zscore=zscore)
         assert len(res.trials) == n

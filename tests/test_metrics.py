@@ -39,6 +39,8 @@ def test_confusion_validation():
         accuracy(np.zeros((3, 3), dtype=int))
     with pytest.raises(ValidationError):
         accuracy(np.full((4, 4), 0.5))  # non-integer entries
+    with pytest.raises(DomainError, match="empty"):
+        accuracy(np.zeros((4, 4), dtype=int))
 
 
 def test_accuracy_worked_example():
