@@ -254,7 +254,10 @@ def write_csv(ds: Dataset, path) -> None:
 
 
 def _parse_line(raw: str, lineno: int) -> tuple:
-    """(features, label, varied parameters, is_train) of one CSV line."""
+    """(features, label, varied parameters, is_train) of one CSV line.
+
+    The definition of a valid line; `read_csv` calls it only on a bad
+    file, to name its first bad line."""
     cells = raw.split(",")
     if len(cells) != 11:
         raise ParseError(f"expected 11 columns, got {len(cells)}", line=lineno)
@@ -268,11 +271,35 @@ def _parse_line(raw: str, lineno: int) -> tuple:
     return row + (cells[10] == "train",)
 
 
+def _columns(rows: list) -> tuple:
+    """(features, labels, params, in_train) of CSV lines of 11 cells each,
+    each column converted in one pass with the converters of `_parse_line`.
+    Raises ValueError or OverflowError if a cell does not convert."""
+    n = len(rows)
+    cells = ",".join(rows).split(",")
+    texts = [cells[j::11] for j in (0, 1, 2, 3, 5, 6, 7, 8, 9)]
+    floats = []
+    for j, text in enumerate(texts):
+        # a column spelled cell for cell like an earlier one converts to the
+        # same floats: in generated data c3 copies c1 and c4 copies c2
+        i = texts.index(text)
+        floats.append(floats[i] if i < j else np.fromiter(map(float, text), float, n))
+    tags = cells[10::11]
+    if not {"train", "val"}.issuperset(tags):
+        raise ValueError("split tag must be 'train' or 'val'")
+    return (np.stack(floats[:4], axis=1), np.fromiter(map(int, cells[4::11]), np.intp, n),
+            np.stack(floats[4:], axis=1), np.fromiter(map("train".__eq__, tags), bool, n))
+
+
 def read_csv(path) -> Dataset:
     """Inverse of write_csv; also reloads the sidecar when present.
 
-    Lines are parsed into columns up to the first malformed one, then the
-    columns are validated; the earliest bad line is reported.
+    The non-blank lines before the first one without 11 cells are
+    converted column by column, one pass per column, and then validated;
+    the accepted cells are those of `float()` and `int()`. A bad file is
+    diagnosed line by line with `_parse_line`: only the lines before the
+    first it rejects enter the columns, and the earliest bad line is
+    reported, a validation error before a parse error on a later line.
     """
     path = Path(path)
     try:
@@ -293,19 +320,24 @@ def read_csv(path) -> Dataset:
         if type(meta) is not dict:
             raise ParseError(f"sidecar {side} must be a JSON object, got {meta!r}")
 
-    rows, linenos, error = [], [], None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw.strip():
-            try:
-                rows.append(_parse_line(raw, lineno))
-            except ParseError as exc:
-                error = exc
-                break
-            linenos.append(lineno)
-    features, labels, params, in_train = zip(*rows) if rows else ((),) * 4
+    linenos = [lineno for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    rows = [lines[lineno - 1] for lineno in linenos]
+    end = next((i for i, raw in enumerate(rows) if raw.count(",") != 10), len(rows))
     try:
-        ds = Dataset(np.reshape(features, (-1, 4)), np.array(labels, dtype=np.intp),
-                     np.reshape(params, (-1, 5)), np.array(in_train, dtype=bool), meta)
+        columns, start = _columns(rows[:end]), end
+    except (ValueError, OverflowError):
+        columns, start = None, 0
+    error = None
+    for i in range(start, len(rows)):  # a bad file only: find its first bad line
+        try:
+            _parse_line(rows[i], linenos[i])
+        except ParseError as exc:
+            end, error = i, exc
+            break
+    if columns is None:
+        columns = _columns(rows[:end])
+    try:
+        ds = Dataset(*columns, meta)
     except ValidationError as exc:
         raise ParseError(str(exc), line=linenos[exc.row])
     if error is not None:

@@ -441,8 +441,11 @@ def _neighbors(model: KnnModel, queries):
             width = hi[first] - lo[first]
             if width < n and (b - a) * (n - width) < _STRIP_PAIRS:
                 continue  # too few queries to pay for a block of their own
-            idx = np.sort(order[lo[first]:hi[first]])  # the strip, in training order
-            strip_x = np.take(cols, idx, axis=1).T
+            if width < n:
+                idx = np.sort(order[lo[first]:hi[first]])  # the strip, in training order
+                strip_x = np.take(cols, idx, axis=1).T
+            else:  # every training row, in training order already
+                idx, strip_x = np.arange(n), cols.T
             cap = step * n // width
             for c in range(a, b, cap):
                 sel = slice(c, min(c + cap, b))

@@ -23,14 +23,21 @@ as one array with NaN for undefined and must match them bit for bit.
 on a determinant eliminated in `_DPS`-digit mpmath arithmetic, with a
 secant exit at the rounding-noise floor; `artifact.fdcheck` takes the
 determinant exactly and must agree with it to rounding.
+
+`read_csv_lines` is the dataset reader as it parsed one line at a time
+with `_parse_line`; `artifact.data.read_csv` converts whole columns and
+must return the same columns and meta, or raise the same `ParseError`.
 """
 
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
 from artifact.counting import steady_state as solved_steady_state
+from artifact.data import CSV_HEADER, Dataset, _parse_line, meta_path
 from artifact.engine import EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, EngineParams
 from artifact.errors import (
     AbsorbingStateError,
@@ -38,7 +45,9 @@ from artifact.errors import (
     DegenerateSampleError,
     GenerationQualityError,
     NumericalError,
+    ParseError,
     SingularityError,
+    ValidationError,
 )
 from artifact.fdcheck import _DPS, _MIN_GAP, _dominant_eig
 from artifact.trajectories import TrajectoryStats
@@ -372,3 +381,45 @@ def cgf_mp(gen, lam):
         else:
             raise BranchAmbiguityError(f"secant refinement stalled at lam={lam}")
         return x1
+
+
+def read_csv_lines(path):
+    """Dataset of a CSV, parsed line by line up to the first malformed line;
+    the earliest bad line is reported."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+    lines = text.splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
+
+    side = meta_path(path)
+    meta = {}
+    if side.exists():
+        try:
+            meta = json.loads(side.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed sidecar {side}: {exc}")
+        if type(meta) is not dict:
+            raise ParseError(f"sidecar {side} must be a JSON object, got {meta!r}")
+
+    rows, linenos, error = [], [], None
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if raw.strip():
+            try:
+                rows.append(_parse_line(raw, lineno))
+            except ParseError as exc:
+                error = exc
+                break
+            linenos.append(lineno)
+    features, labels, params, in_train = zip(*rows) if rows else ((),) * 4
+    try:
+        ds = Dataset(np.reshape(features, (-1, 4)), np.array(labels, dtype=np.intp),
+                     np.reshape(params, (-1, 5)), np.array(in_train, dtype=bool), meta)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line=linenos[exc.row])
+    if error is not None:
+        raise error
+    return ds

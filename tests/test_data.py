@@ -353,8 +353,8 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def datasets(draw):
-    n = draw(st.integers(0, 12))
+def datasets(draw, min_n=0):
+    n = draw(st.integers(min_n, 12))
     feats = draw(st.lists(st.tuples(*[_finite] * 4), min_size=n, max_size=n))
     temps = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
     strength = st.floats(min_value=0.0, max_value=1.0)
@@ -375,3 +375,110 @@ def test_csv_round_trip_property(tmp_path_factory, ds):
     assert back.meta == ds.meta
     write_csv(back, d / "b.csv")
     assert (d / "b.csv").read_bytes() == (d / "a.csv").read_bytes()
+
+
+def _outcome(read, path):
+    """Columns (dtype, shape, bytes) and meta of a read, or its error text."""
+    try:
+        ds = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in _columns(ds) + (ds.in_train,)], ds.meta
+
+
+_BAD_CELLS = ("", "x", "1_0", " 2 ", "nan", "inf", "-1", "99999999999999999999")
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=datasets(min_n=1), data=st.data())
+def test_read_csv_matches_line_reference(tmp_path_factory, ds, data):
+    p = tmp_path_factory.mktemp("bad") / "a.csv"
+    write_csv(ds, p)
+    lines = p.read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 2), label="corruptions")):
+        at = data.draw(st.integers(1, len(lines) - 1), label="line")
+        cells = lines[at].split(",")
+        j = data.draw(st.integers(0, len(cells) - 1), label="cell")
+        kind = data.draw(st.sampled_from(["cell", "tag", "add", "remove", "blank", "label"]))
+        if kind == "cell":
+            cells[j] = data.draw(st.sampled_from(_BAD_CELLS))
+        elif kind == "tag":
+            cells[-1] = data.draw(st.sampled_from(["test", "Train", "train ", "val\t"]))
+        elif kind == "add":
+            cells.insert(j, "1")
+        elif kind == "remove":
+            del cells[j]
+        elif kind == "label" and len(cells) == 11 and cells[4] in ("0", "1", "2", "3"):
+            cells[4] = str((int(cells[4]) + 1) % 4)
+        if kind == "blank":
+            lines.insert(at, data.draw(st.sampled_from(["", " ", "\t", "  \t "])))
+        else:
+            lines[at] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n")
+    assert _outcome(read_csv, p) == _outcome(loop_reference.read_csv_lines, p)
+
+
+def test_valid_files_skip_the_line_parser(tmp_path, small_dataset, monkeypatch):
+    p = tmp_path / "ds.csv"
+    write_csv(small_dataset, p)
+
+    def unexpected(raw, lineno):
+        raise AssertionError(f"line {lineno} parsed alone")
+
+    monkeypatch.setattr(data_mod, "_parse_line", unexpected)
+    assert _same_columns(read_csv(p), small_dataset)
+
+
+def test_read_csv_accepts_the_grammar_of_float_and_int(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text(CSV_HEADER + "\n1_0, 2 ,+3,1E0, +2 ,1_0,3.5,2,0,0.6,train\n")
+    ds = read_csv(p)
+    assert ds.features.tolist() == [[10.0, 2.0, 3.0, 1.0]]
+    assert ds.labels.tolist() == [2]
+    assert ds.params.tolist() == [[10.0, 3.5, 2.0, 0.0, 0.6]]
+    assert _outcome(read_csv, p) == _outcome(loop_reference.read_csv_lines, p)
+    # int() takes no exponent and no fraction, in the label column only
+    for label in ("2E0", "2.0"):
+        p.write_text(CSV_HEADER + f"\n1,1,1,1,{label},1,3.5,2,0,0.6,train\n")
+        with pytest.raises(ParseError, match=f"line 2: invalid literal for int.*'{label}'"):
+            read_csv(p)
+
+
+def test_read_csv_reads_crlf_line_endings(tmp_path, small_dataset):
+    p, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_csv(small_dataset, p)
+    crlf.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+    back = read_csv(crlf)
+    assert _same_columns(back, small_dataset)
+    assert np.array_equal(back.in_train, small_dataset.in_train)
+
+
+@pytest.mark.parametrize("text", [CSV_HEADER, CSV_HEADER + "\n", CSV_HEADER + "\n\n \n\t\n"])
+def test_read_csv_header_only_gives_an_empty_dataset(tmp_path, text):
+    p = tmp_path / "empty.csv"
+    p.write_text(text)
+    ds = read_csv(p)
+    assert len(ds) == 0
+    assert (ds.features.shape, ds.labels.shape, ds.params.shape, ds.in_train.shape) == ((0, 4), (0,), (0, 5), (0,))
+    assert (ds.features.dtype, ds.labels.dtype, ds.params.dtype, ds.in_train.dtype) == (float, np.intp, float, bool)
+
+
+def test_read_csv_validation_error_beats_a_later_label_overflow(tmp_path):
+    p = tmp_path / "bad.csv"
+    good = "1,1,1,1,0,1,3.5,2,0,0.1,train\n"
+    overflow = "1,1,1,1,99999999999999999999,1,3.5,2,0,0.1,val\n"
+    p.write_text(CSV_HEADER + "\n" + good + "1,1,1,1,3,1,3.5,2,0,0.1,train\n" + good + overflow)
+    with pytest.raises(ParseError, match="line 3: label 3 inconsistent with p_h=0.1"):
+        read_csv(p)
+    p.write_text(CSV_HEADER + "\n" + good + good + good + overflow)
+    with pytest.raises(ParseError, match="line 5: Python int too large to convert to C long"):
+        read_csv(p)
+
+
+def test_read_csv_counts_cells_per_line(tmp_path):
+    # a line one cell short, then one a cell long: their cells still
+    # align into valid columns, but the short line is the bad one
+    p = tmp_path / "bad.csv"
+    p.write_text(CSV_HEADER + "\n1,1,1,1,0,1,3.5,2,0,0.1\ntrain,1,1,1,1,0,1,3.5,2,0,0.1,val\n")
+    with pytest.raises(ParseError, match="line 2: expected 11 columns, got 10"):
+        read_csv(p)
