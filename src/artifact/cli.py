@@ -20,19 +20,12 @@ import numpy as np
 from . import __version__
 from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate, read_csv, write_csv
 from .engine import EngineParams
-from .errors import ArtifactError, ValidationError
+from .errors import ArtifactError, ValidationError, json_object, read_text
 from .experiments import ScenarioSpec, run_scenario, run_size_sweep, sweep_csv, sweep_gnuplot
 from .knn import (FEATURE_SUBSETS, N_CLASSES, HyperSpace, fit, model_from_json, model_to_json,
                   predict_batch, random_search, single_shot_accuracy)
 from .metrics import accuracy, confusion_matrix, render_class_metrics, render_confusion
 from .trajectories import check_run, compare_with_analytic
-
-
-def _read_text(path: Path, what: str) -> str:
-    try:
-        return path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} {path}: {exc}")
 
 
 def _write(out: Path, name: str, content) -> Path:
@@ -101,12 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _reject_unknown(doc: dict, known: tuple, where: str) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValidationError(f"unknown {where} key {unknown[0]!r}; expected one of {known}")
-
-
 def _scalar(key: str, types: tuple, what: str, rule: str = "", holds=lambda v: True):
     """Parser of a scalar config value: its JSON type (bools are not
     numbers here), then the rule its value must meet."""
@@ -120,10 +107,7 @@ def _scalar(key: str, types: tuple, what: str, rule: str = "", holds=lambda v: T
 
 
 def _space(doc) -> HyperSpace:
-    if type(doc) is not dict:
-        raise ValidationError(f"config key 'space' must be a JSON object, got {doc!r}")
-    _reject_unknown(doc, ("k_range", "weightings", "metrics"), "space")
-    for key, value in doc.items():
+    for key, value in json_object(doc, "space", ("k_range", "weightings", "metrics")).items():
         if type(value) is not list:
             raise ValidationError(f"space key {key!r} must be a JSON list, got {value!r}")
     return HyperSpace(**{key: tuple(value) for key, value in doc.items()})
@@ -144,15 +128,8 @@ _CONFIG = {
 def _load_config(path: Path | None) -> dict:
     """The setting of every config key, read from `path` or defaulted;
     a malformed value exits 2 whichever command runs."""
-    doc = {}
-    if path is not None:
-        try:
-            doc = json.loads(_read_text(path, "config"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise ValidationError("config must be a JSON object")
-        _reject_unknown(doc, tuple(_CONFIG), "config")
+    doc = {} if path is None else json_object(read_text(path, "config"), "config",
+                                              tuple(_CONFIG), text=True)
     return {key: parse(doc[key]) if key in doc else default
             for key, (default, parse) in _CONFIG.items()}
 
@@ -204,7 +181,7 @@ def _cmd_tune(args, cfg) -> int:
 
 
 def _cmd_evaluate(args, cfg) -> int:
-    model = model_from_json(_read_text(args.model, "model"))
+    model = model_from_json(read_text(args.model, "model"))
     ds = read_csv(args.data)
     x_val, y_val = ds.validation
     if max(model.feature_subset) >= x_val.shape[1]:
@@ -223,8 +200,8 @@ def _cmd_evaluate(args, cfg) -> int:
 
 
 def _cmd_apply(args, cfg) -> int:
-    model = model_from_json(_read_text(args.model, "model"))
-    spec = ScenarioSpec.from_json(_read_text(args.scenario, "scenario"))
+    model = model_from_json(read_text(args.model, "model"))
+    spec = ScenarioSpec.from_json(read_text(args.scenario, "scenario"))
     res = run_scenario(model, spec)
     path = _write(args.out, "scenario-result.json", json.dumps({
         "spec": spec.to_dict(),

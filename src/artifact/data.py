@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .counting import exchange_moment_ratios_batch
 from .engine import VARIED, EngineParams
-from .errors import DomainError, GenerationQualityError, ParseError, ValidationError
+from .errors import (DomainError, GenerationQualityError, ParseError, ValidationError,
+                     json_object, read_text)
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
@@ -67,12 +68,7 @@ class ParamRanges:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParamRanges":
-        if type(doc) is not dict:
-            raise DomainError(f"ranges must be a JSON object, got {doc!r}")
-        unknown = set(doc) - set(_BOUNDS)
-        if unknown:
-            raise DomainError(f"unknown range keys: {sorted(unknown)}")
-        for name, v in doc.items():
+        for name, v in json_object(doc, "ranges", _BOUNDS).items():
             if type(v) not in (list, tuple) or len(v) != 2 or any(type(x) not in (int, float) for x in v):
                 raise DomainError(f"range {name} must be a list of two numbers, got {v!r}")
         return cls(**{k: tuple(v) for k, v in doc.items()})
@@ -292,33 +288,25 @@ def _columns(rows: list) -> tuple:
 
 
 def read_csv(path) -> Dataset:
-    """Inverse of write_csv; also reloads the sidecar when present.
+    r"""Inverse of write_csv; also reloads the sidecar when present.
 
     The non-blank lines before the first one without 11 cells are
     converted column by column, one pass per column, and then validated;
-    the accepted cells are those of `float()` and `int()`. A bad file is
+    the accepted cells are those of `float()` and `int()`. Lines end at
+    a newline only (`\n`, and `\r\n` or `\r`, which reading the text
+    turns into one): a form feed, `\x85` or another break of
+    `str.splitlines` stays in its cell, for the cell's rule to judge, so
+    line numbers count the file's newlines. A bad file is
     diagnosed line by line with `_parse_line`: only the lines before the
     first it rejects enter the columns, and the earliest bad line is
     reported, a validation error before a parse error on a later line.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    lines = read_text(path, "dataset").split("\n")
+    if lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
 
     side = meta_path(path)
-    meta = {}
-    if side.exists():
-        try:
-            meta = json.loads(side.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed sidecar {side}: {exc}")
-        if type(meta) is not dict:
-            raise ParseError(f"sidecar {side} must be a JSON object, got {meta!r}")
+    meta = json_object(read_text(side, "sidecar"), f"sidecar {side}", text=True) if side.exists() else {}
 
     linenos = [lineno for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
     rows = [lines[lineno - 1] for lineno in linenos]

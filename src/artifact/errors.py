@@ -3,7 +3,13 @@
 Two families matter to the CLI: configuration/validation problems exit
 with code 2, numerical-quality problems with code 3. Everything else is
 a plain bug and propagates.
+
+Every outside file and JSON document enters through `read_text` and
+`json_object`, so one rule decides which of them exit 2.
 """
+
+import json
+from pathlib import Path
 
 
 class ArtifactError(Exception):
@@ -30,6 +36,42 @@ class ParseError(ValidationError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file `path`, a `what` to the user; a file
+    that cannot be read or decoded is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def json_object(doc, what: str, known=None, text: bool = False) -> dict:
+    """`doc` checked to be a JSON object whose keys are all in `known`
+    (when given); a `what` to the user. With `text`, `doc` is the text
+    of a JSON document, parsed first: any object in it that repeats a
+    key is refused."""
+    if text:
+        try:
+            doc = json.loads(doc, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"malformed {what}: {exc}")
+    if type(doc) is not dict:
+        raise ParseError(f"{what} must be a JSON object, got {doc!r:.80}")
+    unknown = sorted(set(doc) - set(known)) if known is not None else ()
+    if unknown:
+        raise ParseError(f"unknown {what} key {unknown[0]!r}; expected one of {tuple(known)}")
+    return doc
 
 
 class StateError(ValidationError):

@@ -10,14 +10,13 @@ relations between observables.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate
-from .errors import DomainError, InfeasibleConstraintError, ValidationError
+from .errors import DomainError, InfeasibleConstraintError, ValidationError, json_object
 from .knn import (FEATURE_SUBSETS, KnnModel, SearchResult, fit, fold_splits,
                   kfold_accuracy, predict_proba_batch, random_search,
                   single_shot_accuracy, predict_batch)
@@ -72,23 +71,14 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioSpec":
-        if type(doc) is not dict:
-            raise ValidationError(f"scenario must be a JSON object, got {doc!r}")
-        known = {"pair12", "pair34", "n", "ranges", "seed"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
+        doc = json_object(doc, "scenario", ("pair12", "pair34", "n", "ranges", "seed"))
         if "pair12" not in doc:
             raise ValidationError("scenario needs at least 'pair12'")
         return cls(**doc)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scenario document is not valid JSON: {exc}")
-        return cls.from_dict(doc)
+        return cls.from_dict(json_object(text, "scenario", text=True))
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,9 @@ def _draw_pair(rng, first, second, relation, n):
 
     equal: the second coordinate copies the first (continuous equality
     has measure zero, so equality is realized by construction).
-    greater/less: joint rejection until the strict inequality holds.
+    greater/less: joint rejection until the strict inequality holds;
+    once _REJECTION_CAP attempts are spent, a relation that accepted
+    fewer than 1% of them is infeasible.
     """
     if relation == "equal":
         a = _uniform(rng, first, n)
@@ -118,7 +110,7 @@ def _draw_pair(rng, first, second, relation, n):
     accepted = 0
     attempts = 0
     while accepted < n:
-        if attempts >= _REJECTION_CAP:
+        if attempts >= _REJECTION_CAP and accepted < 0.01 * attempts:
             rate = accepted / attempts
             raise InfeasibleConstraintError(
                 f"{relation!r} constraint acceptance rate {rate:.2%} after {attempts} attempts"

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, StateError, ValidationError
+from .errors import DomainError, StateError, ValidationError, json_object
 
 N_CLASSES = 4
 WEIGHTINGS = ("uniform", "distance")
@@ -554,11 +554,8 @@ def _json_numbers(values, name: str) -> np.ndarray:
 
 
 def model_from_json(text: str) -> KnnModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"model document is not valid JSON: {exc}")
-    schema = doc.get("schema") if isinstance(doc, dict) else None
+    doc = json_object(text, "model document", text=True)
+    schema = doc.get("schema")
     if schema != MODEL_SCHEMA:
         raise ValidationError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r}")
     try:

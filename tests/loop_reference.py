@@ -29,9 +29,7 @@ with `_parse_line`; `artifact.data.read_csv` converts whole columns and
 must return the same columns and meta, or raise the same `ParseError`.
 """
 
-import json
 import math
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -48,6 +46,8 @@ from artifact.errors import (
     ParseError,
     SingularityError,
     ValidationError,
+    json_object,
+    read_text,
 )
 from artifact.fdcheck import _DPS, _MIN_GAP, _dominant_eig
 from artifact.trajectories import TrajectoryStats
@@ -386,24 +386,12 @@ def cgf_mp(gen, lam):
 def read_csv_lines(path):
     """Dataset of a CSV, parsed line by line up to the first malformed line;
     the earliest bad line is reported."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    lines = read_text(path, "dataset").split("\n")
+    if lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
 
     side = meta_path(path)
-    meta = {}
-    if side.exists():
-        try:
-            meta = json.loads(side.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed sidecar {side}: {exc}")
-        if type(meta) is not dict:
-            raise ParseError(f"sidecar {side} must be a JSON object, got {meta!r}")
+    meta = json_object(read_text(side, "sidecar"), f"sidecar {side}", text=True) if side.exists() else {}
 
     rows, linenos, error = [], [], None
     for lineno, raw in enumerate(lines[1:], start=2):

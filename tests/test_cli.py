@@ -183,6 +183,48 @@ def test_exit_code_validation(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["config", "dataset", "sidecar", "model", "scenario",
+                                 "sidecar-directory"])
+def test_unreadable_input_exits_2(workdir, tmp_path, capsys, bad):
+    # a file that is not UTF-8, or a directory where the sidecar goes
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    for name in ("dataset.csv", "dataset.meta.json", "model-f3.json"):
+        (inputs / name).write_bytes((workdir / name).read_bytes())
+    (inputs / "cfg.json").write_text('{"folds": 3}')
+    (inputs / "scenario.json").write_text(json.dumps({"pair12": "equal", "n": 20}))
+    if bad == "sidecar-directory":
+        (inputs / "dataset.meta.json").unlink()
+        (inputs / "dataset.meta.json").mkdir()
+    else:
+        path = inputs / {"config": "cfg.json", "dataset": "dataset.csv", "sidecar": "dataset.meta.json",
+                         "model": "model-f3.json", "scenario": "scenario.json"}[bad]
+        path.write_bytes(b"\xff" + path.read_bytes())
+    data, model = str(inputs / "dataset.csv"), str(inputs / "model-f3.json")
+    argv = {"config": ["--config", str(inputs / "cfg.json"), "gen-data", "--n", "20"],
+            "dataset": ["train", "--data", data, "--mapping", "f3"],
+            "model": ["evaluate", "--model", model, "--data", data],
+            "scenario": ["apply", "--model", model, "--scenario", str(inputs / "scenario.json")]}
+    argv["sidecar"] = argv["sidecar-directory"] = argv["dataset"]
+    assert run("--out", str(out), *argv[bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read ")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"folds": 3, "folds": 9}', "folds"),
+    ('{"space": {"k_range": [1, 3], "k_range": [5]}}', "k_range"),
+], ids=["top-level", "space"])
+def test_config_refuses_a_repeated_key(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run("--config", str(cfg), "--out", str(tmp_path / "o"), "gen-data", "--n", "20") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: malformed config: repeated key {key!r}")
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     code = run("--out", str(tmp_path), "evaluate",
                "--model", str(tmp_path / "nope.json"),
@@ -265,6 +307,7 @@ def test_config_rejects_unknown_keys(workdir, tmp_path, capsys, cfg, command, ke
     ({"space": 0}, "tune", "space"),
     ({"space": ""}, "tune", "space"),
     ({"space": False}, "tune", "space"),
+    ({"space": "{}"}, "tune", "space"),
     # every key is checked at load, also one the command does not read
     ({"ranges": 5}, "train", "ranges"),
     ({"space": [1]}, "evaluate", "space"),
@@ -276,7 +319,7 @@ def test_config_rejects_unknown_keys(workdir, tmp_path, capsys, cfg, command, ke
         "folds-float", "range-one-number", "range-scalar", "range-string-bound", "ranges-list",
         "k-range-string", "k-range-fraction", "k-range-scalar", "metrics-string",
         "k-range-duplicate", "weightings-duplicate", "space-empty-list", "space-null",
-        "space-zero", "space-empty-string", "space-false", "unread-ranges", "unread-space",
+        "space-zero", "space-empty-string", "space-false", "space-json-text", "unread-ranges", "unread-space",
         "unread-train-frac", "weightings-unknown", "metrics-unknown", "config-list"])
 def test_config_rejects_bad_values(workdir, tmp_path, capsys, cfg, command, key):
     assert _run_with_config(workdir, tmp_path, cfg, command) == 2

@@ -475,6 +475,43 @@ def test_read_csv_validation_error_beats_a_later_label_overflow(tmp_path):
         read_csv(p)
 
 
+def test_read_csv_numbers_lines_by_newlines_only(tmp_path):
+    # \x85 and a form feed break a line for str.splitlines, not in a CSV:
+    # they stay in their cell, where float() takes them as padding, like
+    # a space, and the split tag refuses them
+    p = tmp_path / "bad.csv"
+    good = "1,1,1,1,0,1,3.5,2,0,0.1,train"
+    bad_label = "1,1,1,1,3,1,3.5,2,0,0.1,train"
+    for text, message in [
+        (f"{good}\x85\n{good}\n{bad_label}\n", r"line 2: split tag .* got 'train\\x85'"),
+        (f"1,1,1,1,0,1,3.5,2,0,0.1\x85,train\n{good}\n{bad_label}\n",
+         "line 4: label 3 inconsistent with p_h=0.1"),
+        (f"{good}\n1,1,1,1,0,1,3.5\f2,2,0,0.1,train\n", r"line 3: could not convert .*'3.5\\x0c2'"),
+        (f"{good}\n1,1,1,1,0,1,3.5,2\f,0,0.1,val\f\n", r"line 3: split tag .* got 'val\\x0c'"),
+    ]:
+        p.write_text(f"{CSV_HEADER}\n{text}")
+        with pytest.raises(ParseError, match=message):
+            read_csv(p)
+        assert _outcome(read_csv, p) == _outcome(loop_reference.read_csv_lines, p)
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    (b'{"fixed": {"tau": 1.0}}\xff', "cannot read sidecar .*a.meta.json: 'utf-8' codec"),
+    (None, "cannot read sidecar .*a.meta.json: .*Is a directory"),
+    (b'{"fixed": {}, "fixed": {"tau": 1.0}}', r"malformed sidecar .*: repeated key 'fixed'"),
+    (b"[" * 100_000, "malformed sidecar .*: maximum recursion depth"),
+], ids=["not-utf8", "directory", "repeated-key", "deep-nesting"])
+def test_read_csv_refuses_an_unreadable_sidecar(tmp_path, sidecar, message):
+    p = tmp_path / "a.csv"
+    p.write_text(CSV_HEADER + "\n1,1,1,1,0,1,3.5,2,0,0.1,train\n")
+    if sidecar is None:
+        meta_path(p).mkdir()
+    else:
+        meta_path(p).write_bytes(sidecar)
+    with pytest.raises(ParseError, match=message):
+        read_csv(p)
+
+
 def test_read_csv_counts_cells_per_line(tmp_path):
     # a line one cell short, then one a cell long: their cells still
     # align into valid columns, but the short line is the bad one

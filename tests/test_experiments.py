@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from artifact import experiments
 from artifact.errors import DomainError, InfeasibleConstraintError, ValidationError
 from artifact.experiments import (
     DEFAULT_SCENARIO_RANGES,
@@ -62,6 +63,8 @@ def test_spec_validation():
             ScenarioSpec.from_dict({"pair12": "equal", **fields})
     with pytest.raises(ValidationError, match="must be a JSON object"):
         ScenarioSpec.from_json("[1]")
+    with pytest.raises(ValidationError, match="malformed scenario: repeated key 'pair12'"):
+        ScenarioSpec.from_json('{"pair12": "equal", "n": 5, "pair12": "less"}')
     # JSON lists become tuples, so a parsed spec equals the constructed one
     spec = ScenarioSpec.from_dict({"pair12": "equal", "ranges": [list(r) for r in DEFAULT_SCENARIO_RANGES]})
     assert spec == ScenarioSpec(pair12="equal")
@@ -120,6 +123,18 @@ def test_infeasible_constraint_aborts():
     spec = ScenarioSpec(pair12="greater", n=10, ranges=ranges, seed=0)
     with pytest.raises(InfeasibleConstraintError):
         sample_scenario_features(spec, 2)
+
+
+def test_rejection_cap_refuses_only_a_low_acceptance_rate(monkeypatch):
+    # past the cap, a relation accepted half the time keeps drawing, and
+    # draws what an uncapped run draws
+    spec = ScenarioSpec(pair12="greater", n=5000, ranges=((0.8, 1.0),) * 4, seed=4)
+    uncapped = sample_scenario_features(spec, 2)
+    monkeypatch.setattr(experiments, "_REJECTION_CAP", 4096)
+    np.testing.assert_array_equal(sample_scenario_features(spec, 2), uncapped)
+    infeasible = ScenarioSpec(pair12="greater", n=10, ranges=((0.9, 0.9),) * 2 + ((0.8, 1.0),) * 2)
+    with pytest.raises(InfeasibleConstraintError, match="rate 0.00% after 4096 attempts"):
+        sample_scenario_features(infeasible, 2)
 
 
 # --- scenario runs ----------------------------------------------------------------
