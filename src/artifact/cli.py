@@ -94,6 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# parsing leaves the parser as it was, so every call in a process shares one
+_PARSER = build_parser()
+
+
 def _scalar(key: str, types: tuple, what: str, rule: str = "", holds=lambda v: True):
     """Parser of a scalar config value: its JSON type (bools are not
     numbers here), then the rule its value must meet."""
@@ -267,7 +271,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.seed < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")

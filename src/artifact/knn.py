@@ -41,7 +41,7 @@ keeps the column-order rounding.
 
 from __future__ import annotations
 
-import itertools
+import base64
 import json
 import math
 import warnings
@@ -64,7 +64,10 @@ FEATURE_SUBSETS = {
     "f3": (0, 1),
 }
 
-MODEL_SCHEMA = "knn-model/1"
+MODEL_SCHEMA = "knn-model/2"
+# The arrays of a model file, each stored as {"dtype", "shape", "data"}:
+# base64 of the array's bytes in the one dtype the schema fixes for it.
+_MODEL_ARRAYS = {"features": "<f8", "labels": "|i1", "shift": "<f8", "scale": "<f8"}
 
 # Elements per distance block: the (block, N) distance matrix and the
 # ranking's (block, N) index array take at most 8 MiB each. At 32 MiB
@@ -526,57 +529,60 @@ def kfold_accuracy(features, labels, k: int = 5, weighting: str = "uniform",
 def model_to_json(model: KnnModel) -> str:
     """Serialize the full model; KNN is instance-based, so the whole
     training matrix travels with the hyperparameters."""
-    doc = {
-        "schema": MODEL_SCHEMA,
-        "k": model.k,
-        "weighting": model.weighting,
-        "metric": model.metric,
-        "feature_subset": list(model.feature_subset),
-        "shift": model.shift.tolist(),
-        "scale": model.scale.tolist(),
-        "features": model.features.tolist(),
-        "labels": model.labels.tolist(),
-    }
+    doc = {"schema": MODEL_SCHEMA, "k": model.k, "weighting": model.weighting,
+           "metric": model.metric, "feature_subset": list(model.feature_subset)}
+    for name, dtype in _MODEL_ARRAYS.items():
+        arr = np.ascontiguousarray(getattr(model, name), dtype=dtype)
+        doc[name] = {"dtype": dtype, "shape": list(arr.shape),
+                     "data": base64.b64encode(arr.tobytes()).decode("ascii")}
     return json.dumps(doc)
 
 
-def _json_numbers(values, name: str) -> np.ndarray:
-    """`values` as a float array if it is a JSON list of numbers, or of
-    lists of numbers; strings and bools are refused, not coerced."""
-    if type(values) is not list:
-        raise ValidationError(f"{name} must be a JSON list")
-    kinds = set(map(type, values))
-    if kinds == {list}:
-        kinds = set(map(type, itertools.chain.from_iterable(values)))
-    if not kinds <= {int, float}:
-        raise ValidationError(f"{name} must hold JSON numbers, got {sorted(k.__name__ for k in kinds)}")
-    return np.array(values, dtype=float)
+def _model_array(doc: dict, name: str) -> np.ndarray:
+    """The array `name` of a model document, in the dtype the schema fixes."""
+    want = _MODEL_ARRAYS[name]
+    arr = json_object(doc[name], f"model {name}", ("dtype", "shape", "data"))
+    dtype, shape, data = arr["dtype"], arr["shape"], arr["data"]
+    if dtype != want:
+        raise ValidationError(f"{name} dtype must be {want!r}, got {dtype!r:.80}")
+    if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
+        raise ValidationError(f"{name} shape must be a list of non-negative integers, got {shape!r:.80}")
+    if type(data) is not str:
+        raise ValidationError(f"{name} data must be a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise ValidationError(f"{name} data is not base64: {exc}")
+    size = math.prod(shape) * np.dtype(want).itemsize
+    if len(raw) != size:
+        raise ValidationError(f"{name} data holds {len(raw)} bytes, shape {shape} needs {size}")
+    return np.frombuffer(raw, want).reshape(shape)
 
 
 def model_from_json(text: str) -> KnnModel:
-    doc = json_object(text, "model document", text=True)
+    doc = json_object(text, "model document", ("schema", "k", "weighting", "metric",
+                                               "feature_subset", *_MODEL_ARRAYS), text=True)
     schema = doc.get("schema")
     if schema != MODEL_SCHEMA:
-        raise ValidationError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r}")
+        raise ValidationError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r:.80}; "
+                              f"re-run train to write a {MODEL_SCHEMA} model")
     try:
-        k, labels = doc["k"], doc["labels"]
+        k = doc["k"]
         if type(k) is not int:
             raise ValidationError(f"k must be a JSON integer, got {k!r}")
-        if type(labels) is not list or any(type(v) is not int for v in labels):
-            raise ValidationError("labels must be a list of JSON integers")
         return KnnModel(
-            features=_json_numbers(doc["features"], "features"),
-            labels=np.array(labels, dtype=np.intp),
+            features=_model_array(doc, "features"),
+            labels=_model_array(doc, "labels").astype(np.intp),
             k=k,
             weighting=doc["weighting"],
             metric=doc["metric"],
             feature_subset=tuple(doc["feature_subset"]),
-            shift=_json_numbers(doc["shift"], "shift"),
-            scale=_json_numbers(doc["scale"], "scale"),
+            shift=_model_array(doc, "shift"),
+            scale=_model_array(doc, "scale"),
         )
     except KeyError as exc:
         raise ValidationError(f"model document missing field {exc}")
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ValidationError(f"malformed model document: {exc}")
 
 

@@ -1,8 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import artifact
 from artifact.cli import main
+from model_doc import decode, put, reencode
 
 
 def run(*argv):
@@ -39,8 +45,17 @@ def test_train_writes_model(workdir, capsys):
     path = workdir / "model-f3.json"
     assert path.exists()
     doc = json.loads(path.read_text())
-    assert doc["schema"] == "knn-model/1"
+    assert doc["schema"] == "knn-model/2"
     assert doc["k"] == 3
+
+
+def test_train_is_byte_deterministic(workdir, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run("--seed", "4", "--out", str(out), "train", "--data", str(workdir / "dataset.csv"),
+                   "--mapping", "f2", "--k", "7", "--weighting", "distance") == 0
+    assert (a / "model-f2.json").read_bytes() == (b / "model-f2.json").read_bytes()
+    assert (a / "model-f2.json").read_bytes().startswith(b'{"schema": "knn-model/2"')
 
 
 def test_tune_reports_best(workdir, capsys):
@@ -412,30 +427,73 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     assert not (tmp_path / "dataset.csv").exists()
 
 
-def _truncate(doc, name):
-    doc[name] = doc[name][:-1]
-
-
-@pytest.mark.parametrize("edit", [
-    lambda doc: _truncate(doc, "labels"),
-    lambda doc: doc["features"][0].__setitem__(0, float("nan")),
-    lambda doc: doc["features"][1].__setitem__(1, float("inf")),
-    lambda doc: doc["scale"].__setitem__(0, 0.0),
-    lambda doc: doc["shift"].append(0.0),
-    lambda doc: _truncate(doc, "scale"),
-    lambda doc: doc.__setitem__("feature_subset", [0, 9]),
-    lambda doc: doc.__setitem__("feature_subset", [0]),
-    lambda doc: doc.__setitem__("feature_subset", [-1, -1]),
-    lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
-    lambda doc: doc.__setitem__("labels", [v + 0.5 for v in doc["labels"]]),
-    lambda doc: doc["labels"].__setitem__(0, 2**70),
-    lambda doc: doc.__setitem__("features", [[str(v) for v in row] for row in doc["features"]]),
-    lambda doc: doc.__setitem__("scale", [True] * len(doc["scale"])),
-    lambda doc: doc["shift"].__setitem__(0, str(doc["shift"][0])),
-], ids=["length-mismatch", "nan-feature", "inf-feature", "zero-scale", "shift-width", "scale-width",
-        "subset-beyond-width", "subset-narrower", "subset-negative", "subset-fraction", "label-fraction",
-        "label-overflow", "string-features", "bool-scale", "string-shift"])
-def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda doc: reencode(doc, "labels", lambda a: a[:-1]),
+                 "labels must be one per training row", id="length-mismatch"),
+    pytest.param(lambda doc: reencode(doc, "features", put((0, 0), np.nan)),
+                 "training features must be finite", id="nan-feature"),
+    pytest.param(lambda doc: reencode(doc, "features", put((1, 1), np.inf)),
+                 "training features must be finite", id="inf-feature"),
+    pytest.param(lambda doc: reencode(doc, "scale", put(0, 0.0)),
+                 "scale nonzero", id="zero-scale"),
+    pytest.param(lambda doc: reencode(doc, "shift", lambda a: np.append(a, 0.0)),
+                 "shift and scale must hold 2 entries", id="shift-width"),
+    pytest.param(lambda doc: reencode(doc, "scale", lambda a: a[:-1]),
+                 "shift and scale must hold 2 entries", id="scale-width"),
+    pytest.param(lambda doc: doc.__setitem__("feature_subset", [0, 9]),
+                 "exceeds the dataset's", id="subset-beyond-width"),
+    pytest.param(lambda doc: doc.__setitem__("feature_subset", [0]),
+                 "feature matrix width must match", id="subset-narrower"),
+    pytest.param(lambda doc: doc.__setitem__("feature_subset", [-1, -1]),
+                 "feature subset must be non-negative integers", id="subset-negative"),
+    pytest.param(lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
+                 "feature subset must be non-negative integers", id="subset-fraction"),
+    pytest.param(lambda doc: doc.__setitem__("feature_subset", 2),
+                 "malformed model document", id="subset-not-a-list"),
+    pytest.param(lambda doc: reencode(doc, "labels", lambda a: a + 0.5, "<f8"),
+                 "labels dtype must be '|i1', got '<f8'", id="label-fraction"),
+    pytest.param(lambda doc: reencode(doc, "labels", lambda a: a.astype(np.int64) + 2**40, "<i8"),
+                 "labels dtype must be '|i1', got '<i8'", id="label-overflow"),
+    pytest.param(lambda doc: reencode(doc, "labels", put(0, 4)),
+                 "labels must lie in [0, 4)", id="label-beyond-classes"),
+    pytest.param(lambda doc: reencode(doc, "labels", put(1, -1)),
+                 "labels must lie in [0, 4)", id="label-negative"),
+    pytest.param(lambda doc: reencode(doc, "scale", lambda a: a != 0.0),
+                 "scale dtype must be '<f8', got '|b1'", id="bool-scale"),
+    pytest.param(lambda doc: reencode(doc, "shift", lambda a: a.astype(str)),
+                 "shift dtype must be '<f8', got '<U", id="string-shift"),
+    pytest.param(lambda doc: reencode(doc, "features", lambda a: a, "<f4"),
+                 "features dtype must be '<f8', got '<f4'", id="float32-features"),
+    pytest.param(lambda doc: reencode(doc, "features", lambda a: a, ">f8"),
+                 "features dtype must be '<f8', got '>f8'", id="big-endian-features"),
+    pytest.param(lambda doc: doc["features"].pop("dtype"),
+                 "model document missing field 'dtype'", id="missing-dtype"),
+    pytest.param(lambda doc: reencode(doc, "features", np.ravel),
+                 "feature matrix width must match", id="flat-features"),
+    pytest.param(lambda doc: doc["features"].__setitem__("shape", [-1, 2]),
+                 "features shape must be a list of non-negative integers", id="shape-negative"),
+    pytest.param(lambda doc: doc["labels"].__setitem__("shape", [True]),
+                 "labels shape must be a list of non-negative integers", id="shape-bool"),
+    pytest.param(lambda doc: doc["shift"].__setitem__("shape", [2.0]),
+                 "shift shape must be a list of non-negative integers", id="shape-fraction"),
+    pytest.param(lambda doc: doc["scale"].__setitem__("shape", 2),
+                 "scale shape must be a list of non-negative integers", id="shape-not-a-list"),
+    pytest.param(lambda doc: doc["features"].__setitem__("data", decode(doc, "features").tolist()),
+                 "features data must be a base64 string, got list", id="string-features"),
+    pytest.param(lambda doc: doc["scale"].__setitem__("data", 1.0),
+                 "scale data must be a base64 string, got float", id="data-not-a-string"),
+    pytest.param(lambda doc: doc["features"].__setitem__("data", "!" + doc["features"]["data"][1:]),
+                 "features data is not base64", id="data-stray-character"),
+    pytest.param(lambda doc: doc["shift"].__setitem__("data", doc["shift"]["data"].rstrip("=")),
+                 "shift data is not base64", id="data-bad-padding"),
+    pytest.param(lambda doc: doc["features"].__setitem__("data", doc["features"]["data"][:-8]),
+                 "features data holds", id="truncated-data"),
+    pytest.param(lambda doc: doc.__setitem__("shift", decode(doc, "shift").tolist()),
+                 "model shift must be a JSON object", id="inline-list-shift"),
+    pytest.param(lambda doc: doc["labels"].__setitem__("order", "C"),
+                 "unknown model labels key 'order'", id="unknown-array-key"),
+])
+def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit, message):
     doc = json.loads((workdir / "model-f3.json").read_text())
     edit(doc)
     path = tmp_path / "model.json"
@@ -443,7 +501,68 @@ def test_bad_model_file_exits_2(workdir, tmp_path, capsys, edit):
     code = run("--out", str(tmp_path), "evaluate", "--model", str(path),
                "--data", str(workdir / "dataset.csv"))
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("schema", ["knn-model/1", "knn-model/3", None])
+def test_model_of_another_schema_exits_2(workdir, tmp_path, capsys, schema):
+    # a knn-model/1 file held its arrays as JSON lists; it is not converted
+    doc = json.loads((workdir / "model-f3.json").read_text())
+    for name in ("features", "labels", "shift", "scale"):
+        doc[name] = decode(doc, name).tolist()
+    doc["schema"] = schema
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code = run("--out", str(tmp_path), "evaluate", "--model", str(path),
+               "--data", str(workdir / "dataset.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected schema 'knn-model/2', got ")
+    assert repr(schema) in err and "re-run train" in err
+
+
+@pytest.mark.parametrize("key", ["schema ", "Features", "version"])
+def test_model_with_an_unknown_key_exits_2(workdir, tmp_path, capsys, key):
+    doc = json.loads((workdir / "model-f3.json").read_text())
+    doc[key] = doc.get(key.strip().lower(), 1)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code = run("--out", str(tmp_path), "evaluate", "--model", str(path),
+               "--data", str(workdir / "dataset.csv"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown model document key {key!r}")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process: no call, failed or not, may
+    # leave state that a later call sees. Each run is compared with a
+    # lone run in a fresh process: the CSV, and stdout past its path line.
+    def gen(*argv, out):
+        assert run(*argv, "--out", str(tmp_path / out), "gen-data", "--n", "40") == 0
+        return (tmp_path / out / "dataset.csv").read_bytes(), capsys.readouterr().out.split("\n")[1:]
+
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from artifact.cli import main; sys.exit(main(sys.argv[1:]))",
+         "--out", str(tmp_path / "fresh"), "gen-data", "--n", "40"],
+        check=True, capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(artifact.__file__).parents[1])})
+    alone = (tmp_path / "fresh" / "dataset.csv").read_bytes(), fresh.stdout.split("\n")[1:]
+    with pytest.raises(SystemExit) as exc:
+        run("gen-data", "--n", "forty")
+    assert exc.value.code == 2 and "invalid int value: 'forty'" in capsys.readouterr().err
+    assert gen(out="after-error") == alone
+    with pytest.raises(SystemExit) as exc:
+        run("--version")
+    assert exc.value.code == 0 and capsys.readouterr().out == f"{artifact.__version__}\n"
+    assert gen(out="after-version") == alone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train_frac": 0.5}))
+    assert gen("--config", str(cfg), "--seed", "9", out="configured")[0] != alone[0]
+    assert gen(out="after-config") == alone
+    meta = json.loads((tmp_path / "after-config" / "dataset.meta.json").read_text())
+    assert meta["seed"] == 0 and meta["train_frac"] == 0.7
 
 
 @pytest.mark.parametrize("metric, big", [("euclidean", 1e200), ("manhattan", 1e308)])
@@ -468,8 +587,9 @@ def test_train_refuses_overflowing_features(tmp_path, capsys, metric, big):
 
 @pytest.mark.parametrize("name, bad", [("features", "0.93"), ("scale", True)])
 def test_apply_rejects_model_without_json_numbers(workdir, tmp_path, capsys, name, bad):
+    # an array's data must be base64 text: neither a non-base64 string nor a JSON value
     doc = json.loads((workdir / "model-f3.json").read_text())
-    doc[name] = [[bad] * len(row) for row in doc[name]] if name == "features" else [bad] * len(doc[name])
+    doc[name]["data"] = bad
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     scen = tmp_path / "scenario.json"
@@ -477,4 +597,4 @@ def test_apply_rejects_model_without_json_numbers(workdir, tmp_path, capsys, nam
     code = run("--out", str(tmp_path), "apply", "--model", str(path), "--scenario", str(scen))
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and f"{name} must hold JSON numbers" in captured.err
+    assert captured.err.startswith(f"error: {name} data ") and "base64" in captured.err

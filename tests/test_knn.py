@@ -1,11 +1,15 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from artifact import knn
-from artifact.errors import DomainError, StateError, ValidationError
+from artifact.errors import DomainError, ParseError, StateError, ValidationError
 from artifact.knn import (
     DISTANCE_METRICS,
     FEATURE_SUBSETS,
@@ -25,6 +29,7 @@ from artifact.knn import (
     single_shot_accuracy,
 )
 from knn_reference import full_matrix_votes
+from model_doc import decode, put, reencode
 
 
 # --- brute-force reference ---------------------------------------------------
@@ -671,41 +676,84 @@ def test_model_round_trip(rng):
         predict_proba_batch(model, proj), predict_proba_batch(back, proj)
     )
     assert back.k == 6 and back.weighting == "distance"
-    assert json.loads(text)["schema"] == "knn-model/1"
+    assert json.loads(text)["schema"] == "knn-model/2"
+
+
+# -0.0, subnormals, the smallest normal and +-1e300 besides arbitrary floats
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+
+
+@settings(max_examples=80, deadline=None)
+@given(mapping=st.sampled_from(sorted(FEATURE_SUBSETS)), zscore=st.booleans(),
+       weighting=st.sampled_from(WEIGHTINGS), data=st.data())
+def test_model_file_round_trip_is_bitwise(mapping, zscore, weighting, data):
+    n = data.draw(st.integers(1, 12))
+    # +-1e300 manhattan distances stay finite; z-scoring them overflows,
+    # so zscored models draw within +-1e100
+    big = 1e100 if zscore else 1e300
+    x = data.draw(arrays(float, (n, 4), elements=st.one_of(
+        _EDGE_VALUES.filter(lambda v: abs(v) <= big), st.floats(-big, big))))
+    y = data.draw(arrays(np.intp, n, elements=st.integers(0, N_CLASSES - 1)))
+    model = fit(x, y, k=data.draw(st.integers(1, n)), weighting=weighting, metric="manhattan",
+                feature_subset=FEATURE_SUBSETS[mapping], zscore=zscore)
+    back = model_from_json(model_to_json(model))
+    for name in ("features", "labels", "shift", "scale"):
+        want, got = getattr(model, name), getattr(back, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert back.copies == model.copies
+    assert (back.k, back.weighting, back.metric, back.feature_subset) == \
+           (model.k, model.weighting, model.metric, model.feature_subset)
 
 
 def test_model_from_json_rejects_garbage():
-    with pytest.raises(ValidationError):
-        model_from_json("{not json")
-    with pytest.raises(ValidationError):
-        model_from_json(json.dumps({"schema": "other/9"}))
-    with pytest.raises(ValidationError):
-        model_from_json(json.dumps({"schema": "knn-model/1"}))  # fields missing
-    # k is a JSON integer: a fraction or a bool is refused, not truncated
-    doc = json.loads(model_to_json(fit(np.eye(3), [0, 1, 2], k=2)))
-    for k in (2.7, True, "2", 2.0):
-        with pytest.raises(ValidationError, match="k must be a JSON integer"):
-            model_from_json(json.dumps({**doc, "k": k}))
-    # labels likewise: a fraction, bool or string is refused, not truncated
-    for bad in (0.5, True, "1", 1.0):
-        with pytest.raises(ValidationError, match="labels must be a list of JSON integers"):
-            model_from_json(json.dumps({**doc, "labels": [0, bad, 2]}))
-    with pytest.raises(ValidationError, match="labels must be a list of JSON integers"):
-        model_from_json(json.dumps({**doc, "labels": 1}))
-    # an integer beyond the platform's index type is malformed, not a crash
     with pytest.raises(ValidationError, match="malformed model document"):
-        model_from_json(json.dumps({**doc, "labels": [0, 2**70, 2]}))
-    # features, shift and scale are JSON numbers: strings and bools are
-    # refused, not coerced to floats
-    features = doc["features"]
-    for bad in ("0.5", True, None, [0.5]):
-        with pytest.raises(ValidationError, match="features must hold JSON numbers"):
-            model_from_json(json.dumps({**doc, "features": [features[0], [bad, *features[1][1:]], features[2]]}))
-        for name in ("shift", "scale"):
-            with pytest.raises(ValidationError, match=f"{name} must hold JSON numbers"):
-                model_from_json(json.dumps({**doc, name: [bad, *doc[name][1:]]}))
-    for name in ("features", "shift", "scale"):
-        with pytest.raises(ValidationError, match=f"{name} must be a JSON list"):
-            model_from_json(json.dumps({**doc, name: "1.0"}))
-    # integers are JSON numbers too
-    assert model_from_json(json.dumps({**doc, "scale": [1, 1, 1]})).scale.tolist() == [1.0] * 3
+        model_from_json("{not json")
+    with pytest.raises(ValidationError, match="expected schema 'knn-model/2', got 'other/9'"):
+        model_from_json(json.dumps({"schema": "other/9"}))
+    with pytest.raises(ValidationError, match="missing field"):
+        model_from_json(json.dumps({"schema": "knn-model/2"}))
+    doc = json.loads(model_to_json(fit(np.eye(3), [0, 1, 2], k=2)))
+
+    def refused(edit, match, error=ValidationError):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(error, match=match):
+            model_from_json(json.dumps(bad))
+
+    # k is a JSON integer: a fraction or a bool is refused, not truncated
+    for k in (2.7, True, "2", 2.0):
+        refused(lambda d: d.__setitem__("k", k), "k must be a JSON integer")
+    # every array has the one dtype the schema fixes; nothing is cast
+    for name, want in (("labels", "|i1"), ("features", "<f8"), ("shift", "<f8"), ("scale", "<f8")):
+        for dtype in ("<f8", "<i8", "|i1", "|b1", "<f4", ">f8", "<U3"):
+            if dtype != want:
+                refused(lambda d: reencode(d, name, lambda a: a, dtype),
+                        re.escape(f"{name} dtype must be {want!r}, got {dtype!r}"))
+        refused(lambda d: d[name].__setitem__("dtype", ["<f8"]), f"{name} dtype must be")
+        # a JSON list, as knn-model/1 held it, is not an array object
+        refused(lambda d: d.__setitem__(name, decode(d, name).tolist()),
+                f"model {name} must be a JSON object", ParseError)
+        for shape in ([-1], [True, 3], [1.5], "3", None, [[3]]):
+            refused(lambda d: d[name].__setitem__("shape", shape),
+                    f"{name} shape must be a list of non-negative integers")
+        for data in (3, None, True, ["AAAA"]):
+            refused(lambda d: d[name].__setitem__("data", data), f"{name} data must be a base64 string")
+        # stray characters, whitespace included, and bad padding
+        for data in ("AA!A", "AA AA", "AAAA\n", "AAA", "AA=A", "A===", "\u00e9AAA"):
+            refused(lambda d: d[name].__setitem__("data", data), f"{name} data is not base64")
+        # data that is base64 but does not fill the declared shape
+        refused(lambda d: d[name].__setitem__("data", d[name]["data"][:-4]), f"{name} data holds")
+        refused(lambda d: d[name].__setitem__("data", d[name]["data"] + "AAAAAAAAAAA="),
+                f"{name} data holds")
+        for key in ("dtype", "shape", "data"):
+            refused(lambda d: d[name].pop(key), f"missing field '{key}'")
+        refused(lambda d: d[name].__setitem__("strides", [8]), f"unknown model {name} key 'strides'",
+                ParseError)
+    # labels within the int8 range but outside the classes
+    for bad in (4, 127, -1, -128):
+        refused(lambda d: reencode(d, "labels", put(1, bad)), re.escape("labels must lie in [0, 4)"))
+    # a declared shape that numpy cannot make, or a 0-d feature "matrix"
+    refused(lambda d: d["features"].update(shape=[0, 2**70], data=""), "malformed model document")
+    refused(lambda d: reencode(d, "features", lambda a: a[0, 0]), "malformed model document")
+    refused(lambda d: d.__setitem__("extra", 1), "unknown model document key 'extra'", ParseError)
