@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate, read_csv, write_csv
+from .data import DEFAULT_RANGES, N_CLASSES, Dataset, ParamRanges, generate, read_csv, write_csv
 from .engine import EngineParams
 from .errors import ArtifactError, ValidationError, json_object, read_text
 from .experiments import ScenarioSpec, run_scenario, run_size_sweep, sweep_csv, sweep_gnuplot
-from .knn import (FEATURE_SUBSETS, N_CLASSES, HyperSpace, fit, model_from_json, model_to_json,
-                  predict_batch, random_search, single_shot_accuracy)
+from .knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, fit, model_from_json,
+                  model_to_json, predict_batch, random_search, single_shot_accuracy)
 from .metrics import accuracy, confusion_matrix, render_class_metrics, render_confusion
 from .trajectories import check_run, compare_with_analytic
 
@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", type=Path, required=True)
     t.add_argument("--mapping", choices=_MAPPINGS, required=True)
     t.add_argument("--k", type=int, default=5)
-    t.add_argument("--weighting", choices=("uniform", "distance"), default="uniform")
-    t.add_argument("--metric", choices=("euclidean", "manhattan"), default="euclidean")
+    t.add_argument("--weighting", choices=WEIGHTINGS, default="uniform")
+    t.add_argument("--metric", choices=DISTANCE_METRICS, default="euclidean")
 
     u = sub.add_parser("tune", help="randomized hyperparameter search")
     u.add_argument("--data", type=Path, required=True)

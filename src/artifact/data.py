@@ -40,6 +40,12 @@ _MAX_REDRAWS_FRACTION = 0.10
 _BATCH_ROWS = 4096
 
 
+def is_interval(r) -> bool:
+    """A finite [lo, hi] list or tuple of JSON numbers, not bools, with lo <= hi."""
+    return (type(r) in (list, tuple) and len(r) == 2
+            and all(type(v) in (int, float) and math.isfinite(v) for v in r) and r[0] <= r[1])
+
+
 @dataclass(frozen=True)
 class ParamRanges:
     """Per-dimension closed sampling intervals for the varied parameters.
@@ -57,26 +63,25 @@ class ParamRanges:
 
     def __post_init__(self):
         for name, outer in _BOUNDS.items():
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise DomainError(f"range {name}=({lo}, {hi}) is not a valid interval")
-            if lo < outer[0] - 1e-12 or hi > outer[1] + 1e-12:
-                raise DomainError(f"range {name}=({lo}, {hi}) outside sampling bounds {outer}")
+            r = getattr(self, name)
+            if not is_interval(r):
+                raise DomainError(f"range {name} must be a finite [lo, hi] pair with lo <= hi, got {r!r}")
+            if r[0] < outer[0] - 1e-12 or r[1] > outer[1] + 1e-12:
+                raise DomainError(f"range {name}=({r[0]}, {r[1]}) outside sampling bounds {outer}")
+            object.__setattr__(self, name, tuple(r))
 
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in _BOUNDS}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParamRanges":
-        for name, v in json_object(doc, "ranges", _BOUNDS).items():
-            if type(v) not in (list, tuple) or len(v) != 2 or any(type(x) not in (int, float) for x in v):
-                raise DomainError(f"range {name} must be a list of two numbers, got {v!r}")
-        return cls(**{k: tuple(v) for k, v in doc.items()})
+        return cls(**json_object(doc, "ranges", _BOUNDS))
 
 
 DEFAULT_RANGES = ParamRanges()
 
 _CLASS_EDGES = (0.25, 0.50, 0.75)
+N_CLASSES = len(_CLASS_EDGES) + 1
 
 
 def _labels_of(p_h):

@@ -10,12 +10,11 @@ relations between observables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate
+from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate, is_interval
 from .errors import DomainError, InfeasibleConstraintError, ValidationError, json_object
 from .knn import (FEATURE_SUBSETS, KnnModel, SearchResult, fit, fold_splits,
                   kfold_accuracy, predict_proba_batch, random_search,
@@ -28,12 +27,7 @@ DEFAULT_SCENARIO_RANGES = ((0.76, 1.001), (0.80, 1.01), (0.76, 1.002), (0.76, 1.
 
 _REJECTION_CAP = 1_000_000
 _REJECTION_BATCH = 4096
-
-
-def _is_interval(r) -> bool:
-    """A finite [lo, hi] pair of numbers with lo <= hi."""
-    return (type(r) in (list, tuple) and len(r) == 2
-            and all(type(v) in (int, float) and math.isfinite(v) for v in r) and r[0] <= r[1])
+_WIDTHS = sorted({len(s) for s in FEATURE_SUBSETS.values()})
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ class ScenarioSpec:
         if type(self.seed) is not int or self.seed < 0:
             raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if (type(self.ranges) not in (list, tuple) or len(self.ranges) != 4
-                or not all(_is_interval(r) for r in self.ranges)):
+                or not all(is_interval(r) for r in self.ranges)):
             raise ValidationError(f"ranges must be 4 ordered finite intervals, got {self.ranges!r}")
         object.__setattr__(self, "ranges", tuple(tuple(r) for r in self.ranges))
 
@@ -127,8 +121,9 @@ def _draw_pair(rng, first, second, relation, n):
 
 def sample_scenario_features(spec: ScenarioSpec, width: int) -> np.ndarray:
     """Synthetic feature block of the given width under the constraints."""
-    if width not in (2, 3, 4):
-        raise DomainError(f"feature width must be 2, 3 or 4, got {width}")
+    if width not in _WIDTHS:
+        raise DomainError(f"feature width must be {', '.join(map(str, _WIDTHS[:-1]))} "
+                          f"or {_WIDTHS[-1]}, got {width}")
     if width < 4 and spec.pair34 != "absent":
         raise DomainError(
             f"pair34={spec.pair34!r} needs 4 features, model sees {width}"
@@ -194,12 +189,8 @@ def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0,
     hp = search.best
     model = fit(x_train, y_train, k=hp.k, weighting=hp.weighting, metric=hp.metric,
                 feature_subset=subset)
-    preds = predict_batch(model, x_val[:, subset])
-    chi = confusion_matrix(preds, y_val)
-    return PipelineResult(
-        search=search, model=model,
-        val_accuracy=accuracy(chi), chi=chi,
-    )
+    chi = confusion_matrix(predict_batch(model, x_val[:, subset]), y_val)
+    return PipelineResult(search=search, model=model, val_accuracy=accuracy(chi), chi=chi)
 
 
 def evaluate_untuned(mapping: str, dataset: Dataset) -> float:
@@ -226,8 +217,8 @@ def run_size_sweep(sizes, mapping: str = "f1", seed: int = 0,
         ds = generate(n, ranges=ranges, seed=seed)
         x_train, y_train = ds.train
         x = x_train[:, subset]
-        tree_accs = [np.mean(predict_tree(fit_tree(x[rest], y_train[rest]), x[held])
-                             == y_train[held]) * 100.0
+        tree_accs = [accuracy(confusion_matrix(predict_tree(fit_tree(x[rest], y_train[rest]), x[held]),
+                                               y_train[held]))
                      for rest, held in fold_splits(len(x), folds, seed)]
         rows.append({
             "n": n,

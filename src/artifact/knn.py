@@ -50,9 +50,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import N_CLASSES
 from .errors import DomainError, StateError, ValidationError, json_object
+from .metrics import accuracy, confusion_matrix, percent_correct
 
-N_CLASSES = 4
 WEIGHTINGS = ("uniform", "distance")
 DISTANCE_METRICS = ("euclidean", "manhattan")
 
@@ -132,6 +133,8 @@ class KnnModel:
     copies: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.features.ndim != 2:
+            raise ValidationError(f"features must be 2-D, got shape {self.features.shape}")
         n = len(self.features)
         if n == 0:
             raise StateError("model has no training points")
@@ -143,7 +146,7 @@ class KnnModel:
             raise ValidationError(f"metric must be one of {DISTANCE_METRICS}")
         if not self.feature_subset or any(type(j) is not int or j < 0 for j in self.feature_subset):
             raise ValidationError(f"feature subset must be non-negative integers, got {self.feature_subset}")
-        if self.features.ndim != 2 or self.features.shape[1] != len(self.feature_subset):
+        if self.features.shape[1] != len(self.feature_subset):
             raise ValidationError("feature matrix width must match the feature subset")
         if self.labels.shape != (n,):
             raise ValidationError("labels must be one per training row")
@@ -491,15 +494,7 @@ def predict_batch(model: KnnModel, queries) -> np.ndarray:
 
 def single_shot_accuracy(model: KnnModel, features, labels) -> float:
     """Percentage of exact label matches on an evaluation set."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
-    if features.shape[0] != labels.shape[0]:
-        raise DomainError(
-            f"{features.shape[0]} feature rows vs {labels.shape[0]} labels"
-        )
-    if labels.shape[0] == 0:
-        raise DomainError("evaluation set is empty")
-    return float(np.mean(predict_batch(model, features) == labels) * 100.0)
+    return accuracy(confusion_matrix(predict_batch(model, features), labels))
 
 
 def fold_splits(n: int, folds: int, seed: int) -> list:
@@ -648,7 +643,7 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
 
     sizes = np.array([len(held) for _, held in splits], dtype=float)
     trials = tuple(
-        (hp, float(np.mean(fold_correct[hp] / sizes * 100.0))) for hp in scorable
+        (hp, float(np.mean(percent_correct(fold_correct[hp], sizes)))) for hp in scorable
     )
     best, best_score = max(trials, key=lambda t: t[1])  # first maximum: preference order
     return SearchResult(best=best, best_score=best_score, trials=trials)

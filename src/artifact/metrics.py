@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import N_CLASSES
 from .errors import DomainError, ValidationError
-from .knn import N_CLASSES
 
 
 def confusion_matrix(predicted, true) -> np.ndarray:
@@ -45,13 +45,18 @@ def _check(chi) -> np.ndarray:
     return chi
 
 
+def percent_correct(correct, total):
+    """correct / total in percent, elementwise: every accuracy's one rounding."""
+    return correct / total * 100.0
+
+
 def accuracy(chi) -> float:
     """Diagonal mass over total mass, as a percentage."""
     chi = _check(chi)
     total = int(chi.sum())
     if total == 0:
         raise DomainError("confusion matrix is empty")
-    return float(np.trace(chi)) / total * 100.0
+    return percent_correct(int(np.trace(chi)), total)
 
 
 def _ratio(num, den) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import N_CLASSES
 from .errors import DomainError
-from .knn import N_CLASSES
 
 MAX_DEPTH = 8
 

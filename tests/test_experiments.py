@@ -18,7 +18,7 @@ from artifact.experiments import (
     sweep_csv,
     sweep_gnuplot,
 )
-from artifact.data import generate
+from artifact.data import DEFAULT_RANGES, ParamRanges, generate
 from artifact.knn import FEATURE_SUBSETS, fit, kfold_accuracy
 from artifact.tree import fit_tree, predict_tree
 
@@ -68,6 +68,36 @@ def test_spec_validation():
     # JSON lists become tuples, so a parsed spec equals the constructed one
     spec = ScenarioSpec.from_dict({"pair12": "equal", "ranges": [list(r) for r in DEFAULT_SCENARIO_RANGES]})
     assert spec == ScenarioSpec(pair12="equal")
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("interval, ok", [
+    ([0.2, 0.8], True), ((0.2, 0.8), True), ([0, 1], True), ((0, 0.5), True), ([0.5, 0.5], True),
+    ([True, 1], False), ((0, True), False), ([False, 1.0], False),
+    ([_NAN, 0.5], False), ((0.2, _NAN), False), ([-_INF, 0.5], False), ([0.2, _INF], False),
+    ([0.8, 0.2], False), ((1, 0), False),
+    ([0.5], False), ((0.1, 0.2, 0.3), False), ([], False),
+    (["0.2", "0.8"], False), ([0.2, "0.8"], False), ("ab", False), ("0.2", False),
+    (0.5, False), (None, False), ({"lo": 0.2, "hi": 0.8}, False),
+])
+def test_param_ranges_and_scenario_share_the_interval_rule(interval, ok):
+    """The sampling ranges of a config and the feature ranges of a scenario
+    accept and refuse the same [lo, hi] values; all tried lie in [0, 1],
+    inside the p_h sampling bounds, so only the interval rule decides."""
+    ranges = dict(DEFAULT_RANGES.to_dict(), p_h=interval)
+    scenario = {"pair12": "equal", "ranges": [interval, *DEFAULT_SCENARIO_RANGES[1:]]}
+    if ok:
+        assert ParamRanges.from_dict(ranges).p_h == tuple(interval)
+        assert ScenarioSpec.from_dict(scenario).ranges[0] == tuple(interval)
+        return
+    with pytest.raises(DomainError, match="range p_h must be a finite"):
+        ParamRanges.from_dict(ranges)
+    with pytest.raises(DomainError, match="range p_h must be a finite"):
+        ParamRanges(p_h=interval)
+    with pytest.raises(ValidationError, match="ranges must be 4 ordered finite intervals"):
+        ScenarioSpec.from_dict(scenario)
 
 
 # --- constrained sampling --------------------------------------------------------

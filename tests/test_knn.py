@@ -209,10 +209,14 @@ def test_single_shot_accuracy():
     # k=1 reproduces the training labels; disagree on one of four rows
     assert single_shot_accuracy(model, train_x, np.array([0, 1, 2, 2])) == 75.0
     assert single_shot_accuracy(model, train_x, train_y) == 100.0
-    with pytest.raises(DomainError):
+    # the refusals are the confusion matrix's
+    with pytest.raises(DomainError, match="prediction/label shapes differ"):
         single_shot_accuracy(model, train_x, train_y[:3])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="zero samples"):
         single_shot_accuracy(model, np.zeros((0, 4)), np.zeros(0, dtype=int))
+    # a label outside the classes is refused, not scored as a miss
+    with pytest.raises(DomainError, match=re.escape("true classes must lie in [0, 4)")):
+        single_shot_accuracy(model, train_x, np.array([0, 1, 2, 7]))
 
 
 # --- distance kernel and neighbor pairs ----------------------------------------
@@ -377,6 +381,14 @@ def test_non_finite_queries_are_refused(bad, weighting, rng):
         for predict in (predict_batch, predict_proba_batch):
             with pytest.raises(DomainError, match="finite"):
                 predict(m, q)
+
+
+@pytest.mark.parametrize("features", [np.array(0.5), np.zeros(3)], ids=["0-d", "1-D"])
+def test_model_refuses_features_that_are_not_a_matrix(features):
+    # the shape is checked before anything takes the features' length
+    with pytest.raises(ValidationError, match=re.escape(f"features must be 2-D, got shape {features.shape}")):
+        KnnModel(features=features, labels=np.zeros(1, dtype=np.intp), k=1, weighting="uniform",
+                 metric="euclidean", feature_subset=(0,), shift=np.zeros(1), scale=np.ones(1))
 
 
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
@@ -753,7 +765,9 @@ def test_model_from_json_rejects_garbage():
     # labels within the int8 range but outside the classes
     for bad in (4, 127, -1, -128):
         refused(lambda d: reencode(d, "labels", put(1, bad)), re.escape("labels must lie in [0, 4)"))
-    # a declared shape that numpy cannot make, or a 0-d feature "matrix"
+    # a declared shape that numpy cannot make
     refused(lambda d: d["features"].update(shape=[0, 2**70], data=""), "malformed model document")
-    refused(lambda d: reencode(d, "features", lambda a: a[0, 0]), "malformed model document")
+    # a 0-d feature "matrix" (shape [], 8 bytes) is refused by its shape, before its length is read
+    refused(lambda d: reencode(d, "features", lambda a: a[0, 0]),
+            re.escape("features must be 2-D, got shape ()"))
     refused(lambda d: d.__setitem__("extra", 1), "unknown model document key 'extra'", ParseError)
