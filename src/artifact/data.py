@@ -4,7 +4,11 @@ Each sample is one random engine configuration: the features are the
 four baseline-normalized exchange statistics, the label is the quartile
 interval of the hot-bath coherence strength. A dataset is held as column
 arrays. Generation is deterministic in (seed, ranges, n), with per-sample
-RNG substreams so the draws do not depend on evaluation order.
+RNG substreams so the draws do not depend on evaluation order. The
+substreams are numpy's (PCG64 seeded by `SeedSequence` children), whose
+output numpy keeps fixed across versions; they are computed for all
+samples at once as integer array arithmetic rather than one `Generator`
+object per sample.
 """
 
 from __future__ import annotations
@@ -163,18 +167,112 @@ class Dataset:
         return self.features[~self.in_train], self.labels[~self.in_train]
 
 
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier in 64-bit halves
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 2549297995355413924, 4865540595714422341
+
+
+def _hash(value, const, mult):
+    """SeedSequence's hashmix of a word or uint32 array: (value, next constant)."""
+    nxt = const * mult & _M32
+    value = (value ^ const) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """One step of the 128-bit LCG on uint64 halves; the high product of
+    lo and the multiplier's low half is built from 32-bit pieces."""
+    a0, a1, b0, b1 = lo & _M32, lo >> 32, _PCG_LO & _M32, _PCG_LO >> 32
+    u = a1 * b0 + (a0 * b0 >> 32)
+    v = a0 * b1 + (u & _M32)
+    hi = a1 * b1 + (u >> 32) + (v >> 32) + lo * _PCG_HI + hi * _PCG_LO
+    lo = lo * _PCG_LO
+    new_lo = lo + inc_lo
+    return hi + inc_hi + (new_lo < lo), new_lo
+
+
+class _Substreams:
+    """The streams of `default_rng(c)` for the children c of
+    `SeedSequence(seed).spawn(n)`, held as uint64 arrays.
+
+    Child i mixes its entropy (the seed's 32-bit words, padded to 4, then
+    the spawn key i) into a 4-word pool by SeedSequence's hash mix, and
+    `generate_state(4, uint64)` seeds PCG64 (O'Neill's 128-bit LCG with
+    XSL-RR output, HMC-CS-2014-0905) through `srandom`. NumPy freezes both
+    under its stream-compatibility policy (NEP 19), so the draws equal
+    numpy's bit for bit. Only the spawn key differs per child: the seed's
+    words are mixed once in Python ints, the key as uint32 arrays.
+    """
+
+    def __init__(self, seed: int, n: int):
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        words += [0] * (4 - len(words))
+        pool, const = [], _INIT_A
+        for w in words[:4]:
+            v, const = _hash(w, const, _MULT_A)
+            pool.append(v)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    v, const = _hash(pool[src], const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], v)
+        for w in words[4:] + [np.arange(n, dtype=np.uint32)]:
+            for dst in range(4):
+                v, const = _hash(w, const, _MULT_A)
+                pool[dst] = _mix(pool[dst], v)
+        halves, const = [], _INIT_B
+        for j in range(8):
+            v, const = _hash(pool[j % 4], const, _MULT_B)
+            halves.append(v.astype(np.uint64))
+        s_hi, s_lo, q_hi, q_lo = (halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2))
+        inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+        lo = inc_lo + s_lo
+        hi, lo = _step(inc_hi + s_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+        self.state = np.stack([hi, lo, inc_hi, inc_lo])
+
+    def random(self, rows, count: int) -> np.ndarray:
+        """(len(rows), count): the next `count` uniforms of each of the
+        distinct `rows`, as `Generator.random` gives them."""
+        hi, lo, inc_hi, inc_lo = self.state[:, rows]
+        out = np.empty((len(hi), count))
+        for j in range(count):
+            hi, lo = _step(hi, lo, inc_hi, inc_lo)
+            x, r = hi ^ lo, hi >> 58
+            out[:, j] = ((x >> r | x << (64 - r & 63)) >> 11) * 2.0 ** -53
+        self.state[:2, rows] = hi, lo
+        return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
              train_frac: float = 0.70) -> Dataset:
     """Draw n labeled samples i.i.d. uniformly over `ranges`.
 
+    Sample i draws from the stream of child i of `SeedSequence(seed)`,
+    and the split from child n, so a dataset is a prefix of a larger one
+    at the same seed. The sample streams are computed together as arrays
+    (`_Substreams`), equal bit for bit to `default_rng` on each child.
     All first attempts are evaluated together, as stacked solves of up
     to _BATCH_ROWS rows. Degenerate draws (vanishing baseline statistics
     or failed solves) are redrawn from the same per-sample substream, in
     further rounds; more than 10% redraws overall signals pathological
     ranges and aborts.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    if not (_is_int(seed) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative int, got {seed!r}")
+    if not (_is_int(n) and 1 <= n < 2**32):
+        raise DomainError(f"n must be an int in [1, 2**32), got {n!r}")
+    seed, n = int(seed), int(n)
     if not 0.0 < train_frac < 1.0:
         raise DomainError(f"train_frac must be in (0, 1), got {train_frac}")
     n_train = int(round(n * train_frac))
@@ -182,17 +280,16 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
         raise DomainError(f"train_frac={train_frac} of n={n} leaves an empty "
                           f"{'training' if n_train == 0 else 'validation'} split")
 
-    children = np.random.SeedSequence(seed).spawn(n + 1)
-    streams = [np.random.default_rng(c) for c in children[:n]]
+    streams = _Substreams(seed, n)
     lo = np.array([getattr(ranges, k)[0] for k in VARIED])
     width = np.array([getattr(ranges, k)[1] for k in VARIED]) - lo
 
     def draw(rows):
-        return lo + width * np.array([streams[i].random(5) for i in rows]).reshape(-1, 5)
+        return lo + width * streams.random(rows, 5)
 
-    params = draw(range(n))
-    features = np.empty((n, 4))
     pending = np.arange(n)
+    params = draw(pending)
+    features = np.empty((n, 4))
     redraws = 0
     budget = max(10, int(_MAX_REDRAWS_FRACTION * n))
     fixed = EngineParams()
@@ -208,9 +305,9 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
                 f"more than {budget} degenerate draws for n={n}; ranges look pathological"
             )
         pending = np.array(failed, dtype=np.intp)
-        params[pending] = draw(failed)
+        params[pending] = draw(pending)
 
-    perm = np.random.default_rng(children[n]).permutation(n)
+    perm = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,))).permutation(n)
     in_train = np.zeros(n, dtype=bool)
     in_train[perm[:n_train]] = True
 

@@ -147,7 +147,7 @@ def test_criterion_05_feature_range(big_dataset):
     ok = inside_envelope and window_frac >= 0.95
     _verdict(5, "feature range reproduction", ok,
              f"50k samples in [{x.min():.4f}, {x.max():.4f}], "
-             f"window fraction {window_frac:.4f} (needs >= 0.95)")
+             f"window fraction {window_frac:.4f} (needs >= 0.95), generated in {_T['gen']:.1f}s")
     assert inside_envelope
     assert window_frac >= 0.95
 

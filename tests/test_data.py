@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,42 @@ def test_generate_validation():
         generate(0, seed=1)
     with pytest.raises(DomainError):
         generate(10, seed=1, train_frac=1.0)
+
+
+@pytest.mark.parametrize("n,seed,name", [
+    (10, -1, "seed"), (10, 1.5, "seed"), (10, True, "seed"), (10, "3", "seed"),
+    (10.0, 1, "n"), (True, 1, "n"), (0, 1, "n"), (2**32, 1, "n"),
+])
+def test_generate_checks_n_and_seed(n, seed, name):
+    value = {"n": n, "seed": seed}[name]
+    with pytest.raises(DomainError, match=f"^{name} must be .*, got {re.escape(repr(value))}$") as err:
+        generate(n, seed=seed)
+    assert err.value.exit_code == 2
+
+
+def test_generate_takes_numpy_integers(small_dataset):
+    assert _same_columns(generate(np.int64(600), seed=np.uint8(7)), small_dataset)
+
+
+_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 1, 2**99 + 12345]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_substreams_match_numpy(seed, n):
+    # child i's draws are numpy's default_rng on SeedSequence(seed) child i,
+    # across calls and on a subset of rows in any order
+    children = np.random.SeedSequence(seed).spawn(n + 1)
+    rngs = [np.random.default_rng(c) for c in children[:n]]
+    streams = data_mod._Substreams(seed, n)
+    rows = np.arange(n)
+    got = np.concatenate([streams.random(rows, 5), streams.random(rows, 5)], axis=1)
+    assert np.array_equal(got, np.array([g.random(10) for g in rngs]))
+    subset = np.random.default_rng(n).permutation(n)[:max(1, n // 3)]
+    assert np.array_equal(streams.random(subset, 3), np.array([rngs[i].random(3) for i in subset]))
+    if n > 1:  # the split draws from child n
+        perm = np.random.default_rng(children[n]).permutation(n)
+        assert np.flatnonzero(generate(n, seed=seed).in_train).tolist() == sorted(perm[:round(0.7 * n)])
 
 
 @pytest.mark.parametrize("n,train_frac,split", [
