@@ -25,7 +25,7 @@ from . import __version__
 from .counting import exchange_moment_ratios_batch
 from .engine import VARIED, EngineParams
 from .errors import (DomainError, GenerationQualityError, ParseError, ValidationError,
-                     json_object, read_text)
+                     is_int, json_object, read_text)
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
@@ -250,10 +250,6 @@ class _Substreams:
         return out
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
              train_frac: float = 0.70) -> Dataset:
     """Draw n labeled samples i.i.d. uniformly over `ranges`.
@@ -268,9 +264,9 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
     further rounds; more than 10% redraws overall signals pathological
     ranges and aborts.
     """
-    if not (_is_int(seed) and seed >= 0):
+    if not (is_int(seed) and seed >= 0):
         raise DomainError(f"seed must be a non-negative int, got {seed!r}")
-    if not (_is_int(n) and 1 <= n < 2**32):
+    if not (is_int(n) and 1 <= n < 2**32):
         raise DomainError(f"n must be an int in [1, 2**32), got {n!r}")
     seed, n = int(seed), int(n)
     if not 0.0 < train_frac < 1.0:

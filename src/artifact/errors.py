@@ -6,10 +6,13 @@ a plain bug and propagates.
 
 Every outside file and JSON document enters through `read_text` and
 `json_object`, so one rule decides which of them exit 2.
+`is_int` is the one rule for which arguments count as integers.
 """
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 
 class ArtifactError(Exception):
@@ -72,6 +75,12 @@ def json_object(doc, what: str, known=None, text: bool = False) -> dict:
     if unknown:
         raise ParseError(f"unknown {what} key {unknown[0]!r}; expected one of {tuple(known)}")
     return doc
+
+
+def is_int(value) -> bool:
+    """The one integer rule for counts and seeds: an int or numpy integer,
+    never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class StateError(ValidationError):

@@ -16,10 +16,14 @@ import numpy as np
 
 from .counting import cumulants, steady_state
 from .engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, build_generator
-from .errors import AbsorbingStateError, DomainError, ValidationError
+from .errors import AbsorbingStateError, DomainError, ValidationError, is_int
 
 _RATE_TOL = 1e-12
-_BUF = 8192  # uniforms drawn per trajectory per refill
+# Every lane draws its stream index _BUF - 1 and drops it. Index 0 picks the
+# start state, the first _SKIP_AFTER jumps read the pairs (1, 2) ...
+# (_BUF - 3, _BUF - 2), and each later jump the next pair from index _BUF on.
+_BUF = 8192
+_SKIP_AFTER = _BUF // 2 - 1
 _WINDOW = 256  # jumps every running lane advances per array pass
 _CHUNK = 32  # jumps per chunk of the destination-map scan
 _IDENTITY = 0b11100100  # packed map that sends every state to itself
@@ -44,6 +48,8 @@ class JumpProcess:
         finite = np.all(np.isfinite(self.rates))
         if not finite or np.any(self.rates < 0) or np.any(np.diag(self.rates) != 0):
             raise ValidationError("off-diagonal rates must be finite and >= 0 with a zero diagonal")
+        if not np.all(np.isin(self.count_weights, (-1.0, 0.0, 1.0))):
+            raise ValidationError("count weights must each be -1, 0 or +1")
         self.rates.setflags(write=False)
         self.count_weights.setflags(write=False)
 
@@ -143,9 +149,9 @@ def _walk(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 def check_run(t_final: float, n_traj: int) -> None:
     """Raise DomainError unless `simulate` can run to `t_final` on `n_traj` lanes."""
-    if not 0.0 < t_final < math.inf:
+    if isinstance(t_final, bool) or not 0.0 < t_final < math.inf:
         raise DomainError(f"t_final must be finite and positive, got {t_final}")
-    if isinstance(n_traj, bool) or not isinstance(n_traj, (int, np.integer)):
+    if not is_int(n_traj):
         raise DomainError(f"n_traj must be an integer, got {n_traj!r}")
     if n_traj < 3:
         raise DomainError(f"jackknife variance needs n_traj >= 3, got {n_traj}")
@@ -156,26 +162,30 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     """Gillespie estimate of the net-count mean and variance rates.
 
     Every trajectory (lane) consumes uniforms only from its own
-    SeedSequence substream, in a fixed schedule: u[0] of its first buffer
-    picks the initial state, each jump then takes the next pair (u1, u2)
-    of the buffer, and an exhausted buffer is refilled from the same
-    stream. All lanes therefore sit at the same buffer position and
-    advance together by a window of up to _WINDOW jumps per array pass.
-    Within a window the embedded chain is a scan rather than a loop: each
-    u2 fixes a destination map for all four source states, the maps are
-    composed, and the states before and after every jump are decoded.
-    The waiting times -log1p(-u1) / escape are summed from the lane's
-    current time with a sequential `np.add.accumulate`, which rounds
-    exactly like `t += dt` one jump at a time, so the jumps within the
-    horizon form a prefix of each window and the counts, and hence the
-    statistics, equal those of a serial run bit for bit. A lane ends at
-    its first jump past t_final; a running lane that reaches a state with
-    zero escape rate raises AbsorbingStateError.
+    SeedSequence substream, in a fixed schedule: stream index 0 picks the
+    initial state, and each jump then takes the next pair (u1, u2), except
+    that index _BUF - 1 is drawn and dropped. All running lanes therefore
+    sit at the same stream position and advance together by a window of
+    up to _WINDOW jumps per array pass; each draws just that window's
+    uniforms into one small block that every window reuses. Within a
+    window the embedded chain is a scan rather than a loop: each u2 fixes
+    a destination map for all four source states, the maps are composed,
+    and the states before and after every jump are decoded. The waiting
+    times log1p(-u1) / -escape are summed from the lane's current time
+    with a sequential `np.add.accumulate`, which rounds exactly like
+    `t += dt` one jump at a time, so the jumps within the horizon form a
+    prefix of each window and the counts, and hence the statistics, equal
+    those of a serial run bit for bit. A lane ends at its first jump past
+    t_final; a running lane that reaches a state with zero escape rate
+    raises AbsorbingStateError.
 
-    Standard errors are jackknife over trajectories. `initial` is a
-    distribution over the 4 states; defaults to uniform.
+    Standard errors are jackknife over trajectories. `seed` is a
+    non-negative int. `initial` is a distribution over the 4 states;
+    defaults to uniform.
     """
     check_run(t_final, n_traj)
+    if not (is_int(seed) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative int, got {seed!r}")
     if initial is None:
         initial = np.full(4, 0.25)
     initial = np.asarray(initial, dtype=float)
@@ -193,46 +203,56 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
         if escape[s] > 0:
             others = [i for i in range(4) if i != s]
             cum[s] = (np.cumsum(proc.rates[others, s]) / escape[s])[:2]
-    weights = proc.count_weights.astype(np.int64)
+    neg_escape = -escape
+    absorbing = not np.all(escape > 0)
+    # increment[after << 2 | before]: the count a jump before -> after adds
+    increment = proc.count_weights.astype(np.int8).ravel()
 
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
-    bufs = np.empty((n_traj, _BUF))
-    for i, g in enumerate(streams):
-        bufs[i] = g.random(_BUF)
     init_cum = np.cumsum(initial)
     init_cum[-1] = np.inf
-    state = (bufs[:, 0, None] >= init_cum[None, :]).sum(axis=1).astype(np.uint8)
-    ptr = 1  # buffer position shared by every running lane
+    u0 = np.array([g.random() for g in streams])
+    state = (u0[:, None] >= init_cum[None, :]).sum(axis=1).astype(np.uint8)
 
     t = np.zeros(n_traj)
     count = np.zeros(n_traj, dtype=np.int64)
     active = np.arange(n_traj)
+    block = np.empty((n_traj, 2 * _WINDOW))  # row j: running lane j's uniforms of a window
+    done = 0  # jumps taken by every running lane
 
     while active.size:
-        if ptr + 2 > _BUF:
+        if done == _SKIP_AFTER:
             for i in active:
-                bufs[i] = streams[i].random(_BUF)
-            ptr = 0
-        w = min(_WINDOW, (_BUF - ptr) // 2)
-        # (w, lanes) blocks: jump j of the window uses uniforms ptr + 2j, ptr + 2j + 1.
-        u1, u2 = (np.ascontiguousarray(bufs[active, ptr + k:ptr + 2 * w:2].T) for k in (0, 1))
-        ptr += 2 * w
+                streams[i].random()  # stream index _BUF - 1 is never read
+        w = min(_WINDOW, _SKIP_AFTER - done) if done < _SKIP_AFTER else _WINDOW
+        done += w
+        for j, i in enumerate(active):
+            streams[i].random(out=block[j, :2 * w])
+        # (w, lanes) blocks: jump j of the window uses uniforms 2j, 2j + 1.
+        lanes = block[:active.size, :2 * w].reshape(active.size, w, 2)
+        u1, u2 = np.ascontiguousarray(lanes.transpose(2, 1, 0))
         states = _walk(_jump_maps(u2, cum), state[active])
         before, after = states[:-1], states[1:]
-        esc = escape[before]
+        esc = np.take(neg_escape, before)
+        # Waiting times log1p(-u1) / -escape in place of u1: IEEE division is
+        # sign-symmetric, so each equals -log1p(-u1) / escape bit for bit.
+        dt = np.log1p(np.negative(u1, out=u1), out=u1)
         with np.errstate(divide="ignore", invalid="ignore"):  # zero escape: raised below
-            dt = -np.log1p(-u1) / esc
+            np.divide(dt, esc, out=dt)
         dt[0] += t[active]
         t_jump = np.add.accumulate(dt, axis=0, out=dt)
         inside = t_jump <= t_final
         n_inside = inside.sum(axis=0)
-        # Jump j of a lane runs when its j earlier jumps stayed inside the horizon.
-        stuck = (esc == 0) & (np.arange(w)[:, None] <= n_inside)
-        if stuck.any():
-            j = stuck.any(axis=1).argmax()
-            bad = int(before[j, stuck[j].argmax()])
-            raise AbsorbingStateError(f"trajectory reached state {bad} with zero escape rate")
-        count[active] += (weights[after, before] * inside).sum(axis=0)
+        if absorbing:
+            # Jump j of a lane runs when its j earlier jumps stayed inside the horizon.
+            stuck = (esc == 0) & (np.arange(w)[:, None] <= n_inside)
+            if stuck.any():
+                j = stuck.any(axis=1).argmax()
+                bad = int(before[j, stuck[j].argmax()])
+                raise AbsorbingStateError(f"trajectory reached state {bad} with zero escape rate")
+        counted = np.take(increment, (after << 2) | before)
+        counted *= inside
+        count[active] += counted.sum(axis=0)
         t[active] = t_jump[-1]
         state[active] = after[-1]
         active = active[n_inside == w]

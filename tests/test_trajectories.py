@@ -1,8 +1,11 @@
+import tracemalloc
+
 import loop_reference
 import numpy as np
 import pytest
 
 from artifact.counting import cumulants, steady_state
+from artifact.data import generate
 from artifact.engine import EngineParams, build_generator
 from artifact.errors import AbsorbingStateError, DomainError, ValidationError
 from artifact.trajectories import (
@@ -36,14 +39,15 @@ def _even_proc():
 
 
 def _jump_times(seed, n_traj, lane=0):
-    """Times of one lane's jumps under `_even_proc`, through its second buffer.
+    """Times of one lane's jumps under `_even_proc`, through its third block
+    of _BUF uniforms.
 
-    The first buffer holds 4095 jumps (u[0] picks the initial state and the
+    The first block holds 4095 jumps (u[0] picks the initial state and the
     last uniform is never read), every later one 4096.
     """
     g = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_traj)[lane])
-    first, second = g.random(_BUF), g.random(_BUF)
-    u1 = np.concatenate([first[1:-1:2], second[0::2]])
+    first, second, third = (g.random(_BUF) for _ in range(3))
+    u1 = np.concatenate([first[1:-1:2], second[0::2], third[0::2]])
     return np.add.accumulate(-np.log1p(-u1) / 3.0)
 
 
@@ -72,7 +76,11 @@ REFERENCE_CASES = {
     "last-jump-of-a-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW - 1], 5, 2, None),
     "first-jump-of-a-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW], 5, 2, None),
     "mid-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW + _WINDOW // 2], 5, 2, None),
+    "last-jump-before-the-skip": lambda: (
+        _even_proc(), _jump_times(4, 3)[_BUF // 2 - 2], 3, 4, None),
     "first-jump-of-a-refill": lambda: (_even_proc(), _jump_times(9, 3)[_BUF // 2 - 1], 3, 9, None),
+    "inside-the-third-block": lambda: (
+        _even_proc(), _jump_times(5, 3)[_BUF + _WINDOW // 2 + 7], 3, 5, None),
     "steady-state-start": lambda: (
         _proc(t_c=0.8, t_l=3.0), 300.0, 7, 1, _steady(EngineParams(t_c=0.8, t_l=3.0))),
     "nothing-to-count": lambda: (_zero_count_proc(), 50.0, 6, 3, None),
@@ -153,6 +161,43 @@ def test_simulate_argument_validation():
         with pytest.raises(DomainError, match="n_traj must be an integer"):
             simulate(proc, 10.0, n_traj, seed=1)
     assert simulate(proc, 10.0, np.int64(4), seed=1) == simulate(proc, 10.0, 4, seed=1)
+    assert simulate(proc, 10.0, 4, seed=np.uint8(7)) == simulate(proc, 10.0, 4, seed=7)
+    with pytest.raises(DomainError, match="t_final must be finite and positive"):
+        simulate(proc, True, 4, seed=1)  # a bool is not a horizon
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None],
+                         ids=["negative", "fraction", "float", "bool", "str", "none"])
+def test_bad_seed_refused_like_generate(seed):
+    # one integer rule for seeds: the oracle refuses what `generate` refuses
+    with pytest.raises(DomainError, match="seed must be a non-negative int") as oracle:
+        simulate(_proc(), 10.0, 4, seed)
+    with pytest.raises(DomainError, match="seed must be a non-negative int") as data:
+        generate(5, seed=seed)
+    assert str(oracle.value) == str(data.value)
+
+
+def test_jump_process_rejects_other_count_weights():
+    rates = np.ones((4, 4))
+    np.fill_diagonal(rates, 0.0)
+    for weight in (2.0, 0.5, np.nan):
+        weights = np.zeros((4, 4))
+        weights[3, 2] = weight
+        with pytest.raises(ValidationError, match="count weights"):
+            JumpProcess(rates=rates, count_weights=weights)
+
+
+def test_simulate_traced_peak_stays_below_6_mb():
+    # each lane draws only the uniforms of the window it runs; a per-lane
+    # buffer of _BUF uniforms would read about 15.6 MB here
+    proc = build_jump_process(EngineParams())
+    tracemalloc.start()
+    try:
+        simulate(proc, 50.0, 200, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_nothing_to_count():
