@@ -176,6 +176,7 @@ def _cmd_tune(args, cfg) -> int:
         "best": res.best._asdict(),
         "best_score": res.best_score,
         "trials": [{"params": hp._asdict(), "score": sc} for hp, sc in res.trials],
+        "vote_fallbacks": res.vote_fallbacks,
     }, indent=2) + "\n")
     hp = res.best
     print(f"best: k={hp.k}, weighting={hp.weighting}, metric={hp.metric} "

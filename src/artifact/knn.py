@@ -30,7 +30,13 @@ Blocks hold at most `_BLOCK_ELEMS` distances, filled into one buffer
 that every block of a call reuses. Each block's distance matrix is read
 only to rank neighbors; votes are cast from the (b, k) neighbor (index,
 distance) pairs gathered once from it, as one table holding the votes
-of every neighbor-count prefix asked for.
+of every neighbor-count prefix asked for. Uniform tables come from one
+cumulative count along the rank axis, exact in any order. Readers of
+distance-weighted values (`predict_proba_batch`, `predict_batch`) sum
+in training-index order; `random_search`, which reads only the argmax,
+sums in rank order with one cumulative sum and keeps a winner only where
+a proven rounding bound certifies it, recomputing the rest in index
+order.
 
 A model records which of its columns are bitwise copies of an earlier
 column (every dataset row has c3 == c1 and c4 == c2). When a block's
@@ -294,38 +300,122 @@ def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     return ranked
 
 
+def _distance_weights(nd: np.ndarray) -> tuple:
+    """(weights, hit) of the (b, kk) neighbor distances `nd`: 1/d, except
+    on the rows that `hit` marks, where a query sits on training points.
+    Those points outvote everything (finite weights cannot compete with
+    an exact match), so such a row weighs them 1 and the rest 0. They
+    rank first, so they are in every prefix."""
+    zero = nd == 0.0
+    with np.errstate(divide="ignore"):
+        w = 1.0 / nd
+    hit = zero.any(axis=1)
+    w[hit] = zero[hit]
+    return w, hit
+
+
+def _rank_sums(labels: np.ndarray, w, ks) -> np.ndarray:
+    """(len(ks), b, N_CLASSES) per-class sums of the weights `w` of the
+    (b, kk) neighbor labels over each rank prefix k in `ks`, added in
+    rank order by one cumulative sum along the rank axis."""
+    b, kk = labels.shape
+    acc = np.zeros((b, kk, N_CLASSES), dtype=np.result_type(w))
+    slots = N_CLASSES * np.arange(b * kk, dtype=np.intp).reshape(b, kk)
+    acc.reshape(-1)[slots + labels] = w
+    np.cumsum(acc, axis=1, out=acc)
+    return np.moveaxis(acc, 1, 0)[np.asarray(ks) - 1]
+
+
 def _votes_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
                weighting: str, ks) -> np.ndarray:
     """(len(ks), b, N_CLASSES) vote mass of the first k of the (b, kk)
     ranked neighbor indices, for each k in `ks`; `nd` holds their
     distances, ascending along each row.
 
-    Accumulation order is ascending training index: the pairs are sorted
-    by index once, and each prefix masks the pairs ranked at or beyond k
-    to a weight of +0.0, which leaves every sum unchanged.
+    Unit votes sum to exact integers in any order, so the uniform table
+    of every prefix comes from one cumulative count of the labels along
+    the rank axis. Distance weights are added in ascending training
+    index, the order the values are defined by: the pairs are sorted by
+    index once, and each prefix masks the pairs ranked at or beyond k to
+    a weight of +0.0, which leaves every sum unchanged.
     """
-    b, kk = ranked.shape
+    if weighting == "uniform":
+        # int32 counts: a count is at most kk, far below 2**31
+        return _rank_sums(labels[ranked], np.int32(1), ks).astype(float)
+    b = len(ranked)
     order = np.argsort(ranked, axis=1)  # pair ranks, in training-index order
     rows = N_CLASSES * np.arange(b, dtype=np.intp)[:, None]
     flat = (labels[np.take_along_axis(ranked, order, axis=1)] + rows).ravel()
-    if weighting == "uniform":
-        # Unit votes sum to exact integers in any order.
-        w = np.ones((b, kk))
-    else:
-        nd = np.take_along_axis(nd, order, axis=1)
-        zero = nd == 0.0
-        with np.errstate(divide="ignore"):
-            w = 1.0 / nd
-        # A query sitting on training points: those points outvote
-        # everything (finite weights cannot compete with an exact match).
-        # They rank first, so they are in every prefix.
-        hit = zero.any(axis=1)
-        w[hit] = zero[hit]
+    w, _ = _distance_weights(np.take_along_axis(nd, order, axis=1))
     out = np.empty((len(ks), b, N_CLASSES))
     for t, k in enumerate(ks):
         out[t] = np.bincount(flat, weights=np.where(order < k, w, 0.0).ravel(),
                              minlength=b * N_CLASSES).reshape(b, N_CLASSES)
     return out
+
+
+# Unit roundoff of float64, and the range of a top class's rank-order
+# sum inside which `_winners_for` certifies its argmax.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_CERTIFIED_SUMS = (2.0 ** -1020, 2.0 ** 1022)
+
+
+def _winners_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
+                 weighting: str, ks) -> tuple:
+    """((len(ks), b) winning classes, fallbacks): for each k in `ks`, the
+    argmax of `_votes_for`'s table, which is all `random_search` reads,
+    and the number of (k, row) pairs recomputed by `_votes_for` itself.
+
+    Uniform tables are exact, and so are rows that hit a training point
+    (0/1 weights). Other distance-weighted rows are summed in rank order
+    by one cumulative sum, R_c per class c, and the top class a of R is
+    kept where fl(R_a * c_k) > R_c for every c != a, with
+    c_k = 1 - (4k + 2)u an exact float and u = 2**-53. Every other
+    (k, row) pair falls back to `_votes_for` on those rows only, in
+    training-index order, ties to the lowest class included.
+
+    Proof that a kept winner is the index-order argmax. Both orders add
+    the same float weights fl(1/d) >= 0; adding a +0.0 is exact, so each
+    class sum is a recursive sum of its n <= k nonzero weights, whose
+    first term enters exactly. For non-negative terms in any order,
+    |fl(s) - s| <= g s with g = m u / (1 - m u), m = k - 1 >= n - 1
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, section 4.2), because each addition obeys
+    fl(x + y) = (x + y)(1 + e), |e| <= u. Subnormal terms do not break
+    that model: both addends are multiples of 2**-1074, so a sum below
+    2**-1022 is one too and is exact (e = 0); only overflow breaks it.
+    With S_c the exact sum and I_c the index-order one,
+        I_c <= S_c (1 + g) <= R_c (1 + g) / (1 - g) = R_c / (1 - 2mu),
+        I_a >= S_a (1 - g) >= R_a (1 - g) / (1 + g) = R_a (1 - 2mu),
+    so R_a (1 - 2mu)^2 > R_c for all c != a gives I_a > I_c, a strict
+    lead, and the index-order argmax is a. The check evaluates
+    fl(R_a c_k), which is at most R_a c_k (1 + u) <= R_a (1 - (4k + 1)u)
+    <= R_a (1 - 4mu) <= R_a (1 - 2mu)^2 when the product is a normal
+    float. R_a >= 2**-1020 keeps it normal (c_k >= 1/2 for k < 2**50); a
+    smaller R_a could underflow the product, so that pair falls back. So
+    does R_a > 2**1022, which an infinite weight gives: below it, every
+    partial sum of either order stays under R_a / (1 - 2mu), far from
+    overflow, and the model above holds for every addition.
+    """
+    if weighting == "uniform":
+        return np.argmax(_votes_for(ranked, nd, labels, weighting, ks), axis=2), 0
+    w, hit = _distance_weights(nd)
+    sums = _rank_sums(labels[ranked], w, ks)
+    win = np.argmax(sums, axis=2)
+    # the largest and second-largest class sums, one class at a time
+    top = runner = np.zeros(sums.shape[:2])
+    for c in range(N_CLASSES):
+        runner = np.maximum(runner, np.minimum(top, sums[..., c]))
+        top = np.maximum(top, sums[..., c])
+    ks = np.asarray(ks)
+    lead = top * (1.0 - (4 * ks + 2) * _UNIT_ROUNDOFF)[:, None]
+    lo, hi = _CERTIFIED_SUMS
+    sure = hit | ((lead > runner) & (top >= lo) & (top <= hi))
+    for t in np.flatnonzero(~sure.all(axis=1)):
+        redo, k = np.flatnonzero(~sure[t]), ks[t]
+        votes = _votes_for(ranked[redo, :k], nd[redo, :k], labels, weighting, (k,))[0]
+        win[t, redo] = np.argmax(votes, axis=1)
+    return win, int(np.count_nonzero(~sure))
 
 
 def _block_rows(n_train: int) -> int:
@@ -586,6 +676,9 @@ class SearchResult:
     best: Hyperparams
     best_score: float
     trials: tuple  # (Hyperparams, score) in tie-preference order
+    # distance-weighted (k, row) pairs whose winner `_winners_for`
+    # recomputed in training-index order, over every fold and metric
+    vote_fallbacks: int
 
 
 def random_search(features, labels, space: HyperSpace = HyperSpace(),
@@ -596,9 +689,13 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     Every candidate is scored with the same seeded folds, so the result
     equals an exhaustive grid restricted to the sampled combinations.
     Neighbor tables are shared across candidates per (metric, fold), and
-    each block casts one vote table per weighting for all of its
-    candidates' k: the ranked-neighbor prefix of length k reproduces
-    exactly what a standalone kfold_accuracy call computes.
+    each block finds the winners of all of its candidates' k at once, per
+    weighting, with `_winners_for`: the ranked-neighbor prefix of length k
+    reproduces exactly what a standalone kfold_accuracy call computes.
+    Uniform winners come from one cumulative count; distance-weighted ones
+    from a certified rank-order sum, and the (k, row) pairs it cannot
+    certify are recomputed in training-index order and counted in
+    `vote_fallbacks`.
     """
     if n_iter < 1:
         raise DomainError(f"n_iter must be >= 1, got {n_iter}")
@@ -621,6 +718,7 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
         raise DomainError("every sampled k exceeds the smallest training fold")
 
     fold_correct = {hp: np.zeros(len(splits)) for hp in scorable}
+    fallbacks = 0
     for i, (rest, held) in enumerate(splits):
         y_held = labels[held]
         for metric in DISTANCE_METRICS:
@@ -635,9 +733,10 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
                 for weighting, ks in ks_of.items():
                     if not ks:
                         continue
-                    table = _votes_for(ranked[:, :ks[-1]], nd[:, :ks[-1]], model.labels,
-                                       weighting, ks)
-                    correct = np.sum(np.argmax(table, axis=2) == y_blk, axis=1)
+                    win, redone = _winners_for(ranked[:, :ks[-1]], nd[:, :ks[-1]], model.labels,
+                                               weighting, ks)
+                    fallbacks += redone
+                    correct = np.sum(win == y_blk, axis=1)
                     for k, c in zip(ks, correct):
                         fold_correct[Hyperparams(k, weighting, metric)][i] += c
 
@@ -646,4 +745,5 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
         (hp, float(np.mean(percent_correct(fold_correct[hp], sizes)))) for hp in scorable
     )
     best, best_score = max(trials, key=lambda t: t[1])  # first maximum: preference order
-    return SearchResult(best=best, best_score=best_score, trials=trials)
+    return SearchResult(best=best, best_score=best_score, trials=trials,
+                        vote_fallbacks=fallbacks)

@@ -3,7 +3,13 @@
 `_votes_for` once took the whole (b, N) distance block and gathered each
 query's neighbor distances from it, after sorting the neighbor indices
 ascending. The production route takes the (b, k) neighbor distances
-gathered once per block; tests require both to give bitwise-equal votes.
+gathered once per block. Its uniform tables come from one cumulative
+count along the rank axis; its distance-weighted values are summed in
+training-index order, as here; `_winners_for`, which `random_search`
+reads, sums in rank order and recomputes in index order every winner
+its rounding bound does not certify. Tests require `_votes_for` to give
+votes bitwise equal to this route's, and `_winners_for` the argmax of
+`_votes_for`'s votes.
 """
 
 import numpy as np

@@ -70,6 +70,7 @@ def test_tune_reports_best(workdir, capsys):
     doc = json.loads((workdir / "tuning-f3.json").read_text())
     assert len(doc["trials"]) == 6
     assert doc["best_score"] == max(t["score"] for t in doc["trials"])
+    assert type(doc["vote_fallbacks"]) is int and doc["vote_fallbacks"] >= 0
 
 
 def test_evaluate_writes_reports(workdir, capsys):

@@ -356,6 +356,87 @@ def test_votes_from_pairs_match_full_matrix(metric, weighting, rng):
     assert straddled > 0  # rows whose ties straddle the k-th rank were exercised
 
 
+def _winner_problem(rng, case):
+    """(train_x, train_y, query) for `_winners_for`: random rows, rows
+    rounded to 0.1 (many exact ties of distance-weight sums), or random
+    rows with every third query sitting on a training point."""
+    train_x = rng.uniform(0.7, 1.1, size=(90, 4))
+    train_y = rng.integers(0, N_CLASSES, size=90)
+    query = rng.uniform(0.7, 1.1, size=(60, 4))
+    if case == "rounded":
+        train_x, query = train_x.round(1), query.round(1)
+    elif case == "on-point":
+        query[::3] = train_x[:20]
+    return train_x, train_y, query
+
+
+@pytest.mark.parametrize("case", ["random", "rounded", "on-point"])
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_winners_match_index_order_argmax(case, metric, weighting, rng):
+    train_x, train_y, query = _winner_problem(rng, case)
+    dist = _distances(train_x, query, metric)
+    k = 40
+    ranked = knn._ranked_neighbors(dist, k)
+    nd = np.take_along_axis(dist, ranked, axis=1)
+    if case == "on-point":
+        assert np.sum(nd[:, 0] == 0.0) == 20
+    prefixes = range(1, k + 1)
+    win, fallbacks = knn._winners_for(ranked, nd, train_y, weighting, prefixes)
+    want = np.argmax(knn._votes_for(ranked, nd, train_y, weighting, prefixes), axis=2)
+    assert win.tobytes() == want.tobytes()
+    # only distance weights summed in rank order can be uncertain, and
+    # exact ties of rounded rows are
+    assert (fallbacks > 0) == (weighting == "distance" and case == "rounded"), fallbacks
+    some = (k, 1, 7)  # any subset, in any order
+    picked, _ = knn._winners_for(ranked, nd, train_y, weighting, some)
+    assert picked.tobytes() == want[[j - 1 for j in some]].tobytes()
+
+
+def test_winners_fall_back_on_an_exact_tie():
+    # classes 1 and 0 each carry distance weight 1.0: 1/1 against 1/2 + 1/2
+    ranked = np.array([[2, 0, 1]])
+    nd = np.array([[1.0, 2.0, 2.0]])
+    labels = np.array([0, 0, 1])
+    win, fallbacks = knn._winners_for(ranked, nd, labels, "distance", (1, 2, 3))
+    assert win[:, 0].tolist() == [1, 1, 0]  # the tie goes to the lower class
+    assert fallbacks == 1
+
+
+@pytest.mark.parametrize("near,far,fallbacks", [
+    (1e-310, 1.0, 2),     # 1/d overflows to inf: past the certified range
+    (2e307, 4e307, 2),    # 1/d near underflow: the check's product could underflow
+    (1e307, 4e307, 0),    # top sum 1e-307 lies inside the certified range
+])
+def test_winners_fall_back_outside_the_certified_range(near, far, fallbacks):
+    ranked = np.array([[1, 0]])
+    nd = np.array([[near, far]])
+    labels = np.array([1, 0])
+    with np.errstate(over="ignore"):  # 1/1e-310 overflows on either route
+        win, got = knn._winners_for(ranked, nd, labels, "distance", (1, 2))
+        want = np.argmax(knn._votes_for(ranked, nd, labels, "distance", (1, 2)), axis=2)
+    assert win.tolist() == want.tolist() == [[0], [0]]
+    assert got == fallbacks
+
+
+def test_winners_fall_back_where_rank_order_misleads():
+    # Class 0's weights 1/39, 1/49, 1/54 sum one ulp higher in rank order
+    # than in training-index order, where they stand reversed; class 1's
+    # one weight equals the rank-order sum. Rank order ties the two
+    # classes (class 0 wins), index order puts class 1 ahead.
+    w = 1.0 / np.array([39.0, 49.0, 54.0])
+    by_rank = (w[0] + w[1]) + w[2]
+    assert (w[2] + w[1]) + w[0] < by_rank and 1.0 / (1.0 / by_rank) == by_rank
+    ranked = np.array([[0, 3, 2, 1]])
+    nd = np.array([[1.0 / by_rank, 39.0, 49.0, 54.0]])
+    labels = np.array([1, 0, 0, 0])
+    votes = knn._votes_for(ranked, nd, labels, "distance", (4,))[0, 0]
+    assert votes[1] > votes[0]
+    win, fallbacks = knn._winners_for(ranked, nd, labels, "distance", (1, 2, 3, 4))
+    assert win[:, 0].tolist() == [1, 1, 1, 1]
+    assert fallbacks == 1
+
+
 def test_results_do_not_depend_on_block_or_tile_size(rng, monkeypatch):
     train_x, train_y, query = _random_problem(rng, 120, 70)
     models = [fit(train_x, train_y, k=9, weighting=w, metric=m)
@@ -625,6 +706,9 @@ def test_search_exhaustive_equals_grid(rng):
         n = len(space.combos())
         res = random_search(x, y, space, n_iter=n, seed=seed, zscore=zscore)
         assert len(res.trials) == n
+        # rounded features tie distance-weight sums exactly, and those
+        # winners are recomputed in training-index order
+        assert res.vote_fallbacks > 0
         # every candidate's score must equal the standalone k-fold run
         for hp, score in res.trials:
             accs = [single_shot_accuracy(fit(x[rest], y[rest], k=hp.k, weighting=hp.weighting,
