@@ -29,14 +29,13 @@ float range, so that distances and bounds alike stay finite.
 Blocks hold at most `_BLOCK_ELEMS` distances, filled into one buffer
 that every block of a call reuses. Each block's distance matrix is read
 only to rank neighbors; votes are cast from the (b, k) neighbor (index,
-distance) pairs gathered once from it, as one table holding the votes
-of every neighbor-count prefix asked for. Uniform tables come from one
-cumulative count along the rank axis, exact in any order. Readers of
-distance-weighted values (`predict_proba_batch`, `predict_batch`) sum
-in training-index order; `random_search`, which reads only the argmax,
-sums in rank order with one cumulative sum and keeps a winner only where
-a proven rounding bound certifies it, recomputing the rest in index
-order.
+distance) pairs gathered once from it, weighted by the one rule
+`_weights`. Each question has one route. The vote values of one k
+(`predict_proba_batch`, `predict_batch`) are summed in training-index
+order. The winners of many k at once (`random_search`, which reads only
+the argmax) come from one rank-order cumulative sum; a winner is kept
+where the sums are exact or a proven rounding bound certifies it, and
+recomputed in index order otherwise.
 
 A model records which of its columns are bitwise copies of an earlier
 column (every dataset row has c3 == c1 and c4 == c2). When a block's
@@ -300,58 +299,47 @@ def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     return ranked
 
 
-def _distance_weights(nd: np.ndarray) -> tuple:
-    """(weights, hit) of the (b, kk) neighbor distances `nd`: 1/d, except
-    on the rows that `hit` marks, where a query sits on training points.
-    Those points outvote everything (finite weights cannot compete with
-    an exact match), so such a row weighs them 1 and the rest 0. They
-    rank first, so they are in every prefix."""
-    zero = nd == 0.0
-    with np.errstate(divide="ignore"):
-        w = 1.0 / nd
-    hit = zero.any(axis=1)
-    w[hit] = zero[hit]
-    return w, hit
+def _weights(nd: np.ndarray, weighting: str) -> tuple:
+    """(weights, exact) of the (b, kk) neighbor distances `nd`, where
+    `exact` marks the rows whose class sums are exact in any order.
 
-
-def _rank_sums(labels: np.ndarray, w, ks) -> np.ndarray:
-    """(len(ks), b, N_CLASSES) per-class sums of the weights `w` of the
-    (b, kk) neighbor labels over each rank prefix k in `ks`, added in
-    rank order by one cumulative sum along the rank axis."""
-    b, kk = labels.shape
-    acc = np.zeros((b, kk, N_CLASSES), dtype=np.result_type(w))
-    slots = N_CLASSES * np.arange(b * kk, dtype=np.intp).reshape(b, kk)
-    acc.reshape(-1)[slots + labels] = w
-    np.cumsum(acc, axis=1, out=acc)
-    return np.moveaxis(acc, 1, 0)[np.asarray(ks) - 1]
-
-
-def _votes_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
-               weighting: str, ks) -> np.ndarray:
-    """(len(ks), b, N_CLASSES) vote mass of the first k of the (b, kk)
-    ranked neighbor indices, for each k in `ks`; `nd` holds their
-    distances, ascending along each row.
-
-    Unit votes sum to exact integers in any order, so the uniform table
-    of every prefix comes from one cumulative count of the labels along
-    the rank axis. Distance weights are added in ascending training
-    index, the order the values are defined by: the pairs are sorted by
-    index once, and each prefix masks the pairs ranked at or beyond k to
-    a weight of +0.0, which leaves every sum unchanged.
+    Uniform: ones, and every row is exact. Distance: 1/d, except on a
+    row where the query sits on training points. Those points outvote
+    everything (finite weights cannot compete with an exact match), so
+    the row weighs them 1 and the rest 0, and is exact. They rank first,
+    so they are in every prefix. A row with no such point is refused if
+    its weights' total passes the float range, as a subnormal distance's
+    weight alone can: its votes would be inf or NaN.
     """
     if weighting == "uniform":
         # int32 counts: a count is at most kk, far below 2**31
-        return _rank_sums(labels[ranked], np.int32(1), ks).astype(float)
+        return np.ones(nd.shape, dtype=np.int32), np.ones(len(nd), dtype=bool)
+    zero = nd == 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / nd
+        exact = zero.any(axis=1)
+        w[exact] = zero[exact]
+        total = w.sum(axis=1)
+    if not np.all(np.isfinite(total)):
+        raise DomainError("a query lies so near training points that its distance weights overflow")
+    return w, exact
+
+
+def _votes_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
+               weighting: str) -> np.ndarray:
+    """(b, N_CLASSES) vote mass of the (b, k) ranked neighbor indices;
+    `nd` holds their distances, ascending along each row. The `_weights`
+    are added in ascending training index, the order the values are
+    defined by: the pairs are sorted by index once and summed by one
+    weighted `bincount`.
+    """
+    w, _ = _weights(nd, weighting)
     b = len(ranked)
     order = np.argsort(ranked, axis=1)  # pair ranks, in training-index order
     rows = N_CLASSES * np.arange(b, dtype=np.intp)[:, None]
     flat = (labels[np.take_along_axis(ranked, order, axis=1)] + rows).ravel()
-    w, _ = _distance_weights(np.take_along_axis(nd, order, axis=1))
-    out = np.empty((len(ks), b, N_CLASSES))
-    for t, k in enumerate(ks):
-        out[t] = np.bincount(flat, weights=np.where(order < k, w, 0.0).ravel(),
-                             minlength=b * N_CLASSES).reshape(b, N_CLASSES)
-    return out
+    return np.bincount(flat, weights=np.take_along_axis(w, order, axis=1).ravel(),
+                       minlength=b * N_CLASSES).reshape(b, N_CLASSES)
 
 
 # Unit roundoff of float64, and the range of a top class's rank-order
@@ -363,13 +351,15 @@ _CERTIFIED_SUMS = (2.0 ** -1020, 2.0 ** 1022)
 def _winners_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
                  weighting: str, ks) -> tuple:
     """((len(ks), b) winning classes, fallbacks): for each k in `ks`, the
-    argmax of `_votes_for`'s table, which is all `random_search` reads,
-    and the number of (k, row) pairs recomputed by `_votes_for` itself.
+    argmax of `_votes_for`'s votes of the first k of the (b, kk) ranked
+    neighbors, which is all `random_search` reads, and the number of
+    (k, row) pairs recomputed by `_votes_for` itself.
 
-    Uniform tables are exact, and so are rows that hit a training point
-    (0/1 weights). Other distance-weighted rows are summed in rank order
-    by one cumulative sum, R_c per class c, and the top class a of R is
-    kept where fl(R_a * c_k) > R_c for every c != a, with
+    The `_weights` are summed per class in rank order by one cumulative
+    sum along the rank axis, R_c per class c, which holds every prefix
+    at once. Rows that `_weights` marks exact sum to the same counts in
+    any order, so their argmax is certain. On any other row the top
+    class a of R is kept where fl(R_a * c_k) > R_c for every c != a, with
     c_k = 1 - (4k + 2)u an exact float and u = 2**-53. Every other
     (k, row) pair falls back to `_votes_for` on those rows only, in
     training-index order, ties to the lowest class included.
@@ -393,27 +383,34 @@ def _winners_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
     <= R_a (1 - 4mu) <= R_a (1 - 2mu)^2 when the product is a normal
     float. R_a >= 2**-1020 keeps it normal (c_k >= 1/2 for k < 2**50); a
     smaller R_a could underflow the product, so that pair falls back. So
-    does R_a > 2**1022, which an infinite weight gives: below it, every
-    partial sum of either order stays under R_a / (1 - 2mu), far from
-    overflow, and the model above holds for every addition.
+    does R_a > 2**1022, which a weight near the float range gives (one
+    that passes it is refused by `_weights`): below it, every partial
+    sum of either order stays under R_a / (1 - 2mu), far from overflow,
+    and the model above holds for every addition.
     """
-    if weighting == "uniform":
-        return np.argmax(_votes_for(ranked, nd, labels, weighting, ks), axis=2), 0
-    w, hit = _distance_weights(nd)
-    sums = _rank_sums(labels[ranked], w, ks)
+    w, exact = _weights(nd, weighting)
+    b, kk = ranked.shape
+    sums = np.zeros((kk, b, N_CLASSES), dtype=w.dtype)
+    slots = N_CLASSES * np.arange(kk * b, dtype=np.intp).reshape(kk, b).T
+    sums.reshape(-1)[slots + labels[ranked]] = w
+    # the cumulative sum over ranks, one rank at a time: np.cumsum along
+    # the rank axis adds in the same order but takes about three times as long
+    for j in range(1, kk):
+        np.add(sums[j - 1], sums[j], out=sums[j])
+    ks = np.asarray(ks)
+    sums = sums[ks - 1]
     win = np.argmax(sums, axis=2)
     # the largest and second-largest class sums, one class at a time
     top = runner = np.zeros(sums.shape[:2])
     for c in range(N_CLASSES):
         runner = np.maximum(runner, np.minimum(top, sums[..., c]))
         top = np.maximum(top, sums[..., c])
-    ks = np.asarray(ks)
     lead = top * (1.0 - (4 * ks + 2) * _UNIT_ROUNDOFF)[:, None]
     lo, hi = _CERTIFIED_SUMS
-    sure = hit | ((lead > runner) & (top >= lo) & (top <= hi))
+    sure = exact | ((lead > runner) & (top >= lo) & (top <= hi))
     for t in np.flatnonzero(~sure.all(axis=1)):
         redo, k = np.flatnonzero(~sure[t]), ks[t]
-        votes = _votes_for(ranked[redo, :k], nd[redo, :k], labels, weighting, (k,))[0]
+        votes = _votes_for(ranked[redo, :k], nd[redo, :k], labels, weighting)
         win[t, redo] = np.argmax(votes, axis=1)
     return win, int(np.count_nonzero(~sure))
 
@@ -563,7 +560,7 @@ def _neighbors(model: KnnModel, queries):
 
 def _votes(model: KnnModel, queries) -> np.ndarray:
     """(n, N_CLASSES) vote mass per query, computed block by block."""
-    parts = [(rows, _votes_for(ranked, nd, model.labels, model.weighting, (model.k,))[0])
+    parts = [(rows, _votes_for(ranked, nd, model.labels, model.weighting))
              for rows, ranked, nd, _ in _neighbors(model, queries)]
     out = np.empty((len(queries), N_CLASSES))
     for rows, votes in parts:
@@ -692,10 +689,10 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     each block finds the winners of all of its candidates' k at once, per
     weighting, with `_winners_for`: the ranked-neighbor prefix of length k
     reproduces exactly what a standalone kfold_accuracy call computes.
-    Uniform winners come from one cumulative count; distance-weighted ones
-    from a certified rank-order sum, and the (k, row) pairs it cannot
-    certify are recomputed in training-index order and counted in
-    `vote_fallbacks`.
+    The winners come from one rank-order cumulative sum of the weights;
+    the (k, row) pairs whose sums are neither exact nor certified by its
+    rounding bound are recomputed in training-index order, as
+    `predict_batch` sums, and counted in `vote_fallbacks`.
     """
     if n_iter < 1:
         raise DomainError(f"n_iter must be >= 1, got {n_iter}")

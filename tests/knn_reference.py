@@ -3,14 +3,13 @@
 `_votes_for` once took the whole (b, N) distance block and gathered each
 query's neighbor distances from it, after sorting the neighbor indices
 ascending. The production route takes the (b, k) neighbor distances
-gathered once per block. Its uniform tables come from one cumulative
-count along the rank axis; its distance-weighted values are summed in
-training-index order, as here; `_winners_for`, which `random_search`
-reads, sums in rank order and recomputes in index order every winner
-its rounding bound does not certify. Tests require `_votes_for` to give
-votes bitwise equal to this route's, and `_winners_for` the argmax of
-`_votes_for`'s votes.
-"""
+gathered once per block, weighs them by `_weights` and sums them in
+training-index order, as here, for one k at a time. `_winners_for`,
+which `random_search` reads, sums the same weights in rank order for
+many k at once and recomputes in index order every winner that is
+neither exact nor certified by its rounding bound. Tests require
+`_votes_for` to give votes bitwise equal to this route's, and
+`_winners_for` the argmax of `_votes_for`'s votes, one prefix at a time."""
 
 import numpy as np
 

@@ -342,18 +342,17 @@ def test_votes_from_pairs_match_full_matrix(metric, weighting, rng):
         kth = np.take_along_axis(dist, ranked[:, -1:], axis=1)
         straddled += int(np.sum((dist <= kth).sum(axis=1) > k))
         nd = np.take_along_axis(dist, ranked, axis=1)
-        prefixes = range(1, k + 1)  # the prefixes random_search scores
-        table = knn._votes_for(ranked, nd, train_y, weighting, prefixes)
-        assert table.shape == (k, len(query), N_CLASSES)
-        for j in prefixes:
+        for j in range(1, k + 1):  # the prefixes random_search scores
             want = full_matrix_votes(ranked[:, :j], dist, train_y, weighting)
-            assert table[j - 1].tobytes() == want.tobytes(), (k, j)
-            one = knn._votes_for(ranked[:, :j], nd[:, :j], train_y, weighting, (j,))
-            assert one[0].tobytes() == want.tobytes(), (k, j)
-        some = (k, 1) if k > 1 else (1,)  # any subset, in any order
-        picked = knn._votes_for(ranked, nd, train_y, weighting, some)
-        assert picked.tobytes() == table[[j - 1 for j in some]].tobytes()
+            one = knn._votes_for(ranked[:, :j], nd[:, :j], train_y, weighting)
+            assert one.tobytes() == want.tobytes(), (k, j)
     assert straddled > 0  # rows whose ties straddle the k-th rank were exercised
+
+
+def _table(ranked, nd, labels, weighting, ks):
+    """(len(ks), b, N_CLASSES): `_votes_for`'s votes of each prefix k in
+    `ks` of the ranked neighbors, one prefix at a time."""
+    return np.stack([knn._votes_for(ranked[:, :k], nd[:, :k], labels, weighting) for k in ks])
 
 
 def _winner_problem(rng, case):
@@ -383,7 +382,7 @@ def test_winners_match_index_order_argmax(case, metric, weighting, rng):
         assert np.sum(nd[:, 0] == 0.0) == 20
     prefixes = range(1, k + 1)
     win, fallbacks = knn._winners_for(ranked, nd, train_y, weighting, prefixes)
-    want = np.argmax(knn._votes_for(ranked, nd, train_y, weighting, prefixes), axis=2)
+    want = np.argmax(_table(ranked, nd, train_y, weighting, prefixes), axis=2)
     assert win.tobytes() == want.tobytes()
     # only distance weights summed in rank order can be uncertain, and
     # exact ties of rounded rows are
@@ -404,7 +403,8 @@ def test_winners_fall_back_on_an_exact_tie():
 
 
 @pytest.mark.parametrize("near,far,fallbacks", [
-    (1e-310, 1.0, 2),     # 1/d overflows to inf: past the certified range
+    (1e-310, 1.0, None),  # 1/d overflows to inf: refused on either route
+    (1.5e-308, 1.0, 2),   # 1/d above 2**1022: past the certified range
     (2e307, 4e307, 2),    # 1/d near underflow: the check's product could underflow
     (1e307, 4e307, 0),    # top sum 1e-307 lies inside the certified range
 ])
@@ -412,9 +412,13 @@ def test_winners_fall_back_outside_the_certified_range(near, far, fallbacks):
     ranked = np.array([[1, 0]])
     nd = np.array([[near, far]])
     labels = np.array([1, 0])
-    with np.errstate(over="ignore"):  # 1/1e-310 overflows on either route
-        win, got = knn._winners_for(ranked, nd, labels, "distance", (1, 2))
-        want = np.argmax(knn._votes_for(ranked, nd, labels, "distance", (1, 2)), axis=2)
+    if fallbacks is None:
+        for route in (knn._winners_for, _table):
+            with pytest.raises(DomainError, match="overflow"):
+                route(ranked, nd, labels, "distance", (1, 2))
+        return
+    win, got = knn._winners_for(ranked, nd, labels, "distance", (1, 2))
+    want = np.argmax(_table(ranked, nd, labels, "distance", (1, 2)), axis=2)
     assert win.tolist() == want.tolist() == [[0], [0]]
     assert got == fallbacks
 
@@ -430,7 +434,7 @@ def test_winners_fall_back_where_rank_order_misleads():
     ranked = np.array([[0, 3, 2, 1]])
     nd = np.array([[1.0 / by_rank, 39.0, 49.0, 54.0]])
     labels = np.array([1, 0, 0, 0])
-    votes = knn._votes_for(ranked, nd, labels, "distance", (4,))[0, 0]
+    votes = knn._votes_for(ranked, nd, labels, "distance")[0]
     assert votes[1] > votes[0]
     win, fallbacks = knn._winners_for(ranked, nd, labels, "distance", (1, 2, 3, 4))
     assert win[:, 0].tolist() == [1, 1, 1, 1]
@@ -446,6 +450,29 @@ def test_results_do_not_depend_on_block_or_tile_size(rng, monkeypatch):
     monkeypatch.setattr(knn, "_TILE_ELEMS", 250)  # 2-row tiles
     for m, w in zip(models, want):
         assert predict_proba_batch(m, query).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("train,query", [
+    ([0.0, 1.0, 2.0], 1e-310),     # the weight 1/d of a subnormal distance overflows
+    ([0.0, 2e-308, 1.0], 1e-308),  # two finite weights whose total overflows
+])
+def test_distance_weights_past_the_float_range_are_refused(train, query):
+    model = fit(np.array(train)[:, None], [0, 1, 1], k=2, weighting="distance",
+                metric="manhattan")
+    for predict in (predict_proba_batch, predict_batch):
+        with pytest.raises(DomainError, match="overflow"):
+            predict(model, [[query]])
+
+
+def test_search_and_kfold_refuse_overflowing_weights_alike():
+    # the fold holding the row at 0.0 finds the row at 1e-310 nearest
+    x = np.array([[0.0], [1e-310], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1, 2])
+    with pytest.raises(DomainError, match="overflow"):
+        kfold_accuracy(x, y, k=1, weighting="distance", metric="manhattan")
+    space = HyperSpace(k_range=(1,), weightings=("distance",), metrics=("manhattan",))
+    with pytest.raises(DomainError, match="overflow"):
+        random_search(x, y, space, n_iter=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -4,13 +4,16 @@ Runs pytest in this process under the standard library's `trace` module
 and prints, per module, the executable lines that were never executed.
 Extra arguments go to pytest, for example:
 
-    python tests/untested_lines.py                 # the whole suite, a few minutes
-    python tests/untested_lines.py -m "not acceptance"
+    python tests/untested_lines.py                 # every test but the acceptance criteria
+    python tests/untested_lines.py -m ""           # the whole suite, a few minutes
+
+Without a `-m`, the `acceptance` marker is deselected, and a line on
+stderr says so: tracing slows the suite several times over, so an
+acceptance criterion with a wall-clock gate (criterion 2) can fail under
+it for no fault of the code. Pass a `-m` to choose the tests yourself.
 
 The package must be imported only under the tracer, so that module-level
-lines count: this script does not import it itself. Tracing slows the
-suite several times over, so an acceptance criterion with a wall-clock
-gate (criterion 2) may fail under it; the lines it ran still count.
+lines count: this script does not import it itself.
 """
 
 import dis
@@ -35,6 +38,9 @@ def executable_lines(path: Path) -> set:
 
 
 def main(argv) -> int:
+    if not any(arg.startswith("-m") for arg in argv):
+        print('untested_lines: no -m given, running -m "not acceptance"', file=sys.stderr)
+        argv = ["-m", "not acceptance", *argv]
     # No `ignoredirs`: `trace` caches its ignore decision by bare module
     # name, so an ignored library's `__init__` would hide the package's.
     tracer = trace.Trace(count=1, trace=0)
