@@ -331,14 +331,17 @@ def _votes_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
     `nd` holds their distances, ascending along each row. The `_weights`
     are added in ascending training index, the order the values are
     defined by: the pairs are sorted by index once and summed by one
-    weighted `bincount`.
+    weighted `bincount`. When every row is exact (unit or 0/1 weights)
+    any order gives the same sums, and the pairs stay in rank order.
     """
-    w, _ = _weights(nd, weighting)
+    w, exact = _weights(nd, weighting)
     b = len(ranked)
-    order = np.argsort(ranked, axis=1)  # pair ranks, in training-index order
+    if not exact.all():
+        order = np.argsort(ranked, axis=1)  # pair ranks, in training-index order
+        ranked = np.take_along_axis(ranked, order, axis=1)
+        w = np.take_along_axis(w, order, axis=1)
     rows = N_CLASSES * np.arange(b, dtype=np.intp)[:, None]
-    flat = (labels[np.take_along_axis(ranked, order, axis=1)] + rows).ravel()
-    return np.bincount(flat, weights=np.take_along_axis(w, order, axis=1).ravel(),
+    return np.bincount((labels[ranked] + rows).ravel(), weights=w.ravel(),
                        minlength=b * N_CLASSES).reshape(b, N_CLASSES)
 
 

@@ -24,6 +24,14 @@ on a determinant eliminated in `_DPS`-digit mpmath arithmetic, with a
 secant exit at the rounding-noise floor; `artifact.fdcheck` takes the
 determinant exactly and must agree with it to rounding.
 
+`fd_cumulants` is that oracle as it ran with the exact determinant but
+one ladder point at a time: one `eigvals` call per point, e^{+-lam}, the
+secant constants and the step powers rounded afresh on every call, and
+the matrix scaled to integers on every determinant. `artifact.fdcheck`
+seeds the nine points from one stacked `eigvals`, rounds the constants
+once per working precision and scales each point's matrix once; it must
+return the same bytes at any precision.
+
 `read_csv_lines` is the dataset reader as it parsed one line at a time
 with `_parse_line`; `artifact.data.read_csv` converts whole columns and
 must return the same columns and meta, or raise the same `ParseError`.
@@ -49,7 +57,7 @@ from artifact.errors import (
     json_object,
     read_text,
 )
-from artifact.fdcheck import _DPS, _MIN_GAP, _dominant_eig
+from artifact.fdcheck import _DPS, _MIN_GAP, FD_STEPS, _dominant_eig, _dyadic
 from artifact.trajectories import TrajectoryStats
 
 _BUF = 8192
@@ -381,6 +389,86 @@ def cgf_mp(gen, lam):
         else:
             raise BranchAmbiguityError(f"secant refinement stalled at lam={lam}")
         return x1
+
+
+def exact_det_shifted(rows, s):
+    """det(A - s I) for A as (man, exp) pairs, by fraction-free integer
+    elimination over the one exponent of A and s, rounded once."""
+    n = len(rows)
+    s_man, s_exp = _dyadic(s)
+    e = min(s_exp, min(exp for row in rows for _, exp in row))
+    a = [[man << (exp - e) for man, exp in row] for row in rows]
+    s_int = s_man << (s_exp - e)
+    for i in range(n):
+        a[i][i] -= s_int
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if a[c][c] == 0:
+            p = next((r for r in range(c + 1, n) if a[r][c]), None)
+            if p is None:
+                return mp.mpf(0)
+            a[c], a[p] = a[p], a[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            f = a[r][c]
+            for k in range(c + 1, n):
+                a[r][k] = (a[r][k] * a[c][c] - f * a[c][k]) // prev
+        prev = a[c][c]
+    return mp.mpf((sign * a[n - 1][n - 1], n * e))
+
+
+def cgf_exact(gen, l0, lam, dps):
+    """Secant refinement of the CGF at `lam` on the exact determinant, at
+    `dps` digits, seeded by its own `eigvals` call."""
+    seed, gap = _dominant_eig(gen.eval(lam))
+    if gap <= _MIN_GAP:
+        raise BranchAmbiguityError(f"spectral gap {gap:.3e} at lam={lam}; oracle cannot track branch")
+    with mp.workdps(dps):
+        rows = [row[:] for row in l0]
+        rows[EDGE_ABSORB[0]][EDGE_ABSORB[1]] = _dyadic(
+            mp.mpf(float(gen.absorb_rate)) * mp.e ** (-mp.mpf(lam)))
+        rows[EDGE_EMIT[0]][EDGE_EMIT[1]] = _dyadic(
+            mp.mpf(float(gen.emit_rate)) * mp.e ** (mp.mpf(lam)))
+        x0 = mp.mpf(float(seed.real))
+        x1 = x0 + mp.mpf("1e-12")
+        f0 = exact_det_shifted(rows, x0)
+        f1 = exact_det_shifted(rows, x1)
+        tol = mp.mpf(10) ** (2 - dps) * max(abs(x0), mp.mpf("1e-3"))
+        for _ in range(30):
+            if f1 == f0:
+                break
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            f1 = exact_det_shifted(rows, x1)
+            if abs(x1 - x0) < tol:
+                break
+        else:
+            raise BranchAmbiguityError(f"secant refinement stalled at lam={lam}")
+        return x1
+
+
+def fd_cumulants(gen, dps):
+    """Richardson-extrapolated differences of `cgf_exact` at `dps` digits,
+    the ladder points refined in ascending order and then 0."""
+    lams = sorted({sign * mult * h for h in FD_STEPS for mult in (1, 2) for sign in (1, -1)})
+    l0 = [[_dyadic(v) for v in row] for row in gen.l0.tolist()]
+    values = {lam: cgf_exact(gen, l0, lam, dps) for lam in lams}
+    s0 = cgf_exact(gen, l0, 0.0, dps)
+    with mp.workdps(dps):
+        per_step = []
+        for h in FD_STEPS:
+            hh = mp.mpf(h)
+            sp1, sm1 = values[h], values[-h]
+            sp2, sm2 = values[2 * h], values[-2 * h]
+            per_step.append(((sp1 - sm1) / (2 * hh),
+                             (sp1 - 2 * s0 + sm1) / hh**2,
+                             (sp2 - 2 * sp1 + 2 * sm1 - sm2) / (2 * hh**3),
+                             (sp2 - 4 * sp1 + 6 * s0 - 4 * sm1 + sm2) / hh**4))
+        out = []
+        for v1, v2, v3 in zip(*per_step):
+            r12 = (4 * v2 - v1) / 3
+            r23 = (4 * v3 - v2) / 3
+            out.append(float((16 * r23 - r12) / 15))
+    return np.array(out)
 
 
 def read_csv_lines(path):

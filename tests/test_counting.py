@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from artifact import counting
 from artifact.counting import (
     cumulants,
     exchange_moment_rates,
@@ -8,7 +9,7 @@ from artifact.counting import (
     steady_state,
 )
 from artifact.engine import GENERATOR_VARIANTS, TRACE_VECTOR, EngineParams, build_generator
-from artifact.errors import ArtifactError, DegenerateSampleError, SingularityError
+from artifact.errors import ArtifactError, ConditioningError, DegenerateSampleError, SingularityError
 
 import loop_reference
 from conftest import random_params
@@ -84,6 +85,14 @@ def test_cumulants_shape_and_activity_sign(rng):
     j = cumulants(build_generator(random_params(rng)))
     assert j.shape == (4,)
     assert j[1] > 0.0  # the variance rate of a counting process is positive
+
+
+def test_cumulants_refuse_ill_conditioned_bordered_system(monkeypatch):
+    # every condition number is at least 1, so a limit of 1 refuses
+    # every bordered system
+    monkeypatch.setattr(counting, "_COND_LIMIT", 1.0)
+    with pytest.raises(ConditioningError, match="exceeds 1e"):
+        cumulants(build_generator(EngineParams()))
 
 
 def test_equilibrium_flux_vanishes():

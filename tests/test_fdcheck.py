@@ -1,10 +1,14 @@
+import itertools
+
 import mpmath as mp
 import numpy as np
+import pytest
 
 from artifact import fdcheck
 from artifact.counting import cumulants
 from artifact.engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, build_generator
-from artifact.fdcheck import _DPS, FD_STEPS, _det_shifted, _dyadic, fd_cumulants
+from artifact.errors import BranchAmbiguityError
+from artifact.fdcheck import _DPS, FD_STEPS, _det_shifted, _dyadic, _integer_matrix, fd_cumulants
 
 import loop_reference
 from conftest import random_params
@@ -69,7 +73,7 @@ def _exact_det(m, s):
 
 def _det(m, s):
     with mp.workdps(_DPS):
-        return _det_shifted([[_dyadic(v) for v in row] for row in m], s)
+        return _det_shifted(_integer_matrix([[_dyadic(v) for v in row] for row in m]), s)
 
 
 def test_exact_determinant_matches_high_precision_det(rng):
@@ -107,6 +111,55 @@ def test_exact_determinant_of_singular_matrix_is_zero(rng):
 def test_agrees_with_mpf_elimination_reference(rng, monkeypatch):
     gens = [build_generator(random_params(rng)) for _ in range(50)]
     exact = [fd_cumulants(gen) for gen in gens]
-    monkeypatch.setattr(fdcheck, "_cgf_mp", lambda gen, l0, lam: loop_reference.cgf_mp(gen, lam))
+    monkeypatch.setattr(fdcheck, "_cgf_mp", lambda gen, l0, lam, seed: loop_reference.cgf_mp(gen, lam))
     for gen, fd in zip(gens, exact):
         np.testing.assert_allclose(fd, fd_cumulants(gen), rtol=1e-10, atol=0)
+
+
+def test_matches_per_point_refinement_bitwise(rng, monkeypatch):
+    # the constants are cached per precision: after a run at 8 digits,
+    # the 25-digit results must not take any of the 8-digit ones
+    gens = [build_generator(random_params(rng)) for _ in range(50)]
+    for dps in (_DPS, 8, _DPS):
+        monkeypatch.setattr(fdcheck, "_DPS", dps)
+        for gen in gens:
+            assert fd_cumulants(gen).tobytes() == loop_reference.fd_cumulants(gen, dps).tobytes(), dps
+
+
+def test_narrow_gap_refuses_the_first_ladder_point(monkeypatch):
+    # the ladder runs in ascending order, so -2 * FD_STEPS[0] fails first
+    monkeypatch.setattr(fdcheck, "_MIN_GAP", 1e9)
+    gen = build_generator(EngineParams())
+    with pytest.raises(BranchAmbiguityError, match=r"at lam=-0\.02; oracle cannot track branch"):
+        fd_cumulants(gen)
+
+
+def test_flat_determinant_ends_the_secant_at_once(monkeypatch):
+    # equal determinants at the seed and the nudged seed leave nothing
+    # to refine: each of the nine ladder points takes two determinants
+    # and returns the nudged double-precision seed
+    calls = []
+
+    def flat(*args):
+        calls.append(args)
+        return mp.mpf(1)
+
+    gen = build_generator(EngineParams(t_c=1.0, t_h=3.5, t_l=2.0, p_c=0.5, p_h=0.5))
+    refined = fd_cumulants(gen)
+    monkeypatch.setattr(fdcheck, "_det_shifted", flat)
+    unrefined = fd_cumulants(gen)
+    assert len(calls) == 2 * 9
+    # the nudge cancels in every stencil; the unrefined seeds still give
+    # the mean current, but not the refined fourth difference
+    assert unrefined[0] == pytest.approx(refined[0], rel=1e-8)
+    assert unrefined[3] != refined[3]
+
+
+def test_unsettled_secant_is_refused(monkeypatch):
+    # a determinant that alternates between 1 and 2 doubles the secant
+    # step every two iterations, so it never drops below the tolerance
+    values = itertools.cycle([mp.mpf(1), mp.mpf(2)])
+    monkeypatch.setattr(fdcheck, "_det_shifted", lambda *args: next(values))
+    gen = build_generator(EngineParams())
+    with pytest.raises(BranchAmbiguityError, match=r"secant refinement stalled at lam=-0\.02$"):
+        fd_cumulants(gen)

@@ -334,18 +334,24 @@ def test_block_arrays_stay_under_the_allocator_ceiling(n_train):
 def test_votes_from_pairs_match_full_matrix(metric, weighting, rng):
     train_x, train_y, query = _random_problem(rng, 90, 60)
     train_x[5] = query[3]  # a second row sitting on a training point
-    dist = _distances(train_x, query, metric)
-    assert np.sum(dist == 0.0) >= 2
+    # a block whose every query sits on a training point (one on the
+    # duplicated pair): under either weighting every row is exact
+    on_points = train_x[rng.choice(90, 20, replace=False)]
+    on_points[0] = train_x[0]
     straddled = 0
-    for k in (1, 4, 9, 30, 90):
-        ranked = knn._ranked_neighbors(dist, k)
-        kth = np.take_along_axis(dist, ranked[:, -1:], axis=1)
-        straddled += int(np.sum((dist <= kth).sum(axis=1) > k))
-        nd = np.take_along_axis(dist, ranked, axis=1)
-        for j in range(1, k + 1):  # the prefixes random_search scores
-            want = full_matrix_votes(ranked[:, :j], dist, train_y, weighting)
-            one = knn._votes_for(ranked[:, :j], nd[:, :j], train_y, weighting)
-            assert one.tobytes() == want.tobytes(), (k, j)
+    for block in (query, on_points):
+        dist = _distances(train_x, block, metric)
+        assert np.sum(dist == 0.0) >= 2
+        for k in (1, 4, 9, 30, 90):
+            ranked = knn._ranked_neighbors(dist, k)
+            kth = np.take_along_axis(dist, ranked[:, -1:], axis=1)
+            straddled += int(np.sum((dist <= kth).sum(axis=1) > k))
+            nd = np.take_along_axis(dist, ranked, axis=1)
+            for j in range(1, k + 1):  # the prefixes random_search scores
+                want = full_matrix_votes(ranked[:, :j], dist, train_y, weighting)
+                one = knn._votes_for(ranked[:, :j], nd[:, :j], train_y, weighting)
+                assert one.tobytes() == want.tobytes(), (k, j)
+    assert np.all(knn._weights(_distances(train_x, on_points, metric), weighting)[1])
     assert straddled > 0  # rows whose ties straddle the k-th rank were exercised
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import loop_reference
 import numpy as np
 import pytest
 
+from artifact import trajectories
 from artifact.counting import cumulants, steady_state
 from artifact.data import generate
 from artifact.engine import EngineParams, build_generator
@@ -112,6 +114,20 @@ def test_count_weights_mark_only_cavity_edges():
 def test_rejects_coherent_params():
     with pytest.raises(DomainError):
         build_jump_process(EngineParams(p_h=0.5))
+
+
+def test_rejects_leaking_population_block(monkeypatch):
+    # a diagonal that misses its column's escape rate by 1e-9 loses
+    # probability; the build_generator L(0) conserves it exactly
+    def leaking(params):
+        gen = build_generator(params)
+        l0 = gen.l0.copy()
+        l0[1, 1] -= 1e-9
+        return dataclasses.replace(gen, l0=l0)
+
+    monkeypatch.setattr(trajectories, "build_generator", leaking)
+    with pytest.raises(ValidationError, match=r"leaks probability \(max 1\.0\d*e-09\)"):
+        build_jump_process(EngineParams())
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
