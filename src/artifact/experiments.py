@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate, is_interval
-from .errors import DomainError, InfeasibleConstraintError, ValidationError, json_object
+from .errors import DomainError, InfeasibleConstraintError, ValidationError, is_int, json_object
 from .knn import (FEATURE_SUBSETS, KnnModel, SearchResult, fit, fold_splits,
                   kfold_accuracy, predict_proba_batch, random_search,
                   single_shot_accuracy, predict_batch)
@@ -50,13 +50,15 @@ class ScenarioSpec:
             raise ValidationError(f"pair12 must be one of {PAIR_RELATIONS}, got {self.pair12!r}")
         if self.pair34 not in PAIR_RELATIONS + ("absent",):
             raise ValidationError(f"pair34 must be a relation or 'absent', got {self.pair34!r}")
-        if type(self.n) is not int or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
-        if type(self.seed) is not int or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if (type(self.ranges) not in (list, tuple) or len(self.ranges) != 4
                 or not all(is_interval(r) for r in self.ranges)):
             raise ValidationError(f"ranges must be 4 ordered finite intervals, got {self.ranges!r}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "ranges", tuple(tuple(r) for r in self.ranges))
 
     def to_dict(self) -> dict:

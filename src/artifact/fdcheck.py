@@ -69,12 +69,6 @@ def _dominant_eigs(matrices: np.ndarray):
     return top, top.real - second.real
 
 
-def _dominant_eig(matrix: np.ndarray):
-    """Eigenvalue with largest real part plus its gap to the runner-up."""
-    top, gap = _dominant_eigs(matrix[None])
-    return top[0], float(gap[0])
-
-
 def _dyadic(x):
     """(man, exp) with man * 2**exp == x exactly, for a float or an mpf."""
     if isinstance(x, float):

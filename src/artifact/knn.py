@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import N_CLASSES
-from .errors import DomainError, StateError, ValidationError, json_object
+from .errors import DomainError, StateError, ValidationError, is_int, json_object
 from .metrics import accuracy, confusion_matrix, percent_correct
 
 WEIGHTINGS = ("uniform", "distance")
@@ -106,8 +106,9 @@ class HyperSpace:
     metrics: tuple = DISTANCE_METRICS
 
     def __post_init__(self):
-        if not self.k_range or any(type(k) is not int or k < 1 for k in self.k_range):
+        if not self.k_range or any(not is_int(k) or k < 1 for k in self.k_range):
             raise ValidationError(f"k_range must be non-empty positive integers, got {self.k_range}")
+        object.__setattr__(self, "k_range", tuple(int(k) for k in self.k_range))
         if not self.weightings or any(w not in WEIGHTINGS for w in self.weightings):
             raise ValidationError(f"weightings must be drawn from {WEIGHTINGS}")
         if not self.metrics or any(m not in DISTANCE_METRICS for m in self.metrics):
@@ -209,6 +210,8 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
     `feature_subset` selects columns of `features`; None keeps all.
     `zscore` standardizes columns (constant columns are left unscaled).
     """
+    if not is_int(k):
+        raise DomainError(f"k must be an integer, got {k!r}")
     features = np.ascontiguousarray(features, dtype=float)
     labels = np.asarray(labels, dtype=np.intp)
     if features.ndim != 2:

@@ -19,14 +19,8 @@ from .engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, build_generator
 from .errors import AbsorbingStateError, DomainError, ValidationError, is_int
 
 _RATE_TOL = 1e-12
-# Every lane draws its stream index _BUF - 1 and drops it. Index 0 picks the
-# start state, the first _SKIP_AFTER jumps read the pairs (1, 2) ...
-# (_BUF - 3, _BUF - 2), and each later jump the next pair from index _BUF on.
-_BUF = 8192
-_SKIP_AFTER = _BUF // 2 - 1
-_WINDOW = 256  # jumps every running lane advances per array pass
 _CHUNK = 32  # jumps per chunk of the destination-map scan
-_IDENTITY = 0b11100100  # packed map that sends every state to itself
+_WINDOW = 8 * _CHUNK  # jumps every running lane advances per array pass
 
 
 @dataclass(frozen=True)
@@ -122,29 +116,26 @@ def _jump_maps(u2: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
 
 def _walk(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """(w + 1, lanes) states of each lane before its first jump and after each.
+    """(_WINDOW + 1, lanes) states of each lane before its first jump and after each.
 
-    Maps are composed into running prefixes inside chunks of _CHUNK jumps
-    (a short last chunk is padded with the identity), the chunk-start states
-    are stitched one chunk after another, and every state is then decoded
-    from its chunk's start state and prefix map at once.
+    The (_WINDOW, lanes) `maps` are composed in place into running prefixes
+    inside chunks of _CHUNK jumps, the chunk-start states are stitched one
+    chunk after another, and every state is then decoded from its chunk's
+    start state and prefix map at once.
     """
     w, n = maps.shape
-    n_chunks = -(-w // _CHUNK)
-    prefix = np.full((n_chunks * _CHUNK, n), _IDENTITY, dtype=np.uint8)
-    prefix[:w] = maps
-    prefix = prefix.reshape(n_chunks, _CHUNK, n)
+    prefix = maps.reshape(w // _CHUNK, _CHUNK, n)
     for k in range(1, _CHUNK):
         prefix[:, k] = _COMPOSE[(prefix[:, k - 1].astype(np.intp) << 8) | prefix[:, k]]
-    starts = np.empty((n_chunks, 1, n), dtype=np.uint8)
+    starts = np.empty((len(prefix), 1, n), dtype=np.uint8)
     s = start
-    for c in range(n_chunks):
+    for c in range(len(prefix)):
         starts[c] = s
         s = (prefix[c, -1] >> (2 * s)) & 3
-    states = np.empty((n_chunks * _CHUNK + 1, n), dtype=np.uint8)
+    states = np.empty((w + 1, n), dtype=np.uint8)
     states[0] = start
     np.bitwise_and(prefix >> (2 * starts), 3, out=states[1:].reshape(prefix.shape))
-    return states[:w + 1]
+    return states
 
 
 def check_run(t_final: float, n_traj: int) -> None:
@@ -162,22 +153,21 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     """Gillespie estimate of the net-count mean and variance rates.
 
     Every trajectory (lane) consumes uniforms only from its own
-    SeedSequence substream, in a fixed schedule: stream index 0 picks the
-    initial state, and each jump then takes the next pair (u1, u2), except
-    that index _BUF - 1 is drawn and dropped. All running lanes therefore
-    sit at the same stream position and advance together by a window of
-    up to _WINDOW jumps per array pass; each draws just that window's
-    uniforms into one small block that every window reuses. Within a
-    window the embedded chain is a scan rather than a loop: each u2 fixes
-    a destination map for all four source states, the maps are composed,
-    and the states before and after every jump are decoded. The waiting
-    times log1p(-u1) / -escape are summed from the lane's current time
-    with a sequential `np.add.accumulate`, which rounds exactly like
-    `t += dt` one jump at a time, so the jumps within the horizon form a
-    prefix of each window and the counts, and hence the statistics, equal
-    those of a serial run bit for bit. A lane ends at its first jump past
-    t_final; a running lane that reaches a state with zero escape rate
-    raises AbsorbingStateError.
+    SeedSequence substream strictly in order: stream index 0 picks the
+    initial state, and jump j takes the pair (u1, u2) at indices 2j + 1 and
+    2j + 2. All running lanes therefore sit at the same stream position and
+    advance together by a window of _WINDOW jumps per array pass; each
+    draws just that window's uniforms into one small block that every
+    window reuses. Within a window the embedded chain is a scan rather
+    than a loop: each u2 fixes a destination map for all four source
+    states, the maps are composed, and the states before and after every
+    jump are decoded. The waiting times log1p(-u1) / -escape are summed
+    from the lane's current time with a sequential `np.add.accumulate`,
+    which rounds exactly like `t += dt` one jump at a time, so the jumps
+    within the horizon form a prefix of each window and the counts, and
+    hence the statistics, equal those of a serial run bit for bit. A lane
+    ends at its first jump past t_final; a running lane that reaches a
+    state with zero escape rate raises AbsorbingStateError.
 
     Standard errors are jackknife over trajectories. `seed` is a
     non-negative int. `initial` is a distribution over the 4 states;
@@ -218,18 +208,12 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     count = np.zeros(n_traj, dtype=np.int64)
     active = np.arange(n_traj)
     block = np.empty((n_traj, 2 * _WINDOW))  # row j: running lane j's uniforms of a window
-    done = 0  # jumps taken by every running lane
 
     while active.size:
-        if done == _SKIP_AFTER:
-            for i in active:
-                streams[i].random()  # stream index _BUF - 1 is never read
-        w = min(_WINDOW, _SKIP_AFTER - done) if done < _SKIP_AFTER else _WINDOW
-        done += w
         for j, i in enumerate(active):
-            streams[i].random(out=block[j, :2 * w])
-        # (w, lanes) blocks: jump j of the window uses uniforms 2j, 2j + 1.
-        lanes = block[:active.size, :2 * w].reshape(active.size, w, 2)
+            streams[i].random(out=block[j])
+        # (_WINDOW, lanes) blocks: jump j of the window uses uniforms 2j, 2j + 1.
+        lanes = block[:active.size].reshape(active.size, _WINDOW, 2)
         u1, u2 = np.ascontiguousarray(lanes.transpose(2, 1, 0))
         states = _walk(_jump_maps(u2, cum), state[active])
         before, after = states[:-1], states[1:]
@@ -245,7 +229,7 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
         n_inside = inside.sum(axis=0)
         if absorbing:
             # Jump j of a lane runs when its j earlier jumps stayed inside the horizon.
-            stuck = (esc == 0) & (np.arange(w)[:, None] <= n_inside)
+            stuck = (esc == 0) & (np.arange(_WINDOW)[:, None] <= n_inside)
             if stuck.any():
                 j = stuck.any(axis=1).argmax()
                 bad = int(before[j, stuck[j].argmax()])
@@ -255,7 +239,7 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
         count[active] += counted.sum(axis=0)
         t[active] = t_jump[-1]
         state[active] = after[-1]
-        active = active[n_inside == w]
+        active = active[n_inside == _WINDOW]
 
     x = count.astype(float)
     n = float(n_traj)

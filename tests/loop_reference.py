@@ -57,10 +57,8 @@ from artifact.errors import (
     json_object,
     read_text,
 )
-from artifact.fdcheck import _DPS, _MIN_GAP, FD_STEPS, _dominant_eig, _dyadic
+from artifact.fdcheck import _DPS, _MIN_GAP, FD_STEPS, _dominant_eigs, _dyadic
 from artifact.trajectories import TrajectoryStats
-
-_BUF = 8192
 
 
 def _occupation(gap, temperature):
@@ -226,34 +224,22 @@ def simulate(proc, t_final, n_traj, seed, initial=None):
         cum_table[s] = cum
 
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_traj)]
-    bufs = np.empty((n_traj, _BUF))
-    for i, g in enumerate(streams):
-        bufs[i] = g.random(_BUF)
-    ptr = np.zeros(n_traj, dtype=np.intp)
-
     init_cum = np.cumsum(initial)
     init_cum[-1] = np.inf
-    state = (bufs[:, 0, None] >= init_cum[None, :]).sum(axis=1)
-    ptr += 1
+    u0 = np.array([g.random() for g in streams])
+    state = (u0[:, None] >= init_cum[None, :]).sum(axis=1)
 
     t = np.zeros(n_traj)
     count = np.zeros(n_traj, dtype=np.int64)
     active = np.arange(n_traj)
 
     while active.size:
-        need = ptr[active] + 2 > _BUF
-        for i in active[need]:
-            bufs[i] = streams[i].random(_BUF)
-            ptr[i] = 0
         st = state[active]
         esc = escape[st]
         if np.any(esc == 0):
             bad = int(st[esc == 0][0])
             raise AbsorbingStateError(f"trajectory reached state {bad} with zero escape rate")
-        p = ptr[active]
-        u1 = bufs[active, p]
-        u2 = bufs[active, p + 1]
-        ptr[active] = p + 2
+        u1, u2 = np.array([streams[i].random(2) for i in active]).T
         t[active] += -np.log1p(-u1) / esc
         alive = active[t[active] <= t_final]
         if alive.size:
@@ -354,7 +340,7 @@ def det_shifted(rows, s):
 
 def cgf_mp(gen, lam):
     """Secant refinement of the CGF at `lam` on the mpf determinant."""
-    seed, gap = _dominant_eig(gen.eval(lam))
+    (seed,), (gap,) = _dominant_eigs(gen.eval(lam)[None])
     if gap <= _MIN_GAP:
         raise BranchAmbiguityError(f"spectral gap {gap:.3e} at lam={lam}; oracle cannot track branch")
     with mp.workdps(_DPS):
@@ -420,7 +406,7 @@ def exact_det_shifted(rows, s):
 def cgf_exact(gen, l0, lam, dps):
     """Secant refinement of the CGF at `lam` on the exact determinant, at
     `dps` digits, seeded by its own `eigvals` call."""
-    seed, gap = _dominant_eig(gen.eval(lam))
+    (seed,), (gap,) = _dominant_eigs(gen.eval(lam)[None])
     if gap <= _MIN_GAP:
         raise BranchAmbiguityError(f"spectral gap {gap:.3e} at lam={lam}; oracle cannot track branch")
     with mp.workdps(dps):

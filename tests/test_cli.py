@@ -1,4 +1,5 @@
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -268,13 +269,17 @@ def test_argparse_rejects_unknown_mapping(workdir, capsys):
     assert exc.value.code == 2
 
 
-def test_version_flag(capsys):
+@pytest.mark.filterwarnings("ignore:'artifact.cli' found in sys.modules:RuntimeWarning")
+def test_version_flag(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
-    import artifact
-
     assert artifact.__version__ in capsys.readouterr().out
+    # the `python -m artifact.cli` entry point, run in this process
+    monkeypatch.setattr(sys, "argv", ["artifact.cli", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("artifact.cli", run_name="__main__")
+    assert exc.value.code == 0 and capsys.readouterr().out == f"{artifact.__version__}\n"
 
 
 def _run_with_config(workdir, tmp_path, cfg, command):

@@ -65,6 +65,11 @@ def test_spec_validation():
         ScenarioSpec.from_json("[1]")
     with pytest.raises(ValidationError, match="malformed scenario: repeated key 'pair12'"):
         ScenarioSpec.from_json('{"pair12": "equal", "n": 5, "pair12": "less"}')
+    # numpy integers count as integers, as in `generate`, and are stored
+    # as the Python ints that `to_dict` serializes
+    spec = ScenarioSpec(pair12="equal", n=np.int64(5), seed=np.uint8(2))
+    assert type(spec.n) is int and type(spec.seed) is int
+    assert json.loads(json.dumps(spec.to_dict()))["n"] == 5
     # JSON lists become tuples, so a parsed spec equals the constructed one
     spec = ScenarioSpec.from_dict({"pair12": "equal", "ranges": [list(r) for r in DEFAULT_SCENARIO_RANGES]})
     assert spec == ScenarioSpec(pair12="equal")
@@ -197,6 +202,7 @@ def test_scenario_suite_shapes():
     assert [s.pair12 for s in f1] == [p for p in PAIR_RELATIONS for _ in range(3)]
     assert all(s.pair34 in PAIR_RELATIONS for s in f1)
     assert [s.seed for s in f1] == list(range(100, 109))
+    assert scenario_suite("f1", n=np.int64(10), seed=np.int64(100)) == f1
 
     for mapping in ("f2", "f3"):
         suite = scenario_suite(mapping, n=10)

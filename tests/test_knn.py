@@ -189,6 +189,12 @@ def test_fit_validation(rng):
         fit(np.zeros((0, 4)), np.zeros(0, dtype=int), k=1)
     with pytest.raises(ValidationError, match="2-D"):
         fit(x[:, 0], y)
+    # one integer rule (`errors.is_int`): no truncation, no bool, numpy
+    # integers stored as the Python int that `model_to_json` writes
+    for k in (2.7, True):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            fit(x, y, k=k)
+    assert type(fit(x, y, k=np.int64(3)).k) is int
 
 
 def test_zscore_affine_invariance(rng):
@@ -711,6 +717,10 @@ def test_hyperspace_enumeration():
         HyperSpace(k_range=())
     with pytest.raises(ValidationError):
         HyperSpace(k_range=(0, 1))
+    with pytest.raises(ValidationError):
+        HyperSpace(k_range=(True, 2))
+    numpy_ks = HyperSpace(k_range=(np.int64(2), np.uint8(3))).k_range
+    assert numpy_ks == (2, 3) and all(type(k) is int for k in numpy_ks)
 
 
 @pytest.mark.parametrize("field,entries", [

@@ -11,7 +11,6 @@ from artifact.data import generate
 from artifact.engine import EngineParams, build_generator
 from artifact.errors import AbsorbingStateError, DomainError, ValidationError
 from artifact.trajectories import (
-    _BUF,
     _WINDOW,
     JumpProcess,
     build_jump_process,
@@ -40,23 +39,19 @@ def _even_proc():
     return JumpProcess(rates=rates, count_weights=rates.copy())
 
 
-def _jump_times(seed, n_traj, lane=0):
-    """Times of one lane's jumps under `_even_proc`, through its third block
-    of _BUF uniforms.
-
-    The first block holds 4095 jumps (u[0] picks the initial state and the
-    last uniform is never read), every later one 4096.
-    """
+def _jump_times(seed, n_traj, jumps, lane=0):
+    """Times of one lane's first `jumps` jumps under `_even_proc`: index 0
+    of the lane's stream picks the initial state, and jump j reads its u1
+    at index 2j + 1."""
     g = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_traj)[lane])
-    first, second, third = (g.random(_BUF) for _ in range(3))
-    u1 = np.concatenate([first[1:-1:2], second[0::2], third[0::2]])
+    u1 = g.random(1 + 2 * jumps)[1::2]
     return np.add.accumulate(-np.log1p(-u1) / 3.0)
 
 
 def _edge_proc(seed, n_traj):
     """Lane 0's first jump, out of state 0, draws a u2 exactly on a bucket edge."""
     g = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_traj)[0])
-    u2 = g.random(_BUF)[2]
+    u2 = g.random(3)[2]
     rates = np.ones((4, 4))
     rates[1:, 0] = [u2, 1.0 - u2, 0.0]  # sums to 1 exactly, so cum[0] = [u2, 1]
     np.fill_diagonal(rates, 0.0)
@@ -73,16 +68,21 @@ def _steady(params):
 # (process, t_final, n_traj, seed, initial), each built when its case runs
 REFERENCE_CASES = {
     "before-any-jump": lambda: (
-        _even_proc(), 0.5 * min(_jump_times(6, 8, lane)[0] for lane in range(8)), 8, 6, None),
+        _even_proc(), 0.5 * min(_jump_times(6, 8, 1, lane)[0] for lane in range(8)), 8, 6, None),
     "inside-windows": lambda: (_proc(), 40.0, 16, 4, None),
-    "last-jump-of-a-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW - 1], 5, 2, None),
-    "first-jump-of-a-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW], 5, 2, None),
-    "mid-window": lambda: (_even_proc(), _jump_times(2, 5)[_WINDOW + _WINDOW // 2], 5, 2, None),
-    "last-jump-before-the-skip": lambda: (
-        _even_proc(), _jump_times(4, 3)[_BUF // 2 - 2], 3, 4, None),
-    "first-jump-of-a-refill": lambda: (_even_proc(), _jump_times(9, 3)[_BUF // 2 - 1], 3, 9, None),
-    "inside-the-third-block": lambda: (
-        _even_proc(), _jump_times(5, 3)[_BUF + _WINDOW // 2 + 7], 3, 5, None),
+    "last-jump-of-a-window": lambda: (_even_proc(), _jump_times(2, 5, _WINDOW)[-1], 5, 2, None),
+    "first-jump-of-a-window": lambda: (
+        _even_proc(), _jump_times(2, 5, _WINDOW + 1)[-1], 5, 2, None),
+    "mid-window": lambda: (
+        _even_proc(), _jump_times(2, 5, _WINDOW + _WINDOW // 2 + 1)[-1], 5, 2, None),
+    # jump 4095 reads the pair at stream indices 8191 and 8192; at seed 0
+    # lane 0's u1 at 8192 exceeds the one at 8191, so a lane that took its
+    # u1 from 8192 would end one jump short
+    "jump-4095": lambda: (_even_proc(), _jump_times(0, 3, 4096)[-1], 3, 0, None),
+    "first-jump-of-window-16": lambda: (
+        _even_proc(), _jump_times(9, 3, 16 * _WINDOW + 1)[-1], 3, 9, None),
+    "past-40-windows": lambda: (
+        _even_proc(), _jump_times(5, 3, 41 * _WINDOW + _WINDOW // 2 + 8)[-1], 3, 5, None),
     "steady-state-start": lambda: (
         _proc(t_c=0.8, t_l=3.0), 300.0, 7, 1, _steady(EngineParams(t_c=0.8, t_l=3.0))),
     "nothing-to-count": lambda: (_zero_count_proc(), 50.0, 6, 3, None),
@@ -205,7 +205,7 @@ def test_jump_process_rejects_other_count_weights():
 
 def test_simulate_traced_peak_stays_below_6_mb():
     # each lane draws only the uniforms of the window it runs; a per-lane
-    # buffer of _BUF uniforms would read about 15.6 MB here
+    # buffer of 8,192 uniforms would read about 15.6 MB here
     proc = build_jump_process(EngineParams())
     tracemalloc.start()
     try:
