@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .data import DEFAULT_RANGES, N_CLASSES, Dataset, ParamRanges, generate, read_csv, write_csv
 from .engine import EngineParams
-from .errors import ArtifactError, ValidationError, json_object, read_text
+from .errors import ArtifactError, ValidationError, as_int, json_object, read_text
 from .experiments import ScenarioSpec, run_scenario, run_size_sweep, sweep_csv, sweep_gnuplot
 from .knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, fit, model_from_json,
                   model_to_json, predict_batch, random_search, single_shot_accuracy)
@@ -238,8 +239,7 @@ def _cmd_sweep(args, cfg) -> int:
 
 
 def _cmd_oracle_check(args, cfg) -> int:
-    if args.draws < 1:
-        raise ValidationError(f"--draws must be >= 1, got {args.draws}")
+    as_int(args.draws, "--draws", 1)
     check_run(args.t_final, args.n_traj)
     rng = np.random.default_rng(args.seed)
     print(f"{'t_c':>6} {'t_h':>6} {'t_l':>6} | {'analytic':>10} {'empirical mean':>22} {'z':>5} "
@@ -273,13 +273,15 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    try:
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        return _DISPATCH[args.command](args, _load_config(args.config))
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    with warnings.catch_warnings():
+        # a warning the filters let through is one line on stderr
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            as_int(args.seed, "--seed", 0)
+            return _DISPATCH[args.command](args, _load_config(args.config))
+        except ArtifactError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
 
 
 if __name__ == "__main__":

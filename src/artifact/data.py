@@ -25,7 +25,7 @@ from . import __version__
 from .counting import exchange_moment_ratios_batch
 from .engine import VARIED, EngineParams
 from .errors import (DomainError, GenerationQualityError, ParseError, ValidationError,
-                     is_int, json_object, read_text)
+                     as_int, is_real, json_object, read_text)
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
@@ -264,13 +264,11 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
     further rounds; more than 10% redraws overall signals pathological
     ranges and aborts.
     """
-    if not (is_int(seed) and seed >= 0):
-        raise DomainError(f"seed must be a non-negative int, got {seed!r}")
-    if not (is_int(n) and 1 <= n < 2**32):
-        raise DomainError(f"n must be an int in [1, 2**32), got {n!r}")
-    seed, n = int(seed), int(n)
-    if not 0.0 < train_frac < 1.0:
-        raise DomainError(f"train_frac must be in (0, 1), got {train_frac}")
+    seed = as_int(seed, "seed", 0)
+    n = as_int(n, "n", 1, 2**32)
+    if not (is_real(train_frac) and 0.0 < train_frac < 1.0):
+        raise DomainError(f"train_frac must be in (0, 1), got {train_frac!r}")
+    train_frac = float(train_frac)  # a numpy float is no JSON number for the sidecar
     n_train = int(round(n * train_frac))
     if not 0 < n_train < n:
         raise DomainError(f"train_frac={train_frac} of n={n} leaves an empty "
@@ -309,8 +307,8 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
 
     meta = {
         "schema": "dataset-meta/1",
-        "seed": int(seed),
-        "n": int(n),
+        "seed": seed,
+        "n": n,
         "ranges": ranges.to_dict(),
         "fixed": {k: v for k, v in asdict(fixed).items() if k not in VARIED},
         "variant": "consistent",  # the one layout datasets are generated with

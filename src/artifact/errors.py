@@ -6,10 +6,17 @@ a plain bug and propagates.
 
 Every outside file and JSON document enters through `read_text` and
 `json_object`, so one rule decides which of them exit 2.
-`is_int` is the one rule for which arguments count as integers.
+
+Every count, seed and index argument goes through `as_int`, the one
+integer rule: an int or numpy integer, never a bool, inside [lo, hi),
+returned as a Python int. Anything else exits 2 with one message form,
+"<argument> must be an integer in [lo, hi), got <value>" (or
+"... an integer >= lo, ..." where no upper bound applies). `is_real` is
+the type rule of real-number arguments, whose ranges their callers check.
 """
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +84,20 @@ def json_object(doc, what: str, known=None, text: bool = False) -> dict:
     return doc
 
 
-def is_int(value) -> bool:
-    """The one integer rule for counts and seeds: an int or numpy integer,
-    never a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def as_int(value, what: str, lo: int, hi: int | None = None) -> int:
+    """`value`, the argument `what`, as a Python int: an int or numpy
+    integer, never a bool, in [lo, hi) (no upper bound when `hi` is None);
+    anything else is a DomainError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if lo <= int(value) and (hi is None or int(value) < hi):
+            return int(value)
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+    raise DomainError(f"{what} must be an integer {span}, got {value!r:.80}")
+
+
+def is_real(value) -> bool:
+    """Whether `value` is a real number (numpy's included), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class StateError(ValidationError):

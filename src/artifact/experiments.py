@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate, is_interval
-from .errors import DomainError, InfeasibleConstraintError, ValidationError, is_int, json_object
+from .errors import DomainError, InfeasibleConstraintError, ValidationError, as_int, json_object
 from .knn import (FEATURE_SUBSETS, KnnModel, SearchResult, fit, fold_splits,
                   kfold_accuracy, predict_proba_batch, random_search,
                   single_shot_accuracy, predict_batch)
@@ -50,15 +50,11 @@ class ScenarioSpec:
             raise ValidationError(f"pair12 must be one of {PAIR_RELATIONS}, got {self.pair12!r}")
         if self.pair34 not in PAIR_RELATIONS + ("absent",):
             raise ValidationError(f"pair34 must be a relation or 'absent', got {self.pair34!r}")
-        if not is_int(self.n) or self.n < 1:
-            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
-        if not is_int(self.seed) or self.seed < 0:
-            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "n", as_int(self.n, "n", 1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
         if (type(self.ranges) not in (list, tuple) or len(self.ranges) != 4
                 or not all(is_interval(r) for r in self.ranges)):
             raise ValidationError(f"ranges must be 4 ordered finite intervals, got {self.ranges!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "ranges", tuple(tuple(r) for r in self.ranges))
 
     def to_dict(self) -> dict:
@@ -208,7 +204,7 @@ def run_size_sweep(sizes, mapping: str = "f1", seed: int = 0,
                    ranges: ParamRanges = DEFAULT_RANGES, folds: int = 5) -> list:
     """Default-hyperparameter k-fold accuracy at each dataset size,
     with the tree baseline on the same folds."""
-    sizes = [int(s) for s in sizes]
+    sizes = [as_int(s, "sizes entry", 1) for s in sizes]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError(f"sizes must be non-empty and strictly ascending, got {sizes}")
     subset = _subset(mapping)

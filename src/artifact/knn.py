@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import N_CLASSES
-from .errors import DomainError, StateError, ValidationError, is_int, json_object
+from .errors import DomainError, StateError, ValidationError, as_int, json_object
 from .metrics import accuracy, confusion_matrix, percent_correct
 
 WEIGHTINGS = ("uniform", "distance")
@@ -106,17 +106,15 @@ class HyperSpace:
     metrics: tuple = DISTANCE_METRICS
 
     def __post_init__(self):
-        if not self.k_range or any(not is_int(k) or k < 1 for k in self.k_range):
-            raise ValidationError(f"k_range must be non-empty positive integers, got {self.k_range}")
-        object.__setattr__(self, "k_range", tuple(int(k) for k in self.k_range))
-        if not self.weightings or any(w not in WEIGHTINGS for w in self.weightings):
+        object.__setattr__(self, "k_range", tuple(as_int(k, "k_range entry", 1) for k in self.k_range))
+        if any(w not in WEIGHTINGS for w in self.weightings):
             raise ValidationError(f"weightings must be drawn from {WEIGHTINGS}")
-        if not self.metrics or any(m not in DISTANCE_METRICS for m in self.metrics):
+        if any(m not in DISTANCE_METRICS for m in self.metrics):
             raise ValidationError(f"metrics must be drawn from {DISTANCE_METRICS}")
         for name in ("k_range", "weightings", "metrics"):
             entries = getattr(self, name)
-            if len(set(entries)) != len(entries):
-                raise ValidationError(f"{name} must not repeat an entry, got {entries}")
+            if not entries or len(set(entries)) != len(entries):
+                raise ValidationError(f"{name} must not repeat an entry or be empty, got {entries}")
 
     def combos(self) -> list:
         """All combinations, in tie-preference order: ties in score are
@@ -144,14 +142,15 @@ class KnnModel:
         n = len(self.features)
         if n == 0:
             raise StateError("model has no training points")
-        if not 1 <= self.k <= n:
-            raise ValidationError(f"k must lie in [1, {n}], got {self.k}")
+        object.__setattr__(self, "k", as_int(self.k, "k", 1, n + 1))
         if self.weighting not in WEIGHTINGS:
             raise ValidationError(f"weighting must be one of {WEIGHTINGS}")
         if self.metric not in DISTANCE_METRICS:
             raise ValidationError(f"metric must be one of {DISTANCE_METRICS}")
-        if not self.feature_subset or any(type(j) is not int or j < 0 for j in self.feature_subset):
-            raise ValidationError(f"feature subset must be non-negative integers, got {self.feature_subset}")
+        if not self.feature_subset:
+            raise ValidationError("feature subset must not be empty")
+        object.__setattr__(self, "feature_subset",
+                           tuple(as_int(j, "feature_subset entry", 0) for j in self.feature_subset))
         if self.features.shape[1] != len(self.feature_subset):
             raise ValidationError("feature matrix width must match the feature subset")
         if self.labels.shape != (n,):
@@ -210,17 +209,14 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
     `feature_subset` selects columns of `features`; None keeps all.
     `zscore` standardizes columns (constant columns are left unscaled).
     """
-    if not is_int(k):
-        raise DomainError(f"k must be an integer, got {k!r}")
     features = np.ascontiguousarray(features, dtype=float)
     labels = np.asarray(labels, dtype=np.intp)
     if features.ndim != 2:
         raise ValidationError(f"features must be 2-D, got shape {features.shape}")
     if feature_subset is None:
         feature_subset = tuple(range(features.shape[1]))
-    feature_subset = tuple(int(j) for j in feature_subset)
-    if any(j < 0 or j >= features.shape[1] for j in feature_subset) or not feature_subset:
-        raise ValidationError(f"feature subset {feature_subset} out of bounds")
+    feature_subset = tuple(as_int(j, "feature_subset entry", 0, features.shape[1])
+                           for j in feature_subset)
     sub = np.ascontiguousarray(features[:, feature_subset])
     if zscore:
         # columns whose sums pass the float range give a shift or scale
@@ -233,7 +229,7 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
     else:
         shift = np.zeros(sub.shape[1])
         scale = np.ones(sub.shape[1])
-    return KnnModel(features=sub, labels=labels, k=int(k), weighting=weighting,
+    return KnnModel(features=sub, labels=labels, k=k, weighting=weighting,
                     metric=metric, feature_subset=feature_subset,
                     shift=shift, scale=scale)
 
@@ -565,12 +561,10 @@ def _neighbors(model: KnnModel, queries):
 
 
 def _votes(model: KnnModel, queries) -> np.ndarray:
-    """(n, N_CLASSES) vote mass per query, computed block by block."""
-    parts = [(rows, _votes_for(ranked, nd, model.labels, model.weighting))
-             for rows, ranked, nd, _ in _neighbors(model, queries)]
-    out = np.empty((len(queries), N_CLASSES))
-    for rows, votes in parts:
-        out[rows] = votes
+    """(n, N_CLASSES) vote mass per query, written block by block."""
+    out = np.empty(np.shape(queries)[:1] + (N_CLASSES,))  # `_neighbors` checks the shape
+    for rows, ranked, nd, _ in _neighbors(model, queries):
+        out[rows] = _votes_for(ranked, nd, model.labels, model.weighting)
     return out
 
 
@@ -593,8 +587,7 @@ def single_shot_accuracy(model: KnnModel, features, labels) -> float:
 def fold_splits(n: int, folds: int, seed: int) -> list:
     """(training rows, held-out rows) per fold of a seeded shuffle of n rows. Training
     rows are the other folds in fold order, which index tie-breaks depend on."""
-    if folds < 2:
-        raise DomainError(f"folds must be >= 2, got {folds}")
+    folds, seed = as_int(folds, "folds", 2), as_int(seed, "seed", 0)
     if n < folds:
         raise DomainError(f"cannot split {n} samples into {folds} folds")
     parts = np.array_split(np.random.default_rng(seed).permutation(n), folds)
@@ -655,13 +648,10 @@ def model_from_json(text: str) -> KnnModel:
         raise ValidationError(f"expected schema {MODEL_SCHEMA!r}, got {schema!r:.80}; "
                               f"re-run train to write a {MODEL_SCHEMA} model")
     try:
-        k = doc["k"]
-        if type(k) is not int:
-            raise ValidationError(f"k must be a JSON integer, got {k!r}")
         return KnnModel(
             features=_model_array(doc, "features"),
             labels=_model_array(doc, "labels").astype(np.intp),
-            k=k,
+            k=doc["k"],
             weighting=doc["weighting"],
             metric=doc["metric"],
             feature_subset=tuple(doc["feature_subset"]),
@@ -700,8 +690,10 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     rounding bound are recomputed in training-index order, as
     `predict_batch` sums, and counted in `vote_fallbacks`.
     """
-    if n_iter < 1:
-        raise DomainError(f"n_iter must be >= 1, got {n_iter}")
+    n_iter = as_int(n_iter, "n_iter", 1)
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=np.intp)
+    splits = fold_splits(features.shape[0], folds, seed)  # checks folds and seed before any draw
     combos = space.combos()
     if n_iter > len(combos):
         warnings.warn(
@@ -711,10 +703,6 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     picks = np.random.default_rng(seed).choice(len(combos), size=n_iter, replace=False)
     chosen = sorted(int(i) for i in picks)  # tie-preference order
     candidates = [combos[i] for i in chosen]
-
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
-    splits = fold_splits(features.shape[0], folds, seed)
     min_train = min(len(rest) for rest, _ in splits)
     scorable = [hp for hp in candidates if hp.k <= min_train]
     if not scorable:

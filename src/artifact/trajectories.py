@@ -16,7 +16,7 @@ import numpy as np
 
 from .counting import cumulants, steady_state
 from .engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, build_generator
-from .errors import AbsorbingStateError, DomainError, ValidationError, is_int
+from .errors import AbsorbingStateError, DomainError, ValidationError, as_int, is_real
 
 _RATE_TOL = 1e-12
 _CHUNK = 32  # jumps per chunk of the destination-map scan
@@ -138,14 +138,12 @@ def _walk(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return states
 
 
-def check_run(t_final: float, n_traj: int) -> None:
-    """Raise DomainError unless `simulate` can run to `t_final` on `n_traj` lanes."""
-    if isinstance(t_final, bool) or not 0.0 < t_final < math.inf:
-        raise DomainError(f"t_final must be finite and positive, got {t_final}")
-    if not is_int(n_traj):
-        raise DomainError(f"n_traj must be an integer, got {n_traj!r}")
-    if n_traj < 3:
-        raise DomainError(f"jackknife variance needs n_traj >= 3, got {n_traj}")
+def check_run(t_final: float, n_traj: int) -> int:
+    """`n_traj` as an int; a DomainError unless `simulate` can run to
+    `t_final` on `n_traj` lanes (the jackknife variance needs three)."""
+    if not (is_real(t_final) and 0.0 < t_final < math.inf):
+        raise DomainError(f"t_final must be finite and positive, got {t_final!r}")
+    return as_int(n_traj, "n_traj", 3)
 
 
 def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
@@ -173,9 +171,8 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     non-negative int. `initial` is a distribution over the 4 states;
     defaults to uniform.
     """
-    check_run(t_final, n_traj)
-    if not (is_int(seed) and seed >= 0):
-        raise DomainError(f"seed must be a non-negative int, got {seed!r}")
+    n_traj = check_run(t_final, n_traj)
+    seed = as_int(seed, "seed", 0)
     if initial is None:
         initial = np.full(4, 0.25)
     initial = np.asarray(initial, dtype=float)

@@ -113,7 +113,7 @@ def test_sweep_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["tune", "--mapping", "f3", "--n-iter", "0"], "n_iter must be >= 1"),
+    (["tune", "--mapping", "f3", "--n-iter", "0"], "n_iter must be an integer >= 1, got 0"),
     (["sweep", "--mapping", "f3", "--sizes", "60,abc"], "--sizes must be comma-separated integers"),
 ], ids=["tune-no-trials", "sweep-size-not-a-number"])
 def test_bad_counts_exit_2(workdir, tmp_path, capsys, argv, message):
@@ -123,6 +123,25 @@ def test_bad_counts_exit_2(workdir, tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
     assert captured.out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_warning_is_one_stderr_line(workdir, tmp_path, capsys):
+    # tune clips an n_iter past its 8-combination space: the warning is one
+    # line on stderr, and stdout and the tuning file are those of n_iter 8
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"space": {"k_range": [1, 2]}}))
+
+    def tune(n_iter):
+        out = tmp_path / n_iter
+        assert run("--config", str(cfg), "--out", str(out), "tune", "--data",
+                   str(workdir / "dataset.csv"), "--mapping", "f3", "--n-iter", n_iter) == 0
+        captured = capsys.readouterr()
+        return captured.out.replace(str(out), ""), (out / "tuning-f3.json").read_bytes(), captured.err
+
+    clipped, exact = tune("9"), tune("8")
+    assert clipped[:2] == exact[:2] and exact[2] == ""
+    assert clipped[2] == "warning: n_iter=9 exceeds the 8-combination space; clipping\n"
 
 
 def test_oracle_check_smoke(capsys):
@@ -150,7 +169,7 @@ def test_oracle_check_rejects_too_few_trajectories(capsys):
                "--t-final", "10", "--n-traj", "2")
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "n_traj >= 3" in captured.err
+    assert captured.err.startswith("error:") and "n_traj must be an integer >= 3, got 2" in captured.err
     assert captured.out == ""
 
 
@@ -160,7 +179,7 @@ def test_oracle_check_rejects_no_draws(draws, capsys):
                "--t-final", "500", "--n-traj", "12")
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "--draws must be >= 1" in captured.err
+    assert captured.err.startswith("error:") and f"--draws must be an integer >= 1, got {draws}" in captured.err
     assert captured.out == ""
 
 
@@ -395,7 +414,7 @@ def test_negative_seed_exits_2(workdir, tmp_path, capsys, command):
              "oracle-check": ["--draws", "1", "--t-final", "500", "--n-traj", "12"]}[command]
     assert run("--seed", "-1", "--out", str(tmp_path / "o"), command, *extra) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "--seed must be >= 0" in captured.err
+    assert captured.err.startswith("error:") and "--seed must be an integer >= 0, got -1" in captured.err
     assert captured.out == "" and not (tmp_path / "o").exists()
 
 
@@ -451,9 +470,9 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [0]),
                  "feature matrix width must match", id="subset-narrower"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [-1, -1]),
-                 "feature subset must be non-negative integers", id="subset-negative"),
+                 "feature_subset entry must be an integer >= 0, got -1", id="subset-negative"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
-                 "feature subset must be non-negative integers", id="subset-fraction"),
+                 "feature_subset entry must be an integer >= 0, got 0.5", id="subset-fraction"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", 2),
                  "malformed model document", id="subset-not-a-list"),
     pytest.param(lambda doc: reencode(doc, "labels", lambda a: a + 0.5, "<f8"),

@@ -189,7 +189,9 @@ def test_fit_validation(rng):
         fit(np.zeros((0, 4)), np.zeros(0, dtype=int), k=1)
     with pytest.raises(ValidationError, match="2-D"):
         fit(x[:, 0], y)
-    # one integer rule (`errors.is_int`): no truncation, no bool, numpy
+    with pytest.raises(ValidationError, match="feature subset must not be empty"):
+        fit(x, y, feature_subset=())
+    # one integer rule (`errors.as_int`): no truncation, no bool, numpy
     # integers stored as the Python int that `model_to_json` writes
     for k in (2.7, True):
         with pytest.raises(DomainError, match="k must be an integer"):
@@ -713,8 +715,9 @@ def test_hyperspace_enumeration():
     assert combos[2] == Hyperparams(1, "distance", "euclidean")
     assert combos[-1] == Hyperparams(3, "distance", "manhattan")
     assert HyperSpace().k_range == tuple(range(1, 51))  # package default
-    with pytest.raises(ValidationError):
-        HyperSpace(k_range=())
+    for field in ("k_range", "weightings", "metrics"):
+        with pytest.raises(ValidationError, match=re.escape(f"{field} must not repeat an entry or be empty, got ()")):
+            HyperSpace(**{field: ()})
     with pytest.raises(ValidationError):
         HyperSpace(k_range=(0, 1))
     with pytest.raises(ValidationError):
@@ -862,7 +865,7 @@ def test_model_from_json_rejects_garbage():
 
     # k is a JSON integer: a fraction or a bool is refused, not truncated
     for k in (2.7, True, "2", 2.0):
-        refused(lambda d: d.__setitem__("k", k), "k must be a JSON integer")
+        refused(lambda d: d.__setitem__("k", k), re.escape(f"k must be an integer in [1, 4), got {k!r}"))
     # every array has the one dtype the schema fixes; nothing is cast
     for name, want in (("labels", "|i1"), ("features", "<f8"), ("shift", "<f8"), ("scale", "<f8")):
         for dtype in ("<f8", "<i8", "|i1", "|b1", "<f4", ">f8", "<U3"):

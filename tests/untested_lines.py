@@ -12,6 +12,9 @@ stderr says so: tracing slows the suite several times over, so an
 acceptance criterion with a wall-clock gate (criterion 2) can fail under
 it for no fault of the code. Pass a `-m` to choose the tests yourself.
 
+The exit code is 1 when any line is listed, else pytest's, so "no
+untested line" can gate a run.
+
 The package must be imported only under the tracer, so that module-level
 lines count: this script does not import it itself.
 """
@@ -46,11 +49,13 @@ def main(argv) -> int:
     tracer = trace.Trace(count=1, trace=0)
     code = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *argv])
     ran = {(Path(f).resolve(), line) for f, line in tracer.results().counts}
+    listed = False
     for path in sorted(PACKAGE.glob("*.py")):
         missed = sorted(line for line in executable_lines(path) if (path, line) not in ran)
         if missed:
             print(f"{path.name}: {', '.join(map(str, missed))}")
-    return int(code)
+            listed = True
+    return 1 if listed else int(code)
 
 
 if __name__ == "__main__":
