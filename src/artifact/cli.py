@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .data import DEFAULT_RANGES, N_CLASSES, Dataset, ParamRanges, generate, read_csv, write_csv
 from .engine import EngineParams
-from .errors import ArtifactError, ValidationError, as_int, json_object, read_text
+from .errors import ArtifactError, ValidationError, as_int, as_real, json_object, read_text
 from .experiments import ScenarioSpec, run_scenario, run_size_sweep, sweep_csv, sweep_gnuplot
 from .knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, fit, model_from_json,
                   model_to_json, predict_batch, random_search, single_shot_accuracy)
@@ -99,16 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _scalar(key: str, types: tuple, what: str, rule: str = "", holds=lambda v: True):
-    """Parser of a scalar config value: its JSON type (bools are not
-    numbers here), then the rule its value must meet."""
-    def parse(value):
-        if type(value) not in types:
-            raise ValidationError(f"config key {key!r} must be {what}, got {value!r}")
-        if not holds(value):
-            raise ValidationError(f"config key {key!r} must be {rule}, got {value!r}")
-        return value
-    return parse
+def _zscore(value) -> bool:
+    if type(value) is not bool:
+        raise ValidationError(f"config key 'zscore' must be true or false, got {value!r}")
+    return value
 
 
 def _space(doc) -> HyperSpace:
@@ -122,11 +116,10 @@ def _space(doc) -> HyperSpace:
 # parser from the JSON value to the checked setting.
 _CONFIG = {
     "ranges": (DEFAULT_RANGES, ParamRanges.from_dict),
-    "train_frac": (0.70, _scalar("train_frac", (int, float), "a number",
-                                 "in (0, 1)", lambda v: 0.0 < v < 1.0)),
-    "zscore": (False, _scalar("zscore", (bool,), "true or false")),
+    "train_frac": (0.70, lambda v: as_real(v, "config key 'train_frac'", "(0, 1)")),
+    "zscore": (False, _zscore),
     "space": (HyperSpace(), _space),
-    "folds": (5, _scalar("folds", (int,), "an integer", ">= 2", lambda v: v >= 2)),
+    "folds": (5, lambda v: as_int(v, "config key 'folds'", 2)),
 }
 
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .counting import exchange_moment_ratios_batch
-from .engine import VARIED, EngineParams
+from .engine import VARIED, EngineParams, in_box
 from .errors import (DomainError, GenerationQualityError, ParseError, ValidationError,
-                     as_int, is_real, json_object, read_text)
+                     as_int, as_real, json_object, read_text)
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
@@ -101,7 +101,7 @@ def _check_row(features: tuple, label: int, varied: list, fixed: dict) -> None:
     """Raise the validation error of one row, checks in row order."""
     try:
         params = EngineParams(**dict(zip(VARIED, varied)), **fixed)
-    except TypeError as exc:  # malformed sidecar constants
+    except TypeError as exc:  # unknown sidecar constants
         raise ValidationError(str(exc))
     if not all(math.isfinite(c) for c in features):
         raise ValidationError(f"features must be 4 finite values, got {features}")
@@ -141,10 +141,7 @@ class Dataset:
         """Vectorized row checks; the first bad row raises its scalar error,
         tagged with the row index as `row`. Row 0 always takes the scalar
         check, which validates the sidecar's fixed constants once."""
-        t, p = self.params[:, :3], self.params[:, 3:]
-        good = (np.isfinite(self.features).all(axis=1) & np.isfinite(t).all(axis=1)
-                & (t > 0.0).all(axis=1)
-                & ((p >= 0.0) & (p <= 1.0)).all(axis=1)
+        good = (np.isfinite(self.features).all(axis=1) & in_box(self.params)
                 & (self.labels == _labels_of(self.params[:, 4])))
         good[:1] = False
         for i in np.flatnonzero(~good).tolist():
@@ -266,9 +263,7 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
     """
     seed = as_int(seed, "seed", 0)
     n = as_int(n, "n", 1, 2**32)
-    if not (is_real(train_frac) and 0.0 < train_frac < 1.0):
-        raise DomainError(f"train_frac must be in (0, 1), got {train_frac!r}")
-    train_frac = float(train_frac)  # a numpy float is no JSON number for the sidecar
+    train_frac = as_real(train_frac, "train_frac", "(0, 1)")
     n_train = int(round(n * train_frac))
     if not 0 < n_train < n:
         raise DomainError(f"train_frac={train_frac} of n={n} leaves an empty "

@@ -27,10 +27,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_real, in_interval
 
 # Columns of a parameter array: the operating-point parameters a dataset varies.
 VARIED = ("t_c", "t_h", "t_l", "p_c", "p_h")
+
+# The interval of every EngineParams field, in the form of `errors.as_real`:
+# EngineParams reads it value by value, `in_box` column by column.
+SPANS = {"t_c": "(0, inf)", "t_h": "(0, inf)", "t_l": "(0, inf)", "p_c": "[0, 1]", "p_h": "[0, 1]",
+         "e1": "(-inf, inf)", "e_a": "(-inf, inf)", "e_b": "(-inf, inf)",
+         "g": "(0, inf)", "r": "(0, inf)", "tau": "[0, inf)"}
 
 # Left trace vector: populations sum to 1; the coherence slot carries no trace.
 TRACE_VECTOR = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
@@ -55,28 +61,11 @@ _OVERFLOW_X = 700.0
 
 
 def bose_occupations(gap: float, temperatures) -> np.ndarray:
-    """Mean occupations 1/(exp(gap/T) - 1) of a bosonic mode at energy `gap`, per T."""
-    temps = np.asarray(temperatures, dtype=float)
-    if not gap > 0.0:
-        raise DomainError(f"bose_occupations needs gap > 0, got {gap}")
-    bad = ~((temps > 0.0) & np.isfinite(temps))
-    if bad.any():
-        raise DomainError(f"bose_occupations needs a finite temperature > 0, got {temps[bad][0]}")
+    """Mean occupations 1/(exp(gap/T) - 1) of a mode at energy `gap` > 0, per finite T > 0."""
     # math.expm1 per element: np.expm1 differs from it in the last ulp,
     # which would move the dataset CSV bytes.
     return np.array([0.0 if x > _OVERFLOW_X else 1.0 / math.expm1(x)
-                     for x in (gap / temps).tolist()])
-
-
-def coherence_coupling(r: float, p):
-    """Interference pumping rate r*p for dipole-alignment strengths p in [0, 1]."""
-    if not r > 0.0:
-        raise DomainError(f"coherence_coupling needs r > 0, got {r}")
-    arr = np.asarray(p)
-    bad = ~((arr >= 0.0) & (arr <= 1.0))
-    if bad.any():
-        raise DomainError(f"coherence strength must lie in [0, 1], got {arr[bad][0]}")
-    return r * p
+                     for x in (gap / np.asarray(temperatures, dtype=float)).tolist()])
 
 
 @dataclass(frozen=True)
@@ -101,31 +90,20 @@ class EngineParams:
     tau: float = 0.1    # pure-dephasing rate, dimensionless
 
     def __post_init__(self):
-        for name in ("e1", "e_a", "e_b"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
+        for name, span in SPANS.items():
+            object.__setattr__(self, name, as_real(getattr(self, name), name, span))
         if not (self.e_a > self.e_b > self.e1):
-            raise DomainError(
-                f"level ordering must satisfy e_a > e_b > e1, got "
-                f"e_a={self.e_a}, e_b={self.e_b}, e1={self.e1}"
-            )
-        for name in ("t_c", "t_h", "t_l", "g", "r"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                raise DomainError(f"{name} must be positive, got {v}")
-            if v == math.inf:
-                raise DomainError(f"{name} must be finite, got {v}")
-        if not 0.0 <= self.tau < math.inf:
-            raise DomainError(f"tau must be finite and non-negative, got {self.tau}")
-        for name in ("p_c", "p_h"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {p}")
+            raise DomainError(f"level ordering must satisfy e_a > e_b > e1, got "
+                              f"e_a={self.e_a}, e_b={self.e_b}, e1={self.e1}")
 
     def zero_coherence(self) -> "EngineParams":
         """Same operating point with both coherence channels switched off."""
         return replace(self, p_c=0.0, p_h=0.0)
+
+
+def in_box(varied: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 5) VARIED-order array EngineParams accepts."""
+    return np.logical_and.reduce([in_interval(col, SPANS[k]) for k, col in zip(VARIED, varied.T)])
 
 
 @dataclass(frozen=True)
@@ -155,22 +133,25 @@ def build_generators(varied, fixed: EngineParams = EngineParams(),
     and the (n,) rates of the emission and absorption edges.
 
     `varied` is (n, 5) in VARIED order; `fixed` supplies the other
-    constants. Only the two cavity edges depend on the counting field: the
-    emission edge carries g^2*(1+n_l)*e^{+lam}, the absorption edge
-    g^2*n_l*e^{-lam}. `variant` picks the layout (see GENERATOR_VARIANTS);
+    constants. The first row outside `in_box` raises EngineParams' error.
+    Only the two cavity edges depend on the counting field: the emission
+    edge carries g^2*(1+n_l)*e^{+lam}, the absorption edge g^2*n_l*e^{-lam}. `variant` picks the layout (see GENERATOR_VARIANTS);
     the default is the per-bath-consistent one, the only one that
     equilibrates at zero thermodynamic bias.
     """
     if variant not in GENERATOR_VARIANTS:
         raise DomainError(f"unknown generator variant {variant!r}; expected one of {GENERATOR_VARIANTS}")
-    t_c, t_h, t_l, p_c, p_h = np.asarray(varied, dtype=float).reshape(-1, 5).T
+    varied = np.asarray(varied, dtype=float).reshape(-1, 5)
+    bad = ~in_box(varied)
+    if bad.any():  # EngineParams reads the same SPANS, so it refuses the row
+        replace(fixed, **dict(zip(VARIED, varied[bad][0].tolist())))
+    t_c, t_h, t_l, p_c, p_h = varied.T
     n_h = bose_occupations(fixed.e_a - fixed.e1, t_h)
     n_c = bose_occupations(fixed.e_b - fixed.e1, t_c)
     n_l = bose_occupations(fixed.e_a - fixed.e_b, t_l)
     nt_h, nt_c, nt_l = 1.0 + n_h, 1.0 + n_c, 1.0 + n_l
     r, g2, tau = fixed.r, fixed.g * fixed.g, fixed.tau
-    g12h = coherence_coupling(r, p_h)
-    g12c = coherence_coupling(r, p_c)
+    g12h, g12c = r * p_h, r * p_c  # interference pumping rates
     # Mean interference drive and dressed dephasing of the coherence slot.
     g12 = 0.5 * (g12c * n_c + g12h * n_h)
     gbar = -r * (n_h + n_c)

@@ -11,12 +11,17 @@ Every count, seed and index argument goes through `as_int`, the one
 integer rule: an int or numpy integer, never a bool, inside [lo, hi),
 returned as a Python int. Anything else exits 2 with one message form,
 "<argument> must be an integer in [lo, hi), got <value>" (or
-"... an integer >= lo, ..." where no upper bound applies). `is_real` is
-the type rule of real-number arguments, whose ranges their callers check.
+"... an integer >= lo, ..." where no upper bound applies). Every real
+argument goes through `as_real`, the twin rule: an int, float or numpy
+real, never a bool or NaN, inside an interval written like "(0, inf)" or
+"[0, 1]" (which `in_interval` also applies to arrays), returned as a
+Python float; else "<argument> must be a real number in <interval>, got <value>".
 """
 
+import functools
 import json
-import numbers
+import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +100,33 @@ def as_int(value, what: str, lo: int, hi: int | None = None) -> int:
     raise DomainError(f"{what} must be an integer {span}, got {value!r:.80}")
 
 
-def is_real(value) -> bool:
-    """Whether `value` is a real number (numpy's included), not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+@functools.cache
+def _ends(span: str) -> tuple:
+    """(lo, its test, hi, its test) of an interval written like "(0, inf)"."""
+    lo, hi = span[1:-1].split(", ")
+    return (float(lo), operator.ge if span[0] == "[" else operator.gt,
+            float(hi), operator.le if span[-1] == "]" else operator.lt)
+
+
+def in_interval(x, span: str):
+    """Whether `x`, a float or elementwise an array, lies in the interval
+    `span`; NaN lies in none."""
+    lo, above, hi, below = _ends(span)
+    return above(x, lo) & below(x, hi)
+
+
+def as_real(value, what: str, span: str) -> float:
+    """`value`, the argument `what`, as a Python float: an int, float or
+    numpy real, never a bool, in the interval `span` (see `in_interval`);
+    anything else is a DomainError."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range
+            x = math.nan
+        if in_interval(x, span):
+            return x
+    raise DomainError(f"{what} must be a real number in {span}, got {value!r:.80}")
 
 
 class StateError(ValidationError):

@@ -9,14 +9,13 @@ with the eigenvalue machinery it validates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import cumulants, steady_state
 from .engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, build_generator
-from .errors import AbsorbingStateError, DomainError, ValidationError, as_int, is_real
+from .errors import AbsorbingStateError, DomainError, ValidationError, as_int, as_real
 
 _RATE_TOL = 1e-12
 _CHUNK = 32  # jumps per chunk of the destination-map scan
@@ -138,12 +137,10 @@ def _walk(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return states
 
 
-def check_run(t_final: float, n_traj: int) -> int:
-    """`n_traj` as an int; a DomainError unless `simulate` can run to
-    `t_final` on `n_traj` lanes (the jackknife variance needs three)."""
-    if not (is_real(t_final) and 0.0 < t_final < math.inf):
-        raise DomainError(f"t_final must be finite and positive, got {t_final!r}")
-    return as_int(n_traj, "n_traj", 3)
+def check_run(t_final: float, n_traj: int) -> tuple:
+    """(t_final, n_traj) as a float and an int; a DomainError unless `simulate`
+    can run to `t_final` on `n_traj` lanes (the jackknife variance needs three)."""
+    return as_real(t_final, "t_final", "(0, inf)"), as_int(n_traj, "n_traj", 3)
 
 
 def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
@@ -171,7 +168,7 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     non-negative int. `initial` is a distribution over the 4 states;
     defaults to uniform.
     """
-    n_traj = check_run(t_final, n_traj)
+    t_final, n_traj = check_run(t_final, n_traj)
     seed = as_int(seed, "seed", 0)
     if initial is None:
         initial = np.full(4, 0.25)

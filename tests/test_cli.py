@@ -160,7 +160,7 @@ def test_oracle_check_rejects_bad_horizon(t_final, capsys):
                "--t-final", t_final, "--n-traj", "12")
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "t_final must be finite and positive" in captured.err
+    assert captured.err == f"error: t_final must be a real number in (0, inf), got {float(t_final)!r}\n"
     assert captured.out == ""  # rejected before the table header
 
 
@@ -198,17 +198,29 @@ def test_sidecar_not_an_object_exits_2(workdir, tmp_path, capsys, sidecar, messa
     assert err.startswith("error:") and message in err
 
 
-@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
-def test_sidecar_bad_tau_exits_2(workdir, tmp_path, capsys, tau):
+def _train_with_fixed(workdir, tmp_path, name, value):
+    """`train` on the workdir dataset with the sidecar's fixed `name` set to `value`."""
     data = tmp_path / "dataset.csv"
     data.write_text((workdir / "dataset.csv").read_text())
     meta = json.loads((workdir / "dataset.meta.json").read_text())
-    meta["fixed"]["tau"] = tau
+    meta["fixed"][name] = value
     (tmp_path / "dataset.meta.json").write_text(json.dumps(meta))
-    code = run("--out", str(tmp_path), "train", "--data", str(data), "--mapping", "f3", "--k", "3")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "tau must be finite and non-negative" in err
+    return run("--out", str(tmp_path), "train", "--data", str(data), "--mapping", "f3", "--k", "3")
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_sidecar_bad_tau_exits_2(workdir, tmp_path, capsys, tau):
+    assert _train_with_fixed(workdir, tmp_path, "tau", tau) == 2
+    assert capsys.readouterr().err == f"error: line 2: tau must be a real number in [0, inf), got {tau!r}\n"
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None])
+@pytest.mark.parametrize("name, span", [("r", "(0, inf)"), ("tau", "[0, inf)"), ("e1", "(-inf, inf)")])
+def test_sidecar_constant_that_is_no_number_exits_2(workdir, tmp_path, capsys, name, span, value):
+    # `true` was once read as 1, and a string or null failed on a comparison
+    assert _train_with_fixed(workdir, tmp_path, name, value) == 2
+    assert capsys.readouterr().err == f"error: line 2: {name} must be a real number in {span}, got {value!r}\n"
+    assert not (tmp_path / "model-f3.json").exists()
 
 
 def test_exit_code_validation(tmp_path, capsys):
@@ -368,6 +380,12 @@ def test_config_rejects_bad_values(workdir, tmp_path, capsys, cfg, command, key)
     assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_train_takes_zscore_from_config(workdir, tmp_path):
+    assert _run_with_config(workdir, tmp_path, {"zscore": True}, "train") == 0
+    doc = json.loads((tmp_path / "model-f3.json").read_text())
+    assert decode(doc, "shift").any()  # the unscaled model's shift is 0
+
+
 @pytest.mark.parametrize("folds", [1, 0, -3])
 @pytest.mark.parametrize("command", ["tune", "sweep"])
 def test_config_rejects_too_few_folds(workdir, tmp_path, capsys, monkeypatch, command, folds):
@@ -379,7 +397,7 @@ def test_config_rejects_too_few_folds(workdir, tmp_path, capsys, monkeypatch, co
     monkeypatch.setattr(cli, "run_size_sweep", no_generate)
     assert _run_with_config(workdir, tmp_path, {"folds": folds}, command) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "'folds' must be >= 2" in err
+    assert err == f"error: config key 'folds' must be an integer >= 2, got {folds}\n"
     assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "tuning-f3.json").exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -15,7 +16,6 @@ from artifact.engine import (
     bose_occupations,
     build_generator,
     build_generators,
-    coherence_coupling,
 )
 from artifact.errors import DomainError
 
@@ -48,18 +48,10 @@ def test_bose_occupation_limits():
 @pytest.mark.parametrize("gap,temp", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
                                       (1.0, float("inf")), (1.0, float("nan"))])
 def test_bose_occupation_domain(gap, temp):
+    # bose_occupations trusts its arguments; the cavity mode's gap e_a - e_b
+    # and temperature t_l are refused where they enter, by the parameter box
     with pytest.raises(DomainError):
-        bose_occupations(gap, [temp])
-
-
-def test_coherence_coupling():
-    assert coherence_coupling(0.1, 0.0) == 0.0
-    assert coherence_coupling(0.1, 1.0) == 0.1
-    assert coherence_coupling(0.1, 0.5) == 0.05
-    with pytest.raises(DomainError):
-        coherence_coupling(0.0, 0.5)
-    with pytest.raises(DomainError):
-        coherence_coupling(0.1, 1.5)
+        build_generators([[1.0, 3.5, temp, 0.0, 0.0]], EngineParams(e_b=3.0 - gap))
 
 
 # --- parameter set ----------------------------------------------------------
@@ -73,25 +65,14 @@ def test_params_defaults_and_roundtrip():
 
 
 def test_params_validation():
-    with pytest.raises(DomainError):
-        EngineParams(e_a=1.0, e_b=2.0)  # level ordering violated
-    with pytest.raises(DomainError):
-        EngineParams(t_c=0.0)
-    with pytest.raises(DomainError):
-        EngineParams(t_l=float("inf"))
-    with pytest.raises(DomainError):
-        EngineParams(g=-1.0)
-    with pytest.raises(DomainError):
-        EngineParams(p_c=1.2)
-    for name, value in (("e_a", math.inf), ("e1", -math.inf), ("e_b", math.inf),
-                        ("e_b", -math.inf), ("e_a", math.nan)):
-        with pytest.raises(DomainError, match=f"{name} must be finite"):
-            EngineParams(**{name: value})
+    # each field's own interval is in the table of tests/test_errors.py
+    with pytest.raises(DomainError, match=re.escape("e_a > e_b > e1, got e_a=1.0, e_b=2.0, e1=0.5")):
+        EngineParams(e_a=1, e_b=2.0)
 
 
 @pytest.mark.parametrize("tau", [-0.1, float("nan"), float("inf")])
 def test_tau_must_be_finite_and_non_negative(tau):
-    with pytest.raises(DomainError, match="tau must be finite and non-negative") as exc:
+    with pytest.raises(DomainError, match=re.escape(f"tau must be a real number in [0, inf), got {tau}")) as exc:
         EngineParams(tau=tau)
     assert exc.value.exit_code == 2
 
@@ -111,8 +92,8 @@ def _reference_matrix(p):
     n_c = bose_occupation(p.e_b - p.e1, p.t_c)
     n_l = bose_occupation(p.e_a - p.e_b, p.t_l)
     r = p.r
-    g2c = coherence_coupling(r, p.p_c)
-    g2h = coherence_coupling(r, p.p_h)
+    g2c = r * p.p_c
+    g2h = r * p.p_h
     gbar = -r * (n_h + n_c)
     g12 = (g2c * n_c + g2h * n_h) / 2.0
     emit = p.g ** 2 * (1.0 + n_l)

@@ -1,12 +1,14 @@
 """The one integer rule, `errors.as_int`, at every count, seed and index
-argument, and the real-number rule of `t_final` and `train_frac`."""
+argument, and the one real-number rule, `errors.as_real`, at every real
+argument."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from artifact.cli import main
+from artifact.cli import _CONFIG, main
 from artifact.data import generate, write_csv
 from artifact.engine import EngineParams
 from artifact.errors import DomainError
@@ -46,7 +48,36 @@ ARGUMENTS = {
     "ScenarioSpec-seed": ("seed", 0, None, 5, lambda v: ScenarioSpec("equal", seed=v).seed),
     "run_size_sweep-sizes": ("sizes entry", 1, None, 60,
                              lambda v: run_size_sweep([v], mapping="f3")[0]["n"]),
+    "config-folds": ("config key 'folds'", 2, None, 3, _CONFIG["folds"][1]),
 }
+
+# (argument as the message names it, its interval, a valid value, call),
+# with `call` as in ARGUMENTS.
+REALS = {
+    **{f"EngineParams-{name}": (name, span, valid, lambda v, name=name: EngineParams(**{name: v}))
+       for name, span, valid in (
+           ("t_c", "(0, inf)", 0.7), ("t_h", "(0, inf)", 3.9), ("t_l", "(0, inf)", 2.5),
+           ("p_c", "[0, 1]", 0.3), ("p_h", "[0, 1]", 0.6), ("e1", "(-inf, inf)", 0.25),
+           ("e_a", "(-inf, inf)", 3.5), ("e_b", "(-inf, inf)", 1.5), ("g", "(0, inf)", 0.5),
+           ("r", "(0, inf)", 0.2), ("tau", "[0, inf)", 0.05))},
+    "generate-train_frac": ("train_frac", "(0, 1)", 0.5,
+                            lambda v: generate(20, seed=1, train_frac=v).meta["train_frac"]),
+    "check_run-t_final": ("t_final", "(0, inf)", 10.0, lambda v: check_run(v, 4)),
+    "simulate-t_final": ("t_final", "(0, inf)", 10.0, lambda v: simulate(PROC, v, 4, 1)),
+    "config-train_frac": ("config key 'train_frac'", "(0, 1)", 0.5, _CONFIG["train_frac"][1]),
+}
+
+
+def _ends(span):
+    """((end, closed), (end, closed)) of an interval written like "(0, 1]"."""
+    lo, hi = span[1:-1].split(", ")
+    return (float(lo), span[0] == "["), (float(hi), span[-1] == "]")
+
+
+def _refused_real(what, span, call, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{what} must be a real number in {span}, got {bad!r:.80}')}$") as err:
+        call(bad)
+    assert err.value.exit_code == 2
 
 
 def _refusals():
@@ -119,11 +150,32 @@ def test_random_search_refuses_fractional_n_iter():
 
 @pytest.mark.parametrize("bad", ["0.5", None, True, [0.5]])
 def test_real_arguments_refuse_non_numbers(bad):
-    with pytest.raises(DomainError, match=f"^train_frac must be in \\(0, 1\\), got {re.escape(repr(bad))}$"):
-        generate(20, seed=1, train_frac=bad)
-    for call in (lambda: check_run(bad, 4), lambda: simulate(PROC, bad, 4, 1)):
-        with pytest.raises(DomainError, match=f"^t_final must be finite and positive, got {re.escape(repr(bad))}$"):
-            call()
+    for what, span, _, call in REALS.values():
+        _refused_real(what, span, call, bad)
+
+
+def _real_refusals():
+    """NaN, both infinities, an int past the float range, each excluded
+    end, and the float just past each included end."""
+    for name, (what, span, _, call) in REALS.items():
+        outside = {math.nan, -math.inf, math.inf, 10**400}
+        for (end, closed), away in zip(_ends(span), (-math.inf, math.inf)):
+            outside.add(float(np.nextafter(end, away)) if closed else end)
+        for bad in sorted(outside, key=repr):
+            yield pytest.param(what, span, call, bad, id=f"{name}-{bad!r:.12}")
+
+
+@pytest.mark.parametrize("what, span, call, bad", _real_refusals())
+def test_real_refused_outside_its_interval(what, span, call, bad):
+    _refused_real(what, span, call, bad)
+
+
+@pytest.mark.parametrize("call, valid, span", [pytest.param(v[3], v[2], v[1], id=k) for k, v in REALS.items()])
+def test_numpy_real_is_a_python_float(call, valid, span):
+    assert repr(call(np.float64(valid))) == repr(call(valid))
+    for end, closed in _ends(span):
+        if closed:
+            call(np.float32(end))  # an included end is accepted
 
 
 def test_real_arguments_take_numpy_floats(tmp_path):

@@ -644,6 +644,26 @@ def test_strip_bound_reads_the_nearest_row_outside(side, rng):
     assert np.all(route == 1)  # the strip could not certify: brute force
 
 
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_strip_bound_is_at_most_every_row_outside(metric, rng):
+    # The contract of `_strip_bound`: per query, no more than the summed
+    # terms of the c1 columns (here c1 and its copy c3) of any training
+    # row outside the strip [lo, hi) of the c1 order. Off the sheet, c1
+    # and c3 of a query can lie on either side of a strip edge, where
+    # only the gap clamped at 0 keeps the bound below the rows.
+    n, q = 40, 1600
+    c1 = np.sort(rng.uniform(0.0, 1.0, n))
+    edges = np.concatenate([[-np.inf], c1, [np.inf]])
+    query = rng.uniform(-0.2, 1.2, (q, 4))
+    lo = rng.integers(0, n, q)
+    hi = rng.integers(lo + 1, n + 1)
+    bound = knn._strip_bound(query, [0, 2], edges, lo, hi, metric)
+    gaps = query[:, [0, 2], None] - c1
+    terms = (gaps * gaps if metric == "euclidean" else np.abs(gaps)).sum(axis=1)
+    outside = (np.arange(n) < lo[:, None]) | (np.arange(n) >= hi[:, None])
+    assert np.all(bound <= np.where(outside, terms, np.inf).min(axis=1))
+
+
 def test_strip_blocks_stay_under_the_allocator_ceiling(rng, monkeypatch):
     train_x, train_y, query = _sheet_problem(rng, 35_000, 4_000)
     model = fit(train_x, train_y, k=50, metric="manhattan")
