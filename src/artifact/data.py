@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,14 +30,8 @@ from .errors import (DomainError, GenerationQualityError, ParseError, Validation
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
-# Hard sampling bounds; custom ranges must stay inside them.
-_BOUNDS = {
-    "t_c": (0.4, 2.5),
-    "t_h": (3.0, 4.5),
-    "t_l": (1.0, 7.0),
-    "p_c": (0.0, 1.0),
-    "p_h": (0.0, 1.0),
-}
+# Hard sampling bounds, as `errors.as_real` intervals; custom ranges must stay inside them.
+_BOUNDS = {"t_c": "[0.4, 2.5]", "t_h": "[3.0, 4.5]", "t_l": "[1.0, 7.0]", "p_c": "[0, 1]", "p_h": "[0, 1]"}
 
 _MAX_REDRAWS_FRACTION = 0.10
 
@@ -44,10 +39,17 @@ _MAX_REDRAWS_FRACTION = 0.10
 _BATCH_ROWS = 4096
 
 
-def is_interval(r) -> bool:
-    """A finite [lo, hi] list or tuple of JSON numbers, not bools, with lo <= hi."""
-    return (type(r) in (list, tuple) and len(r) == 2
-            and all(type(v) in (int, float) and math.isfinite(v) for v in r) and r[0] <= r[1])
+def as_range(value, what: str, span: str) -> tuple:
+    """`value`, the range `what`, as a pair of Python floats: a list or tuple
+    of two reals lo <= hi, each read by `errors.as_real` inside the interval
+    `span`; anything else is a DomainError."""
+    if type(value) in (list, tuple) and len(value) == 2:
+        with suppress(DomainError):
+            lo, hi = (as_real(v, what, span) for v in value)
+            if lo <= hi:
+                return lo, hi
+    raise DomainError(f"range {what} must be a [lo, hi] pair of real numbers in {span} "
+                      f"with lo <= hi, got {value!r:.80}")
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,8 @@ class ParamRanges:
     p_h: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        for name, outer in _BOUNDS.items():
-            r = getattr(self, name)
-            if not is_interval(r):
-                raise DomainError(f"range {name} must be a finite [lo, hi] pair with lo <= hi, got {r!r}")
-            if r[0] < outer[0] - 1e-12 or r[1] > outer[1] + 1e-12:
-                raise DomainError(f"range {name}=({r[0]}, {r[1]}) outside sampling bounds {outer}")
-            object.__setattr__(self, name, tuple(r))
+        for name, span in _BOUNDS.items():
+            object.__setattr__(self, name, as_range(getattr(self, name), name, span))
 
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in _BOUNDS}

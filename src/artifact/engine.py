@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, as_real, in_interval
+from .errors import DomainError, as_name, as_real, in_interval
 
 # Columns of a parameter array: the operating-point parameters a dataset varies.
 VARIED = ("t_c", "t_h", "t_l", "p_c", "p_h")
@@ -139,8 +139,7 @@ def build_generators(varied, fixed: EngineParams = EngineParams(),
     the default is the per-bath-consistent one, the only one that
     equilibrates at zero thermodynamic bias.
     """
-    if variant not in GENERATOR_VARIANTS:
-        raise DomainError(f"unknown generator variant {variant!r}; expected one of {GENERATOR_VARIANTS}")
+    as_name(variant, "variant", GENERATOR_VARIANTS)
     varied = np.asarray(varied, dtype=float).reshape(-1, 5)
     bad = ~in_box(varied)
     if bad.any():  # EngineParams reads the same SPANS, so it refuses the row

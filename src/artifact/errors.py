@@ -16,6 +16,11 @@ argument goes through `as_real`, the twin rule: an int, float or numpy
 real, never a bool or NaN, inside an interval written like "(0, inf)" or
 "[0, 1]" (which `in_interval` also applies to arrays), returned as a
 Python float; else "<argument> must be a real number in <interval>, got <value>".
+A [lo, hi] range is read end by end through `as_real` by `data.as_range`.
+Every argument that names one of a fixed set of choices (a generator
+variant, a scenario relation, a mapping, a weighting, a metric) goes
+through `as_name`: a string among the names, else "<argument> must be one
+of <names>, got <value>".
 """
 
 import functools
@@ -127,6 +132,14 @@ def as_real(value, what: str, span: str) -> float:
         if in_interval(x, span):
             return x
     raise DomainError(f"{what} must be a real number in {span}, got {value!r:.80}")
+
+
+def as_name(value, what: str, names) -> str:
+    """`value`, the argument `what`, as a Python str: a string among `names`;
+    anything else is a DomainError."""
+    if isinstance(value, str) and value in names:
+        return str(value)
+    raise DomainError(f"{what} must be one of {tuple(names)}, got {value!r:.80}")
 
 
 class StateError(ValidationError):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DEFAULT_RANGES, Dataset, ParamRanges, generate, is_interval
-from .errors import DomainError, InfeasibleConstraintError, ValidationError, as_int, json_object
+from .data import DEFAULT_RANGES, Dataset, ParamRanges, as_range, generate
+from .errors import (DomainError, InfeasibleConstraintError, ValidationError, as_int, as_name,
+                     json_object)
 from .knn import (FEATURE_SUBSETS, KnnModel, SearchResult, fit, fold_splits,
                   kfold_accuracy, predict_proba_batch, random_search,
                   single_shot_accuracy, predict_batch)
@@ -46,16 +47,14 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pair12 not in PAIR_RELATIONS:
-            raise ValidationError(f"pair12 must be one of {PAIR_RELATIONS}, got {self.pair12!r}")
-        if self.pair34 not in PAIR_RELATIONS + ("absent",):
-            raise ValidationError(f"pair34 must be a relation or 'absent', got {self.pair34!r}")
+        object.__setattr__(self, "pair12", as_name(self.pair12, "pair12", PAIR_RELATIONS))
+        object.__setattr__(self, "pair34", as_name(self.pair34, "pair34", PAIR_RELATIONS + ("absent",)))
         object.__setattr__(self, "n", as_int(self.n, "n", 1))
         object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
-        if (type(self.ranges) not in (list, tuple) or len(self.ranges) != 4
-                or not all(is_interval(r) for r in self.ranges)):
-            raise ValidationError(f"ranges must be 4 ordered finite intervals, got {self.ranges!r}")
-        object.__setattr__(self, "ranges", tuple(tuple(r) for r in self.ranges))
+        if type(self.ranges) not in (list, tuple) or len(self.ranges) != 4:
+            raise DomainError(f"ranges must be 4 [lo, hi] pairs, got {self.ranges!r:.80}")
+        object.__setattr__(self, "ranges", tuple(as_range(r, f"c{i}", "(-inf, inf)")
+                                                 for i, r in enumerate(self.ranges, start=1)))
 
     def to_dict(self) -> dict:
         return {"pair12": self.pair12, "pair34": self.pair34, "n": self.n,
@@ -150,9 +149,7 @@ def run_scenario(model: KnnModel, spec: ScenarioSpec) -> ScenarioResult:
 
 
 def _subset(mapping: str) -> tuple:
-    if mapping not in FEATURE_SUBSETS:
-        raise DomainError(f"mapping must be one of {sorted(FEATURE_SUBSETS)}, got {mapping!r}")
-    return FEATURE_SUBSETS[mapping]
+    return FEATURE_SUBSETS[as_name(mapping, "mapping", FEATURE_SUBSETS)]
 
 
 def scenario_suite(mapping: str, n: int = 1000, seed: int = 0) -> list:
@@ -234,7 +231,4 @@ def sweep_csv(rows) -> str:
 
 
 def sweep_gnuplot(rows) -> str:
-    lines = ["# n knn_accuracy tree_accuracy"]
-    for r in rows:
-        lines.append(f"{r['n']} {r['knn_accuracy']:.6f} {r['tree_accuracy']:.6f}")
-    return "\n".join(lines) + "\n"
+    return "# " + sweep_csv(rows).replace(",", " ")

@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import N_CLASSES
-from .errors import DomainError, StateError, ValidationError, as_int, json_object
+from .errors import DomainError, StateError, ValidationError, as_int, as_name, json_object
 from .metrics import accuracy, confusion_matrix, percent_correct
 
 WEIGHTINGS = ("uniform", "distance")
@@ -107,10 +107,8 @@ class HyperSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "k_range", tuple(as_int(k, "k_range entry", 1) for k in self.k_range))
-        if any(w not in WEIGHTINGS for w in self.weightings):
-            raise ValidationError(f"weightings must be drawn from {WEIGHTINGS}")
-        if any(m not in DISTANCE_METRICS for m in self.metrics):
-            raise ValidationError(f"metrics must be drawn from {DISTANCE_METRICS}")
+        for name, names in (("weightings", WEIGHTINGS), ("metrics", DISTANCE_METRICS)):
+            object.__setattr__(self, name, tuple(as_name(v, f"{name} entry", names) for v in getattr(self, name)))
         for name in ("k_range", "weightings", "metrics"):
             entries = getattr(self, name)
             if not entries or len(set(entries)) != len(entries):
@@ -143,10 +141,8 @@ class KnnModel:
         if n == 0:
             raise StateError("model has no training points")
         object.__setattr__(self, "k", as_int(self.k, "k", 1, n + 1))
-        if self.weighting not in WEIGHTINGS:
-            raise ValidationError(f"weighting must be one of {WEIGHTINGS}")
-        if self.metric not in DISTANCE_METRICS:
-            raise ValidationError(f"metric must be one of {DISTANCE_METRICS}")
+        object.__setattr__(self, "weighting", as_name(self.weighting, "weighting", WEIGHTINGS))
+        object.__setattr__(self, "metric", as_name(self.metric, "metric", DISTANCE_METRICS))
         if not self.feature_subset:
             raise ValidationError("feature subset must not be empty")
         object.__setattr__(self, "feature_subset",

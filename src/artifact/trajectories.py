@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import cumulants, steady_state
-from .engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, build_generator
+from .engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, TwistedGenerator, build_generator
 from .errors import AbsorbingStateError, DomainError, ValidationError, as_int, as_real
 
 _RATE_TOL = 1e-12
@@ -62,17 +62,16 @@ class TrajectoryStats:
     var_se: float
 
 
-def build_jump_process(params: EngineParams) -> JumpProcess:
-    """Population-block jump process of the zero-coherence generator.
+def build_jump_process(gen: TwistedGenerator) -> JumpProcess:
+    """Population-block jump process of a zero-coherence generator.
 
-    Requires p_c = p_h = 0: only there does the coherence component
-    decouple and leave a probability-conserving classical process.
+    Requires the coherence row and column of L(0) to couple to no
+    population, as at p_c = p_h = 0: only there does the coherence
+    component decouple and leave a classical process.
     """
-    if params.p_c != 0.0 or params.p_h != 0.0:
-        raise DomainError(
-            f"jump process exists only at zero coherence, got p_c={params.p_c}, p_h={params.p_h}"
-        )
-    gen = build_generator(params)
+    coupling = np.abs(np.concatenate([gen.l0[4, :4], gen.l0[:4, 4]])).max()
+    if coupling != 0.0:
+        raise DomainError(f"jump process exists only at zero coherence, got coherence coupling {coupling:.3e}")
     block = gen.l0[:4, :4]
     rates = block.copy()
     np.fill_diagonal(rates, 0.0)
@@ -267,7 +266,7 @@ def compare_with_analytic(params: EngineParams, t_final: float, n_traj: int, see
     """
     zero = params.zero_coherence()
     gen = build_generator(zero)
-    proc = build_jump_process(zero)
+    proc = build_jump_process(gen)
     j = cumulants(gen)
     pops = steady_state(gen)[:4]
     stats = simulate(proc, t_final, n_traj, seed, initial=pops / pops.sum())

@@ -1,7 +1,9 @@
 """The one integer rule, `errors.as_int`, at every count, seed and index
-argument, and the one real-number rule, `errors.as_real`, at every real
-argument."""
+argument, the one real-number rule, `errors.as_real`, at every real
+argument, the one range rule, `data.as_range`, at every [lo, hi] range,
+and the one name rule, `errors.as_name`, at every choice of a name."""
 
+import json
 import math
 import re
 
@@ -9,18 +11,19 @@ import numpy as np
 import pytest
 
 from artifact.cli import _CONFIG, main
-from artifact.data import generate, write_csv
-from artifact.engine import EngineParams
+from artifact.data import ParamRanges, generate, write_csv
+from artifact.engine import GENERATOR_VARIANTS, EngineParams, build_generator
 from artifact.errors import DomainError
-from artifact.experiments import ScenarioSpec, run_size_sweep
-from artifact.knn import (HyperSpace, KnnModel, fit, fold_splits, kfold_accuracy,
-                          random_search)
+from artifact.experiments import (DEFAULT_SCENARIO_RANGES, PAIR_RELATIONS, ScenarioSpec,
+                                  run_size_sweep, scenario_suite)
+from artifact.knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, KnnModel,
+                          fit, fold_splits, kfold_accuracy, model_to_json, random_search)
 from artifact.trajectories import build_jump_process, check_run, simulate
 
 X = np.random.default_rng(0).random((40, 4))
 Y = np.arange(40) % 4
 SPACE = HyperSpace(k_range=(1, 2, 3))
-PROC = build_jump_process(EngineParams())
+PROC = build_jump_process(build_generator(EngineParams()))
 MODEL = dict(features=X, labels=Y, k=3, weighting="uniform", metric="euclidean",
              feature_subset=(0, 1, 2, 3), shift=np.zeros(4), scale=np.ones(4))
 
@@ -65,6 +68,40 @@ REALS = {
     "check_run-t_final": ("t_final", "(0, inf)", 10.0, lambda v: check_run(v, 4)),
     "simulate-t_final": ("t_final", "(0, inf)", 10.0, lambda v: simulate(PROC, v, 4, 1)),
     "config-train_frac": ("config key 'train_frac'", "(0, 1)", 0.5, _CONFIG["train_frac"][1]),
+}
+
+# (range as the message names it, its interval, a valid (lo, hi), call):
+# `call(v)` passes v as that range, every other argument valid, and
+# returns what the range became.
+RANGES = {
+    **{f"{route}-{name}": (name, span, valid, lambda v, name=name, make=make: getattr(make({name: v}), name))
+       for name, span, valid in (
+           ("t_c", "[0.4, 2.5]", (0.5, 1.5)), ("t_h", "[3.0, 4.5]", (3.5, 4.0)),
+           ("t_l", "[1.0, 7.0]", (2.0, 5.0)), ("p_c", "[0, 1]", (0.1, 0.2)), ("p_h", "[0, 1]", (0.25, 0.75)))
+       for route, make in (("ParamRanges", lambda kw: ParamRanges(**kw)), ("config", _CONFIG["ranges"][1]))},
+    "ScenarioSpec-c1": ("c1", "(-inf, inf)", (-2.0, 3.5),
+                        lambda v: ScenarioSpec("equal", ranges=(v, *DEFAULT_SCENARIO_RANGES[1:])).ranges[0]),
+    "scenario-c1": ("c1", "(-inf, inf)", (-2.0, 3.5), lambda v: ScenarioSpec.from_dict(
+        {"pair12": "equal", "ranges": [v, *DEFAULT_SCENARIO_RANGES[1:]]}).ranges[0]),
+}
+
+# (argument as the message names it, its names, a valid name, call), with
+# `call` as in ARGUMENTS.
+NAMES = {
+    "build_generator-variant": ("variant", GENERATOR_VARIANTS, "legacy-conserving",
+                                lambda v: build_generator(EngineParams(), v).emit_rate),
+    "ScenarioSpec-pair12": ("pair12", PAIR_RELATIONS, "less", lambda v: ScenarioSpec(v).pair12),
+    "ScenarioSpec-pair34": ("pair34", PAIR_RELATIONS + ("absent",), "less",
+                            lambda v: ScenarioSpec("equal", v).pair34),
+    "scenario_suite-mapping": ("mapping", tuple(FEATURE_SUBSETS), "f2", lambda v: len(scenario_suite(v, n=5))),
+    "HyperSpace-weightings": ("weightings entry", WEIGHTINGS, "distance",
+                              lambda v: HyperSpace(weightings=(v,)).weightings),
+    "HyperSpace-metrics": ("metrics entry", DISTANCE_METRICS, "manhattan",
+                           lambda v: HyperSpace(metrics=(v,)).metrics),
+    "KnnModel-weighting": ("weighting", WEIGHTINGS, "distance",
+                           lambda v: KnnModel(**{**MODEL, "weighting": v}).weighting),
+    "KnnModel-metric": ("metric", DISTANCE_METRICS, "manhattan",
+                        lambda v: KnnModel(**{**MODEL, "metric": v}).metric),
 }
 
 
@@ -183,3 +220,99 @@ def test_real_arguments_take_numpy_floats(tmp_path):
     assert type(ds.meta["train_frac"]) is float and ds.in_train.sum() == 10
     write_csv(ds, tmp_path / "d.csv")  # the sidecar holds it as a JSON number
     assert simulate(PROC, np.float32(10.0), 4, 1) == simulate(PROC, 10.0, 4, 1)
+
+
+# --- [lo, hi] ranges ----------------------------------------------------------
+
+def _refused_range(what, span, call, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'range {what} must be a [lo, hi] pair of real numbers in {span} with lo <= hi, got {bad!r:.80}')}$") as err:
+        call(bad)
+    assert err.value.exit_code == 2
+
+
+def _range_refusals():
+    """A bool, a str, None, NaN or an infinity at either end, a reversed
+    pair, one or three ends, and values that are no pair at all."""
+    for name, (what, span, (lo, hi), call) in RANGES.items():
+        bads = [(True, hi), (lo, False), ("0.5", hi), (lo, None), (math.nan, hi), (lo, math.nan),
+                (-math.inf, hi), (lo, math.inf), (hi, lo), [hi, lo], (lo,), (lo, hi, hi), [],
+                None, "ab", 0.5, {"lo": lo, "hi": hi}]
+        for i, bad in enumerate(bads):
+            yield pytest.param(what, span, call, bad, id=f"{name}-{i}")
+
+
+@pytest.mark.parametrize("what, span, call, bad", _range_refusals())
+def test_range_refused_with_one_message(what, span, call, bad):
+    _refused_range(what, span, call, bad)
+
+
+@pytest.mark.parametrize("call, valid", [pytest.param(v[3], v[2], id=k) for k, v in RANGES.items()])
+def test_range_is_a_pair_of_python_floats(call, valid):
+    lo, hi = valid
+    for given in ((lo, hi), [lo, hi], (np.float64(lo), np.float64(hi)), (lo, np.float32(hi)), (hi, hi)):
+        got = call(given)
+        assert type(got) is tuple and all(type(end) is float for end in got)
+        assert got == tuple(float(end) for end in given)
+
+
+@pytest.mark.parametrize("name", ["t_c", "t_h", "t_l", "p_c", "p_h"])
+def test_range_stops_at_its_sampling_bound(name):
+    what, span, (lo, hi), call = RANGES[f"ParamRanges-{name}"]
+    (low, _), (high, _) = _ends(span)
+    assert call((low, hi)) == (low, hi) and call((lo, high)) == (lo, high)
+    for bad in ((float(np.nextafter(low, -math.inf)), hi), (lo, float(np.nextafter(high, math.inf)))):
+        _refused_range(what, span, call, bad)
+
+
+def test_integer_range_ends_echo_as_floats(tmp_path):
+    ds = generate(20, ParamRanges(t_l=(2, 5)), seed=1)
+    write_csv(ds, tmp_path / "d.csv")
+    assert json.loads((tmp_path / "d.meta.json").read_text())["ranges"]["t_l"] == [2.0, 5.0]
+    spec = ScenarioSpec("equal", ranges=((0, 1),) * 4)
+    assert json.dumps(spec.to_dict()["ranges"]) == json.dumps([[0.0, 1.0]] * 4)
+
+
+def test_scenario_needs_four_ranges():
+    for bad in (DEFAULT_SCENARIO_RANGES[:3], None, "abcd"):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'ranges must be 4 [lo, hi] pairs, got {bad!r}')}$"):
+            ScenarioSpec("equal", ranges=bad)
+
+
+# --- names ----------------------------------------------------------------------
+
+def _name_refusals():
+    """A wrong name, a case variant of a valid one, and non-strings."""
+    for key, (what, names, valid, call) in NAMES.items():
+        for bad in ("bogus", valid.upper(), valid.title(), 1, None, True, [valid], (valid,)):
+            yield pytest.param(what, names, call, bad, id=f"{key}-{bad!r}")
+
+
+@pytest.mark.parametrize("what, names, call, bad", _name_refusals())
+def test_name_refused_with_one_message(what, names, call, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{what} must be one of {names}, got {bad!r}')}$") as err:
+        call(bad)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("names, valid, call", [pytest.param(*v[1:], id=k) for k, v in NAMES.items()])
+def test_every_name_is_accepted(names, valid, call):
+    for name in names:
+        call(name)
+    assert repr(call(np.str_(valid))) == repr(call(valid))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("weighting", "gaussian", "weighting must be one of ('uniform', 'distance'), got 'gaussian'"),
+    ("metric", "Euclidean", "metric must be one of ('euclidean', 'manhattan'), got 'Euclidean'"),
+    ("pair12", "Equal", "pair12 must be one of ('equal', 'greater', 'less'), got 'Equal'"),
+    ("pair34", 3, "pair34 must be one of ('equal', 'greater', 'less', 'absent'), got 3"),
+])
+def test_cli_names_refused_with_one_message(tmp_path, capsys, field, value, message):
+    model = json.loads(model_to_json(KnnModel(**MODEL)))
+    scenario = {"pair12": "equal", "pair34": "less", "n": 5}
+    (model if field in model else scenario)[field] = value
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    assert main(["--out", str(tmp_path), "apply", "--model", str(tmp_path / "model.json"),
+                 "--scenario", str(tmp_path / "scenario.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -48,10 +48,10 @@ def test_spec_validation():
         ScenarioSpec.from_json("{broken")
     # malformed documents: each is rejected by name instead of failing later
     bad = [
-        ({"ranges": [[float("nan"), float("nan")]] * 4}, "ranges"),
-        ({"ranges": [[0.8, float("inf")]] * 4}, "ranges"),
-        ({"ranges": [1, 2, 3, 4]}, "ranges"),
-        ({"ranges": [[0.8, "1.0"]] * 4}, "ranges"),
+        ({"ranges": [[float("nan"), float("nan")]] * 4}, "range c1 must"),
+        ({"ranges": [[0.8, float("inf")]] * 4}, "range c1 must"),
+        ({"ranges": [1, 2, 3, 4]}, "range c1 must"),
+        ({"ranges": [[0.8, "1.0"]] * 4}, "range c1 must"),
         ({"n": "5"}, "n must"),
         ({"n": 2.5}, "n must"),
         ({"n": True}, "n must"),
@@ -89,19 +89,20 @@ _NAN, _INF = float("nan"), float("inf")
 ])
 def test_param_ranges_and_scenario_share_the_interval_rule(interval, ok):
     """The sampling ranges of a config and the feature ranges of a scenario
-    accept and refuse the same [lo, hi] values; all tried lie in [0, 1],
-    inside the p_h sampling bounds, so only the interval rule decides."""
+    accept and refuse the same [lo, hi] values, through `data.as_range`
+    (its message is checked in test_errors); all tried lie in [0, 1],
+    inside the p_h sampling bounds, so only the range rule decides."""
     ranges = dict(DEFAULT_RANGES.to_dict(), p_h=interval)
     scenario = {"pair12": "equal", "ranges": [interval, *DEFAULT_SCENARIO_RANGES[1:]]}
     if ok:
         assert ParamRanges.from_dict(ranges).p_h == tuple(interval)
         assert ScenarioSpec.from_dict(scenario).ranges[0] == tuple(interval)
         return
-    with pytest.raises(DomainError, match="range p_h must be a finite"):
+    with pytest.raises(DomainError, match=r"^range p_h must be a \[lo, hi\] pair"):
         ParamRanges.from_dict(ranges)
-    with pytest.raises(DomainError, match="range p_h must be a finite"):
+    with pytest.raises(DomainError, match=r"^range p_h must be a \[lo, hi\] pair"):
         ParamRanges(p_h=interval)
-    with pytest.raises(ValidationError, match="ranges must be 4 ordered finite intervals"):
+    with pytest.raises(DomainError, match=r"^range c1 must be a \[lo, hi\] pair"):
         ScenarioSpec.from_dict(scenario)
 
 

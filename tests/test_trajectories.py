@@ -5,7 +5,6 @@ import loop_reference
 import numpy as np
 import pytest
 
-from artifact import trajectories
 from artifact.counting import cumulants, steady_state
 from artifact.data import generate
 from artifact.engine import EngineParams, build_generator
@@ -20,7 +19,7 @@ from artifact.trajectories import (
 
 
 def _proc(**kw):
-    return build_jump_process(EngineParams(**kw))
+    return build_jump_process(build_generator(EngineParams(**kw)))
 
 
 def _zero_count_proc():
@@ -112,22 +111,20 @@ def test_count_weights_mark_only_cavity_edges():
 
 
 def test_rejects_coherent_params():
-    with pytest.raises(DomainError):
-        build_jump_process(EngineParams(p_h=0.5))
+    # either coherence knob couples the coherence slot to the populations
+    for knob in ("p_c", "p_h"):
+        with pytest.raises(DomainError, match=r"^jump process exists only at zero coherence, got coherence coupling \d"):
+            build_jump_process(build_generator(EngineParams(**{knob: 0.5})))
 
 
-def test_rejects_leaking_population_block(monkeypatch):
+def test_rejects_leaking_population_block():
     # a diagonal that misses its column's escape rate by 1e-9 loses
     # probability; the build_generator L(0) conserves it exactly
-    def leaking(params):
-        gen = build_generator(params)
-        l0 = gen.l0.copy()
-        l0[1, 1] -= 1e-9
-        return dataclasses.replace(gen, l0=l0)
-
-    monkeypatch.setattr(trajectories, "build_generator", leaking)
+    gen = build_generator(EngineParams())
+    l0 = gen.l0.copy()
+    l0[1, 1] -= 1e-9
     with pytest.raises(ValidationError, match=r"leaks probability \(max 1\.0\d*e-09\)"):
-        build_jump_process(EngineParams())
+        build_jump_process(dataclasses.replace(gen, l0=l0))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -202,7 +199,7 @@ def test_jump_process_rejects_other_count_weights():
 def test_simulate_traced_peak_stays_below_6_mb():
     # each lane draws only the uniforms of the window it runs; a per-lane
     # buffer of 8,192 uniforms would read about 15.6 MB here
-    proc = build_jump_process(EngineParams())
+    proc = build_jump_process(build_generator(EngineParams()))
     tracemalloc.start()
     try:
         simulate(proc, 50.0, 200, 0)
@@ -280,7 +277,7 @@ def test_stationary_start_unbiased():
     gen = build_generator(params)
     j1 = cumulants(gen)[0]
     pops = steady_state(gen)[:4]
-    proc = build_jump_process(params)
+    proc = build_jump_process(gen)
     errs = [
         simulate(proc, 300.0, 40, seed=s, initial=pops).mean_rate - j1
         for s in range(6)
