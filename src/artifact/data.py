@@ -85,6 +85,20 @@ _CLASS_EDGES = (0.25, 0.50, 0.75)
 N_CLASSES = len(_CLASS_EDGES) + 1
 
 
+def as_labels(value, what: str, n: int | None = None) -> np.ndarray:
+    """`value`, the class labels `what`, as an intp array: a 1-D array of
+    integers (never bools) in [0, N_CLASSES), `n` of them unless `n` is
+    None; anything else is a DomainError."""
+    with suppress(ValueError):  # ragged nestings are no array
+        arr = np.asarray(value)
+        if arr.ndim == 1 and arr.dtype.kind in "iu" and n in (None, len(arr)) \
+                and np.all((arr >= 0) & (arr < N_CLASSES)):
+            return arr.astype(np.intp)
+    count = "" if n is None else f"{n} "
+    raise DomainError(f"{what} must be a 1-D array of {count}integers in [0, {N_CLASSES}), "
+                      f"got {' '.join(repr(value).split()):.80}")
+
+
 def _labels_of(p_h):
     """Quartile class of hot-bath coherence strengths in [0, 1].
 

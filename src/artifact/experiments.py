@@ -55,6 +55,9 @@ class ScenarioSpec:
             raise DomainError(f"ranges must be 4 [lo, hi] pairs, got {self.ranges!r:.80}")
         object.__setattr__(self, "ranges", tuple(as_range(r, f"c{i}", "(-inf, inf)")
                                                  for i, r in enumerate(self.ranges, start=1)))
+        for i, (lo, hi) in enumerate(self.ranges, start=1):
+            if not np.isfinite(hi - lo):  # a draw lo + (hi - lo) u would overflow
+                raise DomainError(f"range c{i} must be narrower than the float range, got {[lo, hi]}")
 
     def to_dict(self) -> dict:
         return {"pair12": self.pair12, "pair34": self.pair34, "n": self.n,

@@ -28,9 +28,10 @@ float range, so that distances and bounds alike stay finite.
 
 Blocks hold at most `_BLOCK_ELEMS` distances, filled into one buffer
 that every block of a call reuses. Each block's distance matrix is read
-only to rank neighbors; votes are cast from the (b, k) neighbor (index,
-distance) pairs gathered once from it, weighted by the one rule
-`_weights`. Each question has one route. The vote values of one k
+only to rank neighbors: its answered queries' (b, k) neighbor indices
+and distances go into one table, (ranked, nd, route) in query order,
+which `_neighbors` returns. Votes are cast from that table, weighted by
+the one rule `_weights`. Each question has one route. The vote values of one k
 (`predict_proba_batch`, `predict_batch`) are summed in training-index
 order. The winners of many k at once (`random_search`, which reads only
 the argmax) come from one rank-order cumulative sum; a winner is kept
@@ -55,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import N_CLASSES
+from .data import N_CLASSES, as_labels
 from .errors import DomainError, StateError, ValidationError, as_int, as_name, json_object
 from .metrics import accuracy, confusion_matrix, percent_correct
 
@@ -149,10 +150,7 @@ class KnnModel:
                            tuple(as_int(j, "feature_subset entry", 0) for j in self.feature_subset))
         if self.features.shape[1] != len(self.feature_subset):
             raise ValidationError("feature matrix width must match the feature subset")
-        if self.labels.shape != (n,):
-            raise ValidationError("labels must be one per training row")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= N_CLASSES):
-            raise ValidationError(f"labels must lie in [0, {N_CLASSES})")
+        object.__setattr__(self, "labels", as_labels(self.labels, "labels", n))
         if not np.all(np.isfinite(self.features)):
             raise ValidationError("training features must be finite")
         if not _fits_float_range(np.ascontiguousarray(self.features.T), self.features[:0],
@@ -206,7 +204,6 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
     `zscore` standardizes columns (constant columns are left unscaled).
     """
     features = np.ascontiguousarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
     if features.ndim != 2:
         raise ValidationError(f"features must be 2-D, got shape {features.shape}")
     if feature_subset is None:
@@ -466,10 +463,11 @@ def _copy_spreads(q: np.ndarray, copies: tuple, metric: str) -> tuple:
     return terms.pop(0), sum(terms.values(), np.zeros(len(q)))
 
 
-def _neighbors(model: KnnModel, queries):
-    """(rows, ranked, nd, route) per block of queries: the positions of
-    the block's queries, their (b, k) ranked neighbor indices and
-    distances, and the index of the strip round that answered them.
+def _neighbors(model: KnnModel, queries) -> tuple:
+    """(ranked, nd, route), one row per query in query order: its (n, k)
+    ranked neighbor indices and their distances, and the index of the
+    strip round that answered it. The three arrays are allocated once and
+    filled block by block.
 
     Queries go in ascending order of column 0 (c1). Round r bins them by
     their position in the training rows' c1 order, in bins of margin
@@ -485,16 +483,18 @@ def _neighbors(model: KnnModel, queries):
     row, with nothing outside to bound, so it takes and answers every
     query left.
     """
-    q = np.ascontiguousarray(queries, dtype=float)
-    if q.ndim != 2 or q.shape[1] != model.features.shape[1]:
-        raise DomainError(
-            f"queries must be (n, {model.features.shape[1]}), got {q.shape}"
-        )
+    x, k, metric, copies = model.features, model.k, model.metric, model.copies
+    try:  # the one reader of raw queries
+        q = np.asarray(queries, dtype=float)
+    except (ValueError, TypeError):  # ragged rows, text that is no number
+        q = np.empty(0)  # refused below by its shape
+    if q.ndim != 2 or q.shape[1] != x.shape[1]:
+        raise DomainError(f"queries must be an (n, {x.shape[1]}) array of real numbers, "
+                          f"got {' '.join(repr(queries).split()):.80}")
     with np.errstate(over="ignore"):
         q = (q - model.shift) / model.scale
     if not np.all(np.isfinite(q)):
         raise DomainError("queries must be finite, also once shifted and scaled by the model")
-    x, k, metric, copies = model.features, model.k, model.metric, model.copies
     # Strips are gathered by column, several times faster than by rows of
     # a few floats, and `_distance_block` reads columns anyway.
     cols = np.ascontiguousarray(x.T)
@@ -505,6 +505,8 @@ def _neighbors(model: KnnModel, queries):
     # One distance buffer for every block: freeing it after each block
     # lets glibc trim the heap, and the next block faults it in again.
     buf = np.empty(min(step, len(q)) * n)
+    ranked_of, nd_of = np.empty((len(q), k), dtype=np.intp), np.empty((len(q), k))
+    route_of = np.full(len(q), -1)  # -1: no round has answered the query
     # Any order by c1 serves: a strip is re-sorted by training index, and
     # its bound reads c1 values only, so ties need no stable sort.
     order = np.argsort(cols[0])
@@ -524,7 +526,6 @@ def _neighbors(model: KnnModel, queries):
         if metric == "euclidean":
             np.sqrt(bound, out=bound)
         answered = np.zeros(len(pending), dtype=bool)
-        held = []  # answers not yet yielded: one yield per `step` queries, not per strip
         # first try of each strip, a row range: lo and hi never fall, so lo + hi rises there
         starts = np.flatnonzero(np.diff(lo[tried] + hi[tried], prepend=-1))
         for a, b in zip(starts, [*starts[1:], len(tried)]):
@@ -547,21 +548,15 @@ def _neighbors(model: KnnModel, queries):
                 nd = np.take_along_axis(dist, ranked, axis=1)
                 done = bound[sel] > nd[:, -1] * _CERTIFY
                 answered[tried[sel][done]] = True
-                held.append((rows[done], idx[ranked[done]], nd[done]))
-                if sum(len(h[0]) for h in held) >= step:
-                    yield (*map(np.concatenate, zip(*held)), route)
-                    held = []
-        if held:
-            yield (*map(np.concatenate, zip(*held)), route)
+                rows = rows[done]
+                ranked_of[rows], nd_of[rows], route_of[rows] = idx[ranked[done]], nd[done], route
         pending, at = pending[~answered], at[~answered]
+    return ranked_of, nd_of, route_of
 
 
 def _votes(model: KnnModel, queries) -> np.ndarray:
-    """(n, N_CLASSES) vote mass per query, written block by block."""
-    out = np.empty(np.shape(queries)[:1] + (N_CLASSES,))  # `_neighbors` checks the shape
-    for rows, ranked, nd, _ in _neighbors(model, queries):
-        out[rows] = _votes_for(ranked, nd, model.labels, model.weighting)
-    return out
+    """(n, N_CLASSES) vote mass per query, from the one neighbor table."""
+    return _votes_for(*_neighbors(model, queries)[:2], model.labels, model.weighting)
 
 
 def predict_proba_batch(model: KnnModel, queries) -> np.ndarray:
@@ -595,7 +590,7 @@ def kfold_accuracy(features, labels, k: int = 5, weighting: str = "uniform",
                    metric: str = "euclidean", folds: int = 5, seed: int = 0) -> float:
     """Mean single-shot accuracy over seeded contiguous shuffle folds."""
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = as_labels(labels, "labels", len(features))
     accs = []
     for rest, held in fold_splits(features.shape[0], folds, seed):
         model = fit(features[rest], labels[rest], k=k, weighting=weighting, metric=metric)
@@ -646,7 +641,7 @@ def model_from_json(text: str) -> KnnModel:
     try:
         return KnnModel(
             features=_model_array(doc, "features"),
-            labels=_model_array(doc, "labels").astype(np.intp),
+            labels=_model_array(doc, "labels"),
             k=doc["k"],
             weighting=doc["weighting"],
             metric=doc["metric"],
@@ -677,10 +672,10 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
 
     Every candidate is scored with the same seeded folds, so the result
     equals an exhaustive grid restricted to the sampled combinations.
-    Neighbor tables are shared across candidates per (metric, fold), and
-    each block finds the winners of all of its candidates' k at once, per
-    weighting, with `_winners_for`: the ranked-neighbor prefix of length k
-    reproduces exactly what a standalone kfold_accuracy call computes.
+    One neighbor table per (fold, metric) serves every candidate, and
+    `_winners_for` finds the winners of all of a weighting's k on it at
+    once: the ranked-neighbor prefix of length k reproduces exactly what
+    a standalone kfold_accuracy call computes.
     The winners come from one rank-order cumulative sum of the weights;
     the (k, row) pairs whose sums are neither exact nor certified by its
     rounding bound are recomputed in training-index order, as
@@ -688,7 +683,7 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     """
     n_iter = as_int(n_iter, "n_iter", 1)
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = as_labels(labels, "labels", len(features))
     splits = fold_splits(features.shape[0], folds, seed)  # checks folds and seed before any draw
     combos = space.combos()
     if n_iter > len(combos):
@@ -707,25 +702,21 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     fold_correct = {hp: np.zeros(len(splits)) for hp in scorable}
     fallbacks = 0
     for i, (rest, held) in enumerate(splits):
-        y_held = labels[held]
         for metric in DISTANCE_METRICS:
             group = [hp for hp in scorable if hp.metric == metric]
             if not group:
                 continue
-            ks_of = {w: sorted(hp.k for hp in group if hp.weighting == w) for w in WEIGHTINGS}
-            kk = max(hp.k for hp in group)
-            model = fit(features[rest], labels[rest], k=kk, metric=metric, zscore=zscore)
-            for rows, ranked, nd, _ in _neighbors(model, features[held]):
-                y_blk = y_held[rows]
-                for weighting, ks in ks_of.items():
-                    if not ks:
-                        continue
+            model = fit(features[rest], labels[rest], k=max(hp.k for hp in group), metric=metric,
+                        zscore=zscore)
+            ranked, nd, _ = _neighbors(model, features[held])
+            for weighting in WEIGHTINGS:
+                ks = sorted(hp.k for hp in group if hp.weighting == weighting)
+                if ks:
                     win, redone = _winners_for(ranked[:, :ks[-1]], nd[:, :ks[-1]], model.labels,
                                                weighting, ks)
                     fallbacks += redone
-                    correct = np.sum(win == y_blk, axis=1)
-                    for k, c in zip(ks, correct):
-                        fold_correct[Hyperparams(k, weighting, metric)][i] += c
+                    for k, c in zip(ks, np.sum(win == labels[held], axis=1)):
+                        fold_correct[Hyperparams(k, weighting, metric)][i] = c
 
     sizes = np.array([len(held) for _, held in splits], dtype=float)
     trials = tuple(

@@ -14,23 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import N_CLASSES
+from .data import N_CLASSES, as_labels
 from .errors import DomainError, ValidationError
 
 
 def confusion_matrix(predicted, true) -> np.ndarray:
     """chi[m, n] counts samples predicted m whose true class is n."""
-    predicted = np.asarray(predicted, dtype=np.intp)
-    true = np.asarray(true, dtype=np.intp)
-    if predicted.shape != true.shape or predicted.ndim != 1:
-        raise DomainError(
-            f"prediction/label shapes differ: {predicted.shape} vs {true.shape}"
-        )
-    if predicted.size == 0:
+    predicted = as_labels(predicted, "predicted classes")
+    true = as_labels(true, "true classes", len(predicted))
+    if not len(true):
         raise DomainError("cannot build a confusion matrix from zero samples")
-    for name, arr in (("predicted", predicted), ("true", true)):
-        if arr.min() < 0 or arr.max() >= N_CLASSES:
-            raise DomainError(f"{name} classes must lie in [0, {N_CLASSES})")
     chi = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(chi, (predicted, true), 1)
     return chi

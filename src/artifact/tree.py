@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import N_CLASSES
+from .data import N_CLASSES, as_labels
 from .errors import DomainError
 
 MAX_DEPTH = 8
@@ -84,10 +84,9 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int) -> TreeNode:
 
 def fit_tree(features, labels) -> TreeNode:
     x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=np.intp)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or y.size == 0:
-        raise DomainError(f"need matching non-empty features/labels, got {x.shape} vs {y.shape}")
-    return _grow(x, y, 0)
+    if x.ndim != 2 or not len(x):
+        raise DomainError(f"features must be a non-empty 2-D array, got shape {x.shape}")
+    return _grow(x, as_labels(labels, "labels", len(x)), 0)
 
 
 def predict_tree(root: TreeNode, features) -> np.ndarray:

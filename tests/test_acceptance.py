@@ -13,13 +13,14 @@ import pytest
 
 from artifact.counting import cumulants, exchange_moment_ratios
 from artifact.data import generate
-from artifact.engine import TRACE_VECTOR, EngineParams, build_generator
+from artifact.engine import TRACE_VECTOR, build_generator
 from artifact.experiments import evaluate_untuned, run_pipeline, run_scenario, scenario_suite
 from artifact.fdcheck import fd_cumulants
 from artifact.knn import fit, predict_batch, predict_proba_batch
 from artifact.metrics import class_metrics
 from artifact.trajectories import compare_with_analytic
 
+from conftest import random_params
 from test_knn import _ref_predict, _ref_proba
 
 pytestmark = pytest.mark.acceptance
@@ -41,16 +42,6 @@ def _verdict(num, name, ok, detail=""):
 
 def _report(text):
     print(text, flush=True)
-
-
-def _draw_params(rng, coherent=True):
-    return EngineParams(
-        t_c=rng.uniform(0.4, 2.5),
-        t_h=rng.uniform(3.0, 4.5),
-        t_l=rng.uniform(1.0, 7.0),
-        p_c=rng.uniform(0.0, 1.0) if coherent else 0.0,
-        p_h=rng.uniform(0.0, 1.0) if coherent else 0.0,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +67,7 @@ def test_criterion_01_spectral_invariant():
     worst_eig = 0.0
     worst_trace = 0.0
     for _ in range(1000):
-        params = _draw_params(rng)
+        params = random_params(rng)
         for variant in ("consistent", "legacy-conserving"):
             gen = build_generator(params, variant)
             eigs = np.linalg.eigvals(gen.l0)
@@ -96,7 +87,7 @@ def test_criterion_02_cumulant_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        gen = build_generator(_draw_params(rng))
+        gen = build_generator(random_params(rng))
         j = cumulants(gen)
         fd = fd_cumulants(gen)
         rel = np.max(np.abs(fd - j) / np.maximum(np.abs(j), 1e-12))
@@ -115,7 +106,7 @@ def test_criterion_03_trajectory_validation():
     worst = 0.0
     rows = []
     for i in range(5):
-        params = _draw_params(rng, coherent=False)
+        params = random_params(rng, coherent=False)
         row = compare_with_analytic(params, t_final=1e5, n_traj=200, seed=300 + i)
         worst = max(worst, row["z_mean"], row["z_var"])
         rows.append(f"draw {i}: z_mean={row['z_mean']:.2f} z_var={row['z_var']:.2f}")
@@ -131,7 +122,7 @@ def test_criterion_04_baseline_identity():
     rng = np.random.default_rng(4)
     ok = True
     for _ in range(100):
-        feats = exchange_moment_ratios(_draw_params(rng, coherent=False))
+        feats = exchange_moment_ratios(random_params(rng, coherent=False))
         if not np.all(feats == 1.0):
             ok = False
             break

@@ -472,7 +472,7 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
 
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda doc: reencode(doc, "labels", lambda a: a[:-1]),
-                 "labels must be one per training row", id="length-mismatch"),
+                 "labels must be a 1-D array of 210 integers in [0, 4)", id="length-mismatch"),
     pytest.param(lambda doc: reencode(doc, "features", put((0, 0), np.nan)),
                  "training features must be finite", id="nan-feature"),
     pytest.param(lambda doc: reencode(doc, "features", put((1, 1), np.inf)),
@@ -498,9 +498,9 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     pytest.param(lambda doc: reencode(doc, "labels", lambda a: a.astype(np.int64) + 2**40, "<i8"),
                  "labels dtype must be '|i1', got '<i8'", id="label-overflow"),
     pytest.param(lambda doc: reencode(doc, "labels", put(0, 4)),
-                 "labels must lie in [0, 4)", id="label-beyond-classes"),
+                 "labels must be a 1-D array of 210 integers in [0, 4)", id="label-beyond-classes"),
     pytest.param(lambda doc: reencode(doc, "labels", put(1, -1)),
-                 "labels must lie in [0, 4)", id="label-negative"),
+                 "labels must be a 1-D array of 210 integers in [0, 4)", id="label-negative"),
     pytest.param(lambda doc: reencode(doc, "scale", lambda a: a != 0.0),
                  "scale dtype must be '<f8', got '|b1'", id="bool-scale"),
     pytest.param(lambda doc: reencode(doc, "shift", lambda a: a.astype(str)),

@@ -1,6 +1,7 @@
 """The one integer rule, `errors.as_int`, at every count, seed and index
 argument, the one real-number rule, `errors.as_real`, at every real
 argument, the one range rule, `data.as_range`, at every [lo, hi] range,
+the one label rule, `data.as_labels`, at every array of class labels,
 and the one name rule, `errors.as_name`, at every choice of a name."""
 
 import json
@@ -18,7 +19,9 @@ from artifact.experiments import (DEFAULT_SCENARIO_RANGES, PAIR_RELATIONS, Scena
                                   run_size_sweep, scenario_suite)
 from artifact.knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, KnnModel,
                           fit, fold_splits, kfold_accuracy, model_to_json, random_search)
+from artifact.metrics import confusion_matrix
 from artifact.trajectories import build_jump_process, check_run, simulate
+from artifact.tree import fit_tree
 
 X = np.random.default_rng(0).random((40, 4))
 Y = np.arange(40) % 4
@@ -83,6 +86,18 @@ RANGES = {
                         lambda v: ScenarioSpec("equal", ranges=(v, *DEFAULT_SCENARIO_RANGES[1:])).ranges[0]),
     "scenario-c1": ("c1", "(-inf, inf)", (-2.0, 3.5), lambda v: ScenarioSpec.from_dict(
         {"pair12": "equal", "ranges": [v, *DEFAULT_SCENARIO_RANGES[1:]]}).ranges[0]),
+}
+
+# (labels as the message names them, their count or None, call), with
+# `call` as in ARGUMENTS.
+LABELS = {
+    "KnnModel": ("labels", 40, lambda v: KnnModel(**{**MODEL, "labels": v}).labels),
+    "fit": ("labels", 40, lambda v: fit(X, v, k=3).labels),
+    "kfold_accuracy": ("labels", 40, lambda v: kfold_accuracy(X, v, k=3)),
+    "random_search": ("labels", 40, lambda v: random_search(X, v, SPACE, n_iter=2).trials),
+    "confusion_matrix-predicted": ("predicted classes", None, lambda v: confusion_matrix(v, Y)),
+    "confusion_matrix-true": ("true classes", 40, lambda v: confusion_matrix(Y, v)),
+    "fit_tree": ("labels", 40, lambda v: fit_tree(X, v)),
 }
 
 # (argument as the message names it, its names, a valid name, call), with
@@ -276,6 +291,52 @@ def test_scenario_needs_four_ranges():
     for bad in (DEFAULT_SCENARIO_RANGES[:3], None, "abcd"):
         with pytest.raises(DomainError, match=f"^{re.escape(f'ranges must be 4 [lo, hi] pairs, got {bad!r}')}$"):
             ScenarioSpec("equal", ranges=bad)
+
+
+def test_scenario_refuses_a_range_wider_than_the_float_range():
+    # both ends are finite, but a draw lo + (hi - lo) u would overflow
+    for i in range(4):
+        ranges = [list(r) for r in DEFAULT_SCENARIO_RANGES]
+        ranges[i] = [-1e308, 1e308]
+        message = f"range c{i + 1} must be narrower than the float range, got [-1e+308, 1e+308]"
+        for make in (lambda: ScenarioSpec("equal", n=5, ranges=ranges),
+                     lambda: ScenarioSpec.from_dict({"pair12": "equal", "n": 5, "ranges": ranges})):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                make()
+    assert ScenarioSpec("equal", ranges=((-0.8e308, 0.8e308),) * 4).ranges[0] == (-0.8e308, 0.8e308)
+
+
+# --- class labels ---------------------------------------------------------------
+
+def _label_refusals():
+    """Floats (integral ones too), bools, a 4, a -1, a wrong length, 2-D
+    labels and strings."""
+    bads = {"fractions": Y + 0.5, "integral-floats": Y.astype(float), "float-list": [0.5] * 40,
+            "bools": Y % 2 == 0, "bool-list": [True, False] * 20, "four": np.where(Y == 3, 4, Y),
+            "minus-one": np.where(Y == 0, -1, Y), "short": Y[:-1], "2-D": Y[:, None],
+            "strings": Y.astype(str), "string-list": ["0", "1"] * 20, "ragged": [[0, 1], [2]] * 20}
+    for name, (what, n, call) in LABELS.items():
+        for key, bad in bads.items():
+            if n is not None or key != "short":  # predicted classes take their count from nothing
+                yield pytest.param(what, n, call, bad, id=f"{name}-{key}")
+
+
+@pytest.mark.parametrize("what, n, call, bad", _label_refusals())
+def test_labels_refused_with_one_message(what, n, call, bad):
+    count = "" if n is None else f"{n} "
+    brief = " ".join(repr(bad).split())
+    message = f"{what} must be a 1-D array of {count}integers in [0, 4), got {brief:.80}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+        call(bad)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("call", [v[2] for v in LABELS.values()], ids=list(LABELS))
+def test_integer_labels_of_any_width_are_accepted(call):
+    want = repr(call(Y.tolist()))
+    for dtype in (np.int8, np.int64, np.uint8):
+        # equal reprs: a stored label array is intp whatever came in
+        assert repr(call(Y.astype(dtype))) == want
 
 
 # --- names ----------------------------------------------------------------------

@@ -218,12 +218,13 @@ def test_single_shot_accuracy():
     assert single_shot_accuracy(model, train_x, np.array([0, 1, 2, 2])) == 75.0
     assert single_shot_accuracy(model, train_x, train_y) == 100.0
     # the refusals are the confusion matrix's
-    with pytest.raises(DomainError, match="prediction/label shapes differ"):
+    with pytest.raises(DomainError, match=re.escape("true classes must be a 1-D array of 4 integers")):
         single_shot_accuracy(model, train_x, train_y[:3])
     with pytest.raises(DomainError, match="zero samples"):
         single_shot_accuracy(model, np.zeros((0, 4)), np.zeros(0, dtype=int))
     # a label outside the classes is refused, not scored as a miss
-    with pytest.raises(DomainError, match=re.escape("true classes must lie in [0, 4)")):
+    with pytest.raises(DomainError, match=re.escape("true classes must be a 1-D array of 4 integers in [0, 4), "
+                                                    "got array([0, 1, 2, 7])")):
         single_shot_accuracy(model, train_x, np.array([0, 1, 2, 7]))
 
 
@@ -300,19 +301,18 @@ def test_copy_aware_blocks_match_reference(metric, rng, monkeypatch):
     model = fit(train_x, train_y, k=7, weighting="distance", metric=metric)
     assert model.copies == (0, 1, 0, 1)
     assert knn._strip_margins(90, 7) == [90]  # too few rows for a narrow strip
-    reused = []
+    blocks = []
     kernel = knn._distance_block
 
     def recorded(train, q, *args):
         bits = q.view(np.int64)
-        reused.append(tuple(np.array_equal(bits[:, j], bits[:, j - 2]) for j in (2, 3)))
+        blocks.append((len(q), *(np.array_equal(bits[:, j], bits[:, j - 2]) for j in (2, 3))))
         return kernel(train, q, *args)
 
     monkeypatch.setattr(knn, "_distance_block", recorded)
-    blocks = [(len(rows), route) for rows, _, _, route in knn._neighbors(model, query)]
-    assert blocks == [(16, 0)] * 4
-    # a block reuses the terms of the columns its queries copy, and only those
-    assert reused == [(True, True), (True, False), (False, True), (True, True)]
+    assert not knn._neighbors(model, query)[2].any()  # the one round answers every query
+    # four 16-row blocks; each reuses the terms of the columns its queries copy, and only those
+    assert blocks == [(16, True, True), (16, True, False), (16, False, True), (16, True, True)]
     proba = predict_proba_batch(model, query)
     for i, q in enumerate(query):
         want = _ref_proba(train_x, train_y, q, 7, "distance", metric)
@@ -460,10 +460,17 @@ def test_results_do_not_depend_on_block_or_tile_size(rng, monkeypatch):
     models = [fit(train_x, train_y, k=9, weighting=w, metric=m)
               for w in WEIGHTINGS for m in DISTANCE_METRICS]
     want = [predict_proba_batch(m, query) for m in models]
+    # every k of both weightings and metrics on tie-heavy rows, whose
+    # distance-weighted sums tie often enough to need recomputing
+    space = HyperSpace(k_range=tuple(range(1, 31)))
+    search = random_search(train_x, train_y, space, n_iter=len(space.combos()))
+    assert search.vote_fallbacks > 0
     monkeypatch.setattr(knn, "_BLOCK_ELEMS", 1)  # 16-row blocks
     monkeypatch.setattr(knn, "_TILE_ELEMS", 250)  # 2-row tiles
     for m, w in zip(models, want):
         assert predict_proba_batch(m, query).tobytes() == w.tobytes()
+    again = random_search(train_x, train_y, space, n_iter=len(space.combos()))
+    assert (again.trials, again.vote_fallbacks) == (search.trials, search.vote_fallbacks)
 
 
 @pytest.mark.parametrize("train,query", [
@@ -503,6 +510,19 @@ def test_non_finite_queries_are_refused(bad, weighting, rng):
         for predict in (predict_batch, predict_proba_batch):
             with pytest.raises(DomainError, match="finite"):
                 predict(m, q)
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], "ab", [["a", "b"]], [[1j, 2.0]], None,
+                                 [1.0, 2.0], [[1.0, 2.0, 3.0]], np.zeros((2, 2, 2))],
+                         ids=["ragged", "text", "text-cells", "complex", "none", "1-D", "too-wide", "3-D"])
+def test_malformed_queries_are_refused(bad):
+    # anything that is no (n, 2) float array, with the width and the value named
+    model = fit(np.eye(2), [0, 1], k=1)
+    brief = " ".join(repr(bad).split())
+    for predict in (predict_batch, predict_proba_batch):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'queries must be an (n, 2) array of real numbers, got {brief:.80}')}$") as err:
+            predict(model, bad)
+        assert err.value.exit_code == 2
 
 
 @pytest.mark.parametrize("features", [np.array(0.5), np.zeros(3)], ids=["0-d", "1-D"])
@@ -573,16 +593,6 @@ def _sheet_problem(rng, n, q):
     return train_x, train_y, query
 
 
-def _routes(model, query):
-    """Ranked neighbors, their distances and the route of every query."""
-    ranked = np.empty((len(query), model.k), dtype=np.intp)
-    nd = np.empty((len(query), model.k))
-    route = np.empty(len(query), dtype=int)
-    for rows, r, d, via in knn._neighbors(model, query):
-        ranked[rows], nd[rows], route[rows] = r, d, via
-    return ranked, nd, route
-
-
 @pytest.mark.parametrize("zscore", [False, True], ids=["raw", "zscored"])
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
 def test_strip_rounds_equal_brute_force(metric, zscore, rng, monkeypatch):
@@ -590,12 +600,12 @@ def test_strip_rounds_equal_brute_force(metric, zscore, rng, monkeypatch):
     model = fit(train_x, train_y, k=3, weighting="distance", metric=metric, zscore=zscore)
     assert model.copies == (0, 1, 0, 1)
     assert knn._strip_margins(2400, 3) == [43, 172, 2400]
-    ranked, nd, route = _routes(model, query)
+    ranked, nd, route = knn._neighbors(model, query)
     proba = predict_proba_batch(model, query)
     # every round answers some queries, the last one at brute force
     assert set(route) == {0, 1, 2}
     monkeypatch.setattr(knn, "_strip_margins", lambda n, k: [n])  # brute force alone
-    want_ranked, want_nd, want_route = _routes(model, query)
+    want_ranked, want_nd, want_route = knn._neighbors(model, query)
     assert not want_route.any()
     assert ranked.tobytes() == want_ranked.tobytes()
     assert nd.tobytes() == want_nd.tobytes()
@@ -616,11 +626,14 @@ def test_every_query_is_answered_once(n, metric, rng):
     model = fit(train_x, train_y, k=3, metric=metric)
     rounds = len(knn._strip_margins(n, 3))
     assert rounds == (1 if n == 90 else 3)
-    blocks = list(knn._neighbors(model, query))
-    rows = np.concatenate([b[0] for b in blocks])
-    assert np.sort(rows).tolist() == list(range(len(query)))
-    assert {b[3] for b in blocks} <= set(range(rounds))
-    assert all(len(b[0]) == len(b[1]) == len(b[2]) for b in blocks)
+    ranked, nd, route = knn._neighbors(model, query)
+    assert ranked.shape == nd.shape == (len(query), 3) and route.shape == (len(query),)
+    assert set(route.tolist()) <= set(range(rounds))  # no row left unfilled (-1)
+    # every row holds its own query's neighbors, nearest first
+    terms = model.features[ranked] - query[:, None, :]
+    want = np.sqrt((terms * terms).sum(axis=2)) if metric == "euclidean" else np.abs(terms).sum(axis=2)
+    np.testing.assert_allclose(nd, want, rtol=1e-12)
+    assert np.all(np.diff(nd, axis=1) >= 0.0)
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["left", "right"])
@@ -639,7 +652,7 @@ def test_strip_bound_reads_the_nearest_row_outside(side, rng):
     model = fit(train_x, np.arange(48) % N_CLASSES, k=1)
     assert knn._strip_margins(48, 1) == [4, 48]
     query = np.tile(side * np.array([100.0, 0.0]), (500, 1))  # enough to pay for a strip
-    ranked, nd, route = _routes(model, query)
+    ranked, nd, route = knn._neighbors(model, query)
     assert np.all(ranked == np.flatnonzero(perm == 15)) and np.all(nd == 1.0)
     assert np.all(route == 1)  # the strip could not certify: brute force
 
@@ -675,7 +688,7 @@ def test_strip_blocks_stay_under_the_allocator_ceiling(rng, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(knn, "_distance_block", recorded)
-    route = _routes(model, query)[2]
+    route = knn._neighbors(model, query)[2]
     assert set(route) == {0, 1, 2}  # strips of both narrow rounds and the full-width one
     assert max(b * n for b, n in shapes) * 8 <= 8 * 2**20
 
@@ -914,7 +927,8 @@ def test_model_from_json_rejects_garbage():
                 ParseError)
     # labels within the int8 range but outside the classes
     for bad in (4, 127, -1, -128):
-        refused(lambda d: reencode(d, "labels", put(1, bad)), re.escape("labels must lie in [0, 4)"))
+        refused(lambda d: reencode(d, "labels", put(1, bad)),
+                re.escape("labels must be a 1-D array of 3 integers in [0, 4), got array([") + r" ?0, " + str(bad))
     # a declared shape that numpy cannot make
     refused(lambda d: d["features"].update(shape=[0, 2**70], data=""), "malformed model document")
     # a 0-d feature "matrix" (shape [], 8 bytes) is refused by its shape, before its length is read
