@@ -21,10 +21,12 @@ Two quantities flow out of this module.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 
 import numpy as np
 
+from . import workers
 from .engine import (EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, EngineParams, TwistedGenerator,
                      build_generators, varied_row)
 from .errors import ConditioningError, DegenerateSampleError, SingularityError
@@ -34,18 +36,44 @@ DEGENERATE_TOL = 1e-12
 
 _COND_LIMIT = 1e12
 
+# Matrices a stack needs before its SVD is split across the workers: a
+# 5x5 SVD takes about 4 us, and handing jobs to the pool about 20 us.
+_SPLIT_MATRICES = 32
+# Matrices per part at most: memory a worker thread allocates stays with
+# it once freed (glibc keeps an arena per thread), and the arrays of 256
+# 5x5 SVDs take about 0.1 MB.
+_PART_MATRICES = 256
+
+
+def _svd(l0: np.ndarray) -> tuple:
+    """(s, vt) of a stack of square matrices. A stack of at least
+    `_SPLIT_MATRICES` goes to the workers in contiguous parts, at least
+    one per worker and at most `_PART_MATRICES` each. Numpy's batched SVD
+    gives every matrix the bits of its own SVD, so the parts change
+    nothing."""
+    if len(l0) < _SPLIT_MATRICES or workers.count() < 2:
+        return np.linalg.svd(l0)[1:]
+    s, vt = np.empty(l0.shape[:2]), np.empty(l0.shape)
+
+    def part(rows):
+        _, s[rows], vt[rows] = np.linalg.svd(l0[rows])
+
+    parts = max(workers.count(), -(-len(l0) // _PART_MATRICES))
+    workers.run(partial(part, rows) for rows in workers.spans(len(l0), parts))
+    return s, vt
+
 
 def steady_states(l0: np.ndarray):
     """Null vectors of a (n, 5, 5) stack of L(0), populations summing to 1.
 
     Returns the (n, 5) states and a {row: error} map of the rows failing
-    a check. One batched SVD, bitwise equal to per-matrix SVDs, gives the
-    null spaces; a second near-zero singular value means the generator is
-    defective for this purpose. The populations must lie in [0, 1]: the
-    legacy-conserving layout violates that bound on some parameter draws,
-    which is exactly why it is not the default.
+    a check. Batched SVDs (`_svd`), bitwise equal to per-matrix SVDs,
+    give the null spaces; a second near-zero singular value means the
+    generator is defective for this purpose. The populations must lie in
+    [0, 1]: the legacy-conserving layout violates that bound on some
+    parameter draws, which is exactly why it is not the default.
     """
-    _, s, vt = np.linalg.svd(l0)
+    s, vt = _svd(l0)
     # Singular values are sorted descending; the null direction is last.
     rho = vt[:, -1]
     pop = rho[:, 0] + rho[:, 1] + rho[:, 2] + rho[:, 3]

@@ -85,15 +85,23 @@ _CLASS_EDGES = (0.25, 0.50, 0.75)
 N_CLASSES = len(_CLASS_EDGES) + 1
 
 
+def _integer_array(value):
+    """`value` as an array of integers (never bools), or None."""
+    with suppress(ValueError):  # ragged nestings are no array
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iu":
+            return arr
+    return None
+
+
 def as_labels(value, what: str, n: int | None = None) -> np.ndarray:
     """`value`, the class labels `what`, as an intp array: a 1-D array of
     integers (never bools) in [0, N_CLASSES), `n` of them unless `n` is
     None; anything else is a DomainError."""
-    with suppress(ValueError):  # ragged nestings are no array
-        arr = np.asarray(value)
-        if arr.ndim == 1 and arr.dtype.kind in "iu" and n in (None, len(arr)) \
-                and np.all((arr >= 0) & (arr < N_CLASSES)):
-            return arr.astype(np.intp)
+    arr = _integer_array(value)
+    if arr is not None and arr.ndim == 1 and n in (None, len(arr)) \
+            and np.all((arr >= 0) & (arr < N_CLASSES)):
+        return arr.astype(np.intp)
     count = "" if n is None else f"{n} "
     raise DomainError(f"{what} must be a 1-D array of {count}integers in [0, {N_CLASSES}), "
                       f"got {' '.join(repr(value).split()):.80}")
@@ -137,6 +145,10 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if _integer_array(self.labels) is None:
+            # the label rule refuses them; an integer label outside the
+            # classes is left to its row check, which names the row
+            as_labels(self.labels, "labels")
         for name, dtype in (("features", float), ("labels", np.intp), ("params", float),
                             ("in_train", bool)):
             col = np.asarray(getattr(self, name), dtype=dtype)

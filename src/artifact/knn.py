@@ -26,12 +26,14 @@ round, with no row outside to bound, so it answers every query left.
 Training rows and queries must keep every distance within half the
 float range, so that distances and bounds alike stay finite.
 
-Blocks hold at most `_BLOCK_ELEMS` distances, filled into one buffer
-that every block of a call reuses. Each block's distance matrix is read
-only to rank neighbors: its answered queries' (b, k) neighbor indices
-and distances go into one table, (ranked, nd, route) in query order,
-which `_neighbors` returns. Votes are cast from that table, weighted by
-the one rule `_weights`. Each question has one route. The vote values of one k
+The blocks of a strip round run as jobs on the worker pool (`workers`).
+The blocks running at once hold at most `_BLOCK_ELEMS` distances, in one
+buffer per round with a slot per worker. Each block's distance matrix
+is read only to rank neighbors: its answered queries' (b, k) neighbor
+indices and distances go into their own rows of one table, (ranked, nd,
+route) in query order, which `_neighbors` returns, so the worker count
+changes no bit of it. Votes are cast from that table, weighted by the
+one rule `_weights`. Each question has one route. The vote values of one k
 (`predict_proba_batch`, `predict_batch`) are summed in training-index
 order. The winners of many k at once (`random_search`, which reads only
 the argmax) come from one rank-order cumulative sum; a winner is kept
@@ -50,12 +52,15 @@ from __future__ import annotations
 import base64
 import json
 import math
+import queue
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from . import workers
 from .data import N_CLASSES, as_labels
 from .errors import DomainError, StateError, ValidationError, as_int, as_name, json_object
 from .metrics import accuracy, confusion_matrix, percent_correct
@@ -76,8 +81,9 @@ MODEL_SCHEMA = "knn-model/2"
 # base64 of the array's bytes in the one dtype the schema fixes for it.
 _MODEL_ARRAYS = {"features": "<f8", "labels": "|i1", "shift": "<f8", "scale": "<f8"}
 
-# Elements per distance block: the (block, N) distance matrix and the
-# ranking's (block, N) index array take at most 8 MiB each. At 32 MiB
+# Distances the blocks running at once hold at most, over all workers:
+# their (block, N) distance matrices and their rankings' (block, N) index
+# arrays take at most 8 MiB each. At 32 MiB
 # glibc maps such an array fresh for every block and unmaps it when it is
 # freed, so every block faults all of its pages in again.
 _BLOCK_ELEMS = 1_048_576
@@ -411,7 +417,8 @@ def _winners_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
 
 
 def _block_rows(n_train: int) -> int:
-    """Query rows per distance block against `n_train` training rows."""
+    """Query rows that the blocks running at once hold together, against
+    `n_train` training rows."""
     return max(16, _BLOCK_ELEMS // n_train)
 
 
@@ -482,13 +489,18 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     block. The last round's margin is N: its one strip is every training
     row, with nothing outside to bound, so it takes and answers every
     query left.
+
+    A round's blocks run as jobs on the worker pool, as few per strip as
+    fit a worker's share of `_BLOCK_ELEMS`, of even sizes; a round of fewer
+    blocks than workers splits its large ones by query rows. Each job
+    writes only its own rows of the table.
     """
     x, k, metric, copies = model.features, model.k, model.metric, model.copies
     try:  # the one reader of raw queries
-        q = np.asarray(queries, dtype=float)
-    except (ValueError, TypeError):  # ragged rows, text that is no number
+        q = np.asarray(queries)
+    except ValueError:  # ragged rows
         q = np.empty(0)  # refused below by its shape
-    if q.ndim != 2 or q.shape[1] != x.shape[1]:
+    if q.dtype.kind not in "iuf" or q.ndim != 2 or q.shape[1] != x.shape[1]:
         raise DomainError(f"queries must be an (n, {x.shape[1]}) array of real numbers, "
                           f"got {' '.join(repr(queries).split()):.80}")
     with np.errstate(over="ignore"):
@@ -501,12 +513,27 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     if not _fits_float_range(cols, q, metric):
         raise DomainError("queries lie so far from the training rows that their distances overflow")
     n = len(x)
-    step = _block_rows(n)
-    # One distance buffer for every block: freeing it after each block
-    # lets glibc trim the heap, and the next block faults it in again.
-    buf = np.empty(min(step, len(q)) * n)
+    n_workers = workers.count()
+    # Distances of one worker's block at most: the blocks running at once
+    # hold no more than `_block_rows` rows together.
+    share = -(-min(_block_rows(n), len(q)) // n_workers) * n
     ranked_of, nd_of = np.empty((len(q), k), dtype=np.intp), np.empty((len(q), k))
     route_of = np.full(len(q), -1)  # -1: no round has answered the query
+
+    def rank(slots, rows, bound, idx, strip_x, route):
+        # One block: rank the queries `rows` against the strip `strip_x`,
+        # training rows `idx`, in a buffer taken from `slots`, and enter
+        # the answers its `bound` certifies.
+        buf = slots.get()
+        dist = _distance_block(strip_x, q[rows], metric, copies,
+                               buf[:rows.size * idx.size].reshape(rows.size, idx.size))
+        ranked = _ranked_neighbors(dist, k)
+        nd = np.take_along_axis(dist, ranked, axis=1)
+        slots.put(buf)
+        done = bound > nd[:, -1] * _CERTIFY
+        rows = rows[done]
+        ranked_of[rows], nd_of[rows], route_of[rows] = idx[ranked[done]], nd[done], route
+
     # Any order by c1 serves: a strip is re-sorted by training index, and
     # its bound reads c1 values only, so ties need no stable sort.
     order = np.argsort(cols[0])
@@ -525,7 +552,7 @@ def _neighbors(model: KnnModel, queries) -> tuple:
         bound = reach[tried] + other[pending[tried]]
         if metric == "euclidean":
             np.sqrt(bound, out=bound)
-        answered = np.zeros(len(pending), dtype=bool)
+        strips = []  # (a, b) of its tries tried[a:b], its training rows and their columns
         # first try of each strip, a row range: lo and hi never fall, so lo + hi rises there
         starts = np.flatnonzero(np.diff(lo[tried] + hi[tried], prepend=-1))
         for a, b in zip(starts, [*starts[1:], len(tried)]):
@@ -535,22 +562,27 @@ def _neighbors(model: KnnModel, queries) -> tuple:
                 continue  # too few queries to pay for a block of their own
             if width < n:
                 idx = np.sort(order[lo[first]:hi[first]])  # the strip, in training order
-                strip_x = np.take(cols, idx, axis=1).T
+                strips.append((a, b, idx, np.take(cols, idx, axis=1).T))
             else:  # every training row, in training order already
-                idx, strip_x = np.arange(n), cols.T
-            cap = step * n // width
-            for c in range(a, b, cap):
-                sel = slice(c, min(c + cap, b))
-                rows = pending[tried[sel]]
-                dist = _distance_block(strip_x, q[rows], metric, copies,
-                                       buf[:rows.size * width].reshape(rows.size, width))
-                ranked = _ranked_neighbors(dist, k)
-                nd = np.take_along_axis(dist, ranked, axis=1)
-                done = bound[sel] > nd[:, -1] * _CERTIFY
-                answered[tried[sel][done]] = True
-                rows = rows[done]
-                ranked_of[rows], nd_of[rows], route_of[rows] = idx[ranked[done]], nd[done], route
-        pending, at = pending[~answered], at[~answered]
+                strips.append((a, b, np.arange(n), cols.T))
+        # blocks per strip: as few as fit a share; a round of fewer blocks
+        # than workers splits a strip into as many as spare each a block's cost
+        n_blocks = [-(-(b - a) // (share // idx.size)) for a, b, idx, _ in strips]
+        if sum(n_blocks) < n_workers:
+            n_blocks = [max(c, min(n_workers, (b - a) * idx.size // _STRIP_PAIRS))
+                        for c, (a, b, idx, _) in zip(n_blocks, strips)]
+        # One distance buffer for the round's blocks, a slot per worker as
+        # large as the largest block: freeing it after each block would let
+        # glibc trim the heap, and the next block would fault it in again.
+        sizes = [-(-(b - a) // c) * idx.size for c, (a, b, idx, _) in zip(n_blocks, strips)]
+        slots = queue.SimpleQueue()
+        for part in np.empty((n_workers, max(sizes, default=0))):
+            slots.put(part)
+        workers.run(partial(rank, slots, pending[tried[a:b][rows]], bound[a:b][rows], idx, strip_x, route)
+                    for c, (a, b, idx, strip_x) in zip(n_blocks, strips)
+                    for rows in workers.spans(b - a, c))
+        left = route_of[pending] < 0
+        pending, at = pending[left], at[left]
     return ranked_of, nd_of, route_of
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from artifact.cli import _CONFIG, main
-from artifact.data import ParamRanges, generate, write_csv
+from artifact.data import Dataset, ParamRanges, generate, write_csv
 from artifact.engine import GENERATOR_VARIANTS, EngineParams, build_generator
 from artifact.errors import DomainError
 from artifact.experiments import (DEFAULT_SCENARIO_RANGES, PAIR_RELATIONS, ScenarioSpec,
@@ -338,6 +338,18 @@ def test_integer_labels_of_any_width_are_accepted(call):
         # equal reprs: a stored label array is intp whatever came in
         assert repr(call(Y.astype(dtype))) == want
 
+
+
+@pytest.mark.parametrize("make", [lambda y: y + 0.7, lambda y: y % 2 == 0], ids=["fractions", "bools"])
+def test_dataset_refuses_labels_that_are_no_integers(make):
+    # fractional labels were truncated to the originals, so the rows passed
+    ds = generate(20, seed=1)
+    bad = make(ds.labels)
+    brief = " ".join(repr(bad).split())
+    message = f"labels must be a 1-D array of integers in [0, 4), got {brief:.80}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+        Dataset(ds.features, bad, ds.params, ds.in_train, ds.meta)
+    assert err.value.exit_code == 2
 
 # --- names ----------------------------------------------------------------------
 

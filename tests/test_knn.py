@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from artifact import knn
+from artifact import knn, workers
 from artifact.errors import DomainError, ParseError, StateError, ValidationError
 from artifact.knn import (
     DISTANCE_METRICS,
@@ -291,7 +291,9 @@ def test_copy_aware_distances_match_scalar_loop(layout, metric, tile, rng, monke
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
 def test_copy_aware_blocks_match_reference(metric, rng, monkeypatch):
     # several blocks, some of whose query columns copy the model's and
-    # some not, through the whole neighbor loop
+    # some not, through the whole neighbor loop; one worker, whose one
+    # buffer slot holds the whole 16-row block, runs them in order
+    monkeypatch.setattr(workers, "count", lambda: 1)
     monkeypatch.setattr(knn, "_BLOCK_ELEMS", 1)  # 16-row blocks
     monkeypatch.setattr(knn, "_TILE_ELEMS", 200)
     train_x, train_y, query = _copied_problem(rng, (0, 1, 0, 1), 90, 64)
@@ -512,9 +514,11 @@ def test_non_finite_queries_are_refused(bad, weighting, rng):
                 predict(m, q)
 
 
-@pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], "ab", [["a", "b"]], [[1j, 2.0]], None,
-                                 [1.0, 2.0], [[1.0, 2.0, 3.0]], np.zeros((2, 2, 2))],
-                         ids=["ragged", "text", "text-cells", "complex", "none", "1-D", "too-wide", "3-D"])
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], "ab", [["a", "b"]], [["0.9", "0.1"]],
+                                 [[True, False]], [[1j, 2.0]], None, [1.0, 2.0], [[1.0, 2.0, 3.0]],
+                                 np.zeros((2, 2, 2))],
+                         ids=["ragged", "text", "text-cells", "numeric-text", "bools", "complex", "none",
+                              "1-D", "too-wide", "3-D"])
 def test_malformed_queries_are_refused(bad):
     # anything that is no (n, 2) float array, with the width and the value named
     model = fit(np.eye(2), [0, 1], k=1)

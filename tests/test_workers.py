@@ -1,0 +1,144 @@
+"""Results do not depend on the worker count.
+
+Every test runs the same work with the pool patched to 1, 2 and 3
+workers and requires the same bits each time: one worker runs every job
+inline, in order, as the serial loop did.
+"""
+
+import sys
+from functools import partial
+
+import numpy as np
+import pytest
+
+from artifact import counting, knn, workers
+from artifact.data import generate, write_csv
+from artifact.engine import EngineParams, build_generators
+from artifact.knn import DISTANCE_METRICS, HyperSpace, fit, random_search
+
+COUNTS = (1, 2, 3)
+
+
+def _at_each_count(monkeypatch, call):
+    """call() at every worker count of COUNTS."""
+    results = []
+    for n in COUNTS:
+        monkeypatch.setattr(workers, "count", lambda n=n: n)
+        results.append(call())
+    return results
+
+
+def test_spans_cover_the_range_in_even_parts():
+    assert workers.spans(7, 3) == [slice(0, 2), slice(2, 4), slice(4, 7)]
+    assert workers.spans(2, 3) == [slice(0, 0), slice(0, 1), slice(1, 2)]
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_the_earliest_failing_job_raises(monkeypatch, n):
+    # the serial loop stops at job 1; on the pool job 3 may fail first in
+    # time, and job 1's exception is still the one raised
+    monkeypatch.setattr(workers, "count", lambda: n)
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        if i in (1, 3):
+            raise ValueError(f"job {i}")
+
+    with pytest.raises(ValueError, match="^job 1$"):
+        workers.run(partial(job, i) for i in range(5))
+    if n == 1:
+        assert ran == [0, 1]
+    else:
+        assert sorted(ran) == [0, 1, 2, 3, 4]
+
+
+def _sheet_problem(rng, n_train=3000):
+    """Training rows on the sheet c3 == c1, c4 == c2, part of them on a
+    dyadic lattice, and on-sheet, off-sheet and tied queries: lattice
+    points and midpoints, which sit at equal distances from several rows."""
+    grid = np.stack(np.meshgrid(np.arange(52, 65), np.arange(52, 65)), axis=-1).reshape(-1, 2) / 64
+    c = np.vstack([grid, grid[:20], rng.uniform(0.8, 1.0, (n_train - len(grid) - 20, 2))])
+    labels = rng.integers(0, 4, n_train)
+    on = rng.uniform(0.8, 1.0, (900, 2))
+    tied = np.vstack([grid[::3], grid[1::3] + 1 / 128])
+    off = rng.uniform(0.8, 1.0, (60, 4))
+    return np.hstack([c, c]), labels, np.vstack([np.hstack([on, on]), np.hstack([tied, tied]), off])
+
+
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_neighbor_tables_do_not_depend_on_the_worker_count(monkeypatch, rng, metric):
+    train, labels, queries = _sheet_problem(rng)
+    model = fit(train, labels, k=3, weighting="distance", metric=metric)
+    # a small call too, whose last round holds fewer blocks than workers
+    cases = (queries, queries[-70:])
+    tables = _at_each_count(monkeypatch, lambda: [knn._neighbors(model, q) for q in cases])
+    assert set(tables[0][0][2].tolist()) == {0, 1, 2}  # every strip round answers some
+    for got in tables[1:]:
+        assert [a.tobytes() for t in got for a in t] == [a.tobytes() for t in tables[0] for a in t]
+
+
+def test_random_search_does_not_depend_on_the_worker_count(monkeypatch, rng):
+    train, labels, _ = _sheet_problem(rng, 1500)
+    space = HyperSpace(k_range=tuple(range(1, 31)))
+
+    def search():
+        result = random_search(train, labels, space, n_iter=40, seed=3)
+        return result.trials, result.vote_fallbacks
+
+    results = _at_each_count(monkeypatch, search)
+    assert results[0][1] > 0
+    assert results[1:] == results[:1] * 2
+
+
+def test_steady_states_do_not_depend_on_the_worker_count(monkeypatch, rng):
+    n = 300
+    varied = np.column_stack([rng.uniform(0.4, 2.5, n), rng.uniform(3.0, 4.5, n),
+                              rng.uniform(1.0, 7.0, n), rng.uniform(0.9, 1.0, (n, 2))])
+    l0 = build_generators(varied, EngineParams(), "legacy-conserving")[0]
+
+    def solve():
+        rho, failures = counting.steady_states(l0)
+        return rho.tobytes(), {i: (type(e), str(e)) for i, e in failures.items()}
+
+    results = _at_each_count(monkeypatch, solve)
+    failures = results[0][1]
+    assert {msg.split(" [")[0] for _, msg in failures.values()} == {"unphysical populations"}
+    for parts in (2, 3):  # failing rows in every part of the split stack
+        for rows in workers.spans(n, parts):
+            assert any(rows.start <= i < rows.stop for i in failures)
+    assert results[1:] == results[:1] * 2
+
+
+def test_generated_csv_does_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    def csv_bytes():
+        path = tmp_path / "dataset.csv"
+        write_csv(generate(5000, seed=42), path)
+        return path.read_bytes()
+
+    results = _at_each_count(monkeypatch, csv_bytes)
+    assert results[1:] == results[:1] * 2
+
+
+def test_every_job_runs_once_under_contention(monkeypatch, rng):
+    # more workers than CPUs, switching threads as often as the
+    # interpreter allows: a job taken twice or lost shows in `ran`, and a
+    # block written over by another in the neighbour table
+    train, labels, queries = _sheet_problem(rng, 1000)
+    model = fit(train, labels, k=3, metric="manhattan")
+    monkeypatch.setattr(workers, "count", lambda: 1)
+    want = knn._neighbors(model, queries)
+    monkeypatch.setattr(workers, "count", lambda: 8)
+    monkeypatch.setattr(workers, "_pool", None)  # a pool of its own, sized to 8
+    monkeypatch.setattr(knn, "_BLOCK_ELEMS", 1)  # 16-row blocks, many of them
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ran = []
+        workers.run(partial(ran.append, i) for i in range(5000))
+        got = knn._neighbors(model, queries)
+    finally:
+        sys.setswitchinterval(interval)
+        workers._pool.shutdown()
+    assert sorted(ran) == list(range(5000))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
