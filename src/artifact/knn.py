@@ -28,7 +28,10 @@ float range, so that distances and bounds alike stay finite.
 
 The blocks of a strip round run as jobs on the worker pool (`workers`).
 The blocks running at once hold at most `_BLOCK_ELEMS` distances, in one
-buffer per round with a slot per worker. Each block's distance matrix
+buffer per round with a slot per worker. `random_search` runs its
+(fold, metric) tables as jobs instead; a table's `_neighbors` then runs
+its blocks inline, at the same size, in one slot, so the tables in flight
+hold no more distances than one call's blocks. Each block's distance matrix
 is read only to rank neighbors: its answered queries' (b, k) neighbor
 indices and distances go into their own rows of one table, (ranked, nd,
 route) in query order, which `_neighbors` returns, so the worker count
@@ -290,10 +293,12 @@ def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(d_cand, axis=1, kind="stable")
     ranked = np.take_along_axis(cand, order, axis=1)
     # Rows with distance ties straddling the k-th rank: argpartition's
-    # pick among the tied points is arbitrary, so redo those by the rule.
-    for r in np.nonzero(counts != k)[0]:
-        pool = np.nonzero(dist[r] <= thr[r])[0]
-        ranked[r] = pool[np.argsort(dist[r, pool], kind="stable")][:k]
+    # pick among the tied points is arbitrary. Every point nearer than the
+    # k-th distance is a candidate and ranks first already; the rest of
+    # the row is the lowest-index points at that distance.
+    for r in np.flatnonzero(counts != k):
+        a = np.count_nonzero(d_cand[r] < thr[r])
+        ranked[r, a:] = np.flatnonzero(dist[r] == thr[r])[:k - a]
     return ranked
 
 
@@ -493,7 +498,9 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     A round's blocks run as jobs on the worker pool, as few per strip as
     fit a worker's share of `_BLOCK_ELEMS`, of even sizes; a round of fewer
     blocks than workers splits its large ones by query rows. Each job
-    writes only its own rows of the table.
+    writes only its own rows of the table. Called inside a job of the
+    pool, the blocks keep that size but run inline, in one buffer slot,
+    and no round is split.
     """
     x, k, metric, copies = model.features, model.k, model.metric, model.copies
     try:  # the one reader of raw queries
@@ -517,6 +524,7 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     # Distances of one worker's block at most: the blocks running at once
     # hold no more than `_block_rows` rows together.
     share = -(-min(_block_rows(n), len(q)) // n_workers) * n
+    lanes = 1 if workers.nested() else n_workers
     ranked_of, nd_of = np.empty((len(q), k), dtype=np.intp), np.empty((len(q), k))
     route_of = np.full(len(q), -1)  # -1: no round has answered the query
 
@@ -568,15 +576,15 @@ def _neighbors(model: KnnModel, queries) -> tuple:
         # blocks per strip: as few as fit a share; a round of fewer blocks
         # than workers splits a strip into as many as spare each a block's cost
         n_blocks = [-(-(b - a) // (share // idx.size)) for a, b, idx, _ in strips]
-        if sum(n_blocks) < n_workers:
-            n_blocks = [max(c, min(n_workers, (b - a) * idx.size // _STRIP_PAIRS))
+        if sum(n_blocks) < lanes:
+            n_blocks = [max(c, min(lanes, (b - a) * idx.size // _STRIP_PAIRS))
                         for c, (a, b, idx, _) in zip(n_blocks, strips)]
         # One distance buffer for the round's blocks, a slot per worker as
         # large as the largest block: freeing it after each block would let
         # glibc trim the heap, and the next block would fault it in again.
         sizes = [-(-(b - a) // c) * idx.size for c, (a, b, idx, _) in zip(n_blocks, strips)]
         slots = queue.SimpleQueue()
-        for part in np.empty((n_workers, max(sizes, default=0))):
+        for part in np.empty((lanes, max(sizes, default=0))):
             slots.put(part)
         workers.run(partial(rank, slots, pending[tried[a:b][rows]], bound[a:b][rows], idx, strip_x, route)
                     for c, (a, b, idx, strip_x) in zip(n_blocks, strips)
@@ -707,7 +715,10 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     One neighbor table per (fold, metric) serves every candidate, and
     `_winners_for` finds the winners of all of a weighting's k on it at
     once: the ranked-neighbor prefix of length k reproduces exactly what
-    a standalone kfold_accuracy call computes.
+    a standalone kfold_accuracy call computes. The tables are jobs of the
+    worker pool, each writing only its own scores and fallback count, so
+    the result and the exception raised, the earliest table's, are the
+    serial loop's.
     The winners come from one rank-order cumulative sum of the weights;
     the (k, row) pairs whose sums are neither exact nor certified by its
     rounding bound are recomputed in training-index order, as
@@ -732,23 +743,30 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
         raise DomainError("every sampled k exceeds the smallest training fold")
 
     fold_correct = {hp: np.zeros(len(splits)) for hp in scorable}
-    fallbacks = 0
-    for i, (rest, held) in enumerate(splits):
-        for metric in DISTANCE_METRICS:
-            group = [hp for hp in scorable if hp.metric == metric]
-            if not group:
-                continue
-            model = fit(features[rest], labels[rest], k=max(hp.k for hp in group), metric=metric,
-                        zscore=zscore)
-            ranked, nd, _ = _neighbors(model, features[held])
-            for weighting in WEIGHTINGS:
-                ks = sorted(hp.k for hp in group if hp.weighting == weighting)
-                if ks:
-                    win, redone = _winners_for(ranked[:, :ks[-1]], nd[:, :ks[-1]], model.labels,
-                                               weighting, ks)
-                    fallbacks += redone
-                    for k, c in zip(ks, np.sum(win == labels[held], axis=1)):
-                        fold_correct[Hyperparams(k, weighting, metric)][i] = c
+    fallbacks = {}  # per (fold, metric) table
+
+    def score(i, metric, group):
+        # One table: fold i's neighbours by `metric`, scored for every k of
+        # `group`. It writes only its own entries of fold_correct and fallbacks.
+        rest, held = splits[i]
+        model = fit(features[rest], labels[rest], k=max(hp.k for hp in group), metric=metric,
+                    zscore=zscore)
+        ranked, nd, _ = _neighbors(model, features[held])
+        redone = 0
+        for weighting in WEIGHTINGS:
+            ks = sorted(hp.k for hp in group if hp.weighting == weighting)
+            if ks:
+                win, fell = _winners_for(ranked[:, :ks[-1]], nd[:, :ks[-1]], model.labels,
+                                         weighting, ks)
+                redone += fell
+                for k, c in zip(ks, np.sum(win == labels[held], axis=1)):
+                    fold_correct[Hyperparams(k, weighting, metric)][i] = c
+        fallbacks[i, metric] = redone
+
+    groups = {metric: [hp for hp in scorable if hp.metric == metric] for metric in DISTANCE_METRICS}
+    # one job per table, in the serial loop's order
+    workers.run(partial(score, i, metric, group)
+                for i in range(len(splits)) for metric, group in groups.items() if group)
 
     sizes = np.array([len(held) for _, held in splits], dtype=float)
     trials = tuple(
@@ -756,4 +774,4 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     )
     best, best_score = max(trials, key=lambda t: t[1])  # first maximum: preference order
     return SearchResult(best=best, best_score=best_score, trials=trials,
-                        vote_fallbacks=fallbacks)
+                        vote_fallbacks=sum(fallbacks.values()))

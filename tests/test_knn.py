@@ -142,6 +142,24 @@ def test_neighbor_ties_break_by_training_index():
     np.testing.assert_array_equal(proba, [[0.0, 0.0, 0.0, 1.0]])
 
 
+@pytest.mark.parametrize("k", [1, 2, 29, 30])
+def test_ranked_neighbors_match_lexsort(k, rng):
+    # integer-valued distances, so ties are everywhere: rows of 3 and of
+    # 30 values, whose tie pool at the k-th distance mostly reaches past
+    # rank k, and rows built so that the k nearest are every point at or
+    # below the k-th distance (ties inside the first k only); at k = n
+    # every row is of that kind
+    n = 30
+    inside = np.hstack([rng.integers(0, 3, (200, k)), 3 + rng.integers(0, 3, (200, n - k))])
+    dist = np.vstack([rng.integers(0, 3, (200, n)), rng.integers(0, n, (200, n)),
+                      rng.permuted(inside, axis=1)]).astype(float)
+    thr = np.sort(dist, axis=1)[:, k - 1:k]
+    pools = np.sum(dist <= thr, axis=1)
+    assert (k == n or np.any(pools[:400] > k)) and np.all(pools[400:] == k)
+    want = np.array([np.lexsort((np.arange(n), row))[:k] for row in dist])
+    assert knn._ranked_neighbors(dist, k).tobytes() == want.tobytes()
+
+
 def test_scale_invariance_is_bitwise(rng):
     train_x, train_y, query = _random_problem(rng, 120, 50, dups=False)
     a = fit(train_x, train_y, k=7, weighting="uniform", metric="euclidean")

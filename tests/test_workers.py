@@ -5,14 +5,20 @@ workers and requires the same bits each time: one worker runs every job
 inline, in order, as the serial loop did.
 """
 
+import json
+import os
+import subprocess
 import sys
+import threading
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from artifact import counting, knn, workers
 from artifact.data import generate, write_csv
+from artifact.errors import DomainError
 from artifact.engine import EngineParams, build_generators
 from artifact.knn import DISTANCE_METRICS, HyperSpace, fit, random_search
 
@@ -53,6 +59,51 @@ def test_the_earliest_failing_job_raises(monkeypatch, n):
         assert sorted(ran) == [0, 1, 2, 3, 4]
 
 
+# Each of n outer jobs waits until every worker holds one, the calling
+# thread and each pool thread, then calls `run` itself; the inner jobs
+# record the thread they ran on. Printed: per outer job, its thread, then
+# the (index, thread) of its inner jobs in the order they ran.
+NESTED = """
+import json, sys, threading
+from functools import partial
+from artifact import workers
+
+n = int(sys.argv[1])
+workers.count = lambda: n
+everyone = threading.Barrier(n, timeout=20)
+seen = {}
+
+def inner(i, j):
+    seen[i].append((j, threading.get_ident()))
+
+def outer(i):
+    seen[i] = []
+    everyone.wait()
+    workers.run(partial(inner, i, j) for j in range(4))
+    seen[i].insert(0, threading.get_ident())
+
+workers.run(partial(outer, i) for i in range(n))
+print(json.dumps([seen[i] for i in range(n)] + [threading.get_ident()]))
+"""
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_a_job_may_call_run(n):
+    # in a child process, so that a deadlock fails the test instead of
+    # hanging the suite
+    src = Path(workers.__file__).resolve().parents[1]
+    try:
+        out = subprocess.run([sys.executable, "-c", NESTED, str(n)], capture_output=True, text=True,
+                             timeout=30, check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"a nested run at {n} workers did not end within 30 s")
+    *jobs, caller = json.loads(out)
+    threads = [thread for thread, *_ in jobs]
+    assert caller in threads and len(set(threads)) == n  # the caller and every pool thread
+    for thread, *inner in jobs:  # inline: on the job's own thread, in order
+        assert inner == [[j, thread] for j in range(4)]
+
+
 def _sheet_problem(rng, n_train=3000):
     """Training rows on the sheet c3 == c1, c4 == c2, part of them on a
     dyadic lattice, and on-sheet, off-sheet and tied queries: lattice
@@ -78,17 +129,43 @@ def test_neighbor_tables_do_not_depend_on_the_worker_count(monkeypatch, rng, met
         assert [a.tobytes() for t in got for a in t] == [a.tobytes() for t in tables[0] for a in t]
 
 
+def _search(train, labels):
+    """The trials and vote fallbacks of one seeded search."""
+    result = random_search(train, labels, HyperSpace(k_range=tuple(range(1, 31))), n_iter=40, seed=3)
+    return result.trials, result.vote_fallbacks
+
+
 def test_random_search_does_not_depend_on_the_worker_count(monkeypatch, rng):
     train, labels, _ = _sheet_problem(rng, 1500)
-    space = HyperSpace(k_range=tuple(range(1, 31)))
-
-    def search():
-        result = random_search(train, labels, space, n_iter=40, seed=3)
-        return result.trials, result.vote_fallbacks
-
-    results = _at_each_count(monkeypatch, search)
+    results = _at_each_count(monkeypatch, partial(_search, train, labels))
     assert results[0][1] > 0
     assert results[1:] == results[:1] * 2
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_random_search_raises_the_earliest_tables_exception(monkeypatch, rng, n):
+    # two of the ten (fold, metric) tables fail; the serial loop stops at
+    # fold 1's manhattan table, so its exception is raised at any count
+    monkeypatch.setattr(workers, "count", lambda: n)
+    train, labels, _ = _sheet_problem(rng, 600)
+    splits = knn.fold_splits(len(train), 5, 3)
+    table = threading.local()  # the table this thread is scoring, named by its fit
+    fit, winners = knn.fit, knn._winners_for
+
+    def naming_fit(features, *args, metric, **kwargs):
+        fold = next(i for i, (rest, _) in enumerate(splits) if np.array_equal(features, train[rest]))
+        table.name = f"fold {fold} {metric}"
+        return fit(features, *args, metric=metric, **kwargs)
+
+    def failing_winners(*args):
+        if table.name in ("fold 1 manhattan", "fold 3 euclidean"):
+            raise DomainError(table.name)
+        return winners(*args)
+
+    monkeypatch.setattr(knn, "fit", naming_fit)
+    monkeypatch.setattr(knn, "_winners_for", failing_winners)
+    with pytest.raises(DomainError, match="^fold 1 manhattan$"):
+        random_search(train, labels, n_iter=40, seed=3)
 
 
 def test_steady_states_do_not_depend_on_the_worker_count(monkeypatch, rng):
@@ -142,3 +219,21 @@ def test_every_job_runs_once_under_contention(monkeypatch, rng):
         workers._pool.shutdown()
     assert sorted(ran) == list(range(5000))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_random_search_under_contention(monkeypatch, rng):
+    # ten tables as jobs on eight workers, each table's blocks run inline
+    train, labels, _ = _sheet_problem(rng, 1000)
+    monkeypatch.setattr(workers, "count", lambda: 1)
+    want = _search(train, labels)
+    monkeypatch.setattr(workers, "count", lambda: 8)
+    monkeypatch.setattr(workers, "_pool", None)  # a pool of its own, sized to 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _search(train, labels)
+    finally:
+        sys.setswitchinterval(interval)
+        workers._pool.shutdown()
+    assert want[1] > 0
+    assert got == want
