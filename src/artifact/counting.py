@@ -27,9 +27,9 @@ from math import comb
 import numpy as np
 
 from . import workers
-from .engine import (EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, EngineParams, TwistedGenerator,
+from .engine import (EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, VARIED, EngineParams, TwistedGenerator,
                      build_generators, varied_row)
-from .errors import ConditioningError, DegenerateSampleError, SingularityError
+from .errors import ConditioningError, DegenerateSampleError, SingularityError, as_reals
 
 # A baseline moment below this magnitude cannot normalize a feature.
 DEGENERATE_TOL = 1e-12
@@ -176,7 +176,7 @@ def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams()):
     matrices by identical arithmetic: features are bitwise 1.0 at zero
     coherence.
     """
-    varied = np.asarray(varied, dtype=float).reshape(-1, 5)
+    varied = as_reals(varied, "varied", ("n", len(VARIED)))
     n = len(varied)
     zero = varied.copy()
     zero[:, 3:] = 0.0

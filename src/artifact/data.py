@@ -26,7 +26,7 @@ from . import __version__
 from .counting import exchange_moment_ratios_batch
 from .engine import VARIED, EngineParams, in_box
 from .errors import (DomainError, GenerationQualityError, ParseError, ValidationError,
-                     as_int, as_real, json_object, read_text)
+                     array_of, as_int, as_real, as_reals, json_object, read_text)
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
@@ -85,20 +85,11 @@ _CLASS_EDGES = (0.25, 0.50, 0.75)
 N_CLASSES = len(_CLASS_EDGES) + 1
 
 
-def _integer_array(value):
-    """`value` as an array of integers (never bools), or None."""
-    with suppress(ValueError):  # ragged nestings are no array
-        arr = np.asarray(value)
-        if arr.dtype.kind in "iu":
-            return arr
-    return None
-
-
 def as_labels(value, what: str, n: int | None = None) -> np.ndarray:
     """`value`, the class labels `what`, as an intp array: a 1-D array of
     integers (never bools) in [0, N_CLASSES), `n` of them unless `n` is
     None; anything else is a DomainError."""
-    arr = _integer_array(value)
+    arr = array_of(value, "iu")
     if arr is not None and arr.ndim == 1 and n in (None, len(arr)) \
             and np.all((arr >= 0) & (arr < N_CLASSES)):
         return arr.astype(np.intp)
@@ -145,13 +136,14 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if _integer_array(self.labels) is None:
+        if (labels := array_of(self.labels, "iu")) is None:
             # the label rule refuses them; an integer label outside the
             # classes is left to its row check, which names the row
             as_labels(self.labels, "labels")
-        for name, dtype in (("features", float), ("labels", np.intp), ("params", float),
-                            ("in_train", bool)):
-            col = np.asarray(getattr(self, name), dtype=dtype)
+        for name, col in (("features", as_reals(self.features, "features", ("n", 4))),
+                          ("labels", labels.astype(np.intp, copy=False)),
+                          ("params", as_reals(self.params, "params", ("n", 5))),
+                          ("in_train", np.asarray(self.in_train, dtype=bool))):
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         n = len(self.labels)

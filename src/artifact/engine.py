@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, as_name, as_real, in_interval
+from .errors import DomainError, as_name, as_real, as_reals, in_interval
 
 # Columns of a parameter array: the operating-point parameters a dataset varies.
 VARIED = ("t_c", "t_h", "t_l", "p_c", "p_h")
@@ -65,7 +65,7 @@ def bose_occupations(gap: float, temperatures) -> np.ndarray:
     # math.expm1 per element: np.expm1 differs from it in the last ulp,
     # which would move the dataset CSV bytes.
     return np.array([0.0 if x > _OVERFLOW_X else 1.0 / math.expm1(x)
-                     for x in (gap / np.asarray(temperatures, dtype=float)).tolist()])
+                     for x in (gap / as_reals(temperatures, "temperatures", ("n",))).tolist()])
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def build_generators(varied, fixed: EngineParams = EngineParams(),
     equilibrates at zero thermodynamic bias.
     """
     as_name(variant, "variant", GENERATOR_VARIANTS)
-    varied = np.asarray(varied, dtype=float).reshape(-1, 5)
+    varied = as_reals(varied, "varied", ("n", len(VARIED)))
     bad = ~in_box(varied)
     if bad.any():  # EngineParams reads the same SPANS, so it refuses the row
         replace(fixed, **dict(zip(VARIED, varied[bad][0].tolist())))

@@ -20,7 +20,9 @@ A [lo, hi] range is read end by end through `as_real` by `data.as_range`.
 Every argument that names one of a fixed set of choices (a generator
 variant, a scenario relation, a mapping, a weighting, a metric) goes
 through `as_name`: a string among the names, else "<argument> must be one
-of <names>, got <value>".
+of <names>, got <value>". Every real array goes through `as_reals`: ints or
+floats, never bools, text or complex, shaped like ("n", 4), a name matching any
+length; else "<argument> must be an (n, 4) array of real numbers, got <value>".
 """
 
 import functools
@@ -140,6 +142,31 @@ def as_name(value, what: str, names) -> str:
     if isinstance(value, str) and value in names:
         return str(value)
     raise DomainError(f"{what} must be one of {tuple(names)}, got {value!r:.80}")
+
+
+def array_of(value, kinds: str):
+    """`value` as an array whose dtype kind is in `kinds` ("iu": integers, never bools), or None."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting is no array
+        return None
+    if arr.dtype.kind not in kinds:
+        return None
+    # numpy reads a bool among listed numbers as 0 or 1
+    listed = () if isinstance(value, np.ndarray) else np.asarray(value, dtype=object).flat
+    return None if any(type(c) in (bool, np.bool_) for c in listed) else arr
+
+
+def as_reals(value, what: str, shape: tuple) -> np.ndarray:
+    """`value`, the array argument `what`, as float64 (a float64 array is not copied): integers
+    or floats whose shape matches `shape`, a name matching any length; else a DomainError."""
+    arr = array_of(value, "iuf")
+    if arr is not None and arr.ndim == len(shape) \
+            and all(type(want) is str or want == got for want, got in zip(shape, arr.shape)):
+        return arr.astype(float, copy=False)
+    dims = str(shape).replace("'", "")  # ("n", 4) as (n, 4)
+    raise DomainError(f"{what} must be an {dims} array of real numbers, "
+                      f"got {' '.join(repr(value).split()):.80}")
 
 
 class StateError(ValidationError):

@@ -28,7 +28,7 @@ float range, so that distances and bounds alike stay finite.
 
 The blocks of a strip round run as jobs on the worker pool (`workers`).
 The blocks running at once hold at most `_BLOCK_ELEMS` distances, in one
-buffer per round with a slot per worker. `random_search` runs its
+buffer per round with a slot per running block. `random_search` runs its
 (fold, metric) tables as jobs instead; a table's `_neighbors` then runs
 its blocks inline, at the same size, in one slot, so the tables in flight
 hold no more distances than one call's blocks. Each block's distance matrix
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import workers
 from .data import N_CLASSES, as_labels
-from .errors import DomainError, StateError, ValidationError, as_int, as_name, json_object
+from .errors import DomainError, StateError, ValidationError, as_int, as_name, as_reals, json_object
 from .metrics import accuracy, confusion_matrix, percent_correct
 
 WEIGHTINGS = ("uniform", "distance")
@@ -145,8 +145,8 @@ class KnnModel:
     copies: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.features.ndim != 2:
-            raise ValidationError(f"features must be 2-D, got shape {self.features.shape}")
+        for name, shape in (("features", ("n", "w")), ("shift", ("w",)), ("scale", ("w",))):
+            object.__setattr__(self, name, as_reals(getattr(self, name), name, shape))
         n = len(self.features)
         if n == 0:
             raise StateError("model has no training points")
@@ -212,9 +212,7 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
     `feature_subset` selects columns of `features`; None keeps all.
     `zscore` standardizes columns (constant columns are left unscaled).
     """
-    features = np.ascontiguousarray(features, dtype=float)
-    if features.ndim != 2:
-        raise ValidationError(f"features must be 2-D, got shape {features.shape}")
+    features = as_reals(features, "features", ("n", "w"))
     if feature_subset is None:
         feature_subset = tuple(range(features.shape[1]))
     feature_subset = tuple(as_int(j, "feature_subset entry", 0, features.shape[1])
@@ -496,20 +494,12 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     query left.
 
     A round's blocks run as jobs on the worker pool, as few per strip as
-    fit a worker's share of `_BLOCK_ELEMS`, of even sizes; a round of fewer
-    blocks than workers splits its large ones by query rows. Each job
+    fit a worker's share of `_BLOCK_ELEMS`, of even sizes. Each job
     writes only its own rows of the table. Called inside a job of the
-    pool, the blocks keep that size but run inline, in one buffer slot,
-    and no round is split.
+    pool, the blocks keep that size but run inline, in one buffer slot.
     """
     x, k, metric, copies = model.features, model.k, model.metric, model.copies
-    try:  # the one reader of raw queries
-        q = np.asarray(queries)
-    except ValueError:  # ragged rows
-        q = np.empty(0)  # refused below by its shape
-    if q.dtype.kind not in "iuf" or q.ndim != 2 or q.shape[1] != x.shape[1]:
-        raise DomainError(f"queries must be an (n, {x.shape[1]}) array of real numbers, "
-                          f"got {' '.join(repr(queries).split()):.80}")
+    q = as_reals(queries, "queries", ("n", x.shape[1]))
     with np.errstate(over="ignore"):
         q = (q - model.shift) / model.scale
     if not np.all(np.isfinite(q)):
@@ -573,18 +563,13 @@ def _neighbors(model: KnnModel, queries) -> tuple:
                 strips.append((a, b, idx, np.take(cols, idx, axis=1).T))
             else:  # every training row, in training order already
                 strips.append((a, b, np.arange(n), cols.T))
-        # blocks per strip: as few as fit a share; a round of fewer blocks
-        # than workers splits a strip into as many as spare each a block's cost
         n_blocks = [-(-(b - a) // (share // idx.size)) for a, b, idx, _ in strips]
-        if sum(n_blocks) < lanes:
-            n_blocks = [max(c, min(lanes, (b - a) * idx.size // _STRIP_PAIRS))
-                        for c, (a, b, idx, _) in zip(n_blocks, strips)]
-        # One distance buffer for the round's blocks, a slot per worker as
-        # large as the largest block: freeing it after each block would let
-        # glibc trim the heap, and the next block would fault it in again.
+        # One distance buffer for the round's blocks, a slot per block running
+        # at once, as large as the largest: freeing it after each block would
+        # let glibc trim the heap, and the next block would fault it in again.
         sizes = [-(-(b - a) // c) * idx.size for c, (a, b, idx, _) in zip(n_blocks, strips)]
         slots = queue.SimpleQueue()
-        for part in np.empty((lanes, max(sizes, default=0))):
+        for part in np.empty((min(lanes, sum(n_blocks)), max(sizes, default=0))):
             slots.put(part)
         workers.run(partial(rank, slots, pending[tried[a:b][rows]], bound[a:b][rows], idx, strip_x, route)
                     for c, (a, b, idx, strip_x) in zip(n_blocks, strips)
@@ -629,7 +614,7 @@ def fold_splits(n: int, folds: int, seed: int) -> list:
 def kfold_accuracy(features, labels, k: int = 5, weighting: str = "uniform",
                    metric: str = "euclidean", folds: int = 5, seed: int = 0) -> float:
     """Mean single-shot accuracy over seeded contiguous shuffle folds."""
-    features = np.asarray(features, dtype=float)
+    features = as_reals(features, "features", ("n", "w"))
     labels = as_labels(labels, "labels", len(features))
     accs = []
     for rest, held in fold_splits(features.shape[0], folds, seed):
@@ -725,7 +710,7 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     `predict_batch` sums, and counted in `vote_fallbacks`.
     """
     n_iter = as_int(n_iter, "n_iter", 1)
-    features = np.asarray(features, dtype=float)
+    features = as_reals(features, "features", ("n", "w"))
     labels = as_labels(labels, "labels", len(features))
     splits = fold_splits(features.shape[0], folds, seed)  # checks folds and seed before any draw
     combos = space.combos()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import N_CLASSES, as_labels
-from .errors import DomainError, ValidationError
+from .errors import DomainError, array_of
 
 
 def confusion_matrix(predicted, true) -> np.ndarray:
@@ -30,12 +30,11 @@ def confusion_matrix(predicted, true) -> np.ndarray:
 
 
 def _check(chi) -> np.ndarray:
-    chi = np.asarray(chi)
-    if chi.shape != (N_CLASSES, N_CLASSES):
-        raise ValidationError(f"confusion matrix must be {N_CLASSES}x{N_CLASSES}, got {chi.shape}")
-    if np.any(chi < 0) or not np.issubdtype(chi.dtype, np.integer):
-        raise ValidationError("confusion matrix entries must be non-negative integers")
-    return chi
+    arr = array_of(chi, "iu")
+    if arr is None or arr.shape != (N_CLASSES, N_CLASSES) or np.any(arr < 0):
+        raise DomainError(f"confusion matrix must be an ({N_CLASSES}, {N_CLASSES}) array of "
+                          f"non-negative integers, got {' '.join(repr(chi).split()):.80}")
+    return arr
 
 
 def percent_correct(correct, total):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .counting import cumulants, steady_state
 from .engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, TwistedGenerator, build_generator
-from .errors import AbsorbingStateError, DomainError, ValidationError, as_int, as_real
+from .errors import AbsorbingStateError, DomainError, ValidationError, as_int, as_real, as_reals
 
 _RATE_TOL = 1e-12
 _CHUNK = 32  # jumps per chunk of the destination-map scan
@@ -36,8 +36,8 @@ class JumpProcess:
     count_weights: np.ndarray
 
     def __post_init__(self):
-        if self.rates.shape != (4, 4) or self.count_weights.shape != (4, 4):
-            raise ValidationError(f"jump process matrices must be 4x4, got {self.rates.shape}")
+        for name in ("rates", "count_weights"):
+            object.__setattr__(self, name, as_reals(getattr(self, name), name, (4, 4)))
         finite = np.all(np.isfinite(self.rates))
         if not finite or np.any(self.rates < 0) or np.any(np.diag(self.rates) != 0):
             raise ValidationError("off-diagonal rates must be finite and >= 0 with a zero diagonal")
@@ -169,11 +169,8 @@ def simulate(proc: JumpProcess, t_final: float, n_traj: int, seed: int,
     """
     t_final, n_traj = check_run(t_final, n_traj)
     seed = as_int(seed, "seed", 0)
-    if initial is None:
-        initial = np.full(4, 0.25)
-    initial = np.asarray(initial, dtype=float)
-    if (initial.shape != (4,) or not np.all(np.isfinite(initial)) or np.any(initial < 0)
-            or abs(initial.sum() - 1.0) > 1e-9):
+    initial = as_reals(np.full(4, 0.25) if initial is None else initial, "initial", (4,))
+    if not np.all(np.isfinite(initial)) or np.any(initial < 0) or abs(initial.sum() - 1.0) > 1e-9:
         raise DomainError("initial must be a length-4 probability distribution")
 
     escape = proc.escape_rates

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import N_CLASSES, as_labels
-from .errors import DomainError
+from .errors import DomainError, as_reals
 
 MAX_DEPTH = 8
 
@@ -83,14 +83,14 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int) -> TreeNode:
 
 
 def fit_tree(features, labels) -> TreeNode:
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or not len(x):
-        raise DomainError(f"features must be a non-empty 2-D array, got shape {x.shape}")
+    x = as_reals(features, "features", ("n", "w"))
+    if not len(x):
+        raise DomainError("features must hold at least one row")
     return _grow(x, as_labels(labels, "labels", len(x)), 0)
 
 
 def predict_tree(root: TreeNode, features) -> np.ndarray:
-    x = np.asarray(features, dtype=float)
+    x = as_reals(features, "features", ("n", "w"))
     out = np.empty(x.shape[0], dtype=np.intp)
     # Iterative partition walk: route index sets down the tree.
     stack = [(root, np.arange(x.shape[0]))]

@@ -512,7 +512,7 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     pytest.param(lambda doc: doc["features"].pop("dtype"),
                  "model document missing field 'dtype'", id="missing-dtype"),
     pytest.param(lambda doc: reencode(doc, "features", np.ravel),
-                 "features must be 2-D, got shape", id="flat-features"),
+                 "features must be an (n, w) array of real numbers, got array([", id="flat-features"),
     pytest.param(lambda doc: doc["features"].__setitem__("shape", [-1, 2]),
                  "features shape must be a list of non-negative integers", id="shape-negative"),
     pytest.param(lambda doc: doc["labels"].__setitem__("shape", [True]),

@@ -2,6 +2,7 @@
 argument, the one real-number rule, `errors.as_real`, at every real
 argument, the one range rule, `data.as_range`, at every [lo, hi] range,
 the one label rule, `data.as_labels`, at every array of class labels,
+the one array rule, `errors.as_reals`, at every array of real numbers,
 and the one name rule, `errors.as_name`, at every choice of a name."""
 
 import json
@@ -12,16 +13,19 @@ import numpy as np
 import pytest
 
 from artifact.cli import _CONFIG, main
+from artifact.counting import exchange_moment_ratios_batch
 from artifact.data import Dataset, ParamRanges, generate, write_csv
-from artifact.engine import GENERATOR_VARIANTS, EngineParams, build_generator
-from artifact.errors import DomainError
+from artifact.engine import (GENERATOR_VARIANTS, EngineParams, bose_occupations, build_generator,
+                             build_generators)
+from artifact.errors import DomainError, as_reals
 from artifact.experiments import (DEFAULT_SCENARIO_RANGES, PAIR_RELATIONS, ScenarioSpec,
                                   run_size_sweep, scenario_suite)
 from artifact.knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, KnnModel,
-                          fit, fold_splits, kfold_accuracy, model_to_json, random_search)
-from artifact.metrics import confusion_matrix
-from artifact.trajectories import build_jump_process, check_run, simulate
-from artifact.tree import fit_tree
+                          fit, fold_splits, kfold_accuracy, model_to_json, predict_proba_batch,
+                          random_search)
+from artifact.metrics import accuracy, class_metrics, confusion_matrix
+from artifact.trajectories import JumpProcess, build_jump_process, check_run, simulate
+from artifact.tree import fit_tree, predict_tree
 
 X = np.random.default_rng(0).random((40, 4))
 Y = np.arange(40) % 4
@@ -98,6 +102,50 @@ LABELS = {
     "confusion_matrix-predicted": ("predicted classes", None, lambda v: confusion_matrix(v, Y)),
     "confusion_matrix-true": ("true classes", 40, lambda v: confusion_matrix(Y, v)),
     "fit_tree": ("labels", 40, lambda v: fit_tree(X, v)),
+}
+
+# Valid arrays of the array table: float64, C-ordered and integral, so
+# that their int, float32, list and Fortran-ordered forms hold the same numbers.
+X_INT = np.random.default_rng(1).integers(0, 10, (40, 4)).astype(float)
+KNN = fit(X_INT, Y, k=3, weighting="distance")
+TREE = fit_tree(X_INT, Y)
+RATES = 1.0 - np.eye(4)
+VARIED_ROWS = np.array([[1.0, 4.0, 2.0, 0.0, 1.0], [2.0, 3.0, 5.0, 1.0, 0.0]])
+ROWS = dict(features=np.arange(16.0).reshape(4, 4) + 1.0, labels=np.array([0, 3, 0, 3]),
+            params=np.array([[1.0, 4.0, 2.0, 0.0, 0.0], [1.0, 4.0, 2.0, 1.0, 1.0]] * 2),
+            in_train=np.array([True, False, True, False]))
+
+# (array as the message names it, its shape as the message prints it, a
+# valid value, call), with `call` as in ARGUMENTS. The confusion matrix is
+# the one array of integers: its message names "non-negative integers".
+ARRAYS = {
+    "fit-features": ("features", "(n, w)", X_INT, lambda v: fit(v, Y, k=3, zscore=True)),
+    "KnnModel-features": ("features", "(n, w)", X_INT,
+                          lambda v: predict_proba_batch(KnnModel(**{**MODEL, "features": v}), X_INT[:6])),
+    "KnnModel-shift": ("shift", "(w,)", np.array([1.0, 0.0, 2.0, 0.0]),
+                       lambda v: predict_proba_batch(KnnModel(**{**MODEL, "shift": v}), X_INT[:6])),
+    "KnnModel-scale": ("scale", "(w,)", np.array([1.0, 2.0, 1.0, 4.0]),
+                       lambda v: predict_proba_batch(KnnModel(**{**MODEL, "scale": v}), X_INT[:6])),
+    "predict-queries": ("queries", "(n, 4)", X_INT[:6], lambda v: predict_proba_batch(KNN, v)),
+    "kfold_accuracy-features": ("features", "(n, w)", X_INT, lambda v: kfold_accuracy(v, Y, k=3)),
+    "random_search-features": ("features", "(n, w)", X_INT, lambda v: random_search(v, Y, SPACE, n_iter=4)),
+    "fit_tree-features": ("features", "(n, w)", X_INT, lambda v: fit_tree(v, Y)),
+    "predict_tree-features": ("features", "(n, w)", X_INT, lambda v: predict_tree(TREE, v)),
+    "build_generators-varied": ("varied", "(n, 5)", VARIED_ROWS, build_generators),
+    "exchange_moment_ratios_batch-varied": ("varied", "(n, 5)", VARIED_ROWS, exchange_moment_ratios_batch),
+    "bose_occupations-temperatures": ("temperatures", "(n,)", np.array([1.0, 2.0, 4.0]),
+                                      lambda v: bose_occupations(1.0, v)),
+    "simulate-initial": ("initial", "(4,)", np.array([1.0, 0.0, 0.0, 0.0]),
+                         lambda v: simulate(PROC, 10.0, 4, 1, initial=v)),
+    "JumpProcess-rates": ("rates", "(4, 4)", RATES,
+                          lambda v: simulate(JumpProcess(v, PROC.count_weights), 10.0, 4, 1)),
+    "JumpProcess-count_weights": ("count_weights", "(4, 4)", np.array(PROC.count_weights),
+                                  lambda v: simulate(JumpProcess(RATES, v), 10.0, 4, 1)),
+    "Dataset-features": ("features", "(n, 4)", ROWS["features"],
+                         lambda v: Dataset(**{**ROWS, "features": v}).features),
+    "Dataset-params": ("params", "(n, 5)", ROWS["params"], lambda v: Dataset(**{**ROWS, "params": v}).params),
+    "confusion-matrix": ("confusion matrix", "(4, 4)", np.array([[5, 1, 0, 0], [2, 7, 1, 0], [0, 0, 3, 2], [1, 0, 0, 8]]),
+                         class_metrics),
 }
 
 # (argument as the message names it, its names, a valid name, call), with
@@ -309,12 +357,13 @@ def test_scenario_refuses_a_range_wider_than_the_float_range():
 # --- class labels ---------------------------------------------------------------
 
 def _label_refusals():
-    """Floats (integral ones too), bools, a 4, a -1, a wrong length, 2-D
-    labels and strings."""
+    """Floats (integral ones too), bools (also among integers), a 4, a -1, a
+    wrong length, 2-D labels and strings."""
     bads = {"fractions": Y + 0.5, "integral-floats": Y.astype(float), "float-list": [0.5] * 40,
             "bools": Y % 2 == 0, "bool-list": [True, False] * 20, "four": np.where(Y == 3, 4, Y),
             "minus-one": np.where(Y == 0, -1, Y), "short": Y[:-1], "2-D": Y[:, None],
-            "strings": Y.astype(str), "string-list": ["0", "1"] * 20, "ragged": [[0, 1], [2]] * 20}
+            "strings": Y.astype(str), "string-list": ["0", "1"] * 20, "ragged": [[0, 1], [2]] * 20,
+            "bool-in-list": [True, 1, 2, 3] * 10}
     for name, (what, n, call) in LABELS.items():
         for key, bad in bads.items():
             if n is not None or key != "short":  # predicted classes take their count from nothing
@@ -350,6 +399,101 @@ def test_dataset_refuses_labels_that_are_no_integers(make):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         Dataset(ds.features, bad, ds.params, ds.in_train, ds.meta)
     assert err.value.exit_code == 2
+
+# --- arrays of real numbers -----------------------------------------------------
+
+def _refused_array(what, dims, call, bad):
+    kind = "non-negative integers" if what == "confusion matrix" else "real numbers"
+    message = f"{what} must be an {dims} array of {kind}, got {' '.join(repr(bad).split()):.80}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+        call(bad)
+    assert err.value.exit_code == 2
+
+
+def _array_refusals():
+    """Text, bools (also among numbers), complex numbers, ragged nestings, one
+    dimension more and one fewer, and one entry more and one fewer along each
+    fixed length; the confusion matrix also refuses floats, integral ones too."""
+    for name, (what, dims, valid, call) in ARRAYS.items():
+        rows = valid.tolist()
+        bads = {"numeric-text": [["0.9", "0.1"]], "text-cells": valid.astype(str), "text": "ab",
+                "bools": valid != 0, "bool-list": [[True, False]], "complex": valid + 1j,
+                "ragged": [[1, 2], [3]], "more-dims": valid[None],
+                "fewer-dims": valid.ravel() if valid.ndim > 1 else valid[0]}
+        if valid.ndim > 1:
+            bads["ragged-rows"] = rows[:-1] + [rows[-1][:-1]]
+            bads["bool-in-list"] = [[True, *rows[0][1:]], *rows[1:]]
+        else:
+            bads["bool-in-list"] = [True, *rows[1:]]
+        for axis, length in enumerate(dims.strip("(,)").split(", ")):
+            if length.isdigit():
+                bads[f"longer-{axis}"] = np.concatenate([valid, valid.take([0], axis=axis)], axis=axis)
+                bads[f"shorter-{axis}"] = np.delete(valid, -1, axis=axis)
+        if valid.dtype != float:
+            bads.update({"integral-floats": valid.astype(float), "float32": valid.astype(np.float32)})
+        for key, bad in bads.items():
+            yield pytest.param(what, dims, call, bad, id=f"{name}-{key}")
+
+
+@pytest.mark.parametrize("what, dims, call, bad", _array_refusals())
+def test_array_refused_with_one_message(what, dims, call, bad):
+    _refused_array(what, dims, call, bad)
+
+
+def _bits(result):
+    """`result` with every array as (dtype, shape, bytes) and every other
+    value as its repr, so that == compares bit for bit."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, (tuple, list)):
+        return [_bits(r) for r in result]
+    return repr(result)
+
+
+@pytest.mark.parametrize("valid, call", [pytest.param(v[2], v[3], id=k) for k, v in ARRAYS.items()])
+def test_array_forms_give_the_same_bits(valid, call):
+    # integers, float32 (reals) or narrow integers (the confusion matrix),
+    # nested lists and Fortran order give the C-ordered result bit for bit
+    want = _bits(call(valid))
+    numbers = (np.int64, np.float32) if valid.dtype == float else (np.int8, np.uint16)
+    for given in (*(valid.astype(t) for t in numbers), valid.tolist(), np.asfortranarray(valid)):
+        assert _bits(call(given)) == want
+
+
+def test_float64_arrays_are_not_copied():
+    # whatever their layout: a copy would cost a model file's features twice over
+    for arr in (X, np.asfortranarray(X), X[::3], X.T, np.frombuffer(X.tobytes()).reshape(X.shape)):
+        assert as_reals(arr, "features", ("n", "w")) is arr
+    assert as_reals(X[:, 0], "initial", (40,)) is not X  # a view, returned as itself
+    assert as_reals([1, 2], "initial", (2,)).dtype == float
+
+
+@pytest.mark.parametrize("call, what, dims, bad", [
+    pytest.param(lambda v: fit(v, [0, 1], k=1), "features", "(n, w)", [[1.0, 2.0], [3.0]], id="ragged-fit"),
+    pytest.param(lambda v: random_search(v, Y, SPACE, n_iter=2), "features", "(n, w)",
+                 [[0.5] * 4] * 39 + [[0.5]], id="ragged-random_search"),
+    pytest.param(lambda v: fit(v, Y, k=3), "features", "(n, w)", X + 1j, id="complex-fit"),
+    pytest.param(lambda v: predict_proba_batch(KnnModel(**{**MODEL, "features": v}), X[:2]),
+                 "features", "(n, w)", X > 0.5, id="bool-KnnModel"),
+    pytest.param(build_generators, "varied", "(n, 5)", np.ones((2, 3)), id="width-3-build_generators"),
+    pytest.param(build_generators, "varied", "(n, 5)", [[True, 3.5, 2.0, 0.0, 0.5]], id="bool-t_c"),
+    pytest.param(build_generators, "varied", "(n, 5)", VARIED_ROWS.ravel(), id="flat-build_generators"),
+    pytest.param(exchange_moment_ratios_batch, "varied", "(n, 5)", VARIED_ROWS.ravel(),
+                 id="flat-exchange_moment_ratios_batch"),
+    pytest.param(lambda v: simulate(PROC, 10.0, 4, 1, initial=v), "initial", "(4,)",
+                 [True, False, False, False], id="bool-initial"),
+    pytest.param(lambda v: simulate(PROC, 10.0, 4, 1, initial=v), "initial", "(4,)",
+                 ["0.25"] * 4, id="text-initial"),
+    pytest.param(lambda v: predict_tree(TREE, v), "features", "(n, w)", X_INT[0], id="row-predict_tree"),
+    pytest.param(accuracy, "confusion matrix", "(4, 4)", [[1, 2], [3]], id="ragged-accuracy"),
+    pytest.param(accuracy, "confusion matrix", "(4, 4)", np.ones((4, 4), dtype=int).astype(str),
+                 id="text-accuracy"),
+])
+def test_probed_array_defects_exit_2(call, what, dims, bad):
+    # each crashed with a raw numpy or Python error, or was read as
+    # something else, before the array rule
+    _refused_array(what, dims, call, bad)
+
 
 # --- names ----------------------------------------------------------------------
 

@@ -205,7 +205,7 @@ def test_fit_validation(rng):
         fit(x, y, feature_subset=(0, 9))
     with pytest.raises(StateError):
         fit(np.zeros((0, 4)), np.zeros(0, dtype=int), k=1)
-    with pytest.raises(ValidationError, match="2-D"):
+    with pytest.raises(DomainError, match=re.escape("features must be an (n, w) array of real numbers")):
         fit(x[:, 0], y)
     with pytest.raises(ValidationError, match="feature subset must not be empty"):
         fit(x, y, feature_subset=())
@@ -441,6 +441,7 @@ def test_winners_fall_back_on_an_exact_tie():
     (1.5e-308, 1.0, 2),   # 1/d above 2**1022: past the certified range
     (2e307, 4e307, 2),    # 1/d near underflow: the check's product could underflow
     (1e307, 4e307, 0),    # top sum 1e-307 lies inside the certified range
+    (1.0, 1.0 + 3 * 2.0**-52, 1),  # sums 6u apart at k = 2: inside (4k + 2)u, outside ku
 ])
 def test_winners_fall_back_outside_the_certified_range(near, far, fallbacks):
     ranked = np.array([[1, 0]])
@@ -550,7 +551,8 @@ def test_malformed_queries_are_refused(bad):
 @pytest.mark.parametrize("features", [np.array(0.5), np.zeros(3)], ids=["0-d", "1-D"])
 def test_model_refuses_features_that_are_not_a_matrix(features):
     # the shape is checked before anything takes the features' length
-    with pytest.raises(ValidationError, match=re.escape(f"features must be 2-D, got shape {features.shape}")):
+    brief = " ".join(repr(features).split())
+    with pytest.raises(DomainError, match=f"^{re.escape(f'features must be an (n, w) array of real numbers, got {brief}')}$"):
         KnnModel(features=features, labels=np.zeros(1, dtype=np.intp), k=1, weighting="uniform",
                  metric="euclidean", feature_subset=(0,), shift=np.zeros(1), scale=np.ones(1))
 
@@ -955,5 +957,5 @@ def test_model_from_json_rejects_garbage():
     refused(lambda d: d["features"].update(shape=[0, 2**70], data=""), "malformed model document")
     # a 0-d feature "matrix" (shape [], 8 bytes) is refused by its shape, before its length is read
     refused(lambda d: reencode(d, "features", lambda a: a[0, 0]),
-            re.escape("features must be 2-D, got shape ()"))
+            re.escape("features must be an (n, w) array of real numbers, got array("))
     refused(lambda d: d.__setitem__("extra", 1), "unknown model document key 'extra'", ParseError)
