@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,11 +25,14 @@ import numpy as np
 
 from . import __version__
 from .counting import exchange_moment_ratios_batch
-from .engine import VARIED, EngineParams, in_box
+from .engine import SPANS, VARIED, EngineParams, in_box
 from .errors import (DomainError, GenerationQualityError, ParseError, ValidationError,
                      array_of, as_int, as_real, as_reals, json_object, read_text)
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
+
+# The EngineParams fields a dataset holds fixed: the keys of its sidecar's "fixed" object.
+_FIXED = tuple(name for name in SPANS if name not in VARIED)
 
 # Hard sampling bounds, as `errors.as_real` intervals; custom ranges must stay inside them.
 _BOUNDS = {"t_c": "[0.4, 2.5]", "t_h": "[3.0, 4.5]", "t_l": "[1.0, 7.0]", "p_c": "[0, 1]", "p_h": "[0, 1]"}
@@ -107,12 +111,9 @@ def _labels_of(p_h):
     return np.searchsorted(_CLASS_EDGES, p_h, side="right")
 
 
-def _check_row(features: tuple, label: int, varied: list, fixed: dict) -> None:
+def _check_row(features: tuple, label: int, varied: list, fixed: EngineParams) -> None:
     """Raise the validation error of one row, checks in row order."""
-    try:
-        params = EngineParams(**dict(zip(VARIED, varied)), **fixed)
-    except TypeError as exc:  # unknown sidecar constants
-        raise ValidationError(str(exc))
+    params = replace(fixed, **dict(zip(VARIED, varied)))
     if not all(math.isfinite(c) for c in features):
         raise ValidationError(f"features must be 4 finite values, got {features}")
     if label != _labels_of(params.p_h):
@@ -125,8 +126,8 @@ class Dataset:
 
     `features` is (n, 4), `labels` (n,), `params` (n, 5) with the varied
     engine parameters in VARIED order, `in_train` (n,) true for the rows
-    of the training split; `meta["fixed"]` holds the other constants of
-    every row's EngineParams.
+    of the training split (a 1-D array of bools, else a DomainError);
+    `meta["fixed"]` holds the other constants of every row's EngineParams.
     """
 
     features: np.ndarray
@@ -140,10 +141,13 @@ class Dataset:
             # the label rule refuses them; an integer label outside the
             # classes is left to its row check, which names the row
             as_labels(self.labels, "labels")
+        if (in_train := array_of(self.in_train, "b")) is None or in_train.ndim != 1:
+            raise DomainError(f"in_train must be a 1-D array of bools, "
+                              f"got {' '.join(repr(self.in_train).split()):.80}")
         for name, col in (("features", as_reals(self.features, "features", ("n", 4))),
                           ("labels", labels.astype(np.intp, copy=False)),
                           ("params", as_reals(self.params, "params", ("n", 5))),
-                          ("in_train", np.asarray(self.in_train, dtype=bool))):
+                          ("in_train", in_train)):
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         n = len(self.labels)
@@ -153,16 +157,16 @@ class Dataset:
         self._check_rows()
 
     def _check_rows(self):
-        """Vectorized row checks; the first bad row raises its scalar error,
-        tagged with the row index as `row`. Row 0 always takes the scalar
-        check, which validates the sidecar's fixed constants once."""
+        """The sidecar's `fixed` constants, read once before any row as one
+        EngineParams of `_FIXED` keys; then vectorized row checks, where the
+        first bad row raises its scalar error, tagged with its index as `row`."""
+        fixed = EngineParams(**json_object(self.meta.get("fixed", {}), "fixed", _FIXED))
         good = (np.isfinite(self.features).all(axis=1) & in_box(self.params)
                 & (self.labels == _labels_of(self.params[:, 4])))
-        good[:1] = False
         for i in np.flatnonzero(~good).tolist():
             try:
                 _check_row(tuple(self.features[i].tolist()), int(self.labels[i]),
-                           self.params[i].tolist(), self.meta.get("fixed", {}))
+                           self.params[i].tolist(), fixed)
             except ValidationError as exc:
                 exc.row = i
                 raise
@@ -355,57 +359,58 @@ def write_csv(ds: Dataset, path) -> None:
         raise ValidationError(f"cannot write {path}: {exc}")
 
 
-def _parse_line(raw: str, lineno: int) -> tuple:
-    """(features, label, varied parameters, is_train) of one CSV line.
-
-    The definition of a valid line; `read_csv` calls it only on a bad
-    file, to name its first bad line."""
-    cells = raw.split(",")
-    if len(cells) != 11:
-        raise ParseError(f"expected 11 columns, got {len(cells)}", line=lineno)
+def _column(texts: list, convert, dtype, linenos: list) -> np.ndarray:
+    """`texts` converted cell by cell by `convert` into a `dtype` array; the
+    first cell refused raises a ParseError naming its line."""
+    cells = iter(texts)
     try:
-        row = ([float(c) for c in cells[:4]], int(cells[4]), [float(c) for c in cells[5:10]])
-        np.intp(row[1])  # the label column holds intp
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(str(exc), line=lineno)
-    if cells[10] not in ("train", "val"):
-        raise ParseError(f"split tag must be 'train' or 'val', got {cells[10]!r}", line=lineno)
-    return row + (cells[10] == "train",)
+        return np.fromiter(map(convert, cells), dtype, len(texts))
+    except (ValueError, OverflowError) as exc:  # the refused cell is the last one taken
+        raise ParseError(str(exc), line=linenos[len(texts) - operator.length_hint(cells) - 1])
 
 
-def _columns(rows: list) -> tuple:
-    """(features, labels, params, in_train) of CSV lines of 11 cells each,
-    each column converted in one pass with the converters of `_parse_line`.
-    Raises ValueError or OverflowError if a cell does not convert."""
-    n = len(rows)
-    cells = ",".join(rows).split(",")
-    texts = [cells[j::11] for j in (0, 1, 2, 3, 5, 6, 7, 8, 9)]
-    floats = []
+def _columns(rows: list, linenos: list) -> tuple:
+    """(features, labels, params, in_train) of CSV lines, the i-th on line
+    `linenos[i]`: the one definition of a valid line. Every line has 11
+    cells, converted column by column in the order of a line: c1-c4 by
+    `float()`, the label by `int()` into intp, the VARIED parameters by
+    `float()`, then the split tag, 'train' or 'val'. A ParseError names the
+    first refused cell of the first column to refuse one: the fault its line
+    alone raises, though an earlier line may hold one of a later column."""
+    bad = next((i for i, raw in enumerate(rows) if raw.count(",") != 10), None)
+    if bad is not None:
+        raise ParseError(f"expected 11 columns, got {rows[bad].count(',') + 1}", line=linenos[bad])
+    cells = ",".join(rows).split(",") if rows else []
+    texts = [cells[j::11] for j in range(10)]
+    cols = []
     for j, text in enumerate(texts):
-        # a column spelled cell for cell like an earlier one converts to the
-        # same floats: in generated data c3 copies c1 and c4 copies c2
+        # a float column spelled cell for cell like an earlier float column
+        # converts to the same floats: in generated data c3 copies c1 and c4 c2
         i = texts.index(text)
-        floats.append(floats[i] if i < j else np.fromiter(map(float, text), float, n))
+        cols.append(_column(text, int, np.intp, linenos) if j == 4 else cols[i] if 4 != i < j
+                    else _column(text, float, float, linenos))
     tags = cells[10::11]
     if not {"train", "val"}.issuperset(tags):
-        raise ValueError("split tag must be 'train' or 'val'")
-    return (np.stack(floats[:4], axis=1), np.fromiter(map(int, cells[4::11]), np.intp, n),
-            np.stack(floats[4:], axis=1), np.fromiter(map("train".__eq__, tags), bool, n))
+        bad = next(i for i, tag in enumerate(tags) if tag not in ("train", "val"))
+        raise ParseError(f"split tag must be 'train' or 'val', got {tags[bad]!r}", line=linenos[bad])
+    return (np.stack(cols[:4], axis=1), cols[4], np.stack(cols[5:], axis=1),
+            np.fromiter(map("train".__eq__, tags), bool, len(rows)))
 
 
 def read_csv(path) -> Dataset:
     r"""Inverse of write_csv; also reloads the sidecar when present.
 
-    The non-blank lines before the first one without 11 cells are
-    converted column by column, one pass per column, and then validated;
-    the accepted cells are those of `float()` and `int()`. Lines end at
-    a newline only (`\n`, and `\r\n` or `\r`, which reading the text
-    turns into one): a form feed, `\x85` or another break of
-    `str.splitlines` stays in its cell, for the cell's rule to judge, so
-    line numbers count the file's newlines. A bad file is
-    diagnosed line by line with `_parse_line`: only the lines before the
-    first it rejects enter the columns, and the earliest bad line is
-    reported, a validation error before a parse error on a later line.
+    The non-blank lines are converted by `_columns`, one pass per column,
+    and then validated; the accepted cells are those of `float()` and
+    `int()`. Lines end at a newline only (`\n`, and `\r\n` or `\r`, which
+    reading the text turns into one): a form feed, `\x85` or another break
+    of `str.splitlines` stays in its cell, for the cell's rule to judge, so
+    line numbers count the file's newlines. A bad file is narrowed to the
+    lines before the one `_columns` names, until `_columns` accepts them
+    (at most one more call per column, as each names a fault of a later
+    column): those lines enter the columns, and the earliest bad line is
+    reported, a validation error before a parse error on a later line. A
+    bad `fixed` constant of the sidecar is reported as the sidecar's.
     """
     lines = read_text(path, "dataset").split("\n")
     if lines[0] != CSV_HEADER:
@@ -415,24 +420,17 @@ def read_csv(path) -> Dataset:
     meta = json_object(read_text(side, "sidecar"), f"sidecar {side}", text=True) if side.exists() else {}
 
     linenos = [lineno for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
-    rows = [lines[lineno - 1] for lineno in linenos]
-    end = next((i for i, raw in enumerate(rows) if raw.count(",") != 10), len(rows))
-    try:
-        columns, start = _columns(rows[:end]), end
-    except (ValueError, OverflowError):
-        columns, start = None, 0
-    error = None
-    for i in range(start, len(rows)):  # a bad file only: find its first bad line
+    rows, columns, error = [lines[lineno - 1] for lineno in linenos], None, None
+    while columns is None:
         try:
-            _parse_line(rows[i], linenos[i])
+            columns = _columns(rows, linenos)
         except ParseError as exc:
-            end, error = i, exc
-            break
-    if columns is None:
-        columns = _columns(rows[:end])
+            rows, error = rows[:linenos.index(exc.line)], exc
     try:
         ds = Dataset(*columns, meta)
     except ValidationError as exc:
+        if not hasattr(exc, "row"):
+            raise ParseError(f"sidecar {side}: {exc}")
         raise ParseError(str(exc), line=linenos[exc.row])
     if error is not None:
         raise error

@@ -145,7 +145,7 @@ def as_name(value, what: str, names) -> str:
 
 
 def array_of(value, kinds: str):
-    """`value` as an array whose dtype kind is in `kinds` ("iu": integers, never bools), or None."""
+    """`value` as an array whose dtype kind is in `kinds` ("iu": integers, never bools; "b": bools), or None."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting is no array
@@ -153,7 +153,8 @@ def array_of(value, kinds: str):
     if arr.dtype.kind not in kinds:
         return None
     # numpy reads a bool among listed numbers as 0 or 1
-    listed = () if isinstance(value, np.ndarray) else np.asarray(value, dtype=object).flat
+    numbers = arr.dtype.kind != "b" and not isinstance(value, np.ndarray)
+    listed = np.asarray(value, dtype=object).flat if numbers else ()
     return None if any(type(c) in (bool, np.bool_) for c in listed) else arr
 
 

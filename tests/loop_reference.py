@@ -33,8 +33,10 @@ once per working precision and scales each point's matrix once; it must
 return the same bytes at any precision.
 
 `read_csv_lines` is the dataset reader as it parsed one line at a time
-with `_parse_line`; `artifact.data.read_csv` converts whole columns and
-must return the same columns and meta, or raise the same `ParseError`.
+with `parse_line`, which was once `artifact.data`'s own line rule;
+`artifact.data.read_csv` converts whole columns with `_columns`, now the
+one definition of a valid line, and must return the same columns and
+meta, or raise the same `ParseError`.
 """
 
 import math
@@ -43,7 +45,7 @@ import mpmath as mp
 import numpy as np
 
 from artifact.counting import steady_state as solved_steady_state
-from artifact.data import CSV_HEADER, Dataset, _parse_line, meta_path
+from artifact.data import CSV_HEADER, Dataset, meta_path
 from artifact.engine import EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, EngineParams
 from artifact.errors import (
     AbsorbingStateError,
@@ -457,6 +459,21 @@ def fd_cumulants(gen, dps):
     return np.array(out)
 
 
+def parse_line(raw, lineno):
+    """(features, label, varied parameters, is_train) of one CSV line."""
+    cells = raw.split(",")
+    if len(cells) != 11:
+        raise ParseError(f"expected 11 columns, got {len(cells)}", line=lineno)
+    try:
+        row = ([float(c) for c in cells[:4]], int(cells[4]), [float(c) for c in cells[5:10]])
+        np.intp(row[1])  # the label column holds intp
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(str(exc), line=lineno)
+    if cells[10] not in ("train", "val"):
+        raise ParseError(f"split tag must be 'train' or 'val', got {cells[10]!r}", line=lineno)
+    return row + (cells[10] == "train",)
+
+
 def read_csv_lines(path):
     """Dataset of a CSV, parsed line by line up to the first malformed line;
     the earliest bad line is reported."""
@@ -471,7 +488,7 @@ def read_csv_lines(path):
     for lineno, raw in enumerate(lines[1:], start=2):
         if raw.strip():
             try:
-                rows.append(_parse_line(raw, lineno))
+                rows.append(parse_line(raw, lineno))
             except ParseError as exc:
                 error = exc
                 break
@@ -481,6 +498,8 @@ def read_csv_lines(path):
         ds = Dataset(np.reshape(features, (-1, 4)), np.array(labels, dtype=np.intp),
                      np.reshape(params, (-1, 5)), np.array(in_train, dtype=bool), meta)
     except ValidationError as exc:
+        if not hasattr(exc, "row"):  # a constant of the sidecar
+            raise ParseError(f"sidecar {side}: {exc}")
         raise ParseError(str(exc), line=linenos[exc.row])
     if error is not None:
         raise error

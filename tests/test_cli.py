@@ -211,7 +211,8 @@ def _train_with_fixed(workdir, tmp_path, name, value):
 @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
 def test_sidecar_bad_tau_exits_2(workdir, tmp_path, capsys, tau):
     assert _train_with_fixed(workdir, tmp_path, "tau", tau) == 2
-    assert capsys.readouterr().err == f"error: line 2: tau must be a real number in [0, inf), got {tau!r}\n"
+    message = f"tau must be a real number in [0, inf), got {tau!r}"
+    assert capsys.readouterr().err == f"error: sidecar {tmp_path / 'dataset.meta.json'}: {message}\n"
 
 
 @pytest.mark.parametrize("value", [True, "0.1", None])
@@ -219,7 +220,8 @@ def test_sidecar_bad_tau_exits_2(workdir, tmp_path, capsys, tau):
 def test_sidecar_constant_that_is_no_number_exits_2(workdir, tmp_path, capsys, name, span, value):
     # `true` was once read as 1, and a string or null failed on a comparison
     assert _train_with_fixed(workdir, tmp_path, name, value) == 2
-    assert capsys.readouterr().err == f"error: line 2: {name} must be a real number in {span}, got {value!r}\n"
+    message = f"{name} must be a real number in {span}, got {value!r}"
+    assert capsys.readouterr().err == f"error: sidecar {tmp_path / 'dataset.meta.json'}: {message}\n"
     assert not (tmp_path / "model-f3.json").exists()
 
 

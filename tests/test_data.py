@@ -1,9 +1,10 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import artifact.data as data_mod
@@ -17,7 +18,7 @@ from artifact.data import (
     read_csv,
     write_csv,
 )
-from artifact.engine import EngineParams
+from artifact.engine import VARIED, EngineParams
 from artifact.errors import (
     DegenerateSampleError,
     DomainError,
@@ -347,6 +348,20 @@ def test_read_csv_without_sidecar(tmp_path, small_dataset):
     assert np.array_equal(back.features[0], small_dataset.features[0])
 
 
+@pytest.mark.parametrize("row, message", [
+    ("x,1,1,1,y,1,3.5,2,0,0.1,test", "could not convert string to float: 'x'"),
+    ("1,1,1,1,y,1,3.5,x,0,0.1,test", "invalid literal for int() with base 10: 'y'"),
+    ("1,1,1,1,0,1,3.5,x,0,0.1,test", "could not convert string to float: 'x'"),
+    ("1,1,1,1,0,1,3.5,2,0,0.1,test", "split tag must be 'train' or 'val', got 'test'"),
+], ids=["feature-before-label", "label-before-parameter", "parameter-before-tag", "tag"])
+def test_read_csv_names_a_lines_first_fault_in_cell_order(tmp_path, row, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"{CSV_HEADER}\n1,1,1,1,0,1,3.5,2,0,0.1,train\n{row}\n")
+    with pytest.raises(ParseError, match=f"^{re.escape('line 3: ' + message)}$"):
+        read_csv(p)
+    assert _outcome(read_csv, p) == _outcome(loop_reference.read_csv_lines, p)
+
+
 def test_read_csv_reports_earliest_bad_line(tmp_path):
     p = tmp_path / "bad.csv"
     good = "1,1,1,1,0,1,3.5,2,0,0.1,train\n"
@@ -363,20 +378,28 @@ def test_read_csv_reports_earliest_bad_line(tmp_path):
     p.write_text(CSV_HEADER + "\n" + good + "1,1,1,1,99999999999999999999,1,3.5,2,0,0.1,val\n")
     with pytest.raises(ParseError, match="line 3"):
         read_csv(p)
-    # the sidecar's fixed constants are validated with the first row
+    # the sidecar's fixed constants are checked once, before any row, and
+    # reported as the sidecar's, not as line 2's
     p.write_text(CSV_HEADER + "\n" + good)
+    side = re.escape(f"sidecar {meta_path(p)}: ")
     meta_path(p).write_text(json.dumps({"fixed": {"r": -1.0}}))
-    with pytest.raises(ParseError, match=re.escape("line 2: r must be a real number in (0, inf), got -1.0")):
+    with pytest.raises(ParseError, match=side + re.escape("r must be a real number in (0, inf), got -1.0")):
         read_csv(p)
     meta_path(p).write_text(json.dumps({"fixed": {"tau": float("nan")}}))
-    with pytest.raises(ParseError, match=re.escape("line 2: tau must be a real number in [0, inf), got nan")):
+    with pytest.raises(ParseError, match=side + re.escape("tau must be a real number in [0, inf), got nan")):
         read_csv(p)
     meta_path(p).write_text(json.dumps({"fixed": {"bogus": 1.0}}))
-    with pytest.raises(ParseError, match="line 2: .*unexpected keyword argument 'bogus'"):
+    with pytest.raises(ParseError, match=side + "unknown fixed key 'bogus'"):
         read_csv(p)
     for name, value in (("e_a", float("inf")), ("e1", float("-inf")), ("g", True), ("tau", None)):
         meta_path(p).write_text(json.dumps({"fixed": {name: value}}))
-        with pytest.raises(ParseError, match=re.escape(f"line 2: {name} must be a real number in ")):
+        with pytest.raises(ParseError, match=side + re.escape(f"{name} must be a real number in ")):
+            read_csv(p)
+    # ahead of a line 2 that fails validation or does not parse
+    meta_path(p).write_text(json.dumps({"fixed": {"r": -1.0}}))
+    for row in ("1,1,1,1,3,1,3.5,2,0,0.1,train", "1,1,1,1,x,1,3.5,2,0,0.1,train"):
+        p.write_text(f"{CSV_HEADER}\n{row}\n")
+        with pytest.raises(ParseError, match=side + "r must be a real number"):
             read_csv(p)
     # a sidecar that is valid JSON but not an object is named, not crashed on
     for doc in ([1], None, "fixed", 3):
@@ -456,14 +479,29 @@ def test_read_csv_matches_line_reference(tmp_path_factory, ds, data):
 
 
 def test_valid_files_skip_the_line_parser(tmp_path, small_dataset, monkeypatch):
+    # a valid file is converted by one call of the line rule, never line by
+    # line; a bad one is narrowed by one more call per column at most
     p = tmp_path / "ds.csv"
     write_csv(small_dataset, p)
+    calls = []
 
-    def unexpected(raw, lineno):
-        raise AssertionError(f"line {lineno} parsed alone")
+    def counted(rows, linenos):
+        calls.append(len(rows))
+        return columns(rows, linenos)
 
-    monkeypatch.setattr(data_mod, "_parse_line", unexpected)
+    columns = data_mod._columns
+    monkeypatch.setattr(data_mod, "_columns", counted)
     assert _same_columns(read_csv(p), small_dataset)
+    assert calls == [len(small_dataset)]
+    # a bad tag on line 3, then a bad c1 on the last line
+    lines = p.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",test"
+    lines[-1] = "x" + lines[-1]
+    p.write_text("\n".join(lines) + "\n")
+    calls.clear()
+    with pytest.raises(ParseError, match="line 3: split tag must be 'train' or 'val', got 'test'"):
+        read_csv(p)
+    assert calls == [len(small_dataset), len(small_dataset) - 1, 1]
 
 
 def test_read_csv_accepts_the_grammar_of_float_and_int(tmp_path):
@@ -473,6 +511,10 @@ def test_read_csv_accepts_the_grammar_of_float_and_int(tmp_path):
     assert ds.features.tolist() == [[10.0, 2.0, 3.0, 1.0]]
     assert ds.labels.tolist() == [2]
     assert ds.params.tolist() == [[10.0, 3.5, 2.0, 0.0, 0.6]]
+    assert _outcome(read_csv, p) == _outcome(loop_reference.read_csv_lines, p)
+    # the label column lends its integers to no float column spelled alike: -0 is -0.0 there
+    p.write_text(CSV_HEADER + "\n1,1,1,1,-0,1,3.5,2,-0,0.1,train\n")
+    assert np.signbit(read_csv(p).params[0, 3])
     assert _outcome(read_csv, p) == _outcome(loop_reference.read_csv_lines, p)
     # int() takes no exponent and no fraction, in the label column only
     for label in ("2E0", "2.0"):
@@ -556,3 +598,64 @@ def test_read_csv_counts_cells_per_line(tmp_path):
     p.write_text(CSV_HEADER + "\n1,1,1,1,0,1,3.5,2,0,0.1\ntrain,1,1,1,1,0,1,3.5,2,0,0.1,val\n")
     with pytest.raises(ParseError, match="line 2: expected 11 columns, got 10"):
         read_csv(p)
+
+
+@pytest.mark.parametrize("fixed, message", [
+    ({"r": -1.0}, re.escape("r must be a real number in (0, inf), got -1.0")),
+    ({"r": 0.1, "bogus": 3}, "unknown fixed key 'bogus'"),
+    ({"t_c": 1.0}, "unknown fixed key 't_c'"),
+    (3, "fixed must be a JSON object, got 3"),
+    (None, "fixed must be a JSON object, got None"),
+], ids=["bad-constant", "unknown-key", "varied-key", "number", "null"])
+@pytest.mark.parametrize("text", [CSV_HEADER + "\n", CSV_HEADER + "\n\n \n\t\n"],
+                         ids=["header-only", "blank-lines"])
+def test_read_csv_checks_the_sidecar_with_no_rows(tmp_path, text, fixed, message):
+    # with no row there was no row check, so a bad sidecar was accepted
+    p = tmp_path / "empty.csv"
+    p.write_text(text)
+    meta_path(p).write_text(json.dumps({"fixed": fixed}))
+    with pytest.raises(ParseError, match=re.escape(f"sidecar {meta_path(p)}: ") + message) as exc:
+        read_csv(p)
+    assert exc.value.exit_code == 2
+
+
+_JSON_VALUES = st.sampled_from([None, True, False, "0.1", [0.1], {"r": 0.1}, 1e308, -0.0,
+                                math.nan, math.inf, -math.inf, 10**400])
+
+
+@seed(32)
+@settings(max_examples=800, deadline=None)
+@given(data=st.data())
+def test_dataset_documents_are_read_or_refused(tmp_path_factory, data):
+    """A valid 3-row dataset and its sidecar, mutated: `read_csv` returns a
+    Dataset whose fixed constants build an EngineParams and whose columns a
+    second read repeats, or refuses the document with exit 2."""
+    p = tmp_path_factory.mktemp("doc") / "a.csv"
+    write_csv(generate(3, seed=1), p)
+    meta = json.loads(meta_path(p).read_text())
+    fixed = meta["fixed"]
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(["drop", "add", "varied", "value", "fixed"]), label="kind")
+        if kind == "drop" and fixed:
+            del fixed[data.draw(st.sampled_from(sorted(fixed)))]
+        elif kind == "add":
+            fixed[data.draw(st.sampled_from(["bogus", "R", ""]))] = data.draw(_JSON_VALUES)
+        elif kind == "varied":
+            fixed[data.draw(st.sampled_from(VARIED))] = data.draw(st.sampled_from([1.0, 0.5]))
+        elif kind == "value" and fixed:
+            fixed[data.draw(st.sampled_from(sorted(fixed)))] = data.draw(_JSON_VALUES)
+        elif kind == "fixed":  # no object left to mutate
+            meta["fixed"] = data.draw(_JSON_VALUES)
+            break
+    meta_path(p).write_text(json.dumps(meta))
+    lines = p.read_text().split("\n")
+    body = data.draw(st.sampled_from([lines[1:], [], ["", " ", "\t", ""]]), label="rows")
+    p.write_text("\n".join([lines[0], *body]))
+    try:
+        ds = read_csv(p)
+    except ParseError as exc:
+        assert exc.exit_code == 2
+        return
+    EngineParams(**ds.meta["fixed"])
+    again = read_csv(p)
+    assert _same_columns(ds, again) and np.array_equal(ds.in_train, again.in_train)

@@ -400,6 +400,27 @@ def test_dataset_refuses_labels_that_are_no_integers(make):
         Dataset(ds.features, bad, ds.params, ds.in_train, ds.meta)
     assert err.value.exit_code == 2
 
+
+@pytest.mark.parametrize("make", [
+    lambda n: ["x"] * n, lambda n: [0.5] * n, lambda n: [2] * n, lambda n: [None] * n,
+    lambda n: np.ones((n, 1), dtype=bool), lambda n: [True] + [1] * (n - 1),
+], ids=["strings", "fractions", "integers", "nones", "2-D", "bool-among-integers"])
+def test_dataset_refuses_a_split_column_that_is_no_bools(make):
+    # each of these was once read as bools by numpy's cast, with no refusal
+    ds = generate(6, seed=3)
+    bad = make(6)
+    message = f"in_train must be a 1-D array of bools, got {' '.join(repr(bad).split()):.80}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+        Dataset(ds.features, ds.labels, ds.params, bad, ds.meta)
+    assert err.value.exit_code == 2
+
+
+def test_dataset_takes_a_split_column_of_bools():
+    ds = generate(6, seed=3)
+    for split in (ds.in_train.tolist(), ds.in_train.copy(), [bool(b) for b in ds.in_train]):
+        back = Dataset(ds.features, ds.labels, ds.params, split, ds.meta)
+        assert back.in_train.dtype == bool and back.in_train.tolist() == ds.in_train.tolist()
+
 # --- arrays of real numbers -----------------------------------------------------
 
 def _refused_array(what, dims, call, bad):

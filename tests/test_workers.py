@@ -7,6 +7,7 @@ inline, in order, as the serial loop did.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from artifact import counting, knn, workers
+from artifact.cli import main
 from artifact.data import generate, write_csv
 from artifact.errors import DomainError
 from artifact.engine import EngineParams, build_generators
@@ -194,6 +196,40 @@ def test_generated_csv_does_not_depend_on_the_worker_count(monkeypatch, tmp_path
         return path.read_bytes()
 
     results = _at_each_count(monkeypatch, csv_bytes)
+    assert results[1:] == results[:1] * 2
+
+
+# The determinism contract end to end: each command reads what the earlier ones wrote.
+_COMMANDS = [
+    ("gen-data", "--n", "5000"),
+    ("tune", "--data", "out/dataset.csv", "--mapping", "f1", "--n-iter", "20"),
+    ("train", "--data", "out/dataset.csv", "--mapping", "f1", "--weighting", "distance",
+     "--metric", "manhattan"),
+    ("evaluate", "--model", "out/model-f1.json", "--data", "out/dataset.csv"),
+    ("apply", "--model", "out/model-f1.json", "--scenario", "scenario.json"),
+    ("sweep", "--sizes", "200,400"),
+    ("oracle-check", "--draws", "1", "--t-final", "1e3", "--n-traj", "20"),
+]
+
+
+def test_cli_outputs_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, capsys):
+    # every output file and all stdout, the sidecar's timestamp set aside
+    def outputs():
+        monkeypatch.chdir(tmp_path)
+        Path("scenario.json").write_text(json.dumps({"pair12": "equal", "n": 200}))
+        printed = []
+        for command in _COMMANDS:
+            assert main(["--out", "out", *command]) == 0
+            printed.append(capsys.readouterr().out)
+        files = {path.name: path.read_bytes() for path in sorted(Path("out").iterdir())}
+        meta = json.loads(files.pop("dataset.meta.json"))
+        del meta["generated_at"]
+        shutil.rmtree("out")
+        return printed, files, meta
+
+    results = _at_each_count(monkeypatch, outputs)
+    assert sorted(results[0][1]) == ["class-metrics.csv", "confusion.txt", "dataset.csv", "model-f1.json",
+                                     "scenario-result.json", "sweep.csv", "sweep.dat", "tuning-f1.json"]
     assert results[1:] == results[:1] * 2
 
 
