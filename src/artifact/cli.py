@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .data import DEFAULT_RANGES, N_CLASSES, Dataset, ParamRanges, generate, read_csv, write_csv
 from .engine import EngineParams
-from .errors import ArtifactError, ValidationError, as_int, as_real, json_object, read_text
+from .errors import ArtifactError, ValidationError, as_flag, as_int, as_ints, as_real, json_object, read_text
 from .experiments import ScenarioSpec, run_scenario, run_size_sweep, sweep_csv, sweep_gnuplot
 from .knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, fit, model_from_json,
                   model_to_json, predict_batch, random_search, single_shot_accuracy)
@@ -99,26 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _zscore(value) -> bool:
-    if type(value) is not bool:
-        raise ValidationError(f"config key 'zscore' must be true or false, got {value!r}")
-    return value
-
-
-def _space(doc) -> HyperSpace:
-    for key, value in json_object(doc, "space", ("k_range", "weightings", "metrics")).items():
-        if type(value) is not list:
-            raise ValidationError(f"space key {key!r} must be a JSON list, got {value!r}")
-    return HyperSpace(**{key: tuple(value) for key, value in doc.items()})
-
-
 # Every config key: its setting when the config leaves it out, and the
 # parser from the JSON value to the checked setting.
 _CONFIG = {
     "ranges": (DEFAULT_RANGES, ParamRanges.from_dict),
     "train_frac": (0.70, lambda v: as_real(v, "config key 'train_frac'", "(0, 1)")),
-    "zscore": (False, _zscore),
-    "space": (HyperSpace(), _space),
+    "zscore": (False, lambda v: as_flag(v, "config key 'zscore'")),
+    "space": (HyperSpace(), lambda v: HyperSpace(**json_object(v, "space", HyperSpace.__annotations__))),
     "folds": (5, lambda v: as_int(v, "config key 'folds'", 2)),
 }
 
@@ -183,10 +170,8 @@ def _cmd_evaluate(args, cfg) -> int:
     model = model_from_json(read_text(args.model, "model"))
     ds = read_csv(args.data)
     x_val, y_val = ds.validation
-    if max(model.feature_subset) >= x_val.shape[1]:
-        raise ValidationError(f"model feature subset {model.feature_subset} exceeds the "
-                              f"dataset's {x_val.shape[1]} features")
-    preds = predict_batch(model, x_val[:, model.feature_subset])
+    subset = as_ints(model.feature_subset, "model feature_subset", ("n",), 0, x_val.shape[1])
+    preds = predict_batch(model, x_val[:, subset])
     chi = confusion_matrix(preds, y_val)
     confusion = _write(args.out, "confusion.txt", render_confusion(chi) + "\n")
     metrics = _write(args.out, "class-metrics.csv", render_class_metrics(chi))

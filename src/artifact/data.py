@@ -27,7 +27,7 @@ from . import __version__
 from .counting import exchange_moment_ratios_batch
 from .engine import SPANS, VARIED, EngineParams, in_box
 from .errors import (DomainError, GenerationQualityError, ParseError, ValidationError,
-                     array_of, as_int, as_real, as_reals, json_object, read_text)
+                     array_of, as_int, as_ints, as_real, as_reals, json_object, read_text)
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
@@ -90,16 +90,9 @@ N_CLASSES = len(_CLASS_EDGES) + 1
 
 
 def as_labels(value, what: str, n: int | None = None) -> np.ndarray:
-    """`value`, the class labels `what`, as an intp array: a 1-D array of
-    integers (never bools) in [0, N_CLASSES), `n` of them unless `n` is
-    None; anything else is a DomainError."""
-    arr = array_of(value, "iu")
-    if arr is not None and arr.ndim == 1 and n in (None, len(arr)) \
-            and np.all((arr >= 0) & (arr < N_CLASSES)):
-        return arr.astype(np.intp)
-    count = "" if n is None else f"{n} "
-    raise DomainError(f"{what} must be a 1-D array of {count}integers in [0, {N_CLASSES}), "
-                      f"got {' '.join(repr(value).split()):.80}")
+    """`value`, the class labels `what`, as an intp array: `errors.as_ints`
+    in [0, N_CLASSES), `n` of them unless `n` is None."""
+    return as_ints(value, what, ("n" if n is None else n,), 0, N_CLASSES)
 
 
 def _labels_of(p_h):
@@ -137,15 +130,12 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if (labels := array_of(self.labels, "iu")) is None:
-            # the label rule refuses them; an integer label outside the
-            # classes is left to its row check, which names the row
-            as_labels(self.labels, "labels")
         if (in_train := array_of(self.in_train, "b")) is None or in_train.ndim != 1:
             raise DomainError(f"in_train must be a 1-D array of bools, "
                               f"got {' '.join(repr(self.in_train).split()):.80}")
         for name, col in (("features", as_reals(self.features, "features", ("n", 4))),
-                          ("labels", labels.astype(np.intp, copy=False)),
+                          # unbounded: a label outside the classes is left to its row check
+                          ("labels", as_ints(self.labels, "labels", ("n",))),
                           ("params", as_reals(self.params, "params", ("n", 5))),
                           ("in_train", in_train)):
             col.setflags(write=False)
@@ -160,7 +150,8 @@ class Dataset:
         """The sidecar's `fixed` constants, read once before any row as one
         EngineParams of `_FIXED` keys; then vectorized row checks, where the
         first bad row raises its scalar error, tagged with its index as `row`."""
-        fixed = EngineParams(**json_object(self.meta.get("fixed", {}), "fixed", _FIXED))
+        meta = json_object(self.meta, "meta")
+        fixed = EngineParams(**json_object(meta.get("fixed", {}), "fixed", _FIXED))
         good = (np.isfinite(self.features).all(axis=1) & in_box(self.params)
                 & (self.labels == _labels_of(self.params[:, 4])))
         for i in np.flatnonzero(~good).tolist():

@@ -23,6 +23,9 @@ through `as_name`: a string among the names, else "<argument> must be one
 of <names>, got <value>". Every real array goes through `as_reals`: ints or
 floats, never bools, text or complex, shaped like ("n", 4), a name matching any
 length; else "<argument> must be an (n, 4) array of real numbers, got <value>".
+Every integer array goes through `as_ints`, its twin: integers, never bools, floats,
+text or objects, shaped alike, each in [lo, hi), as intp; else "<argument> must be an
+(n,) array of integers in [lo, hi), got <value>". Every flag goes through `as_flag`.
 """
 
 import functools
@@ -144,12 +147,22 @@ def as_name(value, what: str, names) -> str:
     raise DomainError(f"{what} must be one of {tuple(names)}, got {value!r:.80}")
 
 
+def as_flag(value, what: str) -> bool:
+    """`value`, the flag `what`, as a Python bool: a bool or numpy bool; else a DomainError."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise DomainError(f"{what} must be true or false, got {value!r:.80}")
+
+
 def array_of(value, kinds: str):
-    """`value` as an array whose dtype kind is in `kinds` ("iu": integers, never bools; "b": bools), or None."""
+    """`value` as an array whose dtype kind is in `kinds` ("iu": integers, never bools; "b": bools;
+    "U": text), or None. A listing of no entries is an empty array of the first kind."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting is no array
         return None
+    if arr.size == 0 and not isinstance(value, np.ndarray):
+        return arr.astype(bool if kinds == "b" else kinds[0])
     if arr.dtype.kind not in kinds:
         return None
     # numpy reads a bool among listed numbers as 0 or 1
@@ -158,16 +171,33 @@ def array_of(value, kinds: str):
     return None if any(type(c) in (bool, np.bool_) for c in listed) else arr
 
 
+def _array(value, what: str, shape: tuple, kinds: str, entries: str, test=None) -> np.ndarray:
+    """`value`, the array argument `what`, as `array_of(value, kinds)` whose shape matches
+    `shape`, a name matching any length, and which passes `test`; else a DomainError."""
+    arr = array_of(value, kinds)
+    if arr is not None and arr.ndim == len(shape) \
+            and all(type(want) is str or want == got for want, got in zip(shape, arr.shape)) \
+            and (test is None or test(arr)):
+        return arr
+    dims = str(shape).replace("'", "")  # ("n", 4) as (n, 4)
+    raise DomainError(f"{what} must be an {dims} array of {entries}, "
+                      f"got {' '.join(repr(value).split()):.80}")
+
+
 def as_reals(value, what: str, shape: tuple) -> np.ndarray:
     """`value`, the array argument `what`, as float64 (a float64 array is not copied): integers
     or floats whose shape matches `shape`, a name matching any length; else a DomainError."""
-    arr = array_of(value, "iuf")
-    if arr is not None and arr.ndim == len(shape) \
-            and all(type(want) is str or want == got for want, got in zip(shape, arr.shape)):
-        return arr.astype(float, copy=False)
-    dims = str(shape).replace("'", "")  # ("n", 4) as (n, 4)
-    raise DomainError(f"{what} must be an {dims} array of real numbers, "
-                      f"got {' '.join(repr(value).split()):.80}")
+    return _array(value, what, shape, "iuf", "real numbers").astype(float, copy=False)
+
+
+def as_ints(value, what: str, shape: tuple, lo: int | None = None, hi: int | None = None) -> np.ndarray:
+    """`value`, the array argument `what`, as intp: integers, never bools, whose shape matches
+    `shape` as in `as_reals`, each in [lo, hi) (unbounded where None); else a DomainError."""
+    intp = np.iinfo(np.intp)  # an unbounded end is intp's own, which every entry must fit
+    low, high = intp.min if lo is None else lo, intp.max if hi is None else hi - 1
+    span = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
+    return _array(value, what, shape, "iu", f"integers{span}",
+                  lambda arr: np.all((arr >= low) & (arr <= high))).astype(np.intp, copy=False)
 
 
 class StateError(ValidationError):

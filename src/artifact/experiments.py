@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DEFAULT_RANGES, Dataset, ParamRanges, as_range, generate
-from .errors import (DomainError, InfeasibleConstraintError, ValidationError, as_int, as_name,
-                     json_object)
+from .errors import (DomainError, InfeasibleConstraintError, ValidationError, as_int, as_ints,
+                     as_name, json_object)
 from .knn import (FEATURE_SUBSETS, KnnModel, SearchResult, fit, fold_splits,
                   kfold_accuracy, predict_proba_batch, random_search,
                   single_shot_accuracy, predict_batch)
@@ -49,7 +49,7 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "pair12", as_name(self.pair12, "pair12", PAIR_RELATIONS))
         object.__setattr__(self, "pair34", as_name(self.pair34, "pair34", PAIR_RELATIONS + ("absent",)))
-        object.__setattr__(self, "n", as_int(self.n, "n", 1))
+        object.__setattr__(self, "n", as_int(self.n, "n", 1, 2**32))
         object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
         if type(self.ranges) not in (list, tuple) or len(self.ranges) != 4:
             raise DomainError(f"ranges must be 4 [lo, hi] pairs, got {self.ranges!r:.80}")
@@ -204,7 +204,7 @@ def run_size_sweep(sizes, mapping: str = "f1", seed: int = 0,
                    ranges: ParamRanges = DEFAULT_RANGES, folds: int = 5) -> list:
     """Default-hyperparameter k-fold accuracy at each dataset size,
     with the tree baseline on the same folds."""
-    sizes = [as_int(s, "sizes entry", 1) for s in sizes]
+    sizes = as_ints(sizes, "sizes", ("n",), 1).tolist()
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DomainError(f"sizes must be non-empty and strictly ascending, got {sizes}")
     subset = _subset(mapping)

@@ -65,7 +65,8 @@ import numpy as np
 
 from . import workers
 from .data import N_CLASSES, as_labels
-from .errors import DomainError, StateError, ValidationError, as_int, as_name, as_reals, json_object
+from .errors import (DomainError, StateError, ValidationError, array_of, as_flag, as_int, as_ints,
+                     as_name, as_reals, json_object)
 from .metrics import accuracy, confusion_matrix, percent_correct
 
 WEIGHTINGS = ("uniform", "distance")
@@ -116,9 +117,12 @@ class HyperSpace:
     metrics: tuple = DISTANCE_METRICS
 
     def __post_init__(self):
-        object.__setattr__(self, "k_range", tuple(as_int(k, "k_range entry", 1) for k in self.k_range))
+        object.__setattr__(self, "k_range", tuple(as_ints(self.k_range, "k_range", ("n",), 1).tolist()))
         for name, names in (("weightings", WEIGHTINGS), ("metrics", DISTANCE_METRICS)):
-            object.__setattr__(self, name, tuple(as_name(v, f"{name} entry", names) for v in getattr(self, name)))
+            value = getattr(self, name)
+            if (entries := array_of(value, "U")) is None or entries.ndim != 1:
+                raise DomainError(f"{name} must be a 1-D array of names, got {value!r:.80}")
+            object.__setattr__(self, name, tuple(as_name(v, f"{name} entry", names) for v in value))
         for name in ("k_range", "weightings", "metrics"):
             entries = getattr(self, name)
             if not entries or len(set(entries)) != len(entries):
@@ -153,10 +157,10 @@ class KnnModel:
         object.__setattr__(self, "k", as_int(self.k, "k", 1, n + 1))
         object.__setattr__(self, "weighting", as_name(self.weighting, "weighting", WEIGHTINGS))
         object.__setattr__(self, "metric", as_name(self.metric, "metric", DISTANCE_METRICS))
+        object.__setattr__(self, "feature_subset",
+                           tuple(as_ints(self.feature_subset, "feature_subset", ("n",), 0).tolist()))
         if not self.feature_subset:
             raise ValidationError("feature subset must not be empty")
-        object.__setattr__(self, "feature_subset",
-                           tuple(as_int(j, "feature_subset entry", 0) for j in self.feature_subset))
         if self.features.shape[1] != len(self.feature_subset):
             raise ValidationError("feature matrix width must match the feature subset")
         object.__setattr__(self, "labels", as_labels(self.labels, "labels", n))
@@ -213,12 +217,11 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
     `zscore` standardizes columns (constant columns are left unscaled).
     """
     features = as_reals(features, "features", ("n", "w"))
-    if feature_subset is None:
-        feature_subset = tuple(range(features.shape[1]))
-    feature_subset = tuple(as_int(j, "feature_subset entry", 0, features.shape[1])
-                           for j in feature_subset)
+    width = features.shape[1]
+    feature_subset = tuple(as_ints(range(width) if feature_subset is None else feature_subset,
+                                   "feature_subset", ("n",), 0, width).tolist())
     sub = np.ascontiguousarray(features[:, feature_subset])
-    if zscore:
+    if as_flag(zscore, "zscore"):
         # columns whose sums pass the float range give a shift or scale
         # that is not finite, which the model refuses
         with np.errstate(over="ignore", invalid="ignore"):
@@ -642,8 +645,7 @@ def _model_array(doc: dict, name: str) -> np.ndarray:
     dtype, shape, data = arr["dtype"], arr["shape"], arr["data"]
     if dtype != want:
         raise ValidationError(f"{name} dtype must be {want!r}, got {dtype!r:.80}")
-    if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
-        raise ValidationError(f"{name} shape must be a list of non-negative integers, got {shape!r:.80}")
+    shape = as_ints(shape, f"{name} shape", ("n",), 0).tolist()
     if type(data) is not str:
         raise ValidationError(f"{name} data must be a base64 string, got {type(data).__name__}")
     try:
@@ -670,7 +672,7 @@ def model_from_json(text: str) -> KnnModel:
             k=doc["k"],
             weighting=doc["weighting"],
             metric=doc["metric"],
-            feature_subset=tuple(doc["feature_subset"]),
+            feature_subset=doc["feature_subset"],
             shift=_model_array(doc, "shift"),
             scale=_model_array(doc, "scale"),
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import N_CLASSES, as_labels
-from .errors import DomainError, array_of
+from .errors import DomainError, as_ints
 
 
 def confusion_matrix(predicted, true) -> np.ndarray:
@@ -29,14 +29,6 @@ def confusion_matrix(predicted, true) -> np.ndarray:
     return chi
 
 
-def _check(chi) -> np.ndarray:
-    arr = array_of(chi, "iu")
-    if arr is None or arr.shape != (N_CLASSES, N_CLASSES) or np.any(arr < 0):
-        raise DomainError(f"confusion matrix must be an ({N_CLASSES}, {N_CLASSES}) array of "
-                          f"non-negative integers, got {' '.join(repr(chi).split()):.80}")
-    return arr
-
-
 def percent_correct(correct, total):
     """correct / total in percent, elementwise: every accuracy's one rounding."""
     return correct / total * 100.0
@@ -44,7 +36,7 @@ def percent_correct(correct, total):
 
 def accuracy(chi) -> float:
     """Diagonal mass over total mass, as a percentage."""
-    chi = _check(chi)
+    chi = as_ints(chi, "confusion matrix", (N_CLASSES, N_CLASSES), 0)
     total = int(chi.sum())
     if total == 0:
         raise DomainError("confusion matrix is empty")
@@ -66,7 +58,7 @@ def class_metrics(chi) -> np.ndarray:
     column, fn the rest of the row and tn everything outside row k and
     column k.
     """
-    chi = _check(chi)
+    chi = as_ints(chi, "confusion matrix", (N_CLASSES, N_CLASSES), 0)
     diag = np.diag(chi)
     col = chi.sum(axis=0)
     row = chi.sum(axis=1)
@@ -84,7 +76,7 @@ def class_metrics(chi) -> np.ndarray:
 
 def render_confusion(chi) -> str:
     """Plain-text grid, predicted classes down the side."""
-    chi = _check(chi)
+    chi = as_ints(chi, "confusion matrix", (N_CLASSES, N_CLASSES), 0)
     width = max(5, len(str(int(chi.max()))) + 1)
     head = "pred\\true" + "".join(f"{n:>{width}}" for n in range(N_CLASSES))
     lines = [head]

@@ -1,11 +1,18 @@
+import functools
+import io
 import json
+import math
+import operator
 import runpy
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import artifact
 from artifact.cli import main
@@ -296,6 +303,17 @@ def test_exit_code_numerical(workdir, tmp_path, capsys):
     assert "acceptance rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair12", ["equal", "less"])
+def test_scenario_of_too_many_rows_exits_2(workdir, tmp_path, capsys, pair12):
+    # "equal" raised a raw ValueError from numpy, and "less" drew until the
+    # memory ran out
+    scen = tmp_path / "big.json"
+    scen.write_text(json.dumps({"pair12": pair12, "n": 10**400}))
+    assert run("--out", str(tmp_path), "apply", "--model", str(workdir / "model-f3.json"),
+               "--scenario", str(scen)) == 2
+    assert capsys.readouterr().err == f"error: n must be an integer in [1, {2**32}), got {10**400!r:.80}\n"
+
+
 def test_argparse_rejects_unknown_mapping(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         run("train", "--data", str(workdir / "dataset.csv"), "--mapping", "f9")
@@ -474,7 +492,7 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
 
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda doc: reencode(doc, "labels", lambda a: a[:-1]),
-                 "labels must be a 1-D array of 210 integers in [0, 4)", id="length-mismatch"),
+                 "labels must be an (210,) array of integers in [0, 4)", id="length-mismatch"),
     pytest.param(lambda doc: reencode(doc, "features", put((0, 0), np.nan)),
                  "training features must be finite", id="nan-feature"),
     pytest.param(lambda doc: reencode(doc, "features", put((1, 1), np.inf)),
@@ -486,23 +504,24 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     pytest.param(lambda doc: reencode(doc, "scale", lambda a: a[:-1]),
                  "shift and scale must hold 2 entries", id="scale-width"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [0, 9]),
-                 "exceeds the dataset's", id="subset-beyond-width"),
+                 "model feature_subset must be an (n,) array of integers in [0, 4), got (0, 9)",
+                 id="subset-beyond-width"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [0]),
                  "feature matrix width must match", id="subset-narrower"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [-1, -1]),
-                 "feature_subset entry must be an integer >= 0, got -1", id="subset-negative"),
+                 "feature_subset must be an (n,) array of integers >= 0, got [-1, -1]", id="subset-negative"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
-                 "feature_subset entry must be an integer >= 0, got 0.5", id="subset-fraction"),
+                 "feature_subset must be an (n,) array of integers >= 0, got [0.5, 1]", id="subset-fraction"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", 2),
-                 "malformed model document", id="subset-not-a-list"),
+                 "feature_subset must be an (n,) array of integers >= 0, got 2", id="subset-not-a-list"),
     pytest.param(lambda doc: reencode(doc, "labels", lambda a: a + 0.5, "<f8"),
                  "labels dtype must be '|i1', got '<f8'", id="label-fraction"),
     pytest.param(lambda doc: reencode(doc, "labels", lambda a: a.astype(np.int64) + 2**40, "<i8"),
                  "labels dtype must be '|i1', got '<i8'", id="label-overflow"),
     pytest.param(lambda doc: reencode(doc, "labels", put(0, 4)),
-                 "labels must be a 1-D array of 210 integers in [0, 4)", id="label-beyond-classes"),
+                 "labels must be an (210,) array of integers in [0, 4)", id="label-beyond-classes"),
     pytest.param(lambda doc: reencode(doc, "labels", put(1, -1)),
-                 "labels must be a 1-D array of 210 integers in [0, 4)", id="label-negative"),
+                 "labels must be an (210,) array of integers in [0, 4)", id="label-negative"),
     pytest.param(lambda doc: reencode(doc, "scale", lambda a: a != 0.0),
                  "scale dtype must be '<f8', got '|b1'", id="bool-scale"),
     pytest.param(lambda doc: reencode(doc, "shift", lambda a: a.astype(str)),
@@ -516,13 +535,13 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     pytest.param(lambda doc: reencode(doc, "features", np.ravel),
                  "features must be an (n, w) array of real numbers, got array([", id="flat-features"),
     pytest.param(lambda doc: doc["features"].__setitem__("shape", [-1, 2]),
-                 "features shape must be a list of non-negative integers", id="shape-negative"),
+                 "features shape must be an (n,) array of integers >= 0, got [-1, 2]", id="shape-negative"),
     pytest.param(lambda doc: doc["labels"].__setitem__("shape", [True]),
-                 "labels shape must be a list of non-negative integers", id="shape-bool"),
+                 "labels shape must be an (n,) array of integers >= 0, got [True]", id="shape-bool"),
     pytest.param(lambda doc: doc["shift"].__setitem__("shape", [2.0]),
-                 "shift shape must be a list of non-negative integers", id="shape-fraction"),
+                 "shift shape must be an (n,) array of integers >= 0, got [2.0]", id="shape-fraction"),
     pytest.param(lambda doc: doc["scale"].__setitem__("shape", 2),
-                 "scale shape must be a list of non-negative integers", id="shape-not-a-list"),
+                 "scale shape must be an (n,) array of integers >= 0, got 2", id="shape-not-a-list"),
     pytest.param(lambda doc: doc["features"].__setitem__("data", decode(doc, "features").tolist()),
                  "features data must be a base64 string, got list", id="string-features"),
     pytest.param(lambda doc: doc["scale"].__setitem__("data", 1.0),
@@ -643,3 +662,132 @@ def test_apply_rejects_model_without_json_numbers(workdir, tmp_path, capsys, nam
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} data ") and "base64" in captured.err
+
+
+# --- every mutated input document exits 0, 2 or 3 -------------------------------
+
+# What a mutation puts in a JSON document, and in a CSV cell.
+_ODD_VALUES = [None, True, False, "1", [1], {"k": 1}, 1e308, -0.0, math.nan, math.inf, -math.inf, 10**400]
+_ODD_CELLS = ["", "x", "true", "null", "1e308", "-0.0", "nan", "inf", "-inf", "1" + "0" * 400]
+
+# Per command: its arguments, "{name}" standing for the path of input
+# `name`, and the inputs it reads besides the config. Every size is small:
+# a run takes milliseconds.
+_COMMANDS = {
+    "gen-data": (["gen-data", "--n", "40"], ()),
+    "train": (["train", "--data", "{csv}", "--mapping", "f1", "--k", "3"], ("csv", "sidecar")),
+    "tune": (["tune", "--data", "{csv}", "--mapping", "f2", "--n-iter", "3"], ("csv", "sidecar")),
+    "evaluate": (["evaluate", "--model", "{model}", "--data", "{csv}"], ("model", "csv", "sidecar")),
+    "apply": (["apply", "--model", "{model}", "--scenario", "{scenario}"], ("model", "scenario")),
+    "sweep": (["sweep", "--mapping", "f3", "--sizes", "40,60"], ()),
+    "oracle-check": (["oracle-check", "--draws", "1", "--t-final", "10", "--n-traj", "4"], ()),
+}
+_FILES = {"config": "cfg.json", "csv": "dataset.csv", "sidecar": "dataset.meta.json",
+          "model": "model.json", "scenario": "scenario.json"}
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """Valid inputs of every command: a config, a 40-row dataset CSV and its
+    sidecar, a model trained on it and a scenario."""
+    root = tmp_path_factory.mktemp("documents")
+    assert run("--seed", "2", "--out", str(root), "gen-data", "--n", "40") == 0
+    assert run("--out", str(root), "train", "--data", str(root / "dataset.csv"),
+               "--mapping", "f1", "--k", "3") == 0
+    return {
+        "config": {"ranges": {"t_c": [0.5, 2.0]}, "train_frac": 0.6, "zscore": True, "folds": 3,
+                   "space": {"k_range": [1, 3], "weightings": ["uniform", "distance"],
+                             "metrics": ["euclidean"]}},
+        "csv": (root / "dataset.csv").read_text(),
+        "sidecar": json.loads((root / "dataset.meta.json").read_text()),
+        "model": json.loads((root / "model-f1.json").read_text()),
+        "scenario": {"pair12": "less", "pair34": "greater", "n": 60,
+                     "ranges": [[0.9, 1.0], [0.9, 1.0], [0.8, 1.0], [0.8, 1.0]], "seed": 3},
+    }
+
+
+def _paths(doc, path=()):
+    """The path of every value of the JSON value `doc`, itself included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _mutate_json(data, doc):
+    """`doc` with one value replaced by one of another JSON type or an odd
+    number, or one key of an object dropped or added."""
+    doc = json.loads(json.dumps(doc))
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    node = functools.reduce(operator.getitem, path, doc)
+    action = data.draw(st.sampled_from(["replace", "drop", "add"] if isinstance(node, dict) else ["replace"]),
+                       label="action")
+    if action == "drop" and node:
+        del node[data.draw(st.sampled_from(sorted(node)), label="key")]
+    elif action == "add":
+        node[data.draw(st.sampled_from(["extra", ""]), label="key")] = data.draw(st.sampled_from(_ODD_VALUES))
+    elif path:
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = data.draw(st.sampled_from(_ODD_VALUES))
+    else:
+        doc = data.draw(st.sampled_from(_ODD_VALUES), label="document")
+    return doc
+
+
+def _mutate_csv(data, text):
+    """`text` with one cell of one line, the header's too, replaced by an
+    odd cell, dropped, or followed by one more cell."""
+    lines = text.split("\n")
+    i = data.draw(st.integers(0, len(lines) - 2), label="line")
+    cells = lines[i].split(",")
+    j = data.draw(st.integers(0, len(cells) - 1), label="cell")
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]), label="action")
+    cell = data.draw(st.sampled_from(_ODD_CELLS), label="odd cell")
+    cells[j:j + 1] = {"replace": [cell], "drop": [], "add": [cells[j], cell]}[action]
+    lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _cli_run(argv, out):
+    """(exit code, stdout with `out` as OUT, stderr, {file: bytes} written to
+    `out`, each sidecar without its timestamp) of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["--seed", "3", "--out", str(out), *argv])
+    files = {}
+    for path in sorted(out.iterdir()) if out.exists() else ():
+        if path.name.endswith(".meta.json"):
+            files[path.name] = {**json.loads(path.read_text()), "generated_at": None}
+        else:
+            files[path.name] = path.read_bytes()
+    return code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files
+
+
+@pytest.mark.filterwarnings("always::UserWarning")  # shown on stderr, as outside the tests
+@seed(33)
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_exit_0_2_or_3(tmp_path_factory, documents, data):
+    """A valid config, dataset, sidecar, model and scenario, one or two of
+    them mutated, given to a command that reads them: it exits 0, 2 or 3
+    and raises nothing. A refusal is one `error:` line on stderr, after any
+    warnings; an accepted input gives the same output again."""
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+    argv, reads = _COMMANDS[command]
+    docs = dict(documents)
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        name = data.draw(st.sampled_from(["config", *reads]), label="input")
+        docs[name] = (_mutate_csv if name == "csv" else _mutate_json)(data, docs[name])
+    root = tmp_path_factory.mktemp("mutated")
+    for name, file in _FILES.items():
+        (root / file).write_text(docs[name] if name == "csv" else json.dumps(docs[name]))
+    argv = ["--config", str(root / "cfg.json"), *(a.format(**{k: root / f for k, f in _FILES.items()})
+                                                  for a in argv)]
+    code, out, err, files = _cli_run(argv, root / "out")
+    assert code in (0, 2, 3), err
+    lines = err.splitlines()
+    assert all(line.startswith("warning: ") for line in lines[:-1]), err
+    if code:
+        assert err.endswith("\n") and lines[-1].startswith("error: "), err
+    else:
+        assert not lines or lines[-1].startswith("warning: "), err
+        assert _cli_run(argv, root / "again") == (code, out, err, files)

@@ -1,9 +1,12 @@
 """The one integer rule, `errors.as_int`, at every count, seed and index
 argument, the one real-number rule, `errors.as_real`, at every real
 argument, the one range rule, `data.as_range`, at every [lo, hi] range,
-the one label rule, `data.as_labels`, at every array of class labels,
 the one array rule, `errors.as_reals`, at every array of real numbers,
-and the one name rule, `errors.as_name`, at every choice of a name."""
+its integer twin, `errors.as_ints`, at every array of integers (class
+labels through `data.as_labels`, a confusion matrix, a k range, a
+feature subset, sweep sizes, a model array's shape), the one flag rule,
+`errors.as_flag`, at every on/off setting, and the one name rule,
+`errors.as_name`, at every choice of a name."""
 
 import json
 import math
@@ -17,7 +20,7 @@ from artifact.counting import exchange_moment_ratios_batch
 from artifact.data import Dataset, ParamRanges, generate, write_csv
 from artifact.engine import (GENERATOR_VARIANTS, EngineParams, bose_occupations, build_generator,
                              build_generators)
-from artifact.errors import DomainError, as_reals
+from artifact.errors import DomainError, ParseError, as_reals
 from artifact.experiments import (DEFAULT_SCENARIO_RANGES, PAIR_RELATIONS, ScenarioSpec,
                                   run_size_sweep, scenario_suite)
 from artifact.knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, KnnModel,
@@ -43,22 +46,27 @@ ARGUMENTS = {
     "simulate-seed": ("seed", 0, None, 7, lambda v: simulate(PROC, 10.0, 4, v)),
     "simulate-n_traj": ("n_traj", 3, None, 4, lambda v: simulate(PROC, 10.0, v, 1)),
     "check_run-n_traj": ("n_traj", 3, None, 4, lambda v: check_run(10.0, v)),
-    "HyperSpace-k_range": ("k_range entry", 1, None, 3, lambda v: HyperSpace(k_range=(v,)).k_range),
     "KnnModel-k": ("k", 1, 41, 3, lambda v: KnnModel(**{**MODEL, "k": v}).k),
-    "KnnModel-feature_subset": ("feature_subset entry", 0, None, 2,
-                                lambda v: KnnModel(**{**MODEL, "feature_subset": (0, 1, v, 3)}).feature_subset),
-    "fit-feature_subset": ("feature_subset entry", 0, 4, 2,
-                           lambda v: fit(X, Y, feature_subset=(0, v)).feature_subset),
     "random_search-n_iter": ("n_iter", 1, None, 3, lambda v: random_search(X, Y, SPACE, n_iter=v)),
     "random_search-seed": ("seed", 0, None, 3, lambda v: random_search(X, Y, SPACE, n_iter=2, seed=v)),
     "random_search-folds": ("folds", 2, None, 3, lambda v: random_search(X, Y, SPACE, n_iter=2, folds=v)),
     "fold_splits-folds": ("folds", 2, None, 3, lambda v: fold_splits(40, v, 0)),
     "fold_splits-seed": ("seed", 0, None, 3, lambda v: fold_splits(40, 3, v)),
-    "ScenarioSpec-n": ("n", 1, None, 5, lambda v: ScenarioSpec("equal", n=v).n),
+    "ScenarioSpec-n": ("n", 1, 2**32, 5, lambda v: ScenarioSpec("equal", n=v).n),
     "ScenarioSpec-seed": ("seed", 0, None, 5, lambda v: ScenarioSpec("equal", seed=v).seed),
-    "run_size_sweep-sizes": ("sizes entry", 1, None, 60,
-                             lambda v: run_size_sweep([v], mapping="f3")[0]["n"]),
     "config-folds": ("config key 'folds'", 2, None, 3, _CONFIG["folds"][1]),
+}
+
+# (array as the message names it, lo, hi or None, a valid list, call),
+# with `call` as in ARGUMENTS: the arrays of integers that are kept as a
+# tuple or list of Python ints.
+INTEGERS = {
+    "HyperSpace-k_range": ("k_range", 1, None, [1, 3], lambda v: HyperSpace(k_range=v).k_range),
+    "KnnModel-feature_subset": ("feature_subset", 0, None, [0, 1, 2, 3],
+                                lambda v: KnnModel(**{**MODEL, "feature_subset": v}).feature_subset),
+    "fit-feature_subset": ("feature_subset", 0, 4, [0, 2], lambda v: fit(X, Y, feature_subset=v).feature_subset),
+    "run_size_sweep-sizes": ("sizes", 1, None, [60],
+                             lambda v: [row["n"] for row in run_size_sweep(v, mapping="f3")]),
 }
 
 # (argument as the message names it, its interval, a valid value, call),
@@ -117,7 +125,7 @@ ROWS = dict(features=np.arange(16.0).reshape(4, 4) + 1.0, labels=np.array([0, 3,
 
 # (array as the message names it, its shape as the message prints it, a
 # valid value, call), with `call` as in ARGUMENTS. The confusion matrix is
-# the one array of integers: its message names "non-negative integers".
+# an array of integers: its message names "integers >= 0".
 ARRAYS = {
     "fit-features": ("features", "(n, w)", X_INT, lambda v: fit(v, Y, k=3, zscore=True)),
     "KnnModel-features": ("features", "(n, w)", X_INT,
@@ -180,21 +188,41 @@ def _refused_real(what, span, call, bad):
     assert err.value.exit_code == 2
 
 
+def _span(lo, hi):
+    return f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+
+
+def _integers_message(what, lo, hi, bad):
+    return f"{what} must be an (n,) array of integers {_span(lo, hi)}, got {' '.join(repr(bad).split()):.80}"
+
+
+def _last_entry(call, valid):
+    """`call` of an INTEGERS row with its argument's last entry given."""
+    return lambda v: call([*valid[:-1], v])
+
+
 def _refusals():
+    """A fraction, a bool, None, text, lo - 1 and hi: as the argument, or as
+    the last entry of a valid integer array."""
     for name, (what, lo, hi, _, call) in ARGUMENTS.items():
         for bad in (2.5, True, None, "3", lo - 1) + (() if hi is None else (hi,)):
-            yield pytest.param(what, lo, hi, call, bad, id=f"{name}-{bad!r}")
+            message = f"{what} must be an integer {_span(lo, hi)}, got {bad!r}"
+            yield pytest.param(message, call, bad, id=f"{name}-{bad!r}")
+    for name, (what, lo, hi, valid, call) in INTEGERS.items():
+        for bad in (2.5, True, None, "3", lo - 1) + (() if hi is None else (hi,)):
+            message = _integers_message(what, lo, hi, [*valid[:-1], bad])
+            yield pytest.param(message, _last_entry(call, valid), bad, id=f"{name}-{bad!r}")
 
 
-@pytest.mark.parametrize("what, lo, hi, call, bad", _refusals())
-def test_refused_with_one_message(what, lo, hi, call, bad):
-    span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-    with pytest.raises(DomainError, match=f"^{re.escape(f'{what} must be an integer {span}, got {bad!r}')}$") as err:
+@pytest.mark.parametrize("message, call, bad", _refusals())
+def test_refused_with_one_message(message, call, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         call(bad)
     assert err.value.exit_code == 2
 
 
-@pytest.mark.parametrize("call, valid", [pytest.param(v[4], v[3], id=k) for k, v in ARGUMENTS.items()])
+@pytest.mark.parametrize("call, valid", [pytest.param(v[4], v[3], id=k) for k, v in ARGUMENTS.items()]
+                         + [pytest.param(_last_entry(v[4], v[3]), v[3][-1], id=k) for k, v in INTEGERS.items()])
 def test_numpy_integer_is_a_python_int(call, valid):
     # equal reprs: the same result, with a Python int wherever the
     # argument is stored (a numpy integer would print as np.int64(...))
@@ -218,14 +246,14 @@ def test_kfold_accuracy_refuses_fractional_folds():
 
 
 def test_fit_refuses_fractional_and_boolean_columns():
-    with pytest.raises(DomainError, match=re.escape("feature_subset entry must be an integer in [0, 4), got 1.9")):
+    with pytest.raises(DomainError, match=re.escape("feature_subset must be an (n,) array of integers in [0, 4), got (1.9, True)")):
         fit(X, Y, k=3, feature_subset=(1.9, True))
-    with pytest.raises(DomainError, match=re.escape("feature_subset entry must be an integer in [0, 4), got True")):
+    with pytest.raises(DomainError, match=re.escape("feature_subset must be an (n,) array of integers in [0, 4), got (1, True)")):
         fit(X, Y, k=3, feature_subset=(1, True))
 
 
 def test_run_size_sweep_refuses_fractional_sizes():
-    with pytest.raises(DomainError, match=re.escape("sizes entry must be an integer >= 1, got 200.7")):
+    with pytest.raises(DomainError, match=re.escape("sizes must be an (n,) array of integers >= 1, got [200.7, 400.2]")):
         run_size_sweep([200.7, 400.2])
 
 
@@ -244,6 +272,75 @@ def test_random_search_and_fold_splits_refuse_a_negative_seed():
 def test_random_search_refuses_fractional_n_iter():
     with pytest.raises(DomainError, match=re.escape("n_iter must be an integer >= 1, got 2.5")):
         random_search(X, Y, SPACE, n_iter=2.5)
+
+
+# --- arrays of integers --------------------------------------------------------
+
+def _integer_array_refusals():
+    """Values that are no sequence of integers (its entries are refused in
+    `test_refused_with_one_message`): a bare integer, a dict, a set, a
+    generator, text, one dimension more, a float array and a bool array."""
+    for name, (what, lo, hi, valid, call) in INTEGERS.items():
+        wholes = {"scalar": valid[0], "dict": dict.fromkeys(valid, 0), "set": set(valid),
+                  "generator": (v for v in valid), "text": "".join(map(str, valid)), "2-D": [valid],
+                  "float-array": np.array(valid, dtype=float), "bool-array": np.array(valid) > 0}
+        for key, bad in wholes.items():
+            yield pytest.param(_integers_message(what, lo, hi, bad), call, bad, id=f"{name}-{key}")
+
+
+@pytest.mark.parametrize("message, call, bad", _integer_array_refusals())
+def test_integer_arrays_refused_with_one_message(message, call, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+        call(bad)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("call, valid", [pytest.param(v[4], v[3], id=k) for k, v in INTEGERS.items()])
+def test_integer_array_forms_give_python_ints(call, valid):
+    # equal reprs: the same Python ints (a numpy integer would print as
+    # np.int64(...)), whichever form the integers come in
+    want = repr(call(valid))
+    assert all(type(v) is int for v in call(valid))
+    for given in (tuple(valid), np.array(valid, dtype=np.int32), np.asfortranarray(valid),
+                  np.array(valid, dtype=np.uint8), [np.int64(v) for v in valid]):
+        assert repr(call(given)) == want
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HyperSpace(k_range=5), "k_range must be an (n,) array of integers >= 1, got 5"),
+    (lambda: fit(X, Y, feature_subset=3), "feature_subset must be an (n,) array of integers in [0, 4), got 3"),
+    (lambda: KnnModel(**{**MODEL, "feature_subset": 5}),
+     "feature_subset must be an (n,) array of integers >= 0, got 5"),
+    (lambda: run_size_sweep(5), "sizes must be an (n,) array of integers >= 1, got 5"),
+    (lambda: HyperSpace(k_range={3: 0}), "k_range must be an (n,) array of integers >= 1, got {3: 0}"),
+    (lambda: fit(X, Y, feature_subset={0: 1, 1: 1}),
+     "feature_subset must be an (n,) array of integers in [0, 4), got {0: 1, 1: 1}"),
+    (lambda: run_size_sweep({300: 0}), "sizes must be an (n,) array of integers >= 1, got {300: 0}"),
+], ids=["k_range-int", "fit-subset-int", "KnnModel-subset-int", "sizes-int", "k_range-dict",
+        "fit-subset-dict", "sizes-dict"])
+def test_probed_integer_array_defects_exit_2(call, message):
+    # a bare integer raised a raw TypeError, and a dict was read as its keys,
+    # before the integer-array rule
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert err.value.exit_code == 2
+
+
+# --- flags ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", ["no", 1, 0, None, [True]])
+def test_zscore_is_a_flag(bad):
+    # a truthy "no" or 1 z-scored and a falsy 0 or None did not, with no refusal
+    message = f"zscore must be true or false, got {bad!r}"
+    for call in (lambda: fit(X, Y, k=3, zscore=bad), lambda: random_search(X, Y, SPACE, n_iter=2, zscore=bad)):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+            call()
+        assert err.value.exit_code == 2
+
+
+def test_zscore_takes_numpy_bools():
+    for flag in (True, False):
+        assert fit(X, Y, zscore=np.bool_(flag)).shift.tobytes() == fit(X, Y, zscore=flag).shift.tobytes()
 
 
 # --- real-number arguments ----------------------------------------------------
@@ -372,9 +469,8 @@ def _label_refusals():
 
 @pytest.mark.parametrize("what, n, call, bad", _label_refusals())
 def test_labels_refused_with_one_message(what, n, call, bad):
-    count = "" if n is None else f"{n} "
     brief = " ".join(repr(bad).split())
-    message = f"{what} must be a 1-D array of {count}integers in [0, 4), got {brief:.80}"
+    message = f"{what} must be an ({'n' if n is None else n},) array of integers in [0, 4), got {brief:.80}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         call(bad)
     assert err.value.exit_code == 2
@@ -395,9 +491,18 @@ def test_dataset_refuses_labels_that_are_no_integers(make):
     ds = generate(20, seed=1)
     bad = make(ds.labels)
     brief = " ".join(repr(bad).split())
-    message = f"labels must be a 1-D array of integers in [0, 4), got {brief:.80}"
+    message = f"labels must be an (n,) array of integers, got {brief:.80}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         Dataset(ds.features, bad, ds.params, ds.in_train, ds.meta)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("meta", [[1], None, "fixed", 3])
+def test_dataset_refuses_a_meta_that_is_no_object(meta):
+    # each raised a raw AttributeError from the row check
+    ds = generate(20, seed=1)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'meta must be a JSON object, got {meta!r}')}$") as err:
+        Dataset(ds.features, ds.labels, ds.params, ds.in_train, meta)
     assert err.value.exit_code == 2
 
 
@@ -424,7 +529,7 @@ def test_dataset_takes_a_split_column_of_bools():
 # --- arrays of real numbers -----------------------------------------------------
 
 def _refused_array(what, dims, call, bad):
-    kind = "non-negative integers" if what == "confusion matrix" else "real numbers"
+    kind = "integers >= 0" if what == "confusion matrix" else "real numbers"
     message = f"{what} must be an {dims} array of {kind}, got {' '.join(repr(bad).split()):.80}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         call(bad)
@@ -476,7 +581,7 @@ def test_array_forms_give_the_same_bits(valid, call):
     # integers, float32 (reals) or narrow integers (the confusion matrix),
     # nested lists and Fortran order give the C-ordered result bit for bit
     want = _bits(call(valid))
-    numbers = (np.int64, np.float32) if valid.dtype == float else (np.int8, np.uint16)
+    numbers = (np.int64, np.float32) if valid.dtype == float else (np.int8, np.int32, np.uint16)
     for given in (*(valid.astype(t) for t in numbers), valid.tolist(), np.asfortranarray(valid)):
         assert _bits(call(given)) == want
 
@@ -519,16 +624,32 @@ def test_probed_array_defects_exit_2(call, what, dims, bad):
 # --- names ----------------------------------------------------------------------
 
 def _name_refusals():
-    """A wrong name, a case variant of a valid one, and non-strings."""
+    """A wrong name, a case variant of a valid one, and non-strings; an
+    entry of a sequence of names that is no string makes it no array of
+    names (`call` puts the entry in a 1-tuple)."""
     for key, (what, names, valid, call) in NAMES.items():
         for bad in ("bogus", valid.upper(), valid.title(), 1, None, True, [valid], (valid,)):
-            yield pytest.param(what, names, call, bad, id=f"{key}-{bad!r}")
+            message = f"{what} must be one of {names}, got {bad!r}"
+            if what.endswith(" entry") and not isinstance(bad, str):
+                message = f"{what.removesuffix(' entry')} must be a 1-D array of names, got {(bad,)!r}"
+            yield pytest.param(message, call, bad, id=f"{key}-{bad!r}")
 
 
-@pytest.mark.parametrize("what, names, call, bad", _name_refusals())
-def test_name_refused_with_one_message(what, names, call, bad):
-    with pytest.raises(DomainError, match=f"^{re.escape(f'{what} must be one of {names}, got {bad!r}')}$") as err:
+@pytest.mark.parametrize("message, call, bad", _name_refusals())
+def test_name_refused_with_one_message(message, call, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         call(bad)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("field, bad", [("weightings", 5), ("weightings", {"uniform": 1}),
+                                        ("metrics", "euclidean"), ("metrics", {"euclidean"})],
+                         ids=["int", "dict", "one-name", "set"])
+def test_hyperspace_names_are_a_sequence(field, bad):
+    # an int raised a raw TypeError, a dict or set was read as its keys, and
+    # one name was read per character
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{field} must be a 1-D array of names, got {bad!r}')}$") as err:
+        HyperSpace(**{field: bad})
     assert err.value.exit_code == 2
 
 

@@ -236,12 +236,12 @@ def test_single_shot_accuracy():
     assert single_shot_accuracy(model, train_x, np.array([0, 1, 2, 2])) == 75.0
     assert single_shot_accuracy(model, train_x, train_y) == 100.0
     # the refusals are the confusion matrix's
-    with pytest.raises(DomainError, match=re.escape("true classes must be a 1-D array of 4 integers")):
+    with pytest.raises(DomainError, match=re.escape("true classes must be an (4,) array of integers")):
         single_shot_accuracy(model, train_x, train_y[:3])
     with pytest.raises(DomainError, match="zero samples"):
         single_shot_accuracy(model, np.zeros((0, 4)), np.zeros(0, dtype=int))
     # a label outside the classes is refused, not scored as a miss
-    with pytest.raises(DomainError, match=re.escape("true classes must be a 1-D array of 4 integers in [0, 4), "
+    with pytest.raises(DomainError, match=re.escape("true classes must be an (4,) array of integers in [0, 4), "
                                                     "got array([0, 1, 2, 7])")):
         single_shot_accuracy(model, train_x, np.array([0, 1, 2, 7]))
 
@@ -935,7 +935,7 @@ def test_model_from_json_rejects_garbage():
                 f"model {name} must be a JSON object", ParseError)
         for shape in ([-1], [True, 3], [1.5], "3", None, [[3]]):
             refused(lambda d: d[name].__setitem__("shape", shape),
-                    f"{name} shape must be a list of non-negative integers")
+                    re.escape(f"{name} shape must be an (n,) array of integers >= 0, got {shape!r}"))
         for data in (3, None, True, ["AAAA"]):
             refused(lambda d: d[name].__setitem__("data", data), f"{name} data must be a base64 string")
         # stray characters, whitespace included, and bad padding
@@ -952,9 +952,12 @@ def test_model_from_json_rejects_garbage():
     # labels within the int8 range but outside the classes
     for bad in (4, 127, -1, -128):
         refused(lambda d: reencode(d, "labels", put(1, bad)),
-                re.escape("labels must be a 1-D array of 3 integers in [0, 4), got array([") + r" ?0, " + str(bad))
-    # a declared shape that numpy cannot make
-    refused(lambda d: d["features"].update(shape=[0, 2**70], data=""), "malformed model document")
+                re.escape("labels must be an (3,) array of integers in [0, 4), got array([") + r" ?0, " + str(bad))
+    # a declared shape that numpy cannot make: past intp, or within it but too big
+    refused(lambda d: d["features"].update(shape=[0, 2**70], data=""),
+            re.escape(f"features shape must be an (n,) array of integers >= 0, got [0, {2**70}]"))
+    refused(lambda d: d["features"].update(shape=[0, 2**62], data=""),
+            "malformed model document: array is too big")
     # a 0-d feature "matrix" (shape [], 8 bytes) is refused by its shape, before its length is read
     refused(lambda d: reencode(d, "features", lambda a: a[0, 0]),
             re.escape("features must be an (n, w) array of real numbers, got array("))
