@@ -4,8 +4,8 @@ Global flags come before the subcommand:
 
     artifact --seed 42 --out results gen-data --n 50000
 
-Exit codes: 0 success, 2 validation/configuration problem, 3 numerical
-quality failure.
+Exit codes: 0 success, 2 validation/configuration problem (a size whose
+arrays cannot be allocated too), 3 numerical quality failure.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__
 from .data import DEFAULT_RANGES, N_CLASSES, Dataset, ParamRanges, generate, read_csv, write_csv
 from .engine import EngineParams
-from .errors import ArtifactError, ValidationError, as_flag, as_int, as_ints, as_real, json_object, read_text
-from .experiments import ScenarioSpec, run_scenario, run_size_sweep, sweep_csv, sweep_gnuplot
-from .knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, fit, model_from_json,
-                  model_to_json, predict_batch, random_search, single_shot_accuracy)
-from .metrics import accuracy, confusion_matrix, render_class_metrics, render_confusion
+from .errors import ArtifactError, ValidationError, as_flag, as_int, as_real, json_object, read_text
+from .experiments import (ScenarioSpec, evaluate, run_scenario, run_size_sweep, sweep_csv,
+                          sweep_gnuplot, train, tune)
+from .knn import DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, model_from_json, model_to_json
+from .metrics import accuracy, render_class_metrics, render_confusion
 from .trajectories import check_run, compare_with_analytic
 
 
@@ -133,25 +133,20 @@ def _cmd_gen_data(args, cfg) -> int:
 
 def _cmd_train(args, cfg) -> int:
     ds = read_csv(args.data)
-    subset = FEATURE_SUBSETS[args.mapping]
-    x_train, y_train = ds.train
-    x_val, y_val = ds.validation
-    model = fit(x_train, y_train, k=args.k, weighting=args.weighting,
-                metric=args.metric, feature_subset=subset, zscore=cfg["zscore"])
+    model = train(args.mapping, ds, k=args.k, weighting=args.weighting, metric=args.metric, zscore=cfg["zscore"])
+    train_acc, val_acc = (accuracy(evaluate(model, split)) for split in (ds.train, ds.validation))
     path = _write(args.out, f"model-{args.mapping}.json", model_to_json(model) + "\n")
     print(f"mapping {args.mapping}: k={args.k}, {args.weighting}, {args.metric}")
-    print(f"train accuracy: {single_shot_accuracy(model, x_train[:, subset], y_train):.4f}")
-    print(f"validation accuracy: {single_shot_accuracy(model, x_val[:, subset], y_val):.4f}")
+    print(f"train accuracy: {train_acc:.4f}")
+    print(f"validation accuracy: {val_acc:.4f}")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_tune(args, cfg) -> int:
     ds = read_csv(args.data)
-    subset = FEATURE_SUBSETS[args.mapping]
-    x_train, y_train = ds.train
-    res = random_search(x_train[:, subset], y_train, space=cfg["space"], n_iter=args.n_iter,
-                        seed=args.seed, folds=cfg["folds"], zscore=cfg["zscore"])
+    res = tune(args.mapping, ds, space=cfg["space"], n_iter=args.n_iter,
+               seed=args.seed, folds=cfg["folds"], zscore=cfg["zscore"])
     path = _write(args.out, f"tuning-{args.mapping}.json", json.dumps({
         "mapping": args.mapping,
         "best": res.best._asdict(),
@@ -169,10 +164,7 @@ def _cmd_tune(args, cfg) -> int:
 def _cmd_evaluate(args, cfg) -> int:
     model = model_from_json(read_text(args.model, "model"))
     ds = read_csv(args.data)
-    x_val, y_val = ds.validation
-    subset = as_ints(model.feature_subset, "model feature_subset", ("n",), 0, x_val.shape[1])
-    preds = predict_batch(model, x_val[:, subset])
-    chi = confusion_matrix(preds, y_val)
+    chi = evaluate(model, ds.validation)
     confusion = _write(args.out, "confusion.txt", render_confusion(chi) + "\n")
     metrics = _write(args.out, "class-metrics.csv", render_class_metrics(chi))
     print(f"validation accuracy: {accuracy(chi):.4f}")
@@ -260,6 +252,9 @@ def main(argv=None) -> int:
         except ArtifactError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return exc.exit_code
+        except MemoryError as exc:  # a size whose arrays cannot be allocated
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""End-to-end orchestration: tuning pipelines, constrained-scenario
-application runs, and the dataset-size sweep.
+"""End-to-end orchestration: the tune, train and evaluate steps and the
+pipelines they compose, constrained-scenario runs, and the size sweep.
 
 Scenario feature vectors are synthetic draws inside fixed per-feature
 intervals, not physically generated statistics; a constrained quadruple
@@ -18,8 +18,7 @@ from .data import DEFAULT_RANGES, Dataset, ParamRanges, as_range, generate
 from .errors import (DomainError, InfeasibleConstraintError, ValidationError, as_int, as_ints,
                      as_name, json_object)
 from .knn import (FEATURE_SUBSETS, KnnModel, SearchResult, fit, fold_splits,
-                  kfold_accuracy, predict_proba_batch, random_search,
-                  single_shot_accuracy, predict_batch)
+                  kfold_accuracy, predict_proba_batch, random_search, predict_batch)
 from .metrics import accuracy, confusion_matrix
 from .tree import fit_tree, predict_tree
 
@@ -168,6 +167,24 @@ def scenario_suite(mapping: str, n: int = 1000, seed: int = 0) -> list:
     return specs
 
 
+def tune(mapping: str, dataset: Dataset, **search) -> SearchResult:
+    """`random_search`, given `search`, on the training split at the mapping's columns."""
+    x_train, y_train = dataset.train
+    return random_search(x_train[:, _subset(mapping)], y_train, **search)
+
+
+def train(mapping: str, dataset: Dataset, **settings) -> KnnModel:
+    """`fit`, given `settings`, on the training split at the mapping's columns."""
+    return fit(*dataset.train, feature_subset=_subset(mapping), **settings)
+
+
+def evaluate(model: KnnModel, split) -> np.ndarray:
+    """Confusion matrix of `model` on a Dataset split, at the model's own `feature_subset`."""
+    x, y = split
+    subset = as_ints(model.feature_subset, "model feature_subset", ("n",), 0, x.shape[1])
+    return confusion_matrix(predict_batch(model, x[:, subset]), y)
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     search: SearchResult
@@ -180,24 +197,15 @@ def run_pipeline(mapping: str, dataset: Dataset, seed: int = 0,
                  n_iter: int = 60) -> PipelineResult:
     """Tune on the training split over the full search space with 5 folds,
     refit on raw features, evaluate on the validation split."""
-    subset = _subset(mapping)
-    x_train, y_train = dataset.train
-    x_val, y_val = dataset.validation
-    search = random_search(x_train[:, subset], y_train, n_iter=n_iter, seed=seed)
-    hp = search.best
-    model = fit(x_train, y_train, k=hp.k, weighting=hp.weighting, metric=hp.metric,
-                feature_subset=subset)
-    chi = confusion_matrix(predict_batch(model, x_val[:, subset]), y_val)
+    search = tune(mapping, dataset, n_iter=n_iter, seed=seed)
+    model = train(mapping, dataset, **search.best._asdict())
+    chi = evaluate(model, dataset.validation)
     return PipelineResult(search=search, model=model, val_accuracy=accuracy(chi), chi=chi)
 
 
 def evaluate_untuned(mapping: str, dataset: Dataset) -> float:
     """Validation accuracy at `fit`'s defaults: k=5, uniform, euclidean."""
-    subset = _subset(mapping)
-    x_train, y_train = dataset.train
-    x_val, y_val = dataset.validation
-    model = fit(x_train, y_train, feature_subset=subset)
-    return single_shot_accuracy(model, x_val[:, subset], y_val)
+    return accuracy(evaluate(train(mapping, dataset), dataset.validation))
 
 
 def run_size_sweep(sizes, mapping: str = "f1", seed: int = 0,

@@ -314,6 +314,25 @@ def test_scenario_of_too_many_rows_exits_2(workdir, tmp_path, capsys, pair12):
     assert capsys.readouterr().err == f"error: n must be an integer in [1, {2**32}), got {10**400!r:.80}\n"
 
 
+def test_a_size_that_cannot_be_allocated_exits_2(workdir, tmp_path):
+    # a 2**31-row scenario needs 16 GiB arrays: a raw MemoryError (exit 1)
+    # escaped `main`. The child caps its own address space at 1 GiB.
+    scen = tmp_path / "huge.json"
+    scen.write_text(json.dumps({"pair12": "equal", "n": 2**31}))
+    argv = ["--out", str(tmp_path), "apply", "--model", str(workdir / "model-f3.json"),
+            "--scenario", str(scen)]
+    child = subprocess.run(
+        [sys.executable, "-c", "import resource, sys\n"
+                               "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                               "from artifact.cli import main\n"
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(artifact.__file__).parents[1])})
+    assert child.returncode == 2, child.stderr
+    assert child.stdout == ""
+    assert child.stderr.startswith("error: out of memory: ") and child.stderr.count("\n") == 1, child.stderr
+
+
 def test_argparse_rejects_unknown_mapping(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         run("train", "--data", str(workdir / "dataset.csv"), "--mapping", "f9")
@@ -649,6 +668,24 @@ def test_train_refuses_overflowing_features(tmp_path, capsys, metric, big):
     assert captured.out == "" and not (tmp_path / "model-f1.json").exists()
 
 
+def test_train_refusing_a_validation_row_writes_nothing(documents, tmp_path, capsys):
+    # `train` wrote the model file and printed two lines before it scored
+    # the validation split, whose row the z-scored model then refused
+    lines = documents["csv"].split("\n")
+    i = next(i for i, line in enumerate(lines) if line.endswith(",val"))
+    lines[i] = ",".join(["1e308", *lines[i].split(",")[1:]])
+    (tmp_path / "dataset.csv").write_text("\n".join(lines))
+    (tmp_path / "dataset.meta.json").write_text(json.dumps(documents["sidecar"]))
+    (tmp_path / "cfg.json").write_text(json.dumps({"zscore": True}))
+    out = tmp_path / "out"
+    code = run("--config", str(tmp_path / "cfg.json"), "--out", str(out), "train",
+               "--data", str(tmp_path / "dataset.csv"), "--mapping", "f1", "--k", "3")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: queries must be finite, also once shifted and scaled by the model\n"
+    assert captured.out == "" and not (out / "model-f1.json").exists()
+
+
 @pytest.mark.parametrize("name, bad", [("features", "0.93"), ("scale", True)])
 def test_apply_rejects_model_without_json_numbers(workdir, tmp_path, capsys, name, bad):
     # an array's data must be base64 text: neither a non-base64 string nor a JSON value
@@ -684,6 +721,10 @@ _COMMANDS = {
 }
 _FILES = {"config": "cfg.json", "csv": "dataset.csv", "sidecar": "dataset.meta.json",
           "model": "model.json", "scenario": "scenario.json"}
+# Boundary values of the numeric options: the global `--seed`, and the
+# options of the commands above. Every size that is accepted is small.
+_BOUNDARIES = {"--seed": ["-1"], "--n": ["0", "1", "2", str(2**32)], "--k": ["0"], "--n-iter": ["0"],
+               "--draws": ["0"], "--t-final": ["0", "inf", "nan"], "--n-traj": ["2"]}
 
 
 @pytest.fixture(scope="module")
@@ -747,6 +788,26 @@ def _mutate_csv(data, text):
     return "\n".join(lines)
 
 
+def _mutate_argv(data, argv):
+    """A command's `argv` with one numeric option set to a boundary value;
+    `--seed` goes before the command, where the last one given wins."""
+    option = data.draw(st.sampled_from([o for o in _BOUNDARIES if o == "--seed" or o in argv]),
+                       label="option")
+    value = data.draw(st.sampled_from(_BOUNDARIES[option]), label="value")
+    if option == "--seed":
+        return ["--seed", value, *argv]
+    i = argv.index(option)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
+
+
+def _mutate_text(data, text, edit):
+    """The bytes of `text` cut at a drawn offset, or with a byte that is
+    not UTF-8 inserted there."""
+    raw = text.encode()
+    at = data.draw(st.integers(0, len(raw)), label="offset")
+    return raw[:at] if edit == "truncate" else raw[:at] + b"\xff" + raw[at:]
+
+
 def _cli_run(argv, out):
     """(exit code, stdout with `out` as OUT, stderr, {file: bytes} written to
     `out`, each sidecar without its timestamp) of one in-process CLI call."""
@@ -767,19 +828,31 @@ def _cli_run(argv, out):
 @settings(max_examples=1000, deadline=None)
 @given(data=st.data())
 def test_mutated_documents_exit_0_2_or_3(tmp_path_factory, documents, data):
-    """A valid config, dataset, sidecar, model and scenario, one or two of
-    them mutated, given to a command that reads them: it exits 0, 2 or 3
-    and raises nothing. A refusal is one `error:` line on stderr, after any
-    warnings; an accepted input gives the same output again."""
+    """A valid config, dataset, sidecar, model and scenario and a command's
+    valid arguments, one or two of them mutated, given to a command that
+    reads them: it exits 0, 2 or 3 and raises nothing. A document is
+    mutated in a value, or in its text: cut short, or given a byte that
+    is not UTF-8. A refusal is one `error:` line on stderr, after any
+    warnings, and leaves no file in `--out`; an accepted input gives the
+    same output again."""
     command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
     argv, reads = _COMMANDS[command]
     docs = dict(documents)
+    edits = {}  # per document: its text edit
     for _ in range(data.draw(st.integers(1, 2), label="mutations")):
-        name = data.draw(st.sampled_from(["config", *reads]), label="input")
-        docs[name] = (_mutate_csv if name == "csv" else _mutate_json)(data, docs[name])
+        name = data.draw(st.sampled_from(["config", *reads, "argv"]), label="input")
+        if name == "argv":
+            argv = _mutate_argv(data, argv)
+            continue
+        edit = data.draw(st.sampled_from(["value", "truncate", "non-UTF-8"]), label="edit")
+        if edit == "value":
+            docs[name] = (_mutate_csv if name == "csv" else _mutate_json)(data, docs[name])
+        else:
+            edits[name] = edit
     root = tmp_path_factory.mktemp("mutated")
     for name, file in _FILES.items():
-        (root / file).write_text(docs[name] if name == "csv" else json.dumps(docs[name]))
+        text = docs[name] if name == "csv" else json.dumps(docs[name])
+        (root / file).write_bytes(_mutate_text(data, text, edits[name]) if name in edits else text.encode())
     argv = ["--config", str(root / "cfg.json"), *(a.format(**{k: root / f for k, f in _FILES.items()})
                                                   for a in argv)]
     code, out, err, files = _cli_run(argv, root / "out")
@@ -788,6 +861,7 @@ def test_mutated_documents_exit_0_2_or_3(tmp_path_factory, documents, data):
     assert all(line.startswith("warning: ") for line in lines[:-1]), err
     if code:
         assert err.endswith("\n") and lines[-1].startswith("error: "), err
+        assert files == {}, (err, sorted(files))
     else:
         assert not lines or lines[-1].startswith("warning: "), err
         assert _cli_run(argv, root / "again") == (code, out, err, files)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from artifact.cli import _CONFIG, main
-from artifact.counting import exchange_moment_ratios_batch
+from artifact.counting import exchange_moment_ratios_batch, steady_states
 from artifact.data import Dataset, ParamRanges, generate, write_csv
 from artifact.engine import (GENERATOR_VARIANTS, EngineParams, bose_occupations, build_generator,
                              build_generators)
@@ -119,6 +119,11 @@ KNN = fit(X_INT, Y, k=3, weighting="distance")
 TREE = fit_tree(X_INT, Y)
 RATES = 1.0 - np.eye(4)
 VARIED_ROWS = np.array([[1.0, 4.0, 2.0, 0.0, 1.0], [2.0, 3.0, 5.0, 1.0, 0.0]])
+# two L(0) of integer rates, each with the uniform populations as its one null vector
+L0_STACK = np.array([[[-1, 1, 0, 0, 0], [1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -1, 0],
+                      [0, 0, 0, 0, -1]],
+                     [[-1, 0, 0, 1, 0], [1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, -1, 0],
+                      [0, 0, 0, 0, -2]]], dtype=float)
 ROWS = dict(features=np.arange(16.0).reshape(4, 4) + 1.0, labels=np.array([0, 3, 0, 3]),
             params=np.array([[1.0, 4.0, 2.0, 0.0, 0.0], [1.0, 4.0, 2.0, 1.0, 1.0]] * 2),
             in_train=np.array([True, False, True, False]))
@@ -141,6 +146,7 @@ ARRAYS = {
     "predict_tree-features": ("features", "(n, w)", X_INT, lambda v: predict_tree(TREE, v)),
     "build_generators-varied": ("varied", "(n, 5)", VARIED_ROWS, build_generators),
     "exchange_moment_ratios_batch-varied": ("varied", "(n, 5)", VARIED_ROWS, exchange_moment_ratios_batch),
+    "steady_states-l0": ("l0", "(n, 5, 5)", L0_STACK, steady_states),
     "bose_occupations-temperatures": ("temperatures", "(n,)", np.array([1.0, 2.0, 4.0]),
                                       lambda v: bose_occupations(1.0, v)),
     "simulate-initial": ("initial", "(4,)", np.array([1.0, 0.0, 0.0, 0.0]),
@@ -611,6 +617,8 @@ def test_float64_arrays_are_not_copied():
     pytest.param(lambda v: simulate(PROC, 10.0, 4, 1, initial=v), "initial", "(4,)",
                  ["0.25"] * 4, id="text-initial"),
     pytest.param(lambda v: predict_tree(TREE, v), "features", "(n, w)", X_INT[0], id="row-predict_tree"),
+    pytest.param(steady_states, "l0", "(n, 5, 5)", np.zeros((2, 4, 4)), id="4x4-steady_states"),
+    pytest.param(steady_states, "l0", "(n, 5, 5)", [[1]], id="1x1-steady_states"),
     pytest.param(accuracy, "confusion matrix", "(4, 4)", [[1, 2], [3]], id="ragged-accuracy"),
     pytest.param(accuracy, "confusion matrix", "(4, 4)", np.ones((4, 4), dtype=int).astype(str),
                  id="text-accuracy"),
@@ -619,6 +627,23 @@ def test_probed_array_defects_exit_2(call, what, dims, bad):
     # each crashed with a raw numpy or Python error, or was read as
     # something else, before the array rule
     _refused_array(what, dims, call, bad)
+
+
+@pytest.mark.parametrize("call, message, bad", [
+    pytest.param(steady_states, "l0 must be finite", np.full((2, 5, 5), math.nan), id="nan-steady_states"),
+    pytest.param(steady_states, "l0 must be finite", np.where(L0_STACK == -2, -math.inf, L0_STACK),
+                 id="inf-steady_states"),
+    pytest.param(lambda v: fit_tree(v, Y), "features must be finite", np.full((40, 4), math.nan),
+                 id="nan-fit_tree"),
+    pytest.param(lambda v: predict_tree(TREE, v), "features must be finite", [[math.nan, math.inf, 1.0, 1.0]],
+                 id="nan-inf-predict_tree"),
+])
+def test_non_finite_arrays_exit_2(call, message, bad):
+    # the stacks gave null space failures or numpy's LinAlgError, and the
+    # tree fitted a leaf on NaN features and answered a NaN row
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+        call(bad)
+    assert err.value.exit_code == 2
 
 
 # --- names ----------------------------------------------------------------------
