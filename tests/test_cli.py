@@ -333,6 +333,19 @@ def test_a_size_that_cannot_be_allocated_exits_2(workdir, tmp_path):
     assert child.stderr.startswith("error: out of memory: ") and child.stderr.count("\n") == 1, child.stderr
 
 
+def test_a_memory_error_in_a_pool_job_exits_2(tmp_path, capsys, monkeypatch):
+    # gen-data's 80 steady-state SVDs run as pool jobs where there are
+    # several workers; `workers.run` raises a job's MemoryError in `main`
+    def svd(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (2**37,)")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert run("--out", str(tmp_path / "out"), "gen-data", "--n", "40") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 1.00 TiB for an array with shape (2**37,)\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 def test_argparse_rejects_unknown_mapping(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         run("train", "--data", str(workdir / "dataset.csv"), "--mapping", "f9")
