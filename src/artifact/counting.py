@@ -29,7 +29,7 @@ import numpy as np
 from . import workers
 from .engine import (EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, VARIED, EngineParams, TwistedGenerator,
                      build_generators, varied_row)
-from .errors import ConditioningError, DegenerateSampleError, DomainError, SingularityError, as_reals
+from .errors import ConditioningError, DegenerateSampleError, SingularityError, as_reals
 
 # A baseline moment below this magnitude cannot normalize a feature.
 DEGENERATE_TOL = 1e-12
@@ -74,9 +74,7 @@ def steady_states(l0: np.ndarray):
     parameter draws, which is exactly why it is not the default. A stack
     that is no (n, 5, 5) array of finite reals is a DomainError.
     """
-    l0 = as_reals(l0, "l0", ("n", 5, 5))
-    if not np.all(np.isfinite(l0)):
-        raise DomainError("l0 must be finite")
+    l0 = as_reals(l0, "l0", ("n", 5, 5), "(-inf, inf)")
     s, vt = _svd(l0)
     # Singular values are sorted descending; the null direction is last.
     rho = vt[:, -1]

@@ -118,9 +118,9 @@ class Dataset:
     """Labeled samples as write-protected columns.
 
     `features` is (n, 4), `labels` (n,), `params` (n, 5) with the varied
-    engine parameters in VARIED order, `in_train` (n,) true for the rows
-    of the training split (a 1-D array of bools, else a DomainError);
-    `meta["fixed"]` holds the other constants of every row's EngineParams.
+    engine parameters in VARIED order, `in_train` (n,) bools, true for the
+    rows of the training split; a column of another shape or kind is a
+    DomainError. `meta["fixed"]` holds the other constants of every row's EngineParams.
     """
 
     features: np.ndarray
@@ -130,20 +130,18 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if (in_train := array_of(self.in_train, "b")) is None or in_train.ndim != 1:
-            raise DomainError(f"in_train must be a 1-D array of bools, "
+        # unbounded: a label outside the classes is left to its row check
+        labels = as_ints(self.labels, "labels", ("n",))
+        n = len(labels)
+        if (in_train := array_of(self.in_train, "b")) is None or in_train.shape != (n,):
+            raise DomainError(f"in_train must be an ({n},) array of bools, "
                               f"got {' '.join(repr(self.in_train).split()):.80}")
-        for name, col in (("features", as_reals(self.features, "features", ("n", 4))),
-                          # unbounded: a label outside the classes is left to its row check
-                          ("labels", as_ints(self.labels, "labels", ("n",))),
-                          ("params", as_reals(self.params, "params", ("n", 5))),
+        for name, col in (("features", as_reals(self.features, "features", (n, 4))),
+                          ("labels", labels),
+                          ("params", as_reals(self.params, "params", (n, 5))),
                           ("in_train", in_train)):
             col.setflags(write=False)
             object.__setattr__(self, name, col)
-        n = len(self.labels)
-        shapes = (self.features.shape, self.labels.shape, self.params.shape, self.in_train.shape)
-        if shapes != ((n, 4), (n,), (n, 5), (n,)):
-            raise ValidationError(f"columns must be (n, 4), (n,), (n, 5) and (n,), got {shapes}")
         self._check_rows()
 
     def _check_rows(self):

@@ -113,11 +113,24 @@ class TwistedGenerator:
     Only the cavity edges carry lam, so the two rates fix every
     lam-derivative of L. Immutable; L(0) is write-protected and all
     methods are pure, so instances are safe to share across workers.
+    L(0) is a 5x5 array of finite reals and each rate a real in [0, inf)
+    equal, bit for bit, to L(0)'s entry on its edge; else a DomainError.
     """
 
     l0: np.ndarray                 # 5x5 generator at lam = 0
     emit_rate: float               # g^2 * (1 + n_l), on the e^{+lam} edge
     absorb_rate: float             # g^2 * n_l, on the e^{-lam} edge
+
+    def __post_init__(self):
+        l0 = as_reals(self.l0, "l0", (5, 5), "(-inf, inf)")
+        l0.setflags(write=False)
+        object.__setattr__(self, "l0", l0)
+        for name, edge in (("emit_rate", EDGE_EMIT), ("absorb_rate", EDGE_ABSORB)):
+            rate, entry = as_real(getattr(self, name), name, "[0, inf)"), float(l0[edge])
+            if rate.hex() != entry.hex():  # unlike ==, tells -0.0 from 0.0
+                raise DomainError(f"{name} must equal l0[{edge[0]}, {edge[1]}] bit for bit, "
+                                  f"got {rate!r} and {entry!r}")
+            object.__setattr__(self, name, rate)
 
     def eval(self, lam: float) -> np.ndarray:
         """Assembled 5x5 generator at counting field `lam`."""

@@ -21,8 +21,9 @@ Every argument that names one of a fixed set of choices (a generator
 variant, a scenario relation, a mapping, a weighting, a metric) goes
 through `as_name`: a string among the names, else "<argument> must be one
 of <names>, got <value>". Every real array goes through `as_reals`: ints or
-floats, never bools, text or complex, shaped like ("n", 4), a name matching any
-length; else "<argument> must be an (n, 4) array of real numbers, got <value>".
+floats, never bools, text or complex, shaped like ("n", 4) (a name matches any
+length), each in an interval like "(-inf, inf)" when one is given; else
+"<argument> must be an (n, 4) array of real numbers in (-inf, inf), got <value>".
 Every integer array goes through `as_ints`, its twin: integers, never bools, floats,
 text or objects, shaped alike, each in [lo, hi), as intp; else "<argument> must be an
 (n,) array of integers in [lo, hi), got <value>". Every flag goes through `as_flag`.
@@ -184,10 +185,13 @@ def _array(value, what: str, shape: tuple, kinds: str, entries: str, test=None) 
                       f"got {' '.join(repr(value).split()):.80}")
 
 
-def as_reals(value, what: str, shape: tuple) -> np.ndarray:
+def as_reals(value, what: str, shape: tuple, span: str | None = None) -> np.ndarray:
     """`value`, the array argument `what`, as float64 (a float64 array is not copied): integers
-    or floats whose shape matches `shape`, a name matching any length; else a DomainError."""
-    return _array(value, what, shape, "iuf", "real numbers").astype(float, copy=False)
+    or floats whose shape matches `shape`, a name matching any length, each in the interval
+    `span` (see `in_interval`; unbounded where None); else a DomainError."""
+    entries = "real numbers" if span is None else f"real numbers in {span}"
+    test = None if span is None else lambda arr: np.all(in_interval(arr.astype(float, copy=False), span))
+    return _array(value, what, shape, "iuf", entries, test).astype(float, copy=False)
 
 
 def as_ints(value, what: str, shape: tuple, lo: int | None = None, hi: int | None = None) -> np.ndarray:

@@ -149,33 +149,25 @@ class KnnModel:
     copies: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, shape in (("features", ("n", "w")), ("shift", ("w",)), ("scale", ("w",))):
-            object.__setattr__(self, name, as_reals(getattr(self, name), name, shape))
+        object.__setattr__(self, "feature_subset",
+                           tuple(as_ints(self.feature_subset, "feature_subset", ("n",), 0).tolist()))
+        if not self.feature_subset:
+            raise ValidationError("feature subset must not be empty")
+        width = len(self.feature_subset)
+        for name, shape in (("features", ("n", width)), ("shift", (width,)), ("scale", (width,))):
+            object.__setattr__(self, name, as_reals(getattr(self, name), name, shape, "(-inf, inf)"))
         n = len(self.features)
         if n == 0:
             raise StateError("model has no training points")
         object.__setattr__(self, "k", as_int(self.k, "k", 1, n + 1))
         object.__setattr__(self, "weighting", as_name(self.weighting, "weighting", WEIGHTINGS))
         object.__setattr__(self, "metric", as_name(self.metric, "metric", DISTANCE_METRICS))
-        object.__setattr__(self, "feature_subset",
-                           tuple(as_ints(self.feature_subset, "feature_subset", ("n",), 0).tolist()))
-        if not self.feature_subset:
-            raise ValidationError("feature subset must not be empty")
-        if self.features.shape[1] != len(self.feature_subset):
-            raise ValidationError("feature matrix width must match the feature subset")
         object.__setattr__(self, "labels", as_labels(self.labels, "labels", n))
-        if not np.all(np.isfinite(self.features)):
-            raise ValidationError("training features must be finite")
         if not _fits_float_range(np.ascontiguousarray(self.features.T), self.features[:0],
                                  self.metric):
             raise DomainError("training features span so wide a range that their distances overflow")
-        width = len(self.feature_subset)
-        if self.shift.shape != (width,) or self.scale.shape != (width,):
-            raise ValidationError(f"shift and scale must hold {width} entries, got "
-                                  f"{self.shift.shape} and {self.scale.shape}")
-        if not (np.all(np.isfinite(self.shift)) and np.all(np.isfinite(self.scale))
-                and np.all(self.scale != 0.0)):
-            raise ValidationError("shift and scale must be finite and scale nonzero")
+        if not np.all(self.scale != 0.0):
+            raise ValidationError("scale must be nonzero")
         for arr in (self.features, self.labels, self.shift, self.scale):
             arr.setflags(write=False)
         object.__setattr__(self, "copies", _copy_map(self.features))
@@ -216,7 +208,7 @@ def fit(features, labels, k: int = 5, weighting: str = "uniform",
     `feature_subset` selects columns of `features`; None keeps all.
     `zscore` standardizes columns (constant columns are left unscaled).
     """
-    features = as_reals(features, "features", ("n", "w"))
+    features = as_reals(features, "features", ("n", "w"), "(-inf, inf)")
     width = features.shape[1]
     feature_subset = tuple(as_ints(range(width) if feature_subset is None else feature_subset,
                                    "feature_subset", ("n",), 0, width).tolist())
@@ -617,7 +609,7 @@ def fold_splits(n: int, folds: int, seed: int) -> list:
 def kfold_accuracy(features, labels, k: int = 5, weighting: str = "uniform",
                    metric: str = "euclidean", folds: int = 5, seed: int = 0) -> float:
     """Mean single-shot accuracy over seeded contiguous shuffle folds."""
-    features = as_reals(features, "features", ("n", "w"))
+    features = as_reals(features, "features", ("n", "w"), "(-inf, inf)")
     labels = as_labels(labels, "labels", len(features))
     accs = []
     for rest, held in fold_splits(features.shape[0], folds, seed):
@@ -712,7 +704,7 @@ def random_search(features, labels, space: HyperSpace = HyperSpace(),
     `predict_batch` sums, and counted in `vote_fallbacks`.
     """
     n_iter = as_int(n_iter, "n_iter", 1)
-    features = as_reals(features, "features", ("n", "w"))
+    features = as_reals(features, "features", ("n", "w"), "(-inf, inf)")
     labels = as_labels(labels, "labels", len(features))
     splits = fold_splits(features.shape[0], folds, seed)  # checks folds and seed before any draw
     combos = space.combos()

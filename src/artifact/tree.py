@@ -83,18 +83,14 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int) -> TreeNode:
 
 
 def fit_tree(features, labels) -> TreeNode:
-    x = as_reals(features, "features", ("n", "w"))
+    x = as_reals(features, "features", ("n", "w"), "(-inf, inf)")
     if not len(x):
         raise DomainError("features must hold at least one row")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("features must be finite")
     return _grow(x, as_labels(labels, "labels", len(x)), 0)
 
 
 def predict_tree(root: TreeNode, features) -> np.ndarray:
-    x = as_reals(features, "features", ("n", "w"))
-    if not np.all(np.isfinite(x)):
-        raise DomainError("features must be finite")
+    x = as_reals(features, "features", ("n", "w"), "(-inf, inf)")
     out = np.empty(x.shape[0], dtype=np.intp)
     # Iterative partition walk: route index sets down the tree.
     stack = [(root, np.arange(x.shape[0]))]

@@ -526,20 +526,24 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     pytest.param(lambda doc: reencode(doc, "labels", lambda a: a[:-1]),
                  "labels must be an (210,) array of integers in [0, 4)", id="length-mismatch"),
     pytest.param(lambda doc: reencode(doc, "features", put((0, 0), np.nan)),
-                 "training features must be finite", id="nan-feature"),
+                 "features must be an (n, 2) array of real numbers in (-inf, inf), got array([[ nan,",
+                 id="nan-feature"),
     pytest.param(lambda doc: reencode(doc, "features", put((1, 1), np.inf)),
-                 "training features must be finite", id="inf-feature"),
+                 "features must be an (n, 2) array of real numbers in (-inf, inf), got array([[",
+                 id="inf-feature"),
     pytest.param(lambda doc: reencode(doc, "scale", put(0, 0.0)),
-                 "scale nonzero", id="zero-scale"),
+                 "scale must be nonzero", id="zero-scale"),
     pytest.param(lambda doc: reencode(doc, "shift", lambda a: np.append(a, 0.0)),
-                 "shift and scale must hold 2 entries", id="shift-width"),
+                 "shift must be an (2,) array of real numbers in (-inf, inf), got array([0., 0., 0.])",
+                 id="shift-width"),
     pytest.param(lambda doc: reencode(doc, "scale", lambda a: a[:-1]),
-                 "shift and scale must hold 2 entries", id="scale-width"),
+                 "scale must be an (2,) array of real numbers in (-inf, inf), got array([", id="scale-width"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [0, 9]),
                  "model feature_subset must be an (n,) array of integers in [0, 4), got (0, 9)",
                  id="subset-beyond-width"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [0]),
-                 "feature matrix width must match", id="subset-narrower"),
+                 "features must be an (n, 1) array of real numbers in (-inf, inf), got array([[",
+                 id="subset-narrower"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [-1, -1]),
                  "feature_subset must be an (n,) array of integers >= 0, got [-1, -1]", id="subset-negative"),
     pytest.param(lambda doc: doc.__setitem__("feature_subset", [0.5, 1]),
@@ -565,7 +569,8 @@ def test_gen_data_rejects_an_empty_split(tmp_path, capsys, train_frac):
     pytest.param(lambda doc: doc["features"].pop("dtype"),
                  "model document missing field 'dtype'", id="missing-dtype"),
     pytest.param(lambda doc: reencode(doc, "features", np.ravel),
-                 "features must be an (n, w) array of real numbers, got array([", id="flat-features"),
+                 "features must be an (n, 2) array of real numbers in (-inf, inf), got array([",
+                 id="flat-features"),
     pytest.param(lambda doc: doc["features"].__setitem__("shape", [-1, 2]),
                  "features shape must be an (n,) array of integers >= 0, got [-1, 2]", id="shape-negative"),
     pytest.param(lambda doc: doc["labels"].__setitem__("shape", [True]),

@@ -1,8 +1,8 @@
 """The one integer rule, `errors.as_int`, at every count, seed and index
 argument, the one real-number rule, `errors.as_real`, at every real
 argument, the one range rule, `data.as_range`, at every [lo, hi] range,
-the one array rule, `errors.as_reals`, at every array of real numbers,
-its integer twin, `errors.as_ints`, at every array of integers (class
+the one array rule, `errors.as_reals`, at every array of real numbers
+(entry by entry the real-number rule where it takes an interval), its integer twin, `errors.as_ints`, at every array of integers (class
 labels through `data.as_labels`, a confusion matrix, a k range, a
 feature subset, sweep sizes, a model array's shape), the one flag rule,
 `errors.as_flag`, at every on/off setting, and the one name rule,
@@ -11,18 +11,25 @@ feature subset, sweep sizes, a model array's shape), the one flag rule,
 import json
 import math
 import re
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from artifact.cli import _CONFIG, main
-from artifact.counting import exchange_moment_ratios_batch, steady_states
+from artifact.counting import cumulants, exchange_moment_ratios_batch, steady_states
 from artifact.data import Dataset, ParamRanges, generate, write_csv
-from artifact.engine import (GENERATOR_VARIANTS, EngineParams, bose_occupations, build_generator,
-                             build_generators)
-from artifact.errors import DomainError, ParseError, as_reals
+from artifact.engine import (GENERATOR_VARIANTS, EngineParams, TwistedGenerator, bose_occupations,
+                             build_generator, build_generators)
+from artifact.errors import DomainError, ParseError, as_real, as_reals
 from artifact.experiments import (DEFAULT_SCENARIO_RANGES, PAIR_RELATIONS, ScenarioSpec,
                                   run_size_sweep, scenario_suite)
+from artifact.fdcheck import fd_cumulants
 from artifact.knn import (DISTANCE_METRICS, FEATURE_SUBSETS, WEIGHTINGS, HyperSpace, KnnModel,
                           fit, fold_splits, kfold_accuracy, model_to_json, predict_proba_batch,
                           random_search)
@@ -33,7 +40,10 @@ from artifact.tree import fit_tree, predict_tree
 X = np.random.default_rng(0).random((40, 4))
 Y = np.arange(40) % 4
 SPACE = HyperSpace(k_range=(1, 2, 3))
-PROC = build_jump_process(build_generator(EngineParams()))
+GEN = build_generator(EngineParams())
+PROC = build_jump_process(GEN)
+# a cavity cold enough that its absorption rate is 0.0
+COLD_CAVITY = build_generator(EngineParams(t_l=1e-3))
 MODEL = dict(features=X, labels=Y, k=3, weighting="uniform", metric="euclidean",
              feature_subset=(0, 1, 2, 3), shift=np.zeros(4), scale=np.ones(4))
 
@@ -128,38 +138,42 @@ ROWS = dict(features=np.arange(16.0).reshape(4, 4) + 1.0, labels=np.array([0, 3,
             params=np.array([[1.0, 4.0, 2.0, 0.0, 0.0], [1.0, 4.0, 2.0, 1.0, 1.0]] * 2),
             in_train=np.array([True, False, True, False]))
 
-# (array as the message names it, its shape as the message prints it, a
-# valid value, call), with `call` as in ARGUMENTS. The confusion matrix is
-# an array of integers: its message names "integers >= 0".
+# (array as the message names it, its shape as the message prints it, the
+# interval of its entries or None, a valid value, call), with `call` as in
+# ARGUMENTS. The confusion matrix is an array of integers: its message
+# names "integers >= 0".
 ARRAYS = {
-    "fit-features": ("features", "(n, w)", X_INT, lambda v: fit(v, Y, k=3, zscore=True)),
-    "KnnModel-features": ("features", "(n, w)", X_INT,
+    "fit-features": ("features", "(n, w)", "(-inf, inf)", X_INT, lambda v: fit(v, Y, k=3, zscore=True)),
+    "KnnModel-features": ("features", "(n, 4)", "(-inf, inf)", X_INT,
                           lambda v: predict_proba_batch(KnnModel(**{**MODEL, "features": v}), X_INT[:6])),
-    "KnnModel-shift": ("shift", "(w,)", np.array([1.0, 0.0, 2.0, 0.0]),
+    "KnnModel-shift": ("shift", "(4,)", "(-inf, inf)", np.array([1.0, 0.0, 2.0, 0.0]),
                        lambda v: predict_proba_batch(KnnModel(**{**MODEL, "shift": v}), X_INT[:6])),
-    "KnnModel-scale": ("scale", "(w,)", np.array([1.0, 2.0, 1.0, 4.0]),
+    "KnnModel-scale": ("scale", "(4,)", "(-inf, inf)", np.array([1.0, 2.0, 1.0, 4.0]),
                        lambda v: predict_proba_batch(KnnModel(**{**MODEL, "scale": v}), X_INT[:6])),
-    "predict-queries": ("queries", "(n, 4)", X_INT[:6], lambda v: predict_proba_batch(KNN, v)),
-    "kfold_accuracy-features": ("features", "(n, w)", X_INT, lambda v: kfold_accuracy(v, Y, k=3)),
-    "random_search-features": ("features", "(n, w)", X_INT, lambda v: random_search(v, Y, SPACE, n_iter=4)),
-    "fit_tree-features": ("features", "(n, w)", X_INT, lambda v: fit_tree(v, Y)),
-    "predict_tree-features": ("features", "(n, w)", X_INT, lambda v: predict_tree(TREE, v)),
-    "build_generators-varied": ("varied", "(n, 5)", VARIED_ROWS, build_generators),
-    "exchange_moment_ratios_batch-varied": ("varied", "(n, 5)", VARIED_ROWS, exchange_moment_ratios_batch),
-    "steady_states-l0": ("l0", "(n, 5, 5)", L0_STACK, steady_states),
-    "bose_occupations-temperatures": ("temperatures", "(n,)", np.array([1.0, 2.0, 4.0]),
+    "predict-queries": ("queries", "(n, 4)", None, X_INT[:6], lambda v: predict_proba_batch(KNN, v)),
+    "kfold_accuracy-features": ("features", "(n, w)", "(-inf, inf)", X_INT, lambda v: kfold_accuracy(v, Y, k=3)),
+    "random_search-features": ("features", "(n, w)", "(-inf, inf)", X_INT,
+                               lambda v: random_search(v, Y, SPACE, n_iter=4)),
+    "fit_tree-features": ("features", "(n, w)", "(-inf, inf)", X_INT, lambda v: fit_tree(v, Y)),
+    "predict_tree-features": ("features", "(n, w)", "(-inf, inf)", X_INT, lambda v: predict_tree(TREE, v)),
+    "build_generators-varied": ("varied", "(n, 5)", None, VARIED_ROWS, build_generators),
+    "exchange_moment_ratios_batch-varied": ("varied", "(n, 5)", None, VARIED_ROWS, exchange_moment_ratios_batch),
+    "steady_states-l0": ("l0", "(n, 5, 5)", "(-inf, inf)", L0_STACK, steady_states),
+    "TwistedGenerator-l0": ("l0", "(5, 5)", "(-inf, inf)", L0_STACK[0],
+                            lambda v: cumulants(TwistedGenerator(v, 1.0, 1.0))),
+    "bose_occupations-temperatures": ("temperatures", "(n,)", None, np.array([1.0, 2.0, 4.0]),
                                       lambda v: bose_occupations(1.0, v)),
-    "simulate-initial": ("initial", "(4,)", np.array([1.0, 0.0, 0.0, 0.0]),
+    "simulate-initial": ("initial", "(4,)", "[0, inf)", np.array([1.0, 0.0, 0.0, 0.0]),
                          lambda v: simulate(PROC, 10.0, 4, 1, initial=v)),
-    "JumpProcess-rates": ("rates", "(4, 4)", RATES,
+    "JumpProcess-rates": ("rates", "(4, 4)", "[0, inf)", RATES,
                           lambda v: simulate(JumpProcess(v, PROC.count_weights), 10.0, 4, 1)),
-    "JumpProcess-count_weights": ("count_weights", "(4, 4)", np.array(PROC.count_weights),
+    "JumpProcess-count_weights": ("count_weights", "(4, 4)", None, np.array(PROC.count_weights),
                                   lambda v: simulate(JumpProcess(RATES, v), 10.0, 4, 1)),
-    "Dataset-features": ("features", "(n, 4)", ROWS["features"],
+    "Dataset-features": ("features", "(4, 4)", None, ROWS["features"],
                          lambda v: Dataset(**{**ROWS, "features": v}).features),
-    "Dataset-params": ("params", "(n, 5)", ROWS["params"], lambda v: Dataset(**{**ROWS, "params": v}).params),
-    "confusion-matrix": ("confusion matrix", "(4, 4)", np.array([[5, 1, 0, 0], [2, 7, 1, 0], [0, 0, 3, 2], [1, 0, 0, 8]]),
-                         class_metrics),
+    "Dataset-params": ("params", "(4, 5)", None, ROWS["params"], lambda v: Dataset(**{**ROWS, "params": v}).params),
+    "confusion-matrix": ("confusion matrix", "(4, 4)", None,
+                         np.array([[5, 1, 0, 0], [2, 7, 1, 0], [0, 0, 3, 2], [1, 0, 0, 8]]), class_metrics),
 }
 
 # (argument as the message names it, its names, a valid name, call), with
@@ -520,7 +534,7 @@ def test_dataset_refuses_a_split_column_that_is_no_bools(make):
     # each of these was once read as bools by numpy's cast, with no refusal
     ds = generate(6, seed=3)
     bad = make(6)
-    message = f"in_train must be a 1-D array of bools, got {' '.join(repr(bad).split()):.80}"
+    message = f"in_train must be an (6,) array of bools, got {' '.join(repr(bad).split()):.80}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         Dataset(ds.features, ds.labels, ds.params, bad, ds.meta)
     assert err.value.exit_code == 2
@@ -534,8 +548,9 @@ def test_dataset_takes_a_split_column_of_bools():
 
 # --- arrays of real numbers -----------------------------------------------------
 
-def _refused_array(what, dims, call, bad):
+def _refused_array(what, dims, span, call, bad):
     kind = "integers >= 0" if what == "confusion matrix" else "real numbers"
+    kind += "" if span is None else f" in {span}"
     message = f"{what} must be an {dims} array of {kind}, got {' '.join(repr(bad).split()):.80}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         call(bad)
@@ -545,8 +560,10 @@ def _refused_array(what, dims, call, bad):
 def _array_refusals():
     """Text, bools (also among numbers), complex numbers, ragged nestings, one
     dimension more and one fewer, and one entry more and one fewer along each
-    fixed length; the confusion matrix also refuses floats, integral ones too."""
-    for name, (what, dims, valid, call) in ARRAYS.items():
+    fixed length; the confusion matrix also refuses floats, integral ones too.
+    An array with an interval refuses a first entry of NaN, at each excluded
+    end, or just past each included end."""
+    for name, (what, dims, span, valid, call) in ARRAYS.items():
         rows = valid.tolist()
         bads = {"numeric-text": [["0.9", "0.1"]], "text-cells": valid.astype(str), "text": "ab",
                 "bools": valid != 0, "bool-list": [[True, False]], "complex": valid + 1j,
@@ -563,13 +580,19 @@ def _array_refusals():
                 bads[f"shorter-{axis}"] = np.delete(valid, -1, axis=axis)
         if valid.dtype != float:
             bads.update({"integral-floats": valid.astype(float), "float32": valid.astype(np.float32)})
+        if span is not None:
+            outside = [math.nan] + [float(np.nextafter(end, away)) if closed else end
+                                    for (end, closed), away in zip(_ends(span), (-math.inf, math.inf))]
+            for entry in outside:
+                bads[f"entry-{entry!r}"] = bad = valid.copy()
+                bad.flat[0] = entry
         for key, bad in bads.items():
-            yield pytest.param(what, dims, call, bad, id=f"{name}-{key}")
+            yield pytest.param(what, dims, span, call, bad, id=f"{name}-{key}")
 
 
-@pytest.mark.parametrize("what, dims, call, bad", _array_refusals())
-def test_array_refused_with_one_message(what, dims, call, bad):
-    _refused_array(what, dims, call, bad)
+@pytest.mark.parametrize("what, dims, span, call, bad", _array_refusals())
+def test_array_refused_with_one_message(what, dims, span, call, bad):
+    _refused_array(what, dims, span, call, bad)
 
 
 def _bits(result):
@@ -582,7 +605,7 @@ def _bits(result):
     return repr(result)
 
 
-@pytest.mark.parametrize("valid, call", [pytest.param(v[2], v[3], id=k) for k, v in ARRAYS.items()])
+@pytest.mark.parametrize("valid, call", [pytest.param(v[3], v[4], id=k) for k, v in ARRAYS.items()])
 def test_array_forms_give_the_same_bits(valid, call):
     # integers, float32 (reals) or narrow integers (the confusion matrix),
     # nested lists and Fortran order give the C-ordered result bit for bit
@@ -590,6 +613,50 @@ def test_array_forms_give_the_same_bits(valid, call):
     numbers = (np.int64, np.float32) if valid.dtype == float else (np.int8, np.int32, np.uint16)
     for given in (*(valid.astype(t) for t in numbers), valid.tolist(), np.asfortranarray(valid)):
         assert _bits(call(given)) == want
+
+
+# every interval that a module of the package writes for `as_real` or `as_reals`
+SPANS = sorted(set(re.findall(r'"([\[(][-\w.]+, [-\w.]+[\])])"', "".join(
+    path.read_text() for path in Path(as_reals.__code__.co_filename).parent.glob("*.py")))))
+
+
+# ±0.0, both infinities, NaN, and the subnormal, normal and integer extremes
+FLOAT_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.min,
+               -sys.float_info.min, sys.float_info.max, -sys.float_info.max)
+INT_EDGES = (0, 1, -1, 2**53 + 1, 2**63 - 1, -2**63)
+
+
+def _entries(dtype, span):
+    """Entries of `dtype`: an edge value or an end of `span` or its neighbour,
+    one inside `span`, or any at all."""
+    lo, hi = (float(e) for e in span[1:-1].split(", "))
+    if dtype is np.float64:
+        ends = [float(np.nextafter(end, to)) for end in (lo, hi) for to in (-math.inf, end, math.inf)]
+        return st.one_of(st.sampled_from(FLOAT_EDGES + tuple(ends)), st.floats(lo, hi, allow_nan=False),
+                         st.floats())
+    ends = [r(end) + d for end in (lo, hi) if math.isfinite(end) for r in (math.floor, math.ceil) for d in (-1, 0, 1)]
+    lo, hi = max(-2**63, math.ceil(max(lo, -1e19))), min(2**63 - 1, math.floor(min(hi, 1e19)))
+    return st.one_of(st.sampled_from(INT_EDGES + tuple(ends)), st.integers(lo, hi),
+                     st.integers(-2**63, 2**63 - 1))
+
+
+@seed(35)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_array_rule_is_the_real_rule_entry_by_entry(data):
+    # as_reals accepts an array in an interval exactly when as_real accepts
+    # each entry, and then gives the same floats bit for bit
+    span = data.draw(st.sampled_from(SPANS))
+    dtype = data.draw(st.sampled_from([np.float64, np.int64]))
+    arr = data.draw(arrays(dtype, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=2),
+                           elements=_entries(dtype, span)))
+    try:
+        want = np.array([as_real(e, "x", span) for e in arr.flat], dtype=float).reshape(arr.shape)
+    except DomainError:
+        with pytest.raises(DomainError, match=re.escape(f"array of real numbers in {span}, got")):
+            as_reals(arr, "x", arr.shape, span)
+    else:
+        assert as_reals(arr, "x", arr.shape, span).tobytes() == want.tobytes()
 
 
 def test_float64_arrays_are_not_copied():
@@ -600,50 +667,97 @@ def test_float64_arrays_are_not_copied():
     assert as_reals([1, 2], "initial", (2,)).dtype == float
 
 
-@pytest.mark.parametrize("call, what, dims, bad", [
-    pytest.param(lambda v: fit(v, [0, 1], k=1), "features", "(n, w)", [[1.0, 2.0], [3.0]], id="ragged-fit"),
-    pytest.param(lambda v: random_search(v, Y, SPACE, n_iter=2), "features", "(n, w)",
+@pytest.mark.parametrize("call, what, dims, span, bad", [
+    pytest.param(lambda v: fit(v, [0, 1], k=1), "features", "(n, w)", "(-inf, inf)", [[1.0, 2.0], [3.0]],
+                 id="ragged-fit"),
+    pytest.param(lambda v: random_search(v, Y, SPACE, n_iter=2), "features", "(n, w)", "(-inf, inf)",
                  [[0.5] * 4] * 39 + [[0.5]], id="ragged-random_search"),
-    pytest.param(lambda v: fit(v, Y, k=3), "features", "(n, w)", X + 1j, id="complex-fit"),
+    pytest.param(lambda v: fit(v, Y, k=3), "features", "(n, w)", "(-inf, inf)", X + 1j, id="complex-fit"),
     pytest.param(lambda v: predict_proba_batch(KnnModel(**{**MODEL, "features": v}), X[:2]),
-                 "features", "(n, w)", X > 0.5, id="bool-KnnModel"),
-    pytest.param(build_generators, "varied", "(n, 5)", np.ones((2, 3)), id="width-3-build_generators"),
-    pytest.param(build_generators, "varied", "(n, 5)", [[True, 3.5, 2.0, 0.0, 0.5]], id="bool-t_c"),
-    pytest.param(build_generators, "varied", "(n, 5)", VARIED_ROWS.ravel(), id="flat-build_generators"),
-    pytest.param(exchange_moment_ratios_batch, "varied", "(n, 5)", VARIED_ROWS.ravel(),
+                 "features", "(n, 4)", "(-inf, inf)", X > 0.5, id="bool-KnnModel"),
+    pytest.param(build_generators, "varied", "(n, 5)", None, np.ones((2, 3)), id="width-3-build_generators"),
+    pytest.param(build_generators, "varied", "(n, 5)", None, [[True, 3.5, 2.0, 0.0, 0.5]], id="bool-t_c"),
+    pytest.param(build_generators, "varied", "(n, 5)", None, VARIED_ROWS.ravel(), id="flat-build_generators"),
+    pytest.param(exchange_moment_ratios_batch, "varied", "(n, 5)", None, VARIED_ROWS.ravel(),
                  id="flat-exchange_moment_ratios_batch"),
-    pytest.param(lambda v: simulate(PROC, 10.0, 4, 1, initial=v), "initial", "(4,)",
+    pytest.param(lambda v: simulate(PROC, 10.0, 4, 1, initial=v), "initial", "(4,)", "[0, inf)",
                  [True, False, False, False], id="bool-initial"),
-    pytest.param(lambda v: simulate(PROC, 10.0, 4, 1, initial=v), "initial", "(4,)",
+    pytest.param(lambda v: simulate(PROC, 10.0, 4, 1, initial=v), "initial", "(4,)", "[0, inf)",
                  ["0.25"] * 4, id="text-initial"),
-    pytest.param(lambda v: predict_tree(TREE, v), "features", "(n, w)", X_INT[0], id="row-predict_tree"),
-    pytest.param(steady_states, "l0", "(n, 5, 5)", np.zeros((2, 4, 4)), id="4x4-steady_states"),
-    pytest.param(steady_states, "l0", "(n, 5, 5)", [[1]], id="1x1-steady_states"),
-    pytest.param(accuracy, "confusion matrix", "(4, 4)", [[1, 2], [3]], id="ragged-accuracy"),
-    pytest.param(accuracy, "confusion matrix", "(4, 4)", np.ones((4, 4), dtype=int).astype(str),
-                 id="text-accuracy"),
+    pytest.param(lambda v: predict_tree(TREE, v), "features", "(n, w)", "(-inf, inf)", X_INT[0],
+                 id="row-predict_tree"),
+    pytest.param(steady_states, "l0", "(n, 5, 5)", "(-inf, inf)", np.zeros((2, 4, 4)),
+                 id="4x4-steady_states"),
+    pytest.param(steady_states, "l0", "(n, 5, 5)", "(-inf, inf)", [[1]], id="1x1-steady_states"),
+    pytest.param(accuracy, "confusion matrix", "(4, 4)", None, [[1, 2], [3]], id="ragged-accuracy"),
+    pytest.param(accuracy, "confusion matrix", "(4, 4)", None,
+                 np.ones((4, 4), dtype=int).astype(str), id="text-accuracy"),
+    pytest.param(lambda v: fd_cumulants(replace(GEN, l0=v)), "l0", "(5, 5)", "(-inf, inf)", np.eye(4),
+                 id="4x4-fd_cumulants"),
+    pytest.param(lambda v: build_jump_process(replace(GEN, l0=v)), "l0", "(5, 5)", "(-inf, inf)", np.eye(4),
+                 id="4x4-build_jump_process"),
 ])
-def test_probed_array_defects_exit_2(call, what, dims, bad):
+def test_probed_array_defects_exit_2(call, what, dims, span, bad):
     # each crashed with a raw numpy or Python error, or was read as
     # something else, before the array rule
-    _refused_array(what, dims, call, bad)
+    _refused_array(what, dims, span, call, bad)
 
 
 @pytest.mark.parametrize("call, message, bad", [
-    pytest.param(steady_states, "l0 must be finite", np.full((2, 5, 5), math.nan), id="nan-steady_states"),
-    pytest.param(steady_states, "l0 must be finite", np.where(L0_STACK == -2, -math.inf, L0_STACK),
-                 id="inf-steady_states"),
-    pytest.param(lambda v: fit_tree(v, Y), "features must be finite", np.full((40, 4), math.nan),
-                 id="nan-fit_tree"),
-    pytest.param(lambda v: predict_tree(TREE, v), "features must be finite", [[math.nan, math.inf, 1.0, 1.0]],
-                 id="nan-inf-predict_tree"),
+    pytest.param(steady_states, "l0 must be an (n, 5, 5) array of real numbers in (-inf, inf)",
+                 np.full((2, 5, 5), math.nan), id="nan-steady_states"),
+    pytest.param(steady_states, "l0 must be an (n, 5, 5) array of real numbers in (-inf, inf)",
+                 np.where(L0_STACK == -2, -math.inf, L0_STACK), id="inf-steady_states"),
+    pytest.param(lambda v: fit_tree(v, Y), "features must be an (n, w) array of real numbers in (-inf, inf)",
+                 np.full((40, 4), math.nan), id="nan-fit_tree"),
+    pytest.param(lambda v: predict_tree(TREE, v), "features must be an (n, w) array of real numbers in (-inf, inf)",
+                 [[math.nan, math.inf, 1.0, 1.0]], id="nan-inf-predict_tree"),
+    pytest.param(lambda v: random_search(v, Y, SPACE, n_iter=2),
+                 "features must be an (n, w) array of real numbers in (-inf, inf)",
+                 np.where(np.arange(X.size).reshape(X.shape) == 45, math.nan, X), id="held-out-nan-random_search"),
+    pytest.param(lambda v: kfold_accuracy(v, Y, k=3),
+                 "features must be an (n, w) array of real numbers in (-inf, inf)",
+                 np.where(np.arange(X.size).reshape(X.shape) == 45, math.nan, X), id="held-out-nan-kfold_accuracy"),
 ])
 def test_non_finite_arrays_exit_2(call, message, bad):
-    # the stacks gave null space failures or numpy's LinAlgError, and the
-    # tree fitted a leaf on NaN features and answered a NaN row
+    # the stacks gave null space failures or numpy's LinAlgError, the tree
+    # fitted a leaf on NaN features and answered a NaN row, and a NaN in
+    # row 11, which the first fold holds out, was named as the queries'
+    message = f"{message}, got {' '.join(repr(bad).split()):.80}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
         call(bad)
     assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: cumulants(replace(GEN, emit_rate=math.nan)),
+                 "emit_rate must be a real number in [0, inf), got nan", id="nan-cumulants"),
+    pytest.param(lambda: fd_cumulants(replace(GEN, emit_rate=math.nan)),
+                 "emit_rate must be a real number in [0, inf), got nan", id="nan-fd_cumulants"),
+    pytest.param(lambda: cumulants(replace(GEN, absorb_rate="0.5")),
+                 "absorb_rate must be a real number in [0, inf), got '0.5'", id="text-cumulants"),
+    pytest.param(lambda: cumulants(replace(GEN, emit_rate=-1.0)),
+                 "emit_rate must be a real number in [0, inf), got -1.0", id="negative-cumulants"),
+    pytest.param(lambda: fd_cumulants(replace(GEN, emit_rate=-1.0)),
+                 "emit_rate must be a real number in [0, inf), got -1.0", id="negative-fd_cumulants"),
+    pytest.param(lambda: cumulants(replace(GEN, emit_rate=2 * GEN.emit_rate)),
+                 f"emit_rate must equal l0[3, 2] bit for bit, got {2 * GEN.emit_rate!r} and {GEN.emit_rate!r}",
+                 id="doubled-cumulants"),
+    pytest.param(lambda: cumulants(replace(COLD_CAVITY, absorb_rate=-0.0)),
+                 "absorb_rate must equal l0[2, 3] bit for bit, got -0.0 and 0.0", id="negative-zero-cumulants"),
+])
+def test_probed_generator_defects_exit_2(call, message):
+    # a rate that is NaN, text or negative, or that is not L(0)'s entry on
+    # its edge, gave NaN cumulants, a raw numpy or Python error, or numbers
+    # on which the perturbative and the finite-difference routes disagree
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert err.value.exit_code == 2
+
+
+def test_generator_l0_forms_give_the_same_fd_bits():
+    # a nested list raised a raw AttributeError in the finite-difference oracle
+    assert fd_cumulants(replace(GEN, l0=GEN.l0.tolist())).tobytes() == fd_cumulants(GEN).tobytes()
 
 
 # --- names ----------------------------------------------------------------------

@@ -552,7 +552,7 @@ def test_malformed_queries_are_refused(bad):
 def test_model_refuses_features_that_are_not_a_matrix(features):
     # the shape is checked before anything takes the features' length
     brief = " ".join(repr(features).split())
-    with pytest.raises(DomainError, match=f"^{re.escape(f'features must be an (n, w) array of real numbers, got {brief}')}$"):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'features must be an (n, 1) array of real numbers in (-inf, inf), got {brief}')}$"):
         KnnModel(features=features, labels=np.zeros(1, dtype=np.intp), k=1, weighting="uniform",
                  metric="euclidean", feature_subset=(0,), shift=np.zeros(1), scale=np.ones(1))
 
@@ -567,7 +567,7 @@ def test_overflowing_features_are_refused(metric):
     with pytest.raises(DomainError, match="overflow"):
         fit(x, np.arange(6) % N_CLASSES, k=3, metric=metric)
     # zscored, the column's variance overflows: the model would be scaled by inf
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(ValidationError, match=re.escape("scale must be an (4,) array of real numbers in (-inf, inf)")):
         fit(x * 1e100 if metric == "euclidean" else x, np.arange(6) % N_CLASSES, k=3,
             metric=metric, zscore=True)
     # the terms of the training rows' extremes fit, with room for the margin
@@ -960,5 +960,5 @@ def test_model_from_json_rejects_garbage():
             "malformed model document: array is too big")
     # a 0-d feature "matrix" (shape [], 8 bytes) is refused by its shape, before its length is read
     refused(lambda d: reencode(d, "features", lambda a: a[0, 0]),
-            re.escape("features must be an (n, w) array of real numbers, got array("))
+            re.escape("features must be an (n, 3) array of real numbers in (-inf, inf), got array("))
     refused(lambda d: d.__setitem__("extra", 1), "unknown model document key 'extra'", ParseError)
