@@ -27,7 +27,7 @@ from . import __version__
 from .counting import exchange_moment_ratios_batch
 from .engine import SPANS, VARIED, EngineParams, in_box
 from .errors import (DomainError, GenerationQualityError, ParseError, ValidationError,
-                     array_of, as_int, as_ints, as_real, as_reals, json_object, read_text)
+                     as_flags, as_int, as_ints, as_real, as_reals, json_object, read_text)
 
 CSV_HEADER = "c1,c2,c3,c4,label,t_c,t_h,t_l,p_c,p_h,split"
 
@@ -133,14 +133,9 @@ class Dataset:
         # unbounded: a label outside the classes is left to its row check
         labels = as_ints(self.labels, "labels", ("n",))
         n = len(labels)
-        if (in_train := array_of(self.in_train, "b")) is None or in_train.shape != (n,):
-            raise DomainError(f"in_train must be an ({n},) array of bools, "
-                              f"got {' '.join(repr(self.in_train).split()):.80}")
-        for name, col in (("features", as_reals(self.features, "features", (n, 4))),
-                          ("labels", labels),
-                          ("params", as_reals(self.params, "params", (n, 5))),
-                          ("in_train", in_train)):
-            col.setflags(write=False)
+        for name, col in (("in_train", as_flags(self.in_train, "in_train", (n,))), ("labels", labels),
+                          ("features", as_reals(self.features, "features", (n, 4))),
+                          ("params", as_reals(self.params, "params", (n, 5)))):
             object.__setattr__(self, name, col)
         self._check_rows()
 

@@ -122,11 +122,9 @@ class TwistedGenerator:
     absorb_rate: float             # g^2 * n_l, on the e^{-lam} edge
 
     def __post_init__(self):
-        l0 = as_reals(self.l0, "l0", (5, 5), "(-inf, inf)")
-        l0.setflags(write=False)
-        object.__setattr__(self, "l0", l0)
+        object.__setattr__(self, "l0", as_reals(self.l0, "l0", (5, 5), "(-inf, inf)"))
         for name, edge in (("emit_rate", EDGE_EMIT), ("absorb_rate", EDGE_ABSORB)):
-            rate, entry = as_real(getattr(self, name), name, "[0, inf)"), float(l0[edge])
+            rate, entry = as_real(getattr(self, name), name, "[0, inf)"), float(self.l0[edge])
             if rate.hex() != entry.hex():  # unlike ==, tells -0.0 from 0.0
                 raise DomainError(f"{name} must equal l0[{edge[0]}, {edge[1]}] bit for bit, "
                                   f"got {rate!r} and {entry!r}")
@@ -218,5 +216,4 @@ def varied_row(params: EngineParams) -> np.ndarray:
 def build_generator(params: EngineParams, variant: str = "consistent") -> TwistedGenerator:
     """The counting-field generator of one operating point (see build_generators)."""
     l0, emit, absorb = build_generators(varied_row(params), params, variant)
-    l0.setflags(write=False)
     return TwistedGenerator(l0=l0[0], emit_rate=float(emit[0]), absorb_rate=float(absorb[0]))

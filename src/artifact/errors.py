@@ -26,7 +26,9 @@ length), each in an interval like "(-inf, inf)" when one is given; else
 "<argument> must be an (n, 4) array of real numbers in (-inf, inf), got <value>".
 Every integer array goes through `as_ints`, its twin: integers, never bools, floats,
 text or objects, shaped alike, each in [lo, hi), as intp; else "<argument> must be an
-(n,) array of integers in [lo, hi), got <value>". Every flag goes through `as_flag`.
+(n,) array of integers in [lo, hi), got <value>". Every flag goes through `as_flag`, every array
+of flags through `as_flags` ("... an (n,) array of bools, ..."). An array reader returns a read-only
+copy that it owns, so a record keeps what it read whatever its caller later writes.
 """
 
 import functools
@@ -155,6 +157,12 @@ def as_flag(value, what: str) -> bool:
     raise DomainError(f"{what} must be true or false, got {value!r:.80}")
 
 
+def as_flags(value, what: str, shape: tuple) -> np.ndarray:
+    """`value`, the array argument `what`, as an owned, read-only bool array: bools, never
+    numbers, shaped as in `as_reals`; else a DomainError."""
+    return _array(value, what, shape, "b", bool, "bools")
+
+
 def array_of(value, kinds: str):
     """`value` as an array whose dtype kind is in `kinds` ("iu": integers, never bools; "b": bools;
     "U": text), or None. A listing of no entries is an empty array of the first kind."""
@@ -172,13 +180,15 @@ def array_of(value, kinds: str):
     return None if any(type(c) in (bool, np.bool_) for c in listed) else arr
 
 
-def _array(value, what: str, shape: tuple, kinds: str, entries: str, test=None) -> np.ndarray:
-    """`value`, the array argument `what`, as `array_of(value, kinds)` whose shape matches
-    `shape`, a name matching any length, and which passes `test`; else a DomainError."""
+def _array(value, what: str, shape: tuple, kinds: str, dtype, entries: str, test=None) -> np.ndarray:
+    """`value`, the array argument `what`, as a read-only `dtype` copy of `array_of(value, kinds)` whose
+    shape matches `shape`, a name matching any length, and which passes `test`; else a DomainError."""
     arr = array_of(value, kinds)
     if arr is not None and arr.ndim == len(shape) \
             and all(type(want) is str or want == got for want, got in zip(shape, arr.shape)) \
             and (test is None or test(arr)):
+        arr = arr.astype(dtype)
+        arr.setflags(write=False)
         return arr
     dims = str(shape).replace("'", "")  # ("n", 4) as (n, 4)
     raise DomainError(f"{what} must be an {dims} array of {entries}, "
@@ -186,22 +196,22 @@ def _array(value, what: str, shape: tuple, kinds: str, entries: str, test=None) 
 
 
 def as_reals(value, what: str, shape: tuple, span: str | None = None) -> np.ndarray:
-    """`value`, the array argument `what`, as float64 (a float64 array is not copied): integers
-    or floats whose shape matches `shape`, a name matching any length, each in the interval
+    """`value`, the array argument `what`, as an owned, read-only float64 array: integers or
+    floats whose shape matches `shape`, a name matching any length, each in the interval
     `span` (see `in_interval`; unbounded where None); else a DomainError."""
     entries = "real numbers" if span is None else f"real numbers in {span}"
     test = None if span is None else lambda arr: np.all(in_interval(arr.astype(float, copy=False), span))
-    return _array(value, what, shape, "iuf", entries, test).astype(float, copy=False)
+    return _array(value, what, shape, "iuf", float, entries, test)
 
 
 def as_ints(value, what: str, shape: tuple, lo: int | None = None, hi: int | None = None) -> np.ndarray:
-    """`value`, the array argument `what`, as intp: integers, never bools, whose shape matches
-    `shape` as in `as_reals`, each in [lo, hi) (unbounded where None); else a DomainError."""
+    """`value`, the array argument `what`, as an owned, read-only intp array: integers, never
+    bools, shaped as in `as_reals`, each in [lo, hi) (unbounded where None); else a DomainError."""
     intp = np.iinfo(np.intp)  # an unbounded end is intp's own, which every entry must fit
     low, high = intp.min if lo is None else lo, intp.max if hi is None else hi - 1
     span = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
-    return _array(value, what, shape, "iu", f"integers{span}",
-                  lambda arr: np.all((arr >= low) & (arr <= high))).astype(np.intp, copy=False)
+    return _array(value, what, shape, "iu", np.intp, f"integers{span}",
+                  lambda arr: np.all((arr >= low) & (arr <= high)))
 
 
 class StateError(ValidationError):

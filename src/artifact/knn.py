@@ -168,8 +168,6 @@ class KnnModel:
             raise DomainError("training features span so wide a range that their distances overflow")
         if not np.all(self.scale != 0.0):
             raise ValidationError("scale must be nonzero")
-        for arr in (self.features, self.labels, self.shift, self.scale):
-            arr.setflags(write=False)
         object.__setattr__(self, "copies", _copy_map(self.features))
 
 

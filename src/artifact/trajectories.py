@@ -42,8 +42,6 @@ class JumpProcess:
             raise ValidationError("rates must have a zero diagonal")
         if not np.all(np.isin(self.count_weights, (-1.0, 0.0, 1.0))):
             raise ValidationError("count weights must each be -1, 0 or +1")
-        self.rates.setflags(write=False)
-        self.count_weights.setflags(write=False)
 
     @property
     def escape_rates(self) -> np.ndarray:

@@ -5,8 +5,10 @@ the one array rule, `errors.as_reals`, at every array of real numbers
 (entry by entry the real-number rule where it takes an interval), its integer twin, `errors.as_ints`, at every array of integers (class
 labels through `data.as_labels`, a confusion matrix, a k range, a
 feature subset, sweep sizes, a model array's shape), the one flag rule,
-`errors.as_flag`, at every on/off setting, and the one name rule,
-`errors.as_name`, at every choice of a name."""
+`errors.as_flag`, at every on/off setting, its array twin `errors.as_flags`
+at the split column, and the one name rule, `errors.as_name`, at every
+choice of a name. An array reader returns a read-only copy that it owns,
+so no record shares memory with what it was built from."""
 
 import json
 import math
@@ -26,7 +28,7 @@ from artifact.counting import cumulants, exchange_moment_ratios_batch, steady_st
 from artifact.data import Dataset, ParamRanges, generate, write_csv
 from artifact.engine import (GENERATOR_VARIANTS, EngineParams, TwistedGenerator, bose_occupations,
                              build_generator, build_generators)
-from artifact.errors import DomainError, ParseError, as_real, as_reals
+from artifact.errors import DomainError, ParseError, as_flags, as_ints, as_real, as_reals
 from artifact.experiments import (DEFAULT_SCENARIO_RANGES, PAIR_RELATIONS, ScenarioSpec,
                                   run_size_sweep, scenario_suite)
 from artifact.fdcheck import fd_cumulants
@@ -172,6 +174,8 @@ ARRAYS = {
     "Dataset-features": ("features", "(4, 4)", None, ROWS["features"],
                          lambda v: Dataset(**{**ROWS, "features": v}).features),
     "Dataset-params": ("params", "(4, 5)", None, ROWS["params"], lambda v: Dataset(**{**ROWS, "params": v}).params),
+    "Dataset-in_train": ("in_train", "(4,)", None, ROWS["in_train"],
+                         lambda v: Dataset(**{**ROWS, "in_train": v}).in_train),
     "confusion-matrix": ("confusion matrix", "(4, 4)", None,
                          np.array([[5, 1, 0, 0], [2, 7, 1, 0], [0, 0, 3, 2], [1, 0, 0, 8]]), class_metrics),
 }
@@ -549,7 +553,7 @@ def test_dataset_takes_a_split_column_of_bools():
 # --- arrays of real numbers -----------------------------------------------------
 
 def _refused_array(what, dims, span, call, bad):
-    kind = "integers >= 0" if what == "confusion matrix" else "real numbers"
+    kind = {"confusion matrix": "integers >= 0", "in_train": "bools"}.get(what, "real numbers")
     kind += "" if span is None else f" in {span}"
     message = f"{what} must be an {dims} array of {kind}, got {' '.join(repr(bad).split()):.80}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
@@ -560,7 +564,8 @@ def _refused_array(what, dims, span, call, bad):
 def _array_refusals():
     """Text, bools (also among numbers), complex numbers, ragged nestings, one
     dimension more and one fewer, and one entry more and one fewer along each
-    fixed length; the confusion matrix also refuses floats, integral ones too.
+    fixed length; the confusion matrix also refuses floats, integral ones too,
+    and an array of bools refuses integers where the others refuse bools.
     An array with an interval refuses a first entry of NaN, at each excluded
     end, or just past each included end."""
     for name, (what, dims, span, valid, call) in ARRAYS.items():
@@ -574,6 +579,9 @@ def _array_refusals():
             bads["bool-in-list"] = [[True, *rows[0][1:]], *rows[1:]]
         else:
             bads["bool-in-list"] = [True, *rows[1:]]
+        if valid.dtype == bool:
+            del bads["bools"], bads["bool-in-list"]
+            bads.update({"integers": valid.astype(int), "integer-in-list": [1, *rows[1:]]})
         for axis, length in enumerate(dims.strip("(,)").split(", ")):
             if length.isdigit():
                 bads[f"longer-{axis}"] = np.concatenate([valid, valid.take([0], axis=axis)], axis=axis)
@@ -610,7 +618,7 @@ def test_array_forms_give_the_same_bits(valid, call):
     # integers, float32 (reals) or narrow integers (the confusion matrix),
     # nested lists and Fortran order give the C-ordered result bit for bit
     want = _bits(call(valid))
-    numbers = (np.int64, np.float32) if valid.dtype == float else (np.int8, np.int32, np.uint16)
+    numbers = {"f": (np.int64, np.float32), "b": ()}.get(valid.dtype.kind, (np.int8, np.int32, np.uint16))
     for given in (*(valid.astype(t) for t in numbers), valid.tolist(), np.asfortranarray(valid)):
         assert _bits(call(given)) == want
 
@@ -659,12 +667,45 @@ def test_array_rule_is_the_real_rule_entry_by_entry(data):
         assert as_reals(arr, "x", arr.shape, span).tobytes() == want.tobytes()
 
 
-def test_float64_arrays_are_not_copied():
-    # whatever their layout: a copy would cost a model file's features twice over
-    for arr in (X, np.asfortranarray(X), X[::3], X.T, np.frombuffer(X.tobytes()).reshape(X.shape)):
-        assert as_reals(arr, "features", ("n", "w")) is arr
-    assert as_reals(X[:, 0], "initial", (40,)) is not X  # a view, returned as itself
+@pytest.mark.parametrize("read, base", [
+    pytest.param(as_reals, X, id="as_reals"),
+    pytest.param(as_ints, X_INT.astype(np.intp), id="as_ints"),
+    pytest.param(as_flags, X > 0.5, id="as_flags"),
+])
+def test_array_readers_return_owned_read_only_copies(read, base):
+    # whatever the argument's layout, a read-only buffer too: a float64 array
+    # was once returned as itself, so a later write to it reached the result
+    for arr in (base, np.asfortranarray(base), base[::3], base.T,
+                np.frombuffer(base.tobytes(), base.dtype).reshape(base.shape)):
+        got = read(arr, "x", ("n", "w"))
+        assert got.dtype == base.dtype and got.tobytes() == arr.tobytes()
+        assert not got.flags.writeable and not np.shares_memory(got, arr)
     assert as_reals([1, 2], "initial", (2,)).dtype == float
+
+
+@pytest.mark.parametrize("make, fields", [
+    pytest.param(lambda **f: replace(GEN, **f), {"l0": GEN.l0}, id="TwistedGenerator"),
+    pytest.param(lambda **f: KnnModel(**{**MODEL, **f}),
+                 {name: MODEL[name] for name in ("features", "labels", "shift", "scale")}, id="KnnModel"),
+    pytest.param(JumpProcess, {"rates": PROC.rates, "count_weights": PROC.count_weights}, id="JumpProcess"),
+    pytest.param(lambda **f: Dataset(**{**ROWS, **f}),
+                 {name: ROWS[name] for name in ("features", "labels", "params", "in_train")}, id="Dataset"),
+])
+def test_records_own_their_arrays(make, fields):
+    # each record once write-protected the array its reader returned, which
+    # for a float64 argument was the caller's own: the caller's array turned
+    # read-only, and a write through its base still reached the record (a
+    # TwistedGenerator then failed its steady state with exit 3)
+    bases = {name: np.array(value) for name, value in fields.items()}
+    views = {name: base[:] for name, base in bases.items()}
+    record = make(**views)
+    for name, base in bases.items():
+        held = getattr(record, name)
+        kept = held.copy()
+        assert not held.flags.writeable and not np.shares_memory(held, views[name])
+        assert views[name].flags.writeable
+        base[...] = ~base if base.dtype == bool else base + 1
+        assert held.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("call, what, dims, span, bad", [
