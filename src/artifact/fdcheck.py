@@ -157,9 +157,9 @@ def _cgf_mp(gen: TwistedGenerator, l0, lam: float, seed: float):
             if f1 == f0:
                 break
             x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
-            f1 = _det_shifted(matrix, x1)
             if abs(x1 - x0) < tol:
-                break
+                break  # converged: the determinant at x1 would go unread
+            f1 = _det_shifted(matrix, x1)
         else:
             raise BranchAmbiguityError(f"secant refinement stalled at lam={lam}")
         return x1

@@ -37,6 +37,41 @@ def test_agrees_on_random_draws(rng):
         assert err.max() < 1e-8
 
 
+# fd_cumulants of three seeded draws as float.hex, recorded while the secant
+# still took a determinant at the iterate it returns
+RECORDED = {
+    0: ["0x1.3e8fb9d479a65p-6", "0x1.637f0f03b024fp-5", "0x1.58f1107601495p-7", "0x1.5b00713430d59p-6"],
+    1: ["0x1.a9937b33fa3b8p-6", "0x1.c54ca95a2a4d0p-5", "0x1.0d86e6098fbf4p-6", "0x1.e160aaf5963c1p-6"],
+    2: ["0x1.1fb6d8e04b59cp-6", "0x1.2642217abb778p-5", "0x1.39753b5f64390p-7", "0x1.24f6292d48c38p-6"],
+}
+
+
+@pytest.mark.parametrize("seed", RECORDED)
+def test_seeded_draws_keep_their_recorded_bits(seed):
+    gen = build_generator(random_params(np.random.default_rng(seed)))
+    assert [v.hex() for v in fd_cumulants(gen).tolist()] == RECORDED[seed]
+
+
+def test_the_returned_iterate_takes_no_determinant(monkeypatch):
+    # the secant stops once its step is below the tolerance, before the
+    # determinant at the new iterate, which nothing would read
+    shifts, returned = [], []
+    det, cgf = fdcheck._det_shifted, fdcheck._cgf_mp
+
+    def recorded_det(matrix, s):
+        shifts.append(s)
+        return det(matrix, s)
+
+    def recorded_cgf(*args):
+        returned.append(cgf(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(fdcheck, "_det_shifted", recorded_det)
+    monkeypatch.setattr(fdcheck, "_cgf_mp", recorded_cgf)
+    fd_cumulants(build_generator(EngineParams()))
+    assert len(returned) == 9 and not set(returned) & set(shifts)
+
+
 def test_precision_scales_with_dps(monkeypatch):
     # at very low working precision the fourth difference decays into
     # noise; raising the precision must restore agreement

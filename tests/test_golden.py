@@ -1,6 +1,8 @@
 """The determinism contract across versions: outputs held against the sha256
 of the bytes an earlier version wrote, kept in `golden.json` by command and
-seed. A change that means to alter an output updates the table with it.
+seed, or by output file of the CLI command list that `test_workers` runs at
+each worker count. A change that means to alter an output updates the table
+with it.
 
 The CSV bytes depend on LAPACK's SVD and numpy's float formatting, so a
 mismatch prints the numpy version and build configuration (BLAS among it):
@@ -15,14 +17,31 @@ import pytest
 
 from artifact.cli import main
 
+from test_workers import _COMMANDS
+
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
+
+
+def _explain(got, want, what):
+    if got != want:
+        print(f"numpy {np.__version__}")
+        np.show_config()
+    assert got == want, f"{what}: the sha256 moved"
 
 
 @pytest.mark.parametrize("seed, digest", GOLDEN["gen-data --n 5000"].items())
 def test_gen_data_writes_the_recorded_bytes(tmp_path, seed, digest):
     assert main(["--seed", seed, "--out", str(tmp_path), "gen-data", "--n", "5000"]) == 0
     got = hashlib.sha256((tmp_path / "dataset.csv").read_bytes()).hexdigest()
-    if got != digest:
-        print(f"numpy {np.__version__}")
-        np.show_config()
-    assert got == digest, f"gen-data --n 5000 at seed {seed}: dataset.csv's sha256 moved"
+    _explain(got, digest, f"gen-data --n 5000 at seed {seed}, dataset.csv")
+
+
+def test_cli_commands_write_the_recorded_bytes(monkeypatch, tmp_path):
+    # every output file of the list, the sidecar with its timestamp set aside
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps({"pair12": "equal", "n": 200}))
+    for command in _COMMANDS:
+        assert main(["--out", "out", *command]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(Path("out").iterdir()) if path.name != "dataset.meta.json"}
+    _explain(got, GOLDEN["cli commands"], "the CLI command list's outputs")
