@@ -26,16 +26,29 @@ round, with no row outside to bound, so it answers every query left.
 Training rows and queries must keep every distance within half the
 float range, so that distances and bounds alike stay finite.
 
+A strip round ranks its strips in runs: consecutive strips whose
+distances fill their own rows of one tall block, as wide as the run's
+widest strip, ranked by one call. A narrower strip's extra columns hold
++inf, which never ranks: a strip of a narrow round holds at least m >= 3k
+rows, as 12 m <= N and m >= sqrt(N k) / 2 give m^2 >= 3 m k. A round so
+takes a few numpy calls long enough for the pool's threads to overlap,
+not a dozen short ones per strip, which hand the interpreter lock back
+and forth. A strip that fills a run alone, and the full-width round, are
+runs of one.
+
 The blocks of a strip round run as jobs on the worker pool (`workers`).
 The blocks running at once hold at most `_BLOCK_ELEMS` distances, in one
-buffer per round with a slot per running block. `random_search` runs its
-(fold, metric) tables as jobs instead; a table's `_neighbors` then runs
-its blocks inline, at the same size, in one slot, so the tables in flight
-hold no more distances than one call's blocks. Each block's distance matrix
-is read only to rank neighbors: its answered queries' (b, k) neighbor
-indices and distances go into their own rows of one table, (ranked, nd,
-route) in query order, which `_neighbors` returns, so the worker count
-changes no bit of it. Votes are cast from that table, weighted by the
+buffer per round with a slot per running block; a run holds at most
+`_RUN_ELEMS`. A strip too large for a worker's share is cut by its
+queries into blocks of even size, and so is a round too small to give
+every worker a block, into parts that each pay for a block of their own.
+`random_search` runs its (fold, metric) tables as jobs instead; a table's
+`_neighbors` then runs its blocks inline, at the same size, in one slot,
+so the tables in flight hold no more distances than one call's blocks.
+Each block's distance matrix is read only to rank neighbors: its answered
+queries' (b, k) neighbor indices and distances go into their own rows of
+one table, (ranked, nd, route) in query order, which `_neighbors`
+returns, so the worker count changes no bit of it. Votes are cast from that table, weighted by the
 one rule `_weights`. Each question has one route. The vote values of one k
 (`predict_proba_batch`, `predict_batch`) are summed in training-index
 order. The winners of many k at once (`random_search`, which reads only
@@ -95,12 +108,19 @@ _BLOCK_ELEMS = 1_048_576
 # buffers, the distances and one or two scratch terms, take 1-1.5 MB
 # together and stay in a per-core L2 cache.
 _TILE_ELEMS = 65_536
+# Distances of a run of several strips at most: its tall block takes
+# 1 MiB, and its ranking's argpartition, made a tile of rows at a time,
+# 512 KiB, no more than a full-width block of a few dozen queries holds.
+# Half as much overlaps the pool's threads less, twice as much gains
+# little more (CHANGES.md has the measurements).
+_RUN_ELEMS = 131_072
 # A strip answers a query only if every row outside it is farther than the
 # query's k-th neighbor by this factor.
 _CERTIFY = 1.0 + 1e-9
 # Distance pairs a strip must spare its queries, against ranking them on
 # every training row, to pay for the fixed cost of one more block: about
-# 0.1 ms, or the time of some 10k pairs with their ranking.
+# 0.1 ms, or the time of some 10k pairs with their ranking. A round is cut
+# to give each worker a block only into parts of at least this many pairs.
 _STRIP_PAIRS = 16_384
 
 
@@ -276,10 +296,15 @@ def _distance_block(train: np.ndarray, queries: np.ndarray, metric: str,
 
 def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     """First k training indices per query, by (distance, index) lex order."""
-    part = np.argpartition(dist, k - 1, axis=1)
-    thr = np.take_along_axis(dist, part[:, k - 1:k], axis=1)  # k-th distance, (b, 1)
+    # argpartition's (rows, N) index array is made a tile of rows at a
+    # time, as in `_distance_block`, and only each row's first k are kept
+    part = np.empty((len(dist), k), dtype=np.intp)
+    step = max(1, _TILE_ELEMS // dist.shape[1])
+    for lo in range(0, len(dist), step):
+        part[lo:lo + step] = np.argpartition(dist[lo:lo + step], k - 1, axis=1)[:, :k]
+    thr = np.take_along_axis(dist, part[:, k - 1:], axis=1)  # k-th distance, (b, 1)
     counts = (dist <= thr).sum(axis=1)
-    cand = np.sort(part[:, :k], axis=1)
+    cand = np.sort(part, axis=1)
     d_cand = np.take_along_axis(dist, cand, axis=1)
     order = np.argsort(d_cand, axis=1, kind="stable")
     ranked = np.take_along_axis(cand, order, axis=1)
@@ -466,6 +491,30 @@ def _copy_spreads(q: np.ndarray, copies: tuple, metric: str) -> tuple:
     return terms.pop(0), sum(terms.values(), np.zeros(len(q)))
 
 
+def _tall(run: list) -> int:
+    """Distances of a run's tall block: its queries times its widest strip."""
+    return sum(rows.size for rows, _, _ in run) * max(idx.size for _, _, idx in run)
+
+
+def _runs(strips: list, share: int, even: int, cap: int) -> list:
+    """The blocks of a strip round, each a run: a list of consecutive
+    `strips`, each (queries, their bounds, training rows). A strip is
+    first cut by its queries into as few even parts as hold at most
+    `share` distances each and `even` at most, rounded up to whole
+    queries; a part joins the run before it while the run's tall block
+    holds at most `cap` distances."""
+    runs = []
+    for rows, bound, idx in strips:
+        parts = max(-(-rows.size // max(1, share // idx.size)), -(-rows.size * idx.size // even))
+        for part in workers.spans(rows.size, parts):
+            piece = (rows[part], bound[part], idx)
+            if runs and _tall(runs[-1] + [piece]) <= cap:
+                runs[-1].append(piece)
+            else:
+                runs.append([piece])
+    return runs
+
+
 def _neighbors(model: KnnModel, queries) -> tuple:
     """(ranked, nd, route), one row per query in query order: its (n, k)
     ranked neighbor indices and their distances, and the index of the
@@ -486,10 +535,18 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     row, with nothing outside to bound, so it takes and answers every
     query left.
 
-    A round's blocks run as jobs on the worker pool, as few per strip as
-    fit a worker's share of `_BLOCK_ELEMS`, of even sizes. Each job
-    writes only its own rows of the table. Called inside a job of the
-    pool, the blocks keep that size but run inline, in one buffer slot.
+    A round's strips are ranked in runs (`_runs`): each strip's distances
+    come from one `_distance_block` call on its own training rows, into
+    its rows of the run's tall block, whose columns past a narrower strip
+    hold +inf; one `_ranked_neighbors` call ranks the block, and each
+    query is certified by its own bound. A narrow round's strips hold at
+    least 3k rows (see the module docstring), so +inf never ranks. The
+    blocks run as jobs on the worker pool. A strip too large for a
+    worker's share of `_BLOCK_ELEMS` is cut by its queries into blocks of
+    even size, and so is a round that would leave a worker idle, into
+    parts of at least `_STRIP_PAIRS` pairs. Each job writes only its
+    own rows of the table. Called inside a job of the pool, the blocks
+    keep a worker's share but run inline, in one buffer slot.
     """
     x, k, metric, copies = model.features, model.k, model.metric, model.copies
     q = as_reals(queries, "queries", ("n", x.shape[1]))
@@ -506,24 +563,38 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     n_workers = workers.count()
     # Distances of one worker's block at most: the blocks running at once
     # hold no more than `_block_rows` rows together.
-    share = -(-min(_block_rows(n), len(q)) // n_workers) * n
+    share = -(-_block_rows(n) // n_workers) * n
     lanes = 1 if workers.nested() else n_workers
     ranked_of, nd_of = np.empty((len(q), k), dtype=np.intp), np.empty((len(q), k))
     route_of = np.full(len(q), -1)  # -1: no round has answered the query
 
-    def rank(slots, rows, bound, idx, strip_x, route):
-        # One block: rank the queries `rows` against the strip `strip_x`,
-        # training rows `idx`, in a buffer taken from `slots`, and enter
-        # the answers its `bound` certifies.
+    def rank(slots, run, route):
+        # One job: the queries of each strip of `run` against its training
+        # rows, in the strip's own rows of one tall block of a buffer taken
+        # from `slots`, +inf past a narrower strip's last column; the block
+        # ranked at once, and the answers each query's bound certifies entered.
+        rows = np.concatenate([r for r, _, _ in run])
+        width = max(idx.size for _, _, idx in run)
         buf = slots.get()
-        dist = _distance_block(strip_x, q[rows], metric, copies,
-                               buf[:rows.size * idx.size].reshape(rows.size, idx.size))
+        dist = buf[:rows.size * width].reshape(rows.size, width)
+        top = 0  # the strip's first row in the block
+        for r, _, idx in run:
+            strip_x = cols.T if idx.size == n else np.take(cols, idx, axis=1).T
+            block = dist[top:top + r.size]
+            _distance_block(strip_x, q[r], metric, copies, block[:, :idx.size])
+            block[:, idx.size:] = np.inf
+            top += r.size
         ranked = _ranked_neighbors(dist, k)
-        nd = np.take_along_axis(dist, ranked, axis=1)
+        nd = buf[ranked + width * np.arange(rows.size)[:, None]]
         slots.put(buf)
-        done = bound > nd[:, -1] * _CERTIFY
+        done = np.concatenate([bnd for _, bnd, _ in run]) > nd[:, -1] * _CERTIFY
+        # a row's rank positions index its strip's training rows; with every
+        # strip's laid end to end, they move by the strips before its own
+        ranked += np.repeat(np.cumsum([0] + [idx.size for _, _, idx in run[:-1]]),
+                            [r.size for r, _, _ in run])[:, None]
         rows = rows[done]
-        ranked_of[rows], nd_of[rows], route_of[rows] = idx[ranked[done]], nd[done], route
+        ranked_of[rows] = np.concatenate([idx for _, _, idx in run])[ranked[done]]
+        nd_of[rows], route_of[rows] = nd[done], route
 
     # Any order by c1 serves: a strip is re-sorted by training index, and
     # its bound reads c1 values only, so ties need no stable sort.
@@ -543,7 +614,7 @@ def _neighbors(model: KnnModel, queries) -> tuple:
         bound = reach[tried] + other[pending[tried]]
         if metric == "euclidean":
             np.sqrt(bound, out=bound)
-        strips = []  # (a, b) of its tries tried[a:b], its training rows and their columns
+        strips = []  # its queries, their bounds, and its training rows in training order
         # first try of each strip, a row range: lo and hi never fall, so lo + hi rises there
         starts = np.flatnonzero(np.diff(lo[tried] + hi[tried], prepend=-1))
         for a, b in zip(starts, [*starts[1:], len(tried)]):
@@ -551,22 +622,20 @@ def _neighbors(model: KnnModel, queries) -> tuple:
             width = hi[first] - lo[first]
             if width < n and (b - a) * (n - width) < _STRIP_PAIRS:
                 continue  # too few queries to pay for a block of their own
-            if width < n:
-                idx = np.sort(order[lo[first]:hi[first]])  # the strip, in training order
-                strips.append((a, b, idx, np.take(cols, idx, axis=1).T))
-            else:  # every training row, in training order already
-                strips.append((a, b, np.arange(n), cols.T))
-        n_blocks = [-(-(b - a) // (share // idx.size)) for a, b, idx, _ in strips]
+            idx = np.sort(order[lo[first]:hi[first]]) if width < n else np.arange(n)
+            strips.append((pending[tried[a:b]], bound[a:b], idx))
+        # A block holds at most a worker's share of distances, and no more
+        # than an even part of the round per lane, unless that part would
+        # hold fewer than `_STRIP_PAIRS`.
+        even = max(_STRIP_PAIRS, -(-sum(r.size * i.size for r, _, i in strips) // lanes))
+        runs = _runs(strips, share, even, min(_RUN_ELEMS, share, even))
         # One distance buffer for the round's blocks, a slot per block running
         # at once, as large as the largest: freeing it after each block would
         # let glibc trim the heap, and the next block would fault it in again.
-        sizes = [-(-(b - a) // c) * idx.size for c, (a, b, idx, _) in zip(n_blocks, strips)]
         slots = queue.SimpleQueue()
-        for part in np.empty((min(lanes, sum(n_blocks)), max(sizes, default=0))):
+        for part in np.empty((min(lanes, len(runs)), max(map(_tall, runs), default=0))):
             slots.put(part)
-        workers.run(partial(rank, slots, pending[tried[a:b][rows]], bound[a:b][rows], idx, strip_x, route)
-                    for c, (a, b, idx, strip_x) in zip(n_blocks, strips)
-                    for rows in workers.spans(b - a, c))
+        workers.run(partial(rank, slots, run, route) for run in runs)
         left = route_of[pending] < 0
         pending, at = pending[left], at[left]
     return ranked_of, nd_of, route_of

@@ -357,6 +357,20 @@ def test_block_arrays_stay_under_the_allocator_ceiling(n_train):
     assert rows * n_train * 8 <= 8 * 2**20 < 32 * 2**20
 
 
+def test_ranking_partitions_a_tile_of_rows_at_a_time(rng, monkeypatch):
+    # argpartition's (rows, N) index array is the ranking's largest
+    # transient, so it is made a tile of rows at a time; the ranking is
+    # still (distance, index) order, ties included
+    dist = rng.integers(0, 50, (300, 1000)).astype(float)
+    sizes = []
+    argpartition = np.argpartition
+    monkeypatch.setattr(np, "argpartition", lambda a, *args, **kw: sizes.append(a.size) or argpartition(a, *args, **kw))
+    for k in (1, 7, 1000):
+        got = knn._ranked_neighbors(dist, k)
+        assert got.tolist() == np.argsort(dist, axis=1, kind="stable")[:, :k].tolist()
+    assert len(sizes) > 3 and max(sizes) <= knn._TILE_ELEMS
+
+
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 def test_votes_from_pairs_match_full_matrix(metric, weighting, rng):
@@ -701,6 +715,72 @@ def test_strip_bound_is_at_most_every_row_outside(metric, rng):
     assert np.all(bound <= np.where(outside, terms, np.inf).min(axis=1))
 
 
+def _recorded_blocks(monkeypatch) -> list:
+    """The distance blocks `_ranked_neighbors` is handed from now on, as copies."""
+    blocks = []
+    ranker = knn._ranked_neighbors
+
+    def recorded(dist, k):
+        blocks.append(dist.copy())
+        return ranker(dist, k)
+
+    monkeypatch.setattr(knn, "_ranked_neighbors", recorded)
+    return blocks
+
+
+def _in_a_pool_job(call):
+    """call()'s result, called in a job of the pool, where `workers.run` runs inline."""
+    got = []
+    workers.run([lambda: got.append((workers.nested(), call())), lambda: None])
+    assert got[0][0]
+    return got[0][1]
+
+
+@pytest.mark.parametrize("where", ["1 worker", "2 workers", "a pool job"])
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+def test_runs_of_strips_equal_brute_force(metric, where, rng, monkeypatch):
+    # 2,400 rows at k = 3 (12 m <= N): the first round's strips are 129
+    # rows wide, and those at either end of the c1 order narrower, so a
+    # run that ranks an end strip with full ones pads the end strip's
+    # rows with +inf, which must never rank
+    train_x, train_y, query = _sheet_problem(rng, 2400, 800)
+    model = fit(train_x, train_y, k=3, metric=metric)
+    assert knn._strip_margins(2400, 3) == [43, 172, 2400]
+    monkeypatch.setattr(workers, "count", lambda: 1 if where == "1 worker" else 2)
+    blocks = _recorded_blocks(monkeypatch)
+    call = lambda: knn._neighbors(model, query)
+    ranked, nd, route = _in_a_pool_job(call) if where == "a pool job" else call()
+    padded = [np.isinf(block).any(axis=1) for block in blocks]
+    assert any(rows.any() and not rows.all() for rows in padded)
+    assert route.min() == 0 and route.max() == 2  # every query routed, by every round
+    monkeypatch.setattr(knn, "_strip_margins", lambda n, k: [n])  # brute force alone
+    want_ranked, want_nd, want_route = call()
+    assert not want_route.any()
+    assert ranked.tobytes() == want_ranked.tobytes()
+    assert nd.tobytes() == want_nd.tobytes()
+
+
+@pytest.mark.parametrize("where, parts", [("1 worker", 1), ("2 workers", 2), ("a pool job", 1)])
+def test_a_round_of_one_block_is_cut_across_the_workers(where, parts, rng, monkeypatch):
+    # 700 queries on training rows answer in the narrow round; 60 more,
+    # whose c3 lies 0.05 off their c1, are left to the full-width round.
+    # They fit one block, but their 72,000 distances pay for one block per
+    # worker, unless the call is itself a job of the pool
+    train_x, train_y, _ = _sheet_problem(rng, 1200, 0)
+    query = np.vstack([train_x[:700], train_x[:60] + [0.0, 0.0, 0.05, 0.0]])
+    model = fit(train_x, train_y, k=3)
+    assert knn._strip_margins(1200, 3) == [31, 1200]
+    monkeypatch.setattr(workers, "count", lambda: 1 if where == "1 worker" else 2)
+    blocks = _recorded_blocks(monkeypatch)
+    call = lambda: knn._neighbors(model, query)
+    got = _in_a_pool_job(call) if where == "a pool job" else call()
+    full = [len(block) for block in blocks if block.shape[1] == 1200]
+    assert len(full) == parts and max(full) - min(full) <= 1
+    assert np.count_nonzero(got[2] == 1) == sum(full) >= 60
+    monkeypatch.setattr(workers, "count", lambda: 1)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in call()]
+
+
 def test_strip_blocks_stay_under_the_allocator_ceiling(rng, monkeypatch):
     train_x, train_y, query = _sheet_problem(rng, 35_000, 4_000)
     model = fit(train_x, train_y, k=50, metric="manhattan")
@@ -712,9 +792,14 @@ def test_strip_blocks_stay_under_the_allocator_ceiling(rng, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(knn, "_distance_block", recorded)
+    ranked = []
+    ranker = knn._ranked_neighbors
+    monkeypatch.setattr(knn, "_ranked_neighbors", lambda dist, k: ranked.append(dist.shape) or ranker(dist, k))
     route = knn._neighbors(model, query)[2]
     assert set(route) == {0, 1, 2}  # strips of both narrow rounds and the full-width one
+    # each strip's distances, and the tall block of a run of them
     assert max(b * n for b, n in shapes) * 8 <= 8 * 2**20
+    assert max(b * n for b, n in ranked) * 8 <= 8 * 2**20
 
 
 # --- cross validation ---------------------------------------------------------
