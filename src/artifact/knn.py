@@ -48,13 +48,13 @@ so the tables in flight hold no more distances than one call's blocks.
 Each block's distance matrix is read only to rank neighbors: its answered
 queries' (b, k) neighbor indices and distances go into their own rows of
 one table, (ranked, nd, route) in query order, which `_neighbors`
-returns, so the worker count changes no bit of it. Votes are cast from that table, weighted by the
-one rule `_weights`. Each question has one route. The vote values of one k
-(`predict_proba_batch`, `predict_batch`) are summed in training-index
-order. The winners of many k at once (`random_search`, which reads only
-the argmax) come from one rank-order cumulative sum; a winner is kept
-where the sums are exact or a proven rounding bound certifies it, and
-recomputed in index order otherwise.
+returns, so the worker count changes no bit of it. Votes are cast from
+that table, weighted by the one rule `_weights`. Each question has one
+route. The vote values of one k (`predict_proba_batch`, `predict_batch`)
+are summed in training-index order. The winners of many k at once
+(`random_search`, which reads only the argmax) come from one rank-order
+cumulative sum; a winner is kept where the sums are exact or a proven
+rounding bound certifies it, and recomputed in index order otherwise.
 
 A model records which of its columns are bitwise copies of an earlier
 column (every dataset row has c3 == c1 and c4 == c2). When a block's
@@ -111,8 +111,9 @@ _TILE_ELEMS = 65_536
 # Distances of a run of several strips at most: its tall block takes
 # 1 MiB, and its ranking's argpartition, made a tile of rows at a time,
 # 512 KiB, no more than a full-width block of a few dozen queries holds.
-# Half as much overlaps the pool's threads less, twice as much gains
-# little more (CHANGES.md has the measurements).
+# Half as much overlaps the pool's threads less; twice as much ranks a
+# little faster but adds its 1 MiB per thread to the peak resident size
+# (CHANGES.md has the measurements).
 _RUN_ELEMS = 131_072
 # A strip answers a query only if every row outside it is farther than the
 # query's k-th neighbor by this factor.
@@ -296,25 +297,34 @@ def _distance_block(train: np.ndarray, queries: np.ndarray, metric: str,
 
 def _ranked_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
     """First k training indices per query, by (distance, index) lex order."""
-    # argpartition's (rows, N) index array is made a tile of rows at a
-    # time, as in `_distance_block`, and only each row's first k are kept
-    part = np.empty((len(dist), k), dtype=np.intp)
-    step = max(1, _TILE_ELEMS // dist.shape[1])
-    for lo in range(0, len(dist), step):
-        part[lo:lo + step] = np.argpartition(dist[lo:lo + step], k - 1, axis=1)[:, :k]
-    thr = np.take_along_axis(dist, part[:, k - 1:], axis=1)  # k-th distance, (b, 1)
-    counts = (dist <= thr).sum(axis=1)
-    cand = np.sort(part, axis=1)
+    b, n = dist.shape
+    # argpartition at k where a row has a (k + 1)-th entry: its first k are
+    # still the k nearest, and the next one tells whether ties straddle the
+    # k-th rank. The (b, N) index array is made a tile of rows at a time, as
+    # in `_distance_block`, and only each row's first k + 1 are kept.
+    kth = min(k, n - 1)
+    part = np.empty((b, kth + 1), dtype=np.intp)
+    step = max(1, _TILE_ELEMS // n)
+    for lo in range(0, b, step):
+        part[lo:lo + step] = np.argpartition(dist[lo:lo + step], kth, axis=1)[:, :kth + 1]
+    cand = np.sort(part[:, :k], axis=1)
     d_cand = np.take_along_axis(dist, cand, axis=1)
-    order = np.argsort(d_cand, axis=1, kind="stable")
+    thr = d_cand.max(axis=1)  # the k-th distance
+    order = np.argsort(d_cand, axis=1)
+    # Equal distances among the candidates rank by index, the order `cand`
+    # holds them in, which only a stable sort keeps; other rows sort alike.
+    near = np.take_along_axis(d_cand, order, axis=1)
+    tied = np.flatnonzero((near[:, 1:] == near[:, :-1]).any(axis=1))
+    order[tied] = np.argsort(d_cand[tied], axis=1, kind="stable")
     ranked = np.take_along_axis(cand, order, axis=1)
     # Rows with distance ties straddling the k-th rank: argpartition's
     # pick among the tied points is arbitrary. Every point nearer than the
     # k-th distance is a candidate and ranks first already; the rest of
     # the row is the lowest-index points at that distance.
-    for r in np.flatnonzero(counts != k):
-        a = np.count_nonzero(d_cand[r] < thr[r])
-        ranked[r, a:] = np.flatnonzero(dist[r] == thr[r])[:k - a]
+    if kth == k:
+        for r in np.flatnonzero(np.take_along_axis(dist, part[:, k:], axis=1)[:, 0] == thr):
+            a = np.count_nonzero(d_cand[r] < thr[r])
+            ranked[r, a:] = np.flatnonzero(dist[r] == thr[r])[:k - a]
     return ranked
 
 
@@ -501,12 +511,13 @@ def _runs(strips: list, share: int, even: int, cap: int) -> list:
     `strips`, each (queries, their bounds, training rows). A strip is
     first cut by its queries into as few even parts as hold at most
     `share` distances each and `even` at most, rounded up to whole
-    queries; a part joins the run before it while the run's tall block
-    holds at most `cap` distances."""
+    queries, and never into more parts than it has queries; a part joins
+    the run before it while the run's tall block holds at most `cap`
+    distances."""
     runs = []
     for rows, bound, idx in strips:
         parts = max(-(-rows.size // max(1, share // idx.size)), -(-rows.size * idx.size // even))
-        for part in workers.spans(rows.size, parts):
+        for part in workers.spans(rows.size, min(parts, rows.size)):
             piece = (rows[part], bound[part], idx)
             if runs and _tall(runs[-1] + [piece]) <= cap:
                 runs[-1].append(piece)

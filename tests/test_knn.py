@@ -781,6 +781,19 @@ def test_a_round_of_one_block_is_cut_across_the_workers(where, parts, rng, monke
     assert [a.tobytes() for a in got] == [a.tobytes() for a in call()]
 
 
+def test_a_round_has_no_more_blocks_than_queries(rng, monkeypatch):
+    # one query, off the sheet so that only the full-width round can
+    # answer it, against 20,000 rows: its distances alone would pay for a
+    # block per worker, but a block holds at least one query
+    train_x, train_y, _ = _sheet_problem(rng, 20_000, 0)
+    model = fit(train_x, train_y, k=3)
+    monkeypatch.setattr(workers, "count", lambda: 2)
+    blocks = _recorded_blocks(monkeypatch)
+    route = knn._neighbors(model, train_x[:1] + [0.0, 0.0, 0.5, 0.0])[2]
+    assert route.tolist() == [len(knn._strip_margins(20_000, 3)) - 1]
+    assert [block.shape for block in blocks] == [(1, 20_000)]
+
+
 def test_strip_blocks_stay_under_the_allocator_ceiling(rng, monkeypatch):
     train_x, train_y, query = _sheet_problem(rng, 35_000, 4_000)
     model = fit(train_x, train_y, k=50, metric="manhattan")
