@@ -584,27 +584,27 @@ def _neighbors(model: KnnModel, queries) -> tuple:
         # rows, in the strip's own rows of one tall block of a buffer taken
         # from `slots`, +inf past a narrower strip's last column; the block
         # ranked at once, and the answers each query's bound certifies entered.
-        rows = np.concatenate([r for r, _, _ in run])
-        width = max(idx.size for _, _, idx in run)
+        rows, bounds, strips = zip(*run)
+        sizes = [r.size for r in rows]
+        width = max(idx.size for idx in strips)
         buf = slots.get()
-        dist = buf[:rows.size * width].reshape(rows.size, width)
+        dist = buf[:sum(sizes) * width].reshape(-1, width)
         top = 0  # the strip's first row in the block
-        for r, _, idx in run:
+        for r, idx in zip(rows, strips):
             strip_x = cols.T if idx.size == n else np.take(cols, idx, axis=1).T
             block = dist[top:top + r.size]
             _distance_block(strip_x, q[r], metric, copies, block[:, :idx.size])
             block[:, idx.size:] = np.inf
             top += r.size
         ranked = _ranked_neighbors(dist, k)
-        nd = buf[ranked + width * np.arange(rows.size)[:, None]]
+        nd = buf[ranked + width * np.arange(len(dist))[:, None]]
         slots.put(buf)
-        done = np.concatenate([bnd for _, bnd, _ in run]) > nd[:, -1] * _CERTIFY
+        done = np.concatenate(bounds) > nd[:, -1] * _CERTIFY
         # a row's rank positions index its strip's training rows; with every
         # strip's laid end to end, they move by the strips before its own
-        ranked += np.repeat(np.cumsum([0] + [idx.size for _, _, idx in run[:-1]]),
-                            [r.size for r, _, _ in run])[:, None]
-        rows = rows[done]
-        ranked_of[rows] = np.concatenate([idx for _, _, idx in run])[ranked[done]]
+        ranked += np.repeat(np.cumsum([0, *(idx.size for idx in strips[:-1])]), sizes)[:, None]
+        rows = np.concatenate(rows)[done]
+        ranked_of[rows] = np.concatenate(strips)[ranked[done]]
         nd_of[rows], route_of[rows] = nd[done], route
 
     # Any order by c1 serves: a strip is re-sorted by training index, and
