@@ -5,18 +5,18 @@ This is the oracle path: it must share no algorithm with
 fields by refining the dominant eigenvalue beyond double precision
 (double-precision finite differences cannot certify a fourth
 derivative to 1e-6: the fourth difference divides eigenvalue roundoff
-by h^4). A secant iteration finds the root of det(L(lam) - s I), and
-that determinant is exact: every entry is a binary fraction, so the
-matrix is scaled to integers once per ladder point and reduced by
-fraction-free elimination. `_DPS` therefore sets only the rounding of
-e^{+-lam}, of the shift s and of the secant arithmetic, which takes each
-determinant rounded once. The nine secants start from the dominant
-eigenvalues of one stacked `eigvals` call over the ladder's matrices.
-Central-difference stencils at steps {1e-2, 5e-3, 2.5e-3} are then
-combined by two levels of Richardson extrapolation, cancelling the h^2
-and h^4 error terms. What depends only on the ladder and the precision
-(e^{+-lam}, the secant's nudge and tolerance, the powers of each step)
-is rounded once per value of `_DPS`, read at call time.
+by h^4). A secant iteration, seeded from one stacked `eigvals` call over
+the ladder, finds the root of det(L(lam) - s I), and that determinant is
+exact. Only the counted entries x = absorb e^{-lam} and y = emit e^{+lam}
+move with lam, and a determinant is affine in each entry, so per draw
+det(L(lam) - s I) = D0 + x D1 + y D2 + x y D3 with integer polynomials D
+in s. Each secant step sums its point's polynomial in integers and
+rounds the exact binary fraction once, as exact elimination would, so
+`_DPS` sets only the rounding of e^{+-lam}, x, y, s and the secant
+arithmetic. Central-difference stencils at steps {1e-2, 5e-3, 2.5e-3}
+are combined by two levels of Richardson extrapolation, cancelling the
+h^2 and h^4 error terms. Constants of the ladder and the precision are
+rounded once per value of `_DPS`, read at call time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .engine import EDGE_ABSORB, EDGE_EMIT, TwistedGenerator
+from .engine import EDGE_ABSORB, TwistedGenerator
 from .errors import BranchAmbiguityError
 
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
@@ -85,70 +85,74 @@ def _integer_matrix(rows):
     return [[man << (exp - e) for man, exp in row] for row in rows], e
 
 
-def _det_shifted(matrix, s):
-    """det(A - s I), exact and rounded once to the working precision.
+def _char_poly(a, p=(1,)):
+    """det(a - t I) of the integer matrix a, as integer coefficients with
+    the highest power of t first, by Berkowitz's division-free recursion
+    over a's leading blocks (Inf. Process. Lett. 18, 147 (1984)). `p` is
+    the polynomial of a's leading len(p) - 1 block, if already known."""
+    for r in range(len(p) - 1, len(a)):
+        col = [row[r] for row in a[:r]]
+        q = [-1, a[r][r]]
+        for _ in range(r):
+            q.append(sum(u * v for u, v in zip(a[r], col)))
+            col = [sum(u * v for u, v in zip(row, col)) for row in a[:r]]
+        p = [sum(q[i - j] * p[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return p
 
-    `matrix` holds A as `_integer_matrix` gives it. A and s are brought
-    to integers over one exponent (A is shifted further only if s needs
-    a smaller one) and reduced by fraction-free elimination, whose
-    divisions are all exact (Bareiss, Math. Comp. 22, 565 (1968)), so
-    only a zero pivot needs a row swap.
-    """
-    a, e = matrix
-    n = len(a)
+
+def _ladder_polys(gen: TwistedGenerator, ladder: _Ladder) -> dict:
+    """lam -> (c, e) with det(L(lam) - s I) == 2**(5e) sum_k c[k] (s / 2**e)**(5 - k),
+    for L(0) and every point's x, y over one exponent e. The D are taken
+    from the four corners x, y in {0, 1} by inclusion-exclusion; with the
+    counted indices last, the corners share all but Berkowitz's last step."""
+    with mp.workdps(_DPS):
+        counted = [(_dyadic(mp.mpf(float(gen.absorb_rate)) * e_minus),
+                    _dyadic(mp.mpf(float(gen.emit_rate)) * e_plus))
+                   for e_minus, e_plus in ladder.edges.values()]
+    n = len(gen.l0)  # L(0)'s rows, then the (x, y) of each ladder point
+    rows, e = _integer_matrix([*([_dyadic(v) for v in row] for row in gen.l0.tolist()), *counted])
+    order = [i for i in range(n) if i not in EDGE_ABSORB] + list(EDGE_ABSORB)
+    a = [[rows[i][j] for j in order] for i in order]
+    head, corners = _char_poly(a[:-1]), []
+    for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        a[-2][-1], a[-1][-2] = x, y  # EDGE_ABSORB and its transpose EDGE_EMIT
+        corners.append(_char_poly(a, head))
+    d = [(p00, p10 - p00, p01 - p00, p11 - p10 - p01 + p00) for p00, p10, p01, p11 in zip(*corners)]
+    return {lam: ([d0 + x * d1 + y * (d2 + x * d3) for d0, d1, d2, d3 in d], e)
+            for lam, (x, y) in zip(ladder.edges, rows[n:])}
+
+
+def _det_shifted(poly, s):
+    """det(A - s I), exact and rounded once to the working precision, for
+    A's (c, e) from `_ladder_polys`. Horner's rule runs in integers on the
+    finer of the grids 2**e and s's own, and `mp.mpf` rounds the exact
+    sum once, as it would round exact elimination of A - s I."""
+    c, e = poly
     s_man, s_exp = _dyadic(s)
-    if s_exp < e:
-        a = [[v << (e - s_exp) for v in row] for row in a]
-        e = s_exp
-    else:
-        a = [row[:] for row in a]
-    s_int = s_man << (s_exp - e)
-    for i in range(n):
-        a[i][i] -= s_int
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            p = next((r for r in range(c + 1, n) if a[r][c]), None)
-            if p is None:
-                return mp.mpf(0)
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        ac = a[c]
-        piv = ac[c]
-        for r in range(c + 1, n):
-            ar = a[r]
-            f = ar[c]
-            for k in range(c + 1, n):
-                ar[k] = (ar[k] * piv - f * ac[k]) // prev
-        prev = piv
-    return mp.mpf((sign * a[n - 1][n - 1], n * e))
+    g = min(e, s_exp)
+    t, d = s_man << (s_exp - g), e - g
+    acc = 0
+    for k, ck in enumerate(c):
+        acc = acc * t + (ck << d * k)
+    return mp.mpf((acc, (len(c) - 1) * g))
 
 
-def _cgf_mp(gen: TwistedGenerator, l0, lam: float, seed: float):
-    """CGF branch value at the ladder point `lam`, refined to `_DPS`
-    significant digits.
-
-    `l0` is `gen.l0` as (man, exp) pairs. Runs a secant iteration on
-    det(L(lam) - s I) from `seed`, the double-precision dominant
-    eigenvalue; near a simple eigenvalue the determinant is locally
-    linear in s, so a handful of iterations suffice and the iteration
-    cannot wander to another branch.
+def _cgf_mp(poly, lam: float, seed: float):
+    """CGF branch value at the ladder point `lam`, refined to `_DPS` digits
+    by a secant iteration on `poly`, the point's det(L(lam) - s I), from
+    `seed`, the double-precision dominant eigenvalue. Near a simple
+    eigenvalue the determinant is locally linear in s, so a handful of
+    iterations suffice and the iteration cannot wander to another branch.
     """
     ladder = _ladder(_DPS)
-    e_minus, e_plus = ladder.edges[lam]
     with mp.workdps(_DPS):
-        rows = [row[:] for row in l0]
-        rows[EDGE_ABSORB[0]][EDGE_ABSORB[1]] = _dyadic(mp.mpf(float(gen.absorb_rate)) * e_minus)
-        rows[EDGE_EMIT[0]][EDGE_EMIT[1]] = _dyadic(mp.mpf(float(gen.emit_rate)) * e_plus)
-        matrix = _integer_matrix(rows)
-
         # The seed is already within ~1e-15 of the root; start the
         # second secant point just outside that error so the first
         # corrected step is meaningful.
         x0 = mp.mpf(seed)
         x1 = x0 + ladder.nudge
-        f0 = _det_shifted(matrix, x0)
-        f1 = _det_shifted(matrix, x1)
+        f0 = _det_shifted(poly, x0)
+        f1 = _det_shifted(poly, x1)
         # The determinant is exact, so the only rounding left is the
         # secant step's own, about three orders below `tol`.
         factor, floor = ladder.tol
@@ -159,7 +163,7 @@ def _cgf_mp(gen: TwistedGenerator, l0, lam: float, seed: float):
             x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
             if abs(x1 - x0) < tol:
                 break  # converged: the determinant at x1 would go unread
-            f1 = _det_shifted(matrix, x1)
+            f1 = _det_shifted(poly, x1)
         else:
             raise BranchAmbiguityError(f"secant refinement stalled at lam={lam}")
         return x1
@@ -174,17 +178,16 @@ def fd_cumulants(gen: TwistedGenerator) -> np.ndarray:
     halve the one before.
     """
     ladder = _ladder(_DPS)
-    l0 = [[_dyadic(v) for v in row] for row in gen.l0.tolist()]
     seeds, gaps = _dominant_eigs(np.stack([gen.eval(lam) for lam in ladder.lams]))
     # The stencils for even derivatives involve S(0), the last point. For
     # the rounded float matrix the steady eigenvalue is ~1e-17, not
     # exactly 0, and the fourth difference amplifies that by 6/h^4; it
     # must be measured.
-    values = {}
+    polys, values = _ladder_polys(gen, ladder), {}
     for lam, seed, gap in zip(ladder.lams, seeds.real.tolist(), gaps.tolist()):
         if gap <= _MIN_GAP:
             raise BranchAmbiguityError(f"spectral gap {gap:.3e} at lam={lam}; oracle cannot track branch")
-        values[lam] = _cgf_mp(gen, l0, lam, seed)
+        values[lam] = _cgf_mp(polys[lam], lam, seed)
     s0 = values[0.0]
 
     with mp.workdps(_DPS):
@@ -192,16 +195,12 @@ def fd_cumulants(gen: TwistedGenerator) -> np.ndarray:
         for h, (two_h, h2, two_h3, h4) in zip(FD_STEPS, ladder.powers):
             sp1, sm1 = values[h], values[-h]
             sp2, sm2 = values[2 * h], values[-2 * h]
-            d1 = (sp1 - sm1) / two_h
-            d2 = (sp1 - 2 * s0 + sm1) / h2
-            d3 = (sp2 - 2 * sp1 + 2 * sm1 - sm2) / two_h3
-            d4 = (sp2 - 4 * sp1 + 6 * s0 - 4 * sm1 + sm2) / h4
-            per_step.append((d1, d2, d3, d4))
-
+            per_step.append(((sp1 - sm1) / two_h,
+                             (sp1 - 2 * s0 + sm1) / h2,
+                             (sp2 - 2 * sp1 + 2 * sm1 - sm2) / two_h3,
+                             (sp2 - 4 * sp1 + 6 * s0 - 4 * sm1 + sm2) / h4))
         out = []
-        for i in range(4):
-            v1, v2, v3 = (per_step[0][i], per_step[1][i], per_step[2][i])
-            r12 = (4 * v2 - v1) / 3
-            r23 = (4 * v3 - v2) / 3
+        for v1, v2, v3 in zip(*per_step):
+            r12, r23 = (4 * v2 - v1) / 3, (4 * v3 - v2) / 3
             out.append(float((16 * r23 - r12) / 15))
     return np.array(out)

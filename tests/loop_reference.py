@@ -27,10 +27,12 @@ determinant exactly and must agree with it to rounding.
 `fd_cumulants` is that oracle as it ran with the exact determinant but
 one ladder point at a time: one `eigvals` call per point, e^{+-lam}, the
 secant constants and the step powers rounded afresh on every call, and
-the matrix scaled to integers on every determinant. `artifact.fdcheck`
-seeds the nine points from one stacked `eigvals`, rounds the constants
-once per working precision and scales each point's matrix once; it must
-return the same bytes at any precision.
+each determinant `exact_det_shifted`, the per-point reference: the
+matrix L(lam) - s I scaled to integers and reduced by fraction-free
+(Bareiss) elimination, rounded once. `artifact.fdcheck` seeds the nine
+points from one stacked `eigvals`, rounds the constants once per working
+precision, and sums each determinant from characteristic polynomials
+built once per draw; it must return the same bytes at any precision.
 
 `read_csv_lines` is the dataset reader as it parsed one line at a time
 with `parse_line`, which was once `artifact.data`'s own line rule;

@@ -8,7 +8,8 @@ from artifact import fdcheck
 from artifact.counting import cumulants
 from artifact.engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, build_generator
 from artifact.errors import BranchAmbiguityError
-from artifact.fdcheck import _DPS, FD_STEPS, _det_shifted, _dyadic, _integer_matrix, fd_cumulants
+from artifact.fdcheck import (_DPS, FD_STEPS, _char_poly, _det_shifted, _dyadic, _integer_matrix,
+                              _ladder, _ladder_polys, fd_cumulants)
 
 import loop_reference
 from conftest import random_params
@@ -107,11 +108,21 @@ def _exact_det(m, s):
 
 
 def _det(m, s):
+    # the polynomial route, held on every call against exact elimination
+    # of the one matrix m - s I, the per-point reference
+    rows = [[_dyadic(v) for v in row] for row in m]
+    a, e = _integer_matrix(rows)
     with mp.workdps(_DPS):
-        return _det_shifted(_integer_matrix([[_dyadic(v) for v in row] for row in m]), s)
+        det = _det_shifted((_char_poly(a), e), s)
+        assert det == loop_reference.exact_det_shifted(rows, s)
+    return det
 
 
 def test_exact_determinant_matches_high_precision_det(rng):
+    # shifts on a finer grid than the matrix's and on a coarser one (0
+    # among them) must both occur: Horner's rule then sums over each
+    # exponent in turn
+    finer = set()
     for _ in range(50):
         gen = build_generator(random_params(rng))
         for lam in (0.0, 0.02, -0.0025):
@@ -120,14 +131,17 @@ def test_exact_determinant_matches_high_precision_det(rng):
             with mp.workdps(_DPS):
                 shifts = (mp.mpf(top), mp.mpf(top) + mp.mpf("1e-12"),
                           mp.mpf(rng.uniform(-5.0, 1.0)) / 3, mp.mpf(0))
+            e = _integer_matrix([[_dyadic(v) for v in row] for row in m])[1]
             for s in shifts:
                 assert _det(m, s) == _exact_det(m, s)
+                finer.add(_dyadic(s)[1] < e)
             # with (2, 2) moved to the front, s equal to that entry zeroes
             # the leading pivot, so the elimination must swap rows
             order = (2, 0, 1, 3, 4)
             moved = [[m[i][j] for j in order] for i in order]
             s = moved[0][0]
             assert _det(moved, s) == _exact_det(moved, s) != 0
+    assert finer == {True, False}
 
 
 def test_exact_determinant_of_singular_matrix_is_zero(rng):
@@ -146,9 +160,48 @@ def test_exact_determinant_of_singular_matrix_is_zero(rng):
 def test_agrees_with_mpf_elimination_reference(rng, monkeypatch):
     gens = [build_generator(random_params(rng)) for _ in range(50)]
     exact = [fd_cumulants(gen) for gen in gens]
-    monkeypatch.setattr(fdcheck, "_cgf_mp", lambda gen, l0, lam, seed: loop_reference.cgf_mp(gen, lam))
     for gen, fd in zip(gens, exact):
+        monkeypatch.setattr(fdcheck, "_cgf_mp", lambda poly, lam, seed, gen=gen: loop_reference.cgf_mp(gen, lam))
         np.testing.assert_allclose(fd, fd_cumulants(gen), rtol=1e-10, atol=0)
+
+
+def test_corner_polynomials_combine_to_each_points_char_poly(rng):
+    # D0 + x D1 + y D2 + x y D3 at a point's own x and y is, coefficient
+    # for coefficient, the char poly of that point's whole matrix
+    ladder = _ladder(_DPS)
+    for _ in range(20):
+        gen = build_generator(random_params(rng))
+        polys = _ladder_polys(gen, ladder)
+        assert list(polys) == list(ladder.lams)
+        for lam, (c, e) in polys.items():
+            rows = [[_dyadic(v) for v in row] for row in _mp_rows(gen, lam)]
+            assert min(exp for row in rows for _, exp in row) >= e
+            assert c == _char_poly([[man << (exp - e) for man, exp in row] for row in rows])
+
+
+# `_det_shifted` calls per draw of RECORDED, counted while each secant step
+# still eliminated its own matrix
+RECORDED_DETS = {0: 27, 1: 27, 2: 29}
+
+
+@pytest.mark.parametrize("seed", RECORDED)
+def test_a_draw_builds_its_polynomials_once(seed, monkeypatch):
+    # one shared leading block and four corner completions, whatever the
+    # number of secant steps; the secant takes as many determinants as before
+    calls = {"_ladder_polys": 0, "_char_poly": 0, "_det_shifted": 0}
+
+    def counted(name):
+        original = getattr(fdcheck, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fdcheck, name, counted(name))
+    fd_cumulants(build_generator(random_params(np.random.default_rng(seed))))
+    assert calls == {"_ladder_polys": 1, "_char_poly": 5, "_det_shifted": RECORDED_DETS[seed]}
 
 
 def test_matches_per_point_refinement_bitwise(rng, monkeypatch):
