@@ -5,6 +5,8 @@ import pytest
 
 from artifact.data import generate
 
+pytest.register_assert_rewrite("golden")  # a mismatch then shows which digests moved
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # acceptance verdicts would otherwise be swallowed by fd-level capture

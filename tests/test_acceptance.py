@@ -1,4 +1,5 @@
-"""Acceptance gate: ten criteria, one printed verdict line each.
+"""Acceptance gate: ten criteria, one printed verdict line each, and the
+50k seed-42 dataset's CSV held against its recorded digest.
 
 Heavy artifacts (the 50k dataset, the three tuned pipelines) are built
 once in module fixtures and shared by the criteria that need them.
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from artifact.counting import cumulants, exchange_moment_ratios
-from artifact.data import generate
+from artifact.data import generate, write_csv
 from artifact.engine import TRACE_VECTOR, build_generator
 from artifact.experiments import evaluate_untuned, run_pipeline, run_scenario, scenario_suite
 from artifact.fdcheck import fd_cumulants
@@ -21,7 +22,8 @@ from artifact.metrics import class_metrics
 from artifact.trajectories import compare_with_analytic
 
 from conftest import random_params
-from test_knn import _ref_predict, _ref_proba
+from golden import GOLDEN, digest, hold
+from knn_reference import ref_predict, ref_proba
 
 pytestmark = pytest.mark.acceptance
 
@@ -243,8 +245,8 @@ def test_criterion_09_ml_oracle_exactness():
                     proba = predict_proba_batch(model, query)
                     for i, q in enumerate(query):
                         cases += 1
-                        ref = _ref_proba(train_x, train_y, q, k, weighting, metric)
-                        if (got[i] != _ref_predict(train_x, train_y, q, k, weighting, metric)
+                        ref = ref_proba(train_x, train_y, q, k, weighting, metric)
+                        if (got[i] != ref_predict(train_x, train_y, q, k, weighting, metric)
                                 or not np.array_equal(proba[i], ref)):
                             mismatches += 1
                     worst_norm = max(worst_norm, float(np.max(np.abs(proba.sum(axis=1) - 1.0))))
@@ -279,3 +281,10 @@ def test_criterion_10_determinism(tmp_path):
              "byte-identical across two seeded runs: "
              + ", ".join(f"{n}={'yes' if v else 'NO'}" for n, v in same.items()))
     assert ok
+
+
+def test_big_dataset_writes_the_recorded_bytes(big_dataset, tmp_path):
+    # the bytes `gen-data --n 50000` writes at seed 42
+    write_csv(big_dataset, tmp_path / "dataset.csv")
+    hold(digest((tmp_path / "dataset.csv").read_bytes()), GOLDEN["gen-data --n 50000"]["42"],
+         "write_csv of the 50k seed-42 dataset")

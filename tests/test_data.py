@@ -276,16 +276,6 @@ def test_write_read_round_trip(tmp_path, small_dataset):
     assert back.meta["seed"] == small_dataset.meta["seed"]
 
 
-def test_write_is_byte_deterministic(tmp_path, small_dataset):
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(small_dataset, p1)
-    write_csv(small_dataset, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    # the only timestamp lives in the sidecar, not the csv
-    assert b"generated_at" not in p1.read_bytes()
-    assert "generated_at" in json.loads(meta_path(p1).read_text())
-
-
 def test_csv_header_layout(tmp_path, small_dataset):
     p = tmp_path / "ds.csv"
     write_csv(small_dataset, p)

@@ -28,44 +28,8 @@ from artifact.knn import (
     random_search,
     single_shot_accuracy,
 )
-from knn_reference import full_matrix_votes
+from knn_reference import full_matrix_votes, ref_predict, ref_proba
 from model_doc import decode, put, reencode
-
-
-# --- brute-force reference ---------------------------------------------------
-#
-# Deliberately dumb and loop-based: one query at a time, explicit sorting
-# by (distance, training index), explicit vote table. The production code
-# must match this bit for bit, including every tie rule.
-
-def _ref_proba(train_x, train_y, query, k, weighting, metric):
-    if metric == "euclidean":
-        d = np.sqrt(((train_x - query) ** 2).sum(axis=1))
-    else:
-        d = np.abs(train_x - query).sum(axis=1)
-    order = sorted(range(len(train_x)), key=lambda i: (d[i], i))
-    # neighbors are chosen by (distance, index) but their votes are
-    # accumulated in ascending training index: summation order is part
-    # of the bitwise contract
-    neigh = sorted(order[:k])
-    votes = np.zeros(N_CLASSES)
-    if weighting == "distance":
-        exact = [i for i in neigh if d[i] == 0.0]
-        if exact:
-            # an exact feature match decides the vote outright
-            for i in exact:
-                votes[train_y[i]] += 1.0
-            return votes / votes.sum()
-        for i in neigh:
-            votes[train_y[i]] += 1.0 / d[i]
-    else:
-        for i in neigh:
-            votes[train_y[i]] += 1.0
-    return votes / votes.sum()
-
-
-def _ref_predict(train_x, train_y, query, k, weighting, metric):
-    return int(np.argmax(_ref_proba(train_x, train_y, query, k, weighting, metric)))
 
 
 def _random_problem(rng, n, q, dups=True):
@@ -87,10 +51,10 @@ def test_predictions_match_reference(metric, weighting, rng):
     for k in (1, 3, 7, 90):
         model = fit(train_x, train_y, k=k, weighting=weighting, metric=metric)
         got = predict_batch(model, query)
-        want = [_ref_predict(train_x, train_y, q, k, weighting, metric) for q in query]
+        want = [ref_predict(train_x, train_y, q, k, weighting, metric) for q in query]
         assert got.tolist() == want
         proba = predict_proba_batch(model, query)
-        ref = np.array([_ref_proba(train_x, train_y, q, k, weighting, metric) for q in query])
+        ref = np.array([ref_proba(train_x, train_y, q, k, weighting, metric) for q in query])
         np.testing.assert_array_equal(proba, ref)
 
 
@@ -335,7 +299,7 @@ def test_copy_aware_blocks_match_reference(metric, rng, monkeypatch):
     assert blocks == [(16, True, True), (16, True, False), (16, False, True), (16, True, True)]
     proba = predict_proba_batch(model, query)
     for i, q in enumerate(query):
-        want = _ref_proba(train_x, train_y, q, 7, "distance", metric)
+        want = ref_proba(train_x, train_y, q, 7, "distance", metric)
         assert proba[i].tobytes() == want.tobytes(), i
 
 
@@ -649,7 +613,7 @@ def test_strip_rounds_equal_brute_force(metric, zscore, rng, monkeypatch):
     assert nd.tobytes() == want_nd.tobytes()
     assert proba.tobytes() == predict_proba_batch(model, query).tobytes()
     for i in np.flatnonzero(np.arange(len(query)) % 40 == 0):
-        want = _ref_proba(model.features, train_y, (query[i] - model.shift) / model.scale,
+        want = ref_proba(model.features, train_y, (query[i] - model.shift) / model.scale,
                           3, "distance", metric)
         assert proba[i].tobytes() == want.tobytes(), i
 
