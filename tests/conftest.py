@@ -30,6 +30,13 @@ def small_xy(small_dataset):
     return small_dataset.train
 
 
+@pytest.fixture(scope="session")
+def cli_runs(tmp_path_factory):
+    # one run per worker count, read by both test_golden and test_workers
+    from golden import cli_runs  # after the assertion-rewrite registration
+    return cli_runs(tmp_path_factory)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

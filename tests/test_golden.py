@@ -1,30 +1,11 @@
 """The determinism contract end to end and across versions: CLI outputs
 held against the digests in `golden.json` (see `golden.py`), the command
-list at every worker count."""
-
-import json
-from pathlib import Path
+list (`golden.run_commands`) at every worker count."""
 
 import pytest
 
-from artifact import workers
 from artifact.cli import main
 from golden import GOLDEN, digest, hold
-
-COUNTS = (1, 2, 3)
-
-# Each command reads what the earlier ones wrote; gen-data writes seed 0's
-# `gen-data --n 5000` bytes.
-_COMMANDS = [
-    ("gen-data", "--n", "5000"),
-    ("tune", "--data", "out/dataset.csv", "--mapping", "f1", "--n-iter", "20"),
-    ("train", "--data", "out/dataset.csv", "--mapping", "f1", "--weighting", "distance",
-     "--metric", "manhattan"),
-    ("evaluate", "--model", "out/model-f1.json", "--data", "out/dataset.csv"),
-    ("apply", "--model", "out/model-f1.json", "--scenario", "scenario.json"),
-    ("sweep", "--sizes", "200,400"),
-    ("oracle-check", "--draws", "1", "--t-final", "1e3", "--n-traj", "20"),
-]
 
 
 @pytest.mark.parametrize("seed, want", GOLDEN["gen-data --n 5000"].items())
@@ -33,22 +14,8 @@ def test_gen_data_writes_the_recorded_bytes(tmp_path, seed, want):
     hold(digest((tmp_path / "dataset.csv").read_bytes()), want, f"gen-data --n 5000 at seed {seed}, dataset.csv")
 
 
-def test_cli_commands_write_the_recorded_bytes(monkeypatch, tmp_path, capsys):
-    # at each worker count, this machine's among them: every output file and
-    # the stdout of each command; the sidecar without its timestamp, dumped
-    # with sorted keys
-    for n in sorted({*COUNTS, workers.count()}):
-        monkeypatch.setattr(workers, "count", lambda n=n: n)
-        (tmp_path / str(n)).mkdir()
-        monkeypatch.chdir(tmp_path / str(n))
-        Path("scenario.json").write_text(json.dumps({"pair12": "equal", "n": 200}))
-        printed = {}
-        for command in _COMMANDS:
-            assert main(["--out", "out", *command]) == 0
-            printed[command[0]] = digest(capsys.readouterr().out.encode())
-        got = {path.name: digest(path.read_bytes()) for path in sorted(Path("out").iterdir())}
-        meta = json.loads(Path("out", "dataset.meta.json").read_text())
-        del meta["generated_at"]
-        got["dataset.meta.json"] = digest(json.dumps(meta, sort_keys=True).encode())
-        hold(got, GOLDEN["cli commands"], f"the CLI command list's outputs at {n} worker(s)")
+def test_cli_commands_write_the_recorded_bytes(cli_runs):
+    # at each worker count, this machine's among them
+    for n, (files, printed) in cli_runs.items():
+        hold(files, GOLDEN["cli commands"], f"the CLI command list's outputs at {n} worker(s)")
         hold(printed, GOLDEN["cli stdout"], f"the CLI command list's stdout at {n} worker(s)")

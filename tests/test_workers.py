@@ -2,8 +2,8 @@
 
 Every test runs the same work with the pool patched to 1, 2 and 3
 workers and requires the same bits each time: one worker runs every job
-inline, in order, as the serial loop did. The CLI's outputs at each
-count are held against their recorded bytes in `test_golden`.
+inline, in order, as the serial loop did. `test_golden` holds the same
+CLI runs as here against their recorded bytes.
 """
 
 import json
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from artifact import counting, knn, workers
+from artifact.data import generate, write_csv
 from artifact.errors import DomainError
 from artifact.engine import EngineParams, build_generators
 from artifact.knn import DISTANCE_METRICS, HyperSpace, fit, random_search
@@ -185,6 +186,23 @@ def test_steady_states_do_not_depend_on_the_worker_count(monkeypatch, rng):
         for rows in workers.spans(n, parts):
             assert any(rows.start <= i < rows.stop for i in failures)
     assert results[1:] == results[:1] * 2
+
+
+def test_generated_csv_does_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    def csv_bytes():
+        write_csv(generate(5000, seed=42), tmp_path / "dataset.csv")
+        return (tmp_path / "dataset.csv").read_bytes()
+
+    results = _at_each_count(monkeypatch, csv_bytes)
+    assert results[1:] == results[:1] * 2
+
+
+def test_cli_outputs_do_not_depend_on_the_worker_count(cli_runs):
+    # all files and stdout, sidecar timestamp aside; holds under any numpy or BLAS
+    runs = list(cli_runs.values())
+    assert sorted(runs[0][0]) == ["class-metrics.csv", "confusion.txt", "dataset.csv", "dataset.meta.json",
+                                  "model-f1.json", "scenario-result.json", "sweep.csv", "sweep.dat", "tuning-f1.json"]
+    assert runs[1:] == runs[:1] * (len(runs) - 1)
 
 
 def test_every_job_runs_once_under_contention(monkeypatch, rng):
