@@ -17,6 +17,14 @@ arithmetic. Central-difference stencils at steps {1e-2, 5e-3, 2.5e-3}
 are combined by two levels of Richardson extrapolation, cancelling the
 h^2 and h^4 error terms. Constants of the ladder and the precision are
 rounded once per value of `_DPS`, read at call time.
+
+The multiprecision arithmetic runs on mpmath's raw values, the
+(sign, man, exp, bc) tuples behind `mpf`, through `mpmath.libmp`: each
+operation is the one the `mpf` operator would call inside
+`mp.workdps(_DPS)`, rounded to nearest at the ladder's precision in
+bits, so the results are the same bits without the objects and the
+global context. Only `_ladder` enters `mp.workdps`, once per precision,
+to round its constants; no step of a draw reads or sets `mp.dps`.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_sub, to_float)
 
 from .engine import EDGE_ABSORB, TwistedGenerator
 from .errors import BranchAmbiguityError
@@ -40,11 +50,13 @@ _MIN_GAP = 1e-8
 
 
 class _Ladder(NamedTuple):
-    """What `fd_cumulants` needs of the ladder at one working precision."""
+    """What `fd_cumulants` needs of the ladder at one working precision,
+    each constant a raw mpmath value."""
 
+    prec: int         # the precision in bits, as `mp.workdps` sets it for the digits
     lams: tuple       # the stencil points in ascending order, then 0.0
     edges: dict       # lam -> (e^{-lam}, e^{+lam})
-    nudge: mp.mpf     # the secant's second point sits this far above the seed
+    nudge: tuple      # the secant's second point sits this far above the seed
     tol: tuple        # (factor, floor): the secant exits below factor * max(|seed|, floor)
     powers: tuple     # per step h of FD_STEPS: (2h, h^2, 2h^3, h^4)
 
@@ -55,8 +67,13 @@ def _ladder(dps: int) -> _Ladder:
     lams = (*sorted({sign * mult * h for h in FD_STEPS for mult in (1, 2) for sign in (1, -1)}), 0.0)
     with mp.workdps(dps):
         edges = {lam: (mp.e ** (-mp.mpf(lam)), mp.e ** (mp.mpf(lam))) for lam in lams}
-        powers = tuple((2 * hh, hh**2, 2 * hh**3, hh**4) for hh in map(mp.mpf, FD_STEPS))
-        return _Ladder(lams, edges, mp.mpf("1e-12"), (mp.mpf(10) ** (2 - dps), mp.mpf("1e-3")), powers)
+        powers = [(2 * hh, hh**2, 2 * hh**3, hh**4) for hh in map(mp.mpf, FD_STEPS)]
+        nudge, tol, prec = mp.mpf("1e-12"), (mp.mpf(10) ** (2 - dps), mp.mpf("1e-3")), mp.mp.prec
+
+    def raw(values):
+        return tuple(v._mpf_ for v in values)
+    return _Ladder(prec, lams, {lam: raw(e) for lam, e in edges.items()}, nudge._mpf_, raw(tol),
+                   tuple(map(raw, powers)))
 
 
 def _dominant_eigs(matrices: np.ndarray):
@@ -70,11 +87,11 @@ def _dominant_eigs(matrices: np.ndarray):
 
 
 def _dyadic(x):
-    """(man, exp) with man * 2**exp == x exactly, for a float or an mpf."""
+    """(man, exp) with man * 2**exp == x exactly, for a float or a raw mpf."""
     if isinstance(x, float):
         man, den = x.as_integer_ratio()
         return man, 1 - den.bit_length()
-    sign, man, exp, _ = x._mpf_
+    sign, man, exp, _ = x
     return (-man if sign else man), exp
 
 
@@ -105,10 +122,10 @@ def _ladder_polys(gen: TwistedGenerator, ladder: _Ladder) -> dict:
     for L(0) and every point's x, y over one exponent e. The D are taken
     from the four corners x, y in {0, 1} by inclusion-exclusion; with the
     counted indices last, the corners share all but Berkowitz's last step."""
-    with mp.workdps(_DPS):
-        counted = [(_dyadic(mp.mpf(float(gen.absorb_rate)) * e_minus),
-                    _dyadic(mp.mpf(float(gen.emit_rate)) * e_plus))
-                   for e_minus, e_plus in ladder.edges.values()]
+    prec = ladder.prec
+    absorb, emit = (from_float(float(rate), prec, "n") for rate in (gen.absorb_rate, gen.emit_rate))
+    counted = [(_dyadic(mpf_mul(absorb, e_minus, prec, "n")), _dyadic(mpf_mul(emit, e_plus, prec, "n")))
+               for e_minus, e_plus in ladder.edges.values()]
     n = len(gen.l0)  # L(0)'s rows, then the (x, y) of each ladder point
     rows, e = _integer_matrix([*([_dyadic(v) for v in row] for row in gen.l0.tolist()), *counted])
     order = [i for i in range(n) if i not in EDGE_ABSORB] + list(EDGE_ABSORB)
@@ -122,11 +139,12 @@ def _ladder_polys(gen: TwistedGenerator, ladder: _Ladder) -> dict:
             for lam, (x, y) in zip(ladder.edges, rows[n:])}
 
 
-def _det_shifted(poly, s):
-    """det(A - s I), exact and rounded once to the working precision, for
-    A's (c, e) from `_ladder_polys`. Horner's rule runs in integers on the
-    finer of the grids 2**e and s's own, and `mp.mpf` rounds the exact
-    sum once, as it would round exact elimination of A - s I."""
+def _det_shifted(poly, s, prec):
+    """det(A - s I), exact and rounded once to nearest at `prec` bits, for
+    A's (c, e) from `_ladder_polys` and a raw s. Horner's rule runs in
+    integers on the finer of the grids 2**e and s's own, and
+    `from_man_exp` rounds the exact sum once, as it would round exact
+    elimination of A - s I."""
     c, e = poly
     s_man, s_exp = _dyadic(s)
     g = min(e, s_exp)
@@ -134,7 +152,7 @@ def _det_shifted(poly, s):
     acc = 0
     for k, ck in enumerate(c):
         acc = acc * t + (ck << d * k)
-    return mp.mpf((acc, (len(c) - 1) * g))
+    return from_man_exp(acc, (len(c) - 1) * g, prec, "n")
 
 
 def _cgf_mp(poly, lam: float, seed: float):
@@ -145,28 +163,32 @@ def _cgf_mp(poly, lam: float, seed: float):
     iterations suffice and the iteration cannot wander to another branch.
     """
     ladder = _ladder(_DPS)
-    with mp.workdps(_DPS):
-        # The seed is already within ~1e-15 of the root; start the
-        # second secant point just outside that error so the first
-        # corrected step is meaningful.
-        x0 = mp.mpf(seed)
-        x1 = x0 + ladder.nudge
-        f0 = _det_shifted(poly, x0)
-        f1 = _det_shifted(poly, x1)
-        # The determinant is exact, so the only rounding left is the
-        # secant step's own, about three orders below `tol`.
-        factor, floor = ladder.tol
-        tol = factor * max(abs(x0), floor)
-        for _ in range(30):
-            if f1 == f0:
-                break
-            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
-            if abs(x1 - x0) < tol:
-                break  # converged: the determinant at x1 would go unread
-            f1 = _det_shifted(poly, x1)
-        else:
-            raise BranchAmbiguityError(f"secant refinement stalled at lam={lam}")
-        return x1
+    prec = ladder.prec
+    # The seed is already within ~1e-15 of the root; start the second
+    # secant point just outside that error so the first corrected step
+    # is meaningful.
+    x0 = from_float(seed, prec, "n")
+    x1 = mpf_add(x0, ladder.nudge, prec, "n")
+    f0 = _det_shifted(poly, x0, prec)
+    f1 = _det_shifted(poly, x1, prec)
+    # The determinant is exact, so the only rounding left is the secant
+    # step's own, about three orders below `tol`.
+    factor, floor = ladder.tol
+    size = mpf_abs(x0, prec, "n")
+    tol = mpf_mul(factor, floor if mpf_lt(size, floor) else size, prec, "n")
+    for _ in range(30):
+        if mpf_eq(f1, f0):
+            break
+        # x1 - f1 (x1 - x0) / (f1 - f0)
+        step = mpf_div(mpf_mul(f1, mpf_sub(x1, x0, prec, "n"), prec, "n"),
+                       mpf_sub(f1, f0, prec, "n"), prec, "n")
+        x0, x1, f0 = x1, mpf_sub(x1, step, prec, "n"), f1
+        if mpf_lt(mpf_abs(mpf_sub(x1, x0, prec, "n"), prec, "n"), tol):
+            break  # converged: the determinant at x1 would go unread
+        f1 = _det_shifted(poly, x1, prec)
+    else:
+        raise BranchAmbiguityError(f"secant refinement stalled at lam={lam}")
+    return x1
 
 
 def fd_cumulants(gen: TwistedGenerator) -> np.ndarray:
@@ -190,17 +212,35 @@ def fd_cumulants(gen: TwistedGenerator) -> np.ndarray:
         values[lam] = _cgf_mp(polys[lam], lam, seed)
     s0 = values[0.0]
 
-    with mp.workdps(_DPS):
-        per_step = []
-        for h, (two_h, h2, two_h3, h4) in zip(FD_STEPS, ladder.powers):
-            sp1, sm1 = values[h], values[-h]
-            sp2, sm2 = values[2 * h], values[-2 * h]
-            per_step.append(((sp1 - sm1) / two_h,
-                             (sp1 - 2 * s0 + sm1) / h2,
-                             (sp2 - 2 * sp1 + 2 * sm1 - sm2) / two_h3,
-                             (sp2 - 4 * sp1 + 6 * s0 - 4 * sm1 + sm2) / h4))
-        out = []
-        for v1, v2, v3 in zip(*per_step):
-            r12, r23 = (4 * v2 - v1) / 3, (4 * v3 - v2) / 3
-            out.append(float((16 * r23 - r12) / 15))
+    prec = ladder.prec
+
+    def add(a, b):
+        return mpf_add(a, b, prec, "n")
+
+    def sub(a, b):
+        return mpf_sub(a, b, prec, "n")
+
+    def div(a, b):
+        return mpf_div(a, b, prec, "n")
+
+    def times(k, a):  # an int times a raw value, as `k * mpf` rounds it
+        return mpf_mul_int(a, k, prec, "n")
+
+    # The stencils, each summed left to right as its operators would be:
+    # (sp1 - sm1) / 2h, (sp1 - 2 s0 + sm1) / h^2,
+    # (sp2 - 2 sp1 + 2 sm1 - sm2) / 2h^3 and (sp2 - 4 sp1 + 6 s0 - 4 sm1 + sm2) / h^4.
+    per_step = []
+    for h, (two_h, h2, two_h3, h4) in zip(FD_STEPS, ladder.powers):
+        sp1, sm1 = values[h], values[-h]
+        sp2, sm2 = values[2 * h], values[-2 * h]
+        per_step.append((div(sub(sp1, sm1), two_h),
+                         div(add(sub(sp1, times(2, s0)), sm1), h2),
+                         div(sub(add(sub(sp2, times(2, sp1)), times(2, sm1)), sm2), two_h3),
+                         div(add(sub(add(sub(sp2, times(4, sp1)), times(6, s0)), times(4, sm1)), sm2), h4)))
+    out = []
+    for v1, v2, v3 in zip(*per_step):
+        # r12 = (4 v2 - v1) / 3, r23 = (4 v3 - v2) / 3, then (16 r23 - r12) / 15
+        r12, r23 = div(sub(times(4, v2), v1), from_int(3)), div(sub(times(4, v3), v2), from_int(3))
+        # `float(mpf)` rounds to nearest; `to_float` would round down by default
+        out.append(to_float(div(sub(times(16, r23), r12), from_int(15)), rnd="n"))
     return np.array(out)

@@ -1,8 +1,10 @@
+import contextlib
 import sys
 
 import numpy as np
 import pytest
 
+from artifact import workers
 from artifact.data import generate
 
 pytest.register_assert_rewrite("golden")  # a mismatch then shows which digests moved
@@ -35,6 +37,26 @@ def cli_runs(tmp_path_factory):
     # one run per worker count, read by both test_golden and test_workers
     from golden import cli_runs  # after the assertion-rewrite registration
     return cli_runs(tmp_path_factory)
+
+
+@contextlib.contextmanager
+def worker_count(n):
+    """`artifact.workers` at n workers with a pool of its own, shut down on
+    exit. `_executor` sizes its pool once, at first use, so a pool kept
+    from another count would run the jobs on that count's threads. On a
+    clean exit the pool must hold n - 1 threads, or not exist at n = 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workers, "count", lambda: n)
+        patch.setattr(workers, "_pool", None)
+        try:
+            yield
+            if n < 2:
+                assert workers._pool is None
+            else:
+                assert workers._pool._max_workers == n - 1
+        finally:
+            if workers._pool is not None:
+                workers._pool.shutdown()
 
 
 @pytest.fixture()

@@ -19,6 +19,7 @@ import pytest
 
 from artifact import workers
 from artifact.cli import main
+from conftest import worker_count
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
@@ -53,11 +54,11 @@ COMMANDS = [
 
 def cli_runs(tmp_path_factory):
     """{n: (output file digests, stdout digests)} of COMMANDS through `cli.main`
-    at n = 1, 2, 3 workers and the machine's count; the sidecar without `generated_at`."""
+    at n = 1, 2, 3 workers and the machine's count, each on a pool of n - 1
+    threads; the sidecar without `generated_at`."""
     runs = {}
     for n in sorted({1, 2, 3, workers.count()}):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(workers, "count", lambda n=n: n)
+        with worker_count(n), pytest.MonkeyPatch.context() as patch:
             patch.chdir(tmp_path_factory.mktemp(f"workers-{n}"))
             Path("scenario.json").write_text(json.dumps({"pair12": "equal", "n": 200}))
             printed = {}

@@ -29,10 +29,12 @@ one ladder point at a time: one `eigvals` call per point, e^{+-lam}, the
 secant constants and the step powers rounded afresh on every call, and
 each determinant `exact_det_shifted`, the per-point reference: the
 matrix L(lam) - s I scaled to integers and reduced by fraction-free
-(Bareiss) elimination, rounded once. `artifact.fdcheck` seeds the nine
-points from one stacked `eigvals`, rounds the constants once per working
-precision, and sums each determinant from characteristic polynomials
-built once per draw; it must return the same bytes at any precision.
+(Bareiss) elimination, rounded once, all in `mpf` objects inside
+`mp.workdps`. `artifact.fdcheck` seeds the nine points from one stacked
+`eigvals`, rounds the constants once per working precision, sums each
+determinant from characteristic polynomials built once per draw, and
+runs the same operations on mpmath's raw values; it must return the same
+bytes at any precision, and the same value at each ladder point.
 
 `read_csv_lines` is the dataset reader as it parsed one line at a time
 with `parse_line`, which was once `artifact.data`'s own line rule;
@@ -385,7 +387,7 @@ def exact_det_shifted(rows, s):
     """det(A - s I) for A as (man, exp) pairs, by fraction-free integer
     elimination over the one exponent of A and s, rounded once."""
     n = len(rows)
-    s_man, s_exp = _dyadic(s)
+    s_man, s_exp = _dyadic(s._mpf_)
     e = min(s_exp, min(exp for row in rows for _, exp in row))
     a = [[man << (exp - e) for man, exp in row] for row in rows]
     s_int = s_man << (s_exp - e)
@@ -416,9 +418,9 @@ def cgf_exact(gen, l0, lam, dps):
     with mp.workdps(dps):
         rows = [row[:] for row in l0]
         rows[EDGE_ABSORB[0]][EDGE_ABSORB[1]] = _dyadic(
-            mp.mpf(float(gen.absorb_rate)) * mp.e ** (-mp.mpf(lam)))
+            (mp.mpf(float(gen.absorb_rate)) * mp.e ** (-mp.mpf(lam)))._mpf_)
         rows[EDGE_EMIT[0]][EDGE_EMIT[1]] = _dyadic(
-            mp.mpf(float(gen.emit_rate)) * mp.e ** (mp.mpf(lam)))
+            (mp.mpf(float(gen.emit_rate)) * mp.e ** (mp.mpf(lam)))._mpf_)
         x0 = mp.mpf(float(seed.real))
         x1 = x0 + mp.mpf("1e-12")
         f0 = exact_det_shifted(rows, x0)

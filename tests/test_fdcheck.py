@@ -3,6 +3,7 @@ import itertools
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import fone, from_int, fzero
 
 from artifact import fdcheck
 from artifact.counting import cumulants
@@ -53,15 +54,28 @@ def test_seeded_draws_keep_their_recorded_bits(seed):
     assert [v.hex() for v in fd_cumulants(gen).tolist()] == RECORDED[seed]
 
 
+@pytest.mark.parametrize("dps", [5, 60])
+def test_draws_do_not_depend_on_the_callers_precision(dps):
+    # the route sets its own precision and reads no global one: built and
+    # run under a caller's working precision, the ladder gives the
+    # recorded bits and leaves that precision as it was
+    _ladder.cache_clear()
+    with mp.workdps(dps):
+        for seed, want in RECORDED.items():
+            gen = build_generator(random_params(np.random.default_rng(seed)))
+            assert [v.hex() for v in fd_cumulants(gen).tolist()] == want
+            assert mp.mp.dps == dps
+
+
 def test_the_returned_iterate_takes_no_determinant(monkeypatch):
     # the secant stops once its step is below the tolerance, before the
     # determinant at the new iterate, which nothing would read
     shifts, returned = [], []
     det, cgf = fdcheck._det_shifted, fdcheck._cgf_mp
 
-    def recorded_det(matrix, s):
+    def recorded_det(poly, s, prec):
         shifts.append(s)
-        return det(matrix, s)
+        return det(poly, s, prec)
 
     def recorded_cgf(*args):
         returned.append(cgf(*args))
@@ -98,23 +112,28 @@ def _mp_rows(gen, lam):
     return m
 
 
+def _dyadic_rows(m):
+    return [[_dyadic(v._mpf_) for v in row] for row in m]
+
+
 def _exact_det(m, s):
     # mp.det at 100 digits, far beyond the entries' 86-bit mantissas,
-    # rounded to _DPS like the oracle's single rounding
+    # rounded to _DPS like the oracle's single rounding, as a raw value
     with mp.workdps(100):
         d = mp.det(mp.matrix(m) - s * mp.eye(len(m)))
     with mp.workdps(_DPS):
-        return +d
+        return (+d)._mpf_
 
 
 def _det(m, s):
-    # the polynomial route, held on every call against exact elimination
-    # of the one matrix m - s I, the per-point reference
-    rows = [[_dyadic(v) for v in row] for row in m]
+    # the polynomial route at the ladder's precision, held on every call
+    # against exact elimination of the one matrix m - s I, the per-point
+    # reference
+    rows = _dyadic_rows(m)
     a, e = _integer_matrix(rows)
+    det = _det_shifted((_char_poly(a), e), s._mpf_, _ladder(_DPS).prec)
     with mp.workdps(_DPS):
-        det = _det_shifted((_char_poly(a), e), s)
-        assert det == loop_reference.exact_det_shifted(rows, s)
+        assert det == loop_reference.exact_det_shifted(rows, s)._mpf_
     return det
 
 
@@ -131,16 +150,16 @@ def test_exact_determinant_matches_high_precision_det(rng):
             with mp.workdps(_DPS):
                 shifts = (mp.mpf(top), mp.mpf(top) + mp.mpf("1e-12"),
                           mp.mpf(rng.uniform(-5.0, 1.0)) / 3, mp.mpf(0))
-            e = _integer_matrix([[_dyadic(v) for v in row] for row in m])[1]
+            e = _integer_matrix(_dyadic_rows(m))[1]
             for s in shifts:
                 assert _det(m, s) == _exact_det(m, s)
-                finer.add(_dyadic(s)[1] < e)
+                finer.add(_dyadic(s._mpf_)[1] < e)
             # with (2, 2) moved to the front, s equal to that entry zeroes
             # the leading pivot, so the elimination must swap rows
             order = (2, 0, 1, 3, 4)
             moved = [[m[i][j] for j in order] for i in order]
             s = moved[0][0]
-            assert _det(moved, s) == _exact_det(moved, s) != 0
+            assert _det(moved, s) == _exact_det(moved, s) != fzero
     assert finer == {True, False}
 
 
@@ -148,20 +167,21 @@ def test_exact_determinant_of_singular_matrix_is_zero(rng):
     m = _mp_rows(build_generator(random_params(rng)), 0.01)
     # L(0) has equal (0, 0) and (1, 1) entries and rows 0 and 1 differ
     # only there, so shifting by that entry makes the two rows equal
-    assert _det(m, m[0][0]) == 0
+    assert _det(m, m[0][0]) == fzero
     duplicate_row = [row[:] for row in m]
     duplicate_row[1] = duplicate_row[3][:]
     zero_column = [[mp.mpf(0)] + row[1:] for row in m]
     for singular in (duplicate_row, zero_column):
-        assert _det(singular, mp.mpf(0)) == 0
-        assert _det(singular, mp.mpf(0.5)) == _exact_det(singular, mp.mpf(0.5)) != 0
+        assert _det(singular, mp.mpf(0)) == fzero
+        assert _det(singular, mp.mpf(0.5)) == _exact_det(singular, mp.mpf(0.5)) != fzero
 
 
 def test_agrees_with_mpf_elimination_reference(rng, monkeypatch):
     gens = [build_generator(random_params(rng)) for _ in range(50)]
     exact = [fd_cumulants(gen) for gen in gens]
     for gen, fd in zip(gens, exact):
-        monkeypatch.setattr(fdcheck, "_cgf_mp", lambda poly, lam, seed, gen=gen: loop_reference.cgf_mp(gen, lam))
+        monkeypatch.setattr(fdcheck, "_cgf_mp",
+                            lambda poly, lam, seed, gen=gen: loop_reference.cgf_mp(gen, lam)._mpf_)
         np.testing.assert_allclose(fd, fd_cumulants(gen), rtol=1e-10, atol=0)
 
 
@@ -174,7 +194,7 @@ def test_corner_polynomials_combine_to_each_points_char_poly(rng):
         polys = _ladder_polys(gen, ladder)
         assert list(polys) == list(ladder.lams)
         for lam, (c, e) in polys.items():
-            rows = [[_dyadic(v) for v in row] for row in _mp_rows(gen, lam)]
+            rows = _dyadic_rows(_mp_rows(gen, lam))
             assert min(exp for row in rows for _, exp in row) >= e
             assert c == _char_poly([[man << (exp - e) for man, exp in row] for row in rows])
 
@@ -214,6 +234,25 @@ def test_matches_per_point_refinement_bitwise(rng, monkeypatch):
             assert fd_cumulants(gen).tobytes() == loop_reference.fd_cumulants(gen, dps).tobytes(), dps
 
 
+@pytest.mark.parametrize("dps", [5, 8, _DPS])
+def test_refined_points_match_per_point_refinement_bitwise(rng, monkeypatch, dps):
+    # each point's secant result as a raw value, before Richardson's sums
+    # and the rounding to double can hide a slip in its last bits
+    refined, cgf = {}, fdcheck._cgf_mp
+
+    def recorded(poly, lam, seed):
+        refined[lam] = cgf(poly, lam, seed)
+        return refined[lam]
+
+    monkeypatch.setattr(fdcheck, "_cgf_mp", recorded)
+    monkeypatch.setattr(fdcheck, "_DPS", dps)
+    for _ in range(50):
+        gen = build_generator(random_params(rng))
+        fd_cumulants(gen)
+        l0 = [[_dyadic(v) for v in row] for row in gen.l0.tolist()]
+        assert refined == {lam: loop_reference.cgf_exact(gen, l0, lam, dps)._mpf_ for lam in refined}
+
+
 def test_narrow_gap_refuses_the_first_ladder_point(monkeypatch):
     # the ladder runs in ascending order, so -2 * FD_STEPS[0] fails first
     monkeypatch.setattr(fdcheck, "_MIN_GAP", 1e9)
@@ -230,7 +269,7 @@ def test_flat_determinant_ends_the_secant_at_once(monkeypatch):
 
     def flat(*args):
         calls.append(args)
-        return mp.mpf(1)
+        return fone
 
     gen = build_generator(EngineParams(t_c=1.0, t_h=3.5, t_l=2.0, p_c=0.5, p_h=0.5))
     refined = fd_cumulants(gen)
@@ -246,7 +285,7 @@ def test_flat_determinant_ends_the_secant_at_once(monkeypatch):
 def test_unsettled_secant_is_refused(monkeypatch):
     # a determinant that alternates between 1 and 2 doubles the secant
     # step every two iterations, so it never drops below the tolerance
-    values = itertools.cycle([mp.mpf(1), mp.mpf(2)])
+    values = itertools.cycle([fone, from_int(2)])
     monkeypatch.setattr(fdcheck, "_det_shifted", lambda *args: next(values))
     gen = build_generator(EngineParams())
     with pytest.raises(BranchAmbiguityError, match=r"secant refinement stalled at lam=-0\.02$"):

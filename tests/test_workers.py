@@ -22,16 +22,17 @@ from artifact.data import generate, write_csv
 from artifact.errors import DomainError
 from artifact.engine import EngineParams, build_generators
 from artifact.knn import DISTANCE_METRICS, HyperSpace, fit, random_search
+from conftest import worker_count
 
 COUNTS = (1, 2, 3)
 
 
-def _at_each_count(monkeypatch, call):
-    """call() at every worker count of COUNTS."""
+def _at_each_count(call):
+    """call() at every worker count of COUNTS, each on a pool of its own."""
     results = []
     for n in COUNTS:
-        monkeypatch.setattr(workers, "count", lambda n=n: n)
-        results.append(call())
+        with worker_count(n):
+            results.append(call())
     return results
 
 
@@ -41,10 +42,9 @@ def test_spans_cover_the_range_in_even_parts():
 
 
 @pytest.mark.parametrize("n", COUNTS)
-def test_the_earliest_failing_job_raises(monkeypatch, n):
+def test_the_earliest_failing_job_raises(n):
     # the serial loop stops at job 1; on the pool job 3 may fail first in
     # time, and job 1's exception is still the one raised
-    monkeypatch.setattr(workers, "count", lambda: n)
     ran = []
 
     def job(i):
@@ -52,7 +52,7 @@ def test_the_earliest_failing_job_raises(monkeypatch, n):
         if i in (1, 3):
             raise ValueError(f"job {i}")
 
-    with pytest.raises(ValueError, match="^job 1$"):
+    with worker_count(n), pytest.raises(ValueError, match="^job 1$"):
         workers.run(partial(job, i) for i in range(5))
     if n == 1:
         assert ran == [0, 1]
@@ -119,12 +119,12 @@ def _sheet_problem(rng, n_train=3000):
 
 
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
-def test_neighbor_tables_do_not_depend_on_the_worker_count(monkeypatch, rng, metric):
+def test_neighbor_tables_do_not_depend_on_the_worker_count(rng, metric):
     train, labels, queries = _sheet_problem(rng)
     model = fit(train, labels, k=3, weighting="distance", metric=metric)
     # a small call too, whose last round holds fewer blocks than workers
     cases = (queries, queries[-70:])
-    tables = _at_each_count(monkeypatch, lambda: [knn._neighbors(model, q) for q in cases])
+    tables = _at_each_count(lambda: [knn._neighbors(model, q) for q in cases])
     assert set(tables[0][0][2].tolist()) == {0, 1, 2}  # every strip round answers some
     for got in tables[1:]:
         assert [a.tobytes() for t in got for a in t] == [a.tobytes() for t in tables[0] for a in t]
@@ -136,9 +136,9 @@ def _search(train, labels):
     return result.trials, result.vote_fallbacks
 
 
-def test_random_search_does_not_depend_on_the_worker_count(monkeypatch, rng):
+def test_random_search_does_not_depend_on_the_worker_count(rng):
     train, labels, _ = _sheet_problem(rng, 1500)
-    results = _at_each_count(monkeypatch, partial(_search, train, labels))
+    results = _at_each_count(partial(_search, train, labels))
     assert results[0][1] > 0
     assert results[1:] == results[:1] * 2
 
@@ -147,7 +147,6 @@ def test_random_search_does_not_depend_on_the_worker_count(monkeypatch, rng):
 def test_random_search_raises_the_earliest_tables_exception(monkeypatch, rng, n):
     # two of the ten (fold, metric) tables fail; the serial loop stops at
     # fold 1's manhattan table, so its exception is raised at any count
-    monkeypatch.setattr(workers, "count", lambda: n)
     train, labels, _ = _sheet_problem(rng, 600)
     splits = knn.fold_splits(len(train), 5, 3)
     table = threading.local()  # the table this thread is scoring, named by its fit
@@ -165,11 +164,11 @@ def test_random_search_raises_the_earliest_tables_exception(monkeypatch, rng, n)
 
     monkeypatch.setattr(knn, "fit", naming_fit)
     monkeypatch.setattr(knn, "_winners_for", failing_winners)
-    with pytest.raises(DomainError, match="^fold 1 manhattan$"):
+    with worker_count(n), pytest.raises(DomainError, match="^fold 1 manhattan$"):
         random_search(train, labels, n_iter=40, seed=3)
 
 
-def test_steady_states_do_not_depend_on_the_worker_count(monkeypatch, rng):
+def test_steady_states_do_not_depend_on_the_worker_count(rng):
     n = 300
     varied = np.column_stack([rng.uniform(0.4, 2.5, n), rng.uniform(3.0, 4.5, n),
                               rng.uniform(1.0, 7.0, n), rng.uniform(0.9, 1.0, (n, 2))])
@@ -179,7 +178,7 @@ def test_steady_states_do_not_depend_on_the_worker_count(monkeypatch, rng):
         rho, failures = counting.steady_states(l0)
         return rho.tobytes(), {i: (type(e), str(e)) for i, e in failures.items()}
 
-    results = _at_each_count(monkeypatch, solve)
+    results = _at_each_count(solve)
     failures = results[0][1]
     assert {msg.split(" [")[0] for _, msg in failures.values()} == {"unphysical populations"}
     for parts in (2, 3):  # failing rows in every part of the split stack
@@ -188,12 +187,12 @@ def test_steady_states_do_not_depend_on_the_worker_count(monkeypatch, rng):
     assert results[1:] == results[:1] * 2
 
 
-def test_generated_csv_does_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+def test_generated_csv_does_not_depend_on_the_worker_count(tmp_path):
     def csv_bytes():
         write_csv(generate(5000, seed=42), tmp_path / "dataset.csv")
         return (tmp_path / "dataset.csv").read_bytes()
 
-    results = _at_each_count(monkeypatch, csv_bytes)
+    results = _at_each_count(csv_bytes)
     assert results[1:] == results[:1] * 2
 
 
@@ -211,37 +210,33 @@ def test_every_job_runs_once_under_contention(monkeypatch, rng):
     # block written over by another in the neighbour table
     train, labels, queries = _sheet_problem(rng, 1000)
     model = fit(train, labels, k=3, metric="manhattan")
-    monkeypatch.setattr(workers, "count", lambda: 1)
-    want = knn._neighbors(model, queries)
-    monkeypatch.setattr(workers, "count", lambda: 8)
-    monkeypatch.setattr(workers, "_pool", None)  # a pool of its own, sized to 8
+    with worker_count(1):
+        want = knn._neighbors(model, queries)
     monkeypatch.setattr(knn, "_BLOCK_ELEMS", 1)  # 16-row blocks, many of them
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         ran = []
-        workers.run(partial(ran.append, i) for i in range(5000))
-        got = knn._neighbors(model, queries)
+        with worker_count(8):
+            workers.run(partial(ran.append, i) for i in range(5000))
+            got = knn._neighbors(model, queries)
     finally:
         sys.setswitchinterval(interval)
-        workers._pool.shutdown()
     assert sorted(ran) == list(range(5000))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-def test_random_search_under_contention(monkeypatch, rng):
+def test_random_search_under_contention(rng):
     # ten tables as jobs on eight workers, each table's blocks run inline
     train, labels, _ = _sheet_problem(rng, 1000)
-    monkeypatch.setattr(workers, "count", lambda: 1)
-    want = _search(train, labels)
-    monkeypatch.setattr(workers, "count", lambda: 8)
-    monkeypatch.setattr(workers, "_pool", None)  # a pool of its own, sized to 8
+    with worker_count(1):
+        want = _search(train, labels)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _search(train, labels)
+        with worker_count(8):
+            got = _search(train, labels)
     finally:
         sys.setswitchinterval(interval)
-        workers._pool.shutdown()
     assert want[1] > 0
     assert got == want
