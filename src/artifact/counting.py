@@ -5,8 +5,8 @@ Two quantities flow out of this module.
 * True counting cumulants j[1..4]: lam-derivatives at 0 of the
   generator's dominant eigenvalue branch, computed by non-degenerate
   eigenvalue perturbation theory (no step-size tuning, machine-precision
-  capable). These characterize the long-time photon-exchange
-  distribution.
+  capable; `cumulants` is the length-1 case of `cumulants_batch`). These
+  characterize the long-time photon-exchange distribution.
 
 * Exchange moment rates m[1..4]: contractions of the lam-derivatives
   of the generator with the frozen steady state,
@@ -27,14 +27,18 @@ from math import comb
 import numpy as np
 
 from . import workers
-from .engine import (EDGE_ABSORB, EDGE_EMIT, TRACE_VECTOR, VARIED, EngineParams, TwistedGenerator,
-                     build_generators, varied_row)
+from .engine import TRACE_VECTOR, VARIED, EngineParams, TwistedGenerator, build_generators, varied_row
 from .errors import ConditioningError, DegenerateSampleError, SingularityError, as_reals
 
 # A baseline moment below this magnitude cannot normalize a feature.
 DEGENERATE_TOL = 1e-12
 
 _COND_LIMIT = 1e12
+
+# L_m v fills the rows of EDGE_ABSORB and EDGE_EMIT from v at their columns; _SIGNS[m - 1] signs their rates.
+_ROWS, _COLS = slice(2, 4), slice(3, 1, -1)
+_SIGNS = np.array([[[(-1.0) ** m, 1.0]] for m in range(1, 5)])
+_COMB = {k: np.array([comb(k, m) for m in range(1, k + 1)], dtype=float)[:, None, None] for k in range(1, 5)}
 
 # Matrices a stack needs before its SVD is split across the workers: a
 # 5x5 SVD takes about 4 us, and handing jobs to the pool about 20 us.
@@ -92,7 +96,7 @@ def steady_states(l0: np.ndarray):
     ]
     failures = {}
     for bad, message in checks:
-        for i in np.flatnonzero(bad).tolist():
+        for i in bad.nonzero()[0].tolist():
             failures.setdefault(i, SingularityError(message(i)))
     return rho, failures
 
@@ -105,66 +109,71 @@ def steady_state(gen: TwistedGenerator) -> np.ndarray:
     return rho[0]
 
 
-def cumulants(gen: TwistedGenerator) -> np.ndarray:
-    """First four lam-derivatives of the CGF branch at lam = 0.
-
-    Non-degenerate perturbation theory around the steady state: with
-    right null vector rho normalized against the trace vector u
-    (u . rho = 1), the expansion coefficients s_k of S and rho_k of the
-    perturbed null vector obey
+def cumulants_batch(l0: np.ndarray):
+    """CGF derivatives j[1..4] at lam = 0 of each L(0) of a (n, 5, 5) stack,
+    as (n, 4), and a {row: error} map of the rows that have none (NaN): a
+    steady-state failure (steady_states), else a ConditioningError. Around
+    the steady state rho (u . rho = 1, u the trace vector), the orders s_k
+    of S and rho_k of the null vector obey
 
         s_k   = sum_{m=1..k} C(k,m) u . L_m . rho_{k-m}
         L0 rho_k = sum_{m=1..k} C(k,m) (s_m - L_m) rho_{k-m},  u . rho_k = 0
 
-    where L_m is the m-th lam-derivative of the generator, nonzero only on
-    the two cavity edges: emit_rate on the emission edge, (-1)^m
-    absorb_rate on the absorption edge. The rank-deficient solves are
-    performed on the bordered 6x6 system (L0 extended by the column rho
-    and the row u), which is square and well-conditioned.
+    with L_m = d^m L / d lam^m: L(0)'s emission rate on its edge, (-1)^m times
+    its absorption rate on its own. Each order solves the 6x6 [[L0, rho], [u, 0]].
     """
-    rho0 = steady_state(gen)
-    u = TRACE_VECTOR
-    bordered = np.zeros((6, 6))
-    bordered[:5, :5] = gen.l0
-    bordered[:5, 5] = rho0
-    bordered[5, :5] = u
+    rho, failures = steady_states(l0)
+    bordered = np.zeros((len(rho), 6, 6))
+    bordered[:, :5, :5], bordered[:, :5, 5], bordered[:, 5, :5] = l0, rho, TRACE_VECTOR
+    if failures:  # identity stand-ins: one NaN row would make the stacked cond raise for all
+        bordered[list(failures)] = np.eye(6)
     cond = np.linalg.cond(bordered)
-    if cond > _COND_LIMIT:
-        raise ConditioningError(f"bordered system condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}")
-
-    def l_m(m, v):
-        # L_m . v: only the cavity edges carry lam, dressed with e^{+-lam}
-        out = np.zeros(5)
-        out[EDGE_EMIT[0]] = gen.emit_rate * v[EDGE_EMIT[1]]
-        out[EDGE_ABSORB[0]] = (-1) ** m * gen.absorb_rate * v[EDGE_ABSORB[1]]
-        return out
-
-    rho_orders = [rho0]
-    s = [0.0]
+    for i in (cond > _COND_LIMIT).nonzero()[0].tolist():
+        failures.setdefault(i, ConditioningError(f"bordered system condition number {cond[i]:.3e} "
+                                                 f"exceeds {_COND_LIMIT:.0e}"))
+    if failures:  # the solve takes the rows left: one singular row would make it raise for all
+        live = np.ones(len(cond), dtype=bool)
+        live[list(failures)] = False
+        bordered, rho = bordered[live], rho[live]
+    signed = bordered[:, _ROWS, _COLS].diagonal(axis1=1, axis2=2) * _SIGNS  # [m - 1]: L_m's rates
+    v, s, rhs = np.empty((5, len(rho), 5)), np.empty((len(rho), 5)), np.zeros((len(rho), 6, 1))
+    v[0] = rho  # v[k] is rho_k, s[:, k] is s_k
     for k in range(1, 5):
-        s_k = 0.0
-        for m in range(1, k + 1):
-            s_k += comb(k, m) * float(u @ l_m(m, rho_orders[k - m]))
-        s.append(s_k)
-        rhs = np.zeros(6)
-        for m in range(1, k + 1):
-            rhs[:5] += comb(k, m) * (s[m] * rho_orders[k - m] - l_m(m, rho_orders[k - m]))
-        rho_orders.append(np.linalg.solve(bordered, rhs)[:5])
-    return np.array(s[1:])
+        c = _COMB[k]
+        lv = signed[:k] * v[k - 1::-1, :, _COLS]  # L_m rho_{k-m} on _ROWS, for m = 1..k
+        np.add.reduce(c[:, :, 0] * np.add.reduce(lv, axis=-1), axis=0, out=s[:, k])
+        terms = s[:, 1:k + 1].T[:, :, None] * v[k - 1::-1]
+        terms[..., _ROWS] -= lv
+        terms *= c
+        np.add.reduce(terms, axis=0, out=rhs[:, :5, 0])
+        v[k] = np.linalg.solve(bordered, rhs)[:, :5, 0]
+    j = s[:, 1:] + 0.0  # s_k sums from 0.0: adding it last gives the same bits
+    if failures:
+        j, rows = np.full((len(cond), 4), np.nan), j
+        j[live] = rows
+    return j, failures
 
 
-def exchange_moment_rates(emit_rate, absorb_rate, rho: np.ndarray) -> np.ndarray:
+def cumulants(gen: TwistedGenerator) -> np.ndarray:
+    """First four cumulants (4,) of one generator (see cumulants_batch)."""
+    j, failures = cumulants_batch(gen.l0[None])
+    if failures:
+        raise failures[0]
+    return j[0]
+
+
+def exchange_moment_rates(l0: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Raw moment rates m[1..4] of the instantaneous photon-exchange current.
 
     m_k contracts the k-th counting derivative of the generator with
-    the steady state `rho`, from the rates on the two counted edges.
+    the steady state `rho`, from L(0)'s rates on the two counted edges.
     Because the counting edges are dressed with e^{+-lam}, the
     derivative matrices repeat with period 2, so m_3 = m_1 (net flux)
-    and m_4 = m_2 (exchange activity) identically. Takes one state (5,)
-    or a stack (n, 5) with (n,) rates.
+    and m_4 = m_2 (exchange activity) identically. Takes one L(0) (5, 5)
+    and state (5,), or stacks of them.
     """
-    emit_flow = emit_rate * rho[..., 2]
-    absorb_flow = absorb_rate * rho[..., 3]
+    emit_flow = l0[..., 3, 2] * rho[..., 2]  # EDGE_EMIT
+    absorb_flow = l0[..., 2, 3] * rho[..., 3]  # EDGE_ABSORB
     flux = emit_flow - absorb_flow
     activity = emit_flow + absorb_flow
     return np.stack([flux, activity, flux, activity], axis=-1)
@@ -182,10 +191,10 @@ def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams()):
     n = len(varied)
     zero = varied.copy()
     zero[:, 3:] = 0.0
-    l0, emit, absorb = build_generators(np.concatenate([varied, zero]), fixed)
+    l0 = build_generators(np.concatenate([varied, zero]), fixed)
     rho, solve_failures = steady_states(l0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        moments = exchange_moment_rates(emit, absorb, rho)
+        moments = exchange_moment_rates(l0, rho)
         m, m0 = moments[:n], moments[n:]
         feats = m / m0
     # A row reports its first failure along the scalar route: the

@@ -108,47 +108,42 @@ def in_box(varied: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwistedGenerator:
-    """Counting-field-dressed generator: L(0), the two edge rates, eval(lam).
+    """Counting-field-dressed generator: L(0) and eval(lam).
 
-    Only the cavity edges carry lam, so the two rates fix every
-    lam-derivative of L. Immutable; L(0) is write-protected and all
-    methods are pure, so instances are safe to share across workers.
-    L(0) is a 5x5 array of finite reals and each rate a real in [0, inf)
-    equal, bit for bit, to L(0)'s entry on its edge; else a DomainError.
+    Only the cavity edges carry lam, so L(0)'s entries there, the rates
+    `emit_rate` and `absorb_rate`, fix every lam-derivative of L. L(0) is
+    a write-protected 5x5 array of finite reals whose two counted entries
+    lie in [0, inf), else a DomainError, so instances are safe to share.
     """
 
     l0: np.ndarray                 # 5x5 generator at lam = 0
-    emit_rate: float               # g^2 * (1 + n_l), on the e^{+lam} edge
-    absorb_rate: float             # g^2 * n_l, on the e^{-lam} edge
+    emit_rate = property(lambda self: float(self.l0[EDGE_EMIT]), doc="g^2 * (1 + n_l), on the e^{+lam} edge")
+    absorb_rate = property(lambda self: float(self.l0[EDGE_ABSORB]), doc="g^2 * n_l, on the e^{-lam} edge")
 
     def __post_init__(self):
         object.__setattr__(self, "l0", as_reals(self.l0, "l0", (5, 5), "(-inf, inf)"))
-        for name, edge in (("emit_rate", EDGE_EMIT), ("absorb_rate", EDGE_ABSORB)):
-            rate, entry = as_real(getattr(self, name), name, "[0, inf)"), float(self.l0[edge])
-            if rate.hex() != entry.hex():  # unlike ==, tells -0.0 from 0.0
-                raise DomainError(f"{name} must equal l0[{edge[0]}, {edge[1]}] bit for bit, "
-                                  f"got {rate!r} and {entry!r}")
-            object.__setattr__(self, name, rate)
+        for name in ("emit_rate", "absorb_rate"):
+            as_real(getattr(self, name), name, "[0, inf)")
 
     def eval(self, lam: float) -> np.ndarray:
         """Assembled 5x5 generator at counting field `lam`."""
         m = self.l0.copy()
-        m[EDGE_ABSORB] = self.absorb_rate * math.exp(-lam)
-        m[EDGE_EMIT] = self.emit_rate * math.exp(lam)
+        m[EDGE_ABSORB] *= math.exp(-lam)
+        m[EDGE_EMIT] *= math.exp(lam)
         return m
 
 
 def build_generators(varied, fixed: EngineParams = EngineParams(),
                      variant: str = "consistent"):
-    """Counting-field generators of n operating points: L(0) as (n, 5, 5),
-    and the (n,) rates of the emission and absorption edges.
+    """Counting-field generators of n operating points: L(0) as (n, 5, 5).
 
     `varied` is (n, 5) in VARIED order; `fixed` supplies the other
     constants. The first row outside `in_box` raises EngineParams' error.
     Only the two cavity edges depend on the counting field: the emission
-    edge carries g^2*(1+n_l)*e^{+lam}, the absorption edge g^2*n_l*e^{-lam}. `variant` picks the layout (see GENERATOR_VARIANTS);
-    the default is the per-bath-consistent one, the only one that
-    equilibrates at zero thermodynamic bias.
+    edge carries g^2*(1+n_l)*e^{+lam}, the absorption edge g^2*n_l*e^{-lam}.
+    `variant` picks the layout (see GENERATOR_VARIANTS); the default is the
+    per-bath-consistent one, the only one that equilibrates at zero
+    thermodynamic bias.
     """
     as_name(variant, "variant", GENERATOR_VARIANTS)
     varied = as_reals(varied, "varied", ("n", len(VARIED)))
@@ -165,9 +160,7 @@ def build_generators(varied, fixed: EngineParams = EngineParams(),
     # Mean interference drive and dressed dephasing of the coherence slot.
     g12 = 0.5 * (g12c * n_c + g12h * n_h)
     gbar = -r * (n_h + n_c)
-
-    emit = g2 * nt_l
-    absorb = g2 * n_l
+    emit, absorb = g2 * nt_l, g2 * n_l  # the rates of the counted edges
 
     m = np.zeros((5, 5, len(t_c)))  # m[row, col] is a column; stack axis moved first below
     # Degenerate pair: drain into both baths, gain by emission from each
@@ -181,8 +174,7 @@ def build_generators(varied, fixed: EngineParams = EngineParams(),
     m[2, 2] = -2.0 * r * nt_h - emit
     m[3, 3] = -2.0 * r * nt_c - absorb
     # Cavity (counted) edges at lam = 0.
-    m[EDGE_ABSORB] = absorb
-    m[EDGE_EMIT] = emit
+    m[EDGE_ABSORB], m[EDGE_EMIT] = absorb, emit
     # Coherence row: pumped by both excited levels, drained by gbar - tau.
     m[4, 0] = m[4, 1] = -g12
     m[4, 2] = g12h * nt_h
@@ -205,7 +197,7 @@ def build_generators(varied, fixed: EngineParams = EngineParams(),
         m[3, 4] = 2.0 * g12h * n_h
         m[4, 3] = 2.0 * g12c * nt_c
         m[2, 4] = 2.0 * g12c * n_c
-    return np.ascontiguousarray(m.transpose(2, 0, 1)), emit, absorb
+    return np.ascontiguousarray(m.transpose(2, 0, 1))
 
 
 def varied_row(params: EngineParams) -> np.ndarray:
@@ -215,5 +207,4 @@ def varied_row(params: EngineParams) -> np.ndarray:
 
 def build_generator(params: EngineParams, variant: str = "consistent") -> TwistedGenerator:
     """The counting-field generator of one operating point (see build_generators)."""
-    l0, emit, absorb = build_generators(varied_row(params), params, variant)
-    return TwistedGenerator(l0=l0[0], emit_rate=float(emit[0]), absorb_rate=float(absorb[0]))
+    return TwistedGenerator(build_generators(varied_row(params), params, variant)[0])

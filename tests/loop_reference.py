@@ -6,8 +6,9 @@ the route `artifact.data.generate` took before it evaluated its samples
 as one batch; tests require the batch to reproduce it bit for bit.
 
 `cumulants` is the perturbative recursion as it ran on a stored stack of
-4 lam-derivative matrices; `artifact.counting.cumulants` applies the
-same derivatives from the two edge rates and must match it bit for bit.
+4 lam-derivative matrices; `artifact.counting.cumulants_batch` applies the
+same derivatives from L(0)'s two counted entries to a whole stack of
+generators and must match it bit for bit, row by row.
 
 `simulate` is the Gillespie oracle as it ran with one numpy step per
 jump over the lanes still inside the horizon; `artifact.trajectories.simulate`

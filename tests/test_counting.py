@@ -4,11 +4,12 @@ import pytest
 from artifact import counting
 from artifact.counting import (
     cumulants,
+    cumulants_batch,
     exchange_moment_rates,
     exchange_moment_ratios,
     steady_state,
 )
-from artifact.engine import GENERATOR_VARIANTS, TRACE_VECTOR, EngineParams, build_generator
+from artifact.engine import GENERATOR_VARIANTS, TRACE_VECTOR, EngineParams, TwistedGenerator, build_generator
 from artifact.errors import ArtifactError, ConditioningError, DegenerateSampleError, SingularityError
 
 import loop_reference
@@ -106,7 +107,7 @@ def test_equilibrium_flux_vanishes():
 def test_moment_rates_formula(rng):
     gen = build_generator(random_params(rng))
     rho = steady_state(gen)
-    m = exchange_moment_rates(gen.emit_rate, gen.absorb_rate, rho)
+    m = exchange_moment_rates(gen.l0, rho)
     emit = gen.emit_rate * rho[2]
     absorb = gen.absorb_rate * rho[3]
     assert m[0] == emit - absorb
@@ -117,7 +118,7 @@ def test_moment_rates_formula(rng):
 
 def test_first_moment_equals_first_cumulant(rng):
     gen = build_generator(random_params(rng))
-    m = exchange_moment_rates(gen.emit_rate, gen.absorb_rate, steady_state(gen))
+    m = exchange_moment_rates(gen.l0, steady_state(gen))
     assert cumulants(gen)[0] == pytest.approx(m[0], rel=1e-9, abs=1e-13)
 
 
@@ -147,17 +148,55 @@ def test_degenerate_baseline_rejected():
 @pytest.mark.parametrize("variant", GENERATOR_VARIANTS)
 def test_cumulants_match_derivative_matrix_reference(variant, rng):
     # the edge-rate route reproduces the recursion on stored derivative
-    # matrices bit for bit; legacy draws with unphysical populations fail
-    # their steady state on both routes and are skipped
-    matched = 0
-    while matched < 200:
+    # matrices bit for bit, one generator at a time and as one stack;
+    # legacy draws with unphysical populations fail their steady state on
+    # both routes and are skipped
+    gens, refs = [], []
+    while len(gens) < 200:
         gen = build_generator(random_params(rng), variant)
         try:
             ref = loop_reference.cumulants(gen)
         except SingularityError:
             continue
         assert cumulants(gen).tobytes() == ref.tobytes()
-        matched += 1
+        gens.append(gen)
+        refs.append(ref)
+    j, failures = cumulants_batch(np.stack([gen.l0 for gen in gens]))
+    assert failures == {}
+    for row, ref in zip(j, refs):
+        assert row.tobytes() == ref.tobytes()
+
+
+def test_stack_failures_stay_in_their_rows(monkeypatch, rng):
+    # a row whose state is NaN makes a stacked cond raise for the whole
+    # stack, and a row refused for its condition number stays out of the
+    # solve, which a singular one would make raise: each failed row maps to
+    # the error its own call raises, and the good rows keep their length-1 bits
+    gens = [build_generator(random_params(rng)) for _ in range(6)]
+    # near-zero temperatures: the null space of L(0) is not one-dimensional
+    gens[1] = build_generator(EngineParams(t_c=1e-3, t_h=1e-3, t_l=1e-3, p_c=0.3, p_h=0.7))
+    # the null vector is the coherence slot alone: the state is NaN
+    gens[4] = TwistedGenerator(np.diag([-1.0, -1.0, -1.0, -1.0, 0.0]))
+    conds = []
+    for gen in gens[:1] + gens[2:4] + gens[5:]:
+        bordered = np.zeros((6, 6))
+        bordered[:5, :5], bordered[:5, 5], bordered[5, :5] = gen.l0, steady_state(gen), TRACE_VECTOR
+        conds.append(np.linalg.cond(bordered))
+    # a limit between two rows' condition numbers refuses the larger
+    monkeypatch.setattr(counting, "_COND_LIMIT", float(np.mean(sorted(conds)[1:3])))
+    want = {}
+    for i, gen in enumerate(gens):
+        try:
+            want[i] = cumulants(gen).tobytes()
+        except ArtifactError as exc:
+            want[i] = (type(exc), str(exc))
+    assert [w[0] if isinstance(w, tuple) else bytes for w in want.values()].count(ConditioningError) == 2
+    assert {w[1].split(" (")[0] for w in want.values() if w[0] is SingularityError} == {
+        "null space of L(0) is not one-dimensional", "null vector carries no population weight"}
+    j, failures = cumulants_batch(np.stack([gen.l0 for gen in gens]))
+    got = {i: (type(failures[i]), str(failures[i])) if i in failures else j[i].tobytes() for i in range(len(gens))}
+    assert got == want
+    assert np.isnan(j[list(failures)]).all()
 
 
 def test_scalar_errors_match_loop_reference(rng):

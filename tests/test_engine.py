@@ -195,13 +195,12 @@ def test_variants_coincide_at_zero_coherence():
 @pytest.mark.parametrize("variant", GENERATOR_VARIANTS)
 def test_stack_rows_equal_single_builds(variant, rng):
     params = [random_params(rng) for _ in range(40)]
-    l0, emit, absorb = build_generators([[getattr(p, k) for k in VARIED] for p in params],
-                                        variant=variant)
+    l0 = build_generators([[getattr(p, k) for k in VARIED] for p in params], variant=variant)
     assert l0.shape == (40, 5, 5)
     for i, p in enumerate(params):
         gen = build_generator(p, variant)
         assert np.array_equal(l0[i], gen.l0)
-        assert (emit[i], absorb[i]) == (gen.emit_rate, gen.absorb_rate)
+        assert (l0[i][EDGE_EMIT], l0[i][EDGE_ABSORB]) == (gen.emit_rate, gen.absorb_rate)
 
 
 def test_stack_validates_rows():
@@ -214,12 +213,11 @@ def test_stack_validates_rows():
 def test_legacy_conserving_rows_match_loop_reference(rng):
     # the stacked build of the crossed layout reproduces a per-sample transcription bit for bit
     params = [random_params(rng) for _ in range(40)]
-    l0, emit, absorb = build_generators([[getattr(p, k) for k in VARIED] for p in params],
-                                        variant="legacy-conserving")
+    l0 = build_generators([[getattr(p, k) for k in VARIED] for p in params], variant="legacy-conserving")
     for i, p in enumerate(params):
         m, e, a = loop_reference.generator(p, "legacy-conserving")
         assert np.array_equal(l0[i], m)
-        assert (emit[i], absorb[i]) == (e, a)
+        assert (l0[i][EDGE_EMIT], l0[i][EDGE_ABSORB]) == (e, a)
 
 
 def test_unknown_variant_rejected():

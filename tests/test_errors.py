@@ -26,8 +26,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from artifact.cli import _CONFIG, main
 from artifact.counting import cumulants, exchange_moment_ratios_batch, steady_states
 from artifact.data import Dataset, ParamRanges, generate, write_csv
-from artifact.engine import (GENERATOR_VARIANTS, EngineParams, TwistedGenerator, bose_occupations,
-                             build_generator, build_generators)
+from artifact.engine import (EDGE_ABSORB, EDGE_EMIT, GENERATOR_VARIANTS, EngineParams, TwistedGenerator,
+                             bose_occupations, build_generator, build_generators)
 from artifact.errors import DomainError, ParseError, as_flags, as_ints, as_real, as_reals
 from artifact.experiments import (DEFAULT_SCENARIO_RANGES, PAIR_RELATIONS, ScenarioSpec,
                                   run_size_sweep, scenario_suite)
@@ -44,8 +44,6 @@ Y = np.arange(40) % 4
 SPACE = HyperSpace(k_range=(1, 2, 3))
 GEN = build_generator(EngineParams())
 PROC = build_jump_process(GEN)
-# a cavity cold enough that its absorption rate is 0.0
-COLD_CAVITY = build_generator(EngineParams(t_l=1e-3))
 MODEL = dict(features=X, labels=Y, k=3, weighting="uniform", metric="euclidean",
              feature_subset=(0, 1, 2, 3), shift=np.zeros(4), scale=np.ones(4))
 
@@ -162,7 +160,7 @@ ARRAYS = {
     "exchange_moment_ratios_batch-varied": ("varied", "(n, 5)", None, VARIED_ROWS, exchange_moment_ratios_batch),
     "steady_states-l0": ("l0", "(n, 5, 5)", "(-inf, inf)", L0_STACK, steady_states),
     "TwistedGenerator-l0": ("l0", "(5, 5)", "(-inf, inf)", L0_STACK[0],
-                            lambda v: cumulants(TwistedGenerator(v, 1.0, 1.0))),
+                            lambda v: cumulants(TwistedGenerator(v))),
     "bose_occupations-temperatures": ("temperatures", "(n,)", None, np.array([1.0, 2.0, 4.0]),
                                       lambda v: bose_occupations(1.0, v)),
     "simulate-initial": ("initial", "(4,)", "[0, inf)", np.array([1.0, 0.0, 0.0, 0.0]),
@@ -770,29 +768,26 @@ def test_non_finite_arrays_exit_2(call, message, bad):
     assert err.value.exit_code == 2
 
 
-@pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: cumulants(replace(GEN, emit_rate=math.nan)),
-                 "emit_rate must be a real number in [0, inf), got nan", id="nan-cumulants"),
-    pytest.param(lambda: fd_cumulants(replace(GEN, emit_rate=math.nan)),
-                 "emit_rate must be a real number in [0, inf), got nan", id="nan-fd_cumulants"),
-    pytest.param(lambda: cumulants(replace(GEN, absorb_rate="0.5")),
-                 "absorb_rate must be a real number in [0, inf), got '0.5'", id="text-cumulants"),
-    pytest.param(lambda: cumulants(replace(GEN, emit_rate=-1.0)),
-                 "emit_rate must be a real number in [0, inf), got -1.0", id="negative-cumulants"),
-    pytest.param(lambda: fd_cumulants(replace(GEN, emit_rate=-1.0)),
-                 "emit_rate must be a real number in [0, inf), got -1.0", id="negative-fd_cumulants"),
-    pytest.param(lambda: cumulants(replace(GEN, emit_rate=2 * GEN.emit_rate)),
-                 f"emit_rate must equal l0[3, 2] bit for bit, got {2 * GEN.emit_rate!r} and {GEN.emit_rate!r}",
-                 id="doubled-cumulants"),
-    pytest.param(lambda: cumulants(replace(COLD_CAVITY, absorb_rate=-0.0)),
-                 "absorb_rate must equal l0[2, 3] bit for bit, got -0.0 and 0.0", id="negative-zero-cumulants"),
+@pytest.mark.parametrize("route, edge, value, message", [
+    pytest.param(cumulants, EDGE_EMIT, math.nan, None, id="nan-cumulants"),
+    pytest.param(fd_cumulants, EDGE_EMIT, math.nan, None, id="nan-fd_cumulants"),
+    pytest.param(cumulants, EDGE_ABSORB, "0.5", None, id="text-cumulants"),
+    pytest.param(cumulants, EDGE_EMIT, -1.0, "emit_rate must be a real number in [0, inf), got -1.0",
+                 id="negative-cumulants"),
+    pytest.param(fd_cumulants, EDGE_EMIT, -1.0, "emit_rate must be a real number in [0, inf), got -1.0",
+                 id="negative-fd_cumulants"),
 ])
-def test_probed_generator_defects_exit_2(call, message):
-    # a rate that is NaN, text or negative, or that is not L(0)'s entry on
-    # its edge, gave NaN cumulants, a raw numpy or Python error, or numbers
-    # on which the perturbative and the finite-difference routes disagree
+def test_probed_generator_defects_exit_2(route, edge, value, message):
+    # a counted rate that is NaN, text or negative gave NaN cumulants, a raw
+    # numpy or Python error, or numbers on which the perturbative and the
+    # finite-difference routes disagree; the l0 reader refuses a NaN or a
+    # text entry (message None), the rate rule a negative one
+    l0 = GEN.l0.tolist()
+    l0[edge[0]][edge[1]] = value
+    if message is None:
+        message = f"l0 must be an (5, 5) array of real numbers in (-inf, inf), got {' '.join(repr(l0).split()):.80}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
-        call()
+        route(replace(GEN, l0=l0))
     assert err.value.exit_code == 2
 
 

@@ -83,7 +83,8 @@ def test_knn_spans_count_the_pairs_of_the_strip_route(tracer, monkeypatch):
 
 def test_physics_spans_attach_on_an_fd_draw(tracer):
     # one draw of the oracle workload: a generator, its cumulants and
-    # the finite-difference oracle on the same generator
+    # the finite-difference oracle on the same generator (the cumulants
+    # solve their steady state as a stack, not through `steady_state`)
     params = engine.EngineParams(t_c=1.1, t_h=3.9, t_l=2.5, p_c=0.4, p_h=0.7)
     with tracer.root():
         gen = engine.build_generator(params)
@@ -91,8 +92,7 @@ def test_physics_spans_attach_on_an_fd_draw(tracer):
     assert tracer.absent == []
     assert tracer.uncounted == set()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
-    for name in ("engine.build_generator", "counting.cumulants", "counting.steady_state",
-                 "fdcheck.fd_cumulants"):
+    for name in ("engine.build_generator", "counting.cumulants", "fdcheck.fd_cumulants"):
         assert calls.get(name, 0) >= 1, name
     np.testing.assert_allclose(fd, j, rtol=1e-8)
 
@@ -106,6 +106,7 @@ def test_trajectory_spans_attach_on_an_oracle_check(tracer, tmp_path, capsys):
     assert tracer.absent == []
     assert tracer.uncounted == set()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
-    for name in ("trajectories.simulate", "trajectories.compare_with_analytic"):
+    for name in ("trajectories.simulate", "trajectories.compare_with_analytic", "counting.cumulants",
+                 "counting.steady_state"):
         assert calls.get(name, 0) >= 1, name
     assert tracer.counts["trajectories.simulate.lanes"] == 5

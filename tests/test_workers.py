@@ -172,7 +172,7 @@ def test_steady_states_do_not_depend_on_the_worker_count(rng):
     n = 300
     varied = np.column_stack([rng.uniform(0.4, 2.5, n), rng.uniform(3.0, 4.5, n),
                               rng.uniform(1.0, 7.0, n), rng.uniform(0.9, 1.0, (n, 2))])
-    l0 = build_generators(varied, EngineParams(), "legacy-conserving")[0]
+    l0 = build_generators(varied, EngineParams(), "legacy-conserving")
 
     def solve():
         rho, failures = counting.steady_states(l0)
