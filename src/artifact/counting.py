@@ -11,12 +11,12 @@ Two quantities flow out of this module.
 * Exchange moment rates m[1..4]: contractions of the lam-derivatives
   of the generator with the frozen steady state,
   m_k = u . (d^k L / d lam^k) . rho.
-  These are the raw moment rates of the instantaneous jump current;
-  odd orders equal the net flux (m_1 is exactly j_1), even orders the
-  total exchange activity. Their baseline-normalized ratios are the
-  classifier features: they stay in a narrow window around 1 across the
-  whole parameter box, which is what makes the coherence mapping
-  learnable.
+  These are the raw moment rates of the instantaneous jump current. L_k
+  holds each counted edge's rate times sign^k (engine.COUNTED), and
+  sign^2 = 1, so odd orders equal the net flux (m_1 is exactly j_1) and
+  even orders the total exchange activity. Their baseline-normalized
+  ratios are the classifier features, in a narrow window around 1 across
+  the whole parameter box, which makes the coherence mapping learnable.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from math import comb
 import numpy as np
 
 from . import workers
-from .engine import TRACE_VECTOR, VARIED, EngineParams, TwistedGenerator, build_generators, varied_row
+from .engine import (COHERENCE, COUNTED, TRACE_VECTOR, VARIED, EngineParams, TwistedGenerator, build_generators,
+                     varied_row)
 from .errors import ConditioningError, DegenerateSampleError, SingularityError, as_reals
 
 # A baseline moment below this magnitude cannot normalize a feature.
@@ -35,9 +36,10 @@ DEGENERATE_TOL = 1e-12
 
 _COND_LIMIT = 1e12
 
-# L_m v fills the rows of EDGE_ABSORB and EDGE_EMIT from v at their columns; _SIGNS[m - 1] signs their rates.
-_ROWS, _COLS = slice(2, 4), slice(3, 1, -1)
-_SIGNS = np.array([[[(-1.0) ** m, 1.0]] for m in range(1, 5)])
+# L_m holds each counted edge's L(0) rate times sign^m, _SIGNS[m - 1]. Any two indices i, j step evenly, so the
+# edges' rows and columns are slices: L_m v fills the rows from v at the columns through views, not gathers.
+_ROWS, _COLS = (slice(i, 2 * j - i if 2 * j >= i else None, j - i) for i, j in zip(*(edge for edge, _ in COUNTED)))
+_SIGNS = np.array([[[sign ** m for _, sign in COUNTED]] for m in range(1, 5)])
 _COMB = {k: np.array([comb(k, m) for m in range(1, k + 1)], dtype=float)[:, None, None] for k in range(1, 5)}
 
 # Matrices a stack needs before its SVD is split across the workers: a
@@ -119,8 +121,8 @@ def cumulants_batch(l0: np.ndarray):
         s_k   = sum_{m=1..k} C(k,m) u . L_m . rho_{k-m}
         L0 rho_k = sum_{m=1..k} C(k,m) (s_m - L_m) rho_{k-m},  u . rho_k = 0
 
-    with L_m = d^m L / d lam^m: L(0)'s emission rate on its edge, (-1)^m times
-    its absorption rate on its own. Each order solves the 6x6 [[L0, rho], [u, 0]].
+    with L_m = d^m L / d lam^m: L(0)'s rate on each counted edge times its
+    sign^m (engine.COUNTED). Each order solves the 6x6 [[L0, rho], [u, 0]].
     """
     rho, failures = steady_states(l0)
     bordered = np.zeros((len(rho), 6, 6))
@@ -165,18 +167,16 @@ def cumulants(gen: TwistedGenerator) -> np.ndarray:
 def exchange_moment_rates(l0: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Raw moment rates m[1..4] of the instantaneous photon-exchange current.
 
-    m_k contracts the k-th counting derivative of the generator with
-    the steady state `rho`, from L(0)'s rates on the two counted edges.
-    Because the counting edges are dressed with e^{+-lam}, the
-    derivative matrices repeat with period 2, so m_3 = m_1 (net flux)
-    and m_4 = m_2 (exchange activity) identically. Takes one L(0) (5, 5)
-    and state (5,), or stacks of them.
+    m_k = u . L_k . rho contracts the k-th counting derivative of the
+    generator with the steady state `rho`: each counted edge's flow, its
+    L(0) rate times rho at its column, times its sign^k. The signs are
+    +-1, so sign^2 = 1 and the moments repeat with period 2: m_3 = m_1
+    (net flux) and m_4 = m_2 (exchange activity) identically. Takes one
+    L(0) (5, 5) and state (5,), or stacks of them.
     """
-    emit_flow = l0[..., 3, 2] * rho[..., 2]  # EDGE_EMIT
-    absorb_flow = l0[..., 2, 3] * rho[..., 3]  # EDGE_ABSORB
-    flux = emit_flow - absorb_flow
-    activity = emit_flow + absorb_flow
-    return np.stack([flux, activity, flux, activity], axis=-1)
+    flows = l0[..., _ROWS, _COLS].diagonal(axis1=-2, axis2=-1) * rho[..., _COLS]
+    terms = flows[..., None, :] * _SIGNS[:, 0]
+    return terms[..., 0] + terms[..., 1]  # one binary +: a reduction would turn a -0.0 sum to +0.0
 
 
 def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams()):
@@ -190,7 +190,7 @@ def exchange_moment_ratios_batch(varied, fixed: EngineParams = EngineParams()):
     varied = as_reals(varied, "varied", ("n", len(VARIED)))
     n = len(varied)
     zero = varied.copy()
-    zero[:, 3:] = 0.0
+    zero[:, [VARIED.index(name) for name in COHERENCE]] = 0.0
     l0 = build_generators(np.concatenate([varied, zero]), fixed)
     rho, solve_failures = steady_states(l0)
     with np.errstate(invalid="ignore", divide="ignore"):

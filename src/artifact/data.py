@@ -146,7 +146,7 @@ class Dataset:
         meta = json_object(self.meta, "meta")
         fixed = EngineParams(**json_object(meta.get("fixed", {}), "fixed", _FIXED))
         good = (np.isfinite(self.features).all(axis=1) & in_box(self.params)
-                & (self.labels == _labels_of(self.params[:, 4])))
+                & (self.labels == _labels_of(self.params[:, VARIED.index("p_h")])))
         for i in np.flatnonzero(~good).tolist():
             try:
                 _check_row(tuple(self.features[i].tolist()), int(self.labels[i]),
@@ -315,7 +315,7 @@ def generate(n: int, ranges: ParamRanges = DEFAULT_RANGES, seed: int = 0,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    return Dataset(features, _labels_of(params[:, 4]), params, in_train, meta)
+    return Dataset(features, _labels_of(params[:, VARIED.index("p_h")]), params, in_train, meta)
 
 
 # One CSV row: four features, label, the VARIED parameters, split tag.

@@ -13,11 +13,9 @@ degenerate states. Interference between the two bath-mediated decay
 pathways pumps that cross term at a rate set by the dimensionless
 strengths p_h (hot) and p_c (cold).
 
-The generator carries a counting field `lam` on the two cavity edges so
-that derivatives of its dominant eigenvalue give cumulants of the net
-photon number emitted into the cavity: the upper->lower (emission) edge
-is dressed with e^{+lam}, the lower->upper (absorption) edge with
-e^{-lam}.
+The generator carries a counting field `lam` on the two cavity edges
+(COUNTED) so that derivatives of its dominant eigenvalue give cumulants
+of the net photon number emitted into the cavity.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from .errors import DomainError, as_name, as_real, as_reals, in_interval
 
 # Columns of a parameter array: the operating-point parameters a dataset varies.
 VARIED = ("t_c", "t_h", "t_l", "p_c", "p_h")
+COHERENCE = ("p_c", "p_h")  # the coherence strengths among them, zero at a sample's baseline
 
 # The interval of every EngineParams field, in the form of `errors.as_real`:
 # EngineParams reads it value by value, `in_box` column by column.
@@ -43,8 +42,11 @@ TRACE_VECTOR = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
 TRACE_VECTOR.setflags(write=False)
 
 # Counting edges (row, col): row gains population, col loses it.
-EDGE_EMIT = (3, 2)    # upper -> lower, +1 photon into the cavity, e^{+lam}
-EDGE_ABSORB = (2, 3)  # lower -> upper, -1 photon from the cavity, e^{-lam}
+EDGE_EMIT = (3, 2)    # upper -> lower, a photon into the cavity
+EDGE_ABSORB = (2, 3)  # lower -> upper, a photon from the cavity
+# Each counted edge with the photons a jump along it adds: L(lam) dresses its rate
+# with e^{sign lam}, so L_m = d^m L / d lam^m at 0 holds rate * sign^m there.
+COUNTED = ((EDGE_ABSORB, -1.0), (EDGE_EMIT, 1.0))
 
 #: "consistent"        -- each excited level is fed and drained by the same
 #:                        bath; detailed balance holds at zero thermodynamic
@@ -98,7 +100,7 @@ class EngineParams:
 
     def zero_coherence(self) -> "EngineParams":
         """Same operating point with both coherence channels switched off."""
-        return replace(self, p_c=0.0, p_h=0.0)
+        return replace(self, **dict.fromkeys(COHERENCE, 0.0))
 
 
 def in_box(varied: np.ndarray) -> np.ndarray:
@@ -110,15 +112,15 @@ def in_box(varied: np.ndarray) -> np.ndarray:
 class TwistedGenerator:
     """Counting-field-dressed generator: L(0) and eval(lam).
 
-    Only the cavity edges carry lam, so L(0)'s entries there, the rates
-    `emit_rate` and `absorb_rate`, fix every lam-derivative of L. L(0) is
+    Only the counted edges (COUNTED) carry lam, so L(0)'s entries there, the
+    rates `emit_rate` and `absorb_rate`, fix every lam-derivative of L. L(0) is
     a write-protected 5x5 array of finite reals whose two counted entries
     lie in [0, inf), else a DomainError, so instances are safe to share.
     """
 
     l0: np.ndarray                 # 5x5 generator at lam = 0
-    emit_rate = property(lambda self: float(self.l0[EDGE_EMIT]), doc="g^2 * (1 + n_l), on the e^{+lam} edge")
-    absorb_rate = property(lambda self: float(self.l0[EDGE_ABSORB]), doc="g^2 * n_l, on the e^{-lam} edge")
+    emit_rate = property(lambda self: float(self.l0[EDGE_EMIT]), doc="g^2 * (1 + n_l), on EDGE_EMIT")
+    absorb_rate = property(lambda self: float(self.l0[EDGE_ABSORB]), doc="g^2 * n_l, on EDGE_ABSORB")
 
     def __post_init__(self):
         object.__setattr__(self, "l0", as_reals(self.l0, "l0", (5, 5), "(-inf, inf)"))
@@ -128,8 +130,8 @@ class TwistedGenerator:
     def eval(self, lam: float) -> np.ndarray:
         """Assembled 5x5 generator at counting field `lam`."""
         m = self.l0.copy()
-        m[EDGE_ABSORB] *= math.exp(-lam)
-        m[EDGE_EMIT] *= math.exp(lam)
+        for edge, sign in COUNTED:
+            m[edge] *= math.exp(sign * lam)
         return m
 
 
@@ -139,8 +141,8 @@ def build_generators(varied, fixed: EngineParams = EngineParams(),
 
     `varied` is (n, 5) in VARIED order; `fixed` supplies the other
     constants. The first row outside `in_box` raises EngineParams' error.
-    Only the two cavity edges depend on the counting field: the emission
-    edge carries g^2*(1+n_l)*e^{+lam}, the absorption edge g^2*n_l*e^{-lam}.
+    Only the counted edges (COUNTED) depend on the counting field; their
+    rates are g^2*(1+n_l) for emission and g^2*n_l for absorption.
     `variant` picks the layout (see GENERATOR_VARIANTS); the default is the
     per-bath-consistent one, the only one that equilibrates at zero
     thermodynamic bias.

@@ -7,12 +7,12 @@ fields by refining the dominant eigenvalue beyond double precision
 derivative to 1e-6: the fourth difference divides eigenvalue roundoff
 by h^4). A secant iteration, seeded from one stacked `eigvals` call over
 the ladder, finds the root of det(L(lam) - s I), and that determinant is
-exact. Only the counted entries x = absorb e^{-lam} and y = emit e^{+lam}
+exact. Only the counted entries x, y = rate e^{sign lam} (engine.COUNTED)
 move with lam, and a determinant is affine in each entry, so per draw
 det(L(lam) - s I) = D0 + x D1 + y D2 + x y D3 with integer polynomials D
 in s. Each secant step sums its point's polynomial in integers and
 rounds the exact binary fraction once, as exact elimination would, so
-`_DPS` sets only the rounding of e^{+-lam}, x, y, s and the secant
+`_DPS` sets only the rounding of e^{sign lam}, x, y, s and the secant
 arithmetic. Central-difference stencils at steps {1e-2, 5e-3, 2.5e-3}
 are combined by two levels of Richardson extrapolation, cancelling the
 h^2 and h^4 error terms. Constants of the ladder and the precision are
@@ -37,7 +37,7 @@ import numpy as np
 from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_lt,
                           mpf_mul, mpf_mul_int, mpf_sub, to_float)
 
-from .engine import EDGE_ABSORB, TwistedGenerator
+from .engine import COUNTED, TwistedGenerator
 from .errors import BranchAmbiguityError
 
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
@@ -55,7 +55,7 @@ class _Ladder(NamedTuple):
 
     prec: int         # the precision in bits, as `mp.workdps` sets it for the digits
     lams: tuple       # the stencil points in ascending order, then 0.0
-    edges: dict       # lam -> (e^{-lam}, e^{+lam})
+    edges: dict       # lam -> e^{sign lam} of each counted edge, in COUNTED order
     nudge: tuple      # the secant's second point sits this far above the seed
     tol: tuple        # (factor, floor): the secant exits below factor * max(|seed|, floor)
     powers: tuple     # per step h of FD_STEPS: (2h, h^2, 2h^3, h^4)
@@ -66,7 +66,7 @@ def _ladder(dps: int) -> _Ladder:
     """The ladder's constants, each rounded as it would be at `dps` digits."""
     lams = (*sorted({sign * mult * h for h in FD_STEPS for mult in (1, 2) for sign in (1, -1)}), 0.0)
     with mp.workdps(dps):
-        edges = {lam: (mp.e ** (-mp.mpf(lam)), mp.e ** (mp.mpf(lam))) for lam in lams}
+        edges = {lam: tuple(mp.e ** mp.mpf(sign * lam) for _, sign in COUNTED) for lam in lams}
         powers = [(2 * hh, hh**2, 2 * hh**3, hh**4) for hh in map(mp.mpf, FD_STEPS)]
         nudge, tol, prec = mp.mpf("1e-12"), (mp.mpf(10) ** (2 - dps), mp.mpf("1e-3")), mp.mp.prec
 
@@ -123,16 +123,16 @@ def _ladder_polys(gen: TwistedGenerator, ladder: _Ladder) -> dict:
     from the four corners x, y in {0, 1} by inclusion-exclusion; with the
     counted indices last, the corners share all but Berkowitz's last step."""
     prec = ladder.prec
-    absorb, emit = (from_float(float(rate), prec, "n") for rate in (gen.absorb_rate, gen.emit_rate))
-    counted = [(_dyadic(mpf_mul(absorb, e_minus, prec, "n")), _dyadic(mpf_mul(emit, e_plus, prec, "n")))
-               for e_minus, e_plus in ladder.edges.values()]
+    x_rate, y_rate = (from_float(float(gen.l0[edge]), prec, "n") for edge, _ in COUNTED)
+    counted = [(_dyadic(mpf_mul(x_rate, x_factor, prec, "n")), _dyadic(mpf_mul(y_rate, y_factor, prec, "n")))
+               for x_factor, y_factor in ladder.edges.values()]
     n = len(gen.l0)  # L(0)'s rows, then the (x, y) of each ladder point
     rows, e = _integer_matrix([*([_dyadic(v) for v in row] for row in gen.l0.tolist()), *counted])
-    order = [i for i in range(n) if i not in EDGE_ABSORB] + list(EDGE_ABSORB)
+    order = [i for i in range(n) if i not in COUNTED[0][0]] + list(COUNTED[0][0])
     a = [[rows[i][j] for j in order] for i in order]
     head, corners = _char_poly(a[:-1]), []
     for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        a[-2][-1], a[-1][-2] = x, y  # EDGE_ABSORB and its transpose EDGE_EMIT
+        a[-2][-1], a[-1][-2] = x, y  # x's counted edge, and its transpose, y's
         corners.append(_char_poly(a, head))
     d = [(p00, p10 - p00, p01 - p00, p11 - p10 - p01 + p00) for p00, p10, p01, p11 in zip(*corners)]
     return {lam: ([d0 + x * d1 + y * (d2 + x * d3) for d0, d1, d2, d3 in d], e)

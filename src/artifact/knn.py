@@ -11,30 +11,29 @@ tests demand.
 Queries are ranked against a sorted strip of the training rows, not
 all of them. The training rows are ordered by column 0 (c1); queries
 are binned by their place in that order, and each bin is ranked against
-the rows of its own bin and the one on each side, taken in training
-index order so that ties still break by (distance, index). A query's
-answer stands only if every row outside the strip is certified farther
-than its k-th neighbor. Such a row's c1 lies beyond the strip's edge,
-and every query column that the model reads as a copy of column 0 is at
-least its own gap to that edge away from it; the spread of the query's
-other copy groups adds to that. A distance is a sum of non-negative
-rounded terms, monotone in each of them, and the certificate keeps a
-1e-9 relative margin besides, so a certified answer is the brute-force
-one bit for bit. Uncertified queries retry in strips four times wider.
+the rows of its own bin and the one on each side, a window moved inside
+the order at either end, taken in training index order so that ties
+still break by (distance, index). A query's answer stands only if every
+row outside the strip is certified farther than its k-th neighbor. Such
+a row's c1 lies beyond the strip's edge, and every query column that the
+model reads as a copy of column 0 is at least its own gap to that edge
+away from it; the spread of the query's other copy groups adds to that.
+A distance is a sum of non-negative rounded terms, monotone in each of
+them, and the certificate keeps a 1e-9 relative margin besides, so a
+certified answer is the brute-force one bit for bit. Uncertified queries
+retry in strips four times wider.
 The last round's one strip is every training row: brute force is that
 round, with no row outside to bound, so it answers every query left.
 Training rows and queries must keep every distance within half the
 float range, so that distances and bounds alike stay finite.
 
 A strip round ranks its strips in runs: consecutive strips whose
-distances fill their own rows of one tall block, as wide as the run's
-widest strip, ranked by one call. A narrower strip's extra columns hold
-+inf, which never ranks: a strip of a narrow round holds at least m >= 3k
-rows, as 12 m <= N and m >= sqrt(N k) / 2 give m^2 >= 3 m k. A round so
-takes a few numpy calls long enough for the pool's threads to overlap,
-not a dozen short ones per strip, which hand the interpreter lock back
-and forth. A strip that fills a run alone, and the full-width round, are
-runs of one.
+distances fill their own rows of one tall block, as wide as every strip
+of the round, ranked by one call. A strip holds 3m >= k rows, the last
+round's all N. A round so takes a few numpy calls long enough for the
+pool's threads to overlap, not a dozen short ones per strip, which hand
+the interpreter lock back and forth. A strip that fills a run alone, and
+the full-width round, are runs of one.
 
 The blocks of a strip round run as jobs on the worker pool (`workers`).
 The blocks running at once hold at most `_BLOCK_ELEMS` distances, in one
@@ -502,8 +501,8 @@ def _copy_spreads(q: np.ndarray, copies: tuple, metric: str) -> tuple:
 
 
 def _tall(run: list) -> int:
-    """Distances of a run's tall block: its queries times its widest strip."""
-    return sum(rows.size for rows, _, _ in run) * max(idx.size for _, _, idx in run)
+    """Distances of a run's tall block: its queries times its strips' one width."""
+    return sum(rows.size for rows, _, _ in run) * run[0][2].size
 
 
 def _runs(strips: list, share: int, even: int, cap: int) -> list:
@@ -535,7 +534,8 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     Queries go in ascending order of column 0 (c1). Round r bins them by
     their position in the training rows' c1 order, in bins of margin
     m_r rows, and ranks each bin against the training rows of its own
-    bin and the one on each side, re-sorted by training index so that
+    bin and the one on each side, a window of 3 m_r rows moved inside
+    the order at either end, re-sorted by training index so that
     ranking ties still break by (distance, training index). A query is
     answered only if every row outside that strip is certified farther
     than its k-th neighbor by `_strip_bound`, which makes the answer the
@@ -548,14 +548,13 @@ def _neighbors(model: KnnModel, queries) -> tuple:
 
     A round's strips are ranked in runs (`_runs`): each strip's distances
     come from one `_distance_block` call on its own training rows, into
-    its rows of the run's tall block, whose columns past a narrower strip
-    hold +inf; one `_ranked_neighbors` call ranks the block, and each
-    query is certified by its own bound. A narrow round's strips hold at
-    least 3k rows (see the module docstring), so +inf never ranks. The
-    blocks run as jobs on the worker pool. A strip too large for a
-    worker's share of `_BLOCK_ELEMS` is cut by its queries into blocks of
-    even size, and so is a round that would leave a worker idle, into
-    parts of at least `_STRIP_PAIRS` pairs. Each job writes only its
+    its rows of the run's tall block, one strip width wide; one
+    `_ranked_neighbors` call ranks the block, and each query is certified
+    by its own bound. A strip holds at least k rows (see the module
+    docstring). The blocks run as jobs on the worker pool. A strip too
+    large for a worker's share of `_BLOCK_ELEMS` is cut by its queries
+    into blocks of even size, and so is a round that would leave a worker
+    idle, into parts of at least `_STRIP_PAIRS` pairs. Each job writes only its
     own rows of the table. Called inside a job of the pool, the blocks
     keep a worker's share but run inline, in one buffer slot.
     """
@@ -582,27 +581,25 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     def rank(slots, run, route):
         # One job: the queries of each strip of `run` against its training
         # rows, in the strip's own rows of one tall block of a buffer taken
-        # from `slots`, +inf past a narrower strip's last column; the block
-        # ranked at once, and the answers each query's bound certifies entered.
+        # from `slots`; the block ranked at once, and the answers each
+        # query's bound certifies entered.
         rows, bounds, strips = zip(*run)
         sizes = [r.size for r in rows]
-        width = max(idx.size for idx in strips)
+        width = strips[0].size
         buf = slots.get()
         dist = buf[:sum(sizes) * width].reshape(-1, width)
         top = 0  # the strip's first row in the block
         for r, idx in zip(rows, strips):
-            strip_x = cols.T if idx.size == n else np.take(cols, idx, axis=1).T
-            block = dist[top:top + r.size]
-            _distance_block(strip_x, q[r], metric, copies, block[:, :idx.size])
-            block[:, idx.size:] = np.inf
+            strip_x = cols.T if width == n else np.take(cols, idx, axis=1).T
+            _distance_block(strip_x, q[r], metric, copies, dist[top:top + r.size])
             top += r.size
         ranked = _ranked_neighbors(dist, k)
         nd = buf[ranked + width * np.arange(len(dist))[:, None]]
         slots.put(buf)
         done = np.concatenate(bounds) > nd[:, -1] * _CERTIFY
         # a row's rank positions index its strip's training rows; with every
-        # strip's laid end to end, they move by the strips before its own
-        ranked += np.repeat(np.cumsum([0, *(idx.size for idx in strips[:-1])]), sizes)[:, None]
+        # strip's laid end to end, they move by a width per strip before its own
+        ranked += width * np.repeat(np.arange(len(strips)), sizes)[:, None]
         rows = np.concatenate(rows)[done]
         ranked_of[rows] = np.concatenate(strips)[ranked[done]]
         nd_of[rows], route_of[rows] = nd[done], route
@@ -616,9 +613,9 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     pending = np.argsort(q[:, 0])
     at = np.searchsorted(edges[1:-1], q[pending, 0])  # pending queries' places in the c1 order
     for route, m in enumerate(_strip_margins(n, k)):
-        strip = at // m
-        lo, hi = np.maximum(0, (strip - 1) * m), np.minimum(n, (strip + 2) * m)
-        reach = _strip_bound(q[pending], near, edges, lo, hi, metric)
+        width = min(3 * m, n)  # the rows of each strip: its bin's window, clamped inside the c1 order
+        lo = np.clip((at // m - 1) * m, 0, n - width)
+        reach = _strip_bound(q[pending], near, edges, lo, lo + width, metric)
         # No row is nearer than the copy spreads: a strip that reaches no
         # farther than they do cannot certify its query.
         tried = np.flatnonzero(reach > own[pending] * _CERTIFY)
@@ -626,14 +623,12 @@ def _neighbors(model: KnnModel, queries) -> tuple:
         if metric == "euclidean":
             np.sqrt(bound, out=bound)
         strips = []  # its queries, their bounds, and its training rows in training order
-        # first try of each strip, a row range: lo and hi never fall, so lo + hi rises there
-        starts = np.flatnonzero(np.diff(lo[tried] + hi[tried], prepend=-1))
+        starts = np.flatnonzero(np.diff(lo[tried], prepend=-1))  # first try of each strip: lo never falls
         for a, b in zip(starts, [*starts[1:], len(tried)]):
-            first = tried[a]
-            width = hi[first] - lo[first]
             if width < n and (b - a) * (n - width) < _STRIP_PAIRS:
                 continue  # too few queries to pay for a block of their own
-            idx = np.sort(order[lo[first]:hi[first]]) if width < n else np.arange(n)
+            first = lo[tried[a]]
+            idx = np.sort(order[first:first + width]) if width < n else np.arange(n)
             strips.append((pending[tried[a:b]], bound[a:b], idx))
         # A block holds at most a worker's share of distances, and no more
         # than an even part of the round per lane, unless that part would

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import cumulants, steady_state
-from .engine import EDGE_ABSORB, EDGE_EMIT, EngineParams, TwistedGenerator, build_generator
+from .engine import COUNTED, EngineParams, TwistedGenerator, build_generator
 from .errors import AbsorbingStateError, DomainError, ValidationError, as_int, as_real, as_reals
 
 _RATE_TOL = 1e-12
@@ -29,7 +29,7 @@ class JumpProcess:
     `rates[i, j]` is the transition rate from state j to state i
     (column convention, matching the generator); the diagonal is zero.
     `count_weights[i, j]` is the increment recorded when that jump fires:
-    +1 on the cavity emission edge, -1 on absorption, 0 elsewhere.
+    a counted edge's sign (engine.COUNTED), 0 elsewhere.
     """
 
     rates: np.ndarray
@@ -78,8 +78,8 @@ def build_jump_process(gen: TwistedGenerator) -> JumpProcess:
     if np.any(leak > _RATE_TOL):
         raise ValidationError(f"population block leaks probability (max {leak.max():.3e})")
     weights = np.zeros((4, 4))
-    weights[EDGE_EMIT] = 1.0
-    weights[EDGE_ABSORB] = -1.0
+    for edge, sign in COUNTED:
+        weights[edge] = sign
     return JumpProcess(rates=rates, count_weights=weights)
 
 

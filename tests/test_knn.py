@@ -659,6 +659,26 @@ def test_strip_bound_reads_the_nearest_row_outside(side, rng):
     assert np.all(route == 1)  # the strip could not certify: brute force
 
 
+def test_strip_certificate_keeps_its_margin(rng):
+    # 400 rows, k=1: c1 = 0..399 at c2 = 1, except row 200 at c2 = -85 - 1e-8.
+    # The 45 queries at (200.5, -99) bin into the strip of c1 order rows
+    # 187-219, whose gap bound is 14.5 (to c1 = 186). Their nearest row, row
+    # 200, is 14.49999999 away: nearer than the bound, but not by the 1e-9
+    # margin, so only the full-width round may answer them
+    c1 = np.arange(400.0)
+    c2 = np.ones(400)
+    c2[200] = -85.00000001
+    perm = rng.permutation(400)
+    model = fit(np.column_stack([c1, c2])[perm], np.arange(400) % N_CLASSES, k=1, metric="manhattan")
+    assert model.copies == (0, 1) and knn._strip_margins(400, 1) == [11, 400]
+    query = np.tile([200.5, -99.0], (45, 1))  # 45 x 367 pairs spared pay for the strip
+    ranked, nd, route = knn._neighbors(model, query)
+    d = nd[0, 0]
+    assert d < 14.5 <= d * (1.0 + 1e-9)
+    assert np.all(ranked == np.flatnonzero(perm == 200)) and np.all(nd == d)
+    assert np.all(route == 1)
+
+
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
 def test_strip_bound_is_at_most_every_row_outside(metric, rng):
     # The contract of `_strip_bound`: per query, no more than the summed
@@ -704,9 +724,9 @@ def _in_a_pool_job(call):
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
 def test_runs_of_strips_equal_brute_force(metric, where, rng, monkeypatch):
     # 2,400 rows at k = 3 (12 m <= N): the first round's strips are 129
-    # rows wide, and those at either end of the c1 order narrower, so a
-    # run that ranks an end strip with full ones pads the end strip's
-    # rows with +inf, which must never rank
+    # rows wide, those at either end of the c1 order too, their windows
+    # moved inside it, so a run that ranks an end strip with others needs
+    # no +inf padding
     train_x, train_y, query = _sheet_problem(rng, 2400, 800)
     model = fit(train_x, train_y, k=3, metric=metric)
     assert knn._strip_margins(2400, 3) == [43, 172, 2400]
@@ -714,8 +734,7 @@ def test_runs_of_strips_equal_brute_force(metric, where, rng, monkeypatch):
     blocks = _recorded_blocks(monkeypatch)
     call = lambda: knn._neighbors(model, query)
     ranked, nd, route = _in_a_pool_job(call) if where == "a pool job" else call()
-    padded = [np.isinf(block).any(axis=1) for block in blocks]
-    assert any(rows.any() and not rows.all() for rows in padded)
+    assert not any(np.isinf(block).any() for block in blocks)
     assert route.min() == 0 and route.max() == 2  # every query routed, by every round
     monkeypatch.setattr(knn, "_strip_margins", lambda n, k: [n])  # brute force alone
     want_ranked, want_nd, want_route = call()
