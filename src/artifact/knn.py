@@ -9,19 +9,25 @@ module's predictions bit for bit, which is what the reference-oracle
 tests demand.
 
 Queries are ranked against a sorted strip of the training rows, not
-all of them. The training rows are ordered by column 0 (c1); queries
-are binned by their place in that order, and each bin is ranked against
-the rows of its own bin and the one on each side, a window moved inside
-the order at either end, taken in training index order so that ties
-still break by (distance, index). A query's answer stands only if every
-row outside the strip is certified farther than its k-th neighbor. Such
-a row's c1 lies beyond the strip's edge, and every query column that the
-model reads as a copy of column 0 is at least its own gap to that edge
-away from it; the spread of the query's other copy groups adds to that.
-A distance is a sum of non-negative rounded terms, monotone in each of
-them, and the certificate keeps a 1e-9 relative margin besides, so a
-certified answer is the brute-force one bit for bit. Uncertified queries
-retry in strips four times wider.
+all of them. Each copy group of the model's columns (c1 and its copy
+c3, c2 and its copy c4) orders the training rows by its value. A query
+takes the ranks of its lowest and highest value in each group's columns,
+and is ranked in the group whose interval of ranks is narrowest, column
+0's on a tie, as a k-d tree picks its splitting key (Friedman, Bentley &
+Finkel, ACM TOMS 3(3), 209 (1977)): a query on the sheet keeps the c1
+order, one whose c3 strays from c1 moves to the c2 order. Queries are
+binned by their interval's midpoint, and each bin is ranked against the
+rows of its own bin and the one on each side, a window moved inside the
+order at either end, taken in training index order so that ties still
+break by (distance, index). A query's answer stands only if every row
+outside the strip is certified farther than its k-th neighbor. Such a
+row's group value lies beyond the strip's edge, and every query column
+of the group is at least its own gap to that edge away from it; the
+spread of the query's other copy groups adds to that. A distance is a
+sum of non-negative rounded terms, monotone in each of them, and the
+certificate keeps a 1e-9 relative margin besides, so a certified answer
+is the brute-force one bit for bit. Uncertified queries retry in strips
+four times wider.
 The last round's one strip is every training row: brute force is that
 round, with no row outside to bound, so it answers every query left.
 Training rows and queries must keep every distance within half the
@@ -70,7 +76,7 @@ import math
 import queue
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -430,11 +436,14 @@ def _winners_for(ranked: np.ndarray, nd: np.ndarray, labels: np.ndarray,
         np.add(sums[j - 1], sums[j], out=sums[j])
     ks = np.asarray(ks)
     sums = sums[ks - 1]
-    win = np.argmax(sums, axis=2)
-    # the largest and second-largest class sums, one class at a time
+    # the largest and second-largest class sums, one class at a time, and
+    # the argmax: the last class to pass every lower one, which is the
+    # lowest class whose sum is the largest
+    win = np.zeros(sums.shape[:2], dtype=np.intp)
     top = runner = np.zeros(sums.shape[:2])
     for c in range(N_CLASSES):
         runner = np.maximum(runner, np.minimum(top, sums[..., c]))
+        np.maximum(win, c * (sums[..., c] > top), out=win)
         top = np.maximum(top, sums[..., c])
     lead = top * (1.0 - (4 * ks + 2) * _UNIT_ROUNDOFF)[:, None]
     lo, hi = _CERTIFIED_SUMS
@@ -470,13 +479,14 @@ def _strip_margins(n_train: int, k: int) -> list:
 def _strip_bound(q: np.ndarray, near: list, edges: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, metric: str) -> np.ndarray:
     """Per query, a lower bound on the summed terms (squared for
-    euclidean) of the columns in `near`, over the training rows outside
-    its strip: positions [lo, hi) of the ascending c1 order, which
-    `edges` holds padded with -inf in front and +inf behind.
+    euclidean) of the columns in `near`, one copy group, over the
+    training rows outside its strip: positions [lo, hi) of the ascending
+    order of the group's value, which `edges` holds padded with -inf in
+    front and +inf behind.
 
-    Such a row's c1 is at most edges[lo] or at least edges[hi + 1], and
-    each column in `near` is measured against that c1, so its term is at
-    least that of the query's own gap to the edge.
+    Such a row's value is at most edges[lo] or at least edges[hi + 1],
+    and each column in `near` is measured against that value, so its term
+    is at least that of the query's own gap to the edge.
     """
     q = q[:, near]
     sides = []
@@ -486,18 +496,26 @@ def _strip_bound(q: np.ndarray, near: list, edges: np.ndarray, lo: np.ndarray,
     return np.minimum(*sides)
 
 
-def _copy_spreads(q: np.ndarray, copies: tuple, metric: str) -> tuple:
-    """Per query, lower bounds on the summed terms (squared for euclidean)
-    of column 0's copy group and of the other copy groups, for every
-    training row. A group's columns hold one value per training row, so
-    a query whose copies of it disagree sits at least their spread away:
+def _copy_spreads(ends: list, metric: str) -> list:
+    """Per copy group, per query, a lower bound on the summed terms
+    (squared for euclidean) of the group's columns, for every training
+    row; `ends` holds, per group, the query's lowest and highest value in
+    those columns. A group's columns hold one value per training row, so a
+    query whose copies of it disagree sits at least their spread away:
     |a - x| + |b - x| >= |a - b| and (a - x)^2 + (b - x)^2 >= (a - b)^2 / 2.
     """
-    terms = {}
-    for i in sorted(set(copies)):
-        spread = np.ptp(q[:, [j for j, c in enumerate(copies) if c == i]], axis=1)
-        terms[i] = spread * spread / 2.0 if metric == "euclidean" else spread
-    return terms.pop(0), sum(terms.values(), np.zeros(len(q)))
+    spreads = [high - low for low, high in ends]
+    return [s * s / 2.0 for s in spreads] if metric == "euclidean" else spreads
+
+
+def _ranks(edges: np.ndarray, values: np.ndarray, by_c1: np.ndarray) -> np.ndarray:
+    """The rank of each query's entry of `values` among the ascending
+    training values `edges`, searched in the queries' ascending c1 order
+    `by_c1`: queries on the sheet then search the edges in order, about
+    twice as fast."""
+    ranks = np.empty_like(by_c1)
+    ranks[by_c1] = np.searchsorted(edges, values[by_c1])
+    return ranks
 
 
 def _tall(run: list) -> int:
@@ -531,26 +549,32 @@ def _neighbors(model: KnnModel, queries) -> tuple:
     strip round that answered it. The three arrays are allocated once and
     filled block by block.
 
-    Queries go in ascending order of column 0 (c1). Round r bins them by
-    their position in the training rows' c1 order, in bins of margin
-    m_r rows, and ranks each bin against the training rows of its own
-    bin and the one on each side, a window of 3 m_r rows moved inside
-    the order at either end, re-sorted by training index so that
-    ranking ties still break by (distance, training index). A query is
-    answered only if every row outside that strip is certified farther
-    than its k-th neighbor by `_strip_bound`, which makes the answer the
-    brute-force one, ties included. A round skips the queries whose
-    copies disagree by more than its strip can reach past, since no row
-    is that near, and the strips holding too few queries to pay for a
-    block. The last round's margin is N: its one strip is every training
-    row, with nothing outside to bound, so it takes and answers every
-    query left.
+    Each query is ranked in the order of one copy group of the model's
+    columns, the training rows sorted by the group's value: the group
+    whose columns' values of the query lie the fewest ranks apart, column
+    0's on a tie. A group other than column 0's is sorted only when some
+    query's values in column 0's group lie ranks apart, so queries on the
+    sheet (c3 == c1) sort nothing more. Round r bins the queries by their
+    interval's midpoint rank, in bins of margin m_r rows, and ranks each
+    bin against the training rows of its own bin and the one on each side
+    in the group's order, a window of 3 m_r rows moved inside the order
+    at either end, re-sorted by training index so that ranking ties still
+    break by (distance, training index). A query is answered only if
+    every row outside that strip is certified farther than its k-th
+    neighbor: by `_strip_bound` over the group's columns, plus the
+    spreads of the other groups (`_copy_spreads`), which makes the answer
+    the brute-force one, ties included. A round skips the queries whose
+    copies of their group disagree by more than its strip can reach past,
+    since no row is that near, and the strips holding too few queries to
+    pay for a block. The last round's margin is N: its one strip is every
+    training row, with nothing outside to bound, so it takes and answers
+    every query left, in ascending order of column 0 (c1).
 
-    A round's strips are ranked in runs (`_runs`): each strip's distances
-    come from one `_distance_block` call on its own training rows, into
-    its rows of the run's tall block, one strip width wide; one
-    `_ranked_neighbors` call ranks the block, and each query is certified
-    by its own bound. A strip holds at least k rows (see the module
+    A round's strips, of every group, are ranked in runs (`_runs`): each
+    strip's distances come from one `_distance_block` call on its own
+    training rows, into its rows of the run's tall block, one strip width
+    wide; one `_ranked_neighbors` call ranks the block, and each query is
+    certified by its own bound. A strip holds at least k rows (see the module
     docstring). The blocks run as jobs on the worker pool. A strip too
     large for a worker's share of `_BLOCK_ELEMS` is cut by its queries
     into blocks of even size, and so is a round that would leave a worker
@@ -604,32 +628,60 @@ def _neighbors(model: KnnModel, queries) -> tuple:
         ranked_of[rows] = np.concatenate(strips)[ranked[done]]
         nd_of[rows], route_of[rows] = nd[done], route
 
-    # Any order by c1 serves: a strip is re-sorted by training index, and
-    # its bound reads c1 values only, so ties need no stable sort.
-    order = np.argsort(cols[0])
-    edges = np.concatenate([[-np.inf], cols[0, order], [np.inf]])
-    near = [j for j, i in enumerate(copies) if i == 0]
-    own, other = _copy_spreads(q, copies, metric)
-    pending = np.argsort(q[:, 0])
-    at = np.searchsorted(edges[1:-1], q[pending, 0])  # pending queries' places in the c1 order
+    # Each copy group's training order, by its first column, and each
+    # query's interval of ranks in it: those of its lowest and its highest
+    # value in the group's columns. Any order serves: a strip is re-sorted
+    # by training index, and its bound reads the group's values only, so
+    # ties need no stable sort. Until some query's interval in column 0's
+    # group spans a rank, that group wins every tie and no other is sorted.
+    groups = [[j for j, c in enumerate(copies) if c == i] for i in sorted(set(copies))]
+    ends = [[reduce(f, (q[:, j] for j in near)) for f in (np.minimum, np.maximum)] for near in groups]
+    spreads = _copy_spreads(ends, metric)
+    by_c1 = np.argsort(q[:, 0])
+    orders, edges, spans, mids = [], [], [], []
+    for near, (least, most) in zip(groups, ends):
+        if spans and not spans[0].any():
+            break
+        orders.append(np.argsort(cols[near[0]]))
+        edges.append(np.concatenate([[-np.inf], cols[near[0], orders[-1]], [np.inf]]))
+        low = _ranks(edges[-1][1:-1], least, by_c1)
+        high = low if np.array_equal(least, most) else _ranks(edges[-1][1:-1], most, by_c1)
+        spans.append(high - low)
+        mids.append((low + high) // 2)
+    group = np.argmin(spans, axis=0)  # the narrowest interval; a tie to the lower group
+    mid = np.choose(group, mids)
+    # Each group's queries left, with their midpoints, in ascending order
+    # of those, so that the queries of a strip follow each other.
+    pending = []
+    for h in range(len(edges)):
+        rows = by_c1[group[by_c1] == h]
+        by = np.argsort(mid[rows], kind="stable")
+        pending.append((rows[by], mid[rows[by]]))
     for route, m in enumerate(_strip_margins(n, k)):
-        width = min(3 * m, n)  # the rows of each strip: its bin's window, clamped inside the c1 order
-        lo = np.clip((at // m - 1) * m, 0, n - width)
-        reach = _strip_bound(q[pending], near, edges, lo, lo + width, metric)
-        # No row is nearer than the copy spreads: a strip that reaches no
-        # farther than they do cannot certify its query.
-        tried = np.flatnonzero(reach > own[pending] * _CERTIFY)
-        bound = reach[tried] + other[pending[tried]]
-        if metric == "euclidean":
-            np.sqrt(bound, out=bound)
+        width = min(3 * m, n)  # the rows of each strip: its bin's window, clamped inside its order
         strips = []  # its queries, their bounds, and its training rows in training order
-        starts = np.flatnonzero(np.diff(lo[tried], prepend=-1))  # first try of each strip: lo never falls
-        for a, b in zip(starts, [*starts[1:], len(tried)]):
-            if width < n and (b - a) * (n - width) < _STRIP_PAIRS:
-                continue  # too few queries to pay for a block of their own
-            first = lo[tried[a]]
-            idx = np.sort(order[first:first + width]) if width < n else np.arange(n)
-            strips.append((pending[tried[a:b]], bound[a:b], idx))
+        if width == n:
+            # brute force: one strip of every query left, in ascending c1
+            # order, with no row outside it to bound
+            rows, pending = by_c1[route_of[by_c1] < 0], []
+            if rows.size:
+                strips.append((rows, np.full(rows.size, np.inf), np.arange(n)))
+        for h, (near, order, edge, (rows, at)) in enumerate(zip(groups, orders, edges, pending)):
+            lo = np.clip((at // m - 1) * m, 0, n - width)
+            reach = _strip_bound(q[rows], near, edge, lo, lo + width, metric)
+            # No row is nearer than the copy spreads: a strip that reaches
+            # no farther than they do cannot certify its query.
+            tried = np.flatnonzero(reach > spreads[h][rows] * _CERTIFY)
+            other = sum((s[rows[tried]] for g, s in enumerate(spreads) if g != h), np.zeros(len(tried)))
+            bound = reach[tried] + other
+            if metric == "euclidean":
+                np.sqrt(bound, out=bound)
+            starts = np.flatnonzero(np.diff(lo[tried], prepend=-1))  # first try of each strip: lo never falls
+            for a, b in zip(starts, [*starts[1:], len(tried)]):
+                if (b - a) * (n - width) < _STRIP_PAIRS:
+                    continue  # too few queries to pay for a block of their own
+                first = lo[tried[a]]
+                strips.append((rows[tried[a:b]], bound[a:b], np.sort(order[first:first + width])))
         # A block holds at most a worker's share of distances, and no more
         # than an even part of the round per lane, unless that part would
         # hold fewer than `_STRIP_PAIRS`.
@@ -642,8 +694,7 @@ def _neighbors(model: KnnModel, queries) -> tuple:
         for part in np.empty((min(lanes, len(runs)), max(map(_tall, runs), default=0))):
             slots.put(part)
         workers.run(partial(rank, slots, run, route) for run in runs)
-        left = route_of[pending] < 0
-        pending, at = pending[left], at[left]
+        pending = [(rows[route_of[rows] < 0], at[route_of[rows] < 0]) for rows, at in pending]
     return ranked_of, nd_of, route_of
 
 

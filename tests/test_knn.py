@@ -414,6 +414,21 @@ def test_winners_fall_back_on_an_exact_tie():
     assert fallbacks == 1
 
 
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_winners_of_an_exact_tie_are_the_lowest_class(weighting):
+    # exact sums, which need no fallback: unit votes, or distance weights
+    # on a row whose query sits on training points (weighed 1, the rest 0).
+    # Classes 3 and 1 alternate, so every even k ties them exactly
+    ranked = np.array([[0, 1, 2, 3, 4]])
+    nd = np.array([[0.0, 0.0, 0.0, 0.0, 1.0]])
+    labels = np.array([3, 1, 3, 1, 0])
+    ks = (1, 2, 3, 4, 5)
+    win, fallbacks = knn._winners_for(ranked, nd, labels, weighting, ks)
+    assert win[:, 0].tolist() == [3, 1, 3, 1, 1]
+    assert win.tobytes() == np.argmax(_table(ranked, nd, labels, weighting, ks), axis=2).tobytes()
+    assert fallbacks == 0
+
+
 @pytest.mark.parametrize("near,far,fallbacks", [
     (1e-310, 1.0, None),  # 1/d overflows to inf: refused on either route
     (1.5e-308, 1.0, 2),   # 1/d above 2**1022: past the certified range
@@ -682,21 +697,24 @@ def test_strip_certificate_keeps_its_margin(rng):
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
 def test_strip_bound_is_at_most_every_row_outside(metric, rng):
     # The contract of `_strip_bound`: per query, no more than the summed
-    # terms of the c1 columns (here c1 and its copy c3) of any training
-    # row outside the strip [lo, hi) of the c1 order. Off the sheet, c1
-    # and c3 of a query can lie on either side of a strip edge, where
-    # only the gap clamped at 0 keeps the bound below the rows.
+    # terms of one copy group's columns (c1 and its copy c3, or c2 and its
+    # copy c4) of any training row outside the strip [lo, hi) of that
+    # group's order. Off the sheet, the two columns of a query can lie on
+    # either side of a strip edge, where only the gap clamped at 0 keeps
+    # the bound below the rows.
     n, q = 40, 1600
-    c1 = np.sort(rng.uniform(0.0, 1.0, n))
-    edges = np.concatenate([[-np.inf], c1, [np.inf]])
+    train_x = rng.uniform(0.0, 1.0, (n, 2))[:, [0, 1, 0, 1]]
     query = rng.uniform(-0.2, 1.2, (q, 4))
-    lo = rng.integers(0, n, q)
-    hi = rng.integers(lo + 1, n + 1)
-    bound = knn._strip_bound(query, [0, 2], edges, lo, hi, metric)
-    gaps = query[:, [0, 2], None] - c1
-    terms = (gaps * gaps if metric == "euclidean" else np.abs(gaps)).sum(axis=1)
-    outside = (np.arange(n) < lo[:, None]) | (np.arange(n) >= hi[:, None])
-    assert np.all(bound <= np.where(outside, terms, np.inf).min(axis=1))
+    for near in ([0, 2], [1, 3]):
+        sheet = train_x[np.argsort(train_x[:, near[0]])]  # the rows in the group's order
+        edges = np.concatenate([[-np.inf], sheet[:, near[0]], [np.inf]])
+        lo = rng.integers(0, n, q)
+        hi = rng.integers(lo + 1, n + 1)
+        bound = knn._strip_bound(query, near, edges, lo, hi, metric)
+        gaps = query[:, near, None] - sheet[:, near].T
+        terms = (gaps * gaps if metric == "euclidean" else np.abs(gaps)).sum(axis=1)
+        outside = (np.arange(n) < lo[:, None]) | (np.arange(n) >= hi[:, None])
+        assert np.all(bound <= np.where(outside, terms, np.inf).min(axis=1))
 
 
 def _recorded_blocks(monkeypatch) -> list:
@@ -743,14 +761,74 @@ def test_runs_of_strips_equal_brute_force(metric, where, rng, monkeypatch):
     assert nd.tobytes() == want_nd.tobytes()
 
 
+def _is_window(values, idx) -> bool:
+    """Whether the rows `idx` hold every row whose value lies strictly
+    between their lowest and their highest: a window of the order of `values`."""
+    v = values[idx]
+    return (np.count_nonzero((values > v.min()) & (values < v.max()))
+            == np.count_nonzero((v > v.min()) & (v < v.max())))
+
+
+@pytest.mark.parametrize("where", ["1 worker", "2 workers", "a pool job"])
+@pytest.mark.parametrize("metric", DISTANCE_METRICS)
+@pytest.mark.parametrize("layout", [(0, 1, 0, 1), (0, 1, 0)], ids=["f1", "f2"])
+def test_strips_of_each_copy_group_equal_brute_force(layout, metric, where, rng, monkeypatch):
+    # Training rows moved off the sheet on its 0.001 grid, ties included:
+    # a third in c3 alone, a third in c4 alone (f2 has no c4: they stay on
+    # the sheet), a third in both. A query is ranked in the order of the
+    # copy group whose values of it span the fewest ranks, column 0's on a
+    # tie: c3 alone moves it to the c2 order where c1 and c3 lie ranks
+    # apart, c4 alone keeps the c1 order.
+    train_x, train_y, _ = _sheet_problem(rng, 2400, 0)
+    train_x = train_x[:, layout]
+    model = fit(train_x, train_y, k=3, weighting="distance", metric=metric)
+    assert model.copies == layout and knn._strip_margins(2400, 3) == [43, 172, 2400]
+    query = train_x[rng.integers(0, 2400, 900)]
+    kind = np.arange(900) % 3  # 0: c3 off, 1: c4 off, 2: both
+    step = rng.choice([-0.05, -0.01, -0.003, 0.003, 0.01, 0.05], (900, 2))
+    query[kind != 1, 2] += step[kind != 1, 0]
+    if len(layout) == 4:
+        query[kind != 0, 3] += step[kind != 0, 1]
+    query = query.round(3)
+    rounds = []  # each round's strips: (queries, bounds, training rows)
+    runs = knn._runs
+    monkeypatch.setattr(knn, "_runs", lambda strips, *args: rounds.append(strips) or runs(strips, *args))
+    monkeypatch.setattr(workers, "count", lambda: 1 if where == "1 worker" else 2)
+    call = lambda: knn._neighbors(model, query)
+    ranked, nd, route = _in_a_pool_job(call) if where == "a pool job" else call()
+    assert len(rounds) == 3 and route.max() == 2
+    # each narrow strip is a window of one group's order, c1's or c2's,
+    # and a narrow round answers queries of a strip of each
+    answered = set()
+    for r, strips in enumerate(rounds[:2]):
+        for rows, _, idx in strips:
+            (j,) = [j for j in (0, 1) if _is_window(train_x[:, j], idx)]
+            assert j == 0 or np.all(query[rows, 0] != query[rows, 2])  # c1 == c3: no span in c1 order
+            if np.any(route[rows] == r):
+                answered.add(j)
+    assert answered == {0, 1}
+    votes = knn._votes_for(ranked, nd, train_y, "distance")
+    proba = votes / votes.sum(axis=1, keepdims=True)  # as predict_proba_batch gives them
+    monkeypatch.setattr(knn, "_strip_margins", lambda n, k: [n])  # brute force alone
+    want_ranked, want_nd, want_route = call()
+    assert not want_route.any()
+    assert ranked.tobytes() == want_ranked.tobytes()
+    assert nd.tobytes() == want_nd.tobytes()
+    for i in range(0, 900, 60):
+        want = ref_proba(train_x, train_y, query[i], 3, "distance", metric)
+        assert proba[i].tobytes() == want.tobytes(), i
+
+
 @pytest.mark.parametrize("where, parts", [("1 worker", 1), ("2 workers", 2), ("a pool job", 1)])
 def test_a_round_of_one_block_is_cut_across_the_workers(where, parts, rng, monkeypatch):
     # 700 queries on training rows answer in the narrow round; 60 more,
-    # whose c3 lies 0.05 off their c1, are left to the full-width round.
-    # They fit one block, but their 72,000 distances pay for one block per
-    # worker, unless the call is itself a job of the pool
+    # whose c3 and c4 lie 0.05 off their c1 and c2, are left to the
+    # full-width round: in either copy group's order, no narrow strip
+    # reaches past that spread. They fit one block, but their 72,000
+    # distances pay for one block per worker, unless the call is itself a
+    # job of the pool
     train_x, train_y, _ = _sheet_problem(rng, 1200, 0)
-    query = np.vstack([train_x[:700], train_x[:60] + [0.0, 0.0, 0.05, 0.0]])
+    query = np.vstack([train_x[:700], train_x[:60] + [0.0, 0.0, 0.05, 0.05]])
     model = fit(train_x, train_y, k=3)
     assert knn._strip_margins(1200, 3) == [31, 1200]
     monkeypatch.setattr(workers, "count", lambda: 1 if where == "1 worker" else 2)
@@ -765,14 +843,15 @@ def test_a_round_of_one_block_is_cut_across_the_workers(where, parts, rng, monke
 
 
 def test_a_round_has_no_more_blocks_than_queries(rng, monkeypatch):
-    # one query, off the sheet so that only the full-width round can
-    # answer it, against 20,000 rows: its distances alone would pay for a
-    # block per worker, but a block holds at least one query
+    # one query, off the sheet in both copy groups so that only the
+    # full-width round can answer it, against 20,000 rows: its distances
+    # alone would pay for a block per worker, but a block holds at least
+    # one query
     train_x, train_y, _ = _sheet_problem(rng, 20_000, 0)
     model = fit(train_x, train_y, k=3)
     monkeypatch.setattr(workers, "count", lambda: 2)
     blocks = _recorded_blocks(monkeypatch)
-    route = knn._neighbors(model, train_x[:1] + [0.0, 0.0, 0.5, 0.0])[2]
+    route = knn._neighbors(model, train_x[:1] + [0.0, 0.0, 0.5, 0.5])[2]
     assert route.tolist() == [len(knn._strip_margins(20_000, 3)) - 1]
     assert [block.shape for block in blocks] == [(1, 20_000)]
 
