@@ -14,8 +14,10 @@ c3, c2 and its copy c4) orders the training rows by its value. A query
 takes the ranks of its lowest and highest value in each group's columns,
 and is ranked in the group whose interval of ranks is narrowest, column
 0's on a tie, as a k-d tree picks its splitting key (Friedman, Bentley &
-Finkel, ACM TOMS 3(3), 209 (1977)): a query on the sheet keeps the c1
-order, one whose c3 strays from c1 moves to the c2 order. Queries are
+Finkel, ACM TOMS 3(3), 209 (1977)). A query on the sheet spans no rank
+in any group and keeps the c1 order; a query off it moves to the c2
+order only when its interval there spans fewer ranks than in the c1
+order, so one off in both c3 and c4 may stay in the c1 order. Queries are
 binned by their interval's midpoint, and each bin is ranked against the
 rows of its own bin and the one on each side, a window moved inside the
 order at either end, taken in training index order so that ties still

@@ -25,3 +25,39 @@ def test_summary_of_one_pair_has_no_spread():
 
 def test_the_checkouts_lie_at_paths_of_equal_length():
     assert len({len(side) for side in compare.SIDES}) == 1
+
+
+_BENCH = {"command": ["python3", "perfbench/run.py"], "run_seconds": 15,
+          "end_to_end": [{"name": "call_p50_ms", "better": "lower"}]}
+
+
+def _doc(ms):
+    return {"correct": True, "failed": 0, "metrics": {"call_p50_ms": {"value": ms}}}
+
+
+def test_a_failed_run_ends_the_series_and_keeps_the_completed_pairs(monkeypatch):
+    calls = []
+    docs = iter([_doc(2.0), _doc(1.0), _doc(1.5), None])
+    monkeypatch.setattr(compare, "run", lambda tree, argv: calls.append((tree, argv)) or next(docs))
+    results, ok = compare.pairs(_BENCH, {"parent": "P", "change": "C"}, "apply", 5, 7)
+    assert not ok and len(calls) == 4
+    assert [tree for tree, _ in calls] == ["P", "C", "C", "P"]  # the first side alternates
+    assert calls[0][1] == ["python3", "perfbench/run.py", "--workload", "apply", "--seed", "7",
+                           "--seconds", "15", "--trace", "0"]
+    assert calls[2][1][5] == "8"
+    assert results == {"parent": [_doc(2.0)], "change": [_doc(1.0)]}
+
+
+def test_an_incorrect_run_fails_the_series(monkeypatch):
+    bad = dict(_doc(1.0), correct=False)
+    docs = iter([_doc(2.0), bad])
+    monkeypatch.setattr(compare, "run", lambda tree, argv: next(docs))
+    results, ok = compare.pairs(_BENCH, {"parent": "P", "change": "C"}, "apply", 1, 1)
+    assert not ok and results["change"] == [bad]
+
+
+def test_work_that_holds_a_checkout_is_refused(tmp_path, capsys):
+    (tmp_path / "change").mkdir()
+    with pytest.raises(SystemExit) as exit_:
+        compare.main(["HEAD", "--workload", "apply", "--work", str(tmp_path)])
+    assert exit_.value.code == 2 and "already holds" in capsys.readouterr().err
